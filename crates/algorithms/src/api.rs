@@ -1,184 +1,189 @@
 //! One-call entry points: build the machine, distribute the graph, run,
-//! return plain vectors. These are what the examples and most tests use;
-//! for fine-grained control (strategies, engine configs, statistics) use
-//! the per-algorithm modules inside your own [`dgp_am::Machine::run`].
+//! return plain vectors.
+//!
+//! There is one way to run a family on the threaded machine: a [`Run`]
+//! names the machine ([`MachineConfig`]: ranks, transport, faults, ...)
+//! and the engine ([`EngineConfig`]: plan mode, executor, ...), and has
+//! one method per family returning an [`Outcome`] — the rank-0 result
+//! vector plus the machine's statistics and per-epoch profiles. The plain
+//! `run_{sssp,cc,bfs,pagerank,kcore,coloring}` functions are one-line
+//! conveniences over `Run::new(ranks)` for callers that only want the
+//! vector; the `run_*_sim` functions run under the deterministic
+//! simulator with a mid-run invariant checker. For finer control
+//! (strategies, engine counters) use the per-algorithm modules inside
+//! your own [`dgp_am::Machine::run`].
 
-use dgp_am::{EpochProfile, Machine, MachineConfig, SimPlan, SimReport};
-use dgp_graph::properties::EdgeMap;
+use dgp_am::{AmCtx, EpochProfile, Machine, MachineConfig, SimPlan, SimReport, StatsSnapshot};
+use dgp_core::EngineConfig;
+use dgp_graph::properties::{AtomicValue, AtomicVertexMap, EdgeMap};
 use dgp_graph::{DistGraph, Distribution, EdgeList, VertexId};
 use parking_lot::Mutex;
 
 use crate::sssp::SsspStrategy;
 
-/// Distributed SSSP over `ranks` simulated ranks. The edge list must be
-/// weighted. Returns the distance vector in vertex order.
+/// One threaded run: which machine, which engine. Rank count, transport,
+/// fault plan and the rest come from `machine`; plan mode and executor
+/// from `engine`.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The machine the family runs on (rank count is taken from here).
+    pub machine: MachineConfig,
+    /// The engine configuration every rank installs the family with.
+    pub engine: EngineConfig,
+}
+
+/// What a [`Run`] returns.
+#[derive(Debug, Clone)]
+pub struct Outcome<T> {
+    /// The family's result in vertex order (rank 0's snapshot).
+    pub result: T,
+    /// The machine's cumulative statistics as seen by rank 0 after the
+    /// last epoch — e.g. to assert that fault injection actually happened
+    /// (`injected_drops`, `retransmits`, ...).
+    pub stats: StatsSnapshot,
+    /// One [`EpochProfile`] per machine-wide epoch, in order, carrying
+    /// the wall time and counter deltas of that epoch — where a strategy
+    /// spends its messages.
+    pub profiles: Vec<EpochProfile>,
+}
+
+impl Run {
+    /// `ranks` default-configured ranks, default engine.
+    pub fn new(ranks: usize) -> Run {
+        Run::on(MachineConfig::new(ranks))
+    }
+
+    /// A caller-supplied machine (transport, faults, termination mode,
+    /// ...), default engine.
+    pub fn on(machine: MachineConfig) -> Run {
+        Run {
+            machine,
+            engine: EngineConfig::default(),
+        }
+    }
+
+    fn distribute(&self, el: &EdgeList) -> DistGraph {
+        let dist = Distribution::block(el.num_vertices(), self.machine.ranks);
+        DistGraph::build(el, dist, false)
+    }
+
+    /// Run `family` (install + run, returning its result map) on every
+    /// rank and collect rank 0's view.
+    fn drive<V: AtomicValue>(
+        &self,
+        family: impl Fn(&AmCtx, EngineConfig) -> AtomicVertexMap<V> + Send + Sync,
+    ) -> Outcome<Vec<V>> {
+        let engine = self.engine;
+        let mut out = Machine::run(self.machine.clone(), |ctx| {
+            let map = family(ctx, engine);
+            (ctx.rank() == 0).then(|| Outcome {
+                result: map.snapshot(),
+                stats: ctx.stats(),
+                profiles: ctx.epoch_profiles(),
+            })
+        });
+        out[0].take().expect("rank 0 reports")
+    }
+
+    /// Distributed SSSP. The edge list must be weighted. Distances in
+    /// vertex order.
+    pub fn sssp(
+        &self,
+        el: &EdgeList,
+        source: VertexId,
+        strategy: SsspStrategy,
+    ) -> Outcome<Vec<f64>> {
+        let graph = self.distribute(el);
+        let weights = EdgeMap::from_weights(&graph, el);
+        self.drive(|ctx, cfg| {
+            let s = crate::sssp::Sssp::install(ctx, &graph, &weights, cfg);
+            s.run(ctx, source, strategy);
+            s.dist
+        })
+    }
+
+    /// Distributed connected components (parallel search). The edge list
+    /// is symmetrized internally. Min-vertex-id component labels.
+    pub fn cc(&self, el: &EdgeList) -> Outcome<Vec<u64>> {
+        let graph = self.distribute(&symmetrized(el));
+        self.drive(|ctx, cfg| crate::cc::cc_with_cfg(ctx, &graph, cfg))
+    }
+
+    /// Distributed BFS levels (`u64::MAX` = unreached).
+    pub fn bfs(&self, el: &EdgeList, source: VertexId) -> Outcome<Vec<u64>> {
+        let graph = self.distribute(el);
+        self.drive(|ctx, cfg| {
+            let b = crate::bfs::Bfs::install(ctx, &graph, cfg);
+            b.run(ctx, source);
+            b.level
+        })
+    }
+
+    /// Distributed PageRank (`damping` typically 0.85).
+    pub fn pagerank(&self, el: &EdgeList, damping: f64, iterations: usize) -> Outcome<Vec<f64>> {
+        let graph = self.distribute(el);
+        self.drive(|ctx, cfg| {
+            let p = crate::pagerank::PageRank::install(ctx, &graph, damping, cfg);
+            p.run(ctx, iterations);
+            p.rank
+        })
+    }
+
+    /// Distributed k-core membership mask (edge list symmetrized
+    /// internally).
+    pub fn kcore(&self, el: &EdgeList, k: u64) -> Outcome<Vec<bool>> {
+        let graph = self.distribute(&symmetrized(el));
+        self.drive(|ctx, cfg| crate::kcore::kcore_with_cfg(ctx, &graph, k, cfg).0)
+    }
+
+    /// Distributed greedy coloring (edge list symmetrized internally).
+    /// Per-vertex colors; max degree must be < 63.
+    pub fn coloring(&self, el: &EdgeList) -> Outcome<Vec<u64>> {
+        let graph = self.distribute(&symmetrized(el));
+        self.drive(|ctx, cfg| crate::coloring::color_greedy_with_cfg(ctx, &graph, cfg).0)
+    }
+}
+
+/// The unweighted, symmetric version of `el` the undirected families run
+/// on.
+fn symmetrized(el: &EdgeList) -> EdgeList {
+    let mut sym = el.clone();
+    sym.weights = None;
+    sym.symmetrize();
+    sym
+}
+
+/// [`Run::sssp`] on `ranks` default ranks: just the distance vector.
 pub fn run_sssp(el: &EdgeList, ranks: usize, source: VertexId, strategy: SsspStrategy) -> Vec<f64> {
-    run_sssp_cfg(el, MachineConfig::new(ranks), source, strategy)
+    Run::new(ranks).sssp(el, source, strategy).result
 }
 
-/// [`run_sssp`] on a caller-supplied [`MachineConfig`] (rank count is
-/// taken from the config) — the hook the chaos tests and experiment E13
-/// use to run algorithms over a fault-injected transport.
-pub fn run_sssp_cfg(
-    el: &EdgeList,
-    cfg: MachineConfig,
-    source: VertexId,
-    strategy: SsspStrategy,
-) -> Vec<f64> {
-    let ranks = cfg.ranks;
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let weights = EdgeMap::from_weights(&graph, el);
-    let mut out = Machine::run(cfg, move |ctx| {
-        let d = crate::sssp::sssp(ctx, &graph, &weights, source, strategy);
-        (ctx.rank() == 0).then(|| d.snapshot())
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// [`run_sssp_cfg`] that also returns the machine's cumulative statistics
-/// (as seen by rank 0 after the last epoch) — used to assert that fault
-/// injection actually happened (`injected_drops`, `retransmits`, ...).
-pub fn run_sssp_cfg_stats(
-    el: &EdgeList,
-    cfg: MachineConfig,
-    source: VertexId,
-    strategy: SsspStrategy,
-) -> (Vec<f64>, dgp_am::StatsSnapshot) {
-    let ranks = cfg.ranks;
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let weights = EdgeMap::from_weights(&graph, el);
-    let mut out = Machine::run(cfg, move |ctx| {
-        let d = crate::sssp::sssp(ctx, &graph, &weights, source, strategy);
-        (ctx.rank() == 0).then(|| (d.snapshot(), ctx.stats()))
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// [`run_sssp`] on a caller-supplied [`dgp_core::EngineConfig`] — the
-/// hook for guarded vs. proof-carrying interpreter comparisons (set
-/// `elide_verified_checks: false` to force the per-message guards).
-pub fn run_sssp_engine_cfg(
-    el: &EdgeList,
-    ranks: usize,
-    engine_cfg: dgp_core::EngineConfig,
-    source: VertexId,
-    strategy: SsspStrategy,
-) -> Vec<f64> {
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let weights = EdgeMap::from_weights(&graph, el);
-    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-        let s = crate::sssp::Sssp::install(ctx, &graph, &weights, engine_cfg);
-        s.run(ctx, source, strategy);
-        (ctx.rank() == 0).then(|| s.dist.snapshot())
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// [`run_cc`] on a caller-supplied [`dgp_core::EngineConfig`].
-pub fn run_cc_engine_cfg(
-    el: &EdgeList,
-    ranks: usize,
-    engine_cfg: dgp_core::EngineConfig,
-) -> Vec<u64> {
-    let mut sym = el.clone();
-    sym.weights = None;
-    sym.symmetrize();
-    let dist = Distribution::block(sym.num_vertices(), ranks);
-    let graph = DistGraph::build(&sym, dist, false);
-    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-        let c = crate::cc::cc_with_cfg(ctx, &graph, engine_cfg);
-        (ctx.rank() == 0).then(|| c.snapshot())
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// [`run_pagerank`] on a caller-supplied [`dgp_core::EngineConfig`].
-pub fn run_pagerank_engine_cfg(
-    el: &EdgeList,
-    ranks: usize,
-    engine_cfg: dgp_core::EngineConfig,
-    damping: f64,
-    iterations: usize,
-) -> Vec<f64> {
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-        let p = crate::pagerank::PageRank::install(ctx, &graph, damping, engine_cfg);
-        p.run(ctx, iterations);
-        (ctx.rank() == 0).then(|| p.rank.snapshot())
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// [`run_bfs`] on a caller-supplied [`dgp_core::EngineConfig`].
-pub fn run_bfs_engine_cfg(
-    el: &EdgeList,
-    ranks: usize,
-    engine_cfg: dgp_core::EngineConfig,
-    source: VertexId,
-) -> Vec<u64> {
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-        let b = crate::bfs::Bfs::install(ctx, &graph, engine_cfg);
-        b.run(ctx, source);
-        (ctx.rank() == 0).then(|| b.level.snapshot())
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// [`run_sssp`] plus the runtime's per-epoch profiles (`dgp-am::obs`):
-/// one [`EpochProfile`] per machine-wide epoch, in order, carrying the
-/// wall time and counter deltas of that epoch. Use it to see where a
-/// strategy spends its messages without touching the machine API.
-pub fn run_sssp_profiled(
-    el: &EdgeList,
-    ranks: usize,
-    source: VertexId,
-    strategy: SsspStrategy,
-) -> (Vec<f64>, Vec<EpochProfile>) {
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let weights = EdgeMap::from_weights(&graph, el);
-    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-        let d = crate::sssp::sssp(ctx, &graph, &weights, source, strategy);
-        (ctx.rank() == 0).then(|| (d.snapshot(), ctx.epoch_profiles()))
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// Distributed connected components (parallel search). The edge list is
-/// symmetrized internally. Returns min-vertex-id component labels.
+/// [`Run::cc`] on `ranks` default ranks: just the labels.
 pub fn run_cc(el: &EdgeList, ranks: usize) -> Vec<u64> {
-    run_cc_cfg(el, MachineConfig::new(ranks))
+    Run::new(ranks).cc(el).result
 }
 
-/// [`run_cc`] on a caller-supplied [`MachineConfig`] (rank count taken
-/// from the config); returns the labels plus rank 0's cumulative machine
-/// statistics.
-pub fn run_cc_cfg(el: &EdgeList, cfg: MachineConfig) -> Vec<u64> {
-    run_cc_cfg_stats(el, cfg).0
+/// [`Run::bfs`] on `ranks` default ranks: just the levels.
+pub fn run_bfs(el: &EdgeList, ranks: usize, source: VertexId) -> Vec<u64> {
+    Run::new(ranks).bfs(el, source).result
 }
 
-/// [`run_cc_cfg`] with the machine statistics alongside the labels.
-pub fn run_cc_cfg_stats(el: &EdgeList, cfg: MachineConfig) -> (Vec<u64>, dgp_am::StatsSnapshot) {
-    let ranks = cfg.ranks;
-    let mut sym = el.clone();
-    sym.weights = None;
-    sym.symmetrize();
-    let dist = Distribution::block(sym.num_vertices(), ranks);
-    let graph = DistGraph::build(&sym, dist, false);
-    let mut out = Machine::run(cfg, move |ctx| {
-        let c = crate::cc::cc(ctx, &graph);
-        (ctx.rank() == 0).then(|| (c.snapshot(), ctx.stats()))
-    });
-    out[0].take().expect("rank 0 reports")
+/// [`Run::pagerank`] on `ranks` default ranks: just the rank vector.
+pub fn run_pagerank(el: &EdgeList, ranks: usize, damping: f64, iterations: usize) -> Vec<f64> {
+    Run::new(ranks).pagerank(el, damping, iterations).result
 }
 
-/// [`run_sssp_cfg`] under the deterministic discrete-event simulator
+/// [`Run::kcore`] on `ranks` default ranks: just the mask.
+pub fn run_kcore(el: &EdgeList, ranks: usize, k: u64) -> Vec<bool> {
+    Run::new(ranks).kcore(el, k).result
+}
+
+/// [`Run::coloring`] on `ranks` default ranks: just the colors.
+pub fn run_coloring(el: &EdgeList, ranks: usize) -> Vec<u64> {
+    Run::new(ranks).coloring(el).result
+}
+
+/// [`Run::sssp`] under the deterministic discrete-event simulator
 /// ([`dgp_am::Machine::run_sim`]): modeled links, seeded schedule, exact
 /// reproducibility at thousands of ranks. Installs a mid-run
 /// `InvariantChecker` that validates, at every checkpoint the plan's
@@ -234,7 +239,7 @@ pub fn run_sssp_sim(
     Ok((results[0].take().expect("rank 0 reports"), run.report))
 }
 
-/// [`run_cc_cfg`] under the deterministic simulator, with a mid-run
+/// [`Run::cc`] under the deterministic simulator, with a mid-run
 /// invariant: component labels start unwritten (`u64::MAX`), only ever
 /// decrease, and never drop below the true minimum vertex id of the
 /// component (precomputed with union-find).
@@ -244,9 +249,7 @@ pub fn run_cc_sim(
     plan: SimPlan,
 ) -> Result<(Vec<u64>, SimReport), Box<dgp_am::SimError>> {
     let ranks = cfg.ranks;
-    let mut sym = el.clone();
-    sym.weights = None;
-    sym.symmetrize();
+    let sym = symmetrized(el);
     let truth = crate::seq::cc_labels(&sym);
     let dist = Distribution::block(sym.num_vertices(), ranks);
     let graph = DistGraph::build(&sym, dist, false);
@@ -283,7 +286,7 @@ pub fn run_cc_sim(
     Ok((results[0].take().expect("rank 0 reports"), run.report))
 }
 
-/// [`run_pagerank_cfg`] under the deterministic simulator, with a
+/// [`Run::pagerank`] under the deterministic simulator, with a
 /// mid-run invariant: every tentative rank value stays finite and
 /// non-negative at every checkpoint.
 pub fn run_pagerank_sim(
@@ -319,69 +322,6 @@ pub fn run_pagerank_sim(
     })?;
     let mut results = run.results;
     Ok((results[0].take().expect("rank 0 reports"), run.report))
-}
-
-/// Distributed BFS levels (`u64::MAX` = unreached).
-pub fn run_bfs(el: &EdgeList, ranks: usize, source: VertexId) -> Vec<u64> {
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-        let l = crate::bfs::bfs(ctx, &graph, source);
-        (ctx.rank() == 0).then(|| l.snapshot())
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// Distributed PageRank (`damping` typically 0.85).
-pub fn run_pagerank(el: &EdgeList, ranks: usize, damping: f64, iterations: usize) -> Vec<f64> {
-    run_pagerank_cfg(el, MachineConfig::new(ranks), damping, iterations)
-}
-
-/// [`run_pagerank`] on a caller-supplied [`MachineConfig`] (rank count
-/// taken from the config).
-pub fn run_pagerank_cfg(
-    el: &EdgeList,
-    cfg: MachineConfig,
-    damping: f64,
-    iterations: usize,
-) -> Vec<f64> {
-    let ranks = cfg.ranks;
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let mut out = Machine::run(cfg, move |ctx| {
-        let r = crate::pagerank::pagerank(ctx, &graph, damping, iterations);
-        (ctx.rank() == 0).then(|| r.snapshot())
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// Distributed k-core membership mask (edge list symmetrized internally).
-pub fn run_kcore(el: &EdgeList, ranks: usize, k: u64) -> Vec<bool> {
-    let mut sym = el.clone();
-    sym.weights = None;
-    sym.symmetrize();
-    let dist = Distribution::block(sym.num_vertices(), ranks);
-    let graph = DistGraph::build(&sym, dist, false);
-    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-        let (mask, _) = crate::kcore::kcore(ctx, &graph, k);
-        (ctx.rank() == 0).then(|| mask.snapshot())
-    });
-    out[0].take().expect("rank 0 reports")
-}
-
-/// Distributed greedy coloring (edge list symmetrized internally).
-/// Returns per-vertex colors; max degree must be < 63.
-pub fn run_coloring(el: &EdgeList, ranks: usize) -> Vec<u64> {
-    let mut sym = el.clone();
-    sym.weights = None;
-    sym.symmetrize();
-    let dist = Distribution::block(sym.num_vertices(), ranks);
-    let graph = DistGraph::build(&sym, dist, false);
-    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-        let (c, _) = crate::coloring::color_greedy(ctx, &graph);
-        (ctx.rank() == 0).then(|| c.snapshot())
-    });
-    out[0].take().expect("rank 0 reports")
 }
 
 #[cfg(test)]

@@ -162,8 +162,8 @@ pub fn cc(ctx: &AmCtx, graph: &DistGraph) -> AtomicVertexMap<u64> {
     cc_with_cfg(ctx, graph, EngineConfig::default())
 }
 
-/// [`cc`] on a caller-supplied [`EngineConfig`] — the hook the guarded
-/// vs. proof-carrying interpreter comparisons use.
+/// [`cc`] on a caller-supplied [`EngineConfig`] — the hook the
+/// reference-vs-compiled executor comparisons use.
 pub fn cc_with_cfg(ctx: &AmCtx, graph: &DistGraph, cfg: EngineConfig) -> AtomicVertexMap<u64> {
     let c = Cc::install(ctx, graph, cfg);
     c.run(ctx);

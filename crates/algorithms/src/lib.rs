@@ -16,7 +16,9 @@
 //!   measure the abstraction overhead of the pattern engine (E7).
 //!
 //! [`api`] offers one-call entry points that build the machine, distribute
-//! the graph, run, and return plain vectors — what the examples use.
+//! the graph, run, and return plain vectors — what the examples use; its
+//! [`Run`] is the one place a caller picks the machine and engine
+//! configuration.
 
 pub mod api;
 pub mod betweenness;
@@ -34,9 +36,6 @@ pub mod seq;
 pub mod sssp;
 pub mod util;
 
-pub use api::{
-    run_bfs, run_cc, run_cc_cfg, run_cc_cfg_stats, run_coloring, run_kcore, run_pagerank,
-    run_pagerank_cfg, run_sssp, run_sssp_cfg, run_sssp_cfg_stats, run_sssp_profiled,
-};
+pub use api::{run_bfs, run_cc, run_coloring, run_kcore, run_pagerank, run_sssp, Outcome, Run};
 pub use registry::{builtin_patterns, RegisteredPattern};
 pub use sssp::SsspStrategy;

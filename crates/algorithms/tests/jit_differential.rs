@@ -1,10 +1,9 @@
-//! Compiled plans vs. the interpreter (INTERNALS §14).
+//! Compiled plans vs. the reference interpreter (INTERNALS §13–§14).
 //!
 //! The plan JIT monomorphizes every proof-carrying plan into a chain of
-//! typed closures; the interpreter is the semantics oracle. These tests
-//! run every shipped algorithm family twice on the same input — once with
-//! the compiler enabled (the default) and once on the fully guarded
-//! interpreter (`compile_plans: false`, `elide_verified_checks: false`) —
+//! typed closures; the guarded interpreter is the semantics oracle. These
+//! tests run every shipped algorithm family twice on the same input —
+//! once on the default `Exec::Compiled` and once on `Exec::Reference` —
 //! and demand identical results: **bit-identical** wherever the
 //! computation is deterministic (SSSP distances, CC labels, BFS levels,
 //! MIS/k-core masks, colorings), and within 1e-9 relative tolerance for
@@ -17,17 +16,26 @@
 //! chains. A chaos variant reruns the SSSP differential under the
 //! standard fault preset: the JIT must stay bit-identical when the
 //! transport drops, duplicates, delays and reorders envelopes.
+//!
+//! The suite also pins the two ends of the contract the differential
+//! rests on: every shipped plan *earns* the proof the compiler demands,
+//! and an action the compiler cannot take (a map handle it does not
+//! recognize) runs on the same guarded interpreter with the reason
+//! recorded.
 
-use dgp_algorithms::api::{
-    run_bfs_engine_cfg, run_cc_engine_cfg, run_pagerank_engine_cfg, run_sssp_engine_cfg,
-};
+use std::sync::Arc;
+
 use dgp_algorithms::paths::SsspPaths;
 use dgp_algorithms::sssp::{Sssp, SsspStrategy};
-use dgp_algorithms::{betweenness, coloring, kcore, mis};
+use dgp_algorithms::util::owned_seeds;
+use dgp_algorithms::{betweenness, coloring, kcore, mis, patterns, Run};
 use dgp_am::{FaultPlan, Machine, MachineConfig};
-use dgp_core::plan::PlanMode;
-use dgp_core::EngineConfig;
+use dgp_core::engine::{AtomicMapHandle, ErasedMap, JitFallback, MapAccess, PatternEngine, Val};
+use dgp_core::ir::PropertyKind;
+use dgp_core::plan::{compile, PlanMode};
+use dgp_core::{strategies, EngineConfig, Exec};
 use dgp_graph::generators::{self, RmatParams};
+use dgp_graph::properties::AtomicVertexMap;
 use dgp_graph::properties::EdgeMap;
 use dgp_graph::{DistGraph, Distribution, EdgeList, VertexId};
 
@@ -41,13 +49,20 @@ fn compiled(mode: PlanMode) -> EngineConfig {
     }
 }
 
-/// The oracle: the fully guarded interpreter, JIT off.
+/// The oracle: the guarded interpreter.
 fn interpreted(mode: PlanMode) -> EngineConfig {
     EngineConfig {
         plan_mode: mode,
-        compile_plans: false,
-        elide_verified_checks: false,
+        exec: Exec::Reference,
         ..Default::default()
+    }
+}
+
+/// Three default ranks running `engine`.
+fn on(engine: EngineConfig) -> Run {
+    Run {
+        engine,
+        ..Run::new(3)
     }
 }
 
@@ -77,12 +92,45 @@ fn assert_close(fast: &[f64], slow: &[f64], what: &str) {
     }
 }
 
-/// The gate itself: shipped plans compile under the default config, stay
-/// interpreted when the JIT is off or the guards are requested, and the
-/// fallback reason is observable.
+/// Every shipped pattern family earns a proof, in both plan modes — so
+/// compiled code is what production runs.
+#[test]
+fn every_builtin_plan_carries_a_proof_in_both_modes() {
+    for family in dgp_algorithms::builtin_patterns() {
+        for action in &family.actions {
+            for mode in [PlanMode::Faithful, PlanMode::Optimized] {
+                let plan = compile(&action.ir, mode).unwrap_or_else(|e| {
+                    panic!(
+                        "{}/{} ({mode:?}) fails to compile: {e}",
+                        family.name, action.ir.name
+                    )
+                });
+                let facts = plan.facts.unwrap_or_else(|| {
+                    panic!(
+                        "{}/{} ({mode:?}) compiled without a proof",
+                        family.name, action.ir.name
+                    )
+                });
+                // A plan that still needs its runtime guards would make
+                // guard-free compiled code unsound; every shipped plan
+                // must discharge at least its own sites.
+                assert_eq!(
+                    u64::from(facts.locality_sites + facts.consumed_sites),
+                    facts.runtime_checks_elided(),
+                    "{}/{} ({mode:?})",
+                    family.name,
+                    action.ir.name
+                );
+            }
+        }
+    }
+}
+
+/// The gate itself: a shipped plan compiles under `Exec::Compiled`, stays
+/// on the interpreter under `Exec::Reference`, and the reason is
+/// observable.
 #[test]
 fn sssp_compiles_by_default_and_falls_back_on_request() {
-    use dgp_core::engine::JitFallback;
     let el = rmat_weighted(6, 3);
     let dist = Distribution::block(el.num_vertices(), 2);
     let graph = DistGraph::build(&el, dist, false);
@@ -90,21 +138,7 @@ fn sssp_compiles_by_default_and_falls_back_on_request() {
         (EngineConfig::default(), None),
         (
             interpreted(PlanMode::Optimized),
-            Some(JitFallback::Disabled),
-        ),
-        (
-            EngineConfig {
-                elide_verified_checks: false,
-                ..Default::default()
-            },
-            Some(JitFallback::GuardsRequested),
-        ),
-        (
-            EngineConfig {
-                validate_locality: true,
-                ..Default::default()
-            },
-            Some(JitFallback::ValidatesLocality),
+            Some(JitFallback::Reference),
         ),
     ];
     for (cfg, expect) in cases {
@@ -125,13 +159,82 @@ fn sssp_compiles_by_default_and_falls_back_on_request() {
     }
 }
 
+/// A vertex map behind a handle type the compiler's downcasts do not
+/// know: same storage as an [`AtomicMapHandle`], opaque to the JIT.
+struct OpaqueMap(AtomicMapHandle<f64>);
+
+impl ErasedMap for OpaqueMap {
+    fn kind(&self) -> PropertyKind {
+        self.0.kind()
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn read_vertex(&self, rank: usize, v: VertexId) -> Val {
+        self.0.read_vertex(rank, v)
+    }
+    fn write_vertex(&self, rank: usize, v: VertexId, val: Val) -> Val {
+        self.0.write_vertex(rank, v, val)
+    }
+    fn update_vertex(&self, rank: usize, v: VertexId, f: &dyn Fn(Val) -> Val) -> (Val, Val, bool) {
+        self.0.update_vertex(rank, v, f)
+    }
+}
+
+/// The fallback under the default executor: an action over a map the
+/// compiler cannot downcast reports `UnsupportedMap`, runs on the guarded
+/// interpreter, computes what the typed (compiled) run computes, and —
+/// being a verifier-clean plan — trips no guard.
+#[test]
+fn undowncastable_map_falls_back_to_the_guarded_interpreter() {
+    let el = rmat_weighted(6, 3);
+    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
+    let typed = on(EngineConfig::default())
+        .sssp(&el, 0, SsspStrategy::FixedPoint)
+        .result;
+    let mut out = Machine::run(MachineConfig::new(3), |ctx| {
+        let engine = PatternEngine::new(ctx, graph.clone(), EngineConfig::default());
+        let dist = ctx.share(|| AtomicVertexMap::new(graph.distribution(), f64::INFINITY));
+        let dist_id =
+            engine.register_map(Arc::new(OpaqueMap(AtomicMapHandle { map: dist.clone() })));
+        let weights = EdgeMap::from_weights(&graph, &el);
+        let w_id = engine.register_edge_map(&weights);
+        let relax = engine
+            .add_action(patterns::relax(dist_id, w_id))
+            .expect("relax installs");
+        assert!(!engine.compiles(relax));
+        assert!(
+            matches!(
+                engine.compile_fallback(relax),
+                Some(JitFallback::UnsupportedMap {
+                    map,
+                    access: MapAccess::VertexRead | MapAccess::Assign,
+                }) if map == dist_id as usize
+            ),
+            "fallback: {:?}",
+            engine.compile_fallback(relax)
+        );
+        let seeds = owned_seeds(ctx, &graph, &[0]);
+        for &v in &seeds {
+            dist.set(ctx.rank(), v, 0.0);
+        }
+        ctx.barrier();
+        strategies::fixed_point(ctx, &engine, relax, &seeds);
+        let violations = ctx.sum_ranks(engine.locality_violations());
+        (ctx.rank() == 0).then(|| (dist.snapshot(), violations))
+    });
+    let (opaque, violations) = out[0].take().unwrap();
+    assert_bits_eq(&typed, &opaque, "sssp over an opaque map");
+    assert_eq!(violations, 0);
+}
+
 #[test]
 fn sssp_bit_identical_compiled_vs_interpreted() {
     let el = rmat_weighted(7, 11);
     for mode in MODES {
         for strategy in [SsspStrategy::FixedPoint, SsspStrategy::Delta(2.0)] {
-            let fast = run_sssp_engine_cfg(&el, 3, compiled(mode), 0, strategy);
-            let slow = run_sssp_engine_cfg(&el, 3, interpreted(mode), 0, strategy);
+            let fast = on(compiled(mode)).sssp(&el, 0, strategy).result;
+            let slow = on(interpreted(mode)).sssp(&el, 0, strategy).result;
             assert_bits_eq(&fast, &slow, &format!("sssp {mode:?}/{strategy:?}"));
         }
     }
@@ -141,8 +244,8 @@ fn sssp_bit_identical_compiled_vs_interpreted() {
 fn cc_bit_identical_compiled_vs_interpreted() {
     let el = generators::component_blobs(4, 40, 2, 17);
     for mode in MODES {
-        let fast = run_cc_engine_cfg(&el, 3, compiled(mode));
-        let slow = run_cc_engine_cfg(&el, 3, interpreted(mode));
+        let fast = on(compiled(mode)).cc(&el).result;
+        let slow = on(interpreted(mode)).cc(&el).result;
         assert_eq!(fast, slow, "cc {mode:?}");
     }
 }
@@ -151,8 +254,8 @@ fn cc_bit_identical_compiled_vs_interpreted() {
 fn bfs_bit_identical_compiled_vs_interpreted() {
     let el = rmat_weighted(7, 5);
     for mode in MODES {
-        let fast = run_bfs_engine_cfg(&el, 3, compiled(mode), 0);
-        let slow = run_bfs_engine_cfg(&el, 3, interpreted(mode), 0);
+        let fast = on(compiled(mode)).bfs(&el, 0).result;
+        let slow = on(interpreted(mode)).bfs(&el, 0).result;
         assert_eq!(fast, slow, "bfs {mode:?}");
     }
 }
@@ -161,8 +264,8 @@ fn bfs_bit_identical_compiled_vs_interpreted() {
 fn pagerank_matches_compiled_vs_interpreted() {
     let el = rmat_weighted(7, 23);
     for mode in MODES {
-        let fast = run_pagerank_engine_cfg(&el, 3, compiled(mode), 0.85, 15);
-        let slow = run_pagerank_engine_cfg(&el, 3, interpreted(mode), 0.85, 15);
+        let fast = on(compiled(mode)).pagerank(&el, 0.85, 15).result;
+        let slow = on(interpreted(mode)).pagerank(&el, 0.85, 15).result;
         assert_close(&fast, &slow, &format!("pagerank {mode:?}"));
     }
 }
@@ -294,27 +397,22 @@ fn paths_bit_identical_compiled_vs_interpreted() {
 fn sssp_chaos_bit_identical_compiled_vs_interpreted() {
     let mut el = generators::erdos_renyi(150, 900, 8);
     el.randomize_weights(0.5, 3.0, 9);
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
     for seed in [0xC0FFEE_u64, 42] {
-        let run = |cfg: EngineConfig| {
-            let g = graph.clone();
-            let el = el.clone();
-            let mcfg = MachineConfig::new(3)
+        let run = |engine: EngineConfig| {
+            let machine = MachineConfig::new(3)
                 .coalescing(8)
                 .faults(FaultPlan::chaos(seed));
-            let mut out = Machine::run(mcfg, move |ctx| {
-                let weights = EdgeMap::from_weights(&g, &el);
-                let s = Sssp::install(ctx, &g, &weights, cfg);
-                s.run(ctx, 0, SsspStrategy::Delta(1.0));
-                (ctx.rank() == 0).then(|| (s.dist.snapshot(), ctx.stats()))
-            });
-            out[0].take().unwrap()
+            Run { machine, engine }.sssp(&el, 0, SsspStrategy::Delta(1.0))
         };
-        let (fast, fast_stats) = run(compiled(PlanMode::Optimized));
-        let (slow, _) = run(interpreted(PlanMode::Optimized));
-        assert_bits_eq(&fast, &slow, &format!("sssp chaos seed {seed}"));
+        let fast = run(compiled(PlanMode::Optimized));
+        let slow = run(interpreted(PlanMode::Optimized));
+        assert_bits_eq(
+            &fast.result,
+            &slow.result,
+            &format!("sssp chaos seed {seed}"),
+        );
         assert!(
-            fast_stats.faults_injected() > 0,
+            fast.stats.faults_injected() > 0,
             "seed {seed}: nothing injected"
         );
     }

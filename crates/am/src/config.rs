@@ -45,16 +45,6 @@ pub struct MachineConfig {
     pub recv_timeout: Duration,
     /// Termination-detection algorithm used by epochs.
     pub termination: TerminationMode,
-    /// Capacity of the envelope trace ring (0 = tracing off). When on,
-    /// the machine records envelope deliveries
-    /// `(epoch, from, to, type, count)` for postmortem inspection via
-    /// `AmCtx::trace`. **Ring semantics:** the ring is bounded — once full,
-    /// each new delivery silently evicts the *oldest* recorded event, so
-    /// `AmCtx::trace` returns the newest `capacity` deliveries. Evictions
-    /// are counted in the `trace_dropped` statistic
-    /// (`StatsSnapshot::trace_dropped`); a nonzero value means the trace
-    /// is a suffix of the run, not the whole run.
-    pub trace_envelopes: usize,
     /// Enable the structured observability recorder (`dgp-am::obs`):
     /// epoch/handler/termination spans, handler-latency and envelope-size
     /// histograms, Chrome-trace export. Off by default; when off, the
@@ -131,7 +121,6 @@ impl MachineConfig {
             coalescing_capacity: 64,
             recv_timeout: Duration::from_micros(100),
             termination: TerminationMode::SharedCounters,
-            trace_envelopes: 0,
             profile: false,
             profile_spans: 1 << 16,
             faults: None,
@@ -160,13 +149,6 @@ impl MachineConfig {
     /// Select the termination-detection algorithm.
     pub fn termination(mut self, mode: TerminationMode) -> Self {
         self.termination = mode;
-        self
-    }
-
-    /// Enable envelope tracing with a bounded ring of `capacity` events
-    /// (oldest-evicting; see [`MachineConfig::trace_envelopes`]).
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace_envelopes = capacity;
         self
     }
 

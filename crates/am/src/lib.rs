@@ -131,7 +131,7 @@ pub use caching::CachingSender;
 pub use config::{MachineConfig, TerminationMode};
 pub use error::MachineError;
 pub use fault::FaultPlan;
-pub use machine::{AmCtx, Flushable, Machine, MessageType, RankId, SimError, SimRun, TraceEvent};
+pub use machine::{AmCtx, Flushable, Machine, MessageType, RankId, SimError, SimRun};
 pub use obs::{
     EpochProfile, LogHistogram, MetricsReport, Recorder, SpanGuard, SpanKind, SpanRecord,
 };

@@ -46,28 +46,6 @@ use crate::trace::{
 /// Index of a rank (simulated node) within a machine.
 pub type RankId = usize;
 
-/// One recorded envelope delivery (tracing; see
-/// [`MachineConfig::trace`](crate::MachineConfig::trace)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Epochs completed when the envelope was delivered (i.e. the
-    /// 0-indexed epoch it belongs to, modulo detection-tail timing).
-    pub epoch: u64,
-    /// Sending rank.
-    pub from: RankId,
-    /// Receiving rank.
-    pub to: RankId,
-    /// Message type id (see [`AmCtx::type_stats`] for names).
-    pub type_id: u32,
-    /// Messages coalesced into the envelope.
-    pub count: u32,
-}
-
-struct TraceRing {
-    events: std::collections::VecDeque<TraceEvent>,
-    capacity: usize,
-}
-
 /// A batch of coalesced messages of one type, in flight to one rank.
 pub(crate) struct Envelope {
     pub(crate) type_id: u32,
@@ -228,8 +206,6 @@ pub(crate) struct Shared {
     /// Per-message-type counters, indexed by type id (registration is
     /// collective, so ids agree across ranks).
     type_stats: RwLock<Vec<Arc<TypeStat>>>,
-    /// Optional envelope trace ring.
-    trace: Option<parking_lot::Mutex<TraceRing>>,
     /// Optional span/histogram recorder ([`MachineConfig::profile`]); the
     /// disabled path everywhere is one branch on this `Option`.
     pub(crate) obs: Option<Recorder>,
@@ -298,12 +274,6 @@ impl Shared {
             })
             .collect();
         let participants = cfg.ranks;
-        let trace = (cfg.trace_envelopes > 0).then(|| {
-            parking_lot::Mutex::new(TraceRing {
-                events: std::collections::VecDeque::with_capacity(cfg.trace_envelopes),
-                capacity: cfg.trace_envelopes,
-            })
-        });
         let obs = cfg
             .profile
             .then(|| Recorder::new(cfg.ranks, cfg.profile_spans));
@@ -356,7 +326,6 @@ impl Shared {
             coll: Collective::new(participants),
             share_slot: parking_lot::Mutex::new(None),
             type_stats: RwLock::new(Vec::new()),
-            trace,
             obs,
             epoch_prof: EpochProfiler::default(),
             failure: parking_lot::Mutex::new(None),
@@ -579,21 +548,6 @@ pub(crate) fn deliver(shared: &Shared, from: RankId, dest: RankId, env: Envelope
     MachineStats::bump(&shared.stats.envelopes_sent, 1);
     if let Some(rec) = &shared.obs {
         rec.envelope_sizes.record(env.count as u64);
-    }
-    if let Some(trace) = &shared.trace {
-        let ev = TraceEvent {
-            epoch: shared.stats.epochs.load(SeqCst),
-            from,
-            to: dest,
-            type_id: env.type_id,
-            count: env.count,
-        };
-        let mut ring = trace.lock();
-        if ring.events.len() == ring.capacity {
-            ring.events.pop_front();
-            MachineStats::bump(&shared.stats.trace_dropped, 1);
-        }
-        ring.events.push_back(ev);
     }
     match &shared.reliability {
         // Reliability layer installed: sequence the envelope, stash a
@@ -1234,15 +1188,6 @@ impl AmCtx {
     /// Whether an epoch is currently active anywhere on the machine.
     pub fn epoch_active(&self) -> bool {
         self.shared.epoch_active.load(SeqCst) > 0
-    }
-
-    /// The recorded envelope trace (empty unless tracing was enabled via
-    /// the machine config).
-    pub fn trace(&self) -> Vec<TraceEvent> {
-        match &self.shared.trace {
-            Some(t) => t.lock().events.iter().copied().collect(),
-            None => Vec::new(),
-        }
     }
 
     /// Per-message-type counters (diagnostics; exact when quiescent).
@@ -2734,54 +2679,5 @@ mod type_stats_tests {
             ctx.type_stats()
         });
         assert!(out[0][0].name.contains("u64"), "{:?}", out[0][0].name);
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use crate::config::MachineConfig;
-
-    #[test]
-    fn trace_records_envelopes_with_sources() {
-        let out = Machine::run(MachineConfig::new(2).trace(64).coalescing(4), |ctx| {
-            let mt = ctx.register_named("flow", |_ctx, _x: u32| {});
-            ctx.epoch(|ctx| {
-                if ctx.rank() == 0 {
-                    for i in 0..10u32 {
-                        mt.send(ctx, 1, i);
-                    }
-                }
-            });
-            ctx.trace()
-        });
-        let trace = &out[0];
-        assert!(!trace.is_empty());
-        let total: u32 = trace.iter().map(|e| e.count).sum();
-        assert_eq!(total, 10);
-        assert!(trace
-            .iter()
-            .all(|e| e.from == 0 && e.to == 1 && e.type_id == 0));
-    }
-
-    #[test]
-    fn trace_ring_caps_and_disabled_is_empty() {
-        let out = Machine::run(MachineConfig::new(1).trace(3).coalescing(1), |ctx| {
-            let mt = ctx.register(|_ctx, _x: u8| {});
-            ctx.epoch(|ctx| {
-                for _ in 0..10 {
-                    mt.send(ctx, 0, 1);
-                }
-            });
-            ctx.trace().len()
-        });
-        assert_eq!(out[0], 3, "ring keeps only the newest events");
-
-        let out = Machine::run(MachineConfig::new(1), |ctx| {
-            let mt = ctx.register(|_ctx, _x: u8| {});
-            ctx.epoch(|ctx| mt.send(ctx, 0, 1));
-            ctx.trace().len()
-        });
-        assert_eq!(out[0], 0, "tracing off by default");
     }
 }

@@ -39,10 +39,6 @@ pub struct MachineStats {
     pub epochs: AtomicU64,
     /// Termination-detection control tokens circulated (four-counter mode).
     pub control_tokens: AtomicU64,
-    /// Envelope trace events evicted from the bounded trace ring (see
-    /// [`crate::MachineConfig::trace`]). Nonzero means `AmCtx::trace` is a
-    /// suffix of the run, not the whole run.
-    pub trace_dropped: AtomicU64,
     /// Causal-trace cascades started by the deterministic sampler (see
     /// [`crate::MachineConfig::trace_sampling`]). Each root seeds one
     /// traced message cascade whose envelopes carry trace ids.
@@ -108,7 +104,6 @@ impl MachineStats {
             reduction_forwards: self.reduction_forwards.load(Ordering::SeqCst),
             epochs: self.epochs.load(Ordering::SeqCst),
             control_tokens: self.control_tokens.load(Ordering::SeqCst),
-            trace_dropped: self.trace_dropped.load(Ordering::SeqCst),
             trace_roots: self.trace_roots.load(Ordering::SeqCst),
             injected_drops: self.injected_drops.load(Ordering::SeqCst),
             injected_dups: self.injected_dups.load(Ordering::SeqCst),
@@ -194,8 +189,6 @@ pub struct StatsSnapshot {
     pub epochs: u64,
     /// Termination-detection control tokens circulated.
     pub control_tokens: u64,
-    /// Trace events evicted from the bounded envelope trace ring.
-    pub trace_dropped: u64,
     /// Causal-trace cascades started by the deterministic sampler.
     pub trace_roots: u64,
     /// Envelope transmissions dropped by the fault layer.
@@ -272,7 +265,6 @@ impl StatsSnapshot {
                 .saturating_sub(earlier.reduction_forwards),
             epochs: self.epochs.saturating_sub(earlier.epochs),
             control_tokens: self.control_tokens.saturating_sub(earlier.control_tokens),
-            trace_dropped: self.trace_dropped.saturating_sub(earlier.trace_dropped),
             trace_roots: self.trace_roots.saturating_sub(earlier.trace_roots),
             injected_drops: self.injected_drops.saturating_sub(earlier.injected_drops),
             injected_dups: self.injected_dups.saturating_sub(earlier.injected_dups),

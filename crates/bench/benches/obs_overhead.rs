@@ -2,9 +2,9 @@
 //! `dgp-am::trace`): the same message-heavy SSSP run with every surface
 //! pinned off, with the always-on defaults (flight recorder rings plus
 //! 1-in-64 causal sampling — what every production run pays), with full
-//! causal sampling, with span recording on, and with span recording
-//! plus a trace ring. The "flight" row is the one the ISSUE gates on:
-//! the always-on defaults must stay within a few percent of "off".
+//! causal sampling, and with span recording on. The "flight" row is the
+//! one the ISSUE gates on: the always-on defaults must stay within a few
+//! percent of "off".
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -26,10 +26,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
         // Causal tracing of every root — the E14/chaos-debug setting.
         ("flight+fulltrace", MachineConfig::new(4).trace_sampling(1)),
         ("profile", MachineConfig::new(4).profile(true)),
-        (
-            "profile+trace",
-            MachineConfig::new(4).profile(true).trace(256),
-        ),
     ] {
         let (el, oracle) = (el.clone(), oracle.clone());
         g.bench_function(label, move |b| {

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use dgp_algorithms::{seq, SsspStrategy};
 use dgp_am::{Machine, MachineConfig, ShmConfig, StatsSnapshot, TcpConfig, TransportKind};
-use dgp_core::engine::EngineConfig;
+use dgp_core::engine::{EngineConfig, Exec};
 
 use crate::measure;
 use crate::workloads;
@@ -317,7 +317,7 @@ pub fn collect(small: bool) -> BenchReport {
     }
 }
 
-/// Measure the end-to-end algorithm rows alone (the SSSP/CC execution-tier
+/// Measure the end-to-end algorithm rows alone (the SSSP/CC executor
 /// ladder plus PageRank). `--bench-smoke` re-runs exactly this set and
 /// floor-checks each row's wall time against the committed document, so
 /// the row labels here are the comparison keys.
@@ -326,25 +326,22 @@ pub fn collect_algorithms(small: bool) -> Vec<AlgoPoint> {
     let el = workloads::rmat_weighted(scale, 8, 41);
     let oracle = seq::dijkstra(&el, 0);
     let mut algorithms = Vec::new();
-    // The SSSP/CC ladder climbs the engine's three execution tiers on the
-    // same workload, with the hand-written AM implementation as the
-    // floor the declarative stack is measured against (ISSUE 10 / E18):
-    //   *_guarded  — interpreter with per-message locality/def-use guards,
-    //   *_elided   — interpreter, proof-carrying guard elision (§13),
+    // The SSSP/CC ladder climbs the engine's two executors on the same
+    // workload, with the hand-written AM implementation as the floor the
+    // declarative stack is measured against (E18):
+    //   *_guarded  — `Exec::Reference`: the step interpreter with
+    //                per-message locality/def-use guards,
     //   default    — plan JIT, monomorphized native handlers (§14),
     //   *_handwritten — no engine at all.
+    // BENCH_9/10.json also record `*_elided` rows for the interpreter
+    // tier that no longer exists; `--bench-smoke` skips recorded rows
+    // with no fresh counterpart, so those documents stay as committed.
     let guarded_cfg = EngineConfig {
-        compile_plans: false,
-        elide_verified_checks: false,
-        ..Default::default()
-    };
-    let elided_cfg = EngineConfig {
-        compile_plans: false,
+        exec: Exec::Reference,
         ..Default::default()
     };
     for (label, cfg) in [
         ("sssp_delta_guarded", guarded_cfg),
-        ("sssp_delta_elided", elided_cfg),
         ("sssp_delta", EngineConfig::default()),
     ] {
         let m = measure::sssp_pattern(
@@ -375,7 +372,6 @@ pub fn collect_algorithms(small: bool) -> Vec<AlgoPoint> {
     let cc_el = workloads::blobs(8, if small { 200 } else { 1_500 }, 3);
     for (label, cfg) in [
         ("cc_parallel_search_guarded", guarded_cfg),
-        ("cc_parallel_search_elided", elided_cfg),
         ("cc_parallel_search", EngineConfig::default()),
     ] {
         let c = measure::cc_pattern_cfg(label, &cc_el, MachineConfig::new(4), cfg);
@@ -399,15 +395,9 @@ pub fn collect_algorithms(small: bool) -> Vec<AlgoPoint> {
     });
     let pr_el = workloads::rmat(if small { 9 } else { 12 }, 8, 17);
     let t0 = Instant::now();
-    let ranks = 4usize;
-    let dist = dgp_graph::Distribution::block(pr_el.num_vertices(), ranks);
-    let graph = dgp_graph::DistGraph::build(&pr_el, dist, false);
-    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-        let r = dgp_algorithms::pagerank::pagerank(ctx, &graph, 0.85, 10);
-        (ctx.rank() == 0).then(|| (r.snapshot().len(), ctx.stats(), ctx.epoch_profiles()))
-    });
+    let pr = dgp_algorithms::Run::new(4).pagerank(&pr_el, 0.85, 10);
     let millis = t0.elapsed().as_secs_f64() * 1e3;
-    let (_n, stats, profiles) = out[0].take().unwrap();
+    let (stats, profiles) = (pr.stats, pr.profiles);
     algorithms.push(AlgoPoint {
         name: "pagerank".into(),
         millis,

@@ -86,8 +86,8 @@ fn lint() -> ! {
 
     // Plan-verification table: what the always-on abstract interpreter
     // proved about every compiled plan, per mode — the facts each proof
-    // carries and how many per-message runtime guards that proof lets the
-    // engine elide (INTERNALS §13). A plan that fails to compile (or
+    // carries and how many per-message runtime guards compiled code omits
+    // on its strength (INTERNALS §13). A plan that fails to compile (or
     // compiles without a proof) is an error-severity finding.
     use dgp_core::engine::static_compilability;
     use dgp_core::plan::{compile, PlanMode};
@@ -1394,7 +1394,7 @@ mod exp {
     /// E13 — chaos engineering: deterministic fault injection + reliable
     /// delivery keep SSSP and CC bit-identical to fault-free runs.
     pub fn e13(small: bool) {
-        use dgp_algorithms::{run_cc, run_cc_cfg_stats, run_sssp, run_sssp_cfg_stats};
+        use dgp_algorithms::{run_cc, run_sssp, Run};
         use dgp_am::FaultPlan;
         use std::time::Instant;
 
@@ -1450,7 +1450,8 @@ mod exp {
             for seed in [0xC0FFEEu64, 42, 7] {
                 let cfg = MachineConfig::new(ranks).coalescing(8).faults(mk(seed));
                 let t1 = Instant::now();
-                let (got, stats) = run_sssp_cfg_stats(&el, cfg, 0, SsspStrategy::Delta(0.4));
+                let out = Run::on(cfg).sssp(&el, 0, SsspStrategy::Delta(0.4));
+                let (got, stats) = (out.result, out.stats);
                 let ms = t1.elapsed().as_secs_f64() * 1e3;
                 let identical = got.iter().map(|d| d.to_bits()).collect::<Vec<_>>() == clean_bits;
                 assert!(identical, "{label} seed {seed}: results diverged");
@@ -1496,7 +1497,8 @@ mod exp {
                     .faults(FaultPlan::chaos(seed))
                     .termination(mode);
                 let t1 = Instant::now();
-                let (got, stats) = run_cc_cfg_stats(&el, cfg);
+                let out = Run::on(cfg).cc(&el);
+                let (got, stats) = (out.result, out.stats);
                 let ms = t1.elapsed().as_secs_f64() * 1e3;
                 let identical = got == cc_clean;
                 assert!(identical, "CC {mode:?} seed {seed}: labels diverged");
@@ -1750,7 +1752,7 @@ mod exp {
     /// forcibly killed and re-established mid-run), and an SSSP run per
     /// backend must return bit-identical distances.
     pub fn e16(small: bool) {
-        use dgp_algorithms::{run_sssp, run_sssp_cfg_stats};
+        use dgp_algorithms::{run_sssp, Run};
         use dgp_bench::bench_json;
 
         header(
@@ -1792,7 +1794,8 @@ mod exp {
         print!("\nSSSP (RMAT scale {scale}, 3 ranks) bit-identical across backends:");
         for (name, kind) in bench_json::transport_backends() {
             let cfg = dgp_am::MachineConfig::new(3).coalescing(8).transport(kind);
-            let (got, stats) = run_sssp_cfg_stats(&el, cfg, 0, SsspStrategy::Delta(0.4));
+            let out = Run::on(cfg).sssp(&el, 0, SsspStrategy::Delta(0.4));
+            let (got, stats) = (out.result, out.stats);
             let same = got.iter().map(|d| d.to_bits()).collect::<Vec<_>>() == bits;
             assert!(same, "{name}: distances diverged");
             if name == "tcp+kill" {

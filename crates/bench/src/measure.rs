@@ -173,7 +173,7 @@ pub fn cc_pattern(label: &str, el: &EdgeList, machine: MachineConfig) -> CcMeasu
 }
 
 /// [`cc_pattern`] on a caller-supplied [`EngineConfig`] — used by the
-/// guarded vs. proof-carrying interpreter comparison.
+/// reference-vs-compiled executor comparison (`Exec::Reference` rows).
 pub fn cc_pattern_cfg(
     label: &str,
     el: &EdgeList,

@@ -2,12 +2,12 @@
 //! proof-carrying [`crate::plan::ExecPlan`] into a chain of typed Rust
 //! closures the engine runs instead of the step interpreter.
 //!
-//! The compiler consumes the same [`crate::plan::VerifiedFacts`] proof
-//! that licenses guard elision, and goes one step further: where the
-//! interpreter *skips* the per-message resolve + locality check on the
-//! proof's say-so, compiled code never contains them. Each step becomes
-//! one closure with everything the interpreter re-derives per message
-//! pre-resolved at `add_action` time:
+//! The compiler consumes the plan's [`crate::plan::VerifiedFacts`]
+//! proof: where the interpreter re-resolves each access's place and
+//! checks it against the executing locality on every message, compiled
+//! code never contains those guards. Each step becomes one closure with
+//! everything the interpreter re-derives per message pre-resolved at
+//! `add_action` time:
 //!
 //! * slot lists and frame offsets are captured as direct indices;
 //! * property-map accessors are devirtualized — the type-erased
@@ -26,11 +26,14 @@
 //! calls of the compiled chain. Anything the compiler cannot prove it
 //! supports — a map handle it does not recognize, a hint mismatch —
 //! reports a [`JitFallback`] and the action transparently stays on the
-//! interpreter, which remains the semantics oracle. Soundness argument:
-//! compiled code reads and writes only at `msg.at`, exactly like the
-//! guard-elided interpreter path, and the proof pins every access site's
-//! Def. 1 locality to the current step's place (see
-//! [`crate::plan::soundness`]).
+//! guarded interpreter, which remains the semantics oracle. Soundness
+//! argument: compiled code reads and writes only at `msg.at`. The proof's
+//! `L001` facts pin every access site's Def. 1 locality to the current
+//! step's place — the very place whose resolution produced `msg.at` at
+//! the last `Goto` — and no step between that `Goto` and the access can
+//! overwrite the resolution slot (its locality is structurally distinct
+//! from the `MapAt` place it resolves, so `L001` keeps re-gathers away
+//! from it; see [`crate::plan::soundness`]).
 
 use std::sync::Arc;
 
@@ -41,7 +44,7 @@ use dgp_graph::VertexId;
 use super::exec::{ActionMsg, CompiledAction, EngineInner, Resolver, SlotReader};
 use super::maps::{AtomicMapHandle, EdgeMapHandle, ErasedMap, SetMapHandle, ValCodec};
 use super::value::{EnvView, Val};
-use super::{EngineConfig, EngineStats, SyncMode};
+use super::{EngineConfig, EngineStats, Exec, SyncMode};
 use crate::ir::{ActionIr, GenItem, GeneratorIr, ModKind, ReadRef};
 use crate::plan::{ExecPlan, ExecStep};
 
@@ -158,14 +161,9 @@ pub enum MapAccess {
 /// renders these in its per-plan facts table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JitFallback {
-    /// [`EngineConfig::compile_plans`] is off.
-    Disabled,
-    /// [`EngineConfig::validate_locality`] forces the guarded
-    /// interpreter (the validator needs the checks to run).
-    ValidatesLocality,
-    /// [`EngineConfig::elide_verified_checks`] is off — the caller asked
-    /// for the guarded path, which only the interpreter has.
-    GuardsRequested,
+    /// The engine was configured with [`Exec::Reference`]: the caller
+    /// asked for the guarded interpreter.
+    Reference,
     /// The plan carries no [`crate::plan::VerifiedFacts`] proof; without
     /// it the compiler may not assume locality/def-use soundness.
     NoFacts,
@@ -184,9 +182,7 @@ pub enum JitFallback {
 impl std::fmt::Display for JitFallback {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JitFallback::Disabled => write!(f, "compile_plans off"),
-            JitFallback::ValidatesLocality => write!(f, "validate_locality set"),
-            JitFallback::GuardsRequested => write!(f, "guarded path requested"),
+            JitFallback::Reference => write!(f, "reference executor requested"),
             JitFallback::NoFacts => write!(f, "plan carries no proof"),
             JitFallback::UnregisteredMap(m) => write!(f, "map {m} not registered"),
             JitFallback::UnsupportedMap { map, access } => {
@@ -288,18 +284,13 @@ fn set_map(
         .ok_or(JitFallback::UnsupportedMap { map: mid, access })
 }
 
-/// The config/proof gate, in diagnostic order: knobs first, then the
-/// proof. Identical on every rank (the config is part of collective
-/// construction), so either all ranks compile an action or none do.
+/// The config/proof gate, in diagnostic order: the executor choice
+/// first, then the proof. Identical on every rank (the config is part of
+/// collective construction), so either all ranks compile an action or
+/// none do.
 fn gate(cfg: &EngineConfig, plan: &ExecPlan) -> Result<(), JitFallback> {
-    if !cfg.compile_plans {
-        return Err(JitFallback::Disabled);
-    }
-    if cfg.validate_locality {
-        return Err(JitFallback::ValidatesLocality);
-    }
-    if !cfg.elide_verified_checks {
-        return Err(JitFallback::GuardsRequested);
+    if cfg.exec == Exec::Reference {
+        return Err(JitFallback::Reference);
     }
     if plan.facts.is_none() {
         return Err(JitFallback::NoFacts);

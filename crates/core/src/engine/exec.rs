@@ -1,4 +1,6 @@
-//! The plan interpreter.
+//! The engine proper: action registration, the compiled-closure driver,
+//! and the guarded step interpreter ([`crate::engine::Exec::Reference`],
+//! and the fallback for actions the compiler cannot take).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -12,7 +14,7 @@ use dgp_graph::{DistGraph, LockMap, VertexId};
 use crate::engine::compiled::{self, Ctl, JitFallback, JitGen, JitProgram};
 use crate::engine::maps::ErasedMap;
 use crate::engine::value::{EnvArr, EnvView, Val, MAX_SLOTS};
-use crate::engine::{EngineConfig, EngineStats, EngineStatsSnapshot, SyncMode};
+use crate::engine::{EngineConfig, EngineStats, EngineStatsSnapshot, Exec, SyncMode};
 use crate::ir::{ActionIr, GenItem, GeneratorIr, Place, ReadRef};
 use crate::plan::{self, ExecStep};
 
@@ -91,17 +93,6 @@ pub(crate) struct CompiledAction {
     /// Aligned with `plan.places` for modification targets: resolver of
     /// each condition/mod target place computed on demand via plan places.
     pub(crate) mod_target_resolvers: Vec<Vec<Resolver>>,
-    /// Proof-carrying fast path (INTERNALS §13): the plan carries
-    /// [`crate::plan::VerifiedFacts`] and the config accepts it, so slot
-    /// reads and modification targets use `msg.at` directly instead of
-    /// re-resolving their place and checking locality per message. Sound
-    /// because the proof's `L001` facts pin every such site's Def. 1
-    /// locality to the current step's place — the very place whose
-    /// resolution produced `msg.at` at the last `Goto` — and no step
-    /// between that `Goto` and the access can overwrite the resolution
-    /// slot (its locality is structurally distinct from the `MapAt` place
-    /// it resolves, so `L001` keeps re-gathers away from it).
-    pub(crate) elide_guards: bool,
     /// The plan compiled to native closures (INTERNALS §14) — present
     /// only when the gate and the compiler both accepted it; the engine
     /// then never enters the interpreter for this action.
@@ -119,9 +110,9 @@ pub(crate) struct EngineInner {
     pub(crate) hooks: RwLock<Vec<Option<WorkHook>>>,
     pub(crate) lock_map: LockMap,
     pub(crate) stats: EngineStats,
-    /// Owner-only accesses observed away from their locality — only
-    /// counted when [`EngineConfig::validate_locality`] is set (the
-    /// dynamic cross-validator of the static verifier).
+    /// Owner-only accesses the guarded interpreter observed away from
+    /// their locality (the dynamic cross-validator of the static
+    /// verifier).
     locality_violations: AtomicU64,
     msg: OnceLock<MessageType<ActionMsg>>,
 }
@@ -258,12 +249,6 @@ impl PatternEngine {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let dep = ir.dependency_matrix();
-        // Guard elision requires the proof *and* an opted-in config; the
-        // dynamic locality cross-validator needs the guards to run, so it
-        // always forces the guarded path.
-        let elide_guards = plan.facts.is_some()
-            && self.inner.cfg.elide_verified_checks
-            && !self.inner.cfg.validate_locality;
         let mut compiled = CompiledAction {
             ir,
             plan,
@@ -274,15 +259,12 @@ impl PatternEngine {
             resolvers,
             readers,
             mod_target_resolvers,
-            elide_guards,
             jit: None,
             jit_fallback: None,
         };
-        // Attempt the plan→closure compiler (INTERNALS §14). Its gate
-        // re-derives `elide_guards` plus the `compile_plans` knob, so a
-        // compiled action is always also a guard-elided one; a fallback
-        // is recorded, not an error — the interpreter remains the
-        // semantics oracle.
+        // Attempt the plan→closure compiler (INTERNALS §14). A fallback
+        // is recorded, not an error: the action runs on the guarded
+        // interpreter, which remains the semantics oracle.
         let maps = self.inner.maps.read().clone();
         match compiled::compile(&compiled, &maps, &self.inner.cfg) {
             Ok(prog) => compiled.jit = Some(prog),
@@ -298,14 +280,6 @@ impl PatternEngine {
     /// The compiled plan of an action (inspection/reporting).
     pub fn plan_of(&self, action: ActionId) -> plan::ExecPlan {
         self.inner.actions.read()[action as usize].plan.clone()
-    }
-
-    /// Whether the interpreter runs this action on the proof-carrying
-    /// fast path — per-message locality/def-use guards elided because the
-    /// plan carries [`crate::plan::VerifiedFacts`] and the config accepts
-    /// it (INTERNALS §13).
-    pub fn elides_guards(&self, action: ActionId) -> bool {
-        self.inner.actions.read()[action as usize].elide_guards
     }
 
     /// Whether this action runs as compiled native closures instead of
@@ -371,10 +345,11 @@ impl PatternEngine {
         self.inner.stats.snapshot()
     }
 
-    /// Owner-only accesses observed away from their locality on this rank.
-    /// Always zero unless [`EngineConfig::validate_locality`] is set; with
-    /// it set, a verifier-clean pattern must keep this at zero (the
-    /// differential property the test suite checks).
+    /// Owner-only accesses the guarded interpreter observed away from
+    /// their locality on this rank. A verifier-clean pattern must keep
+    /// this at zero under [`Exec::Reference`] (the differential property
+    /// the test suite checks); compiled actions have no guards and never
+    /// count.
     pub fn locality_violations(&self) -> u64 {
         self.inner.locality_violations.load(Ordering::SeqCst)
     }
@@ -417,21 +392,19 @@ fn resolver_for(ir: &ActionIr, p: &Place) -> Result<Resolver, String> {
 
 impl EngineInner {
     /// Dynamic owner-only check (Def. 1): `actual` must be the vertex the
-    /// message is executing at. With `validate_locality` the violation is
-    /// counted (for the differential test against the static verifier);
-    /// without it, debug builds keep the historical hard assert.
+    /// message is executing at. A violation is always counted (for the
+    /// differential test against the static verifier); outside
+    /// [`Exec::Reference`] — an action that fell back from the compiler —
+    /// debug builds also keep the hard assert.
     fn check_locality(&self, actual: VertexId, expected: VertexId, what: &str, name: &str) {
         if actual == expected {
             return;
         }
-        if self.cfg.validate_locality {
-            self.locality_violations.fetch_add(1, Ordering::Relaxed);
-        } else {
-            debug_assert_eq!(
-                actual, expected,
-                "{what} of {name:?} away from its locality"
-            );
-        }
+        self.locality_violations.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(
+            self.cfg.exec == Exec::Reference,
+            "{what} of {name:?} away from its locality ({actual} vs {expected})"
+        );
     }
 
     fn resolve(&self, r: Resolver, msg: &ActionMsg) -> VertexId {
@@ -456,16 +429,8 @@ impl EngineInner {
     fn read_slot(&self, action: &CompiledAction, msg: &ActionMsg, slot: usize) -> Val {
         match &action.readers[slot] {
             SlotReader::Vertex { map, resolver } => {
-                // Proof-carrying plans skip the per-message resolve +
-                // locality guard: the soundness pass proved this site
-                // reads at the current step's place, which is `msg.at`.
-                let y = if action.elide_guards {
-                    msg.at
-                } else {
-                    let y = self.resolve(*resolver, msg);
-                    self.check_locality(y, msg.at, "slot read", &action.ir.name);
-                    y
-                };
+                let y = self.resolve(*resolver, msg);
+                self.check_locality(y, msg.at, "slot read", &action.ir.name);
                 self.maps.read()[*map].read_vertex(self.rank, y)
             }
             SlotReader::Edge { map } => match msg.gen {
@@ -487,7 +452,7 @@ impl EngineInner {
     }
 
     /// Run one instance from `msg.pc`: compiled closures when the action
-    /// has them, the interpreter otherwise.
+    /// has them, the guarded interpreter otherwise.
     fn run(&self, ctx: &AmCtx, action: &CompiledAction, msg: ActionMsg) {
         if let Some(jit) = &action.jit {
             self.run_jit(ctx, action, jit, msg);
@@ -758,13 +723,8 @@ impl EngineInner {
             );
             let op = action.mods[cond][mi].op;
             if slot_matches && op == ModOp::Assign {
-                let target = if action.elide_guards {
-                    msg.at
-                } else {
-                    let t = self.resolve(action.mod_target_resolvers[cond][mi], msg);
-                    self.check_locality(t, msg.at, "atomic modification", &action.ir.name);
-                    t
-                };
+                let target = self.resolve(action.mod_target_resolvers[cond][mi], msg);
+                self.check_locality(target, msg.at, "atomic modification", &action.ir.name);
                 let test = &action.tests[cond];
                 let compute = &action.mods[cond][mi].compute;
                 let (v_in, gen) = (msg.v, msg.gen);
@@ -857,13 +817,8 @@ impl EngineInner {
         let mut dep_changed = false;
         for &mi in mods {
             let m = &action.ir.conditions[cond].mods[mi];
-            let target = if action.elide_guards {
-                msg.at
-            } else {
-                let t = self.resolve(action.mod_target_resolvers[cond][mi], msg);
-                self.check_locality(t, msg.at, "modification", &action.ir.name);
-                t
-            };
+            let target = self.resolve(action.mod_target_resolvers[cond][mi], msg);
+            self.check_locality(target, msg.at, "modification", &action.ir.name);
             let exec = &action.mods[cond][mi];
             let maps = self.maps.read();
             let changed = match exec.op {

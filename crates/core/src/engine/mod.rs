@@ -52,33 +52,32 @@ pub struct EngineConfig {
     /// through the message layer (faithful to the pure message-passing
     /// model) or executes inline (a shared-memory shortcut).
     pub self_send: bool,
-    /// Dynamic cross-validator for the static verifier
-    /// ([`crate::verify`]): count owner-only accesses executed away from
-    /// their locality in [`PatternEngine::locality_violations`] instead of
-    /// debug-asserting on them. Off by default (debug builds then keep the
-    /// hard assert). Setting this forces the guarded interpreter path even
-    /// for proof-carrying plans (the validator needs the checks to run).
-    pub validate_locality: bool,
-    /// Accept the proof a plan carries ([`crate::plan::ExecPlan::facts`])
-    /// as licence to skip the per-message locality/def-use guards the
-    /// interpreter otherwise performs on every slot read and modification
-    /// (INTERNALS §13). On by default; turn off to benchmark the guarded
-    /// path, or to belt-and-braces a deployment. Ignored (guards stay)
-    /// when `validate_locality` is set or the plan carries no proof.
-    pub elide_verified_checks: bool,
-    /// Compile proof-carrying plans to monomorphized native handlers
-    /// (INTERNALS §14): each [`crate::plan::ExecPlan`] whose
-    /// [`crate::plan::ExecPlan::facts`] proof is present and accepted is
-    /// lowered once, at [`PatternEngine::add_action`] time, into a chain
-    /// of typed Rust closures — slot offsets resolved to direct frame
-    /// indices, property-map accessors devirtualized through their
-    /// [`ValCodec`] types, generator constants pre-evaluated. Plans
-    /// without a proof, and step/map combinations the compiler does not
-    /// support, fall back transparently to the interpreter (the semantics
-    /// oracle). On by default; `validate_locality` forces it off (the
-    /// validator needs the guarded interpreter), as does turning off
-    /// `elide_verified_checks` (compiled code has no guards to keep).
-    pub compile_plans: bool,
+    /// Which executor runs this engine's actions.
+    pub exec: Exec,
+}
+
+/// The executor an engine runs its actions on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Exec {
+    /// Compile each proof-carrying plan ([`crate::plan::ExecPlan::facts`])
+    /// once, at [`PatternEngine::add_action`] time, into a chain of typed
+    /// native closures (INTERNALS §14) — slot offsets resolved to direct
+    /// frame indices, property-map accessors devirtualized through their
+    /// [`ValCodec`] types, generator constants pre-evaluated. An action
+    /// the compiler cannot take (no proof, a map handle it does not
+    /// recognize) runs on the guarded step interpreter instead, with the
+    /// reason recorded in [`PatternEngine::compile_fallback`]; a locality
+    /// violation there is a hard assert in debug builds.
+    #[default]
+    Compiled,
+    /// Run every action on the guarded step interpreter — the semantics
+    /// oracle the differential suites compare compiled code against, and
+    /// the dynamic cross-validator for the static verifier
+    /// ([`crate::verify`]): each owner-only access re-resolves its place
+    /// and checks it against the executing locality, and violations are
+    /// counted in [`PatternEngine::locality_violations`] instead of
+    /// asserted on.
+    Reference,
 }
 
 impl Default for EngineConfig {
@@ -88,9 +87,7 @@ impl Default for EngineConfig {
             sync: SyncMode::Atomic,
             lock_granularity: LockGranularity::PerVertex,
             self_send: true,
-            validate_locality: false,
-            elide_verified_checks: true,
-            compile_plans: true,
+            exec: Exec::Compiled,
         }
     }
 }

@@ -39,7 +39,7 @@ pub mod verify;
 pub mod viz;
 
 pub use builder::{ActionBuilder, BuildError};
-pub use engine::{ActionId, EngineConfig, PatternEngine, SyncMode, Val};
+pub use engine::{ActionId, EngineConfig, Exec, PatternEngine, SyncMode, Val};
 pub use ir::{GenItem, GeneratorIr, MapId, ModKind, Place, PropertyKind, Slot};
 pub use pattern::{Pattern, PatternBuilder};
 pub use plan::{CommPlan, ExecPlan, PlanError, PlanMode, VerifiedFacts};

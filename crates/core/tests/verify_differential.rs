@@ -4,7 +4,7 @@
 //! The property (the verifier's soundness contract): any pattern the
 //! static verifier accepts executes without ever touching a property
 //! value away from the locality the plan assigned it — checked by
-//! running with [`EngineConfig::validate_locality`] on, which counts
+//! running on [`Exec::Reference`], the guarded interpreter, which counts
 //! owner-only violations instead of asserting, and demanding zero.
 //!
 //! The converse direction: seeded-broken variants of the same specs
@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use dgp_am::{Machine, MachineConfig};
-use dgp_core::engine::{EngineConfig, PatternEngine};
+use dgp_core::engine::{EngineConfig, Exec, PatternEngine};
 use dgp_core::ir::Place;
 use dgp_core::plan::{compile, PlanMode};
 use dgp_core::strategies::once;
@@ -59,7 +59,7 @@ proptest! {
             let (el, dist) = test_graph(n);
             let graph = DistGraph::build(&el, dist, true);
             let cfg = EngineConfig {
-                validate_locality: true,
+                exec: Exec::Reference,
                 plan_mode: if faithful { PlanMode::Faithful } else { PlanMode::Optimized },
                 ..Default::default()
             };

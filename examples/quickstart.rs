@@ -64,14 +64,17 @@ fn main() {
     // The runtime profiles every epoch (wall time + counter deltas) even
     // without turning span tracing on — here Δ-stepping's bucket-by-bucket
     // schedule shows up as one epoch per drain round.
-    let (dist, profiles) = run_sssp_profiled(&el, 2, 0, SsspStrategy::Delta(1.0));
-    assert_eq!(dist, vec![0.0, 1.0, 3.0, 4.0, 4.5]);
+    // `Run` is what `run_sssp` wraps: it also returns the machine's
+    // statistics and profiles, and is where a non-default machine or
+    // engine configuration goes.
+    let out = Run::new(2).sssp(&el, 0, SsspStrategy::Delta(1.0));
+    assert_eq!(out.result, vec![0.0, 1.0, 3.0, 4.0, 4.5]);
     println!("\nper-epoch profile of the Δ=1 run:");
     println!(
         "{:>6}  {:>10}  {:>9}  {:>10}",
         "epoch", "time", "messages", "envelopes"
     );
-    for p in &profiles {
+    for p in &out.profiles {
         println!(
             "{:>6}  {:>10.1?}  {:>9}  {:>10}",
             p.epoch, p.duration, p.delta.messages_sent, p.delta.envelopes_sent

@@ -46,8 +46,7 @@ pub use dgp_graph as graph;
 /// The commonly-needed surface in one import.
 pub mod prelude {
     pub use dgp_algorithms::{
-        run_bfs, run_cc, run_cc_cfg, run_cc_cfg_stats, run_coloring, run_kcore, run_pagerank,
-        run_pagerank_cfg, run_sssp, run_sssp_cfg, run_sssp_cfg_stats, run_sssp_profiled,
+        run_bfs, run_cc, run_coloring, run_kcore, run_pagerank, run_sssp, Outcome, Run,
         SsspStrategy,
     };
     pub use dgp_am::{
@@ -55,7 +54,7 @@ pub mod prelude {
         TerminationMode, TransportKind,
     };
     pub use dgp_core::builder::ActionBuilder;
-    pub use dgp_core::engine::{EngineConfig, PatternEngine, SyncMode, Val};
+    pub use dgp_core::engine::{EngineConfig, Exec, PatternEngine, SyncMode, Val};
     pub use dgp_core::ir::{GeneratorIr, Place};
     pub use dgp_core::plan::PlanMode;
     pub use dgp_core::strategies::{delta_stepping, fixed_point, once};

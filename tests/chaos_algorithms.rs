@@ -39,7 +39,9 @@ fn sssp_bit_identical_under_chaos() {
         assert!(ok, "vertex {i}: {x} vs {y}");
     }
     for seed in seeds() {
-        let (got, stats) = run_sssp_cfg_stats(&el, chaos_cfg(3, seed), 0, SsspStrategy::Delta(1.0));
+        let Outcome {
+            result: got, stats, ..
+        } = Run::on(chaos_cfg(3, seed)).sssp(&el, 0, SsspStrategy::Delta(1.0));
         // Bit-identical, not approximately equal: the reliability layer
         // must make the faulted run indistinguishable from the clean one.
         assert_eq!(
@@ -58,7 +60,9 @@ fn sssp_fixed_point_bit_identical_under_chaos() {
     el.randomize_weights(0.5, 3.0, 4);
     let clean = run_sssp(&el, 4, 0, SsspStrategy::FixedPoint);
     for seed in seeds() {
-        let (got, stats) = run_sssp_cfg_stats(&el, chaos_cfg(4, seed), 0, SsspStrategy::FixedPoint);
+        let Outcome {
+            result: got, stats, ..
+        } = Run::on(chaos_cfg(4, seed)).sssp(&el, 0, SsspStrategy::FixedPoint);
         assert_eq!(
             got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
             clean.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
@@ -74,7 +78,9 @@ fn cc_bit_identical_under_chaos() {
     let clean = run_cc(&el, 4);
     assert_eq!(clean, seq::cc_labels(&el), "fault-free sanity");
     for seed in seeds() {
-        let (got, stats) = run_cc_cfg_stats(&el, chaos_cfg(4, seed));
+        let Outcome {
+            result: got, stats, ..
+        } = Run::on(chaos_cfg(4, seed)).cc(&el);
         assert_eq!(got, clean, "seed {seed}");
         assert!(stats.faults_injected() > 0, "seed {seed}");
         assert!(stats.retransmits > 0, "seed {seed}");
@@ -86,7 +92,7 @@ fn pagerank_matches_fault_free_under_chaos() {
     let el = generators::rmat(6, 6, generators::RmatParams::GRAPH500, 31);
     let clean = run_pagerank(&el, 3, 0.85, 15);
     for seed in seeds() {
-        let got = run_pagerank_cfg(&el, chaos_cfg(3, seed), 0.85, 15);
+        let got = Run::on(chaos_cfg(3, seed)).pagerank(&el, 0.85, 15).result;
         // PageRank sums contributions in arrival order, and float addition
         // is not associative — arrival order is scheduling-dependent even
         // on the perfect transport, so bit-identity is not the contract
@@ -105,7 +111,9 @@ fn chaos_under_wave_termination_mode() {
     let clean = run_cc(&el, 3);
     for seed in seeds() {
         let cfg = chaos_cfg(3, seed).termination(TerminationMode::FourCounterWave);
-        let (got, stats) = run_cc_cfg_stats(&el, cfg);
+        let Outcome {
+            result: got, stats, ..
+        } = Run::on(cfg).cc(&el);
         assert_eq!(got, clean, "seed {seed}");
         assert!(stats.faults_injected() > 0, "seed {seed}");
     }

@@ -7,8 +7,8 @@
 //! simulator's delivery seam changed what the handlers computed, not just
 //! when.
 
-use dgp_algorithms::api::{run_cc_cfg, run_cc_sim, run_sssp_cfg, run_sssp_sim};
-use dgp_algorithms::SsspStrategy;
+use dgp_algorithms::api::{run_cc_sim, run_sssp_sim};
+use dgp_algorithms::{Run, SsspStrategy};
 use dgp_am::{MachineConfig, SimPlan, TerminationMode};
 use dgp_graph::generators;
 
@@ -27,7 +27,9 @@ fn sssp_sim_matches_threaded_bitwise() {
     let mut el = generators::rmat(7, 8, generators::RmatParams::GRAPH500, 21);
     el.randomize_weights(0.5, 3.0, 4);
     for term in MODES {
-        let reference = run_sssp_cfg(&el, cfg(4, term), 0, SsspStrategy::FixedPoint);
+        let reference = Run::on(cfg(4, term))
+            .sssp(&el, 0, SsspStrategy::FixedPoint)
+            .result;
         for seed in SEEDS {
             let plan = SimPlan::new(seed).latency(800).jitter(2_500);
             let (got, report) = run_sssp_sim(&el, cfg(4, term), plan, 0, SsspStrategy::FixedPoint)
@@ -47,12 +49,9 @@ fn sssp_sim_matches_threaded_bitwise() {
 fn sssp_delta_sim_matches_threaded_bitwise() {
     let mut el = generators::erdos_renyi(200, 1200, 8);
     el.randomize_weights(0.5, 3.0, 9);
-    let reference = run_sssp_cfg(
-        &el,
-        cfg(3, TerminationMode::SharedCounters),
-        5,
-        SsspStrategy::Delta(1.0),
-    );
+    let reference = Run::on(cfg(3, TerminationMode::SharedCounters))
+        .sssp(&el, 5, SsspStrategy::Delta(1.0))
+        .result;
     for seed in SEEDS {
         let plan = SimPlan::new(seed).latency(300).per_msg(25);
         let (got, _) = run_sssp_sim(
@@ -75,7 +74,7 @@ fn sssp_delta_sim_matches_threaded_bitwise() {
 fn cc_sim_matches_threaded_bitwise() {
     let el = generators::component_blobs(5, 40, 2, 17);
     for term in MODES {
-        let reference = run_cc_cfg(&el, cfg(4, term));
+        let reference = Run::on(cfg(4, term)).cc(&el).result;
         for seed in SEEDS {
             let plan = SimPlan::new(seed).latency(1_200).jitter(900);
             let (got, _) = run_cc_sim(&el, cfg(4, term), plan).expect("sim run");

@@ -29,7 +29,9 @@ fn sssp_bit_identical_across_backends() {
     el.randomize_weights(0.5, 3.0, 9);
     let baseline = run_sssp(&el, 3, 0, SsspStrategy::Delta(1.0));
     for (name, kind) in backends() {
-        let (got, _) = run_sssp_cfg_stats(&el, cfg(3, kind), 0, SsspStrategy::Delta(1.0));
+        let got = Run::on(cfg(3, kind))
+            .sssp(&el, 0, SsspStrategy::Delta(1.0))
+            .result;
         assert_eq!(
             got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
             baseline.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
@@ -43,7 +45,7 @@ fn cc_bit_identical_across_backends() {
     let el = generators::rmat(7, 8, generators::RmatParams::GRAPH500, 17);
     let baseline = run_cc(&el, 3);
     for (name, kind) in backends() {
-        let (got, _) = run_cc_cfg_stats(&el, cfg(3, kind));
+        let got = Run::on(cfg(3, kind)).cc(&el).result;
         assert_eq!(got, baseline, "backend {name}");
     }
 }
@@ -53,7 +55,7 @@ fn pagerank_matches_across_backends() {
     let el = generators::erdos_renyi(120, 700, 5);
     let baseline = run_pagerank(&el, 3, 0.85, 15);
     for (name, kind) in backends() {
-        let got = run_pagerank_cfg(&el, cfg(3, kind), 0.85, 15);
+        let got = Run::on(cfg(3, kind)).pagerank(&el, 0.85, 15).result;
         for (i, (x, y)) in got.iter().zip(&baseline).enumerate() {
             assert!(
                 (x - y).abs() < 1e-9,
@@ -75,7 +77,9 @@ fn sssp_bit_identical_over_tcp_with_killed_connections() {
     el.randomize_weights(0.5, 3.0, 9);
     let baseline = run_sssp(&el, 3, 0, SsspStrategy::Delta(1.0));
     let kind = TransportKind::Tcp(TcpConfig::default().kill_rx_every(30));
-    let (got, stats) = run_sssp_cfg_stats(&el, cfg(3, kind), 0, SsspStrategy::Delta(1.0));
+    let Outcome {
+        result: got, stats, ..
+    } = Run::on(cfg(3, kind)).sssp(&el, 0, SsspStrategy::Delta(1.0));
     assert_eq!(
         got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
         baseline.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
