@@ -1,38 +1,56 @@
 //! One-call entry points: build the machine, distribute the graph, run,
 //! return plain vectors.
 //!
-//! There is one way to run a family on the threaded machine: a [`Run`]
-//! names the machine ([`MachineConfig`]: ranks, transport, faults, ...)
-//! and the engine ([`EngineConfig`]: plan mode, executor, ...), and has
-//! one method per family returning an [`Outcome`] — the rank-0 result
-//! vector plus the machine's statistics and per-epoch profiles. The plain
-//! `run_{sssp,cc,bfs,pagerank,kcore,coloring}` functions are one-line
-//! conveniences over `Run::new(ranks)` for callers that only want the
-//! vector; the `run_*_sim` functions run under the deterministic
-//! simulator with a mid-run invariant checker. For finer control
-//! (strategies, engine counters) use the per-algorithm modules inside
-//! your own [`dgp_am::Machine::run`].
+//! There is one way to run a family: a [`Run`] names the machine
+//! ([`MachineConfig`]: ranks, transport, faults, ...), the engine
+//! ([`EngineConfig`]: plan mode, executor, ...) and — optionally — a
+//! [`SimPlan`], which swaps the free-running threads for the
+//! deterministic discrete-event simulator ([`Machine::run_sim`]: modeled
+//! links, seeded schedule, exact reproducibility at thousands of ranks).
+//! It has one method per family, all nine of them, each returning
+//! `Result<`[`Outcome`]`, `[`RunError`]`>`: the rank-0 result plus the
+//! machine's statistics, per-epoch profiles and (simulated runs) the
+//! [`SimReport`]; or the [`MachineError`] with its automatic post-mortem.
+//! Neither machine hangs or panics on a failed run.
+//!
+//! Under a `SimPlan`, SSSP, CC and PageRank also install their mid-run
+//! invariant (`Sssp::sim_invariant` and friends), checked at every
+//! checkpoint the plan's cadence selects; a violation fails the run as
+//! [`MachineError::InvariantViolated`].
+//!
+//! The plain `run_{sssp,cc,bfs,pagerank,kcore,coloring}` functions are
+//! one-line conveniences over `Run::new(ranks)` for callers that only
+//! want the vector; they panic with the error's `Display`, as
+//! [`Machine::run`] does. For finer control (strategies, engine counters)
+//! use the per-algorithm modules inside your own [`Machine::run`].
 
-use dgp_am::{AmCtx, EpochProfile, Machine, MachineConfig, SimPlan, SimReport, StatsSnapshot};
+use dgp_am::{
+    AmCtx, EpochProfile, Machine, MachineConfig, MachineError, PostMortem, SimPlan, SimReport,
+    StatsSnapshot,
+};
 use dgp_core::EngineConfig;
-use dgp_graph::properties::{AtomicValue, AtomicVertexMap, EdgeMap};
+use dgp_graph::properties::EdgeMap;
 use dgp_graph::{DistGraph, Distribution, EdgeList, VertexId};
-use parking_lot::Mutex;
 
+use crate::paths::PathTree;
 use crate::sssp::SsspStrategy;
 
-/// One threaded run: which machine, which engine. Rank count, transport,
-/// fault plan and the rest come from `machine`; plan mode and executor
-/// from `engine`.
+/// One run: which machine, which engine, threads or simulator. Rank
+/// count, transport, fault plan and the rest come from `machine`; plan
+/// mode and executor from `engine`.
 #[derive(Debug, Clone)]
 pub struct Run {
     /// The machine the family runs on (rank count is taken from here).
     pub machine: MachineConfig,
     /// The engine configuration every rank installs the family with.
     pub engine: EngineConfig,
+    /// `Some`: run under the deterministic simulator with this schedule
+    /// (requires `machine.threads_per_rank == 1`). `None`: free-running
+    /// threads.
+    pub sim: Option<SimPlan>,
 }
 
-/// What a [`Run`] returns.
+/// What a successful [`Run`] returns.
 #[derive(Debug, Clone)]
 pub struct Outcome<T> {
     /// The family's result in vertex order (rank 0's snapshot).
@@ -45,21 +63,64 @@ pub struct Outcome<T> {
     /// the wall time and counter deltas of that epoch — where a strategy
     /// spends its messages.
     pub profiles: Vec<EpochProfile>,
+    /// The simulator's report (virtual time, event counts, flight digest);
+    /// `None` on threads.
+    pub report: Option<SimReport>,
 }
 
+/// Why a [`Run`] failed, on either machine.
+#[derive(Debug)]
+pub struct RunError {
+    /// The first recorded failure.
+    pub error: MachineError,
+    /// The automatic post-mortem assembled from the frozen flight rings.
+    pub postmortem: Box<PostMortem>,
+    /// Simulation state at the failure (virtual time, counters, trace);
+    /// `None` on threads.
+    pub report: Option<SimReport>,
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.error)?;
+        if let Some(r) = &self.report {
+            write!(
+                f,
+                " (at virtual t={}ns after {} deliveries)",
+                r.virtual_time_ns, r.deliveries
+            )?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// A [`Run`]'s result. The error is boxed: it embeds the post-mortem
+/// timeline and, simulated, the recorded network-event trace.
+pub type RunResult<T> = Result<Outcome<T>, Box<RunError>>;
+
 impl Run {
-    /// `ranks` default-configured ranks, default engine.
+    /// `ranks` default-configured ranks, default engine, threads.
     pub fn new(ranks: usize) -> Run {
         Run::on(MachineConfig::new(ranks))
     }
 
     /// A caller-supplied machine (transport, faults, termination mode,
-    /// ...), default engine.
+    /// ...), default engine, threads.
     pub fn on(machine: MachineConfig) -> Run {
         Run {
             machine,
             engine: EngineConfig::default(),
+            sim: None,
         }
+    }
+
+    /// The same run under the deterministic simulator, scheduled by
+    /// `plan`.
+    pub fn sim(mut self, plan: SimPlan) -> Run {
+        self.sim = Some(plan);
+        self
     }
 
     fn distribute(&self, el: &EdgeList) -> DistGraph {
@@ -67,80 +128,180 @@ impl Run {
         DistGraph::build(el, dist, false)
     }
 
-    /// Run `family` (install + run, returning its result map) on every
-    /// rank and collect rank 0's view.
-    fn drive<V: AtomicValue>(
+    /// Run `family` (install + run, returning its state) on every rank of
+    /// the threaded or simulated machine and `collect` rank 0's view.
+    fn drive<S, T: Send>(
         &self,
-        family: impl Fn(&AmCtx, EngineConfig) -> AtomicVertexMap<V> + Send + Sync,
-    ) -> Outcome<Vec<V>> {
+        family: impl Fn(&AmCtx, EngineConfig) -> S + Send + Sync,
+        collect: impl Fn(S) -> T + Send + Sync,
+    ) -> RunResult<T> {
         let engine = self.engine;
-        let mut out = Machine::run(self.machine.clone(), |ctx| {
-            let map = family(ctx, engine);
-            (ctx.rank() == 0).then(|| Outcome {
-                result: map.snapshot(),
-                stats: ctx.stats(),
-                profiles: ctx.epoch_profiles(),
-            })
-        });
-        out[0].take().expect("rank 0 reports")
+        let body = |ctx: &AmCtx| {
+            let state = family(ctx, engine);
+            (ctx.rank() == 0).then(|| (collect(state), ctx.stats(), ctx.epoch_profiles()))
+        };
+        let (mut ranks, report) = match &self.sim {
+            None => {
+                let ranks = Machine::try_run_diagnosed(self.machine.clone(), body).map_err(
+                    |(error, postmortem)| RunError {
+                        error,
+                        postmortem,
+                        report: None,
+                    },
+                )?;
+                (ranks, None)
+            }
+            Some(plan) => {
+                let run =
+                    Machine::run_sim(self.machine.clone(), plan.clone(), body).map_err(|e| {
+                        RunError {
+                            error: e.error,
+                            postmortem: e.postmortem,
+                            report: Some(e.report),
+                        }
+                    })?;
+                (run.results, Some(run.report))
+            }
+        };
+        let (result, stats, profiles) = ranks[0].take().expect("rank 0 reports");
+        Ok(Outcome {
+            result,
+            stats,
+            profiles,
+            report,
+        })
     }
 
     /// Distributed SSSP. The edge list must be weighted. Distances in
-    /// vertex order.
+    /// vertex order. Simulated runs check tentative distances against
+    /// sequential Dijkstra mid-run.
     pub fn sssp(
         &self,
         el: &EdgeList,
         source: VertexId,
         strategy: SsspStrategy,
-    ) -> Outcome<Vec<f64>> {
+    ) -> RunResult<Vec<f64>> {
         let graph = self.distribute(el);
         let weights = EdgeMap::from_weights(&graph, el);
-        self.drive(|ctx, cfg| {
-            let s = crate::sssp::Sssp::install(ctx, &graph, &weights, cfg);
-            s.run(ctx, source, strategy);
-            s.dist
-        })
+        // The oracle is only worth computing when a simulator checks it.
+        let truth = self.sim.is_some().then(|| crate::seq::dijkstra(el, source));
+        self.drive(
+            |ctx, cfg| {
+                let s = crate::sssp::Sssp::install(ctx, &graph, &weights, cfg);
+                if let Some(truth) = &truth {
+                    s.sim_invariant(ctx, truth);
+                }
+                s.run(ctx, source, strategy);
+                s.dist
+            },
+            |dist| dist.snapshot(),
+        )
     }
 
     /// Distributed connected components (parallel search). The edge list
     /// is symmetrized internally. Min-vertex-id component labels.
-    pub fn cc(&self, el: &EdgeList) -> Outcome<Vec<u64>> {
-        let graph = self.distribute(&symmetrized(el));
-        self.drive(|ctx, cfg| crate::cc::cc_with_cfg(ctx, &graph, cfg))
+    /// Simulated runs check labels against union-find mid-run.
+    pub fn cc(&self, el: &EdgeList) -> RunResult<Vec<u64>> {
+        let sym = symmetrized(el);
+        let graph = self.distribute(&sym);
+        let truth = self.sim.is_some().then(|| crate::seq::cc_labels(&sym));
+        self.drive(
+            |ctx, cfg| {
+                let c = crate::cc::Cc::install(ctx, &graph, cfg);
+                if let Some(truth) = &truth {
+                    c.sim_invariant(ctx, truth);
+                }
+                c.run(ctx);
+                c.comp
+            },
+            |comp| comp.snapshot(),
+        )
     }
 
     /// Distributed BFS levels (`u64::MAX` = unreached).
-    pub fn bfs(&self, el: &EdgeList, source: VertexId) -> Outcome<Vec<u64>> {
+    pub fn bfs(&self, el: &EdgeList, source: VertexId) -> RunResult<Vec<u64>> {
         let graph = self.distribute(el);
-        self.drive(|ctx, cfg| {
-            let b = crate::bfs::Bfs::install(ctx, &graph, cfg);
-            b.run(ctx, source);
-            b.level
-        })
+        self.drive(
+            |ctx, cfg| {
+                let b = crate::bfs::Bfs::install(ctx, &graph, cfg);
+                b.run(ctx, source);
+                b.level
+            },
+            |level| level.snapshot(),
+        )
     }
 
-    /// Distributed PageRank (`damping` typically 0.85).
-    pub fn pagerank(&self, el: &EdgeList, damping: f64, iterations: usize) -> Outcome<Vec<f64>> {
+    /// Distributed PageRank (`damping` typically 0.85). Simulated runs
+    /// check every tentative rank stays finite and non-negative.
+    pub fn pagerank(&self, el: &EdgeList, damping: f64, iterations: usize) -> RunResult<Vec<f64>> {
         let graph = self.distribute(el);
-        self.drive(|ctx, cfg| {
-            let p = crate::pagerank::PageRank::install(ctx, &graph, damping, cfg);
-            p.run(ctx, iterations);
-            p.rank
-        })
+        self.drive(
+            |ctx, cfg| {
+                let p = crate::pagerank::PageRank::install(ctx, &graph, damping, cfg);
+                p.sim_invariant(ctx);
+                p.run(ctx, iterations);
+                p.rank
+            },
+            |rank| rank.snapshot(),
+        )
     }
 
-    /// Distributed k-core membership mask (edge list symmetrized
-    /// internally).
-    pub fn kcore(&self, el: &EdgeList, k: u64) -> Outcome<Vec<bool>> {
+    /// Distributed k-core (edge list symmetrized internally): the
+    /// membership mask and the number of peeling rounds.
+    pub fn kcore(&self, el: &EdgeList, k: u64) -> RunResult<(Vec<bool>, usize)> {
         let graph = self.distribute(&symmetrized(el));
-        self.drive(|ctx, cfg| crate::kcore::kcore_with_cfg(ctx, &graph, k, cfg).0)
+        self.drive(
+            |ctx, cfg| crate::kcore::kcore(ctx, &graph, k, cfg),
+            |(mask, rounds)| (mask.snapshot(), rounds),
+        )
     }
 
-    /// Distributed greedy coloring (edge list symmetrized internally).
-    /// Per-vertex colors; max degree must be < 63.
-    pub fn coloring(&self, el: &EdgeList) -> Outcome<Vec<u64>> {
+    /// Distributed greedy coloring (edge list symmetrized internally):
+    /// per-vertex colors and the number of rounds. Max degree must be
+    /// < 63.
+    pub fn coloring(&self, el: &EdgeList) -> RunResult<(Vec<u64>, usize)> {
         let graph = self.distribute(&symmetrized(el));
-        self.drive(|ctx, cfg| crate::coloring::color_greedy_with_cfg(ctx, &graph, cfg).0)
+        self.drive(
+            |ctx, cfg| crate::coloring::color_greedy(ctx, &graph, cfg),
+            |(colors, rounds)| (colors.snapshot(), rounds),
+        )
+    }
+
+    /// Distributed maximal independent set (Luby; edge list symmetrized
+    /// internally): the membership mask and the number of rounds. `seed`
+    /// fixes the per-vertex priorities.
+    pub fn mis(&self, el: &EdgeList, seed: u64) -> RunResult<(Vec<bool>, usize)> {
+        let graph = self.distribute(&symmetrized(el));
+        self.drive(
+            |ctx, cfg| crate::mis::mis(ctx, &graph, seed, cfg),
+            |(mask, rounds)| (mask.snapshot(), rounds),
+        )
+    }
+
+    /// Distributed betweenness centrality (Brandes; unweighted, directed,
+    /// endpoints excluded) accumulated over `sources`.
+    pub fn betweenness(&self, el: &EdgeList, sources: &[VertexId]) -> RunResult<Vec<f64>> {
+        let graph = self.distribute(el);
+        self.drive(
+            |ctx, cfg| crate::betweenness::betweenness(ctx, &graph, sources, cfg),
+            |bc| bc.snapshot(),
+        )
+    }
+
+    /// Distributed SSSP with its shortest-path structure: distances, the
+    /// parent tree and the predecessor sets of the shortest-path DAG. The
+    /// edge list must be weighted.
+    pub fn paths(&self, el: &EdgeList, source: VertexId) -> RunResult<PathTree> {
+        let graph = self.distribute(el);
+        let weights = EdgeMap::from_weights(&graph, el);
+        self.drive(
+            |ctx, cfg| {
+                let s = crate::paths::SsspPaths::install(ctx, &graph, &weights, cfg);
+                s.run(ctx, source);
+                s
+            },
+            |s| s.snapshot(),
+        )
     }
 }
 
@@ -153,175 +314,40 @@ fn symmetrized(el: &EdgeList) -> EdgeList {
     sym
 }
 
+/// The result of a default-configured threaded run, or a panic carrying
+/// the error's `Display` — what [`Machine::run`] does on failure.
+fn expect_ok<T>(run: RunResult<T>) -> T {
+    run.unwrap_or_else(|e| panic!("{e}")).result
+}
+
 /// [`Run::sssp`] on `ranks` default ranks: just the distance vector.
 pub fn run_sssp(el: &EdgeList, ranks: usize, source: VertexId, strategy: SsspStrategy) -> Vec<f64> {
-    Run::new(ranks).sssp(el, source, strategy).result
+    expect_ok(Run::new(ranks).sssp(el, source, strategy))
 }
 
 /// [`Run::cc`] on `ranks` default ranks: just the labels.
 pub fn run_cc(el: &EdgeList, ranks: usize) -> Vec<u64> {
-    Run::new(ranks).cc(el).result
+    expect_ok(Run::new(ranks).cc(el))
 }
 
 /// [`Run::bfs`] on `ranks` default ranks: just the levels.
 pub fn run_bfs(el: &EdgeList, ranks: usize, source: VertexId) -> Vec<u64> {
-    Run::new(ranks).bfs(el, source).result
+    expect_ok(Run::new(ranks).bfs(el, source))
 }
 
 /// [`Run::pagerank`] on `ranks` default ranks: just the rank vector.
 pub fn run_pagerank(el: &EdgeList, ranks: usize, damping: f64, iterations: usize) -> Vec<f64> {
-    Run::new(ranks).pagerank(el, damping, iterations).result
+    expect_ok(Run::new(ranks).pagerank(el, damping, iterations))
 }
 
 /// [`Run::kcore`] on `ranks` default ranks: just the mask.
 pub fn run_kcore(el: &EdgeList, ranks: usize, k: u64) -> Vec<bool> {
-    Run::new(ranks).kcore(el, k).result
+    expect_ok(Run::new(ranks).kcore(el, k)).0
 }
 
 /// [`Run::coloring`] on `ranks` default ranks: just the colors.
 pub fn run_coloring(el: &EdgeList, ranks: usize) -> Vec<u64> {
-    Run::new(ranks).coloring(el).result
-}
-
-/// [`Run::sssp`] under the deterministic discrete-event simulator
-/// ([`dgp_am::Machine::run_sim`]): modeled links, seeded schedule, exact
-/// reproducibility at thousands of ranks. Installs a mid-run
-/// `InvariantChecker` that validates, at every checkpoint the plan's
-/// cadence selects, that tentative distances (a) never drop below the
-/// true shortest distance (precomputed with sequential Dijkstra) and
-/// (b) are monotone non-increasing over virtual time. A violation fails
-/// the run as [`dgp_am::MachineError::InvariantViolated`] with the
-/// offending vertex in the detail string.
-pub fn run_sssp_sim(
-    el: &EdgeList,
-    cfg: MachineConfig,
-    plan: SimPlan,
-    source: VertexId,
-    strategy: SsspStrategy,
-) -> Result<(Vec<f64>, SimReport), Box<dgp_am::SimError>> {
-    let ranks = cfg.ranks;
-    let truth = crate::seq::dijkstra(el, source);
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let weights = EdgeMap::from_weights(&graph, el);
-    let run = Machine::run_sim(cfg, plan, move |ctx| {
-        let s = crate::sssp::Sssp::install(
-            ctx,
-            &graph,
-            &weights,
-            dgp_core::engine::EngineConfig::default(),
-        );
-        if ctx.rank() == 0 {
-            let map = s.dist.clone();
-            let truth = truth.clone();
-            let prev = Mutex::new(vec![f64::INFINITY; truth.len()]);
-            ctx.sim_invariant(move |_ic| {
-                let snap = map.snapshot();
-                let mut prev = prev.lock();
-                for (v, (&d, &t)) in snap.iter().zip(&truth).enumerate() {
-                    if d < t - 1e-9 {
-                        return Err(format!(
-                            "dist[{v}] = {d} undercuts true shortest distance {t}"
-                        ));
-                    }
-                    if d > prev[v] + 1e-9 {
-                        return Err(format!("dist[{v}] increased: {} -> {d}", prev[v]));
-                    }
-                }
-                prev.copy_from_slice(&snap);
-                Ok(())
-            });
-        }
-        s.run(ctx, source, strategy);
-        (ctx.rank() == 0).then(|| s.dist.snapshot())
-    })?;
-    let mut results = run.results;
-    Ok((results[0].take().expect("rank 0 reports"), run.report))
-}
-
-/// [`Run::cc`] under the deterministic simulator, with a mid-run
-/// invariant: component labels start unwritten (`u64::MAX`), only ever
-/// decrease, and never drop below the true minimum vertex id of the
-/// component (precomputed with union-find).
-pub fn run_cc_sim(
-    el: &EdgeList,
-    cfg: MachineConfig,
-    plan: SimPlan,
-) -> Result<(Vec<u64>, SimReport), Box<dgp_am::SimError>> {
-    let ranks = cfg.ranks;
-    let sym = symmetrized(el);
-    let truth = crate::seq::cc_labels(&sym);
-    let dist = Distribution::block(sym.num_vertices(), ranks);
-    let graph = DistGraph::build(&sym, dist, false);
-    let run = Machine::run_sim(cfg, plan, move |ctx| {
-        let c = crate::cc::Cc::install(ctx, &graph, dgp_core::engine::EngineConfig::default());
-        if ctx.rank() == 0 {
-            let map = c.comp.clone();
-            let truth = truth.clone();
-            let prev = Mutex::new(Vec::<u64>::new());
-            ctx.sim_invariant(move |_ic| {
-                let snap = map.snapshot();
-                let mut prev = prev.lock();
-                if prev.is_empty() {
-                    *prev = vec![u64::MAX; snap.len()];
-                }
-                for (v, (&l, &t)) in snap.iter().zip(&truth).enumerate() {
-                    if l < t {
-                        return Err(format!(
-                            "label[{v}] = {l} undercuts the component minimum {t}"
-                        ));
-                    }
-                    if l > prev[v] {
-                        return Err(format!("label[{v}] increased: {} -> {l}", prev[v]));
-                    }
-                }
-                prev.copy_from_slice(&snap);
-                Ok(())
-            });
-        }
-        c.run(ctx);
-        (ctx.rank() == 0).then(|| c.comp.snapshot())
-    })?;
-    let mut results = run.results;
-    Ok((results[0].take().expect("rank 0 reports"), run.report))
-}
-
-/// [`Run::pagerank`] under the deterministic simulator, with a
-/// mid-run invariant: every tentative rank value stays finite and
-/// non-negative at every checkpoint.
-pub fn run_pagerank_sim(
-    el: &EdgeList,
-    cfg: MachineConfig,
-    plan: SimPlan,
-    damping: f64,
-    iterations: usize,
-) -> Result<(Vec<f64>, SimReport), Box<dgp_am::SimError>> {
-    let ranks = cfg.ranks;
-    let dist = Distribution::block(el.num_vertices(), ranks);
-    let graph = DistGraph::build(el, dist, false);
-    let run = Machine::run_sim(cfg, plan, move |ctx| {
-        let p = crate::pagerank::PageRank::install(
-            ctx,
-            &graph,
-            damping,
-            dgp_core::engine::EngineConfig::default(),
-        );
-        if ctx.rank() == 0 {
-            let map = p.rank.clone();
-            ctx.sim_invariant(move |_ic| {
-                for (v, x) in map.snapshot().into_iter().enumerate() {
-                    if !x.is_finite() || x < -1e-12 {
-                        return Err(format!("rank[{v}] = {x} is not a probability mass"));
-                    }
-                }
-                Ok(())
-            });
-        }
-        p.run(ctx, iterations);
-        (ctx.rank() == 0).then(|| p.rank.snapshot())
-    })?;
-    let mut results = run.results;
-    Ok((results[0].take().expect("rank 0 reports"), run.report))
+    expect_ok(Run::new(ranks).coloring(el)).0
 }
 
 #[cfg(test)]

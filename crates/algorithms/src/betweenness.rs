@@ -67,13 +67,7 @@ pub(crate) fn delta_pull(
 /// Betweenness centrality accumulated over the given sources (pass all
 /// vertices for exact BC; a sample for approximate BC). Unweighted,
 /// directed; endpoints excluded, as in Brandes. Collective.
-pub fn betweenness(ctx: &AmCtx, graph: &DistGraph, sources: &[VertexId]) -> AtomicVertexMap<f64> {
-    betweenness_with_cfg(ctx, graph, sources, EngineConfig::default())
-}
-
-/// [`betweenness`] with an explicit engine configuration (the
-/// differential suite runs the same instance interpreted and compiled).
-pub fn betweenness_with_cfg(
+pub fn betweenness(
     ctx: &AmCtx,
     graph: &DistGraph,
     sources: &[VertexId],
@@ -206,7 +200,7 @@ mod tests {
     fn run(el: &EdgeList, ranks: usize, sources: Vec<VertexId>) -> Vec<f64> {
         let graph = DistGraph::build(el, Distribution::block(el.num_vertices(), ranks), false);
         let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-            let bc = betweenness(ctx, &graph, &sources);
+            let bc = betweenness(ctx, &graph, &sources, EngineConfig::default());
             (ctx.rank() == 0).then(|| bc.snapshot())
         });
         out[0].take().unwrap()

@@ -32,7 +32,7 @@ use dgp_graph::properties::{AtomicVertexMap, LockedVertexMap};
 use dgp_graph::{DistGraph, VertexId};
 
 use crate::patterns;
-use crate::util::local_vertices;
+use crate::util::{local_vertices, sim_invariant_descending};
 
 /// An installed CC pattern.
 pub struct Cc {
@@ -89,6 +89,14 @@ impl Cc {
             jump,
             rewrite,
         }
+    }
+
+    /// Install the simulator's mid-run check against `truth` (union-find
+    /// minimum-vertex labels): component labels start unwritten
+    /// (`u64::MAX`), never drop below the component minimum, and never
+    /// increase.
+    pub fn sim_invariant(&self, ctx: &AmCtx, truth: &[u64]) {
+        sim_invariant_descending(ctx, &self.comp, "label", truth, u64::MAX, |a, b| a < b);
     }
 
     /// Run the algorithm. Collective. Returns the number of pointer-
@@ -158,13 +166,7 @@ impl Cc {
 }
 
 /// Convenience: install + run (inside a machine).
-pub fn cc(ctx: &AmCtx, graph: &DistGraph) -> AtomicVertexMap<u64> {
-    cc_with_cfg(ctx, graph, EngineConfig::default())
-}
-
-/// [`cc`] on a caller-supplied [`EngineConfig`] — the hook the
-/// reference-vs-compiled executor comparisons use.
-pub fn cc_with_cfg(ctx: &AmCtx, graph: &DistGraph, cfg: EngineConfig) -> AtomicVertexMap<u64> {
+pub fn cc(ctx: &AmCtx, graph: &DistGraph, cfg: EngineConfig) -> AtomicVertexMap<u64> {
     let c = Cc::install(ctx, graph, cfg);
     c.run(ctx);
     c.comp

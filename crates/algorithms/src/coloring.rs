@@ -53,13 +53,7 @@ pub(crate) fn flag_bigger(color: MapId, blocked: MapId) -> dgp_core::builder::Bu
 
 /// Color the (symmetric) graph greedily. Collective; returns
 /// `(color map, rounds)`. Max degree must be < 63.
-pub fn color_greedy(ctx: &AmCtx, graph: &DistGraph) -> (AtomicVertexMap<u64>, usize) {
-    color_greedy_with_cfg(ctx, graph, EngineConfig::default())
-}
-
-/// [`color_greedy`] with an explicit engine configuration (the
-/// differential suite runs the same instance interpreted and compiled).
-pub fn color_greedy_with_cfg(
+pub fn color_greedy(
     ctx: &AmCtx,
     graph: &DistGraph,
     cfg: EngineConfig,
@@ -154,7 +148,7 @@ mod tests {
     fn run(el: &EdgeList, ranks: usize) -> (Vec<u64>, usize) {
         let graph = DistGraph::build(el, Distribution::block(el.num_vertices(), ranks), false);
         let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-            let (c, rounds) = color_greedy(ctx, &graph);
+            let (c, rounds) = color_greedy(ctx, &graph, EngineConfig::default());
             (ctx.rank() == 0).then(|| (c.snapshot(), rounds))
         });
         out[0].take().unwrap()

@@ -34,13 +34,7 @@ pub(crate) fn count_active(active: u32, acc: u32) -> dgp_core::builder::BuiltAct
 /// Compute the k-core membership mask (`true` = in the k-core). The graph
 /// must be a symmetric representation. Collective; returns the number of
 /// peeling rounds.
-pub fn kcore(ctx: &AmCtx, graph: &DistGraph, k: u64) -> (AtomicVertexMap<bool>, usize) {
-    kcore_with_cfg(ctx, graph, k, EngineConfig::default())
-}
-
-/// [`kcore`] with an explicit engine configuration (the differential
-/// suite runs the same instance interpreted and compiled).
-pub fn kcore_with_cfg(
+pub fn kcore(
     ctx: &AmCtx,
     graph: &DistGraph,
     k: u64,
@@ -121,7 +115,7 @@ mod tests {
     fn run_kcore(el: &EdgeList, ranks: usize, k: u64) -> (Vec<bool>, usize) {
         let graph = DistGraph::build(el, Distribution::block(el.num_vertices(), ranks), false);
         let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-            let (mask, rounds) = kcore(ctx, &graph, k);
+            let (mask, rounds) = kcore(ctx, &graph, k, EngineConfig::default());
             (ctx.rank() == 0).then(|| (mask.snapshot(), rounds))
         });
         out[0].take().unwrap()

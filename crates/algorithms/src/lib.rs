@@ -17,8 +17,9 @@
 //!
 //! [`api`] offers one-call entry points that build the machine, distribute
 //! the graph, run, and return plain vectors — what the examples use; its
-//! [`Run`] is the one place a caller picks the machine and engine
-//! configuration.
+//! [`Run`] is the one driver: the one place a caller picks the machine,
+//! the engine configuration and threads-or-simulator, with a method for
+//! each of the nine families.
 
 pub mod api;
 pub mod betweenness;
@@ -36,6 +37,9 @@ pub mod seq;
 pub mod sssp;
 pub mod util;
 
-pub use api::{run_bfs, run_cc, run_coloring, run_kcore, run_pagerank, run_sssp, Outcome, Run};
+pub use api::{
+    run_bfs, run_cc, run_coloring, run_kcore, run_pagerank, run_sssp, Outcome, Run, RunError,
+    RunResult,
+};
 pub use registry::{builtin_patterns, RegisteredPattern};
 pub use sssp::SsspStrategy;

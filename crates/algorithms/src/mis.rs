@@ -49,13 +49,7 @@ pub(crate) fn flag_excluded(state: MapId, excluded: MapId) -> dgp_core::builder:
 
 /// Compute a maximal independent set of the (symmetric) graph. Collective;
 /// returns `(membership mask, rounds)`.
-pub fn mis(ctx: &AmCtx, graph: &DistGraph, seed: u64) -> (AtomicVertexMap<bool>, usize) {
-    mis_with_cfg(ctx, graph, seed, EngineConfig::default())
-}
-
-/// [`mis`] with an explicit engine configuration (the differential suite
-/// runs the same instance interpreted and compiled).
-pub fn mis_with_cfg(
+pub fn mis(
     ctx: &AmCtx,
     graph: &DistGraph,
     seed: u64,
@@ -156,7 +150,7 @@ mod tests {
     fn run(el: &EdgeList, ranks: usize, seed: u64) -> (Vec<bool>, usize) {
         let graph = DistGraph::build(el, Distribution::block(el.num_vertices(), ranks), false);
         let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-            let (m, rounds) = mis(ctx, &graph, seed);
+            let (m, rounds) = mis(ctx, &graph, seed, EngineConfig::default());
             (ctx.rank() == 0).then(|| (m.snapshot(), rounds))
         });
         out[0].take().unwrap()

@@ -52,6 +52,24 @@ impl PageRank {
         }
     }
 
+    /// Install the simulator's mid-run check: every tentative rank value
+    /// stays finite and non-negative at every checkpoint (no oracle
+    /// needed; a no-op on threads).
+    pub fn sim_invariant(&self, ctx: &AmCtx) {
+        if ctx.rank() != 0 {
+            return;
+        }
+        let map = self.rank.clone();
+        ctx.sim_invariant(move |_| {
+            for (v, x) in map.snapshot().into_iter().enumerate() {
+                if !x.is_finite() || x < -1e-12 {
+                    return Err(format!("rank[{v}] = {x} is not a probability mass"));
+                }
+            }
+            Ok(())
+        });
+    }
+
     /// Run `iterations` power iterations. Collective.
     pub fn run(&self, ctx: &AmCtx, iterations: usize) {
         let rank_id = ctx.rank();

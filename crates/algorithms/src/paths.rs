@@ -27,7 +27,32 @@ pub struct SsspPaths {
     record: dgp_core::engine::ActionId,
 }
 
+/// Rank 0's quiescent view of an [`SsspPaths`] run, in vertex order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PathTree {
+    /// Shortest distances (`∞` = unreached).
+    pub dist: Vec<f64>,
+    /// Shortest-path-tree parent (`None` = unreached or source).
+    pub parent: Vec<Option<VertexId>>,
+    /// All tight predecessors, each list sorted (arrival order is
+    /// schedule-dependent; the set is not).
+    pub preds: Vec<Vec<VertexId>>,
+}
+
 impl SsspPaths {
+    /// Copy the three result maps out (quiescent use).
+    pub fn snapshot(&self) -> PathTree {
+        let mut preds = self.preds.snapshot();
+        for p in &mut preds {
+            p.sort_unstable();
+        }
+        PathTree {
+            dist: self.dist.snapshot(),
+            parent: self.parent.snapshot(),
+            preds,
+        }
+    }
+
     /// Collectively install on a fresh engine.
     pub fn install(
         ctx: &AmCtx,

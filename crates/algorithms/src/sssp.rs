@@ -8,7 +8,7 @@ use dgp_graph::properties::{AtomicVertexMap, EdgeMap};
 use dgp_graph::{DistGraph, VertexId};
 
 use crate::patterns;
-use crate::util::owned_seeds;
+use crate::util::{owned_seeds, sim_invariant_descending};
 
 /// Which strategy drives the `relax` action.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,6 +64,15 @@ impl Sssp {
             dist_id,
             weight_id: w_id,
         }
+    }
+
+    /// Install the simulator's mid-run check against `truth` (sequential
+    /// Dijkstra from the source about to be run): tentative distances never
+    /// undercut the true shortest distance and never increase.
+    pub fn sim_invariant(&self, ctx: &AmCtx, truth: &[f64]) {
+        sim_invariant_descending(ctx, &self.dist, "dist", truth, f64::INFINITY, |a, b| {
+            a < b - 1e-9
+        });
     }
 
     /// Run from `source` with `strategy`. Collective. The `dist` map holds

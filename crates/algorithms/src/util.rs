@@ -1,7 +1,9 @@
 //! Small SPMD helpers shared by the algorithm drivers.
 
 use dgp_am::AmCtx;
+use dgp_graph::properties::{AtomicValue, AtomicVertexMap};
 use dgp_graph::{DistGraph, VertexId};
+use parking_lot::Mutex;
 
 /// Fixed-point scale for summing `f64` through the `u64` all-reduce.
 const FIXED_SCALE: f64 = (1u64 << 32) as f64;
@@ -27,6 +29,47 @@ pub fn owned_seeds(ctx: &AmCtx, graph: &DistGraph, seeds: &[VertexId]) -> Vec<Ve
         .copied()
         .filter(|&v| graph.owner(v) == ctx.rank())
         .collect()
+}
+
+/// The mid-run invariant of a min-fixed-point family (SSSP distances, CC
+/// labels), checked by the simulator at every checkpoint its plan's
+/// cadence selects: each `name[v]` starts at `top`, never drops below its
+/// final value `floor[v]` (a sequential oracle), and never increases.
+/// `below(a, b)` is "`a` is meaningfully less than `b`" (exact for labels,
+/// with slack for floats). A violation fails the run as
+/// [`dgp_am::MachineError::InvariantViolated`] with the vertex in the
+/// detail string. Installed once, by rank 0; a no-op on threads
+/// ([`AmCtx::sim_invariant`]).
+pub fn sim_invariant_descending<V>(
+    ctx: &AmCtx,
+    map: &AtomicVertexMap<V>,
+    name: &'static str,
+    floor: &[V],
+    top: V,
+    below: fn(V, V) -> bool,
+) where
+    V: AtomicValue + std::fmt::Display,
+{
+    if ctx.rank() != 0 || !ctx.in_sim() {
+        return;
+    }
+    let map = map.clone();
+    let floor = floor.to_vec();
+    let prev = Mutex::new(vec![top; floor.len()]);
+    ctx.sim_invariant(move |_| {
+        let snap = map.snapshot();
+        let mut prev = prev.lock();
+        for (v, (&x, &f)) in snap.iter().zip(&floor).enumerate() {
+            if below(x, f) {
+                return Err(format!("{name}[{v}] = {x} undercuts its final value {f}"));
+            }
+            if below(prev[v], x) {
+                return Err(format!("{name}[{v}] increased: {} -> {x}", prev[v]));
+            }
+        }
+        *prev = snap;
+        Ok(())
+    });
 }
 
 #[cfg(test)]

@@ -25,10 +25,9 @@
 
 use std::sync::Arc;
 
-use dgp_algorithms::paths::SsspPaths;
 use dgp_algorithms::sssp::{Sssp, SsspStrategy};
 use dgp_algorithms::util::owned_seeds;
-use dgp_algorithms::{betweenness, coloring, kcore, mis, patterns, Run};
+use dgp_algorithms::{patterns, Run, RunResult};
 use dgp_am::{FaultPlan, Machine, MachineConfig};
 use dgp_core::engine::{AtomicMapHandle, ErasedMap, JitFallback, MapAccess, PatternEngine, Val};
 use dgp_core::ir::PropertyKind;
@@ -41,29 +40,34 @@ use dgp_graph::{DistGraph, Distribution, EdgeList, VertexId};
 
 const MODES: [PlanMode; 2] = [PlanMode::Faithful, PlanMode::Optimized];
 
-/// The compiled engine under test (compilation is on by default).
-fn compiled(mode: PlanMode) -> EngineConfig {
+fn engine(mode: PlanMode, exec: Exec) -> EngineConfig {
     EngineConfig {
         plan_mode: mode,
+        exec,
         ..Default::default()
     }
 }
 
-/// The oracle: the guarded interpreter.
-fn interpreted(mode: PlanMode) -> EngineConfig {
-    EngineConfig {
-        plan_mode: mode,
-        exec: Exec::Reference,
-        ..Default::default()
-    }
+/// Run `family` on `machine` under both executors: the compiled engine
+/// under test, then the oracle (the guarded interpreter).
+fn both_on<T>(
+    machine: &MachineConfig,
+    mode: PlanMode,
+    family: impl Fn(&Run) -> RunResult<T>,
+) -> [dgp_algorithms::Outcome<T>; 2] {
+    [Exec::Compiled, Exec::Reference].map(|exec| {
+        let run = Run {
+            engine: engine(mode, exec),
+            ..Run::on(machine.clone())
+        };
+        family(&run).unwrap_or_else(|e| panic!("{mode:?}/{exec:?}: {e}"))
+    })
 }
 
-/// Three default ranks running `engine`.
-fn on(engine: EngineConfig) -> Run {
-    Run {
-        engine,
-        ..Run::new(3)
-    }
+/// [`both_on`] three default ranks: `(compiled, interpreted)` results.
+fn both<T>(mode: PlanMode, family: impl Fn(&Run) -> RunResult<T>) -> (T, T) {
+    let [fast, slow] = both_on(&MachineConfig::new(3), mode, family);
+    (fast.result, slow.result)
 }
 
 fn rmat_weighted(scale: u32, seed: u64) -> EdgeList {
@@ -137,7 +141,7 @@ fn sssp_compiles_by_default_and_falls_back_on_request() {
     let cases = [
         (EngineConfig::default(), None),
         (
-            interpreted(PlanMode::Optimized),
+            engine(PlanMode::Optimized, Exec::Reference),
             Some(JitFallback::Reference),
         ),
     ];
@@ -189,8 +193,9 @@ impl ErasedMap for OpaqueMap {
 fn undowncastable_map_falls_back_to_the_guarded_interpreter() {
     let el = rmat_weighted(6, 3);
     let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
-    let typed = on(EngineConfig::default())
+    let typed = Run::new(3)
         .sssp(&el, 0, SsspStrategy::FixedPoint)
+        .expect("typed run")
         .result;
     let mut out = Machine::run(MachineConfig::new(3), |ctx| {
         let engine = PatternEngine::new(ctx, graph.clone(), EngineConfig::default());
@@ -233,8 +238,7 @@ fn sssp_bit_identical_compiled_vs_interpreted() {
     let el = rmat_weighted(7, 11);
     for mode in MODES {
         for strategy in [SsspStrategy::FixedPoint, SsspStrategy::Delta(2.0)] {
-            let fast = on(compiled(mode)).sssp(&el, 0, strategy).result;
-            let slow = on(interpreted(mode)).sssp(&el, 0, strategy).result;
+            let (fast, slow) = both(mode, |run| run.sssp(&el, 0, strategy));
             assert_bits_eq(&fast, &slow, &format!("sssp {mode:?}/{strategy:?}"));
         }
     }
@@ -244,8 +248,7 @@ fn sssp_bit_identical_compiled_vs_interpreted() {
 fn cc_bit_identical_compiled_vs_interpreted() {
     let el = generators::component_blobs(4, 40, 2, 17);
     for mode in MODES {
-        let fast = on(compiled(mode)).cc(&el).result;
-        let slow = on(interpreted(mode)).cc(&el).result;
+        let (fast, slow) = both(mode, |run| run.cc(&el));
         assert_eq!(fast, slow, "cc {mode:?}");
     }
 }
@@ -254,8 +257,7 @@ fn cc_bit_identical_compiled_vs_interpreted() {
 fn bfs_bit_identical_compiled_vs_interpreted() {
     let el = rmat_weighted(7, 5);
     for mode in MODES {
-        let fast = on(compiled(mode)).bfs(&el, 0).result;
-        let slow = on(interpreted(mode)).bfs(&el, 0).result;
+        let (fast, slow) = both(mode, |run| run.bfs(&el, 0));
         assert_eq!(fast, slow, "bfs {mode:?}");
     }
 }
@@ -264,28 +266,22 @@ fn bfs_bit_identical_compiled_vs_interpreted() {
 fn pagerank_matches_compiled_vs_interpreted() {
     let el = rmat_weighted(7, 23);
     for mode in MODES {
-        let fast = on(compiled(mode)).pagerank(&el, 0.85, 15).result;
-        let slow = on(interpreted(mode)).pagerank(&el, 0.85, 15).result;
+        let (fast, slow) = both(mode, |run| run.pagerank(&el, 0.85, 15));
         assert_close(&fast, &slow, &format!("pagerank {mode:?}"));
     }
 }
+
+// The round-structured families compare `(result, rounds)`: the executor
+// must not change how many rounds the imperative driver takes either.
+// (`Run` symmetrizes the undirected families' input itself.)
 
 #[test]
 fn mis_bit_identical_compiled_vs_interpreted() {
     let mut el = generators::erdos_renyi(150, 600, 4);
     el.simplify();
-    el.symmetrize();
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
     for mode in MODES {
-        let run = |cfg: EngineConfig| {
-            let g = graph.clone();
-            let mut out = Machine::run(MachineConfig::new(3), move |ctx| {
-                let (m, rounds) = mis::mis_with_cfg(ctx, &g, 7, cfg);
-                (ctx.rank() == 0).then(|| (m.snapshot(), rounds))
-            });
-            out[0].take().unwrap()
-        };
-        assert_eq!(run(compiled(mode)), run(interpreted(mode)), "mis {mode:?}");
+        let (fast, slow) = both(mode, |run| run.mis(&el, 7));
+        assert_eq!(fast, slow, "mis {mode:?}");
     }
 }
 
@@ -293,43 +289,20 @@ fn mis_bit_identical_compiled_vs_interpreted() {
 fn kcore_bit_identical_compiled_vs_interpreted() {
     let mut el = generators::erdos_renyi(120, 500, 2);
     el.simplify();
-    el.symmetrize();
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
     for mode in MODES {
-        let run = |cfg: EngineConfig| {
-            let g = graph.clone();
-            let mut out = Machine::run(MachineConfig::new(3), move |ctx| {
-                let (mask, rounds) = kcore::kcore_with_cfg(ctx, &g, 3, cfg);
-                (ctx.rank() == 0).then(|| (mask.snapshot(), rounds))
-            });
-            out[0].take().unwrap()
-        };
-        assert_eq!(
-            run(compiled(mode)),
-            run(interpreted(mode)),
-            "kcore {mode:?}"
-        );
+        let (fast, slow) = both(mode, |run| run.kcore(&el, 3));
+        assert_eq!(fast, slow, "kcore {mode:?}");
     }
 }
 
 #[test]
 fn coloring_bit_identical_compiled_vs_interpreted() {
-    let el = generators::grid2d(8, 8);
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
+    // `Run` symmetrizes: hand it each undirected grid edge once.
+    let mut el = generators::grid2d(8, 8);
+    el.edges.retain(|&(u, v)| u < v);
     for mode in MODES {
-        let run = |cfg: EngineConfig| {
-            let g = graph.clone();
-            let mut out = Machine::run(MachineConfig::new(3), move |ctx| {
-                let (c, rounds) = coloring::color_greedy_with_cfg(ctx, &g, cfg);
-                (ctx.rank() == 0).then(|| (c.snapshot(), rounds))
-            });
-            out[0].take().unwrap()
-        };
-        assert_eq!(
-            run(compiled(mode)),
-            run(interpreted(mode)),
-            "coloring {mode:?}"
-        );
+        let (fast, slow) = both(mode, |run| run.coloring(&el));
+        assert_eq!(fast, slow, "coloring {mode:?}");
     }
 }
 
@@ -338,55 +311,23 @@ fn betweenness_matches_compiled_vs_interpreted() {
     let mut el = generators::erdos_renyi(60, 300, 3);
     el.simplify();
     let sources: Vec<VertexId> = (0..el.num_vertices()).step_by(7).collect();
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
     for mode in MODES {
-        let run = |cfg: EngineConfig| {
-            let g = graph.clone();
-            let srcs = sources.clone();
-            let mut out = Machine::run(MachineConfig::new(3), move |ctx| {
-                let bc = betweenness::betweenness_with_cfg(ctx, &g, &srcs, cfg);
-                (ctx.rank() == 0).then(|| bc.snapshot())
-            });
-            out[0].take().unwrap()
-        };
-        assert_close(
-            &run(compiled(mode)),
-            &run(interpreted(mode)),
-            &format!("betweenness {mode:?}"),
-        );
+        let (fast, slow) = both(mode, |run| run.betweenness(&el, &sources));
+        assert_close(&fast, &slow, &format!("betweenness {mode:?}"));
     }
 }
 
 /// Shortest-path trees: distances bit-identical, parents and predecessor
 /// sets identical (random weights make ties vanishingly unlikely, so both
-/// are deterministic; predecessor lists are compared as sorted sets).
+/// are deterministic; `PathTree` carries predecessor lists sorted).
 #[test]
 fn paths_bit_identical_compiled_vs_interpreted() {
     let el = rmat_weighted(6, 31);
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
     for mode in MODES {
-        let run = |cfg: EngineConfig| {
-            let g = graph.clone();
-            let el = el.clone();
-            let mut out = Machine::run(MachineConfig::new(3), move |ctx| {
-                let weights = EdgeMap::from_weights(&g, &el);
-                let s = SsspPaths::install(ctx, &g, &weights, cfg);
-                s.run(ctx, 0);
-                (ctx.rank() == 0).then(|| {
-                    let mut preds = s.preds.snapshot();
-                    for p in &mut preds {
-                        p.sort_unstable();
-                    }
-                    (s.dist.snapshot(), s.parent.snapshot(), preds)
-                })
-            });
-            out[0].take().unwrap()
-        };
-        let (fd, fp, fpr) = run(compiled(mode));
-        let (sd, sp, spr) = run(interpreted(mode));
-        assert_bits_eq(&fd, &sd, &format!("paths dist {mode:?}"));
-        assert_eq!(fp, sp, "paths parent {mode:?}");
-        assert_eq!(fpr, spr, "paths preds {mode:?}");
+        let (fast, slow) = both(mode, |run| run.paths(&el, 0));
+        assert_bits_eq(&fast.dist, &slow.dist, &format!("paths dist {mode:?}"));
+        assert_eq!(fast.parent, slow.parent, "paths parent {mode:?}");
+        assert_eq!(fast.preds, slow.preds, "paths preds {mode:?}");
     }
 }
 
@@ -398,14 +339,12 @@ fn sssp_chaos_bit_identical_compiled_vs_interpreted() {
     let mut el = generators::erdos_renyi(150, 900, 8);
     el.randomize_weights(0.5, 3.0, 9);
     for seed in [0xC0FFEE_u64, 42] {
-        let run = |engine: EngineConfig| {
-            let machine = MachineConfig::new(3)
-                .coalescing(8)
-                .faults(FaultPlan::chaos(seed));
-            Run { machine, engine }.sssp(&el, 0, SsspStrategy::Delta(1.0))
-        };
-        let fast = run(compiled(PlanMode::Optimized));
-        let slow = run(interpreted(PlanMode::Optimized));
+        let machine = MachineConfig::new(3)
+            .coalescing(8)
+            .faults(FaultPlan::chaos(seed));
+        let [fast, slow] = both_on(&machine, PlanMode::Optimized, |run| {
+            run.sssp(&el, 0, SsspStrategy::Delta(1.0))
+        });
         assert_bits_eq(
             &fast.result,
             &slow.result,

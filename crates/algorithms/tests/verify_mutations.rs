@@ -5,8 +5,9 @@
 
 use dgp_algorithms::builtin_patterns;
 use dgp_core::ir::{ModKind, Place, Slot};
+use dgp_core::plan::soundness::analyze;
 use dgp_core::plan::{compile, ExecStep, PlanMode};
-use dgp_core::verify::{check_plan, verify_action, verify_ir, DiagCode, Severity};
+use dgp_core::verify::{verify_action, verify_ir, DiagCode, Severity};
 
 /// Fetch one shipped action's IR by pattern family and action name.
 fn shipped(pattern: &str, action: &str) -> dgp_core::ir::ActionIr {
@@ -57,7 +58,7 @@ fn l001_fires_on_nonlocal_gather() {
             .any(|d| d.code == DiagCode::L001 && d.severity == Severity::Error),
         "expected L001, got {diags:?}"
     );
-    assert!(check_plan(&ir, &plan).is_some());
+    assert!(analyze(&ir, &plan).has_errors());
 }
 
 /// D002 UseBeforeGather: strip every gather and fresh local read from the
@@ -198,7 +199,7 @@ fn d002_fires_on_reordered_resolve() {
             && d.message.contains("resolves")),
         "expected a D002 on the premature resolution, got {diags:?}"
     );
-    assert!(check_plan(&ir, &plan).is_some());
+    assert!(analyze(&ir, &plan).has_errors());
 }
 
 /// Swapped slot index: exchange the slot lists of cc_rewrite's two
@@ -233,7 +234,7 @@ fn l001_fires_on_swapped_gather_slots() {
             .any(|d| d.code == DiagCode::L001 && d.severity == Severity::Error),
         "expected L001 on the misplaced gathers, got {diags:?}"
     );
-    assert!(check_plan(&ir, &plan).is_some());
+    assert!(analyze(&ir, &plan).has_errors());
 }
 
 /// A corrupted plan never keeps the compiler's proof: re-verification of
@@ -248,7 +249,7 @@ fn corrupted_plans_earn_no_facts() {
             slots.clear();
         }
     }
-    let analysis = dgp_core::plan::soundness::analyze(&ir, &plan);
+    let analysis = analyze(&ir, &plan);
     assert!(analysis.has_errors());
     assert!(analysis.facts.is_none(), "errors and facts are exclusive");
 }
@@ -281,7 +282,7 @@ fn all_shipped_patterns_clean_in_both_modes() {
                 let plan = compile(&a.ir, mode)
                     .unwrap_or_else(|e| panic!("{}/{} ({mode:?}): {e}", p.name, a.ir.name));
                 assert!(
-                    check_plan(&a.ir, &plan).is_none(),
+                    !analyze(&a.ir, &plan).has_errors(),
                     "{}/{} ({mode:?}) plan fails its own checker",
                     p.name,
                     a.ir.name
@@ -335,7 +336,7 @@ fn corrupted_plans_are_rejected_by_the_jit_gate() {
             slots.clear();
         }
     }
-    let analysis = dgp_core::plan::soundness::analyze(&ir, &plan);
+    let analysis = analyze(&ir, &plan);
     assert!(analysis.facts.is_none());
     plan.facts = analysis.facts;
     let hints = [

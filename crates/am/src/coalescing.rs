@@ -15,8 +15,8 @@
 //! not yet in `handled`).
 //!
 //! Batch allocations are pooled: the handler loop returns each drained
-//! `Box<Vec<T>>` to the receiving thread's [`TypedBuffers`] free list, and
-//! [`TypedBuffers::flush_dest`] reuses a spare instead of allocating, so a
+//! `Box<Vec<T>>` to the receiving thread's `TypedBuffers` free list, and
+//! `TypedBuffers::flush_dest` reuses a spare instead of allocating, so a
 //! steady message flow ships envelopes with zero allocation on the hot
 //! path (self-sends recycle perfectly; one-directional flows fall back to
 //! allocating on the sender and dropping on the receiver once the

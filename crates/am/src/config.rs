@@ -52,8 +52,8 @@ pub struct MachineConfig {
     /// Per-epoch profiles (`AmCtx::epoch_profiles`) are always collected —
     /// they cost one snapshot per epoch, not per message.
     pub profile: bool,
-    /// Per-rank capacity of the span recorder used when [`profile`]
-    /// (Self::profile) is on; further spans are dropped (and counted) so
+    /// Per-rank capacity of the span recorder used when
+    /// [`profile`](Self::profile) is on; further spans are dropped (and counted) so
     /// profiling memory stays bounded.
     pub profile_spans: usize,
     /// Optional transport fault injection (see [`crate::fault`]). When

@@ -148,7 +148,7 @@ impl FaultPlan {
     /// The plan installed automatically when a lossy wire backend (TCP)
     /// is selected and no explicit plan is configured: injects nothing —
     /// real sockets supply the faults — with retransmission timing tuned
-    /// for wall-clock ticks ([`Reliability::set_wall_clock`], 1 tick =
+    /// for wall-clock ticks (`Reliability::set_wall_clock`, 1 tick =
     /// 100µs): first retransmit after ~20ms, capped at 200ms, 25% jitter
     /// so a reconnect window's worth of stranded packets does not
     /// retransmit as one synchronized burst. The base sits well above

@@ -8,7 +8,7 @@
 //! through one seeded, logical-time event queue, and only **one rank runs
 //! at a time**. Rank bodies still live on OS threads (they keep their
 //! stacks), but the threads are used purely as coroutines: a token is
-//! handed from rank to rank by [`SimNet`], so the whole run is effectively
+//! handed from rank to rank by `SimNet`, so the whole run is effectively
 //! single-threaded and every run with the same seed is bit-identical —
 //! results, statistics, and the flight-recorder timeline (which reads the
 //! *virtual* clock in sim mode).
@@ -16,7 +16,7 @@
 //! ## The delivery seam
 //!
 //! The threaded machine already has exactly one chokepoint where envelopes
-//! become receivable: [`Shared::push_packet`](crate::machine::Shared) (and
+//! become receivable: `Shared::push_packet` (and
 //! its ack/control siblings), which is also where the reliability layer of
 //! [`crate::fault`] hands packets back after sequencing them. The simulator
 //! intercepts at that same seam: instead of landing in the destination
@@ -32,7 +32,7 @@
 //! Cooperative scheduling requires that a rank never blocks the OS thread
 //! while holding the token. The three places the threaded machine blocks —
 //! collectives (condvar), the termination loops (`recv_timeout`), and
-//! `try_finish`'s retry loop — all route through [`SimNet`] in sim mode:
+//! `try_finish`'s retry loop — all route through `SimNet` in sim mode:
 //! collectives are a serialized arrive/publish state machine, and idle
 //! waits park the rank until a delivery (or a machine-wide wake when the
 //! event queue runs dry, which is what drives transport pumps and

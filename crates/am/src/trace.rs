@@ -15,7 +15,7 @@
 //!   …) forms a tree of envelopes linked by `(event, parent)` pairs.
 //!   Sampling is *per root* and deterministic: whether a causally-new send
 //!   starts a traced cascade is a seeded, reproducible function of the
-//!   thread's root counter (see [`MachineConfig::trace_sampling`]), so the
+//!   thread's root counter (see [`MachineConfig::trace_sampling`](crate::MachineConfig::trace_sampling)), so the
 //!   same run config traces the same cascades. When profiling is on, the
 //!   exporter stitches the traced spans across ranks with Chrome-trace
 //!   *flow events* — the cascade renders as one connected arrow chain in
@@ -29,7 +29,7 @@
 //!   the transport ships, faults, and retransmits.
 //!
 //! * **Flight recorder.** Each runtime thread keeps a fixed-size ring of
-//!   compact [`FlightEvent`]s ([`MachineConfig::flight_events`], on by
+//!   compact [`FlightEvent`]s ([`MachineConfig::flight_events`](crate::MachineConfig::flight_events), on by
 //!   default): envelope ship/deliver, handler entry/exit, epoch
 //!   transitions, termination votes, traced sends, and (from the fault
 //!   layer, via a shared side ring) retransmissions and injected faults.

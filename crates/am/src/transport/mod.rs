@@ -1,7 +1,7 @@
 //! Pluggable transport backends: how envelopes physically move between
 //! ranks.
 //!
-//! The machine's delivery seam ([`Shared::push_packet`] and the ack
+//! The machine's delivery seam (`Shared::push_packet` and the ack
 //! reverse path) historically had exactly one implementation — crossbeam
 //! channels between threads of one process. This module makes the seam a
 //! trait with three backends (INTERNALS §12):
@@ -11,11 +11,11 @@
 //!   `push_packet` falls straight through to `deliver_direct`, so the
 //!   default costs one `Option` branch and is behavior-identical to
 //!   every release before this module existed. The identity transport.
-//! * **Shm** ([`shm::ShmTransport`]) — same-host bounded shared-memory
+//! * **Shm** (`shm::ShmTransport`) — same-host bounded shared-memory
 //!   rings, one per destination rank, drained by shuttle threads.
 //!   Lossless and ordered, so the reliability layer is not required;
 //!   exercises a real bounded-queue backpressure path.
-//! * **Tcp** ([`tcp::TcpTransport`]) — length-prefixed frames over real
+//! * **Tcp** (`tcp::TcpTransport`) — length-prefixed frames over real
 //!   sockets, one connection per directed lane, with a versioned
 //!   handshake, bounded per-peer outbound queues, read/write timeouts,
 //!   and reconnection with capped exponential backoff + jitter. Lossy
@@ -34,7 +34,6 @@
 //! [`MachineError::Transport`] naming the lane — never a hang: poisoning
 //! wakes every rank at its next collective or recv timeout.
 //!
-//! [`Shared::push_packet`]: crate::machine::Shared::push_packet
 //! [`MachineError::Transport`]: crate::MachineError::Transport
 //! [`FaultPlan`]: crate::FaultPlan
 
@@ -197,7 +196,7 @@ pub struct TcpConfig {
     /// beyond this is a protocol violation and costs the connection.
     pub max_frame: u32,
     /// Handshake version to *claim* when dialing, `None` = the compiled
-    /// [`frame::PROTOCOL_VERSION`]. A test override: claiming a different
+    /// `frame::PROTOCOL_VERSION`. A test override: claiming a different
     /// version exercises the rejection path end to end.
     pub handshake_version: Option<u32>,
     /// First reconnect delay (doubles per consecutive failure).

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dgp_algorithms::seq;
 use dgp_am::MachineConfig;
 use dgp_bench::{measure, workloads};
+use dgp_core::EngineConfig;
 
 fn bench_cc(c: &mut Criterion) {
     let el = workloads::blobs(8, 500, 7);
@@ -12,7 +13,7 @@ fn bench_cc(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("parallel_search_pattern", |b| {
         b.iter(|| {
-            let m = measure::cc_pattern("ps", &el, MachineConfig::new(4));
+            let m = measure::cc_pattern("ps", &el, MachineConfig::new(4), EngineConfig::default());
             assert!(m.correct);
             m.components
         });

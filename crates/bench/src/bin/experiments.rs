@@ -19,11 +19,6 @@
 //! `--bench-json PATH` skips the experiments and instead measures the raw
 //! message-rate + algorithm benchmark suite, writing a machine-readable
 //! `BENCH_*.json` to PATH (combine with `--small` for CI-sized runs).
-//! `--bench-smoke PATH` re-measures the headline throughput plus the
-//! algorithm rows and exits nonzero when either regressed more than 30%
-//! against the numbers recorded in PATH (CI runs this against the
-//! committed `BENCH_10.json`; the smoke always measures the default
-//! in-process transport, so its floor is not affected by `--transport`).
 //! `--bench-transports PATH` skips the experiments and instead measures
 //! the all-to-all storm over every transport backend (inproc, shm, tcp,
 //! and tcp with forced connection kills), writing the per-backend
@@ -236,85 +231,6 @@ fn bench_transports(path: &str, small: bool) -> ! {
     std::process::exit(0);
 }
 
-/// `--bench-smoke PATH`: compare a fresh headline measurement against the
-/// recorded one, then re-measure the algorithm rows and floor-check each
-/// wall time; fail on >30% regression of either.
-fn bench_smoke(path: &str) -> ! {
-    use dgp_bench::bench_json;
-
-    let text = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("--bench-smoke {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let recorded = match bench_json::parse_headline(&text) {
-        Some(v) if v > 0.0 => v,
-        _ => {
-            eprintln!("--bench-smoke {path}: no headline_msgs_per_sec field");
-            std::process::exit(2);
-        }
-    };
-    let mut failed = false;
-    let fresh = bench_json::headline();
-    let floor = recorded * (1.0 - bench_json::SMOKE_TOLERANCE);
-    println!(
-        "recorded {:.2}M msgs/sec, measured {:.2}M msgs/sec (floor {:.2}M)",
-        recorded / 1e6,
-        fresh.msgs_per_sec / 1e6,
-        floor / 1e6
-    );
-    if fresh.msgs_per_sec < floor {
-        eprintln!(
-            "message-rate smoke FAILED: throughput regressed more than {:.0}%",
-            bench_json::SMOKE_TOLERANCE * 100.0
-        );
-        failed = true;
-    }
-
-    // Algorithm wall-time floors: the same 30% throughput-regression
-    // tolerance, expressed in wall time (a row fails when it runs slower
-    // than recorded/(1-tolerance)). The labels in the committed document
-    // are the comparison keys; rows without a recorded counterpart (or
-    // vice versa) are reported but not gated, so the check survives row
-    // additions across PRs.
-    let recorded_rows = bench_json::parse_algorithm_millis(&text);
-    if recorded_rows.is_empty() {
-        println!("(no algorithm rows recorded in {path}; skipping wall-time floors)");
-    } else {
-        let fresh_rows = bench_json::collect_algorithms(false);
-        for (name, rec_ms) in &recorded_rows {
-            let Some(row) = fresh_rows.iter().find(|a| &a.name == name) else {
-                println!("  {name:<28} recorded {rec_ms:>9.2} ms — no fresh row, skipped");
-                continue;
-            };
-            let ceiling = rec_ms / (1.0 - bench_json::SMOKE_TOLERANCE);
-            let ok = row.millis <= ceiling;
-            println!(
-                "  {:<28} recorded {:>9.2} ms, measured {:>9.2} ms (ceiling {:>9.2} ms) {}",
-                name,
-                rec_ms,
-                row.millis,
-                ceiling,
-                if ok { "ok" } else { "REGRESSED" }
-            );
-            if !ok {
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        eprintln!(
-            "bench smoke FAILED: regression beyond {:.0}%",
-            bench_json::SMOKE_TOLERANCE * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!("bench smoke ok");
-    std::process::exit(0);
-}
-
 /// `--sim-replay PATH`: parse one `[replay]` block and re-run the exact
 /// scenario it describes — the one-command repro for any schedule the
 /// explorer/shrinker (or a failing CI cell) serialized. Exits 0 when the
@@ -401,15 +317,6 @@ fn main() {
             Some(path) => bench_transports(&path.clone(), small),
             None => {
                 eprintln!("--bench-transports needs a file argument");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-smoke") {
-        match args.get(i + 1) {
-            Some(path) => bench_smoke(&path.clone()),
-            None => {
-                eprintln!("--bench-smoke needs a file argument");
                 std::process::exit(2);
             }
         }
@@ -645,7 +552,12 @@ mod exp {
         );
         let mut t = Table::new(&["algorithm", "time", "messages", "components", "correct"]);
         let rows: Vec<CcMeasurement> = vec![
-            measure::cc_pattern("parallel search (pattern)", &el, MachineConfig::new(4)),
+            measure::cc_pattern(
+                "parallel search (pattern)",
+                &el,
+                MachineConfig::new(4),
+                EngineConfig::default(),
+            ),
             measure::cc_label_prop("label propagation (hand AM)", &el, MachineConfig::new(4)),
             measure::cc_sequential(&el),
         ];
@@ -1114,7 +1026,12 @@ mod exp {
                 SsspStrategy::Delta(0.4),
                 &oracle,
             );
-            let c = measure::cc_pattern("cc", &cc_el, MachineConfig::new(ranks));
+            let c = measure::cc_pattern(
+                "cc",
+                &cc_el,
+                MachineConfig::new(ranks),
+                EngineConfig::default(),
+            );
             t.row(vec![
                 ranks.to_string(),
                 fmt_ms(m.millis),
@@ -1450,7 +1367,9 @@ mod exp {
             for seed in [0xC0FFEEu64, 42, 7] {
                 let cfg = MachineConfig::new(ranks).coalescing(8).faults(mk(seed));
                 let t1 = Instant::now();
-                let out = Run::on(cfg).sssp(&el, 0, SsspStrategy::Delta(0.4));
+                let out = Run::on(cfg)
+                    .sssp(&el, 0, SsspStrategy::Delta(0.4))
+                    .unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
                 let (got, stats) = (out.result, out.stats);
                 let ms = t1.elapsed().as_secs_f64() * 1e3;
                 let identical = got.iter().map(|d| d.to_bits()).collect::<Vec<_>>() == clean_bits;
@@ -1497,7 +1416,9 @@ mod exp {
                     .faults(FaultPlan::chaos(seed))
                     .termination(mode);
                 let t1 = Instant::now();
-                let out = Run::on(cfg).cc(&el);
+                let out = Run::on(cfg)
+                    .cc(&el)
+                    .unwrap_or_else(|e| panic!("CC {mode:?} seed {seed}: {e}"));
                 let (got, stats) = (out.result, out.stats);
                 let ms = t1.elapsed().as_secs_f64() * 1e3;
                 let identical = got == cc_clean;
@@ -1794,7 +1715,9 @@ mod exp {
         print!("\nSSSP (RMAT scale {scale}, 3 ranks) bit-identical across backends:");
         for (name, kind) in bench_json::transport_backends() {
             let cfg = dgp_am::MachineConfig::new(3).coalescing(8).transport(kind);
-            let out = Run::on(cfg).sssp(&el, 0, SsspStrategy::Delta(0.4));
+            let out = Run::on(cfg)
+                .sssp(&el, 0, SsspStrategy::Delta(0.4))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             let (got, stats) = (out.result, out.stats);
             let same = got.iter().map(|d| d.to_bits()).collect::<Vec<_>>() == bits;
             assert!(same, "{name}: distances diverged");

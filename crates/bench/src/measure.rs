@@ -5,9 +5,9 @@
 use std::time::Instant;
 
 use dgp_algorithms::{handwritten, seq, sssp::Sssp, SsspStrategy};
-use dgp_am::{EpochProfile, Machine, MachineConfig};
+use dgp_am::{AmCtx, EpochProfile, Machine, MachineConfig};
 use dgp_core::engine::EngineConfig;
-use dgp_graph::properties::EdgeMap;
+use dgp_graph::properties::{AtomicVertexMap, EdgeMap};
 use dgp_graph::{DistGraph, Distribution, EdgeList, VertexId};
 
 /// One measured SSSP (or BFS-like) run.
@@ -45,16 +45,15 @@ fn dists_match(got: &[f64], want: &[f64]) -> bool {
             .all(|(a, b)| (a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()))
 }
 
-/// Run pattern-engine SSSP and measure.
-#[allow(clippy::too_many_arguments)]
-pub fn sssp_pattern(
+/// Distribute `el`, run `algo` on `machine` (it returns the distance map
+/// plus machine-wide `(relaxations, attempts)`), time it — spawn included,
+/// graph build excluded — and check rank 0's snapshot against `oracle`.
+fn sssp_measured(
     label: &str,
     el: &EdgeList,
     machine: MachineConfig,
-    engine_cfg: EngineConfig,
-    source: VertexId,
-    strategy: SsspStrategy,
     oracle: &[f64],
+    algo: impl Fn(&AmCtx, &DistGraph, &EdgeMap<f64>) -> (AtomicVertexMap<f64>, u64, u64) + Send + Sync,
 ) -> SsspMeasurement {
     let graph = DistGraph::build(
         el,
@@ -64,15 +63,11 @@ pub fn sssp_pattern(
     let weights = EdgeMap::from_weights(&graph, el);
     let ranks = machine.ranks as u64;
     let t0 = Instant::now();
-    let mut out = Machine::run(machine, move |ctx| {
-        let s = Sssp::install(ctx, &graph, &weights, engine_cfg);
-        s.run(ctx, source, strategy);
-        let es = s.engine.stats();
-        let relaxations = ctx.sum_ranks(es.conditions_true);
-        let attempts = ctx.sum_ranks(es.items_generated);
+    let mut out = Machine::run(machine, |ctx| {
+        let (dist, relaxations, attempts) = algo(ctx, &graph, &weights);
         (ctx.rank() == 0).then(|| {
             (
-                s.dist.snapshot(),
+                dist.snapshot(),
                 relaxations,
                 attempts,
                 ctx.stats(),
@@ -95,6 +90,26 @@ pub fn sssp_pattern(
     }
 }
 
+/// Run pattern-engine SSSP and measure.
+#[allow(clippy::too_many_arguments)]
+pub fn sssp_pattern(
+    label: &str,
+    el: &EdgeList,
+    machine: MachineConfig,
+    engine_cfg: EngineConfig,
+    source: VertexId,
+    strategy: SsspStrategy,
+    oracle: &[f64],
+) -> SsspMeasurement {
+    sssp_measured(label, el, machine, oracle, |ctx, graph, weights| {
+        let s = Sssp::install(ctx, graph, weights, engine_cfg);
+        s.run(ctx, source, strategy);
+        let es = s.engine.stats();
+        let relaxations = ctx.sum_ranks(es.conditions_true);
+        (s.dist, relaxations, ctx.sum_ranks(es.items_generated))
+    })
+}
+
 /// Run hand-written AM SSSP (plain or reduced) and measure.
 pub fn sssp_handwritten(
     label: &str,
@@ -104,34 +119,13 @@ pub fn sssp_handwritten(
     reduction_slots: Option<usize>,
     oracle: &[f64],
 ) -> SsspMeasurement {
-    let graph = DistGraph::build(
-        el,
-        Distribution::block(el.num_vertices(), machine.ranks),
-        false,
-    );
-    let weights = EdgeMap::from_weights(&graph, el);
-    let ranks = machine.ranks as u64;
-    let t0 = Instant::now();
-    let mut out = Machine::run(machine, move |ctx| {
+    sssp_measured(label, el, machine, oracle, |ctx, graph, weights| {
         let d = match reduction_slots {
-            None => handwritten::sssp(ctx, &graph, &weights, source),
-            Some(slots) => handwritten::sssp_reduced(ctx, &graph, &weights, source, slots),
+            None => handwritten::sssp(ctx, graph, weights, source),
+            Some(slots) => handwritten::sssp_reduced(ctx, graph, weights, source, slots),
         };
-        (ctx.rank() == 0).then(|| (d.snapshot(), ctx.stats(), ctx.epoch_profiles()))
-    });
-    let millis = t0.elapsed().as_secs_f64() * 1e3;
-    let (dist, am, profiles) = out[0].take().unwrap();
-    SsspMeasurement {
-        label: label.to_string(),
-        millis,
-        relaxations: 0,
-        attempts: 0,
-        messages: am.messages_sent,
-        envelopes: am.envelopes_sent,
-        epochs: am.epochs / ranks,
-        correct: dists_match(&dist, oracle),
-        profiles,
-    }
+        (d, 0, 0)
+    })
 }
 
 /// Sequential Dijkstra measured the same way (the single-node baseline).
@@ -167,18 +161,14 @@ pub struct CcMeasurement {
     pub correct: bool,
 }
 
-/// Run pattern-engine parallel-search CC and measure.
-pub fn cc_pattern(label: &str, el: &EdgeList, machine: MachineConfig) -> CcMeasurement {
-    cc_pattern_cfg(label, el, machine, EngineConfig::default())
-}
-
-/// [`cc_pattern`] on a caller-supplied [`EngineConfig`] — used by the
-/// reference-vs-compiled executor comparison (`Exec::Reference` rows).
-pub fn cc_pattern_cfg(
+/// Distribute `el` (a symmetric edge list), run `algo` on `machine`, time
+/// it — spawn included, graph build excluded — and check rank 0's labels
+/// against union-find.
+fn cc_measured(
     label: &str,
     el: &EdgeList,
     machine: MachineConfig,
-    engine_cfg: EngineConfig,
+    algo: impl Fn(&AmCtx, &DistGraph) -> AtomicVertexMap<u64> + Send + Sync,
 ) -> CcMeasurement {
     let want = seq::cc_labels(el);
     let graph = DistGraph::build(
@@ -187,31 +177,40 @@ pub fn cc_pattern_cfg(
         false,
     );
     let t0 = Instant::now();
-    let mut out = Machine::run(machine, move |ctx| {
-        let labels = dgp_algorithms::cc::cc_with_cfg(ctx, &graph, engine_cfg);
+    let mut out = Machine::run(machine, |ctx| {
+        let labels = algo(ctx, &graph);
         (ctx.rank() == 0).then(|| (labels.snapshot(), ctx.stats()))
     });
     let millis = t0.elapsed().as_secs_f64() * 1e3;
     let (labels, am) = out[0].take().unwrap();
-    finish_cc(label, millis, am.messages_sent, labels, &want)
+    let mut uniq = labels.clone();
+    uniq.sort_unstable();
+    uniq.dedup();
+    CcMeasurement {
+        label: label.to_string(),
+        millis,
+        messages: am.messages_sent,
+        components: uniq.len(),
+        correct: labels == want,
+    }
+}
+
+/// Run pattern-engine parallel-search CC and measure (`engine_cfg` picks
+/// the executor: the `Exec::Reference` rows compare against it).
+pub fn cc_pattern(
+    label: &str,
+    el: &EdgeList,
+    machine: MachineConfig,
+    engine_cfg: EngineConfig,
+) -> CcMeasurement {
+    cc_measured(label, el, machine, |ctx, graph| {
+        dgp_algorithms::cc::cc(ctx, graph, engine_cfg)
+    })
 }
 
 /// Run hand-written label-propagation CC and measure.
 pub fn cc_label_prop(label: &str, el: &EdgeList, machine: MachineConfig) -> CcMeasurement {
-    let want = seq::cc_labels(el);
-    let graph = DistGraph::build(
-        el,
-        Distribution::block(el.num_vertices(), machine.ranks),
-        false,
-    );
-    let t0 = Instant::now();
-    let mut out = Machine::run(machine, move |ctx| {
-        let labels = handwritten::cc_label_propagation(ctx, &graph);
-        (ctx.rank() == 0).then(|| (labels.snapshot(), ctx.stats()))
-    });
-    let millis = t0.elapsed().as_secs_f64() * 1e3;
-    let (labels, am) = out[0].take().unwrap();
-    finish_cc(label, millis, am.messages_sent, labels, &want)
+    cc_measured(label, el, machine, handwritten::cc_label_propagation)
 }
 
 /// Sequential union-find CC, measured.
@@ -228,25 +227,6 @@ pub fn cc_sequential(el: &EdgeList) -> CcMeasurement {
         messages: 0,
         components: uniq.len(),
         correct: true,
-    }
-}
-
-fn finish_cc(
-    label: &str,
-    millis: f64,
-    messages: u64,
-    labels: Vec<u64>,
-    want: &[u64],
-) -> CcMeasurement {
-    let mut uniq = labels.clone();
-    uniq.sort_unstable();
-    uniq.dedup();
-    CcMeasurement {
-        label: label.to_string(),
-        millis,
-        messages,
-        components: uniq.len(),
-        correct: labels == want,
     }
 }
 
@@ -282,7 +262,7 @@ mod tests {
     #[test]
     fn cc_measurements_agree() {
         let el = workloads::blobs(4, 25, 3);
-        let a = cc_pattern("ps", &el, MachineConfig::new(2));
+        let a = cc_pattern("ps", &el, MachineConfig::new(2), EngineConfig::default());
         let b = cc_label_prop("lp", &el, MachineConfig::new(2));
         let c = cc_sequential(&el);
         assert!(a.correct && b.correct);

@@ -746,7 +746,7 @@ fn compile_eval_modify(
 }
 
 /// Would the compiler accept this action, given only static information?
-/// The runtime compiler ([`compile`]) downcasts live map handles; tools
+/// The runtime compiler (`compile`) downcasts live map handles; tools
 /// without an engine — `experiments --lint` foremost — pass the maps'
 /// declared [`MapHint`]s instead. Checks the proof first (a factless plan
 /// must never reach the JIT), then every map access the plan performs

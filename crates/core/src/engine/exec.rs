@@ -375,18 +375,9 @@ fn resolver_for(ir: &ActionIr, p: &Place) -> Result<Resolver, String> {
         Place::GenVertex => Resolver::GenVertex,
         Place::GenSrc => Resolver::GenSrc,
         Place::GenTrg => Resolver::GenTrg,
-        Place::MapAt(m, inner) => {
-            let slot = ir
-                .slots
-                .iter()
-                .position(
-                    |r| matches!(r, ReadRef::VertexProp { map, at } if map == m && at == &**inner),
-                )
-                .ok_or_else(|| {
-                    format!("place {m}[{inner:?}] needs its resolving read declared as a slot")
-                })?;
-            Resolver::FromSlot(slot)
-        }
+        Place::MapAt(m, inner) => Resolver::FromSlot(ir.resolving_slot(p).ok_or_else(|| {
+            format!("place {m}[{inner:?}] needs its resolving read declared as a slot")
+        })?),
     })
 }
 

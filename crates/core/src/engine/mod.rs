@@ -150,16 +150,47 @@ impl EngineStats {
 }
 
 impl EngineStatsSnapshot {
-    /// Counter-wise difference for measuring one phase.
+    /// Counter-wise difference for measuring one phase. Saturating, like
+    /// `dgp_am::StatsSnapshot::since`: a snapshot taken mid-epoch is not a
+    /// consistent cut (another thread may have bumped one counter between
+    /// the two loads), so a racy pair clamps to zero instead of
+    /// underflowing.
     pub fn since(&self, earlier: &EngineStatsSnapshot) -> EngineStatsSnapshot {
+        let d = |now: u64, then: u64| now.saturating_sub(then);
         EngineStatsSnapshot {
-            actions_started: self.actions_started - earlier.actions_started,
-            items_generated: self.items_generated - earlier.items_generated,
-            conditions_true: self.conditions_true - earlier.conditions_true,
-            conditions_false: self.conditions_false - earlier.conditions_false,
-            modifications_changed: self.modifications_changed - earlier.modifications_changed,
-            modifications_unchanged: self.modifications_unchanged - earlier.modifications_unchanged,
-            dependencies_fired: self.dependencies_fired - earlier.dependencies_fired,
+            actions_started: d(self.actions_started, earlier.actions_started),
+            items_generated: d(self.items_generated, earlier.items_generated),
+            conditions_true: d(self.conditions_true, earlier.conditions_true),
+            conditions_false: d(self.conditions_false, earlier.conditions_false),
+            modifications_changed: d(self.modifications_changed, earlier.modifications_changed),
+            modifications_unchanged: d(
+                self.modifications_unchanged,
+                earlier.modifications_unchanged,
+            ),
+            dependencies_fired: d(self.dependencies_fired, earlier.dependencies_fired),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn since_saturates_on_racy_snapshots() {
+        // `earlier` observed conditions_false *after* `later` did.
+        let earlier = EngineStatsSnapshot {
+            conditions_true: 10,
+            conditions_false: 8,
+            ..Default::default()
+        };
+        let later = EngineStatsSnapshot {
+            conditions_true: 12,
+            conditions_false: 5,
+            ..Default::default()
+        };
+        let d = later.since(&earlier);
+        assert_eq!(d.conditions_true, 2);
+        assert_eq!(d.conditions_false, 0, "clamped, not panicking");
     }
 }

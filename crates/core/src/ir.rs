@@ -81,6 +81,15 @@ impl Place {
     pub fn map_at(map: MapId, x: Place) -> Place {
         Place::MapAt(map, Box::new(x))
     }
+
+    /// Whether two places may name the same vertex within one epoch's
+    /// instances: they are the same locality *class* when equal, or when
+    /// both are pointer dereferences through the same outermost map (two
+    /// `pnt[..]` reads can land on one root). The race analysis applies
+    /// this to store writes, the soundness pass to payload staleness.
+    pub fn may_alias(&self, other: &Place) -> bool {
+        self == other || matches!((self, other), (Place::MapAt(a, _), Place::MapAt(b, _)) if a == b)
+    }
 }
 
 /// A declared read of a property value (one payload slot in the generated
@@ -228,6 +237,21 @@ pub struct ActionIr {
 }
 
 impl ActionIr {
+    /// The declared read that resolves the pointer place `p[x]`: the slot
+    /// reading `p` at `x`, whose payload value names the vertex a hop to
+    /// `p[x]` is routed to. `None` for the built-in places (nothing to
+    /// resolve) and for a `p[x]` whose resolving read is not declared
+    /// (`P006`). The planner, the soundness pass, the verifier and the
+    /// engine all consult this one definition.
+    pub fn resolving_slot(&self, place: &Place) -> Option<usize> {
+        let Place::MapAt(m, inner) = place else {
+            return None;
+        };
+        self.slots.iter().position(
+            |r| matches!(r, ReadRef::VertexProp { map, at } if map == m && at == &**inner),
+        )
+    }
+
     /// §III-C dependency rule: a modified value whose map is also read
     /// anywhere in the action marks the modified vertex as *dependent* (a
     /// work item is created for it). Returns, per condition, per

@@ -34,7 +34,7 @@ pub mod soundness;
 use std::collections::HashSet;
 
 use crate::depgraph::DepTree;
-use crate::ir::{ActionIr, Place, ReadRef, Slot};
+use crate::ir::{ActionIr, Place, Slot};
 use crate::verify::{DiagCode, Diagnostic, Severity};
 
 pub use soundness::VerifiedFacts;
@@ -406,29 +406,20 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Slot holding the read that resolves `MapAt(map, inner)`.
-    fn resolution_slot(&self, map: u32, inner: &Place) -> Result<usize, String> {
-        self.ir
-            .slots
-            .iter()
-            .position(|r| matches!(r, ReadRef::VertexProp { map: m, at } if *m == map && at == inner))
-            .ok_or_else(|| {
-                format!(
-                    "action {:?}: place map {}[{:?}] used as a locality, but its value is not declared as a read",
-                    self.ir.name, map, inner
-                )
-            })
-    }
-
     /// All slots that must be gathered to *resolve* the identity of `p`
     /// (the pointer reads along its `MapAt` chain), outermost last.
     fn resolution_chain(&self, p: &Place) -> Result<Vec<(usize, Place)>, String> {
         let mut out = Vec::new();
-        let mut cur = p.clone();
+        let mut cur = p;
         while let Place::MapAt(m, inner) = cur {
-            let slot = self.resolution_slot(m, &inner)?;
-            out.push((slot, (*inner).clone()));
-            cur = *inner;
+            let slot = self.ir.resolving_slot(cur).ok_or_else(|| {
+                format!(
+                    "action {:?}: place map {}[{:?}] used as a locality, but its value is not declared as a read",
+                    self.ir.name, m, inner
+                )
+            })?;
+            out.push((slot, (**inner).clone()));
+            cur = inner;
         }
         out.reverse();
         Ok(out)
@@ -772,31 +763,6 @@ impl<'a> Compiler<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Static analysis
-// ---------------------------------------------------------------------
-
-/// Verify a compiled plan against its action: along *every* control-flow
-/// path, no condition test or modification reads a payload slot before
-/// some earlier step gathered it, every read and write executes at its
-/// Def. 1 locality, and every pointer-indirected hop resolves from a
-/// gathered slot. Delegates to the fixpoint of [`soundness::analyze`]
-/// (`L001`/`D002`/`S005`/`P006`). [`compile`] runs the same pass
-/// unconditionally; this entry point re-checks externally mutated plans
-/// and backs the property-test suite.
-pub fn verify(ir: &ActionIr, plan: &ExecPlan) -> Result<(), PlanError> {
-    let analysis = soundness::analyze(ir, plan);
-    if analysis.has_errors() {
-        Err(PlanError {
-            action: ir.name.clone(),
-            diagnostics: analysis.diagnostics,
-            plan: Some(plan.to_string()),
-        })
-    } else {
-        Ok(())
-    }
-}
-
 impl ExecPlan {
     /// Static message count and hop list under the paper's counting model:
     /// every `Goto` between distinct *places* is one message (distinct
@@ -903,7 +869,7 @@ impl std::fmt::Display for CommPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ConditionIr, GeneratorIr, MapId, ModKind, ModificationIr};
+    use crate::ir::{ConditionIr, GeneratorIr, MapId, ModKind, ModificationIr, ReadRef};
 
     const DIST: MapId = 0;
     const WEIGHT: MapId = 1;

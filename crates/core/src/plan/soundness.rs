@@ -16,9 +16,9 @@
 //!   payload: the hop demands that slot `Gathered` on every path
 //!   (otherwise `D002`) and promotes it to `Resolved`. Writes mark every
 //!   slot whose `(map, locality class)` may alias the modified cell as
-//!   `Written` — the [`crate::verify::races_in_action`] notion of aliasing
-//!   (`p[x]` vs `p[y]` through the same outermost map), applied to payload
-//!   staleness instead of store races.
+//!   `Written` — [`Place::may_alias`], the race analysis's notion of
+//!   aliasing (`p[x]` vs `p[y]` through the same outermost map), applied
+//!   to payload staleness instead of store races.
 //! * **Fixpoint over looping shapes.** States are keyed on
 //!   `(pc, current place)` and joined monotonically, so plans whose
 //!   control flow re-enters earlier steps (hand-built or future planner
@@ -157,26 +157,6 @@ impl Analysis {
     }
 }
 
-/// The slot that resolves a hop to `p[x]`: the declared read of `p` at
-/// `x`, exactly as the engine's `Resolver::FromSlot` is built.
-fn resolution_slot_of(ir: &ActionIr, place: &Place) -> Option<usize> {
-    let Place::MapAt(m, inner) = place else {
-        return None;
-    };
-    ir.slots
-        .iter()
-        .position(|r| matches!(r, ReadRef::VertexProp { map, at } if map == m && at == &**inner))
-}
-
-/// Same locality class: equal, or pointer dereferences through one
-/// outermost map (two `pnt[..]` reads can land on one root vertex).
-fn may_alias(p: &Place, q: &Place) -> bool {
-    if p == q {
-        return true;
-    }
-    matches!((p, q), (Place::MapAt(a, _), Place::MapAt(b, _)) if a == b)
-}
-
 /// Run the abstract interpreter over one compiled plan.
 ///
 /// Phase 1 is a worklist fixpoint: propagate [`SlotState`]s through every
@@ -219,7 +199,7 @@ pub fn analyze(ir: &ActionIr, plan: &ExecPlan) -> Analysis {
             ExecStep::Goto { to, next } => {
                 if let Some(p) = plan.places.get(*to) {
                     let mut st = state;
-                    if let Some(rs) = resolution_slot_of(ir, p) {
+                    if let Some(rs) = ir.resolving_slot(p) {
                         if let Some(s) = st.get_mut(rs) {
                             s.resolved = s.gathered;
                         }
@@ -402,7 +382,7 @@ pub fn analyze(ir: &ActionIr, plan: &ExecPlan) -> Analysis {
             ExecStep::Goto { to, .. } => match plan.places.get(*to) {
                 Some(p) => {
                     if let Place::MapAt(m, inner) = p {
-                        match resolution_slot_of(ir, p) {
+                        match ir.resolving_slot(p) {
                             Some(rs) => {
                                 if !state.get(rs).is_some_and(|x| x.gathered) {
                                     emit(diag(
@@ -592,7 +572,7 @@ fn mark_written(ir: &ActionIr, st: &mut AbsState, cond: usize, mods: &[usize]) {
         let Some(m) = c.mods.get(mi) else { continue };
         for (s, r) in ir.slots.iter().enumerate() {
             if let ReadRef::VertexProp { map, at } = r {
-                if *map == m.map && may_alias(at, &m.at) {
+                if *map == m.map && at.may_alias(&m.at) {
                     if let Some(slot) = st.get_mut(s) {
                         if slot.gathered {
                             slot.may_stale = true;

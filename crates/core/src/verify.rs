@@ -37,6 +37,12 @@
 //! declared). [`crate::builder::ActionBuilder::build`] runs
 //! [`verify_ir`] over both plan modes and rejects actions with
 //! error-severity diagnostics; warnings ride along on the built action.
+//!
+//! Analyses 1 and 2 are plan-level and live in one place:
+//! [`crate::plan::soundness::analyze`], the path-sensitive fixpoint every
+//! [`compile`] ends with — the only way to re-check a plan. This module
+//! owns the diagnostic vocabulary and the IR-level analyses (3, 4, `P006`)
+//! and combines both in [`verify_action`].
 
 use crate::ir::{ActionIr, ModKind, Place, ReadRef, Slot};
 use crate::plan::{compile, ExecPlan, PlanMode};
@@ -234,7 +240,7 @@ impl std::fmt::Display for Report {
 /// Verify one action against one compiled plan: the plan walk (L001 +
 /// D002) plus the IR-level race and self-trigger analyses (R003, T004).
 pub fn verify_action(ir: &ActionIr, plan: &ExecPlan) -> Vec<Diagnostic> {
-    let mut out = walk_plan(ir, plan);
+    let mut out = crate::plan::soundness::analyze(ir, plan).diagnostics;
     out.extend(races_in_action(ir, plan));
     out.extend(self_trigger(ir, plan));
     out
@@ -325,17 +331,6 @@ pub fn verify_pattern(actions: &[&ActionIr]) -> Report {
     report
 }
 
-/// Re-check a plan against its action (the `plan::soundness` pass:
-/// L001/D002/S005/P006) and return the first error, if any. The same
-/// analysis runs unconditionally — release builds included — at the end
-/// of every [`crate::plan::compile`]: the planner's *output* must always
-/// be locality- and def-use-sound, whatever races the pattern itself has.
-pub fn check_plan(ir: &ActionIr, plan: &ExecPlan) -> Option<Diagnostic> {
-    walk_plan(ir, plan)
-        .into_iter()
-        .find(|d| d.severity == Severity::Error)
-}
-
 /// Every `p[x]` used as a locality — in a read's place or a modification
 /// target — needs the read of `p` at `x` declared as a slot, or neither
 /// the planner nor the engine can resolve the vertex it names (`P006`).
@@ -343,10 +338,7 @@ fn unresolved_places(ir: &ActionIr) -> Vec<Diagnostic> {
     fn check(ir: &ActionIr, p: &Place, what: &str, out: &mut Vec<Diagnostic>) {
         let mut cur = p;
         while let Place::MapAt(m, inner) = cur {
-            let declared = ir.slots.iter().any(
-                |r| matches!(r, ReadRef::VertexProp { map, at } if map == m && at == &**inner),
-            );
-            if !declared {
+            if ir.resolving_slot(cur).is_none() {
                 let d = Diagnostic::new(
                     DiagCode::P006,
                     Severity::Error,
@@ -380,31 +372,10 @@ fn unresolved_places(ir: &ActionIr) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
-// Analysis 1 + 2: locality soundness and def-use. The historical
-// exponential path enumeration over (pc, place, filled-set) was replaced
-// by the path-sensitive fixpoint of `plan::soundness` (a per-slot must/
-// may lattice joined at merge points); this wrapper keeps the verifier's
-// entry points stable.
+// Analyses 1 + 2 (locality soundness, def-use) are the path-sensitive
+// fixpoint of `plan::soundness::analyze`. Analysis 3: epoch write races
+// (§III-C).
 // ---------------------------------------------------------------------
-
-fn walk_plan(ir: &ActionIr, plan: &ExecPlan) -> Vec<Diagnostic> {
-    crate::plan::soundness::analyze(ir, plan).diagnostics
-}
-
-// ---------------------------------------------------------------------
-// Analysis 3: epoch write races (§III-C).
-// ---------------------------------------------------------------------
-
-/// Two places may name the same vertex within an epoch's instances: they
-/// are the same locality *class* when equal, or when both are pointer
-/// dereferences through the same outermost map (two `pnt[..]` reads can
-/// land on one root).
-fn may_alias(p: &Place, q: &Place) -> bool {
-    if p == q {
-        return true;
-    }
-    matches!((p, q), (Place::MapAt(a, _), Place::MapAt(b, _)) if a == b)
-}
 
 /// One static assignment site, with whether the merged-modification
 /// guarantee protects it (the CAS shape: applied inside the merged
@@ -482,7 +453,7 @@ fn races_in_action(ir: &ActionIr, plan: &ExecPlan) -> Vec<Diagnostic> {
                 let ReadRef::VertexProp { map, at } = &ir.slots[s] else {
                     continue;
                 };
-                if *map != m.map || !may_alias(at, &m.at) {
+                if *map != m.map || !at.may_alias(&m.at) {
                     continue;
                 }
                 // The merged step synchronizes test and write only for the
@@ -532,7 +503,7 @@ fn cross_site_races(sites: &[WriteSite], cross_actions_only: bool) -> Vec<Diagno
             if same_action && a.cond == b.cond && a.group == b.group {
                 continue;
             }
-            if a.map != b.map || !may_alias(&a.at, &b.at) {
+            if a.map != b.map || !a.at.may_alias(&b.at) {
                 continue;
             }
             if a.protected && b.protected {
@@ -684,7 +655,7 @@ mod tests {
                 }
             }
         }
-        let diags = walk_plan(&ir, &plan);
+        let diags = verify_action(&ir, &plan);
         assert!(diags.iter().any(|d| d.code == DiagCode::L001), "{diags:?}");
     }
 
@@ -697,7 +668,7 @@ mod tests {
                 slots.retain(|&s| s != 1);
             }
         }
-        let diags = walk_plan(&ir, &plan);
+        let diags = verify_action(&ir, &plan);
         assert!(diags.iter().any(|d| d.code == DiagCode::D002), "{diags:?}");
     }
 
@@ -787,12 +758,12 @@ mod tests {
 
     #[test]
     fn alias_classes_follow_pointer_maps() {
-        assert!(may_alias(&Place::Input, &Place::Input));
-        assert!(!may_alias(&Place::Input, &Place::GenTrg));
+        assert!(Place::Input.may_alias(&Place::Input));
+        assert!(!Place::Input.may_alias(&Place::GenTrg));
         let p = Place::map_at(3, Place::Input);
         let q = Place::map_at(3, Place::GenTrg);
         let r = Place::map_at(4, Place::Input);
-        assert!(may_alias(&p, &q));
-        assert!(!may_alias(&p, &r));
+        assert!(p.may_alias(&q));
+        assert!(!p.may_alias(&r));
     }
 }

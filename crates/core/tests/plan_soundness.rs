@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 
-use dgp_core::plan::{compile, verify, PlanMode};
+use dgp_core::plan::soundness::analyze;
+use dgp_core::plan::{compile, PlanMode};
 
 mod common;
 use common::arb_action;
@@ -21,11 +22,14 @@ proptest! {
         // Some random actions exceed slot limits or miss resolution reads
         // after truncation; those must *fail cleanly*, not miscompile.
         if let Ok(plan) = compile(&ir, mode) {
-            // compile() already verifies in debug builds; re-check here so
-            // the property also holds under release test runs.
-            if let Err(e) = verify(&ir, &plan) {
-                prop_assert!(false, "{ir:?}\n{e}");
-            }
+            // compile() ends with this very pass (and would have failed);
+            // re-running it on the returned plan pins that contract.
+            let analysis = analyze(&ir, &plan);
+            prop_assert!(
+                !analysis.has_errors(),
+                "{ir:?}\n{:?}\n{plan}",
+                analysis.diagnostics
+            );
         }
     }
 

@@ -13,11 +13,11 @@
 //!   stalls). [`run_scenario`] executes it with the workload's mid-run
 //!   invariant checker installed and reports a pass/fail outcome plus
 //!   the run's [`dgp_am::SimReport`].
-//! * **Exploration** ([`explore`]): sweep seeds × adversarial policies
+//! * **Exploration** ([`explore()`]): sweep seeds × adversarial policies
 //!   (delay-one-rank, partition-at-epoch, asymmetric links,
 //!   reorder-heavy, crash-recover) over a base scenario, collecting
 //!   every failure.
-//! * **Shrinking** ([`shrink`]): greedily reduce a failing scenario —
+//! * **Shrinking** ([`shrink()`]): greedily reduce a failing scenario —
 //!   dropping plan elements, zeroing jitter, shrinking the machine —
 //!   to a minimal spec that still fails.
 //! * **Replay** ([`dump`]): serialize any scenario (shrunk or not) to a

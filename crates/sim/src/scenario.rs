@@ -1,7 +1,6 @@
 //! Self-contained simulated-run descriptions and their executor.
 
-use dgp_algorithms::api::{run_cc_sim, run_pagerank_sim, run_sssp_sim};
-use dgp_algorithms::SsspStrategy;
+use dgp_algorithms::{Run, RunResult, SsspStrategy};
 use dgp_am::{
     FaultPlan, InvariantCadence, MachineConfig, PartitionSpec, SimAt, SimPlan, SimReport,
     StallSpec, StragglerSpec, TerminationMode,
@@ -9,7 +8,7 @@ use dgp_am::{
 use dgp_graph::{generators, EdgeList};
 
 /// Which algorithm the scenario runs (each installs its own mid-run
-/// invariant checker; see `dgp_algorithms::api::run_*_sim`).
+/// invariant checker; see [`dgp_algorithms::Run`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
     /// Fixed-point SSSP from `source`; checked against Dijkstra mid-run.
@@ -210,46 +209,30 @@ fn fnv<I: IntoIterator<Item = u64>>(xs: I) -> u64 {
 /// which is what exploration and shrinking consume.
 pub fn run_scenario(spec: &ScenarioSpec) -> Outcome {
     let el = spec.edge_list();
-    let cfg = spec.machine_config();
-    let plan = spec.sim_plan();
+    let run = Run::on(spec.machine_config()).sim(spec.sim_plan());
     match spec.workload {
-        Workload::Sssp { source } => {
-            match run_sssp_sim(&el, cfg, plan, source, SsspStrategy::FixedPoint) {
-                Ok((dist, report)) => Outcome {
-                    error: None,
-                    report,
-                    result_digest: fnv(dist.iter().map(|d| d.to_bits())),
-                },
-                Err(e) => Outcome {
-                    error: Some(e.error.to_string()),
-                    report: e.report,
-                    result_digest: 0,
-                },
-            }
-        }
-        Workload::Cc => match run_cc_sim(&el, cfg, plan) {
-            Ok((labels, report)) => Outcome {
-                error: None,
-                report,
-                result_digest: fnv(labels.iter().copied()),
-            },
-            Err(e) => Outcome {
-                error: Some(e.error.to_string()),
-                report: e.report,
-                result_digest: 0,
-            },
+        Workload::Sssp { source } => digest(run.sssp(&el, source, SsspStrategy::FixedPoint), |d| {
+            d.to_bits()
+        }),
+        Workload::Cc => digest(run.cc(&el), |&l| l),
+        Workload::PageRank { iters } => digest(run.pagerank(&el, 0.85, iters), |r| r.to_bits()),
+    }
+}
+
+/// Fold one simulated [`Run`] into the scenario [`Outcome`]: the result
+/// vector's digest (through `bits`) on success, the error's rendering on
+/// failure, the simulator's report either way.
+fn digest<V>(run: RunResult<Vec<V>>, bits: impl Fn(&V) -> u64) -> Outcome {
+    match run {
+        Ok(out) => Outcome {
+            error: None,
+            report: out.report.expect("simulated runs carry a report"),
+            result_digest: fnv(out.result.iter().map(bits)),
         },
-        Workload::PageRank { iters } => match run_pagerank_sim(&el, cfg, plan, 0.85, iters) {
-            Ok((ranks, report)) => Outcome {
-                error: None,
-                report,
-                result_digest: fnv(ranks.iter().map(|r| r.to_bits())),
-            },
-            Err(e) => Outcome {
-                error: Some(e.error.to_string()),
-                report: e.report,
-                result_digest: 0,
-            },
+        Err(e) => Outcome {
+            error: Some(e.error.to_string()),
+            report: e.report.expect("simulated runs carry a report"),
+            result_digest: 0,
         },
     }
 }

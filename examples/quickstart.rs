@@ -65,9 +65,11 @@ fn main() {
     // without turning span tracing on — here Δ-stepping's bucket-by-bucket
     // schedule shows up as one epoch per drain round.
     // `Run` is what `run_sssp` wraps: it also returns the machine's
-    // statistics and profiles, and is where a non-default machine or
-    // engine configuration goes.
-    let out = Run::new(2).sssp(&el, 0, SsspStrategy::Delta(1.0));
+    // statistics and profiles (or the failure, as a value), and is where a
+    // non-default machine, engine configuration or simulator plan goes.
+    let out = Run::new(2)
+        .sssp(&el, 0, SsspStrategy::Delta(1.0))
+        .expect("a healthy machine runs to completion");
     assert_eq!(out.result, vec![0.0, 1.0, 3.0, 4.0, 4.5]);
     println!("\nper-epoch profile of the Δ=1 run:");
     println!(

@@ -46,7 +46,7 @@ pub use dgp_graph as graph;
 /// The commonly-needed surface in one import.
 pub mod prelude {
     pub use dgp_algorithms::{
-        run_bfs, run_cc, run_coloring, run_kcore, run_pagerank, run_sssp, Outcome, Run,
+        run_bfs, run_cc, run_coloring, run_kcore, run_pagerank, run_sssp, Outcome, Run, RunError,
         SsspStrategy,
     };
     pub use dgp_am::{

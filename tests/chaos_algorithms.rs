@@ -41,7 +41,9 @@ fn sssp_bit_identical_under_chaos() {
     for seed in seeds() {
         let Outcome {
             result: got, stats, ..
-        } = Run::on(chaos_cfg(3, seed)).sssp(&el, 0, SsspStrategy::Delta(1.0));
+        } = Run::on(chaos_cfg(3, seed))
+            .sssp(&el, 0, SsspStrategy::Delta(1.0))
+            .expect("chaos is masked");
         // Bit-identical, not approximately equal: the reliability layer
         // must make the faulted run indistinguishable from the clean one.
         assert_eq!(
@@ -62,7 +64,9 @@ fn sssp_fixed_point_bit_identical_under_chaos() {
     for seed in seeds() {
         let Outcome {
             result: got, stats, ..
-        } = Run::on(chaos_cfg(4, seed)).sssp(&el, 0, SsspStrategy::FixedPoint);
+        } = Run::on(chaos_cfg(4, seed))
+            .sssp(&el, 0, SsspStrategy::FixedPoint)
+            .expect("chaos is masked");
         assert_eq!(
             got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
             clean.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
@@ -80,7 +84,9 @@ fn cc_bit_identical_under_chaos() {
     for seed in seeds() {
         let Outcome {
             result: got, stats, ..
-        } = Run::on(chaos_cfg(4, seed)).cc(&el);
+        } = Run::on(chaos_cfg(4, seed))
+            .cc(&el)
+            .expect("chaos is masked");
         assert_eq!(got, clean, "seed {seed}");
         assert!(stats.faults_injected() > 0, "seed {seed}");
         assert!(stats.retransmits > 0, "seed {seed}");
@@ -92,7 +98,10 @@ fn pagerank_matches_fault_free_under_chaos() {
     let el = generators::rmat(6, 6, generators::RmatParams::GRAPH500, 31);
     let clean = run_pagerank(&el, 3, 0.85, 15);
     for seed in seeds() {
-        let got = Run::on(chaos_cfg(3, seed)).pagerank(&el, 0.85, 15).result;
+        let got = Run::on(chaos_cfg(3, seed))
+            .pagerank(&el, 0.85, 15)
+            .expect("chaos is masked")
+            .result;
         // PageRank sums contributions in arrival order, and float addition
         // is not associative — arrival order is scheduling-dependent even
         // on the perfect transport, so bit-identity is not the contract
@@ -113,7 +122,7 @@ fn chaos_under_wave_termination_mode() {
         let cfg = chaos_cfg(3, seed).termination(TerminationMode::FourCounterWave);
         let Outcome {
             result: got, stats, ..
-        } = Run::on(cfg).cc(&el);
+        } = Run::on(cfg).cc(&el).expect("chaos is masked");
         assert_eq!(got, clean, "seed {seed}");
         assert!(stats.faults_injected() > 0, "seed {seed}");
     }

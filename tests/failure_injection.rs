@@ -237,3 +237,55 @@ fn idle_workers_shut_down() {
     let out = Machine::run(MachineConfig::new(2).threads_per_rank(4), |ctx| ctx.rank());
     assert_eq!(out, vec![0, 1]);
 }
+
+/// The one driver degrades to a structured error on threads: a transport
+/// that drops everything, forever, cannot quiesce SSSP's first epoch; the
+/// armed deadline turns the would-be hang into `Err(EpochDeadline)` with
+/// the automatic post-mortem attached — no hang, no panic.
+#[test]
+fn run_returns_epoch_deadline_as_a_value_on_threads() {
+    let mut el = generators::path(8);
+    el.randomize_weights(1.0, 2.0, 3);
+    let machine = MachineConfig::new(2)
+        .coalescing(1)
+        .faults(FaultPlan::new(1).drop(1.0).max_attempts(u32::MAX))
+        .epoch_deadline(Duration::from_millis(250));
+    let err = Run::on(machine)
+        .sssp(&el, 0, SsspStrategy::FixedPoint)
+        .expect_err("nothing is ever delivered");
+    assert!(
+        matches!(err.error, MachineError::EpochDeadline { .. }),
+        "{err}"
+    );
+    assert!(!err.postmortem.render().is_empty());
+    assert!(err.report.is_none(), "threads have no sim report");
+}
+
+/// The same, simulated: a Hold partition that never heals parks SSSP's
+/// cross-rank relaxations for good; the simulator's watchdog fails the
+/// run as `SimStalled` and the error carries the report up to the stall.
+#[test]
+fn run_returns_sim_stalled_as_a_value_under_the_simulator() {
+    use dgp::am::{PartitionMode, SimAt, SimPlan};
+    let mut el = generators::path(8);
+    el.randomize_weights(1.0, 2.0, 3);
+    let plan = SimPlan::new(3).partition(
+        &[1],
+        SimAt::Time(0),
+        SimAt::Time(u64::MAX),
+        PartitionMode::Hold,
+    );
+    let err = Run::on(MachineConfig::new(2).coalescing(1))
+        .sim(plan)
+        .sssp(&el, 0, SsspStrategy::FixedPoint)
+        .expect_err("the cut never heals");
+    match &err.error {
+        MachineError::SimStalled { sent, handled, .. } => {
+            assert!(sent > handled, "sent={sent} handled={handled}");
+        }
+        other => panic!("expected SimStalled, got {other}"),
+    }
+    let report = err.report.as_ref().expect("sim errors carry the report");
+    assert!(report.partition_held > 0, "the cut parked traffic");
+    assert!(err.to_string().contains("virtual t="), "{err}");
+}

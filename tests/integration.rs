@@ -99,7 +99,7 @@ fn cc_three_ways() {
         let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), ranks), false);
         let g2 = graph.clone();
         let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
-            let pattern_cc = dgp_algorithms::cc::cc(ctx, &g2);
+            let pattern_cc = dgp_algorithms::cc::cc(ctx, &g2, EngineConfig::default());
             let lp = handwritten::cc_label_propagation(ctx, &g2);
             (ctx.rank() == 0).then(|| (pattern_cc.snapshot(), lp.snapshot()))
         });
@@ -276,7 +276,7 @@ fn cc_multithreaded_ranks() {
     let want = seq::cc_labels(&el);
     let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 2), false);
     let mut out = Machine::run(MachineConfig::new(2).threads_per_rank(4), move |ctx| {
-        let labels = dgp_algorithms::cc::cc(ctx, &graph);
+        let labels = dgp_algorithms::cc::cc(ctx, &graph, EngineConfig::default());
         (ctx.rank() == 0).then(|| labels.snapshot())
     });
     assert_eq!(out[0].take().unwrap(), want);

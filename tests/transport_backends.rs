@@ -31,6 +31,7 @@ fn sssp_bit_identical_across_backends() {
     for (name, kind) in backends() {
         let got = Run::on(cfg(3, kind))
             .sssp(&el, 0, SsspStrategy::Delta(1.0))
+            .expect("backend delivers")
             .result;
         assert_eq!(
             got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
@@ -45,7 +46,10 @@ fn cc_bit_identical_across_backends() {
     let el = generators::rmat(7, 8, generators::RmatParams::GRAPH500, 17);
     let baseline = run_cc(&el, 3);
     for (name, kind) in backends() {
-        let got = Run::on(cfg(3, kind)).cc(&el).result;
+        let got = Run::on(cfg(3, kind))
+            .cc(&el)
+            .expect("backend delivers")
+            .result;
         assert_eq!(got, baseline, "backend {name}");
     }
 }
@@ -55,7 +59,10 @@ fn pagerank_matches_across_backends() {
     let el = generators::erdos_renyi(120, 700, 5);
     let baseline = run_pagerank(&el, 3, 0.85, 15);
     for (name, kind) in backends() {
-        let got = Run::on(cfg(3, kind)).pagerank(&el, 0.85, 15).result;
+        let got = Run::on(cfg(3, kind))
+            .pagerank(&el, 0.85, 15)
+            .expect("backend delivers")
+            .result;
         for (i, (x, y)) in got.iter().zip(&baseline).enumerate() {
             assert!(
                 (x - y).abs() < 1e-9,
@@ -79,7 +86,9 @@ fn sssp_bit_identical_over_tcp_with_killed_connections() {
     let kind = TransportKind::Tcp(TcpConfig::default().kill_rx_every(30));
     let Outcome {
         result: got, stats, ..
-    } = Run::on(cfg(3, kind)).sssp(&el, 0, SsspStrategy::Delta(1.0));
+    } = Run::on(cfg(3, kind))
+        .sssp(&el, 0, SsspStrategy::Delta(1.0))
+        .expect("killed connections are masked");
     assert_eq!(
         got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
         baseline.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
