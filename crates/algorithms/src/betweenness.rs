@@ -18,8 +18,9 @@
 
 use dgp_am::AmCtx;
 use dgp_core::builder::ActionBuilder;
-use dgp_core::engine::{EngineConfig, PatternEngine, Val};
+use dgp_core::engine::{ActionId, EngineConfig, Val};
 use dgp_core::ir::{GeneratorIr, MapId, Place};
+use dgp_core::pattern::{PatternBuilder, Prop};
 use dgp_core::strategies::{fixed_point, once};
 use dgp_graph::properties::AtomicVertexMap;
 use dgp_graph::{DistGraph, EdgeList, VertexId};
@@ -28,7 +29,7 @@ use crate::patterns;
 use crate::util::{local_vertices, owned_seeds};
 
 /// `sigma[trg] += sigma[v]` over BFS-tree edges.
-pub(crate) fn sigma_push(level: MapId, sigma: MapId) -> dgp_core::builder::BuiltAction {
+fn sigma_push(level: MapId, sigma: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("bc_sigma_push", GeneratorIr::OutEdges);
     let l_t = b.read_vertex(level, Place::GenTrg);
     let l_v = b.read_vertex(level, Place::Input);
@@ -44,11 +45,7 @@ pub(crate) fn sigma_push(level: MapId, sigma: MapId) -> dgp_core::builder::Built
 
 /// `delta[v] += sigma[v]/sigma[trg] * (1 + delta[trg])` over tree edges
 /// (gather at `trg(e)`, accumulate at `v` — a pull-shaped plan).
-pub(crate) fn delta_pull(
-    level: MapId,
-    sigma: MapId,
-    delta: MapId,
-) -> dgp_core::builder::BuiltAction {
+fn delta_pull(level: MapId, sigma: MapId, delta: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("bc_delta_pull", GeneratorIr::OutEdges);
     let l_t = b.read_vertex(level, Place::GenTrg);
     let l_v = b.read_vertex(level, Place::Input);
@@ -64,6 +61,42 @@ pub(crate) fn delta_pull(
     b.build().expect("bc_delta_pull is a valid action")
 }
 
+/// The declaration plus the handles [`betweenness`] reads it back by.
+struct Decl {
+    pattern: PatternBuilder,
+    level: Prop<AtomicVertexMap<u64>>,
+    sigma: Prop<AtomicVertexMap<f64>>,
+    delta: Prop<AtomicVertexMap<f64>>,
+    expand: ActionId,
+    push: ActionId,
+    pull: ActionId,
+}
+
+fn declare() -> Decl {
+    let mut p = PatternBuilder::new("betweenness");
+    let level = p.vertex_property("level", u64::MAX);
+    let sigma = p.vertex_property("sigma", 0.0f64);
+    let delta = p.vertex_property("delta", 0.0f64);
+    let expand = p.action(patterns::bfs_expand(level.id()));
+    let push = p.action(sigma_push(level.id(), sigma.id()));
+    let pull = p.action(delta_pull(level.id(), sigma.id(), delta.id()));
+    Decl {
+        pattern: p,
+        level,
+        sigma,
+        delta,
+        expand,
+        push,
+        pull,
+    }
+}
+
+/// `pattern Betweenness { level; sigma; delta; bfs_expand; bc_sigma_push;
+/// bc_delta_pull }`.
+pub fn pattern() -> PatternBuilder {
+    declare().pattern
+}
+
 /// Betweenness centrality accumulated over the given sources (pass all
 /// vertices for exact BC; a sample for approximate BC). Unweighted,
 /// directed; endpoints excluded, as in Brandes. Collective.
@@ -74,24 +107,16 @@ pub fn betweenness(
     cfg: EngineConfig,
 ) -> AtomicVertexMap<f64> {
     let rank = ctx.rank();
-    let dist0 = graph.distribution();
-    let level = ctx.share(|| AtomicVertexMap::new(dist0, u64::MAX));
-    let sigma = ctx.share(|| AtomicVertexMap::new(dist0, 0.0f64));
-    let delta = ctx.share(|| AtomicVertexMap::new(dist0, 0.0f64));
-    let bc = ctx.share(|| AtomicVertexMap::new(dist0, 0.0f64));
-    let engine = PatternEngine::new(ctx, graph.clone(), cfg);
-    let level_id = engine.register_vertex_map(&level);
-    let sigma_id = engine.register_vertex_map(&sigma);
-    let delta_id = engine.register_vertex_map(&delta);
-    let expand = engine
-        .add_action(patterns::bfs_expand(level_id))
-        .expect("bfs_expand compiles");
-    let push = engine
-        .add_action(sigma_push(level_id, sigma_id))
-        .expect("sigma_push compiles");
-    let pull = engine
-        .add_action(delta_pull(level_id, sigma_id, delta_id))
-        .expect("delta_pull compiles");
+    let d = declare();
+    let installed = d
+        .pattern
+        .install(ctx, graph, cfg)
+        .expect("betweenness pattern installs");
+    let (level, sigma) = (installed.map(d.level), installed.map(d.sigma));
+    let delta = installed.map(d.delta);
+    let (engine, expand, push, pull) = (installed.engine, d.expand, d.push, d.pull);
+    // The result accumulates across sources outside the pattern.
+    let bc = ctx.share(|| AtomicVertexMap::new(graph.distribution(), 0.0f64));
 
     let locals = local_vertices(ctx, graph);
     for &s in sources {

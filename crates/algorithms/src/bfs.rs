@@ -1,7 +1,8 @@
 //! Distributed BFS as a pattern (extension algorithm).
 
 use dgp_am::AmCtx;
-use dgp_core::engine::{EngineConfig, PatternEngine};
+use dgp_core::engine::{ActionId, EngineConfig, PatternEngine};
+use dgp_core::pattern::{PatternBuilder, Prop};
 use dgp_core::strategies::fixed_point;
 use dgp_graph::properties::AtomicVertexMap;
 use dgp_graph::{DistGraph, VertexId};
@@ -15,22 +16,44 @@ pub struct Bfs {
     pub engine: PatternEngine,
     /// BFS level per vertex (`u64::MAX` = unreached).
     pub level: AtomicVertexMap<u64>,
-    expand: dgp_core::engine::ActionId,
+    expand: ActionId,
+}
+
+/// The declaration plus the handles [`Bfs::install`] reads it back by.
+struct Decl {
+    pattern: PatternBuilder,
+    level: Prop<AtomicVertexMap<u64>>,
+    expand: ActionId,
+}
+
+fn declare() -> Decl {
+    let mut p = PatternBuilder::new("bfs");
+    let level = p.vertex_property("level", u64::MAX);
+    let expand = p.action(patterns::bfs_expand(level.id()));
+    Decl {
+        pattern: p,
+        level,
+        expand,
+    }
+}
+
+/// `pattern BFS { level; bfs_expand }`.
+pub fn pattern() -> PatternBuilder {
+    declare().pattern
 }
 
 impl Bfs {
     /// Collectively install BFS on a fresh engine.
     pub fn install(ctx: &AmCtx, graph: &DistGraph, cfg: EngineConfig) -> Bfs {
-        let engine = PatternEngine::new(ctx, graph.clone(), cfg);
-        let level = ctx.share(|| AtomicVertexMap::new(graph.distribution(), u64::MAX));
-        let level_id = engine.register_vertex_map(&level);
-        let expand = engine
-            .add_action(patterns::bfs_expand(level_id))
-            .expect("bfs_expand compiles");
+        let d = declare();
+        let installed = d
+            .pattern
+            .install(ctx, graph, cfg)
+            .expect("bfs pattern installs");
         Bfs {
-            engine,
-            level,
-            expand,
+            level: installed.map(d.level),
+            engine: installed.engine,
+            expand: d.expand,
         }
     }
 

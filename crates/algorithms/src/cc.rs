@@ -26,7 +26,8 @@
 use std::sync::Arc;
 
 use dgp_am::AmCtx;
-use dgp_core::engine::{EngineConfig, PatternEngine};
+use dgp_core::engine::{ActionId, EngineConfig, PatternEngine};
+use dgp_core::pattern::{PatternBuilder, Prop};
 use dgp_core::strategies::{fixed_point, once, once_until_fixed};
 use dgp_graph::properties::{AtomicVertexMap, LockedVertexMap};
 use dgp_graph::{DistGraph, VertexId};
@@ -46,48 +47,73 @@ pub struct Cc {
     pub lbl: AtomicVertexMap<u64>,
     /// Final component label per vertex.
     pub comp: AtomicVertexMap<u64>,
-    search: dgp_core::engine::ActionId,
-    claim_label: dgp_core::engine::ActionId,
-    jump: dgp_core::engine::ActionId,
-    rewrite: dgp_core::engine::ActionId,
+    search: ActionId,
+    claim_label: ActionId,
+    jump: ActionId,
+    rewrite: ActionId,
+}
+
+/// The declaration plus the handles [`Cc::install`] reads it back by.
+struct Decl {
+    pattern: PatternBuilder,
+    pnt: Prop<AtomicVertexMap<Option<VertexId>>>,
+    adjs: Prop<LockedVertexMap<Vec<VertexId>>>,
+    lbl: Prop<AtomicVertexMap<u64>>,
+    comp: Prop<AtomicVertexMap<u64>>,
+    search: ActionId,
+    claim_label: ActionId,
+    jump: ActionId,
+    rewrite: ActionId,
+}
+
+fn declare() -> Decl {
+    let mut p = PatternBuilder::new("cc");
+    let pnt = p.vertex_property("pnt", None);
+    let adjs = p.vertex_set("adjs");
+    let lbl = p.vertex_property("lbl", 0u64);
+    let comp = p.vertex_property("comp", u64::MAX);
+    let search = p.action(patterns::cc_search(pnt.id(), adjs.id()));
+    let claim_label = p.action(patterns::cc_claim_label(pnt.id(), lbl.id()));
+    let jump = p.action(patterns::cc_jump(adjs.id(), lbl.id()));
+    let rewrite = p.action(patterns::cc_rewrite(pnt.id(), lbl.id(), comp.id()));
+    Decl {
+        pattern: p,
+        pnt,
+        adjs,
+        lbl,
+        comp,
+        search,
+        claim_label,
+        jump,
+        rewrite,
+    }
+}
+
+/// `pattern CC { pnt; adjs; lbl; comp; cc_search; cc_claim_label;
+/// cc_jump; cc_rewrite }`.
+pub fn pattern() -> PatternBuilder {
+    declare().pattern
 }
 
 impl Cc {
     /// Collectively install the CC pattern on a fresh engine. The graph
     /// must be a symmetric representation of an undirected graph.
     pub fn install(ctx: &AmCtx, graph: &DistGraph, cfg: EngineConfig) -> Cc {
-        let engine = PatternEngine::new(ctx, graph.clone(), cfg);
-        let dist = graph.distribution();
-        let pnt = ctx.share(|| AtomicVertexMap::new(dist, None));
-        let adjs = ctx.share(|| LockedVertexMap::new(dist, Vec::new()));
-        let lbl = ctx.share(|| AtomicVertexMap::new(dist, 0u64));
-        let comp = ctx.share(|| AtomicVertexMap::new(dist, u64::MAX));
-        let pnt_id = engine.register_vertex_map(&pnt);
-        let adjs_id = engine.register_set_map(&adjs);
-        let lbl_id = engine.register_vertex_map(&lbl);
-        let comp_id = engine.register_vertex_map(&comp);
-        let search = engine
-            .add_action(patterns::cc_search(pnt_id, adjs_id))
-            .expect("cc_search compiles");
-        let claim_label = engine
-            .add_action(patterns::cc_claim_label(pnt_id, lbl_id))
-            .expect("cc_claim_label compiles");
-        let jump = engine
-            .add_action(patterns::cc_jump(adjs_id, lbl_id))
-            .expect("cc_jump compiles");
-        let rewrite = engine
-            .add_action(patterns::cc_rewrite(pnt_id, lbl_id, comp_id))
-            .expect("cc_rewrite compiles");
+        let d = declare();
+        let installed = d
+            .pattern
+            .install(ctx, graph, cfg)
+            .expect("cc pattern installs");
         Cc {
-            engine,
-            pnt,
-            adjs,
-            lbl,
-            comp,
-            search,
-            claim_label,
-            jump,
-            rewrite,
+            pnt: installed.map(d.pnt),
+            adjs: installed.map(d.adjs),
+            lbl: installed.map(d.lbl),
+            comp: installed.map(d.comp),
+            engine: installed.engine,
+            search: d.search,
+            claim_label: d.claim_label,
+            jump: d.jump,
+            rewrite: d.rewrite,
         }
     }
 

@@ -19,8 +19,9 @@
 
 use dgp_am::AmCtx;
 use dgp_core::builder::ActionBuilder;
-use dgp_core::engine::{EngineConfig, PatternEngine, Val};
+use dgp_core::engine::{ActionId, EngineConfig, Val};
 use dgp_core::ir::{GeneratorIr, MapId, Place};
+use dgp_core::pattern::{PatternBuilder, Prop};
 use dgp_core::strategies::once;
 use dgp_graph::properties::AtomicVertexMap;
 use dgp_graph::{DistGraph, EdgeList};
@@ -29,7 +30,7 @@ use crate::util::local_vertices;
 
 const UNCOLORED: u64 = u64::MAX;
 
-pub(crate) fn collect_used(color: MapId, used: MapId) -> dgp_core::builder::BuiltAction {
+fn collect_used(color: MapId, used: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("collect_used", GeneratorIr::Adj);
     let c_u = b.read_vertex(color, Place::GenVertex);
     b.cond(&[c_u], move |e| e.u64(c_u) != UNCOLORED).assign(
@@ -41,7 +42,7 @@ pub(crate) fn collect_used(color: MapId, used: MapId) -> dgp_core::builder::Buil
     b.build().expect("collect_used is a valid action")
 }
 
-pub(crate) fn flag_bigger(color: MapId, blocked: MapId) -> dgp_core::builder::BuiltAction {
+fn flag_bigger(color: MapId, blocked: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("flag_bigger", GeneratorIr::Adj);
     let c_u = b.read_vertex(color, Place::GenVertex);
     b.cond(&[c_u], move |e| {
@@ -49,6 +50,38 @@ pub(crate) fn flag_bigger(color: MapId, blocked: MapId) -> dgp_core::builder::Bu
     })
     .assign(blocked, Place::Input, &[], move |_, _| Val::B(true));
     b.build().expect("flag_bigger is a valid action")
+}
+
+/// The declaration plus the handles [`color_greedy`] reads it back by.
+struct Decl {
+    pattern: PatternBuilder,
+    color: Prop<AtomicVertexMap<u64>>,
+    used: Prop<AtomicVertexMap<u64>>,
+    blocked: Prop<AtomicVertexMap<bool>>,
+    collect: ActionId,
+    flag: ActionId,
+}
+
+fn declare() -> Decl {
+    let mut p = PatternBuilder::new("coloring");
+    let color = p.vertex_property("color", UNCOLORED);
+    let used = p.vertex_property("used", 0u64);
+    let blocked = p.vertex_property("blocked", false);
+    let collect = p.action(collect_used(color.id(), used.id()));
+    let flag = p.action(flag_bigger(color.id(), blocked.id()));
+    Decl {
+        pattern: p,
+        color,
+        used,
+        blocked,
+        collect,
+        flag,
+    }
+}
+
+/// `pattern Coloring { color; used; blocked; collect_used; flag_bigger }`.
+pub fn pattern() -> PatternBuilder {
+    declare().pattern
 }
 
 /// Color the (symmetric) graph greedily. Collective; returns
@@ -66,19 +99,14 @@ pub fn color_greedy(
             "bitmask coloring supports degree < 63"
         );
     }
-    let color = ctx.share(|| AtomicVertexMap::new(graph.distribution(), UNCOLORED));
-    let used = ctx.share(|| AtomicVertexMap::new(graph.distribution(), 0u64));
-    let blocked = ctx.share(|| AtomicVertexMap::new(graph.distribution(), false));
-    let engine = PatternEngine::new(ctx, graph.clone(), cfg);
-    let color_id = engine.register_vertex_map(&color);
-    let used_id = engine.register_vertex_map(&used);
-    let blocked_id = engine.register_vertex_map(&blocked);
-    let collect = engine
-        .add_action(collect_used(color_id, used_id))
-        .expect("collect_used compiles");
-    let flag = engine
-        .add_action(flag_bigger(color_id, blocked_id))
-        .expect("flag_bigger compiles");
+    let d = declare();
+    let installed = d
+        .pattern
+        .install(ctx, graph, cfg)
+        .expect("coloring pattern installs");
+    let (color, used) = (installed.map(d.color), installed.map(d.used));
+    let blocked = installed.map(d.blocked);
+    let (engine, collect, flag) = (installed.engine, d.collect, d.flag);
 
     let locals = local_vertices(ctx, graph);
     let mut rounds = 0;

@@ -11,8 +11,9 @@
 
 use dgp_am::AmCtx;
 use dgp_core::builder::ActionBuilder;
-use dgp_core::engine::{EngineConfig, PatternEngine, Val};
-use dgp_core::ir::{GeneratorIr, Place};
+use dgp_core::engine::{ActionId, EngineConfig, Val};
+use dgp_core::ir::{GeneratorIr, MapId, Place};
+use dgp_core::pattern::{PatternBuilder, Prop};
 use dgp_core::strategies::once;
 use dgp_graph::properties::AtomicVertexMap;
 use dgp_graph::{DistGraph, VertexId};
@@ -21,7 +22,7 @@ use crate::util::local_vertices;
 
 /// The per-round counting pattern: every active vertex adds 1 to each
 /// neighbour's live-degree accumulator.
-pub(crate) fn count_active(active: u32, acc: u32) -> dgp_core::builder::BuiltAction {
+fn count_active(active: MapId, acc: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("count_active", GeneratorIr::OutEdges);
     let a_v = b.read_vertex(active, Place::Input);
     b.cond(&[a_v], move |e| e.bool(a_v))
@@ -29,6 +30,32 @@ pub(crate) fn count_active(active: u32, acc: u32) -> dgp_core::builder::BuiltAct
             Val::U(old.as_u64() + 1)
         });
     b.build().expect("count_active is a valid action")
+}
+
+/// The declaration plus the handles [`kcore`] reads it back by.
+struct Decl {
+    pattern: PatternBuilder,
+    active: Prop<AtomicVertexMap<bool>>,
+    acc: Prop<AtomicVertexMap<u64>>,
+    count: ActionId,
+}
+
+fn declare() -> Decl {
+    let mut p = PatternBuilder::new("kcore");
+    let active = p.vertex_property("active", true);
+    let acc = p.vertex_property("acc", 0u64);
+    let count = p.action(count_active(active.id(), acc.id()));
+    Decl {
+        pattern: p,
+        active,
+        acc,
+        count,
+    }
+}
+
+/// `pattern KCore { active; acc; count_active }`.
+pub fn pattern() -> PatternBuilder {
+    declare().pattern
 }
 
 /// Compute the k-core membership mask (`true` = in the k-core). The graph
@@ -41,14 +68,13 @@ pub fn kcore(
     cfg: EngineConfig,
 ) -> (AtomicVertexMap<bool>, usize) {
     let rank = ctx.rank();
-    let active = ctx.share(|| AtomicVertexMap::new(graph.distribution(), true));
-    let acc = ctx.share(|| AtomicVertexMap::new(graph.distribution(), 0u64));
-    let engine = PatternEngine::new(ctx, graph.clone(), cfg);
-    let active_id = engine.register_vertex_map(&active);
-    let acc_id = engine.register_vertex_map(&acc);
-    let count = engine
-        .add_action(count_active(active_id, acc_id))
-        .expect("count_active compiles");
+    let d = declare();
+    let installed = d
+        .pattern
+        .install(ctx, graph, cfg)
+        .expect("kcore pattern installs");
+    let (active, acc) = (installed.map(d.active), installed.map(d.acc));
+    let (engine, count) = (installed.engine, d.count);
 
     let locals = local_vertices(ctx, graph);
     let mut rounds = 0;

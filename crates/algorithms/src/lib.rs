@@ -41,5 +41,5 @@ pub use api::{
     run_bfs, run_cc, run_coloring, run_kcore, run_pagerank, run_sssp, Outcome, Run, RunError,
     RunResult,
 };
-pub use registry::{builtin_patterns, RegisteredPattern};
+pub use registry::builtin_patterns;
 pub use sssp::SsspStrategy;

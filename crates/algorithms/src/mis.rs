@@ -9,8 +9,9 @@
 
 use dgp_am::AmCtx;
 use dgp_core::builder::ActionBuilder;
-use dgp_core::engine::{EngineConfig, PatternEngine, Val};
+use dgp_core::engine::{ActionId, EngineConfig, Val};
 use dgp_core::ir::{GeneratorIr, MapId, Place};
+use dgp_core::pattern::{PatternBuilder, Prop};
 use dgp_core::strategies::once;
 use dgp_graph::properties::AtomicVertexMap;
 use dgp_graph::{DistGraph, EdgeList};
@@ -22,11 +23,7 @@ const IN: u64 = 1;
 const OUT: u64 = 2;
 
 /// blocked[v] = true if some undecided neighbour has higher (priority, id).
-pub(crate) fn flag_blocked(
-    state: MapId,
-    prio: MapId,
-    blocked: MapId,
-) -> dgp_core::builder::BuiltAction {
+fn flag_blocked(state: MapId, prio: MapId, blocked: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("mis_flag_blocked", GeneratorIr::Adj);
     let s_u = b.read_vertex(state, Place::GenVertex);
     let p_u = b.read_vertex(prio, Place::GenVertex);
@@ -39,12 +36,48 @@ pub(crate) fn flag_blocked(
 }
 
 /// excluded[v] = true if some neighbour is already in the set.
-pub(crate) fn flag_excluded(state: MapId, excluded: MapId) -> dgp_core::builder::BuiltAction {
+fn flag_excluded(state: MapId, excluded: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("mis_flag_excluded", GeneratorIr::Adj);
     let s_u = b.read_vertex(state, Place::GenVertex);
     b.cond(&[s_u], move |e| e.u64(s_u) == IN)
         .assign(excluded, Place::Input, &[], move |_, _| Val::B(true));
     b.build().expect("mis_flag_excluded is a valid action")
+}
+
+/// The declaration plus the handles [`mis`] reads it back by.
+struct Decl {
+    pattern: PatternBuilder,
+    state: Prop<AtomicVertexMap<u64>>,
+    prio: Prop<AtomicVertexMap<u64>>,
+    blocked: Prop<AtomicVertexMap<bool>>,
+    excluded: Prop<AtomicVertexMap<bool>>,
+    flag_blocked: ActionId,
+    flag_excluded: ActionId,
+}
+
+fn declare() -> Decl {
+    let mut p = PatternBuilder::new("mis");
+    let state = p.vertex_property("state", UNDECIDED);
+    let prio = p.vertex_property("prio", 0u64);
+    let blocked = p.vertex_property("blocked", false);
+    let excluded = p.vertex_property("excluded", false);
+    let a_blocked = p.action(flag_blocked(state.id(), prio.id(), blocked.id()));
+    let a_excluded = p.action(flag_excluded(state.id(), excluded.id()));
+    Decl {
+        pattern: p,
+        state,
+        prio,
+        blocked,
+        excluded,
+        flag_blocked: a_blocked,
+        flag_excluded: a_excluded,
+    }
+}
+
+/// `pattern MIS { state; prio; blocked; excluded; mis_flag_blocked;
+/// mis_flag_excluded }`.
+pub fn pattern() -> PatternBuilder {
+    declare().pattern
 }
 
 /// Compute a maximal independent set of the (symmetric) graph. Collective;
@@ -57,21 +90,14 @@ pub fn mis(
 ) -> (AtomicVertexMap<bool>, usize) {
     use rand::{Rng, SeedableRng};
     let rank = ctx.rank();
-    let state = ctx.share(|| AtomicVertexMap::new(graph.distribution(), UNDECIDED));
-    let prio = ctx.share(|| AtomicVertexMap::new(graph.distribution(), 0u64));
-    let blocked = ctx.share(|| AtomicVertexMap::new(graph.distribution(), false));
-    let excluded = ctx.share(|| AtomicVertexMap::new(graph.distribution(), false));
-    let engine = PatternEngine::new(ctx, graph.clone(), cfg);
-    let state_id = engine.register_vertex_map(&state);
-    let prio_id = engine.register_vertex_map(&prio);
-    let blocked_id = engine.register_vertex_map(&blocked);
-    let excluded_id = engine.register_vertex_map(&excluded);
-    let a_blocked = engine
-        .add_action(flag_blocked(state_id, prio_id, blocked_id))
-        .expect("flag_blocked compiles");
-    let a_excluded = engine
-        .add_action(flag_excluded(state_id, excluded_id))
-        .expect("flag_excluded compiles");
+    let d = declare();
+    let installed = d
+        .pattern
+        .install(ctx, graph, cfg)
+        .expect("mis pattern installs");
+    let (state, prio) = (installed.map(d.state), installed.map(d.prio));
+    let (blocked, excluded) = (installed.map(d.blocked), installed.map(d.excluded));
+    let (engine, a_blocked, a_excluded) = (installed.engine, d.flag_blocked, d.flag_excluded);
 
     // Per-vertex random priorities, seeded deterministically by vertex id
     // so every rank agrees without communication.

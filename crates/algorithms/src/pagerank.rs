@@ -7,10 +7,11 @@
 //! redistributed uniformly via a collective sum.
 
 use dgp_am::AmCtx;
-use dgp_core::engine::{EngineConfig, PatternEngine};
+use dgp_core::engine::{ActionId, EngineConfig, PatternEngine};
+use dgp_core::pattern::{PatternBuilder, Prop};
 use dgp_core::strategies::once;
 use dgp_graph::properties::AtomicVertexMap;
-use dgp_graph::{DistGraph, VertexId};
+use dgp_graph::DistGraph;
 
 use crate::patterns;
 use crate::util::{all_reduce_f64_sum, local_vertices};
@@ -23,31 +24,55 @@ pub struct PageRank {
     pub rank: AtomicVertexMap<f64>,
     acc: AtomicVertexMap<f64>,
     deg: AtomicVertexMap<u64>,
-    contribute: dgp_core::engine::ActionId,
+    contribute: ActionId,
     damping: f64,
+}
+
+/// The declaration plus the handles [`PageRank::install`] reads it back
+/// by.
+struct Decl {
+    pattern: PatternBuilder,
+    rank: Prop<AtomicVertexMap<f64>>,
+    deg: Prop<AtomicVertexMap<u64>>,
+    acc: Prop<AtomicVertexMap<f64>>,
+    contribute: ActionId,
+}
+
+fn declare() -> Decl {
+    let mut p = PatternBuilder::new("pagerank");
+    let rank = p.vertex_property("rank", 0.0f64);
+    let deg = p.vertex_property("deg", 0u64);
+    let acc = p.vertex_property("acc", 0.0f64);
+    let contribute = p.action(patterns::pr_contribute(rank.id(), deg.id(), acc.id()));
+    Decl {
+        pattern: p,
+        rank,
+        deg,
+        acc,
+        contribute,
+    }
+}
+
+/// `pattern PageRank { rank; deg; acc; pr_contribute }`.
+pub fn pattern() -> PatternBuilder {
+    declare().pattern
 }
 
 impl PageRank {
     /// Collectively install PageRank on a fresh engine.
     pub fn install(ctx: &AmCtx, graph: &DistGraph, damping: f64, cfg: EngineConfig) -> PageRank {
         assert!((0.0..1.0).contains(&damping));
-        let engine = PatternEngine::new(ctx, graph.clone(), cfg);
-        let dist = graph.distribution();
-        let rank = ctx.share(|| AtomicVertexMap::new(dist, 0.0f64));
-        let acc = ctx.share(|| AtomicVertexMap::new(dist, 0.0f64));
-        let deg = ctx.share(|| AtomicVertexMap::new(dist, 0u64));
-        let rank_id = engine.register_vertex_map(&rank);
-        let deg_id = engine.register_vertex_map(&deg);
-        let acc_id = engine.register_vertex_map(&acc);
-        let contribute = engine
-            .add_action(patterns::pr_contribute(rank_id, deg_id, acc_id))
-            .expect("pr_contribute compiles");
+        let d = declare();
+        let installed = d
+            .pattern
+            .install(ctx, graph, cfg)
+            .expect("pagerank pattern installs");
         PageRank {
-            engine,
-            rank,
-            acc,
-            deg,
-            contribute,
+            rank: installed.map(d.rank),
+            acc: installed.map(d.acc),
+            deg: installed.map(d.deg),
+            engine: installed.engine,
+            contribute: d.contribute,
             damping,
         }
     }
@@ -121,26 +146,93 @@ pub fn pagerank(
     p.rank
 }
 
-/// Suppress unused-field lint: `deg` is engine-registered state.
-impl PageRank {
-    /// Out-degree map (diagnostics).
-    pub fn degrees(&self) -> &AtomicVertexMap<u64> {
-        &self.deg
-    }
+/// One accumulation sweep in both directions over the same `rank`/`deg`:
+/// push ([`patterns::pr_contribute`], one message per edge) into
+/// `acc_push`, pull ([`patterns::pr_pull`], gather at `src(e)` and return:
+/// two) into `acc_pull`. The communication asymmetry the planner predicts
+/// statically, installed — E11 measures it, the test below asserts it.
+/// Needs a bidirectional graph.
+pub struct PushPull {
+    /// The engine the pattern is registered with.
+    pub engine: PatternEngine,
+    /// Accumulator the push sweep fills.
+    pub acc_push: AtomicVertexMap<f64>,
+    /// Accumulator the pull sweep fills.
+    pub acc_pull: AtomicVertexMap<f64>,
+    /// The push action (`pr_contribute`).
+    pub push: ActionId,
+    /// The pull action (`pr_pull`).
+    pub pull: ActionId,
+}
 
-    /// Per-vertex id convenience for tests.
-    pub fn rank_of(&self, rank: usize, v: VertexId) -> f64 {
-        self.rank.get(rank, v)
+/// The pull-mode declaration plus the handles [`PushPull::install`] reads
+/// it back by.
+struct PullDecl {
+    pattern: PatternBuilder,
+    rank: Prop<AtomicVertexMap<f64>>,
+    deg: Prop<AtomicVertexMap<u64>>,
+    acc_push: Prop<AtomicVertexMap<f64>>,
+    acc_pull: Prop<AtomicVertexMap<f64>>,
+    push: ActionId,
+    pull: ActionId,
+}
+
+fn declare_pull() -> PullDecl {
+    let mut p = PatternBuilder::new("pagerank-pull");
+    let rank = p.vertex_property("rank", 0.0f64);
+    let deg = p.vertex_property("deg", 0u64);
+    let acc_push = p.vertex_property("acc_push", 0.0f64);
+    let acc_pull = p.vertex_property("acc_pull", 0.0f64);
+    let push = p.action(patterns::pr_contribute(rank.id(), deg.id(), acc_push.id()));
+    let pull = p.action(patterns::pr_pull(rank.id(), deg.id(), acc_pull.id()));
+    PullDecl {
+        pattern: p,
+        rank,
+        deg,
+        acc_push,
+        acc_pull,
+        push,
+        pull,
+    }
+}
+
+/// `pattern PageRankPull { rank; deg; acc_push; acc_pull; pr_contribute;
+/// pr_pull }`.
+pub fn pull_pattern() -> PatternBuilder {
+    declare_pull().pattern
+}
+
+impl PushPull {
+    /// Collectively install on a fresh engine, with `rank[v] = rank0` and
+    /// `deg[v]` the out-degree everywhere.
+    pub fn install(ctx: &AmCtx, graph: &DistGraph, rank0: f64, cfg: EngineConfig) -> PushPull {
+        let d = declare_pull();
+        let installed = d
+            .pattern
+            .install(ctx, graph, cfg)
+            .expect("pagerank-pull pattern installs");
+        let r = ctx.rank();
+        let shard = graph.shard(r);
+        installed.map(d.rank).fill_local(r, rank0);
+        let deg = installed.map(d.deg);
+        for (li, v) in graph.distribution().owned(r).enumerate() {
+            deg.set(r, v, shard.out_degree(li) as u64);
+        }
+        ctx.barrier();
+        PushPull {
+            acc_push: installed.map(d.acc_push),
+            acc_pull: installed.map(d.acc_pull),
+            engine: installed.engine,
+            push: d.push,
+            pull: d.pull,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns;
-    use crate::util::local_vertices;
     use dgp_am::{Machine, MachineConfig};
-    use dgp_core::strategies::once;
     use dgp_graph::{generators, Distribution, EdgeList};
 
     /// Push ([`patterns::pr_contribute`]) and pull ([`patterns::pr_pull`])
@@ -152,45 +244,17 @@ mod tests {
         let n = el.num_vertices();
         let graph = DistGraph::build(&el, Distribution::block(n, 3), true);
         let mut out = Machine::run(MachineConfig::new(3), move |ctx| {
-            let engine = dgp_core::engine::PatternEngine::new(
-                ctx,
-                graph.clone(),
-                dgp_core::engine::EngineConfig::default(),
-            );
-            let dist = graph.distribution();
-            let rank_m = ctx.share(|| AtomicVertexMap::new(dist, 0.0f64));
-            let deg = ctx.share(|| AtomicVertexMap::new(dist, 0u64));
-            let acc_push = ctx.share(|| AtomicVertexMap::new(dist, 0.0f64));
-            let acc_pull = ctx.share(|| AtomicVertexMap::new(dist, 0.0f64));
-            let rank_id = engine.register_vertex_map(&rank_m);
-            let deg_id = engine.register_vertex_map(&deg);
-            let push_id = engine.register_vertex_map(&acc_push);
-            let pull_id = engine.register_vertex_map(&acc_pull);
-            let push = engine
-                .add_action(patterns::pr_contribute(rank_id, deg_id, push_id))
-                .unwrap();
-            let pull = engine
-                .add_action(patterns::pr_pull(rank_id, deg_id, pull_id))
-                .unwrap();
-
-            let r = ctx.rank();
-            let sh = graph.shard(r);
-            for (li, v) in dist.owned(r).enumerate() {
-                rank_m.set(r, v, 1.0 / n as f64);
-                deg.set(r, v, sh.out_degree(li) as u64);
-            }
-            ctx.barrier();
-
+            let pp = PushPull::install(ctx, &graph, 1.0 / n as f64, EngineConfig::default());
             let locals = local_vertices(ctx, &graph);
             let before_push = ctx.stats();
-            once(ctx, &engine, push, &locals);
+            once(ctx, &pp.engine, pp.push, &locals);
             let after_push = ctx.stats();
-            once(ctx, &engine, pull, &locals);
+            once(ctx, &pp.engine, pp.pull, &locals);
             let after_pull = ctx.stats();
             (ctx.rank() == 0).then(|| {
                 (
-                    acc_push.snapshot(),
-                    acc_pull.snapshot(),
+                    pp.acc_push.snapshot(),
+                    pp.acc_pull.snapshot(),
                     after_push.since(&before_push).messages_sent,
                     after_pull.since(&after_push).messages_sent,
                 )

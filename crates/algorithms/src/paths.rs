@@ -3,7 +3,8 @@
 //! set-interface example.
 
 use dgp_am::AmCtx;
-use dgp_core::engine::{EngineConfig, PatternEngine};
+use dgp_core::engine::{ActionId, EngineConfig, PatternEngine};
+use dgp_core::pattern::{PatternBuilder, Prop};
 use dgp_core::strategies::{fixed_point, once};
 use dgp_graph::properties::{AtomicVertexMap, EdgeMap, LockedVertexMap};
 use dgp_graph::{DistGraph, VertexId};
@@ -23,8 +24,49 @@ pub struct SsspPaths {
     pub parent: AtomicVertexMap<Option<VertexId>>,
     /// All tight predecessors (the shortest-path DAG).
     pub preds: LockedVertexMap<Vec<VertexId>>,
-    relax: dgp_core::engine::ActionId,
-    record: dgp_core::engine::ActionId,
+    relax: ActionId,
+    record: ActionId,
+}
+
+/// The declaration plus the handles [`SsspPaths::install`] reads it back
+/// by.
+struct Decl {
+    pattern: PatternBuilder,
+    dist: Prop<AtomicVertexMap<f64>>,
+    weight: Prop<EdgeMap<f64>>,
+    parent: Prop<AtomicVertexMap<Option<VertexId>>>,
+    preds: Prop<LockedVertexMap<Vec<VertexId>>>,
+    relax: ActionId,
+    record: ActionId,
+}
+
+fn declare() -> Decl {
+    let mut p = PatternBuilder::new("paths");
+    let dist = p.vertex_property("dist", f64::INFINITY);
+    let weight = p.edge_property::<f64>("weight");
+    let parent = p.vertex_property("parent", None);
+    let preds = p.vertex_set("preds");
+    let relax = p.action(patterns::relax_with_parent(
+        dist.id(),
+        weight.id(),
+        parent.id(),
+    ));
+    let record = p.action(patterns::record_preds(dist.id(), weight.id(), preds.id()));
+    Decl {
+        pattern: p,
+        dist,
+        weight,
+        parent,
+        preds,
+        relax,
+        record,
+    }
+}
+
+/// `pattern Paths { dist; weight; parent; preds; relax_with_parent;
+/// record_preds }`.
+pub fn pattern() -> PatternBuilder {
+    declare().pattern
 }
 
 /// Rank 0's quiescent view of an [`SsspPaths`] run, in vertex order.
@@ -60,27 +102,19 @@ impl SsspPaths {
         weights: &EdgeMap<f64>,
         cfg: EngineConfig,
     ) -> SsspPaths {
-        let engine = PatternEngine::new(ctx, graph.clone(), cfg);
-        let dist = ctx.share(|| AtomicVertexMap::new(graph.distribution(), f64::INFINITY));
-        let parent = ctx.share(|| AtomicVertexMap::new(graph.distribution(), None));
-        let preds = ctx.share(|| LockedVertexMap::new(graph.distribution(), Vec::new()));
-        let dist_id = engine.register_vertex_map(&dist);
-        let w_id = engine.register_edge_map(weights);
-        let parent_id = engine.register_vertex_map(&parent);
-        let preds_id = engine.register_set_map(&preds);
-        let relax = engine
-            .add_action(patterns::relax_with_parent(dist_id, w_id, parent_id))
-            .expect("relax_with_parent compiles");
-        let record = engine
-            .add_action(patterns::record_preds(dist_id, w_id, preds_id))
-            .expect("record_preds compiles");
+        let mut d = declare();
+        d.pattern.bind(d.weight, weights);
+        let installed = d
+            .pattern
+            .install(ctx, graph, cfg)
+            .expect("paths pattern installs");
         SsspPaths {
-            engine,
-            dist,
-            parent,
-            preds,
-            relax,
-            record,
+            dist: installed.map(d.dist),
+            parent: installed.map(d.parent),
+            preds: installed.map(d.preds),
+            engine: installed.engine,
+            relax: d.relax,
+            record: d.record,
         }
     }
 

@@ -212,18 +212,6 @@ pub fn record_preds(dist: MapId, weight: MapId, preds: MapId) -> dgp_core::build
     b.build().expect("record_preds is a valid action")
 }
 
-/// Out-degree as a pattern: a purely local per-edge increment — patterns
-/// subsume trivial local computations too (0 messages after the start).
-pub fn degree_count(deg: MapId) -> dgp_core::builder::BuiltAction {
-    let mut b = ActionBuilder::new("degree_count", GeneratorIr::OutEdges);
-    let d_v = b.read_vertex(deg, Place::Input);
-    b.cond(&[d_v], move |_| true)
-        .assign(deg, Place::Input, &[], move |_, old| {
-            Val::U(old.as_u64() + 1)
-        });
-    b.build().expect("degree_count is a valid action")
-}
-
 /// One PageRank iteration's contribution pattern: every out-edge pushes
 /// `rank[v] / deg[v]` into the accumulator at its target.
 pub fn pr_contribute(rank: MapId, deg: MapId, acc: MapId) -> dgp_core::builder::BuiltAction {
@@ -368,10 +356,6 @@ mod tests {
         assert_eq!(p.comm_plan().messages, 1);
         // preds is written, never read -> no dependency storm.
         assert_eq!(r.ir.dependency_matrix(), vec![vec![false]]);
-
-        let d = degree_count(0);
-        let p = compile(&d.ir, PlanMode::Optimized).unwrap();
-        assert_eq!(p.comm_plan().messages, 0, "degree counting is local");
     }
 
     #[test]

@@ -1,167 +1,41 @@
-//! A catalogue of every shipped pattern family, for the static verifier.
+//! The catalogue of every shipped pattern declaration.
 //!
-//! The lint harness (`experiments --lint`), the mutation tests, and the
-//! differential proptest all need the same thing: *every* action of
-//! *every* shipped algorithm, built exactly as the runtime builds it
-//! (same property-map ids, same registration order), but without a
-//! machine or a graph. [`builtin_patterns`] is that single source of
-//! truth — add a family here and it is linted in CI automatically.
+//! Each family writes its pattern down once, as `pub fn pattern() ->
+//! PatternBuilder`, and its driver installs from that. [`builtin_patterns`]
+//! lists those declarations, so the lint harness (`experiments --lint`),
+//! the mutation tests and the differential suites all read what the
+//! runtime runs — add a family's line here and it is linted in CI.
 
-use dgp_core::builder::BuiltAction;
-use dgp_core::engine::{CodecKind, MapHint};
-use dgp_core::verify::{self, Report};
+use dgp_core::pattern::PatternBuilder;
 
-use crate::{betweenness, coloring, kcore, mis, patterns};
+use crate::{betweenness, bfs, cc, coloring, kcore, mis, pagerank, paths, sssp};
 
-/// One shipped pattern family: its name plus every action it registers,
-/// built with the property-map ids the runtime assigns (declaration
-/// order, starting at 0).
-pub struct RegisteredPattern {
-    /// The family name the lint harness reports.
-    pub name: &'static str,
-    /// The family's actions, in registration order.
-    pub actions: Vec<BuiltAction>,
-    /// The property maps the driver registers, in registration order
-    /// (index = `MapId`): each map's name and the [`MapHint`] describing
-    /// its concrete type, so the plan compiler's
-    /// [`dgp_core::engine::static_compilability`] runs without a machine
-    /// (the `--lint` seam). A test asserts these agree with what the
-    /// runtime compiler accepts.
-    pub maps: Vec<(&'static str, MapHint)>,
-}
-
-impl RegisteredPattern {
-    /// Run the full static verifier over the family: per-action analyses
-    /// (L001/D002/R003/T004/S005/P006) plus the cross-action write-race
-    /// check, deduplicated and sorted errors-first.
-    pub fn verify(&self) -> Report {
-        let irs: Vec<_> = self.actions.iter().map(|a| &a.ir).collect();
-        verify::verify_pattern(&irs)
-    }
-}
-
-/// Every shipped pattern family, with its actions built against the map
-/// ids the corresponding driver registers.
-pub fn builtin_patterns() -> Vec<RegisteredPattern> {
-    // Map-id conventions mirror each driver's registration order:
-    //   sssp:        dist=0, weight=1
-    //   cc:          pnt=0, adjs=1, lbl=2, comp=3
-    //   pagerank:    rank=0, deg=1, acc=2
-    //   bfs:         level=0
-    //   mis:         state=0, prio=1, blocked=2, excluded=3
-    //   kcore:       active=0, acc=1
-    //   coloring:    color=0, used=1, blocked=2
-    //   betweenness: level=0, sigma=1, delta=2
-    //   paths:       dist=0, weight=1, parent=2, preds=3
+/// Every shipped declaration: the nine families, plus the push+pull
+/// PageRank sweep of E11.
+pub fn builtin_patterns() -> Vec<PatternBuilder> {
     vec![
-        RegisteredPattern {
-            name: "sssp",
-            actions: vec![
-                patterns::relax(0, 1),
-                patterns::relax_light(0, 1, 1.0),
-                patterns::relax_heavy(0, 1, 1.0),
-            ],
-            maps: vec![
-                ("dist", MapHint::Vertex(CodecKind::F64)),
-                ("weight", MapHint::Edge(CodecKind::F64)),
-            ],
-        },
-        RegisteredPattern {
-            name: "cc",
-            actions: vec![
-                patterns::cc_search(0, 1),
-                patterns::cc_claim_label(0, 2),
-                patterns::cc_jump(1, 2),
-                patterns::cc_rewrite(0, 2, 3),
-            ],
-            maps: vec![
-                ("pnt", MapHint::Vertex(CodecKind::OptVertex)),
-                ("adjs", MapHint::Set),
-                ("lbl", MapHint::Vertex(CodecKind::U64)),
-                ("comp", MapHint::Vertex(CodecKind::U64)),
-            ],
-        },
-        RegisteredPattern {
-            name: "pagerank",
-            actions: vec![
-                patterns::degree_count(1),
-                patterns::pr_contribute(0, 1, 2),
-                patterns::pr_pull(0, 1, 2),
-            ],
-            maps: vec![
-                ("rank", MapHint::Vertex(CodecKind::F64)),
-                ("deg", MapHint::Vertex(CodecKind::U64)),
-                ("acc", MapHint::Vertex(CodecKind::F64)),
-            ],
-        },
-        RegisteredPattern {
-            name: "bfs",
-            actions: vec![patterns::bfs_expand(0)],
-            maps: vec![("level", MapHint::Vertex(CodecKind::U64))],
-        },
-        RegisteredPattern {
-            name: "mis",
-            actions: vec![mis::flag_blocked(0, 1, 2), mis::flag_excluded(0, 3)],
-            maps: vec![
-                ("state", MapHint::Vertex(CodecKind::U64)),
-                ("prio", MapHint::Vertex(CodecKind::U64)),
-                ("blocked", MapHint::Vertex(CodecKind::Bool)),
-                ("excluded", MapHint::Vertex(CodecKind::Bool)),
-            ],
-        },
-        RegisteredPattern {
-            name: "kcore",
-            actions: vec![kcore::count_active(0, 1)],
-            maps: vec![
-                ("active", MapHint::Vertex(CodecKind::Bool)),
-                ("acc", MapHint::Vertex(CodecKind::U64)),
-            ],
-        },
-        RegisteredPattern {
-            name: "coloring",
-            actions: vec![coloring::collect_used(0, 1), coloring::flag_bigger(0, 2)],
-            maps: vec![
-                ("color", MapHint::Vertex(CodecKind::U64)),
-                ("used", MapHint::Vertex(CodecKind::U64)),
-                ("blocked", MapHint::Vertex(CodecKind::Bool)),
-            ],
-        },
-        RegisteredPattern {
-            name: "betweenness",
-            actions: vec![
-                patterns::bfs_expand(0),
-                betweenness::sigma_push(0, 1),
-                betweenness::delta_pull(0, 1, 2),
-            ],
-            maps: vec![
-                ("level", MapHint::Vertex(CodecKind::U64)),
-                ("sigma", MapHint::Vertex(CodecKind::F64)),
-                ("delta", MapHint::Vertex(CodecKind::F64)),
-            ],
-        },
-        RegisteredPattern {
-            name: "paths",
-            actions: vec![
-                patterns::relax_with_parent(0, 1, 2),
-                patterns::record_preds(0, 1, 3),
-            ],
-            maps: vec![
-                ("dist", MapHint::Vertex(CodecKind::F64)),
-                ("weight", MapHint::Edge(CodecKind::F64)),
-                ("parent", MapHint::Vertex(CodecKind::OptVertex)),
-                ("preds", MapHint::Set),
-            ],
-        },
+        sssp::pattern(),
+        cc::pattern(),
+        pagerank::pattern(),
+        pagerank::pull_pattern(),
+        bfs::pattern(),
+        mis::pattern(),
+        kcore::pattern(),
+        coloring::pattern(),
+        betweenness::pattern(),
+        paths::pattern(),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgp_core::engine::{EngineConfig, Exec, JitFallback};
+    use dgp_core::plan::PlanMode;
     use dgp_core::verify::Severity;
 
-    /// The acceptance bar of the verifier issue: all nine shipped
-    /// families verify with zero error-severity diagnostics.
+    /// The acceptance bar of the verifier issue: every shipped
+    /// declaration verifies with zero error-severity diagnostics.
     #[test]
     fn all_builtin_patterns_verify_clean() {
         for p in builtin_patterns() {
@@ -170,7 +44,7 @@ mod tests {
                 report.error_count(),
                 0,
                 "pattern {:?} has verifier errors:\n{report}",
-                p.name
+                p.name()
             );
         }
     }
@@ -188,36 +62,39 @@ mod tests {
                 .iter()
                 .filter(|d| d.severity == Severity::Warning)
                 .collect();
-            if p.name == "betweenness" {
+            if p.name() == "betweenness" {
                 assert!(
                     warnings.iter().all(|d| d.code == dgp_core::DiagCode::T004),
                     "{report}"
                 );
                 assert!(!warnings.is_empty(), "{report}");
             } else {
-                assert!(warnings.is_empty(), "pattern {:?}:\n{report}", p.name);
+                assert!(warnings.is_empty(), "pattern {:?}:\n{report}", p.name());
             }
         }
     }
 
-    /// Every shipped action passes the plan compiler's static check
-    /// against its family's declared map hints, in both plan modes — the
-    /// `--lint` "compiled" column must show no unexpected fallback.
+    /// Every declaration installs, in both plan modes, and the engine it
+    /// installed on compiled every declared action — the `--lint`
+    /// "compiled" column must show no fallback. The same install under
+    /// `Exec::Reference` stays on the interpreter and says why.
     #[test]
-    fn all_builtin_patterns_statically_compile() {
-        use dgp_core::engine::static_compilability;
-        use dgp_core::plan::{compile, PlanMode};
-        for p in builtin_patterns() {
-            let hints: Vec<MapHint> = p.maps.iter().map(|(_, h)| *h).collect();
-            for a in &p.actions {
-                for mode in [PlanMode::Faithful, PlanMode::Optimized] {
-                    let plan = compile(&a.ir, mode).expect("shipped action compiles");
+    fn every_family_installs_its_declaration() {
+        for plan_mode in [PlanMode::Faithful, PlanMode::Optimized] {
+            for exec in [Exec::Compiled, Exec::Reference] {
+                let cfg = EngineConfig {
+                    plan_mode,
+                    exec,
+                    ..EngineConfig::default()
+                };
+                let want = (exec == Exec::Reference).then_some(JitFallback::Reference);
+                for p in builtin_patterns() {
+                    let name = p.name().to_string();
+                    let actions = p.actions().len();
                     assert_eq!(
-                        static_compilability(&a.ir, &plan, &hints),
-                        Ok(()),
-                        "{}/{} ({mode:?}) unexpectedly falls back",
-                        p.name,
-                        a.ir.name
+                        p.jit_report(cfg),
+                        Ok(vec![want; actions]),
+                        "{name} ({plan_mode:?}, {exec:?})"
                     );
                 }
             }

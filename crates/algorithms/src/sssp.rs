@@ -2,7 +2,8 @@
 //! three strategies.
 
 use dgp_am::AmCtx;
-use dgp_core::engine::{EngineConfig, PatternEngine};
+use dgp_core::engine::{ActionId, EngineConfig, PatternEngine};
+use dgp_core::pattern::{PatternBuilder, Prop};
 use dgp_core::strategies;
 use dgp_graph::properties::{AtomicVertexMap, EdgeMap};
 use dgp_graph::{DistGraph, VertexId};
@@ -28,6 +29,45 @@ pub enum SsspStrategy {
     DeltaSplit(f64),
 }
 
+/// The declaration plus the handles [`Sssp::install`] reads it back by.
+struct Decl {
+    pattern: PatternBuilder,
+    dist: Prop<AtomicVertexMap<f64>>,
+    weight: Prop<EdgeMap<f64>>,
+    relax: ActionId,
+}
+
+fn declare() -> Decl {
+    let mut p = PatternBuilder::new("sssp");
+    let dist = p.vertex_property("dist", f64::INFINITY);
+    let weight = p.edge_property::<f64>("weight");
+    let relax = p.action(patterns::relax(dist.id(), weight.id()));
+    Decl {
+        pattern: p,
+        dist,
+        weight,
+        relax,
+    }
+}
+
+/// `pattern SSSP { dist; weight; relax; relax_light; relax_heavy }`.
+///
+/// [`Sssp::install`] installs the properties and `relax`. The §II-A
+/// light/heavy pair takes Δ, a run-time argument, so [`Sssp::run`] adds
+/// the pair it drives on demand; here it is declared at Δ = 1 so lint and
+/// the registry see both shapes.
+pub fn pattern() -> PatternBuilder {
+    let Decl {
+        mut pattern,
+        dist,
+        weight,
+        ..
+    } = declare();
+    pattern.action(patterns::relax_light(dist.id(), weight.id(), 1.0));
+    pattern.action(patterns::relax_heavy(dist.id(), weight.id(), 1.0));
+    pattern
+}
+
 /// An installed SSSP pattern: maps registered, action compiled.
 pub struct Sssp {
     /// The engine the pattern is registered with.
@@ -35,7 +75,7 @@ pub struct Sssp {
     /// Tentative/final distances.
     pub dist: AtomicVertexMap<f64>,
     /// The relax action (drive it with any strategy).
-    pub relax: dgp_core::engine::ActionId,
+    pub relax: ActionId,
     dist_id: dgp_core::ir::MapId,
     weight_id: dgp_core::ir::MapId,
 }
@@ -48,21 +88,18 @@ impl Sssp {
         weights: &EdgeMap<f64>,
         cfg: EngineConfig,
     ) -> Sssp {
-        let engine = PatternEngine::new(ctx, graph.clone(), cfg);
-        // One machine-wide map, cloned to every rank (each rank only ever
-        // touches its own shard).
-        let dist = ctx.share(|| AtomicVertexMap::new(graph.distribution(), f64::INFINITY));
-        let dist_id = engine.register_vertex_map(&dist);
-        let w_id = engine.register_edge_map(weights);
-        let relax = engine
-            .add_action(patterns::relax(dist_id, w_id))
-            .expect("relax compiles");
+        let mut d = declare();
+        d.pattern.bind(d.weight, weights);
+        let installed = d
+            .pattern
+            .install(ctx, graph, cfg)
+            .expect("sssp pattern installs");
         Sssp {
-            engine,
-            dist,
-            relax,
-            dist_id,
-            weight_id: w_id,
+            dist: installed.map(d.dist),
+            engine: installed.engine,
+            relax: d.relax,
+            dist_id: d.dist.id(),
+            weight_id: d.weight.id(),
         }
     }
 

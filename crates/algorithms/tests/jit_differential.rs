@@ -101,18 +101,20 @@ fn assert_close(fast: &[f64], slow: &[f64], what: &str) {
 #[test]
 fn every_builtin_plan_carries_a_proof_in_both_modes() {
     for family in dgp_algorithms::builtin_patterns() {
-        for action in &family.actions {
+        for action in family.actions() {
             for mode in [PlanMode::Faithful, PlanMode::Optimized] {
                 let plan = compile(&action.ir, mode).unwrap_or_else(|e| {
                     panic!(
                         "{}/{} ({mode:?}) fails to compile: {e}",
-                        family.name, action.ir.name
+                        family.name(),
+                        action.ir.name
                     )
                 });
                 let facts = plan.facts.unwrap_or_else(|| {
                     panic!(
                         "{}/{} ({mode:?}) compiled without a proof",
-                        family.name, action.ir.name
+                        family.name(),
+                        action.ir.name
                     )
                 });
                 // A plan that still needs its runtime guards would make
@@ -122,7 +124,7 @@ fn every_builtin_plan_carries_a_proof_in_both_modes() {
                     u64::from(facts.locality_sites + facts.consumed_sites),
                     facts.runtime_checks_elided(),
                     "{}/{} ({mode:?})",
-                    family.name,
+                    family.name(),
                     action.ir.name
                 );
             }

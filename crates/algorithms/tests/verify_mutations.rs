@@ -12,14 +12,15 @@ use dgp_core::verify::{verify_action, verify_ir, DiagCode, Severity};
 /// Fetch one shipped action's IR by pattern family and action name.
 fn shipped(pattern: &str, action: &str) -> dgp_core::ir::ActionIr {
     builtin_patterns()
-        .into_iter()
-        .find(|p| p.name == pattern)
+        .iter()
+        .find(|p| p.name() == pattern)
         .unwrap_or_else(|| panic!("no shipped pattern {pattern:?}"))
-        .actions
-        .into_iter()
-        .map(|a| a.ir)
+        .actions()
+        .iter()
+        .map(|a| &a.ir)
         .find(|ir| ir.name == action)
         .unwrap_or_else(|| panic!("no action {action:?} in {pattern:?}"))
+        .clone()
 }
 
 /// L001 NonLocalRead: tamper SSSP relax's compiled plan so a gather step
@@ -276,15 +277,15 @@ fn unmutated_baselines_are_clean() {
 fn all_shipped_patterns_clean_in_both_modes() {
     for p in builtin_patterns() {
         let report = p.verify();
-        assert_eq!(report.error_count(), 0, "{}:\n{report}", p.name);
-        for a in &p.actions {
+        assert_eq!(report.error_count(), 0, "{}:\n{report}", p.name());
+        for a in p.actions() {
             for mode in [PlanMode::Faithful, PlanMode::Optimized] {
                 let plan = compile(&a.ir, mode)
-                    .unwrap_or_else(|e| panic!("{}/{} ({mode:?}): {e}", p.name, a.ir.name));
+                    .unwrap_or_else(|e| panic!("{}/{} ({mode:?}): {e}", p.name(), a.ir.name));
                 assert!(
                     !analyze(&a.ir, &plan).has_errors(),
                     "{}/{} ({mode:?}) plan fails its own checker",
-                    p.name,
+                    p.name(),
                     a.ir.name
                 );
             }
@@ -292,33 +293,33 @@ fn all_shipped_patterns_clean_in_both_modes() {
     }
 }
 
-/// A plan stripped of its proof never reaches the JIT: the compiler's
-/// static gate reports `NoFacts` before it ever inspects maps or steps.
-/// The proof is the compile licence, exactly as it is the elision
-/// licence — a corrupted or re-verified-dirty plan stays interpreted.
+/// A plan stripped of its proof never reaches the JIT: the gate
+/// `add_action` runs reports `NoFacts` before it ever inspects maps or
+/// steps. The proof is the compile licence — a corrupted or
+/// re-verified-dirty plan stays interpreted.
 #[test]
 fn factless_plans_never_reach_the_jit() {
-    use dgp_core::engine::{static_compilability, JitFallback};
+    use dgp_core::engine::{jit_gate, EngineConfig, JitFallback};
+    let cfg = EngineConfig::default();
     for p in builtin_patterns() {
-        let hints: Vec<_> = p.maps.iter().map(|(_, h)| *h).collect();
-        for a in &p.actions {
-            let mut plan = compile(&a.ir, PlanMode::Optimized).expect("shipped action compiles");
-            assert_eq!(
-                static_compilability(&a.ir, &plan, &hints),
-                Ok(()),
-                "{}/{} must compile with its proof intact",
-                p.name,
-                a.ir.name
-            );
+        for a in p.actions() {
+            let mut plan = compile(&a.ir, cfg.plan_mode).expect("shipped action compiles");
+            assert_eq!(jit_gate(&cfg, &plan), Ok(()));
             plan.facts = None;
             assert_eq!(
-                static_compilability(&a.ir, &plan, &hints),
+                jit_gate(&cfg, &plan),
                 Err(JitFallback::NoFacts),
                 "{}/{} without a proof must stay interpreted",
-                p.name,
+                p.name(),
                 a.ir.name
             );
         }
+        let (name, actions) = (p.name().to_string(), p.actions().len());
+        assert_eq!(
+            p.jit_report(cfg),
+            Ok(vec![None; actions]),
+            "{name} must compile with its proofs intact"
+        );
     }
 }
 
@@ -328,7 +329,7 @@ fn factless_plans_never_reach_the_jit() {
 /// *compiled into* native handlers.
 #[test]
 fn corrupted_plans_are_rejected_by_the_jit_gate() {
-    use dgp_core::engine::{static_compilability, JitFallback};
+    use dgp_core::engine::{jit_gate, EngineConfig, JitFallback};
     let ir = shipped("sssp", "relax");
     let mut plan = compile(&ir, PlanMode::Optimized).expect("relax compiles");
     for step in &mut plan.steps {
@@ -339,12 +340,8 @@ fn corrupted_plans_are_rejected_by_the_jit_gate() {
     let analysis = analyze(&ir, &plan);
     assert!(analysis.facts.is_none());
     plan.facts = analysis.facts;
-    let hints = [
-        dgp_core::engine::MapHint::Vertex(dgp_core::engine::CodecKind::F64),
-        dgp_core::engine::MapHint::Edge(dgp_core::engine::CodecKind::F64),
-    ];
     assert_eq!(
-        static_compilability(&ir, &plan, &hints),
+        jit_gate(&EngineConfig::default(), &plan),
         Err(JitFallback::NoFacts)
     );
 }

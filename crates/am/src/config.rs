@@ -6,6 +6,10 @@ use std::time::Duration;
 use crate::fault::FaultPlan;
 use crate::transport::TransportKind;
 
+/// How long an idle thread blocks waiting for messages before it
+/// re-checks buffers and shutdown/termination conditions.
+pub(crate) const RECV_TIMEOUT: Duration = Duration::from_micros(100);
+
 /// Which termination-detection algorithm an epoch uses to decide that all
 /// activity has quiesced (see `termination` module docs for the algorithms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,9 +44,6 @@ pub struct MachineConfig {
     /// Number of messages of one type buffered per destination before an
     /// envelope is shipped. 1 disables coalescing.
     pub coalescing_capacity: usize,
-    /// How long an idle thread blocks waiting for messages before it
-    /// re-checks buffers and shutdown/termination conditions.
-    pub recv_timeout: Duration,
     /// Termination-detection algorithm used by epochs.
     pub termination: TerminationMode,
     /// Enable the structured observability recorder (`dgp-am::obs`):
@@ -82,15 +83,11 @@ pub struct MachineConfig {
     /// causally-new sends starts a traced cascade (0 disables tracing;
     /// 1 traces everything). Handler re-sends inside a traced cascade are
     /// always traced — sampling decides only where cascades *start*. The
-    /// decision is a deterministic function of
-    /// ([`trace_seed`](Self::trace_seed), rank, thread, send index), so
-    /// identical configs trace identical cascades.
+    /// decision is a deterministic function of (seed, rank, thread, send
+    /// index), so identical configs trace identical cascades; the seed is
+    /// the fault plan's when one is installed — chaos runs trace
+    /// reproducibly with no extra wiring — and a fixed constant otherwise.
     pub trace_sampling: u64,
-    /// Seed for the causal-trace sampler. 0 (the default) derives the
-    /// seed from the fault plan's seed when one is installed — chaos runs
-    /// trace reproducibly with no extra wiring — and otherwise uses a
-    /// fixed constant.
-    pub trace_seed: u64,
     /// Directory automatic post-mortems are written into. When set (or
     /// when the `DGP_POSTMORTEM_DIR` environment variable is, which takes
     /// effect without a config change), any failed run writes its
@@ -119,7 +116,6 @@ impl MachineConfig {
             ranks,
             threads_per_rank: 1,
             coalescing_capacity: 64,
-            recv_timeout: Duration::from_micros(100),
             termination: TerminationMode::SharedCounters,
             profile: false,
             profile_spans: 1 << 16,
@@ -127,7 +123,6 @@ impl MachineConfig {
             epoch_deadline: None,
             flight_events: 1024,
             trace_sampling: 64,
-            trace_seed: 0,
             postmortem_dir: None,
             transport: TransportKind::from_env(),
         }
@@ -191,13 +186,6 @@ impl MachineConfig {
     /// send; see [`MachineConfig::trace_sampling`]).
     pub fn trace_sampling(mut self, n: u64) -> Self {
         self.trace_sampling = n;
-        self
-    }
-
-    /// Seed the causal-trace sampler explicitly (see
-    /// [`MachineConfig::trace_seed`]).
-    pub fn trace_seed(mut self, seed: u64) -> Self {
-        self.trace_seed = seed;
         self
     }
 
@@ -284,7 +272,6 @@ mod tests {
         let c = MachineConfig::default();
         assert!(c.flight_events > 0, "flight recorder is always-on");
         assert!(c.trace_sampling > 0, "causal tracing samples by default");
-        assert_eq!(c.trace_seed, 0, "seed derived from the fault plan");
         assert!(c.postmortem_dir.is_none());
     }
 
@@ -306,11 +293,9 @@ mod tests {
         let c = MachineConfig::new(2)
             .flight(0)
             .trace_sampling(1)
-            .trace_seed(42)
             .postmortem("/tmp/pm");
         assert_eq!(c.flight_events, 0);
         assert_eq!(c.trace_sampling, 1);
-        assert_eq!(c.trace_seed, 42);
         assert_eq!(
             c.postmortem_dir.as_deref(),
             Some(std::path::Path::new("/tmp/pm"))

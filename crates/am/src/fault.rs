@@ -116,10 +116,6 @@ pub struct FaultPlan {
     /// (same determinism discipline as the fault decisions), so sim-mode
     /// runs stay bit-identical for a fixed plan.
     pub backoff_jitter: f64,
-    /// When set, only envelopes *sent by* these ranks are faulted.
-    pub only_ranks: Option<Vec<RankId>>,
-    /// When set, only envelopes of these message type ids are faulted.
-    pub only_types: Option<Vec<u32>>,
 }
 
 impl FaultPlan {
@@ -140,8 +136,6 @@ impl FaultPlan {
             backoff_base: 2,
             backoff_cap: 64,
             backoff_jitter: 0.0,
-            only_ranks: None,
-            only_types: None,
         }
     }
 
@@ -230,18 +224,6 @@ impl FaultPlan {
         self
     }
 
-    /// Restrict faults to envelopes sent by `ranks`.
-    pub fn only_ranks(mut self, ranks: &[RankId]) -> Self {
-        self.only_ranks = Some(ranks.to_vec());
-        self
-    }
-
-    /// Restrict faults to envelopes of the given message type ids.
-    pub fn only_types(mut self, types: &[u32]) -> Self {
-        self.only_types = Some(types.to_vec());
-        self
-    }
-
     pub(crate) fn validate(&self) {
         for (name, p) in [
             ("drop", self.drop),
@@ -270,14 +252,6 @@ impl FaultPlan {
             "backoff_jitter must be in [0, 1): {}",
             self.backoff_jitter
         );
-    }
-
-    fn in_scope(&self, from: RankId, type_id: u32) -> bool {
-        self.only_ranks.as_ref().is_none_or(|r| r.contains(&from))
-            && self
-                .only_types
-                .as_ref()
-                .is_none_or(|t| t.contains(&type_id))
     }
 
     /// Stateless decision hash: splitmix64 over the packet coordinates.
@@ -316,9 +290,6 @@ impl FaultPlan {
         seq: u64,
         attempt: u32,
     ) -> FaultAction {
-        if !self.in_scope(from, type_id) {
-            return FaultAction::Deliver;
-        }
         let draw =
             |salt: u64, p: f64| Self::chance(self.mix(salt, from, to, type_id, seq, attempt), p);
         if draw(1, self.drop) {
@@ -345,8 +316,7 @@ impl FaultPlan {
     }
 
     fn drops_ack(&self, from: RankId, to: RankId, type_id: u32, seq: u64) -> bool {
-        self.in_scope(from, type_id)
-            && Self::chance(self.mix(6, from, to, type_id, seq, 0), self.ack_drop)
+        Self::chance(self.mix(6, from, to, type_id, seq, 0), self.ack_drop)
     }
 }
 
@@ -799,25 +769,6 @@ mod tests {
             .filter(|&seq| plan.action(0, 1, 0, seq, 0) == FaultAction::Drop)
             .count();
         assert!((4000..6000).contains(&drops), "drops={drops}");
-    }
-
-    #[test]
-    fn rank_and_type_filters_scope_faults() {
-        let plan = FaultPlan::new(5)
-            .drop(1.0)
-            .only_ranks(&[1])
-            .only_types(&[7]);
-        assert_eq!(
-            plan.action(0, 1, 7, 1, 0),
-            FaultAction::Deliver,
-            "rank 0 out of scope"
-        );
-        assert_eq!(
-            plan.action(1, 0, 3, 1, 0),
-            FaultAction::Deliver,
-            "type 3 out of scope"
-        );
-        assert_eq!(plan.action(1, 0, 7, 1, 0), FaultAction::Drop);
     }
 
     #[test]

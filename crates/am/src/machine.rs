@@ -234,8 +234,8 @@ pub(crate) struct Shared {
     /// Allocator for causal event ids (traced envelopes only — untraced
     /// ships never touch it).
     trace_eid: AtomicU64,
-    /// Resolved causal-trace sampler seed (see
-    /// [`MachineConfig::trace_seed`]).
+    /// Causal-trace sampler seed (see
+    /// [`MachineConfig::trace_sampling`]).
     trace_seed: u64,
     /// Causal context of the envelope whose handler recorded the machine's
     /// failure (first-wins, alongside `failure`).
@@ -294,14 +294,12 @@ impl Shared {
             }
             r
         });
-        // Chaos runs trace reproducibly with no extra wiring: an explicit
-        // trace seed wins, otherwise the fault plan's seed (when one is
-        // installed), otherwise a fixed constant.
-        let trace_seed = match (cfg.trace_seed, &cfg.faults) {
-            (0, Some(plan)) => plan.seed,
-            (0, None) => 0x9E37_79B9_7F4A_7C15,
-            (s, _) => s,
-        };
+        // Chaos runs trace reproducibly with no extra wiring: the fault
+        // plan's seed when one is installed, otherwise a fixed constant.
+        let trace_seed = cfg
+            .faults
+            .as_ref()
+            .map_or(0x9E37_79B9_7F4A_7C15, |plan| plan.seed);
         // In sim mode the flight recorder's timestamps read the *virtual*
         // clock, making the recorded timeline deterministic (and
         // digest-comparable across runs).
@@ -604,11 +602,6 @@ impl<'a, T: Clone + Send + 'static> HandlerCtx<'a, T> {
     pub fn send(&self, dest: RankId, msg: T) {
         self.mt.send(self.am, dest, msg);
     }
-
-    /// The handled message type, e.g. for storing in other structures.
-    pub fn message_type(&self) -> MessageType<T> {
-        self.mt
-    }
 }
 
 impl<'a, T> std::ops::Deref for HandlerCtx<'a, T> {
@@ -829,7 +822,7 @@ impl Machine {
         let net = sim_plan.map(|plan| SimNet::new(plan, cfg.ranks));
         // Simulated rank threads get small stacks: at 4096 ranks the
         // default 8 MiB would reserve 32 GiB of address space.
-        let sim_stack = net.as_ref().map(|n| n.plan().stack_size);
+        let sim_stack = net.as_ref().map(|_| crate::sim::STACK_SIZE);
         // Wire backend: built (and, for TCP, bound) before the Shared
         // exists so every dial has a live acceptor; sim mode always runs
         // wireless — its event queue is the transport being modeled.
@@ -1062,7 +1055,7 @@ fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
             break;
         }
         let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            match rx.recv_timeout(shared.cfg.recv_timeout) {
+            match rx.recv_timeout(crate::config::RECV_TIMEOUT) {
                 Ok(pkt) => {
                     ctx.handle_packet(pkt);
                     while let Ok(pkt) = rx.try_recv() {
@@ -1382,11 +1375,6 @@ impl AmCtx {
     // ------------------------------------------------------------------
     // Sending
     // ------------------------------------------------------------------
-
-    /// Send `msg` of registered type `mt` to rank `dest`.
-    pub fn send_msg<T: Clone + Send + 'static>(&self, mt: MessageType<T>, dest: RankId, msg: T) {
-        self.send_typed(mt, dest, msg);
-    }
 
     pub(crate) fn send_typed<T: Clone + Send + 'static>(
         &self,
@@ -2247,7 +2235,7 @@ impl AmCtx {
             match &shared.sim {
                 Some(sim) => sim.idle_wait(shared, self.rank),
                 None => {
-                    if let Ok(pkt) = me.rx.recv_timeout(shared.cfg.recv_timeout) {
+                    if let Ok(pkt) = me.rx.recv_timeout(crate::config::RECV_TIMEOUT) {
                         me.idle.store(false, SeqCst);
                         self.handle_packet(pkt);
                     }
@@ -2363,7 +2351,7 @@ impl AmCtx {
             match &shared.sim {
                 Some(sim) => sim.idle_wait(shared, self.rank),
                 None => {
-                    if let Ok(pkt) = me.rx.recv_timeout(shared.cfg.recv_timeout) {
+                    if let Ok(pkt) = me.rx.recv_timeout(crate::config::RECV_TIMEOUT) {
                         me.idle.store(false, SeqCst);
                         self.handle_packet(pkt);
                     }

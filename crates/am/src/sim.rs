@@ -210,21 +210,20 @@ pub struct SimPlan {
     /// How many simulated-network events to keep in the report's trace
     /// ring (oldest evicted; 0 disables recording).
     pub record_events: usize,
-    /// Stack size for the simulated rank threads. Rank bodies run real
-    /// algorithm code, so this must fit the deepest call chain; the
-    /// default (512 KiB) is far above what the in-tree algorithms need
-    /// while keeping 4096-rank machines cheap (pages are committed on
-    /// touch).
-    pub stack_size: usize,
-    /// Virtual nanoseconds the clock advances when the event queue runs
-    /// dry and idle ranks are woken to pump transports / recheck
-    /// termination.
-    pub idle_quantum_ns: u64,
-    /// Consecutive dry-queue wake rounds without any observable progress
-    /// (deliveries, counters, epochs, retransmissions) before the machine
-    /// fails with [`MachineError::SimStalled`] instead of spinning.
-    pub stall_rounds_limit: u64,
 }
+
+/// Stack size for the simulated rank threads. Rank bodies run real
+/// algorithm code, so this must fit the deepest call chain; 512 KiB is
+/// far above what the in-tree algorithms need while keeping 4096-rank
+/// machines cheap (pages are committed on touch).
+pub(crate) const STACK_SIZE: usize = 512 * 1024;
+/// Virtual nanoseconds the clock advances when the event queue runs dry
+/// and idle ranks are woken to pump transports / recheck termination.
+const IDLE_QUANTUM_NS: u64 = 1_000;
+/// Consecutive dry-queue wake rounds without any observable progress
+/// (deliveries, counters, epochs, retransmissions) before the machine
+/// fails with [`MachineError::SimStalled`] instead of spinning.
+const STALL_ROUNDS_LIMIT: u64 = 1024;
 
 impl SimPlan {
     /// A plan with uniform links, no perturbations, and default tuning.
@@ -240,9 +239,6 @@ impl SimPlan {
             stalls: Vec::new(),
             cadence: InvariantCadence::default(),
             record_events: 256,
-            stack_size: 512 * 1024,
-            idle_quantum_ns: 1_000,
-            stall_rounds_limit: 1024,
         }
     }
 
@@ -351,9 +347,6 @@ impl SimPlan {
             assert!(s.rank < nranks, "stall rank out of range");
             assert!(s.duration_ns > 0, "stall duration must be positive");
         }
-        assert!(self.stack_size >= 64 * 1024, "sim stack size below 64 KiB");
-        assert!(self.idle_quantum_ns >= 1, "idle quantum must be positive");
-        assert!(self.stall_rounds_limit >= 2, "stall rounds limit too small");
     }
 }
 
@@ -596,10 +589,6 @@ impl SimNet {
         }
     }
 
-    pub(crate) fn plan(&self) -> &SimPlan {
-        &self.plan
-    }
-
     /// Install the invariant hook (first installer wins — ranks race
     /// benignly when each installs the same check).
     pub(crate) fn set_invariant(&self, hook: Arc<InvariantHook>) {
@@ -748,7 +737,7 @@ impl SimNet {
                 && st
                     .queue
                     .first_key_value()
-                    .map(|(&(t, _), _)| t > st.now_ns.saturating_add(self.plan.idle_quantum_ns))
+                    .map(|(&(t, _), _)| t > st.now_ns.saturating_add(IDLE_QUANTUM_NS))
                     .unwrap_or(true);
             if !poll_due {
                 if let Some(((t, _), ev)) = st.queue.pop_first() {
@@ -774,7 +763,7 @@ impl SimNet {
                 let (_, sent, handled, _) = progress;
                 if st.last_progress == Some(progress) {
                     st.no_progress_rounds += 1;
-                    if st.no_progress_rounds >= self.plan.stall_rounds_limit {
+                    if st.no_progress_rounds >= STALL_ROUNDS_LIMIT {
                         return Outcome::Fail(MachineError::SimStalled {
                             rounds: st.no_progress_rounds,
                             time_ns: st.now_ns,
@@ -787,7 +776,7 @@ impl SimNet {
                     st.no_progress_rounds = 0;
                 }
                 st.wake_rounds += 1;
-                st.now_ns = st.now_ns.saturating_add(self.plan.idle_quantum_ns);
+                st.now_ns = st.now_ns.saturating_add(IDLE_QUANTUM_NS);
                 self.clock.store(st.now_ns, Relaxed);
                 for r in 0..self.nranks {
                     if st.rank_state[r] == RankState::Idle && !st.stalled[r] {

@@ -174,24 +174,12 @@ impl ShmConfig {
     }
 }
 
-/// Tuning for the TCP backend. Defaults suit loopback test runs; every
-/// knob is a builder so experiments can stress individual mechanisms
-/// (tiny queues for backpressure, zero reconnect budget for fail-fast).
+/// Tuning for the TCP backend: the knobs tests and experiments turn
+/// (frame bound, reconnect budget, the two fault harnesses). Queue depth,
+/// socket timeouts and the reconnect backoff curve are constants in
+/// `transport/tcp.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TcpConfig {
-    /// Encoded frames buffered per directed lane before the sender
-    /// blocks (bounded backpressure).
-    pub queue_capacity: usize,
-    /// Dial timeout per connection attempt (also bounds the handshake
-    /// reply wait).
-    pub connect_timeout: Duration,
-    /// Socket read timeout — the poll quantum at which reader threads
-    /// re-check shutdown, and the bound on a blocking handshake read.
-    pub read_timeout: Duration,
-    /// Socket write timeout: a peer that stops draining its receive
-    /// buffer fails the write (and triggers reconnection) instead of
-    /// wedging the writer thread.
-    pub write_timeout: Duration,
     /// Upper bound on an accepted frame body, bytes; a length prefix
     /// beyond this is a protocol violation and costs the connection.
     pub max_frame: u32,
@@ -199,16 +187,6 @@ pub struct TcpConfig {
     /// `frame::PROTOCOL_VERSION`. A test override: claiming a different
     /// version exercises the rejection path end to end.
     pub handshake_version: Option<u32>,
-    /// First reconnect delay (doubles per consecutive failure).
-    pub reconnect_base: Duration,
-    /// Upper bound on the growing reconnect delay.
-    pub reconnect_cap: Duration,
-    /// Fraction of each reconnect delay randomized away, `[0, 1)` — the
-    /// same decorrelation argument as [`FaultPlan::backoff_jitter`]
-    /// (deterministic hash of lane + attempt, no RNG state).
-    ///
-    /// [`FaultPlan::backoff_jitter`]: crate::FaultPlan::backoff_jitter
-    pub reconnect_jitter: f64,
     /// Consecutive failed dials of one lane after which the machine
     /// fails with [`MachineError::Transport`] instead of retrying
     /// forever. 0 = fail on the first lost connection.
@@ -226,15 +204,8 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            queue_capacity: 4096,
-            connect_timeout: Duration::from_secs(1),
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(1),
             max_frame: 1 << 20,
             handshake_version: None,
-            reconnect_base: Duration::from_millis(5),
-            reconnect_cap: Duration::from_millis(200),
-            reconnect_jitter: 0.25,
             max_reconnects: 20,
             kill_rx_every: None,
         }
@@ -242,22 +213,9 @@ impl Default for TcpConfig {
 }
 
 impl TcpConfig {
-    /// Set the per-lane outbound queue capacity, in frames.
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = cap;
-        self
-    }
-
     /// Set the reconnect budget (consecutive failed dials per lane).
     pub fn max_reconnects(mut self, n: u32) -> Self {
         self.max_reconnects = n;
-        self
-    }
-
-    /// Set the reconnect backoff range.
-    pub fn reconnect_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.reconnect_base = base;
-        self.reconnect_cap = cap;
         self
     }
 
@@ -276,16 +234,7 @@ impl TcpConfig {
     }
 
     fn validate(&self) {
-        assert!(
-            self.queue_capacity >= 1,
-            "tcp queue capacity must be at least 1"
-        );
         assert!(self.max_frame >= 64, "tcp max_frame must be at least 64");
-        assert!(
-            (0.0..1.0).contains(&self.reconnect_jitter),
-            "tcp reconnect_jitter must be in [0, 1): {}",
-            self.reconnect_jitter
-        );
         assert!(
             self.kill_rx_every != Some(0),
             "kill_rx_every must be at least 1 frame"
@@ -388,16 +337,6 @@ mod tests {
     #[should_panic(expected = "ring capacity")]
     fn zero_ring_capacity_rejected() {
         TransportKind::Shm(ShmConfig { ring_capacity: 0 }).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "reconnect_jitter")]
-    fn bad_jitter_rejected() {
-        let c = TcpConfig {
-            reconnect_jitter: 1.5,
-            ..TcpConfig::default()
-        };
-        TransportKind::Tcp(c).validate();
     }
 
     #[test]

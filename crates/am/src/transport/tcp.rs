@@ -58,6 +58,28 @@ use super::frame::{
 };
 use super::{TcpConfig, Transport, TransportError};
 
+/// Encoded frames buffered per directed lane before the sender blocks
+/// (bounded backpressure).
+const QUEUE_CAPACITY: usize = 4096;
+/// Dial timeout per connection attempt (also bounds the handshake reply
+/// wait).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Socket read timeout — the poll quantum at which reader threads
+/// re-check shutdown.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+/// Socket write timeout: a peer that stops draining its receive buffer
+/// fails the write (and triggers reconnection) instead of wedging the
+/// writer thread.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+/// First reconnect delay (doubles per consecutive failure).
+const RECONNECT_BASE: Duration = Duration::from_millis(5);
+/// Upper bound on the growing reconnect delay.
+const RECONNECT_CAP: Duration = Duration::from_millis(200);
+/// Fraction of each reconnect delay randomized away — the same
+/// decorrelation argument as `FaultPlan::backoff_jitter` (deterministic
+/// hash of lane + attempt, no RNG state).
+const RECONNECT_JITTER: f64 = 0.25;
+
 /// How long a dial/handshake failure is considered transient. Fatal
 /// outcomes (handshake rejections) skip the reconnect budget entirely.
 enum DialError {
@@ -85,9 +107,9 @@ impl Lane {
     /// reliability layer owns recovery.
     fn enqueue(&self, inner: &Inner, shared: &Shared, frame: Vec<u8>) {
         let mut q = self.q.lock();
-        if q.frames.len() >= inner.cfg.queue_capacity && !q.closed {
+        if q.frames.len() >= QUEUE_CAPACITY && !q.closed {
             MachineStats::bump(&shared.stats.transport_backpressure_stalls, 1);
-            while q.frames.len() >= inner.cfg.queue_capacity && !q.closed {
+            while q.frames.len() >= QUEUE_CAPACITY && !q.closed {
                 if inner.shutdown.load(SeqCst) || shared.wire_should_exit() {
                     return;
                 }
@@ -324,17 +346,17 @@ fn note_reconnect(shared: &Shared, from: RankId, to: RankId, attempt: u32) {
 /// Dial `to`'s listener and run the handshake for lane `from → to`.
 fn dial(inner: &Inner, shared: &Shared, from: RankId, to: RankId) -> Result<TcpStream, DialError> {
     let addr = inner.addrs[to];
-    let stream = TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout)
+    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
         .map_err(|e| DialError::Transient(format!("connect to {addr}: {e}")))?;
     let _ = stream.set_nodelay(true);
     stream
-        .set_write_timeout(Some(inner.cfg.write_timeout))
+        .set_write_timeout(Some(WRITE_TIMEOUT))
         .map_err(|e| DialError::Transient(format!("set_write_timeout: {e}")))?;
     // The handshake reply is awaited synchronously under the dial
     // timeout; the steady-state read timeout is irrelevant here (the
     // writer never reads again).
     stream
-        .set_read_timeout(Some(inner.cfg.connect_timeout))
+        .set_read_timeout(Some(CONNECT_TIMEOUT))
         .map_err(|e| DialError::Transient(format!("set_read_timeout: {e}")))?;
     let version = inner.cfg.handshake_version.unwrap_or(PROTOCOL_VERSION);
     let hello = frame::encode_hello(version, from, to);
@@ -380,14 +402,12 @@ fn writer(inner: &Inner, shared: &Shared, from: RankId, to: RankId) {
             note_reconnect(shared, from, to, attempt);
             // Capped exponential backoff with deterministic jitter,
             // slept in slices so shutdown stays responsive.
-            let exp = inner
-                .cfg
-                .reconnect_base
+            let exp = RECONNECT_BASE
                 .saturating_mul(1u32 << attempt.min(16).min(31))
-                .min(inner.cfg.reconnect_cap);
+                .min(RECONNECT_CAP);
             let delay = super::jittered(
                 exp,
-                inner.cfg.reconnect_jitter,
+                RECONNECT_JITTER,
                 (from * inner.nranks + to) as u64,
                 attempt,
             );
@@ -501,10 +521,7 @@ fn acceptor(
         // Handshake (bounded by the read timeout — a rogue that
         // connects and stalls costs one timeout, not a hang).
         let _ = stream.set_nodelay(true);
-        if stream
-            .set_read_timeout(Some(inner.cfg.connect_timeout))
-            .is_err()
-        {
+        if stream.set_read_timeout(Some(CONNECT_TIMEOUT)).is_err() {
             continue;
         }
         let mut hello_buf = [0u8; frame::HELLO_LEN];
@@ -556,10 +573,7 @@ fn acceptor(
 /// Read frames off one accepted connection for lane `peer → rank` until
 /// it dies (EOF, error, protocol violation, or the kill harness).
 fn reader(inner: &Inner, shared: &Shared, rank: RankId, peer: RankId, stream: TcpStream) {
-    if stream
-        .set_read_timeout(Some(inner.cfg.read_timeout))
-        .is_err()
-    {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
     }
     let mut stream = stream;

@@ -4,12 +4,12 @@
 //! default 64), plus a handler-re-send ping-pong that exercises the
 //! receive→handle→send chain. These are the headline numbers that the
 //! zero-contention hot-path work (batched counters, epoch-frozen dispatch
-//! tables, pooled envelopes) is measured by; `experiments --bench-json`
-//! records the same scenarios into `BENCH_*.json` for CI smoke tracking.
+//! tables, pooled envelopes) is measured by; the repo benchmark's
+//! `am-storm` workload (`BENCHMARK.json`) gates the same scenarios.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use dgp_bench::bench_json::{all_to_all, ping_pong};
+use dgp_bench::measure::{all_to_all, ping_pong};
 
 fn bench_all_to_all(c: &mut Criterion) {
     let ranks = 4;

@@ -16,13 +16,6 @@
 //! verifier (`dgp-core::verify`) over every registered pattern family,
 //! printing a diagnostics table; it exits nonzero if any error-severity
 //! diagnostic is found (CI runs this).
-//! `--bench-json PATH` skips the experiments and instead measures the raw
-//! message-rate + algorithm benchmark suite, writing a machine-readable
-//! `BENCH_*.json` to PATH (combine with `--small` for CI-sized runs).
-//! `--bench-transports PATH` skips the experiments and instead measures
-//! the all-to-all storm over every transport backend (inproc, shm, tcp,
-//! and tcp with forced connection kills), writing the per-backend
-//! message-rate document to PATH (the committed `BENCH_8.json`).
 //! `--sim` runs only E15: the deterministic-simulator rank-scaling table
 //! (up to 4096 simulated ranks on one thread pool) plus the adversarial
 //! schedule-exploration sweep; any failing cell is shrunk and its
@@ -57,7 +50,7 @@ fn lint() -> ! {
                 errors += 1;
             }
             t.row(vec![
-                p.name.to_string(),
+                p.name().to_string(),
                 d.action.clone(),
                 format!("{} {}", d.code.as_str(), d.code.title()),
                 match d.severity {
@@ -83,9 +76,26 @@ fn lint() -> ! {
     // proved about every compiled plan, per mode — the facts each proof
     // carries and how many per-message runtime guards compiled code omits
     // on its strength (INTERNALS §13). A plan that fails to compile (or
-    // compiles without a proof) is an error-severity finding.
-    use dgp_core::engine::static_compilability;
+    // compiles without a proof) is an error-severity finding. The
+    // "compiled" column is read off an installed engine
+    // (`PatternBuilder::jit_report`): what `add_action`'s own gate and
+    // compiler decided, per mode.
+    use dgp_core::engine::EngineConfig;
     use dgp_core::plan::{compile, PlanMode};
+    let modes = [
+        (PlanMode::Faithful, "faithful"),
+        (PlanMode::Optimized, "optimized"),
+    ];
+    let installed = modes.map(|(plan_mode, _)| {
+        let cfg = EngineConfig {
+            plan_mode,
+            ..EngineConfig::default()
+        };
+        dgp_algorithms::builtin_patterns()
+            .into_iter()
+            .map(|p| p.jit_report(cfg))
+            .collect::<Vec<_>>()
+    });
     let mut pt = Table::new(&[
         "pattern",
         "action",
@@ -95,140 +105,60 @@ fn lint() -> ! {
         "checks elided",
         "compiled",
     ]);
-    for p in dgp_algorithms::builtin_patterns() {
-        let hints: Vec<_> = p.maps.iter().map(|(_, h)| *h).collect();
-        for a in &p.actions {
-            for mode in [PlanMode::Faithful, PlanMode::Optimized] {
-                let mode_name = match mode {
-                    PlanMode::Faithful => "faithful",
-                    PlanMode::Optimized => "optimized",
-                };
-                match compile(&a.ir, mode) {
-                    Ok(plan) => match &plan.facts {
-                        Some(facts) => {
-                            // The plan JIT (INTERNALS §14) must accept
-                            // every clean proof-carrying plan; a fallback
-                            // here means a shipped pattern silently lost
-                            // its native handlers — error severity.
-                            let compiled = match static_compilability(&a.ir, &plan, &hints) {
-                                Ok(()) => "yes".to_string(),
-                                Err(fb) => {
-                                    errors += 1;
-                                    format!("NO: {fb}")
-                                }
-                            };
-                            pt.row(vec![
-                                p.name.to_string(),
-                                a.ir.name.clone(),
-                                mode_name.to_string(),
-                                "0".to_string(),
-                                facts.summary(),
-                                facts.runtime_checks_elided().to_string(),
-                                compiled,
-                            ]);
+    for (fi, p) in dgp_algorithms::builtin_patterns().iter().enumerate() {
+        for (ai, a) in p.actions().iter().enumerate() {
+            for (mi, (mode, mode_name)) in modes.into_iter().enumerate() {
+                // The plan JIT (INTERNALS §14) must accept every clean
+                // proof-carrying plan; a fallback here means a shipped
+                // pattern silently lost its native handlers — error
+                // severity.
+                let compiled = match &installed[mi][fi] {
+                    Ok(report) => match report[ai] {
+                        None => "yes".to_string(),
+                        Some(fb) => {
+                            errors += 1;
+                            format!("NO: {fb}")
                         }
+                    },
+                    Err(_) => "-".to_string(),
+                };
+                let (diags, facts, elided) = match compile(&a.ir, mode) {
+                    Ok(plan) => match &plan.facts {
+                        Some(facts) => (
+                            0,
+                            facts.summary(),
+                            facts.runtime_checks_elided().to_string(),
+                        ),
                         None => {
                             errors += 1;
-                            pt.row(vec![
-                                p.name.to_string(),
-                                a.ir.name.clone(),
-                                mode_name.to_string(),
-                                "0".to_string(),
-                                "NO PROOF".to_string(),
-                                "0".to_string(),
-                                "no (no proof)".to_string(),
-                            ]);
+                            (0, "NO PROOF".to_string(), "0".to_string())
                         }
                     },
                     Err(e) => {
                         errors += e.diagnostics.len().max(1);
-                        pt.row(vec![
-                            p.name.to_string(),
-                            a.ir.name.clone(),
-                            mode_name.to_string(),
-                            e.diagnostics.len().to_string(),
-                            format!(
-                                "REJECTED: {}",
-                                e.diagnostics
-                                    .first()
-                                    .map(|d| d.code.as_str())
-                                    .unwrap_or("?")
-                            ),
+                        let first = e.diagnostics.first().map_or("?", |d| d.code.as_str());
+                        (
+                            e.diagnostics.len(),
+                            format!("REJECTED: {first}"),
                             "0".to_string(),
-                            "-".to_string(),
-                        ]);
+                        )
                     }
-                }
+                };
+                pt.row(vec![
+                    p.name().to_string(),
+                    a.ir.name.clone(),
+                    mode_name.to_string(),
+                    diags.to_string(),
+                    facts,
+                    elided,
+                    compiled,
+                ]);
             }
         }
     }
     println!("\nplan soundness (proof-carrying plans per mode):");
     pt.print();
     std::process::exit(if errors > 0 { 1 } else { 0 });
-}
-
-/// `--bench-json PATH`: run the benchmark suite and write the report.
-fn bench_json(path: &str, small: bool) -> ! {
-    use dgp_bench::bench_json;
-
-    let report = bench_json::collect(small);
-    println!(
-        "headline: {:.2}M msgs/sec (all_to_all, {} ranks, coalescing {})",
-        report.headline_msgs_per_sec / 1e6,
-        bench_json::HEADLINE_RANKS,
-        bench_json::HEADLINE_COALESCING,
-    );
-    for p in &report.message_rate {
-        println!(
-            "  {:<10} ranks={} coalescing={:<4} {:>9} msgs in {:>9.2} ms  ({:.2}M/s)",
-            p.scenario,
-            p.ranks,
-            p.coalescing,
-            p.messages,
-            p.millis,
-            p.msgs_per_sec / 1e6
-        );
-    }
-    for a in &report.algorithms {
-        println!(
-            "  {:<22} {:>9.2} ms  {:>9} msgs  {:>3} epochs  mean epoch {:>9.1} us",
-            a.name, a.millis, a.messages, a.epochs, a.mean_epoch_us
-        );
-    }
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("--bench-json {path}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {path}");
-    std::process::exit(0);
-}
-
-/// `--bench-transports PATH`: run the per-backend message-rate sweep and
-/// write the transport comparison report.
-fn bench_transports(path: &str, small: bool) -> ! {
-    use dgp_bench::bench_json;
-
-    let report = bench_json::collect_transports(small);
-    for p in &report.transports {
-        println!(
-            "  {:<10} ranks={} coalescing={:<4} {:>9} msgs in {:>9.2} ms  ({:.2}M/s)  \
-             reconnects={} retransmits={}",
-            p.backend,
-            p.ranks,
-            p.coalescing,
-            p.messages,
-            p.millis,
-            p.msgs_per_sec / 1e6,
-            p.reconnects,
-            p.retransmits,
-        );
-    }
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("--bench-transports {path}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {path}");
-    std::process::exit(0);
 }
 
 /// `--sim-replay PATH`: parse one `[replay]` block and re-run the exact
@@ -299,24 +229,6 @@ fn main() {
                     "--transport needs one of inproc|shm|tcp (got {})",
                     other.unwrap_or("nothing")
                 );
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-json") {
-        match args.get(i + 1) {
-            Some(path) => bench_json(&path.clone(), small),
-            None => {
-                eprintln!("--bench-json needs a file argument");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-transports") {
-        match args.get(i + 1) {
-            Some(path) => bench_transports(&path.clone(), small),
-            None => {
-                eprintln!("--bench-transports needs a file argument");
                 std::process::exit(2);
             }
         }
@@ -1058,39 +970,18 @@ mod exp {
         let mut t = Table::new(&["mode", "plan msgs/edge", "time", "messages"]);
         let g2 = graph.clone();
         let mut out = Machine::run(MachineConfig::new(3), move |ctx| {
+            use dgp_algorithms::pagerank::PushPull;
             use dgp_core::strategies::once;
-            use dgp_graph::properties::AtomicVertexMap;
-            let engine =
-                dgp_core::engine::PatternEngine::new(ctx, g2.clone(), EngineConfig::default());
-            let dist = g2.distribution();
-            let rank_m = ctx.share(|| AtomicVertexMap::new(dist, 1.0f64));
-            let deg = ctx.share(|| AtomicVertexMap::new(dist, 0u64));
-            let acc_push = ctx.share(|| AtomicVertexMap::new(dist, 0.0f64));
-            let acc_pull = ctx.share(|| AtomicVertexMap::new(dist, 0.0f64));
-            let rank_id = engine.register_vertex_map(&rank_m);
-            let deg_id = engine.register_vertex_map(&deg);
-            let push_id = engine.register_vertex_map(&acc_push);
-            let pull_id = engine.register_vertex_map(&acc_pull);
-            let push = engine
-                .add_action(patterns::pr_contribute(rank_id, deg_id, push_id))
-                .unwrap();
-            let pull = engine
-                .add_action(patterns::pr_pull(rank_id, deg_id, pull_id))
-                .unwrap();
-            let r = ctx.rank();
-            let sh = g2.shard(r);
-            for (li, v) in dist.owned(r).enumerate() {
-                deg.set(r, v, sh.out_degree(li) as u64);
-            }
-            ctx.barrier();
-            let locals: Vec<_> = dist.owned(r).collect();
+            let pp = PushPull::install(ctx, &g2, 1.0, EngineConfig::default());
+            let (engine, push, pull) = (&pp.engine, pp.push, pp.pull);
+            let locals: Vec<_> = g2.distribution().owned(ctx.rank()).collect();
             let t0 = std::time::Instant::now();
             let before = ctx.stats();
-            once(ctx, &engine, push, &locals);
+            once(ctx, engine, push, &locals);
             let push_ms = t0.elapsed().as_secs_f64() * 1e3;
             let mid = ctx.stats();
             let t1 = std::time::Instant::now();
-            once(ctx, &engine, pull, &locals);
+            once(ctx, engine, pull, &locals);
             let pull_ms = t1.elapsed().as_secs_f64() * 1e3;
             let after = ctx.stats();
             (ctx.rank() == 0).then(|| {
@@ -1099,8 +990,8 @@ mod exp {
                     mid.since(&before).messages_sent,
                     pull_ms,
                     after.since(&mid).messages_sent,
-                    acc_push.snapshot(),
-                    acc_pull.snapshot(),
+                    pp.acc_push.snapshot(),
+                    pp.acc_pull.snapshot(),
                 )
             })
         });
@@ -1674,7 +1565,6 @@ mod exp {
     /// backend must return bit-identical distances.
     pub fn e16(small: bool) {
         use dgp_algorithms::{run_sssp, Run};
-        use dgp_bench::bench_json;
 
         header(
             "E16",
@@ -1694,7 +1584,7 @@ mod exp {
             "reconnects",
             "retransmits",
         ]);
-        for p in bench_json::transport_rows(small) {
+        for p in measure::transport_rows(small) {
             t.row(vec![
                 p.backend.clone(),
                 p.messages.to_string(),
@@ -1713,7 +1603,7 @@ mod exp {
         let baseline = run_sssp(&el, 3, 0, SsspStrategy::Delta(0.4));
         let bits: Vec<u64> = baseline.iter().map(|d| d.to_bits()).collect();
         print!("\nSSSP (RMAT scale {scale}, 3 ranks) bit-identical across backends:");
-        for (name, kind) in bench_json::transport_backends() {
+        for (name, kind) in measure::transport_backends() {
             let cfg = dgp_am::MachineConfig::new(3).coalescing(8).transport(kind);
             let out = Run::on(cfg)
                 .sssp(&el, 0, SsspStrategy::Delta(0.4))

@@ -4,7 +4,6 @@
 //! regenerates every figure/experiment table in `EXPERIMENTS.md`) and the
 //! Criterion benches.
 
-pub mod bench_json;
 pub mod measure;
 pub mod table;
 pub mod workloads;

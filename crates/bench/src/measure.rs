@@ -1,11 +1,17 @@
 //! Instrumented end-to-end runs: build the distributed graph, run the
 //! algorithm on a simulated machine, collect timing + engine + runtime
-//! counters, and validate against the sequential oracle.
+//! counters, and validate against the sequential oracle. Also the raw
+//! `dgp-am` storm kernels (all-to-all, ping-pong, the per-transport
+//! sweep) behind E16 and `benches/message_rate.rs`.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dgp_algorithms::{handwritten, seq, sssp::Sssp, SsspStrategy};
-use dgp_am::{AmCtx, EpochProfile, Machine, MachineConfig};
+use dgp_am::{
+    AmCtx, EpochProfile, Machine, MachineConfig, ShmConfig, StatsSnapshot, TcpConfig, TransportKind,
+};
 use dgp_core::engine::EngineConfig;
 use dgp_graph::properties::{AtomicVertexMap, EdgeMap};
 use dgp_graph::{DistGraph, Distribution, EdgeList, VertexId};
@@ -230,6 +236,139 @@ pub fn cc_sequential(el: &EdgeList) -> CcMeasurement {
     }
 }
 
+/// All-to-all storm: every rank sends `per_rank` messages round-robin to
+/// every rank (self included) in one epoch. Returns `(messages, millis)`.
+pub fn all_to_all(ranks: usize, per_rank: u64, coalescing: usize) -> (u64, f64) {
+    // Pinned to the in-process transport: the row must not move when
+    // DGP_TRANSPORT is set — the per-backend comparison lives in
+    // `transport_rows`.
+    let cfg = MachineConfig::new(ranks)
+        .coalescing(coalescing)
+        .transport(TransportKind::Inproc);
+    let (messages, millis, _) = all_to_all_stats(cfg, per_rank);
+    (messages, millis)
+}
+
+/// Ping-pong: `chains` independent chains hop between two ranks until a
+/// hop countdown expires; handlers re-send, so the chain exercises the
+/// handler→send path. Returns `(messages, millis)`.
+pub fn ping_pong(chains: u64, hops: u64, coalescing: usize) -> (u64, f64) {
+    let count = Arc::new(AtomicU64::new(0));
+    let c2 = count.clone();
+    let t0 = Instant::now();
+    let cfg = MachineConfig::new(2)
+        .coalescing(coalescing)
+        .transport(TransportKind::Inproc);
+    Machine::run(cfg, move |ctx| {
+        let count = c2.clone();
+        let mt = ctx.register_named("pingpong", move |ctx, left: u64| {
+            count.fetch_add(1, Relaxed);
+            if left > 0 {
+                let other = 1 - ctx.rank();
+                ctx.send(other, left - 1);
+            }
+        });
+        ctx.epoch(|ctx| {
+            if ctx.rank() == 0 {
+                for _ in 0..chains {
+                    mt.send(ctx, 1, hops - 1);
+                }
+            }
+        });
+    });
+    let millis = t0.elapsed().as_secs_f64() * 1e3;
+    (count.load(Relaxed), millis)
+}
+
+/// All-to-all storm on a caller-supplied config (any transport backend),
+/// returning rank 0's stats alongside the count and wall time.
+pub fn all_to_all_stats(cfg: MachineConfig, per_rank: u64) -> (u64, f64, StatsSnapshot) {
+    let ranks = cfg.ranks;
+    let t0 = Instant::now();
+    let out = Machine::run(cfg, move |ctx| {
+        let mt = ctx.register_named("storm", |_ctx, _x: u64| {});
+        ctx.epoch(|ctx| {
+            let n = ctx.num_ranks();
+            for i in 0..per_rank {
+                mt.send(ctx, (i as usize) % n, i);
+            }
+        });
+        ctx.stats()
+    });
+    let millis = t0.elapsed().as_secs_f64() * 1e3;
+    let stats = out.into_iter().next().unwrap();
+    (ranks as u64 * per_rank, millis, stats)
+}
+
+/// One per-backend throughput row (EXPERIMENTS E16).
+#[derive(Debug, Clone)]
+pub struct TransportPoint {
+    /// Backend label (`inproc`, `shm`, `tcp`, `tcp+kill`).
+    pub backend: String,
+    /// Ranks in the machine.
+    pub ranks: usize,
+    /// Coalescing capacity used.
+    pub coalescing: usize,
+    /// Total logical messages carried.
+    pub messages: u64,
+    /// Wall-clock milliseconds.
+    pub millis: f64,
+    /// Logical messages per second.
+    pub msgs_per_sec: f64,
+    /// Transport frames accepted for sending.
+    pub frames_sent: u64,
+    /// Sends that blocked on a full ring or lane queue.
+    pub backpressure_stalls: u64,
+    /// Connections re-established mid-run (tcp only).
+    pub reconnects: u64,
+    /// Reliability-layer retransmissions (lossy backends only).
+    pub retransmits: u64,
+}
+
+/// The backends the transport comparison sweeps: the three clean
+/// backends, plus TCP with the kill harness forcibly closing every
+/// connection after its 50th received frame.
+pub fn transport_backends() -> Vec<(&'static str, TransportKind)> {
+    vec![
+        ("inproc", TransportKind::Inproc),
+        ("shm", TransportKind::Shm(ShmConfig::default())),
+        ("tcp", TransportKind::Tcp(TcpConfig::default())),
+        (
+            "tcp+kill",
+            TransportKind::Tcp(TcpConfig::default().kill_rx_every(50)),
+        ),
+    ]
+}
+
+/// Measure the all-to-all storm (4 ranks, coalescing 64) over every
+/// transport backend.
+pub fn transport_rows(small: bool) -> Vec<TransportPoint> {
+    const RANKS: usize = 4;
+    const COALESCING: usize = 64;
+    let per_rank: u64 = if small { 20_000 } else { 100_000 };
+    transport_backends()
+        .into_iter()
+        .map(|(name, kind)| {
+            let cfg = MachineConfig::new(RANKS)
+                .coalescing(COALESCING)
+                .transport(kind);
+            let (messages, millis, stats) = all_to_all_stats(cfg, per_rank);
+            TransportPoint {
+                backend: name.to_string(),
+                ranks: RANKS,
+                coalescing: COALESCING,
+                messages,
+                millis,
+                msgs_per_sec: messages as f64 / (millis / 1e3),
+                frames_sent: stats.transport_frames_sent,
+                backpressure_stalls: stats.transport_backpressure_stalls,
+                reconnects: stats.transport_reconnects,
+                retransmits: stats.retransmits,
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,5 +408,13 @@ mod tests {
         assert_eq!(a.components, 4);
         assert_eq!(b.components, 4);
         assert_eq!(c.components, 4);
+    }
+
+    #[test]
+    fn raw_scenarios_count_messages_exactly() {
+        let (m, _) = all_to_all(2, 1_000, 16);
+        assert_eq!(m, 2_000);
+        let (m, _) = ping_pong(4, 50, 8);
+        assert_eq!(m, 4 * 50);
     }
 }

@@ -45,7 +45,7 @@ use super::exec::{ActionMsg, CompiledAction, EngineInner, Resolver, SlotReader};
 use super::maps::{AtomicMapHandle, EdgeMapHandle, ErasedMap, SetMapHandle, ValCodec};
 use super::value::{EnvView, Val};
 use super::{EngineConfig, EngineStats, Exec, SyncMode};
-use crate::ir::{ActionIr, GenItem, GeneratorIr, ModKind, ReadRef};
+use crate::ir::{GenItem, GeneratorIr, ModKind};
 use crate::plan::{ExecPlan, ExecStep};
 
 /// What a compiled step tells the driver loop to do next.
@@ -104,39 +104,6 @@ pub(crate) struct JitProgram {
     pub(crate) steps: Vec<StepFn>,
     /// The compiled generator.
     pub(crate) gen: JitGen,
-}
-
-/// The value type a registered map stores, as the compiler's supported
-/// [`ValCodec`] instantiations name them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecKind {
-    /// `u64`.
-    U64,
-    /// `u32`.
-    U32,
-    /// `usize`.
-    Usize,
-    /// `i64`.
-    I64,
-    /// `f64`.
-    F64,
-    /// `bool`.
-    Bool,
-    /// `Option<VertexId>`.
-    OptVertex,
-}
-
-/// What kind of map a pattern's `MapId` refers to — the static stand-in
-/// for the runtime downcast, so [`static_compilability`] can run without
-/// an engine (the `--lint` seam).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MapHint {
-    /// An atomic vertex property map of the given value type.
-    Vertex(CodecKind),
-    /// An edge property map of the given value type.
-    Edge(CodecKind),
-    /// A set-valued vertex map (`Vec<VertexId>` per vertex).
-    Set,
 }
 
 /// The access the compiler was trying to devirtualize when it gave up.
@@ -284,11 +251,13 @@ fn set_map(
         .ok_or(JitFallback::UnsupportedMap { map: mid, access })
 }
 
-/// The config/proof gate, in diagnostic order: the executor choice
-/// first, then the proof. Identical on every rank (the config is part of
-/// collective construction), so either all ranks compile an action or
-/// none do.
-fn gate(cfg: &EngineConfig, plan: &ExecPlan) -> Result<(), JitFallback> {
+/// The config/proof gate every action passes before the compiler looks
+/// at it, in diagnostic order: the executor choice first, then the proof.
+/// Identical on every rank (the config is part of collective
+/// construction), so either all ranks compile an action or none do.
+/// Public (as [`super::jit_gate`]) so the mutation tests can show a plan
+/// stripped of its proof to the check `add_action` itself runs.
+pub fn gate(cfg: &EngineConfig, plan: &ExecPlan) -> Result<(), JitFallback> {
     if cfg.exec == Exec::Reference {
         return Err(JitFallback::Reference);
     }
@@ -743,93 +712,4 @@ fn compile_eval_modify(
             Ctl::Next(if fired { on_true } else { on_false })
         },
     ))
-}
-
-/// Would the compiler accept this action, given only static information?
-/// The runtime compiler (`compile`) downcasts live map handles; tools
-/// without an engine — `experiments --lint` foremost — pass the maps'
-/// declared [`MapHint`]s instead. Checks the proof first (a factless plan
-/// must never reach the JIT), then every map access the plan performs
-/// against its hint. `Ok(())` means a default-config engine whose
-/// registered maps match the hints will compile the action.
-pub fn static_compilability(
-    ir: &ActionIr,
-    plan: &ExecPlan,
-    maps: &[MapHint],
-) -> Result<(), JitFallback> {
-    if plan.facts.is_none() {
-        return Err(JitFallback::NoFacts);
-    }
-    let hint = |mid: usize| {
-        maps.get(mid)
-            .copied()
-            .ok_or(JitFallback::UnregisteredMap(mid))
-    };
-    for r in &ir.slots {
-        match r {
-            ReadRef::VertexProp { map, .. } => {
-                let mid = *map as usize;
-                if !matches!(hint(mid)?, MapHint::Vertex(_)) {
-                    return Err(JitFallback::UnsupportedMap {
-                        map: mid,
-                        access: MapAccess::VertexRead,
-                    });
-                }
-            }
-            ReadRef::EdgeProp { map } => {
-                let mid = *map as usize;
-                if !matches!(hint(mid)?, MapHint::Edge(_)) {
-                    return Err(JitFallback::UnsupportedMap {
-                        map: mid,
-                        access: MapAccess::EdgeRead,
-                    });
-                }
-            }
-        }
-    }
-    for c in &ir.conditions {
-        for m in &c.mods {
-            let mid = m.map as usize;
-            match m.kind {
-                ModKind::Assign => {
-                    if !matches!(hint(mid)?, MapHint::Vertex(_)) {
-                        return Err(JitFallback::UnsupportedMap {
-                            map: mid,
-                            access: MapAccess::Assign,
-                        });
-                    }
-                }
-                ModKind::Insert => {
-                    if hint(mid)? != MapHint::Set {
-                        return Err(JitFallback::UnsupportedMap {
-                            map: mid,
-                            access: MapAccess::Insert,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    match ir.generator {
-        GeneratorIr::MapSet(m) => {
-            let mid = m as usize;
-            if hint(mid)? != MapHint::Set {
-                return Err(JitFallback::UnsupportedMap {
-                    map: mid,
-                    access: MapAccess::SetEnumerate,
-                });
-            }
-        }
-        GeneratorIr::OutEdgesFiltered { weight, .. } => {
-            let mid = weight as usize;
-            if hint(mid)? != MapHint::Edge(CodecKind::F64) {
-                return Err(JitFallback::UnsupportedMap {
-                    map: mid,
-                    access: MapAccess::EdgeFilter,
-                });
-            }
-        }
-        _ => {}
-    }
-    Ok(())
 }

@@ -79,10 +79,6 @@ pub(crate) enum SlotReader {
 pub(crate) struct CompiledAction {
     pub ir: ActionIr,
     pub plan: plan::ExecPlan,
-    /// `ActionMsg` sends attributed to this action on this rank (initial
-    /// invocations plus remote `Goto` hops) — the per-action share of the
-    /// machine's message counts.
-    msgs_sent: AtomicU64,
     pub(crate) tests: Vec<crate::builder::TestFn>,
     pub(crate) mods: Vec<Vec<ModExec>>,
     pub(crate) dep: Vec<Vec<bool>>,
@@ -252,7 +248,6 @@ impl PatternEngine {
         let mut compiled = CompiledAction {
             ir,
             plan,
-            msgs_sent: AtomicU64::new(0),
             tests,
             mods,
             dep,
@@ -275,11 +270,6 @@ impl PatternEngine {
         actions.push(compiled);
         self.inner.hooks.write().push(None);
         Ok((actions.len() - 1) as ActionId)
-    }
-
-    /// The compiled plan of an action (inspection/reporting).
-    pub fn plan_of(&self, action: ActionId) -> plan::ExecPlan {
-        self.inner.actions.read()[action as usize].plan.clone()
     }
 
     /// Whether this action runs as compiled native closures instead of
@@ -318,9 +308,6 @@ impl PatternEngine {
             gen: GenItem::None,
             env: EnvArr::default(),
         };
-        self.inner.actions.read()[action as usize]
-            .msgs_sent
-            .fetch_add(1, Ordering::Relaxed);
         let mt = *self.inner.msg.get().expect("engine constructed");
         mt.send(ctx, self.inner.graph.owner(v), msg);
     }
@@ -352,20 +339,6 @@ impl PatternEngine {
     /// count.
     pub fn locality_violations(&self) -> u64 {
         self.inner.locality_violations.load(Ordering::SeqCst)
-    }
-
-    /// Per-action message counts on this rank: `(action name, ActionMsg
-    /// sends)`, in registration order. Attributes the machine's message
-    /// traffic to the actions that caused it (initial invocations plus
-    /// remote `Goto` hops; inline same-rank hops send nothing and are
-    /// not counted).
-    pub fn action_message_counts(&self) -> Vec<(String, u64)> {
-        self.inner
-            .actions
-            .read()
-            .iter()
-            .map(|a| (a.ir.name.clone(), a.msgs_sent.load(Ordering::Relaxed)))
-            .collect()
     }
 }
 
@@ -446,7 +419,7 @@ impl EngineInner {
     /// has them, the guarded interpreter otherwise.
     fn run(&self, ctx: &AmCtx, action: &CompiledAction, msg: ActionMsg) {
         if let Some(jit) = &action.jit {
-            self.run_jit(ctx, action, jit, msg);
+            self.run_jit(ctx, jit, msg);
         } else {
             self.run_steps(ctx, action, msg);
         }
@@ -455,7 +428,7 @@ impl EngineInner {
     /// Drive a compiled action: each step closure returns what to do
     /// next; hops reuse the interpreter's send-or-inline rule (and its
     /// coalescing buffers — the same single message type).
-    fn run_jit(&self, ctx: &AmCtx, action: &CompiledAction, jit: &JitProgram, mut msg: ActionMsg) {
+    fn run_jit(&self, ctx: &AmCtx, jit: &JitProgram, mut msg: ActionMsg) {
         loop {
             match (jit.steps[msg.pc as usize])(self, ctx, &mut msg) {
                 Ctl::Next(pc) => msg.pc = pc,
@@ -465,7 +438,6 @@ impl EngineInner {
                         msg.at = target;
                         let dest = self.graph.owner(target);
                         if dest != self.rank || self.cfg.self_send {
-                            action.msgs_sent.fetch_add(1, Ordering::Relaxed);
                             let mt = *self.msg.get().expect("engine constructed");
                             mt.send(ctx, dest, msg);
                             return;
@@ -611,7 +583,6 @@ impl EngineInner {
                         msg.at = target;
                         let dest = self.graph.owner(target);
                         if dest != self.rank || self.cfg.self_send {
-                            action.msgs_sent.fetch_add(1, Ordering::Relaxed);
                             let mt = *self.msg.get().expect("engine constructed");
                             mt.send(ctx, dest, msg);
                             return;

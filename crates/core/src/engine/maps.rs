@@ -52,9 +52,8 @@ pub trait ErasedMap: Send + Sync {
     /// Whether this map stores vertex or edge values.
     fn kind(&self) -> PropertyKind;
 
-    /// Downcasting hook for the plan compiler
-    /// ([`crate::engine::static_compilability`] and INTERNALS §14): the
-    /// JIT recovers the concrete typed handle behind the erasure so
+    /// Downcasting hook for the plan compiler (INTERNALS §14): the JIT
+    /// recovers the concrete typed handle behind the erasure so
     /// compiled closures read and write through monomorphized map code.
     /// Return `self`; a handle type the compiler does not recognize
     /// simply keeps the action on the interpreter.

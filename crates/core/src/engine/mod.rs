@@ -14,7 +14,7 @@ mod exec;
 mod maps;
 mod value;
 
-pub use compiled::{static_compilability, CodecKind, JitFallback, MapAccess, MapHint};
+pub use compiled::{gate as jit_gate, JitFallback, MapAccess};
 pub use exec::{ActionId, ActionMsg, ModExec, ModOp, PatternEngine, WorkHook};
 pub use maps::{AtomicMapHandle, EdgeMapHandle, ErasedMap, SetMapHandle, ValCodec};
 pub use value::{EnvArr, EnvView, Val, MAX_SLOTS};

@@ -36,12 +36,13 @@ fn main() {
         el.num_vertices()
     );
 
-    let el2 = el.clone();
+    let weights = EdgeMap::from_weights(&graph, &el);
     let mut out = Machine::run(MachineConfig::new(4), move |ctx| {
         // --- pattern SSSP { dist; weight; relax } -----------------------
         let mut p = PatternBuilder::new("SSSP");
-        let dist = p.vertex_property("dist", f64::INFINITY);
-        let weight = p.edge_weights("weight");
+        let dist_prop = p.vertex_property("dist", f64::INFINITY);
+        let weight_prop = p.edge_property::<f64>("weight");
+        let (dist, weight) = (dist_prop.id(), weight_prop.id());
         let mut b = ActionBuilder::new("relax", GeneratorIr::OutEdges);
         let d_t = b.read_vertex(dist, Place::GenTrg);
         let d_v = b.read_vertex(dist, Place::Input);
@@ -52,12 +53,10 @@ fn main() {
         .assign(dist, Place::GenTrg, &[d_v, w_e], move |e, _| {
             Val::F(e.f64(d_v) + e.f64(w_e))
         });
-        p.action(b.build().unwrap());
-        let sssp = p
-            .install(ctx, &graph, Some(&el2), EngineConfig::default())
-            .unwrap();
-        let dist_map = sssp.vertex_map::<f64>("dist");
-        let relax = sssp.action("relax");
+        let relax = p.action(b.build().unwrap());
+        p.bind(weight_prop, &weights);
+        let sssp = p.install(ctx, &graph, EngineConfig::default()).unwrap();
+        let dist_map = sssp.map(dist_prop);
         let engine = &sssp.engine;
 
         // --- the custom strategy ---------------------------------------
