@@ -22,8 +22,10 @@ pub enum TerminationMode {
     /// A faithful distributed algorithm: rank 0 circulates count-collecting
     /// token waves around a ring of control channels and declares
     /// termination after two consecutive stable waves with `sent ==
-    /// handled` (a four-counter / Safra-style scheme). No cross-rank shared
-    /// state is read; only messages.
+    /// handled` (a four-counter / Safra-style scheme). Epoch *exit* reads
+    /// no cross-rank shared state, only messages. [`crate::AmCtx::try_finish`]
+    /// is not covered by the mode: it runs the shared-counter double scan
+    /// under either setting.
     FourCounterWave,
 }
 

@@ -29,8 +29,9 @@
 //!
 //! ## Four-counter waves (faithful distributed algorithm)
 //!
-//! No cross-rank memory is read; rank 0 circulates a token along the ring of
-//! control channels. Each idle rank adds its local `(sent, handled)` to the
+//! Epoch exit reads no cross-rank memory (`try_finish`, below, reads the
+//! shared counters in this mode too); rank 0 circulates a token along the
+//! ring of control channels. Each idle rank adds its local `(sent, handled)` to the
 //! token and forwards it. When a wave returns, rank 0 compares it with the
 //! previous wave and terminates when **two consecutive waves report the same
 //! totals with `sent == handled`** (Mattern's four-counter condition): wave
@@ -48,10 +49,11 @@
 //! strategy). For strategies that instead want to end an epoch from within
 //! ([`crate::AmCtx::try_finish`]), the contract is: call only when the
 //! calling rank has no deferred local work. `try_finish` then performs a
-//! *double scan* — flags, counters, flags, counters must all be stable —
-//! and every handler lowers its rank's idle flag when it starts, so a
-//! handler that deposited local work after a rank last declared itself idle
-//! is always caught by one of the two scans.
+//! *double scan* of the shared idle flags and counters — flags, counters,
+//! flags, counters must all be stable — in both termination modes (only
+//! epoch exit has a wave variant). Every handler lowers its rank's idle
+//! flag when it starts, so a handler that deposited local work after a
+//! rank last declared itself idle is always caught by one of the two scans.
 //!
 //! ## Interaction with batched counters
 //!

@@ -1,8 +1,10 @@
 //! The experiment harness: regenerates every figure and experiment in
 //! `EXPERIMENTS.md`.
 //!
-//! Usage: `experiments [id ...]` where ids are f1 f2 f3 f5 f6 e1..e16, or
-//! nothing (= all). Scale with `--small` for quick runs.
+//! Usage: `experiments [flags] [id ...]` where the ids are the rows of
+//! [`EXPERIMENTS`] (f1 f2 f3 f5 f6 e1..e16), or nothing (= all, in table
+//! order). An unknown id or flag exits 2 and prints the valid ones.
+//! Scale with `--small` for quick runs.
 //! `--transport inproc|shm|tcp` runs every experiment over the chosen
 //! transport backend (sets `DGP_TRANSPORT`, which every `MachineConfig`
 //! reads; E16 always sweeps all backends regardless). `--metrics DIR`
@@ -16,14 +18,14 @@
 //! verifier (`dgp-core::verify`) over every registered pattern family,
 //! printing a diagnostics table; it exits nonzero if any error-severity
 //! diagnostic is found (CI runs this).
-//! `--sim` runs only E15: the deterministic-simulator rank-scaling table
-//! (up to 4096 simulated ranks on one thread pool) plus the adversarial
-//! schedule-exploration sweep; any failing cell is shrunk and its
-//! `[replay]` block printed, and the process exits nonzero.
 //! `--sim-replay PATH` skips the experiments and instead replays one
 //! `[replay]` block (as produced by the explorer/shrinker or
 //! `dgp_sim::to_replay`) from PATH, printing the outcome; exits nonzero
 //! if the scenario still fails.
+//!
+//! An experiment returns its number of failing cells (E15's shrunk
+//! schedule-exploration failures; the others assert); the process exits 1
+//! if the sum is nonzero.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -210,144 +212,260 @@ fn sim_replay(path: &str) -> ! {
     }
 }
 
+/// One row of the experiment table: the id the command line and the
+/// `## <ID> —` heading in `EXPERIMENTS.md` share, the header lines printed
+/// above its output, and the function that runs it and returns its number
+/// of failing cells.
+struct Experiment {
+    id: &'static str,
+    title: &'static str,
+    /// The figure, section or claim of the paper the experiment answers to.
+    paper: &'static str,
+    run: fn(&Opts) -> usize,
+}
+
+/// Every experiment, in the order a run without ids executes them.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "F1",
+        title: "fixed-point SSSP and Δ-stepping share one relax pattern",
+        paper: "Fig. 1 + §II-A: \"the two algorithms share the relax function\"",
+        run: exp::f1,
+    },
+    Experiment {
+        id: "F2",
+        title: "the SSSP pattern and its automatically generated plan",
+        paper: "Figs. 2/4: the pattern source; §IV-A: the translation",
+        run: exp::f2,
+    },
+    Experiment {
+        id: "F3",
+        title: "CC: parallel search + pointer jumping vs label propagation vs union-find",
+        paper: "Fig. 3 + §II-B (\"see [7] for a comparison of a few popular algorithms\")",
+        run: exp::f3,
+    },
+    Experiment {
+        id: "F5",
+        title: "gather traversal of the general dependency tree",
+        paper: "Fig. 5: 8 messages depth-first; dashed line = straight-jump optimization",
+        run: exp::f5,
+    },
+    Experiment {
+        id: "F6",
+        title: "one-message communication for the SSSP pattern",
+        paper: "Fig. 6: condition evaluation and modification merged at trg(e)",
+        run: exp::f6,
+    },
+    Experiment {
+        id: "E1",
+        title: "message coalescing: buffer-capacity sweep",
+        paper: "§IV: \"coalescing greatly improves performance when large amounts of messages are sent\"",
+        run: exp::e1,
+    },
+    Experiment {
+        id: "E2",
+        title: "message caching: duplicate elimination on a BFS frontier",
+        paper: "§IV: \"caching allows to avoid unnecessary message sends and the corresponding handler calls\"",
+        run: exp::e2,
+    },
+    Experiment {
+        id: "E3",
+        title: "message reduction: min-combining SSSP relaxations per target",
+        paper: "§II-B: \"our implementation based on AM++ allows reductions of unnecessary communication\"",
+        run: exp::e3,
+    },
+    Experiment {
+        id: "E4",
+        title: "Δ-stepping: the Δ sweep and the fixed-point crossover",
+        paper: "§II-A: bucket width trades wasted relaxations against available parallelism",
+        run: exp::e4,
+    },
+    Experiment {
+        id: "E5",
+        title: "lock-map schemes vs atomic read-modify-write",
+        paper: "§IV-B: \"a single lock per vertex or a lock for a block of vertices\"; atomics where supported",
+        run: exp::e5,
+    },
+    Experiment {
+        id: "E6",
+        title: "termination detection: shared counters vs four-counter waves; epochs vs try_finish",
+        paper: "§III-D + §IV: epochs map to AM++ epochs; try_finish for algorithms without coarse synchronization",
+        run: exp::e6,
+    },
+    Experiment {
+        id: "E7",
+        title: "abstraction overhead: pattern engine vs hand-written AM vs sequential",
+        paper: "§I: patterns sit between \"maximum control\" and full synthesis",
+        run: exp::e7,
+    },
+    Experiment {
+        id: "E8",
+        title: "scale sweep: build + traversal throughput vs graph size",
+        paper: "§I: Graph500 motivates ever-larger graphs; shape should be scale-stable",
+        run: exp::e8,
+    },
+    Experiment {
+        id: "E9",
+        title: "strong scaling: fixed problem, 1..8 ranks",
+        paper: "epochs and the engine operate identically at any rank count",
+        run: exp::e9,
+    },
+    Experiment {
+        id: "E10",
+        title: "strategy generality: one relax pattern under four schedules",
+        paper: "§I: strategies \"apply patterns in a certain way... including chaining patterns in an arbitrary way\"",
+        run: exp::e10,
+    },
+    Experiment {
+        id: "E11",
+        title: "push vs pull contribution: the plan predicts the message bill",
+        paper: "§IV-A: gather messages for remote operands vs a single merged modify",
+        run: exp::e11,
+    },
+    Experiment {
+        id: "E12",
+        title: "per-epoch profiles and span tracing (dgp-am::obs)",
+        paper: "Figs. 5-6 method: per-phase message counts read off the runtime itself",
+        run: exp::e12,
+    },
+    Experiment {
+        id: "E13",
+        title: "fault-injected runs are bit-identical to fault-free runs",
+        paper: "robustness of the AM runtime the patterns compile onto (§III)",
+        run: exp::e13,
+    },
+    Experiment {
+        id: "E14",
+        title: "causal tracing + flight recorder: automatic post-mortems",
+        paper: "what was the machine doing when it died, without re-running",
+        run: exp::e14,
+    },
+    Experiment {
+        id: "E15",
+        title: "deterministic simulator: 4096-rank scaling + schedule exploration",
+        paper: "beyond the paper: a reproducible testing substrate for the §III runtime",
+        run: exp::e15,
+    },
+    Experiment {
+        id: "E16",
+        title: "pluggable transports: inproc vs shm rings vs TCP (with forced kills)",
+        paper: "beyond the paper: the §III runtime over a real byte-stream transport",
+        run: exp::e16,
+    },
+];
+
+/// The parsed command line.
+#[derive(Default)]
+struct Opts {
+    small: bool,
+    full_trace: bool,
+    lint: bool,
+    metrics_dir: Option<PathBuf>,
+    postmortem_dir: Option<PathBuf>,
+    transport: Option<String>,
+    sim_replay: Option<String>,
+    /// The experiments to run, in table order (all of them when the
+    /// command line names none).
+    selected: Vec<&'static Experiment>,
+}
+
+impl Opts {
+    /// Parse the arguments after the program name. Anything that is not a
+    /// known flag or the id of a table row is an error, so a typo cannot
+    /// turn a CI step into a green no-op.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
+        let mut o = Opts::default();
+        let mut named = [false; EXPERIMENTS.len()];
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} needs {what}"));
+            match arg.as_str() {
+                "--small" => o.small = true,
+                "--trace" => o.full_trace = true,
+                "--lint" => o.lint = true,
+                "--metrics" => o.metrics_dir = Some(value("a directory argument")?.into()),
+                "--postmortem" => o.postmortem_dir = Some(value("a directory argument")?.into()),
+                "--sim-replay" => o.sim_replay = Some(value("a file argument")?),
+                "--transport" => {
+                    let name = value("one of inproc|shm|tcp (got nothing)")?;
+                    if !matches!(name.as_str(), "inproc" | "shm" | "tcp") {
+                        return Err(format!(
+                            "--transport needs one of inproc|shm|tcp (got {name})"
+                        ));
+                    }
+                    o.transport = Some(name);
+                }
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+                id => match EXPERIMENTS
+                    .iter()
+                    .position(|e| e.id.eq_ignore_ascii_case(id))
+                {
+                    Some(row) => named[row] = true,
+                    None => return Err(format!("unknown experiment id {id}")),
+                },
+            }
+        }
+        let all = !named.contains(&true);
+        o.selected = EXPERIMENTS
+            .iter()
+            .zip(named)
+            .filter(|&(_, is_named)| all || is_named)
+            .map(|(e, _)| e)
+            .collect();
+        Ok(o)
+    }
+}
+
+fn usage() -> String {
+    let ids: Vec<String> = EXPERIMENTS.iter().map(|e| e.id.to_lowercase()).collect();
+    format!(
+        "usage: experiments [flags] [id ...]\n  ids (none = all, in this order): {}\n  \
+         flags: --small --trace --metrics DIR --postmortem DIR \
+         --transport inproc|shm|tcp --lint --sim-replay FILE",
+        ids.join(" ")
+    )
+}
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--lint") {
+    let o = Opts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}\n{}", usage());
+        std::process::exit(2);
+    });
+    if o.lint {
         lint();
     }
-    let small = args.iter().any(|a| a == "--small");
-    if let Some(i) = args.iter().position(|a| a == "--transport") {
-        match args.get(i + 1).map(|s| s.as_str()) {
-            Some(name @ ("inproc" | "shm" | "tcp")) => {
-                // Every MachineConfig::new in the process picks this up.
-                std::env::set_var("DGP_TRANSPORT", name);
-                println!("transport backend: {name}");
-                args.drain(i..=i + 1);
-            }
-            other => {
-                eprintln!(
-                    "--transport needs one of inproc|shm|tcp (got {})",
-                    other.unwrap_or("nothing")
-                );
-                std::process::exit(2);
-            }
-        }
+    if let Some(name) = &o.transport {
+        // Every MachineConfig::new in the process picks this up.
+        std::env::set_var("DGP_TRANSPORT", name);
+        println!("transport backend: {name}");
     }
-    if let Some(i) = args.iter().position(|a| a == "--sim-replay") {
-        match args.get(i + 1) {
-            Some(path) => sim_replay(&path.clone()),
-            None => {
-                eprintln!("--sim-replay needs a file argument");
-                std::process::exit(2);
-            }
-        }
+    if let Some(path) = &o.sim_replay {
+        sim_replay(path);
     }
-    let sim_only = args.iter().any(|a| a == "--sim");
-    let metrics_dir: Option<PathBuf> = args.iter().position(|a| a == "--metrics").map(|i| {
-        if i + 1 >= args.len() {
-            eprintln!("--metrics needs a directory argument");
-            std::process::exit(2);
-        }
-        let dir = PathBuf::from(args[i + 1].clone());
-        args.drain(i..=i + 1);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
+    if let Some(dir) = &o.metrics_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("--metrics {}: {e}", dir.display());
             std::process::exit(2);
         }
-        dir
-    });
-    let full_trace = args.iter().any(|a| a == "--trace");
-    let postmortem_dir: Option<PathBuf> = args.iter().position(|a| a == "--postmortem").map(|i| {
-        if i + 1 >= args.len() {
-            eprintln!("--postmortem needs a directory argument");
-            std::process::exit(2);
-        }
-        let dir = PathBuf::from(args[i + 1].clone());
-        args.drain(i..=i + 1);
-        dir
-    });
-    let mut ids: Vec<String> = args
-        .into_iter()
-        .filter(|a| a != "--small" && a != "--trace" && a != "--sim")
-        .collect();
-    if sim_only {
-        ids = vec!["e15".to_string()];
     }
-    let run_all = ids.is_empty();
-    let want = |id: &str| run_all || ids.iter().any(|i| i == id);
 
     let t0 = Instant::now();
-    if want("f1") {
-        exp::f1(small);
-    }
-    if want("f2") {
-        exp::f2();
-    }
-    if want("f3") {
-        exp::f3(small);
-    }
-    if want("f5") {
-        exp::f5();
-    }
-    if want("f6") {
-        exp::f6();
-    }
-    if want("e1") {
-        exp::e1(small);
-    }
-    if want("e2") {
-        exp::e2(small);
-    }
-    if want("e3") {
-        exp::e3(small);
-    }
-    if want("e4") {
-        exp::e4(small);
-    }
-    if want("e5") {
-        exp::e5(small);
-    }
-    if want("e6") {
-        exp::e6(small);
-    }
-    if want("e7") {
-        exp::e7(small);
-    }
-    if want("e8") {
-        exp::e8(small);
-    }
-    if want("e9") {
-        exp::e9(small);
-    }
-    if want("e10") {
-        exp::e10(small);
-    }
-    if want("e11") {
-        exp::e11(small);
-    }
-    if want("e12") {
-        exp::e12(small, metrics_dir.as_deref(), full_trace);
-    }
-    if want("e13") {
-        exp::e13(small);
-    }
-    if want("e14") {
-        exp::e14(postmortem_dir.as_deref());
-    }
-    let mut sim_failures = 0usize;
-    if want("e15") {
-        sim_failures = exp::e15(small);
-    }
-    if want("e16") {
-        exp::e16(small);
+    let mut failures = 0;
+    for e in &o.selected {
+        println!("\n==================================================================");
+        println!("{}: {}", e.id, e.title);
+        println!("paper: {}", e.paper);
+        println!("==================================================================");
+        failures += (e.run)(&o);
     }
     eprintln!("\ntotal harness time: {:?}", t0.elapsed());
-    if sim_failures > 0 {
+    if failures > 0 {
         std::process::exit(1);
     }
 }
 
 mod exp {
+    use super::Opts;
     use dgp_algorithms::{handwritten, patterns, seq, sssp::Sssp, SsspStrategy};
     use dgp_am::{Machine, MachineConfig, TerminationMode};
     use dgp_bench::measure::{self, CcMeasurement, SsspMeasurement};
@@ -360,13 +478,6 @@ mod exp {
     use dgp_core::strategies::once_until_fixed;
     use dgp_graph::properties::{EdgeMap, LockGranularity};
     use dgp_graph::{DistGraph, Distribution};
-
-    fn header(id: &str, what: &str, paper: &str) {
-        println!("\n==================================================================");
-        println!("{id}: {what}");
-        println!("paper: {paper}");
-        println!("==================================================================");
-    }
 
     fn sssp_row(t: &mut Table, m: &SsspMeasurement) {
         t.row(vec![
@@ -381,13 +492,8 @@ mod exp {
     }
 
     /// F1 — Fig. 1/§II-A: one relax pattern, fixed-point vs Δ-stepping.
-    pub fn f1(small: bool) {
-        header(
-            "F1",
-            "fixed-point SSSP and Δ-stepping share one relax pattern",
-            "Fig. 1 + §II-A: \"the two algorithms share the relax function\"",
-        );
-        let scale = if small { 10 } else { 13 };
+    pub fn f1(o: &Opts) -> usize {
+        let scale = if o.small { 10 } else { 13 };
         let el = workloads::rmat_weighted(scale, 8, 11);
         let oracle = seq::dijkstra(&el, 0);
         println!(
@@ -423,15 +529,11 @@ mod exp {
         }
         t.print();
         println!("\nSame declarative relax; only the imperative strategy differs.");
+        0
     }
 
     /// F2 — Fig. 2/4: the SSSP pattern and its compiled form.
-    pub fn f2() {
-        header(
-            "F2",
-            "the SSSP pattern and its automatically generated plan",
-            "Figs. 2/4: the pattern source; §IV-A: the translation",
-        );
+    pub fn f2(_: &Opts) -> usize {
         let relax = patterns::relax(0, 1);
         println!("pattern relax(Vertex v):");
         println!("  generator: e in out_edges");
@@ -447,16 +549,12 @@ mod exp {
             println!("{plan}");
             println!("{}\n", plan.comm_plan());
         }
+        0
     }
 
     /// F3 — Fig. 3/§II-B: CC parallel search vs alternatives.
-    pub fn f3(small: bool) {
-        header(
-            "F3",
-            "CC: parallel search + pointer jumping vs label propagation vs union-find",
-            "Fig. 3 + §II-B (\"see [7] for a comparison of a few popular algorithms\")",
-        );
-        let (k, size) = if small { (8, 200) } else { (16, 2000) };
+    pub fn f3(o: &Opts) -> usize {
+        let (k, size) = if o.small { (8, 200) } else { (16, 2000) };
         let el = workloads::blobs(k, size, 7);
         println!(
             "workload: {k} components x {size} vertices ({} edges), 4 ranks\n",
@@ -483,15 +581,11 @@ mod exp {
             ]);
         }
         t.print();
+        0
     }
 
     /// F5 — Fig. 5: gather-message counts on the general dependency tree.
-    pub fn f5() {
-        header(
-            "F5",
-            "gather traversal of the general dependency tree",
-            "Fig. 5: 8 messages depth-first; dashed line = straight-jump optimization",
-        );
+    pub fn f5(_: &Opts) -> usize {
         let (a, b, c, d, e, f) = (0u32, 1, 2, 3, 4, 5);
         let n1 = Place::map_at(a, Place::Input);
         let n2 = Place::map_at(b, n1.clone());
@@ -514,15 +608,11 @@ mod exp {
         assert_eq!(tree.faithful_message_count(), 8);
         assert_eq!(tree.optimized_message_count(), 6);
         println!("\npaper asserts 8 messages for the depth-first walk: reproduced.");
+        0
     }
 
     /// F6 — Fig. 6: the SSSP pattern compiles to a single message.
-    pub fn f6() {
-        header(
-            "F6",
-            "one-message communication for the SSSP pattern",
-            "Fig. 6: condition evaluation and modification merged at trg(e)",
-        );
+    pub fn f6(_: &Opts) -> usize {
         let relax = patterns::relax(0, 1);
         let mut t = Table::new(&["plan mode", "messages", "merged eval+modify"]);
         for mode in [PlanMode::Faithful, PlanMode::Optimized] {
@@ -538,16 +628,12 @@ mod exp {
         t.print();
         println!("\ndist[v] + weight[e] is precomputed at v and carried in the payload;");
         println!("the merged message reads dist[trg(e)] fresh under synchronization.");
+        0
     }
 
     /// E1 — coalescing buffer-size sweep.
-    pub fn e1(small: bool) {
-        header(
-            "E1",
-            "message coalescing: buffer-capacity sweep",
-            "§IV: \"coalescing greatly improves performance when large amounts of messages are sent\"",
-        );
-        let scale = if small { 10 } else { 13 };
+    pub fn e1(o: &Opts) -> usize {
+        let scale = if o.small { 10 } else { 13 };
         let el = workloads::rmat_weighted(scale, 8, 21);
         let oracle = seq::dijkstra(&el, 0);
         println!("workload: RMAT scale {scale}, SSSP Δ=0.4, 4 ranks\n");
@@ -572,16 +658,12 @@ mod exp {
             ]);
         }
         t.print();
+        0
     }
 
     /// E2 — caching (duplicate elimination) on/off.
-    pub fn e2(small: bool) {
-        header(
-            "E2",
-            "message caching: duplicate elimination on a BFS frontier",
-            "§IV: \"caching allows to avoid unnecessary message sends and the corresponding handler calls\"",
-        );
-        let scale = if small { 11 } else { 14 };
+    pub fn e2(o: &Opts) -> usize {
+        let scale = if o.small { 11 } else { 14 };
         let el = workloads::rmat(scale, 16, 31);
         println!("workload: RMAT scale {scale}, edge factor 16, BFS from 0, 4 ranks\n");
         let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 4), false);
@@ -612,16 +694,12 @@ mod exp {
             ]);
         }
         t.print();
+        0
     }
 
     /// E3 — reductions (min-combining) on SSSP.
-    pub fn e3(small: bool) {
-        header(
-            "E3",
-            "message reduction: min-combining SSSP relaxations per target",
-            "§II-B: \"our implementation based on AM++ allows reductions of unnecessary communication\"",
-        );
-        let scale = if small { 10 } else { 13 };
+    pub fn e3(o: &Opts) -> usize {
+        let scale = if o.small { 10 } else { 13 };
         let el = workloads::rmat_weighted(scale, 16, 41);
         let oracle = seq::dijkstra(&el, 0);
         println!("workload: RMAT scale {scale}, edge factor 16, hand-written SSSP, 4 ranks\n");
@@ -658,16 +736,12 @@ mod exp {
             ]);
         }
         t.print();
+        0
     }
 
     /// E4 — Δ sweep.
-    pub fn e4(small: bool) {
-        header(
-            "E4",
-            "Δ-stepping: the Δ sweep and the fixed-point crossover",
-            "§II-A: bucket width trades wasted relaxations against available parallelism",
-        );
-        let side = if small { 48 } else { 128 };
+    pub fn e4(o: &Opts) -> usize {
+        let side = if o.small { 48 } else { 128 };
         let el = workloads::grid_weighted(side, 5);
         let oracle = seq::dijkstra(&el, 0);
         println!("workload: weighted {side}x{side} grid (long diameter), 4 ranks\n");
@@ -705,16 +779,12 @@ mod exp {
         }
         t.print();
         println!("\nsmall Δ: many epochs, few wasted relaxations; huge Δ ~ chaotic fixed point.");
+        0
     }
 
     /// E5 — synchronization schemes.
-    pub fn e5(small: bool) {
-        header(
-            "E5",
-            "lock-map schemes vs atomic read-modify-write",
-            "§IV-B: \"a single lock per vertex or a lock for a block of vertices\"; atomics where supported",
-        );
-        let scale = if small { 10 } else { 13 };
+    pub fn e5(o: &Opts) -> usize {
+        let scale = if o.small { 10 } else { 13 };
         let el = workloads::rmat_weighted(scale, 8, 51);
         let oracle = seq::dijkstra(&el, 0);
         println!("workload: RMAT scale {scale}, SSSP Δ=0.4, 2 ranks x 4 threads\n");
@@ -769,16 +839,12 @@ mod exp {
             ]);
         }
         t.print();
+        0
     }
 
     /// E6 — termination detection algorithms.
-    pub fn e6(small: bool) {
-        header(
-            "E6",
-            "termination detection: shared counters vs four-counter waves; epochs vs try_finish",
-            "§III-D + §IV: epochs map to AM++ epochs; try_finish for algorithms without coarse synchronization",
-        );
-        let scale = if small { 10 } else { 12 };
+    pub fn e6(o: &Opts) -> usize {
+        let scale = if o.small { 10 } else { 12 };
         let el = workloads::rmat_weighted(scale, 8, 61);
         let oracle = seq::dijkstra(&el, 0);
         println!("workload: RMAT scale {scale}, SSSP Δ=0.2 (many epochs), 4 ranks\n");
@@ -818,16 +884,12 @@ mod exp {
         }
         t.print();
         println!("\nasync Δ-stepping runs the whole computation in ONE epoch ended by try_finish.");
+        0
     }
 
     /// E7 — abstraction overhead.
-    pub fn e7(small: bool) {
-        header(
-            "E7",
-            "abstraction overhead: pattern engine vs hand-written AM vs sequential",
-            "§I: patterns sit between \"maximum control\" and full synthesis",
-        );
-        let scale = if small { 10 } else { 13 };
+    pub fn e7(o: &Opts) -> usize {
+        let scale = if o.small { 10 } else { 13 };
         let el = workloads::rmat_weighted(scale, 8, 71);
         let oracle = seq::dijkstra(&el, 0);
         println!("workload: RMAT scale {scale}, SSSP, 4 ranks\n");
@@ -873,16 +935,16 @@ mod exp {
             ]);
         }
         t.print();
+        0
     }
 
     /// E8 — Graph500-style scale sweep.
-    pub fn e8(small: bool) {
-        header(
-            "E8",
-            "scale sweep: build + traversal throughput vs graph size",
-            "§I: Graph500 motivates ever-larger graphs; shape should be scale-stable",
-        );
-        let scales: &[u32] = if small { &[10, 12] } else { &[10, 12, 14, 16] };
+    pub fn e8(o: &Opts) -> usize {
+        let scales: &[u32] = if o.small {
+            &[10, 12]
+        } else {
+            &[10, 12, 14, 16]
+        };
         println!("workload: RMAT edge factor 16, BFS from 0, 4 ranks\n");
         let mut t = Table::new(&["scale", "vertices", "edges", "build", "bfs", "MTEPS"]);
         for &scale in scales {
@@ -913,19 +975,15 @@ mod exp {
             ]);
         }
         t.print();
+        0
     }
 
     /// E9 — strong scaling over ranks.
-    pub fn e9(small: bool) {
-        header(
-            "E9",
-            "strong scaling: fixed problem, 1..8 ranks",
-            "epochs and the engine operate identically at any rank count",
-        );
-        let scale = if small { 11 } else { 13 };
+    pub fn e9(o: &Opts) -> usize {
+        let scale = if o.small { 11 } else { 13 };
         let el = workloads::rmat_weighted(scale, 8, 91);
         let oracle = seq::dijkstra(&el, 0);
-        let cc_el = workloads::blobs(8, if small { 300 } else { 1500 }, 9);
+        let cc_el = workloads::blobs(8, if o.small { 300 } else { 1500 }, 9);
         println!("workload: RMAT scale {scale} SSSP Δ=0.4; blob CC\n");
         let mut t = Table::new(&["ranks", "sssp time", "sssp ok", "cc time", "cc ok"]);
         for ranks in [1usize, 2, 4, 8] {
@@ -954,16 +1012,12 @@ mod exp {
         }
         t.print();
         println!("\n(simulated ranks share one host: scaling reflects threading, not networking)");
+        0
     }
 
     /// E11 — push vs pull: the planner's communication asymmetry, live.
-    pub fn e11(small: bool) {
-        header(
-            "E11",
-            "push vs pull contribution: the plan predicts the message bill",
-            "§IV-A: gather messages for remote operands vs a single merged modify",
-        );
-        let scale = if small { 9 } else { 12 };
+    pub fn e11(o: &Opts) -> usize {
+        let scale = if o.small { 9 } else { 12 };
         let el = workloads::rmat(scale, 8, 111);
         println!("workload: RMAT scale {scale}, one accumulation sweep, 3 ranks, bidirectional\n");
         let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), true);
@@ -1016,16 +1070,12 @@ mod exp {
         println!(
             "\nidentical accumulator values; the pull plan's extra gather hop doubles traffic."
         );
+        0
     }
 
     /// E10 — strategy generality matrix.
-    pub fn e10(small: bool) {
-        header(
-            "E10",
-            "strategy generality: one relax pattern under four schedules",
-            "§I: strategies \"apply patterns in a certain way... including chaining patterns in an arbitrary way\"",
-        );
-        let scale = if small { 9 } else { 11 };
+    pub fn e10(o: &Opts) -> usize {
+        let scale = if o.small { 9 } else { 11 };
         let el = workloads::rmat_weighted(scale, 8, 101);
         let oracle = seq::dijkstra(&el, 0);
         println!("workload: RMAT scale {scale}, 3 ranks\n");
@@ -1102,23 +1152,19 @@ mod exp {
         t.print();
         println!("\nthe once-rounds schedule is user-defined from the same primitives the");
         println!("built-in strategies use — the paper's customization-point claim.");
+        0
     }
 
     /// E12 — per-epoch observability: profiles, metrics JSON, Chrome trace.
-    pub fn e12(small: bool, metrics_dir: Option<&std::path::Path>, full_trace: bool) {
-        header(
-            "E12",
-            "per-epoch profiles and span tracing (dgp-am::obs)",
-            "Figs. 5-6 method: per-phase message counts read off the runtime itself",
-        );
-        let scale = if small { 9 } else { 12 };
+    pub fn e12(o: &Opts) -> usize {
+        let scale = if o.small { 9 } else { 12 };
         let el = workloads::rmat_weighted(scale, 8, 121);
         let oracle = seq::dijkstra(&el, 0);
         println!("workload: RMAT scale {scale}, Δ-stepping Δ=0.4, 3 ranks, profiling on\n");
         let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
         let weights = EdgeMap::from_weights(&graph, &el);
         let mut cfg = MachineConfig::new(3).profile(true);
-        if full_trace {
+        if o.full_trace {
             // --trace: stamp every send with a causal context so the
             // exported trace.json stitches the whole cascade.
             cfg = cfg.trace_sampling(1);
@@ -1183,7 +1229,7 @@ mod exp {
             report.epoch_profiles.len(),
             total
         );
-        if let Some(dir) = metrics_dir {
+        if let Some(dir) = &o.metrics_dir {
             std::fs::create_dir_all(dir).expect("create metrics dir");
             let mpath = dir.join("metrics.json");
             let tpath = dir.join("trace.json");
@@ -1197,21 +1243,17 @@ mod exp {
         } else {
             println!("(pass --metrics DIR to write metrics.json and trace.json)");
         }
+        0
     }
 
     /// E13 — chaos engineering: deterministic fault injection + reliable
     /// delivery keep SSSP and CC bit-identical to fault-free runs.
-    pub fn e13(small: bool) {
+    pub fn e13(o: &Opts) -> usize {
         use dgp_algorithms::{run_cc, run_sssp, Run};
         use dgp_am::FaultPlan;
         use std::time::Instant;
 
-        header(
-            "E13",
-            "fault-injected runs are bit-identical to fault-free runs",
-            "robustness of the AM runtime the patterns compile onto (§III)",
-        );
-        let scale = if small { 8 } else { 11 };
+        let scale = if o.small { 8 } else { 11 };
         let el = workloads::rmat_weighted(scale, 8, 131);
         let ranks = 3;
         println!(
@@ -1328,20 +1370,16 @@ mod exp {
         t.print();
         println!("\nneither detector declares quiescence while retransmits are in flight —");
         println!("dropped envelopes stay counted as sent-but-unhandled until redelivered.");
+        0
     }
 
     /// E14 — automatic post-mortems: a handler crash under the chaos
     /// preset yields a diagnosis naming the failing rank, its epoch, and
     /// the causal parent of the fatal message, assembled from the frozen
     /// flight-recorder rings.
-    pub fn e14(postmortem_dir: Option<&std::path::Path>) {
+    pub fn e14(o: &Opts) -> usize {
         use dgp_am::FaultPlan;
 
-        header(
-            "E14",
-            "causal tracing + flight recorder: automatic post-mortems",
-            "what was the machine doing when it died, without re-running",
-        );
         let ranks = 4;
         let hops = 9u64;
         // The chain starts at rank 0 -> 1 and dies `hops` handlers later.
@@ -1365,7 +1403,7 @@ mod exp {
                 .coalescing(1)
                 .trace_sampling(1)
                 .faults(FaultPlan::chaos(seed));
-            if let Some(dir) = postmortem_dir {
+            if let Some(dir) = &o.postmortem_dir {
                 // Profiling makes the dump include a Chrome trace
                 // (`trace-*.json`) alongside the rendered post-mortem.
                 cfg = cfg.postmortem(dir).profile(true);
@@ -1410,10 +1448,11 @@ mod exp {
         println!("\nevery seed blames rank {expect_rank} in epoch 1 and reconstructs the causal");
         println!("chain from the frozen rings — drops/dups/retransmits included in the");
         println!("timeline, none of them confusing the attribution.");
-        match postmortem_dir {
+        match &o.postmortem_dir {
             Some(dir) => println!("post-mortem dumps written under {}", dir.display()),
             None => println!("(pass --postmortem DIR to keep the rendered dumps)"),
         }
+        0
     }
 
     /// E15 — beyond the paper: the deterministic discrete-event
@@ -1425,18 +1464,12 @@ mod exp {
     /// invariant checker active; any failing cell is shrunk to a minimal
     /// scenario and its `[replay]` block printed. Returns the number of
     /// failing cells (the harness exits nonzero if any).
-    pub fn e15(small: bool) -> usize {
+    pub fn e15(o: &Opts) -> usize {
         use dgp_am::SimPlan;
         use dgp_sim::{explore, ScenarioSpec, ALL_POLICIES};
         use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
         use std::sync::Arc;
         use std::time::Instant;
-
-        header(
-            "E15",
-            "deterministic simulator: 4096-rank scaling + schedule exploration",
-            "beyond the paper: a reproducible testing substrate for the §III runtime",
-        );
 
         println!("rank scaling: one ring-relay epoch over modeled links (latency 700ns,");
         println!("jitter 1.5µs), every rank sends and receives across a link; each size");
@@ -1461,7 +1494,7 @@ mod exp {
             assert_eq!(hops.load(SeqCst), ranks as u64, "every hop delivered");
             run.report
         };
-        let sizes: &[usize] = if small {
+        let sizes: &[usize] = if o.small {
             &[64, 512, 4096]
         } else {
             &[64, 256, 1024, 4096]
@@ -1502,7 +1535,11 @@ mod exp {
 
         // CI layers one extra seed per matrix leg on top of the baked-in
         // sweep, mirroring the DGP_CHAOS_SEED idiom.
-        let mut seeds: Vec<u64> = if small { vec![1, 2] } else { vec![1, 2, 3, 4] };
+        let mut seeds: Vec<u64> = if o.small {
+            vec![1, 2]
+        } else {
+            vec![1, 2, 3, 4]
+        };
         if let Some(extra) = std::env::var("DGP_SIM_SEED")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -1563,14 +1600,9 @@ mod exp {
     /// rate and health counters (including TCP with every connection
     /// forcibly killed and re-established mid-run), and an SSSP run per
     /// backend must return bit-identical distances.
-    pub fn e16(small: bool) {
+    pub fn e16(o: &Opts) -> usize {
         use dgp_algorithms::{run_sssp, Run};
 
-        header(
-            "E16",
-            "pluggable transports: inproc vs shm rings vs TCP (with forced kills)",
-            "beyond the paper: the §III runtime over a real byte-stream transport",
-        );
         println!("workload: all-to-all storm, 4 ranks, coalescing 64; the tcp+kill row");
         println!("closes every connection after its 50th received frame — the");
         println!("reliability layer retransmits across the gap and writers re-dial\n");
@@ -1584,7 +1616,7 @@ mod exp {
             "reconnects",
             "retransmits",
         ]);
-        for p in measure::transport_rows(small) {
+        for p in measure::transport_rows(o.small) {
             t.row(vec![
                 p.backend.clone(),
                 p.messages.to_string(),
@@ -1598,7 +1630,7 @@ mod exp {
         }
         t.print();
 
-        let scale = if small { 8 } else { 11 };
+        let scale = if o.small { 8 } else { 11 };
         let el = workloads::rmat_weighted(scale, 8, 141);
         let baseline = run_sssp(&el, 3, 0, SsspStrategy::Delta(0.4));
         let bits: Vec<u64> = baseline.iter().map(|d| d.to_bits()).collect();
@@ -1618,5 +1650,82 @@ mod exp {
         }
         println!("\n\nsame distances whichever byte path carried the relaxations — the");
         println!("delivery seam, not the backend, defines the machine's semantics.");
+        0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        Opts::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        match parse(args) {
+            Ok(o) => panic!("{args:?} parsed, selecting {:?}", ids(&o)),
+            Err(e) => e,
+        }
+    }
+
+    fn ids(o: &Opts) -> Vec<&'static str> {
+        o.selected.iter().map(|e| e.id).collect()
+    }
+
+    #[test]
+    fn no_ids_means_every_experiment_in_table_order() {
+        let all: Vec<_> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        assert_eq!(ids(&parse(&[]).unwrap()), all);
+        assert_eq!(ids(&parse(&["--small"]).unwrap()), all);
+    }
+
+    #[test]
+    fn named_ids_run_once_in_table_order() {
+        let o = parse(&["e15", "f2", "--small", "e15"]).unwrap();
+        assert_eq!(ids(&o), ["F2", "E15"]);
+        assert!(o.small);
+    }
+
+    #[test]
+    fn typos_are_errors_not_silent_no_ops() {
+        assert!(parse_err(&["e31"]).contains("unknown experiment id e31"));
+        parse_err(&["f1", "nope"]);
+        assert!(parse_err(&["--smal"]).contains("unknown flag --smal"));
+        // `--sim` was an alias for `e15`; it is gone, not ignored.
+        parse_err(&["--sim"]);
+    }
+
+    #[test]
+    fn flags_that_take_a_value_reject_its_absence() {
+        for flag in ["--metrics", "--postmortem", "--transport", "--sim-replay"] {
+            let err = parse_err(&["e12", flag]);
+            assert!(err.starts_with(flag), "{flag}: {err}");
+        }
+        parse_err(&["--transport", "udp"]);
+        let o = parse(&["--transport", "tcp", "--metrics", "m", "--postmortem", "p"]).unwrap();
+        assert_eq!(o.transport.as_deref(), Some("tcp"));
+        assert_eq!(o.metrics_dir.as_deref(), Some(std::path::Path::new("m")));
+        assert_eq!(o.postmortem_dir.as_deref(), Some(std::path::Path::new("p")));
+    }
+
+    /// EXPERIMENTS.md documents exactly the table: one `## <ID> — …` section
+    /// per row, in table order, and none for an id the table lacks.
+    #[test]
+    fn experiments_md_has_one_section_per_table_row() {
+        let table: Vec<_> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        let mut unique = table.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), table.len(), "duplicate id in EXPERIMENTS");
+        for e in EXPERIMENTS {
+            assert!(!e.paper.is_empty(), "{} has no paper anchor", e.id);
+        }
+        let documented: Vec<_> = include_str!("../../../../EXPERIMENTS.md")
+            .lines()
+            .filter_map(|l| l.strip_prefix("## ")?.split_once(" — "))
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(documented, table);
     }
 }

@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 
-//! Measurement harness shared by the `experiments` binary (which
-//! regenerates every figure/experiment table in `EXPERIMENTS.md`) and the
-//! Criterion benches.
+//! Measurement harness behind the `experiments` binary, which regenerates
+//! every figure/experiment table in `EXPERIMENTS.md`. Wall-time claims
+//! belong to the repo benchmark (`benchmark/`, `BENCHMARK.json`).
 
 pub mod measure;
 pub mod table;

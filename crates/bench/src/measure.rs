@@ -1,11 +1,8 @@
 //! Instrumented end-to-end runs: build the distributed graph, run the
 //! algorithm on a simulated machine, collect timing + engine + runtime
 //! counters, and validate against the sequential oracle. Also the raw
-//! `dgp-am` storm kernels (all-to-all, ping-pong, the per-transport
-//! sweep) behind E16 and `benches/message_rate.rs`.
+//! `dgp-am` all-to-all storm and its per-transport sweep behind E16.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
 use std::time::Instant;
 
 use dgp_algorithms::{handwritten, seq, sssp::Sssp, SsspStrategy};
@@ -236,50 +233,6 @@ pub fn cc_sequential(el: &EdgeList) -> CcMeasurement {
     }
 }
 
-/// All-to-all storm: every rank sends `per_rank` messages round-robin to
-/// every rank (self included) in one epoch. Returns `(messages, millis)`.
-pub fn all_to_all(ranks: usize, per_rank: u64, coalescing: usize) -> (u64, f64) {
-    // Pinned to the in-process transport: the row must not move when
-    // DGP_TRANSPORT is set — the per-backend comparison lives in
-    // `transport_rows`.
-    let cfg = MachineConfig::new(ranks)
-        .coalescing(coalescing)
-        .transport(TransportKind::Inproc);
-    let (messages, millis, _) = all_to_all_stats(cfg, per_rank);
-    (messages, millis)
-}
-
-/// Ping-pong: `chains` independent chains hop between two ranks until a
-/// hop countdown expires; handlers re-send, so the chain exercises the
-/// handler→send path. Returns `(messages, millis)`.
-pub fn ping_pong(chains: u64, hops: u64, coalescing: usize) -> (u64, f64) {
-    let count = Arc::new(AtomicU64::new(0));
-    let c2 = count.clone();
-    let t0 = Instant::now();
-    let cfg = MachineConfig::new(2)
-        .coalescing(coalescing)
-        .transport(TransportKind::Inproc);
-    Machine::run(cfg, move |ctx| {
-        let count = c2.clone();
-        let mt = ctx.register_named("pingpong", move |ctx, left: u64| {
-            count.fetch_add(1, Relaxed);
-            if left > 0 {
-                let other = 1 - ctx.rank();
-                ctx.send(other, left - 1);
-            }
-        });
-        ctx.epoch(|ctx| {
-            if ctx.rank() == 0 {
-                for _ in 0..chains {
-                    mt.send(ctx, 1, hops - 1);
-                }
-            }
-        });
-    });
-    let millis = t0.elapsed().as_secs_f64() * 1e3;
-    (count.load(Relaxed), millis)
-}
-
 /// All-to-all storm on a caller-supplied config (any transport backend),
 /// returning rank 0's stats alongside the count and wall time.
 pub fn all_to_all_stats(cfg: MachineConfig, per_rank: u64) -> (u64, f64, StatsSnapshot) {
@@ -411,10 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn raw_scenarios_count_messages_exactly() {
-        let (m, _) = all_to_all(2, 1_000, 16);
+    fn storm_counts_messages_exactly() {
+        let cfg = MachineConfig::new(2).coalescing(16);
+        let (m, _, stats) = all_to_all_stats(cfg, 1_000);
         assert_eq!(m, 2_000);
-        let (m, _) = ping_pong(4, 50, 8);
-        assert_eq!(m, 4 * 50);
+        assert_eq!(stats.messages_handled, 2_000);
     }
 }

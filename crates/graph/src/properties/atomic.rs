@@ -177,18 +177,6 @@ impl<T: AtomicValue> AtomicVertexMap<T> {
         self.cell(rank, v).store(val.to_bits(), Ordering::Release);
     }
 
-    /// Read by local index (hot paths that already resolved ownership).
-    #[inline]
-    pub fn get_local(&self, rank: usize, li: usize) -> T {
-        T::from_bits(self.shards[rank][li].load(Ordering::Acquire))
-    }
-
-    /// Write by local index.
-    #[inline]
-    pub fn set_local(&self, rank: usize, li: usize, val: T) {
-        self.shards[rank][li].store(val.to_bits(), Ordering::Release);
-    }
-
     /// Atomically transform the value of owned vertex `v` with `f`,
     /// retrying on contention. `f` must be pure.
     pub fn update(&self, rank: usize, v: VertexId, f: impl Fn(T) -> T) -> UpdateOutcome<T> {
