@@ -6,8 +6,11 @@ use std::time::Duration;
 use crate::fault::FaultPlan;
 use crate::transport::TransportKind;
 
-/// How long an idle thread blocks waiting for messages before it
-/// re-checks buffers and shutdown/termination conditions.
+/// The liveness ceiling on every idle wait: termination waits are woken
+/// by a ring (see [`crate::termination`], liveness) and worker threads by
+/// their inbox, and this bounds the wait when nobody rings — which is
+/// what drives the reliability layer's retransmits and parked releases
+/// and the workers' shutdown check.
 pub(crate) const RECV_TIMEOUT: Duration = Duration::from_micros(100);
 
 /// Which termination-detection algorithm an epoch uses to decide that all

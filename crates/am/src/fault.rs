@@ -389,11 +389,12 @@ const SIM_TICK_NS: u64 = 1_000;
 /// over a wire transport (TCP or shared-memory rings; see
 /// [`Reliability::set_wall_clock`]). The pump-count clock is wrong there
 /// for the same reason it is wrong in sim mode, in the other direction:
-/// idle loops pump every ~100µs while a TCP ack round trip takes real
-/// time, so pump counts race far ahead of the physical RTT and every
-/// in-flight envelope times out before its ack can arrive — a retransmit
-/// storm on a healthy loopback connection. 1 tick = 100µs ≈ one idle
-/// `recv_timeout` quantum, so tick-denominated knobs keep roughly their
+/// idle loops pump on every wake — each delivery or ack rings them, and
+/// `RECV_TIMEOUT` (100µs) is only the ceiling — while a TCP ack round
+/// trip takes real time, so pump counts race far ahead of the physical
+/// RTT and every in-flight envelope times out before its ack can arrive
+/// — a retransmit storm on a healthy loopback connection. 1 tick = 100µs
+/// = the idle-wait ceiling, so tick-denominated knobs keep roughly their
 /// threaded meaning.
 const WALL_TICK_NS: u64 = 100_000;
 

@@ -166,42 +166,55 @@ impl AmCtx {
         let me = &self.shared.ranks[self.rank];
         me.idle.store(true, SeqCst);
         // Double scan: flags, counters, flags, counters — all stable.
-        // The sim pauses on the waiting-on-others exits are what keep
-        // busy-wait callers (`while !try_finish() { epoch_flush() }`)
-        // live under cooperative scheduling: without them the caller
-        // would spin holding the token and no other rank could ever
-        // make the counters balance.
-        if !self.shared.all_idle() {
-            self.sim_idle_pause();
+        let quiescent = self.shared.all_idle() && {
+            let h1 = self.shared.total_handled();
+            let s1 = self.shared.total_sent();
+            h1 == s1 && self.shared.all_idle() && {
+                let h2 = self.shared.total_handled();
+                let s2 = self.shared.total_sent();
+                h2 == s1 && s2 == s1
+            }
+        };
+        if !quiescent {
+            // Others are not done yet: wait for mail or for the deciding
+            // rank's ring instead of returning straight into the caller's
+            // `while !try_finish() { epoch_flush() }` spin — which would
+            // take the core its peers need, and under the simulator's
+            // cooperative scheduling would hold the token so no other
+            // rank could ever make the counters balance.
+            self.idle_wait(|| self.shared.completed_epoch.load(SeqCst) >= my_gen);
             return false;
         }
-        let h1 = self.shared.total_handled();
-        let s1 = self.shared.total_sent();
-        if h1 != s1 {
-            self.sim_idle_pause();
-            return false;
-        }
-        if !self.shared.all_idle() {
-            self.sim_idle_pause();
-            return false;
-        }
-        let h2 = self.shared.total_handled();
-        let s2 = self.shared.total_sent();
-        if h2 != s1 || s2 != s1 {
-            self.sim_idle_pause();
-            return false;
-        }
-        self.flight_push(FlightKind::TermVote, my_gen, 0);
-        self.shared.completed_epoch.fetch_max(my_gen, SeqCst);
+        self.decide(my_gen, 0);
         true
     }
 
-    /// Cooperatively release the scheduling token while this rank waits
-    /// on others (no-op outside sim mode).
-    #[inline]
-    fn sim_idle_pause(&self) {
-        if let Some(sim) = &self.shared.sim {
-            sim.idle_wait(&self.shared, self.rank);
+    /// Record this rank's termination vote for epoch `my_gen`, publish the
+    /// decision and wake every rank waiting on it.
+    fn decide(&self, my_gen: u64, arg: u64) {
+        self.flight_push(FlightKind::TermVote, my_gen, arg);
+        self.shared.completed_epoch.fetch_max(my_gen, SeqCst);
+        self.shared.wake_all();
+    }
+
+    /// Block this idle rank until something may have changed for it: mail
+    /// on any of its channels (each delivery rings its doorbell), a ring
+    /// from the rank that decided termination or was poisoned, `decided()`
+    /// already holding, or — when nobody rings — `RECV_TIMEOUT`, the
+    /// liveness ceiling that keeps reliability pumps (retransmits, parked
+    /// releases) running. Waits that end at the ceiling are counted in
+    /// `idle_timeouts`. Under the simulator this is the cooperative park.
+    fn idle_wait(&self, decided: impl FnOnce() -> bool) {
+        let shared = &self.shared;
+        if let Some(sim) = &shared.sim {
+            return sim.idle_wait(shared, self.rank);
+        }
+        let me = &shared.ranks[self.rank];
+        let rung = me.bell.wait(crate::config::RECV_TIMEOUT, || {
+            me.has_mail() || shared.poisoned.load(SeqCst) || decided()
+        });
+        if !rung {
+            MachineStats::bump(&shared.stats.idle_timeouts, 1);
         }
     }
 
@@ -296,25 +309,14 @@ impl AmCtx {
                 let h = shared.total_handled();
                 let s = shared.total_sent();
                 if h == s {
-                    self.flight_push(FlightKind::TermVote, my_gen, rounds);
-                    shared.completed_epoch.fetch_max(my_gen, SeqCst);
+                    self.decide(my_gen, rounds);
                     break;
                 }
             }
-            // Block briefly; new work lowers our idle flag. In sim mode
-            // blocking the OS thread would stall the whole machine (we
-            // hold the scheduling token) — park cooperatively instead;
-            // deliveries and dry-queue wakes resume us, and the next
-            // drain_and_flush picks the packets up.
-            match &shared.sim {
-                Some(sim) => sim.idle_wait(shared, self.rank),
-                None => {
-                    if let Ok(pkt) = me.rx.recv_timeout(crate::config::RECV_TIMEOUT) {
-                        me.idle.store(false, SeqCst);
-                        self.handle_packet(pkt);
-                    }
-                }
-            }
+            // Wait for mail or for the deciding rank's ring; the next
+            // drain_and_flush picks the packets up, and their handlers
+            // lower our idle flag.
+            self.idle_wait(|| shared.completed_epoch.load(SeqCst) >= my_gen);
         }
         if let Some(s) = span.as_mut() {
             s.set_arg1(rounds);
@@ -420,17 +422,12 @@ impl AmCtx {
                 shared.push_token(self.rank, ring_next(0, n), tok);
                 wave_in_flight = true;
             }
-            // Block briefly on the data channel (cooperatively in sim
-            // mode; control tokens mark us runnable via push_token).
-            match &shared.sim {
-                Some(sim) => sim.idle_wait(shared, self.rank),
-                None => {
-                    if let Ok(pkt) = me.rx.recv_timeout(crate::config::RECV_TIMEOUT) {
-                        me.idle.store(false, SeqCst);
-                        self.handle_packet(pkt);
-                    }
-                }
-            }
+            // Wait for data or a control token (each rings our doorbell;
+            // in sim mode push_token marks us runnable). Only a Terminate
+            // token ends this loop, so `completed_epoch` — which
+            // `try_finish` may already have raised — is not a reason to
+            // wake.
+            self.idle_wait(|| false);
         }
         me.idle.store(true, SeqCst);
         // Drain any stale control traffic for this epoch.

@@ -35,6 +35,7 @@ pub(crate) use shared::Shared;
 mod tests {
     use super::*;
     use crate::config::{MachineConfig, TerminationMode};
+    use crate::fault::FaultPlan;
     use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
     use std::sync::Arc;
 
@@ -134,6 +135,58 @@ mod tests {
             },
         );
         assert_eq!(hops.load(SeqCst), 4 * 51);
+    }
+
+    #[test]
+    fn many_empty_epochs_stay_live_in_both_modes() {
+        // Rings are the only prompt wake; under chaos the reliability
+        // layer is installed and the ceiling is its only periodic wake.
+        for mode in [
+            TerminationMode::SharedCounters,
+            TerminationMode::FourCounterWave,
+        ] {
+            for faults in [None, Some(FaultPlan::chaos(0xC0FFEE))] {
+                let mut c = cfg(4).termination(mode);
+                if let Some(plan) = faults {
+                    c = c.faults(plan);
+                }
+                let out = Machine::run(c, |ctx| {
+                    for _ in 0..300 {
+                        ctx.epoch(|_| {});
+                    }
+                    ctx.stats().epochs
+                });
+                assert_eq!(out[0], 4 * 300, "{mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_rank_never_waits_at_the_ceiling() {
+        let out = Machine::run(cfg(1), |ctx| {
+            let mt = ctx.register(|_ctx, _: u64| {});
+            for round in 0..50u64 {
+                ctx.epoch(|ctx| mt.send(ctx, 0, round));
+            }
+            ctx.stats().idle_timeouts
+        });
+        assert_eq!(out, vec![0]);
+    }
+
+    #[test]
+    fn parked_packets_are_released_by_ceiling_waits() {
+        // Every envelope is parked for a few pump ticks and nobody rings
+        // for the fault layer's clock: some waits must end at the ceiling.
+        let plan = FaultPlan::new(7).delay(1.0, 4..64);
+        let out = Machine::run(cfg(2).faults(plan), |ctx| {
+            let mt = ctx.register(|_ctx, _: u64| {});
+            for round in 0..20u64 {
+                ctx.epoch(|ctx| mt.send(ctx, 1 - ctx.rank(), round));
+            }
+            ctx.stats()
+        });
+        assert!(out[0].injected_delays > 0);
+        assert!(out[0].idle_timeouts > 0, "{:?}", out[0]);
     }
 
     #[test]

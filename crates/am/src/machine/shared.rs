@@ -4,7 +4,9 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
@@ -39,6 +41,68 @@ pub(crate) struct RankShared {
     pub(super) sent: AtomicU64,
     pub(super) handled: AtomicU64,
     pub(super) idle: AtomicBool,
+    /// Wakes this rank's main thread out of a termination wait: rung by
+    /// every delivery into its three channels and by the rank that
+    /// decides termination (see [`crate::termination`], liveness).
+    pub(super) bell: Doorbell,
+}
+
+impl RankShared {
+    /// Whether anything is queued on this rank's inbox, control or ack
+    /// channel — the waits' re-check after raising the doorbell flag.
+    pub(super) fn has_mail(&self) -> bool {
+        !self.rx.is_empty() || !self.ctl_rx.is_empty() || !self.ack_rx.is_empty()
+    }
+}
+
+/// One waiter's wake primitive: a flag the waiter raises before it parks
+/// and a waker clears with a `swap`, unparking only when the swap saw it
+/// raised — so one park costs at most one wake syscall, and ringing a
+/// thread that is not waiting is a load and nothing else.
+#[derive(Default)]
+pub(crate) struct Doorbell {
+    waiting: AtomicBool,
+    waiter: OnceLock<Thread>,
+}
+
+impl Doorbell {
+    /// Wake the waiter if it is waiting; a no-op otherwise. Callers make
+    /// whatever the waiter should see visible *before* ringing.
+    #[inline]
+    pub(crate) fn ring(&self) {
+        if self.waiting.load(SeqCst) && self.waiting.swap(false, SeqCst) {
+            if let Some(t) = self.waiter.get() {
+                t.unpark();
+            }
+        }
+    }
+
+    /// Park the calling thread until [`Doorbell::ring`] or until `ceiling`
+    /// has passed, unless `ready` — evaluated once the flag is up — says
+    /// there is already something to do. Returns `false` only when the
+    /// wait ended at the ceiling. Only one thread may ever wait on a bell.
+    pub(crate) fn wait(&self, ceiling: Duration, ready: impl FnOnce() -> bool) -> bool {
+        let me = self.waiter.get_or_init(std::thread::current);
+        debug_assert_eq!(me.id(), std::thread::current().id(), "one waiter per bell");
+        self.waiting.store(true, SeqCst);
+        if ready() {
+            self.waiting.store(false, SeqCst);
+            return true;
+        }
+        let deadline = Instant::now() + ceiling;
+        loop {
+            // Only a cleared flag means "rung": a stale unpark left by an
+            // earlier wait, or a spurious wake, just parks again.
+            if !self.waiting.load(SeqCst) {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return !self.waiting.swap(false, SeqCst);
+            }
+            std::thread::park_timeout(deadline - now);
+        }
+    }
 }
 
 pub(crate) struct Shared {
@@ -121,6 +185,7 @@ impl Shared {
                     sent: AtomicU64::new(0),
                     handled: AtomicU64::new(0),
                     idle: AtomicBool::new(false),
+                    bell: Doorbell::default(),
                 }
             })
             .collect();
@@ -209,6 +274,15 @@ impl Shared {
             // it can observe the poison and unwind.
             sim.poison();
         }
+        self.wake_all();
+    }
+
+    /// Ring every rank's doorbell: termination was decided, or the
+    /// machine was poisoned (the caller's own bell is down — a no-op).
+    pub(super) fn wake_all(&self) {
+        for r in &self.ranks {
+            r.bell.ring();
+        }
     }
 
     /// Record `err` as the machine's failure (first caller wins — later
@@ -281,7 +355,10 @@ impl Shared {
     /// The threaded half of [`Shared::push_packet`]: put the packet in the
     /// inbox *now*. Also the sim scheduler's delivery primitive.
     pub(crate) fn deliver_direct(&self, dest: RankId, pkt: Packet) {
-        if self.ranks[dest].tx.send(pkt).is_err() {
+        let rank = &self.ranks[dest];
+        if rank.tx.send(pkt).is_ok() {
+            rank.bell.ring();
+        } else {
             self.fail(
                 MachineError::Poisoned {
                     message: format!("rank {dest} inbox closed while messages were in flight"),
@@ -314,7 +391,10 @@ impl Shared {
     /// The threaded half of [`Shared::push_ack`] / the sim scheduler's ack
     /// delivery primitive.
     pub(crate) fn ack_direct(&self, dest: RankId, ack: Ack) {
-        if self.ranks[dest].ack_tx.send(ack).is_err() {
+        let rank = &self.ranks[dest];
+        if rank.ack_tx.send(ack).is_ok() {
+            rank.bell.ring();
+        } else {
             self.fail(
                 MachineError::Poisoned {
                     message: format!("rank {dest} ack channel closed while acks were in flight"),
@@ -335,12 +415,18 @@ impl Shared {
     /// threads — a closed channel during teardown means the message is
     /// moot, so it is dropped instead of unwinding into the backend.
     pub(crate) fn wire_deliver(&self, dest: RankId, pkt: Packet) {
-        let _ = self.ranks[dest].tx.send(pkt);
+        let rank = &self.ranks[dest];
+        if rank.tx.send(pkt).is_ok() {
+            rank.bell.ring();
+        }
     }
 
     /// Tolerant wire-backend ack delivery (see [`Shared::wire_deliver`]).
     pub(crate) fn wire_ack(&self, dest: RankId, ack: Ack) {
-        let _ = self.ranks[dest].ack_tx.send(ack);
+        let rank = &self.ranks[dest];
+        if rank.ack_tx.send(ack).is_ok() {
+            rank.bell.ring();
+        }
     }
 
     /// Whether wire-backend threads should stop doing work: the machine
@@ -366,7 +452,10 @@ impl Shared {
 
     /// Deliver a control token onto `dest`'s control channel.
     pub(crate) fn token_direct(&self, dest: RankId, tok: Token) {
-        if self.ranks[dest].ctl_tx.send(tok).is_err() {
+        let rank = &self.ranks[dest];
+        if rank.ctl_tx.send(tok).is_ok() {
+            rank.bell.ring();
+        } else {
             self.fail(
                 MachineError::Poisoned {
                     message: format!("rank {dest} control channel closed during an epoch"),
@@ -404,5 +493,61 @@ pub(super) fn deliver(shared: &Shared, from: RankId, dest: RankId, env: Envelope
         Some(t) => t.send(shared, from, dest, env),
         // Perfect transport: straight into the inbox, unsequenced.
         None => shared.push_packet(dest, Packet { from, seq: 0, env }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn a_ring_before_the_wait_is_not_lost() {
+        let bell = Doorbell::default();
+        // Push-then-ring before the waiter raised its flag: the ring is a
+        // no-op, and the waiter's re-check sees the pushed fact instead.
+        let mail = AtomicBool::new(true);
+        bell.ring();
+        let t0 = Instant::now();
+        assert!(bell.wait(LONG, || mail.load(SeqCst)));
+        // A ring landing between the flag and the park leaves an unpark
+        // token: the park returns at once.
+        assert!(bell.wait(LONG, || {
+            bell.ring();
+            false
+        }));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_ring_from_another_thread_wakes_the_waiter() {
+        let bell = Arc::new(Doorbell::default());
+        let ringer = {
+            let bell = bell.clone();
+            std::thread::spawn(move || {
+                while !bell.waiting.load(SeqCst) {
+                    std::thread::yield_now();
+                }
+                bell.ring();
+            })
+        };
+        let t0 = Instant::now();
+        assert!(
+            bell.wait(LONG, || false),
+            "woken by the ring, not the ceiling"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        ringer.join().unwrap();
+    }
+
+    #[test]
+    fn a_ring_to_a_bell_nobody_waits_on_is_a_no_op() {
+        let bell = Doorbell::default();
+        bell.ring();
+        assert!(!bell.waiting.load(SeqCst));
+        assert!(bell.waiter.get().is_none(), "nothing to unpark");
+        // ...and it leaves no wake behind for a later wait.
+        assert!(!bell.wait(Duration::from_millis(5), || false));
     }
 }

@@ -22,8 +22,10 @@ pub(super) fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
                         ctx.handle_packet(pkt);
                     }
                     // Ship whatever the handlers produced before blocking
-                    // again.
+                    // again, then wake the rank's main thread: the handlers
+                    // lowered its idle flag, and only it re-raises it.
                     ctx.flush_own_buffers();
+                    shared.ranks[rank].bell.ring();
                     true
                 }
                 Err(_) => {

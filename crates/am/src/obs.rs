@@ -620,7 +620,7 @@ fn stats_json(s: &StatsSnapshot, out: &mut String) {
         "{{\"messages_sent\":{},\"envelopes_sent\":{},\"messages_handled\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\"reduction_combines\":{},\
          \"reduction_forwards\":{},\"epochs\":{},\"control_tokens\":{},\
-         \"trace_roots\":{},\"injected_drops\":{},\
+         \"idle_timeouts\":{},\"trace_roots\":{},\"injected_drops\":{},\
          \"injected_dups\":{},\"injected_delays\":{},\"injected_reorders\":{},\
          \"retransmits\":{},\"acks\":{},\"dups_suppressed\":{},\
          \"transport_bytes_sent\":{},\"transport_bytes_received\":{},\
@@ -636,6 +636,7 @@ fn stats_json(s: &StatsSnapshot, out: &mut String) {
         s.reduction_forwards,
         s.epochs,
         s.control_tokens,
+        s.idle_timeouts,
         s.trace_roots,
         s.injected_drops,
         s.injected_dups,

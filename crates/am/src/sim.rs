@@ -30,9 +30,11 @@
 //! ## Blocking points
 //!
 //! Cooperative scheduling requires that a rank never blocks the OS thread
-//! while holding the token. The three places the threaded machine blocks —
-//! collectives (condvar), the termination loops (`recv_timeout`), and
-//! `try_finish`'s retry loop — all route through `SimNet` in sim mode:
+//! while holding the token. The places the threaded machine blocks —
+//! collectives (condvar), and the termination loops and `try_finish`'s
+//! "others not done yet" pause (both parked on the rank's doorbell until
+//! a delivery, a deciding rank's ring, or the `RECV_TIMEOUT` ceiling; see
+//! [`crate::termination`]) — all route through `SimNet` in sim mode:
 //! collectives are a serialized arrive/publish state machine, and idle
 //! waits park the rank until a delivery (or a machine-wide wake when the
 //! event queue runs dry, which is what drives transport pumps and
@@ -1144,9 +1146,9 @@ impl SimNet {
             .insert((arrival, uid), SimEvent::TokenDelivery { from, dest, tok });
     }
 
-    /// Sim-mode idle wait, replacing the termination loops'
-    /// `recv_timeout`: park until a delivery (or a dry-queue wake) makes
-    /// running this rank useful again.
+    /// Sim-mode idle wait, replacing the termination waits' doorbell
+    /// park: park until a delivery (or a dry-queue wake) makes running
+    /// this rank useful again.
     pub(crate) fn idle_wait(&self, shared: &Shared, rank: RankId) {
         self.yield_token(shared, rank, RankState::Idle);
     }

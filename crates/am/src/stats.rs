@@ -39,6 +39,10 @@ pub struct MachineStats {
     pub epochs: AtomicU64,
     /// Termination-detection control tokens circulated (four-counter mode).
     pub control_tokens: AtomicU64,
+    /// Termination waits (epoch exit, `try_finish`) that ended at the
+    /// liveness ceiling rather than by a ring: the reliability layer's
+    /// periodic pumps, or a wake-up nobody delivered.
+    pub idle_timeouts: AtomicU64,
     /// Causal-trace cascades started by the deterministic sampler (see
     /// [`crate::MachineConfig::trace_sampling`]). Each root seeds one
     /// traced message cascade whose envelopes carry trace ids.
@@ -104,6 +108,7 @@ impl MachineStats {
             reduction_forwards: self.reduction_forwards.load(Ordering::SeqCst),
             epochs: self.epochs.load(Ordering::SeqCst),
             control_tokens: self.control_tokens.load(Ordering::SeqCst),
+            idle_timeouts: self.idle_timeouts.load(Ordering::SeqCst),
             trace_roots: self.trace_roots.load(Ordering::SeqCst),
             injected_drops: self.injected_drops.load(Ordering::SeqCst),
             injected_dups: self.injected_dups.load(Ordering::SeqCst),
@@ -189,6 +194,8 @@ pub struct StatsSnapshot {
     pub epochs: u64,
     /// Termination-detection control tokens circulated.
     pub control_tokens: u64,
+    /// Termination waits that ended at the liveness ceiling, not a ring.
+    pub idle_timeouts: u64,
     /// Causal-trace cascades started by the deterministic sampler.
     pub trace_roots: u64,
     /// Envelope transmissions dropped by the fault layer.
@@ -265,6 +272,7 @@ impl StatsSnapshot {
                 .saturating_sub(earlier.reduction_forwards),
             epochs: self.epochs.saturating_sub(earlier.epochs),
             control_tokens: self.control_tokens.saturating_sub(earlier.control_tokens),
+            idle_timeouts: self.idle_timeouts.saturating_sub(earlier.idle_timeouts),
             trace_roots: self.trace_roots.saturating_sub(earlier.trace_roots),
             injected_drops: self.injected_drops.saturating_sub(earlier.injected_drops),
             injected_dups: self.injected_dups.saturating_sub(earlier.injected_dups),

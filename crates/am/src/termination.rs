@@ -40,6 +40,58 @@
 //! between the waves — global quiescence at that instant. Rank 0 then sends
 //! a `Terminate` token to every rank.
 //!
+//! ## Liveness: who rings, and why no wakeup is lost
+//!
+//! An idle rank's main thread does not poll. Both detectors and
+//! `try_finish`'s "others not done yet" exit block on the rank's
+//! *doorbell* (`Doorbell` in `machine/shared.rs`: a `waiting` flag plus
+//! park/unpark), and the doorbell is rung by
+//!
+//! * every delivery into the rank's inbox (`deliver_direct`,
+//!   `wire_deliver`), control channel (`token_direct`: wave tokens and
+//!   rank 0's `Terminate`) and ack channel (`ack_direct`, `wire_ack`);
+//! * the rank that decides termination in counters mode (`try_finish` or
+//!   the counters finisher), once per rank, right after its
+//!   `completed_epoch.fetch_max`;
+//! * a handler worker thread after each batch it drains (the handlers
+//!   lowered the rank's idle flag, and only the main thread re-raises it);
+//! * `Shared::poison`, so a failure elsewhere unwinds waiters at once.
+//!
+//! **No lost wakeup.** The waiter raises `waiting` (SeqCst store), *then*
+//! re-checks its three channels, the poison flag and — where it is a
+//! reason to wake — `completed_epoch`, and parks only if all are quiet.
+//! A waker first makes its fact visible (the channel push, under the
+//! channel's mutex, or the SeqCst `fetch_max`) and *then* loads
+//! `waiting` (SeqCst). If the waiter's re-check missed the push, the
+//! waiter's mutex release preceded the waker's acquire, so its flag store
+//! happens-before the waker's load, which therefore sees the flag raised;
+//! for `completed_epoch` the four SeqCst accesses form the classic
+//! store-load pair, in which at least one side sees the other's write.
+//! Either the waiter sees the fact and does not park, or the waker sees
+//! the flag and unparks — and an unpark that lands before the park is
+//! kept as the thread's token, so the park returns at once.
+//!
+//! **At most one wake syscall per park.** The waker clears the flag with
+//! a `swap` and unparks only if the swap saw it raised; every other
+//! delivery during the same wait is a plain load. A ring to a rank that
+//! is not waiting is that load and nothing else.
+//!
+//! **Why rings suffice.** In counters mode the last rank to change state
+//! (handle a message, raise its flag) always evaluates the termination
+//! condition afterwards, seeing everything before it; if the condition
+//! holds it decides and rings everyone, and if it fails, some other rank
+//! still holds work — mail in its inbox (which rang it) or a running
+//! thread (which will evaluate the condition in turn). In wave mode every
+//! hop is a control-channel delivery. What nobody rings for is the
+//! reliability layer's clock: retransmissions and parked fault releases
+//! advance only when a rank pumps. `RECV_TIMEOUT` is therefore kept as
+//! the *liveness ceiling* of every wait; a wait that ends there is counted
+//! in `MachineStats::idle_timeouts`. Without a reliability layer that
+//! count stays near zero (a peer descheduled for longer than the ceiling
+//! on a loaded box), so a rising count means the floor is the timeout
+//! again. The simulator replaces all of this with its cooperative
+//! `SimNet::idle_wait`.
+//!
 //! ## Deferred local work and `try_finish`
 //!
 //! Work hooks may defer work into strategy-local structures (Δ-stepping
@@ -100,7 +152,8 @@
 //! retransmits are suppressed by per-lane dedup *before* `handled` is
 //! incremented. Neither detector can therefore observe `handled == sent`
 //! while anything is parked in the fault layer; liveness comes from
-//! `Transport::pump` being called in every blocking loop, so
+//! `Transport::pump` being called on every pass of every blocking loop —
+//! after each ring, and at the latest at the `RECV_TIMEOUT` ceiling — so
 //! retransmissions progress while ranks sit in detection. See
 //! `docs/INTERNALS.md` §7.
 

@@ -57,22 +57,22 @@ pub fn delta_stepping(
         }),
     );
 
-    let mut epochs = 0;
-    loop {
-        // Globally lowest non-empty bucket. Improvements of an
-        // already-bucketed vertex can re-insert it *below* the index being
-        // processed, so the scan restarts from 0 every round rather than
-        // advancing monotonically (relaxation is idempotent, so reprocessing
-        // is always safe; skipping would strand work).
-        let local = buckets
+    // One collective per round decides what comes next: 0 means some
+    // rank's bucket `i` refilled (drain it again), otherwise the result
+    // is the globally lowest non-empty bucket + 1 (`u64::MAX`: all empty).
+    // Improvements of an already-bucketed vertex can re-insert it *below*
+    // the index being processed, so the scan restarts from 0 every round
+    // rather than advancing monotonically (relaxation is idempotent, so
+    // reprocessing is always safe; skipping would strand work).
+    let lowest = || {
+        buckets
             .first_nonempty_from(0)
-            .map(|b| b as u64)
-            .unwrap_or(u64::MAX);
-        let global = ctx.all_reduce(local, |a, b| a.min(b));
-        if global == u64::MAX {
-            break;
-        }
-        let i = global as usize;
+            .map_or(u64::MAX, |b| b as u64 + 1)
+    };
+    let mut epochs = 0;
+    let mut next = ctx.all_reduce(lowest(), u64::min);
+    while next != u64::MAX {
+        let i = (next - 1) as usize;
         // arg1 = drain rounds this bucket needed before it stayed empty.
         let mut bucket_span = ctx
             .span(SpanKind::Strategy, "delta.bucket")
@@ -92,8 +92,9 @@ pub fn delta_stepping(
             });
             epochs += 1;
             rounds += 1;
-            let refilled = ctx.any_rank(!buckets.is_empty_at(i));
-            if !refilled {
+            let mine = if buckets.is_empty_at(i) { lowest() } else { 0 };
+            next = ctx.all_reduce(mine, u64::min);
+            if next != 0 {
                 break;
             }
         }
