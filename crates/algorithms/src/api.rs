@@ -106,8 +106,8 @@ impl Run {
         Run::on(MachineConfig::new(ranks))
     }
 
-    /// A caller-supplied machine (transport, faults, termination mode,
-    /// ...), default engine, threads.
+    /// A caller-supplied machine (transport, faults, coalescing, ...),
+    /// default engine, threads.
     pub fn on(machine: MachineConfig) -> Run {
         Run {
             machine,

@@ -13,25 +13,6 @@ use crate::transport::TransportKind;
 /// and the workers' shutdown check.
 pub(crate) const RECV_TIMEOUT: Duration = Duration::from_micros(100);
 
-/// Which termination-detection algorithm an epoch uses to decide that all
-/// activity has quiesced (see `termination` module docs for the algorithms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TerminationMode {
-    /// Quiescence is detected by comparing the machine-wide totals of
-    /// messages sent and messages handled (read via shared atomics). This is
-    /// the fast path available because ranks share a process.
-    #[default]
-    SharedCounters,
-    /// A faithful distributed algorithm: rank 0 circulates count-collecting
-    /// token waves around a ring of control channels and declares
-    /// termination after two consecutive stable waves with `sent ==
-    /// handled` (a four-counter / Safra-style scheme). Epoch *exit* reads
-    /// no cross-rank shared state, only messages. [`crate::AmCtx::try_finish`]
-    /// is not covered by the mode: it runs the shared-counter double scan
-    /// under either setting.
-    FourCounterWave,
-}
-
 /// Configuration for a simulated distributed machine.
 ///
 /// A machine consists of `ranks` nodes; each node runs the user's SPMD
@@ -49,8 +30,6 @@ pub struct MachineConfig {
     /// Number of messages of one type buffered per destination before an
     /// envelope is shipped. 1 disables coalescing.
     pub coalescing_capacity: usize,
-    /// Termination-detection algorithm used by epochs.
-    pub termination: TerminationMode,
     /// Enable the structured observability recorder (`dgp-am::obs`):
     /// epoch/handler/termination spans, handler-latency and envelope-size
     /// histograms, Chrome-trace export. Off by default; when off, the
@@ -121,7 +100,6 @@ impl MachineConfig {
             ranks,
             threads_per_rank: 1,
             coalescing_capacity: 64,
-            termination: TerminationMode::SharedCounters,
             profile: false,
             profile_spans: 1 << 16,
             faults: None,
@@ -143,12 +121,6 @@ impl MachineConfig {
     /// Set the coalescing buffer capacity (1 disables coalescing).
     pub fn coalescing(mut self, cap: usize) -> Self {
         self.coalescing_capacity = cap;
-        self
-    }
-
-    /// Select the termination-detection algorithm.
-    pub fn termination(mut self, mode: TerminationMode) -> Self {
-        self.termination = mode;
         self
     }
 
@@ -242,14 +214,10 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = MachineConfig::new(4)
-            .threads_per_rank(2)
-            .coalescing(16)
-            .termination(TerminationMode::FourCounterWave);
+        let c = MachineConfig::new(4).threads_per_rank(2).coalescing(16);
         assert_eq!(c.ranks, 4);
         assert_eq!(c.threads_per_rank, 2);
         assert_eq!(c.coalescing_capacity, 16);
-        assert_eq!(c.termination, TerminationMode::FourCounterWave);
         c.validate();
     }
 
@@ -269,7 +237,6 @@ mod tests {
     fn default_is_single_rank() {
         let c = MachineConfig::default();
         assert_eq!(c.ranks, 1);
-        assert_eq!(c.termination, TerminationMode::SharedCounters);
     }
 
     #[test]

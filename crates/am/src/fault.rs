@@ -17,14 +17,11 @@
 //! ## Fault model
 //!
 //! Faults apply to **data envelopes** (and, via [`FaultPlan::ack_drop`],
-//! to acknowledgements). The termination-detection control channel is
-//! deliberately *not* faulted: it models a separate reliable control
-//! plane, and the four-counter-wave detector's correctness argument
-//! assumes FIFO token delivery. What keeps detection honest under data
-//! faults is accounting, not the control plane: a dropped, delayed,
-//! reordered, or retransmit-pending envelope's messages are already in
-//! the `sent` counters and not yet in `handled`, so neither detector can
-//! observe `handled == sent` while anything is parked in the fault layer.
+//! to acknowledgements). What keeps termination detection honest under
+//! data faults is accounting: a dropped, delayed, reordered, or
+//! retransmit-pending envelope's messages are already in the `sent`
+//! counters and not yet in `handled`, so the detector cannot observe
+//! `handled == sent` while anything is parked in the fault layer.
 //!
 //! ## Determinism
 //!

@@ -26,8 +26,8 @@
 //!   only when every message sent inside it — including messages sent by
 //!   handlers, transitively — has been handled, on every rank. The paper's
 //!   `epoch_flush` and `try_finish` primitives ([`AmCtx::epoch_flush`],
-//!   [`AmCtx::try_finish`]) are provided, along with two termination
-//!   detection algorithms ([`config::TerminationMode`]).
+//!   [`AmCtx::try_finish`]) are provided; both end through one
+//!   shared-counter detection step ([`termination`]).
 //! * **Structured observability** ([`obs`]): per-epoch counter profiles
 //!   (always on), an optional span/histogram recorder gated by
 //!   [`MachineConfig::profile`], and Chrome-trace / metrics-JSON exporters
@@ -128,7 +128,7 @@ pub mod transport;
 
 pub use addressing::AddressMap;
 pub use caching::CachingSender;
-pub use config::{MachineConfig, TerminationMode};
+pub use config::MachineConfig;
 pub use error::MachineError;
 pub use fault::FaultPlan;
 pub use machine::{AmCtx, Flushable, Machine, MessageType, RankId, SimError, SimRun};

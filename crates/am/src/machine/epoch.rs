@@ -1,17 +1,15 @@
 //! Epochs and their termination: `epoch`, `epoch_flush`, `try_finish`,
 //! the drain/flush loop every idle path runs through, the epoch-deadline
-//! watchdog, and the two termination detectors (see
-//! [`crate::termination`]).
+//! watchdog, and the one termination-detection step both `try_finish`
+//! and epoch exit run (see [`crate::termination`]).
 
 use std::sync::atomic::Ordering::SeqCst;
 use std::time::Instant;
 
 use super::{AmCtx, RankId};
-use crate::config::TerminationMode;
 use crate::error::{Abort, MachineError};
 use crate::obs::{SpanGuard, SpanKind};
 use crate::stats::MachineStats;
-use crate::termination::{ring_next, Token};
 use crate::trace::FlightKind;
 
 impl AmCtx {
@@ -63,11 +61,7 @@ impl AmCtx {
 
         let result = f(self);
 
-        let entered = self.epoch_entered_at.get().unwrap_or_else(Instant::now);
-        match self.shared.cfg.termination {
-            TerminationMode::SharedCounters => self.finish_epoch_counters(my_gen, entered),
-            TerminationMode::FourCounterWave => self.finish_epoch_wave(my_gen, entered),
-        }
+        self.finish_epoch(my_gen);
 
         // Sim mode: epoch-triggered plan transitions (partitions forming
         // or healing "after epoch N") and the epoch-cadence invariant
@@ -144,8 +138,41 @@ impl AmCtx {
     /// empty Δ-stepping buckets); see [`crate::termination`] for why.
     pub fn try_finish(&self) -> bool {
         debug_assert!(self.in_epoch.get(), "try_finish is used inside an epoch");
+        self.termination_step(self.epochs_entered.get(), 0)
+    }
+
+    /// Epoch exit: run the termination step until the epoch is over,
+    /// inside the `termination.counters` span. Whatever the epoch body
+    /// left in Δ-buckets stays there — a plain epoch ends when messages
+    /// quiesce, so `try_finish`'s no-deferred-work contract is not needed.
+    fn finish_epoch(&self, my_gen: u64) {
+        let mut span = self.shared.obs.as_ref().map(|rec| {
+            SpanGuard::begin(
+                rec,
+                SpanKind::Termination,
+                "termination.counters",
+                self.rank,
+                self.thread,
+                my_gen,
+            )
+            .args(my_gen, 0)
+        });
+        let mut rounds: u64 = 1;
+        while !self.termination_step(my_gen, rounds) {
+            rounds += 1;
+        }
+        if let Some(s) = span.as_mut() {
+            s.set_arg1(rounds);
+        }
+    }
+
+    /// One pass of termination detection for epoch `my_gen` (see
+    /// [`crate::termination`]): drain and flush, publish, raise the idle
+    /// flag, double-scan the shared flags and counters, and either decide
+    /// (recording `vote_arg` with the vote) or wait for a ring. Returns
+    /// whether the epoch has terminated.
+    fn termination_step(&self, my_gen: u64, vote_arg: u64) -> bool {
         self.shared.check_poison();
-        let my_gen = self.epochs_entered.get();
         if let Some(entered) = self.epoch_entered_at.get() {
             self.check_deadline(entered, my_gen);
         }
@@ -178,23 +205,18 @@ impl AmCtx {
         if !quiescent {
             // Others are not done yet: wait for mail or for the deciding
             // rank's ring instead of returning straight into the caller's
-            // `while !try_finish() { epoch_flush() }` spin — which would
-            // take the core its peers need, and under the simulator's
-            // cooperative scheduling would hold the token so no other
-            // rank could ever make the counters balance.
+            // loop — which would take the core its peers need, and under
+            // the simulator's cooperative scheduling would hold the token
+            // so no other rank could ever make the counters balance. The
+            // next step's drain picks the packets up, and their handlers
+            // lower our idle flag.
             self.idle_wait(|| self.shared.completed_epoch.load(SeqCst) >= my_gen);
             return false;
         }
-        self.decide(my_gen, 0);
-        true
-    }
-
-    /// Record this rank's termination vote for epoch `my_gen`, publish the
-    /// decision and wake every rank waiting on it.
-    fn decide(&self, my_gen: u64, arg: u64) {
-        self.flight_push(FlightKind::TermVote, my_gen, arg);
+        self.flight_push(FlightKind::TermVote, my_gen, vote_arg);
         self.shared.completed_epoch.fetch_max(my_gen, SeqCst);
         self.shared.wake_all();
+        true
     }
 
     /// Block this idle rank until something may have changed for it: mail
@@ -268,172 +290,5 @@ impl AmCtx {
             None,
         );
         std::panic::resume_unwind(Box::new(Abort));
-    }
-
-    /// Shared-counter termination detection (see [`crate::termination`]).
-    fn finish_epoch_counters(&self, my_gen: u64, entered: Instant) {
-        let shared = &self.shared;
-        let me = &shared.ranks[self.rank];
-        let mut span = shared.obs.as_ref().map(|rec| {
-            SpanGuard::begin(
-                rec,
-                SpanKind::Termination,
-                "termination.counters",
-                self.rank,
-                self.thread,
-                my_gen,
-            )
-            .args(my_gen, 0)
-        });
-        let mut rounds: u64 = 0;
-        loop {
-            shared.check_poison();
-            self.check_deadline(entered, my_gen);
-            rounds += 1;
-            if self.drain_and_flush() {
-                continue;
-            }
-            // Counter reads below must only see published state (no-op
-            // unless something dirtied the deltas since the flush above).
-            self.publish_deltas();
-            debug_assert_eq!(
-                self.buffered_pending(),
-                0,
-                "idle declared with unshipped coalesced messages"
-            );
-            me.idle.store(true, SeqCst);
-            if shared.completed_epoch.load(SeqCst) >= my_gen {
-                break;
-            }
-            if shared.all_idle() {
-                let h = shared.total_handled();
-                let s = shared.total_sent();
-                if h == s {
-                    self.decide(my_gen, rounds);
-                    break;
-                }
-            }
-            // Wait for mail or for the deciding rank's ring; the next
-            // drain_and_flush picks the packets up, and their handlers
-            // lower our idle flag.
-            self.idle_wait(|| shared.completed_epoch.load(SeqCst) >= my_gen);
-        }
-        if let Some(s) = span.as_mut() {
-            s.set_arg1(rounds);
-        }
-    }
-
-    /// Four-counter wave termination detection (see [`crate::termination`]).
-    fn finish_epoch_wave(&self, my_gen: u64, entered: Instant) {
-        let shared = &self.shared;
-        let n = shared.cfg.ranks;
-        if n == 1 {
-            // A ring of one: the wave degenerates to the local counter check.
-            return self.finish_epoch_counters(my_gen, entered);
-        }
-        let me = &shared.ranks[self.rank];
-        let mut span = shared.obs.as_ref().map(|rec| {
-            SpanGuard::begin(
-                rec,
-                SpanKind::Termination,
-                "termination.wave",
-                self.rank,
-                self.thread,
-                my_gen,
-            )
-            .args(my_gen, 0)
-        });
-        let mut tokens_seen: u64 = 0;
-        let mut held: Option<Token> = None;
-        let mut prev_wave: Option<(u64, u64)> = None;
-        let mut wave_no: u64 = 0;
-        let mut wave_in_flight = false;
-        loop {
-            shared.check_poison();
-            self.check_deadline(entered, my_gen);
-            if self.drain_and_flush() {
-                me.idle.store(false, SeqCst);
-                continue;
-            }
-            // The wave tokens below read this rank's own counters; they
-            // must only see published state.
-            self.publish_deltas();
-            debug_assert_eq!(
-                self.buffered_pending(),
-                0,
-                "wave participation with unshipped coalesced messages"
-            );
-            // Idle as far as the data plane is concerned (diagnostic only
-            // in this mode — detection itself reads no shared flags).
-            me.idle.store(true, SeqCst);
-            // We are idle: participate in the control protocol.
-            let mut terminated = false;
-            while let Ok(tok) = me.ctl_rx.try_recv() {
-                match tok {
-                    Token::Terminate => terminated = true,
-                    wave @ Token::Wave { .. } => {
-                        debug_assert!(held.is_none(), "waves are sequential");
-                        held = Some(wave);
-                    }
-                }
-            }
-            if terminated {
-                shared.completed_epoch.fetch_max(my_gen, SeqCst);
-                break;
-            }
-            if let Some(Token::Wave {
-                wave,
-                sent,
-                handled,
-            }) = held.take()
-            {
-                MachineStats::bump(&shared.stats.control_tokens, 1);
-                tokens_seen += 1;
-                if self.rank == 0 {
-                    // Wave returned with machine totals.
-                    let cur = (sent, handled);
-                    if sent == handled && prev_wave == Some(cur) {
-                        self.flight_push(FlightKind::TermVote, my_gen, tokens_seen);
-                        for r in 1..n {
-                            shared.push_token(self.rank, r, Token::Terminate);
-                        }
-                        shared.completed_epoch.fetch_max(my_gen, SeqCst);
-                        break;
-                    }
-                    prev_wave = Some(cur);
-                    wave_in_flight = false;
-                } else {
-                    self.flight_push(FlightKind::TermVote, my_gen, tokens_seen);
-                    let tok = Token::Wave {
-                        wave,
-                        sent: sent + me.sent.load(SeqCst),
-                        handled: handled + me.handled.load(SeqCst),
-                    };
-                    shared.push_token(self.rank, ring_next(self.rank, n), tok);
-                }
-            }
-            if self.rank == 0 && !wave_in_flight {
-                wave_no += 1;
-                let tok = Token::Wave {
-                    wave: wave_no,
-                    sent: me.sent.load(SeqCst),
-                    handled: me.handled.load(SeqCst),
-                };
-                shared.push_token(self.rank, ring_next(0, n), tok);
-                wave_in_flight = true;
-            }
-            // Wait for data or a control token (each rings our doorbell;
-            // in sim mode push_token marks us runnable). Only a Terminate
-            // token ends this loop, so `completed_epoch` — which
-            // `try_finish` may already have raised — is not a reason to
-            // wake.
-            self.idle_wait(|| false);
-        }
-        me.idle.store(true, SeqCst);
-        // Drain any stale control traffic for this epoch.
-        while me.ctl_rx.try_recv().is_ok() {}
-        if let Some(s) = span.as_mut() {
-            s.set_arg1(tokens_seen);
-        }
     }
 }

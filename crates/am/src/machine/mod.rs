@@ -34,7 +34,7 @@ pub(crate) use shared::Shared;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MachineConfig, TerminationMode};
+    use crate::config::MachineConfig;
     use crate::fault::FaultPlan;
     use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
     use std::sync::Arc;
@@ -115,49 +115,21 @@ mod tests {
     }
 
     #[test]
-    fn four_counter_wave_terminates() {
-        let hops = Arc::new(AtomicU64::new(0));
-        let h2 = hops.clone();
-        Machine::run(
-            cfg(4).termination(TerminationMode::FourCounterWave),
-            move |ctx| {
-                let hops = h2.clone();
-                let mt = ctx.register(move |ctx, left: u64| {
-                    hops.fetch_add(1, SeqCst);
-                    if left > 0 {
-                        let next = (ctx.rank() + 7) % ctx.num_ranks();
-                        ctx.send(next, left - 1);
-                    }
-                });
-                ctx.epoch(|ctx| {
-                    mt.send(ctx, (ctx.rank() + 1) % ctx.num_ranks(), 50u64);
-                });
-            },
-        );
-        assert_eq!(hops.load(SeqCst), 4 * 51);
-    }
-
-    #[test]
-    fn many_empty_epochs_stay_live_in_both_modes() {
+    fn many_empty_epochs_stay_live() {
         // Rings are the only prompt wake; under chaos the reliability
         // layer is installed and the ceiling is its only periodic wake.
-        for mode in [
-            TerminationMode::SharedCounters,
-            TerminationMode::FourCounterWave,
-        ] {
-            for faults in [None, Some(FaultPlan::chaos(0xC0FFEE))] {
-                let mut c = cfg(4).termination(mode);
-                if let Some(plan) = faults {
-                    c = c.faults(plan);
-                }
-                let out = Machine::run(c, |ctx| {
-                    for _ in 0..300 {
-                        ctx.epoch(|_| {});
-                    }
-                    ctx.stats().epochs
-                });
-                assert_eq!(out[0], 4 * 300, "{mode:?}");
+        for faults in [None, Some(FaultPlan::chaos(0xC0FFEE))] {
+            let mut c = cfg(4);
+            if let Some(plan) = faults {
+                c = c.faults(plan);
             }
+            let out = Machine::run(c, |ctx| {
+                for _ in 0..300 {
+                    ctx.epoch(|_| {});
+                }
+                ctx.stats().epochs
+            });
+            assert_eq!(out[0], 4 * 300);
         }
     }
 

@@ -1,5 +1,5 @@
 //! State shared by every thread of a machine, and the delivery seam
-//! (`push_packet` / `push_ack` / `push_token`) that threads, wire
+//! (`push_packet` / `push_ack`) that threads, wire
 //! backends and the simulator all funnel through.
 
 use std::any::Any;
@@ -20,14 +20,11 @@ use crate::fault::{FaultPlan, Reliability};
 use crate::obs::{EpochProfiler, Recorder};
 use crate::sim::SimNet;
 use crate::stats::{MachineStats, StatsSnapshot, TypeStat};
-use crate::termination::Token;
 use crate::trace::{FailCause, FlightCollector};
 
 pub(crate) struct RankShared {
     tx: Sender<Packet>,
     pub(super) rx: Receiver<Packet>,
-    ctl_tx: Sender<Token>,
-    pub(super) ctl_rx: Receiver<Token>,
     /// Acknowledgements addressed to this rank (only used when the
     /// reliability layer is installed).
     ack_tx: Sender<Ack>,
@@ -42,16 +39,16 @@ pub(crate) struct RankShared {
     pub(super) handled: AtomicU64,
     pub(super) idle: AtomicBool,
     /// Wakes this rank's main thread out of a termination wait: rung by
-    /// every delivery into its three channels and by the rank that
+    /// every delivery into its two channels and by the rank that
     /// decides termination (see [`crate::termination`], liveness).
     pub(super) bell: Doorbell,
 }
 
 impl RankShared {
-    /// Whether anything is queued on this rank's inbox, control or ack
-    /// channel — the waits' re-check after raising the doorbell flag.
+    /// Whether anything is queued on this rank's inbox or ack channel —
+    /// the waits' re-check after raising the doorbell flag.
     pub(super) fn has_mail(&self) -> bool {
-        !self.rx.is_empty() || !self.ctl_rx.is_empty() || !self.ack_rx.is_empty()
+        !self.rx.is_empty() || !self.ack_rx.is_empty()
     }
 }
 
@@ -170,13 +167,10 @@ impl Shared {
         let ranks = (0..cfg.ranks)
             .map(|_| {
                 let (tx, rx) = unbounded();
-                let (ctl_tx, ctl_rx) = unbounded();
                 let (ack_tx, ack_rx) = unbounded();
                 RankShared {
                     tx,
                     rx,
-                    ctl_tx,
-                    ctl_rx,
                     ack_tx,
                     ack_rx,
                     handlers: RwLock::new(Vec::new()),
@@ -433,37 +427,6 @@ impl Shared {
     /// is shutting down or has been poisoned by a failure.
     pub(crate) fn wire_should_exit(&self) -> bool {
         self.shutdown.load(SeqCst) || self.poisoned.load(SeqCst)
-    }
-
-    /// Send a termination-control token from `from` to `dest`
-    /// (poison-aware). In sim mode tokens traverse the modeled link like
-    /// any message (so wave circulation advances virtual time and
-    /// interleaves with data deliveries in timestamp order) but are
-    /// exempt from partitions: the control plane has no retransmit
-    /// layer, so losing a token would wedge termination rather than
-    /// model anything useful.
-    pub(super) fn push_token(&self, from: RankId, dest: RankId, tok: Token) {
-        if let Some(sim) = &self.sim {
-            sim.enqueue_token(from, dest, tok);
-            return;
-        }
-        self.token_direct(dest, tok);
-    }
-
-    /// Deliver a control token onto `dest`'s control channel.
-    pub(crate) fn token_direct(&self, dest: RankId, tok: Token) {
-        let rank = &self.ranks[dest];
-        if rank.ctl_tx.send(tok).is_ok() {
-            rank.bell.ring();
-        } else {
-            self.fail(
-                MachineError::Poisoned {
-                    message: format!("rank {dest} control channel closed during an epoch"),
-                },
-                None,
-            );
-            std::panic::resume_unwind(Box::new(Abort));
-        }
     }
 
     /// The 1-indexed generation of the epoch currently in flight (best

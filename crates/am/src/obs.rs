@@ -16,7 +16,7 @@
 //! * **[`EpochProfile`]** — the runtime automatically snapshots
 //!   machine-wide [`StatsSnapshot`] deltas at every epoch boundary
 //!   (duration, messages sent/handled, coalescing factor, cache-hit rate,
-//!   reduction-combine rate, control tokens). Always on: the cost is one
+//!   reduction-combine rate). Always on: the cost is one
 //!   snapshot per *epoch*, not per message. Read them back with
 //!   [`AmCtx::epoch_profiles`](crate::AmCtx::epoch_profiles). Epoch
 //!   boundaries are termination-detection instants, at which every
@@ -150,8 +150,8 @@ pub enum SpanKind {
     /// One envelope's worth of handler executions (`arg0` = type id,
     /// `arg1` = messages in the envelope).
     Handler,
-    /// The termination-detection tail of an epoch (`arg0` = detection
-    /// rounds/waves observed by this rank).
+    /// The termination-detection tail of an epoch (`arg0` = epoch
+    /// generation, `arg1` = detection rounds this rank ran).
     Termination,
     /// A `Gather` plan step executed by the pattern engine (`arg0` =
     /// action id).
@@ -619,7 +619,7 @@ fn stats_json(s: &StatsSnapshot, out: &mut String) {
     out.push_str(&format!(
         "{{\"messages_sent\":{},\"envelopes_sent\":{},\"messages_handled\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\"reduction_combines\":{},\
-         \"reduction_forwards\":{},\"epochs\":{},\"control_tokens\":{},\
+         \"reduction_forwards\":{},\"epochs\":{},\
          \"idle_timeouts\":{},\"trace_roots\":{},\"injected_drops\":{},\
          \"injected_dups\":{},\"injected_delays\":{},\"injected_reorders\":{},\
          \"retransmits\":{},\"acks\":{},\"dups_suppressed\":{},\
@@ -635,7 +635,6 @@ fn stats_json(s: &StatsSnapshot, out: &mut String) {
         s.reduction_combines,
         s.reduction_forwards,
         s.epochs,
-        s.control_tokens,
         s.idle_timeouts,
         s.trace_roots,
         s.injected_drops,

@@ -17,7 +17,7 @@
 //!
 //! The threaded machine already has exactly one chokepoint where envelopes
 //! become receivable: `Shared::push_packet` (and
-//! its ack/control siblings), which is also where the reliability layer of
+//! its ack sibling), which is also where the reliability layer of
 //! [`crate::fault`] hands packets back after sequencing them. The simulator
 //! intercepts at that same seam: instead of landing in the destination
 //! inbox immediately, a packet becomes a `Delivery` event scheduled at
@@ -31,9 +31,9 @@
 //!
 //! Cooperative scheduling requires that a rank never blocks the OS thread
 //! while holding the token. The places the threaded machine blocks —
-//! collectives (condvar), and the termination loops and `try_finish`'s
-//! "others not done yet" pause (both parked on the rank's doorbell until
-//! a delivery, a deciding rank's ring, or the `RECV_TIMEOUT` ceiling; see
+//! collectives (condvar), and the termination step's "others not done
+//! yet" pause (parked on the rank's doorbell until a delivery, a deciding
+//! rank's ring, or the `RECV_TIMEOUT` ceiling; see
 //! [`crate::termination`]) — all route through `SimNet` in sim mode:
 //! collectives are a serialized arrive/publish state machine, and idle
 //! waits park the rank until a delivery (or a machine-wide wake when the
@@ -64,7 +64,6 @@ use parking_lot::Mutex;
 
 use crate::error::{Abort, MachineError};
 use crate::machine::{Ack, Packet, RankId, Shared};
-use crate::termination::Token;
 use crate::trace::mix64;
 
 /// When, in simulated time, a plan element takes effect.
@@ -374,8 +373,6 @@ pub enum SimEventKind {
     StallStart,
     /// A rank resumed after a stall window.
     StallEnd,
-    /// A termination-control token landed (FourCounterWave mode).
-    Token,
 }
 
 /// One recorded simulated-network event, from the bounded trace ring the
@@ -442,19 +439,8 @@ enum RankState {
 }
 
 enum SimEvent {
-    Delivery {
-        dest: RankId,
-        pkt: Packet,
-    },
-    AckDelivery {
-        dest: RankId,
-        ack: Ack,
-    },
-    TokenDelivery {
-        from: RankId,
-        dest: RankId,
-        tok: Token,
-    },
+    Delivery { dest: RankId, pkt: Packet },
+    AckDelivery { dest: RankId, ack: Ack },
     PartitionStart(usize),
     PartitionEnd(usize),
     StallStart(RankId),
@@ -894,26 +880,6 @@ impl SimNet {
                 }
                 self.wake_rank(st, dest);
             }
-            SimEvent::TokenDelivery { from, dest, tok } => {
-                // Control tokens are latency-modeled but partition-exempt
-                // (no retransmit layer covers them; see `push_token`).
-                let t_ns = st.now_ns;
-                self.record(
-                    st,
-                    SimEventRecord {
-                        t_ns,
-                        kind: SimEventKind::Token,
-                        from,
-                        to: dest,
-                        type_id: 0,
-                        count: 0,
-                    },
-                );
-                if let Some(sh) = shared {
-                    sh.token_direct(dest, tok);
-                }
-                self.wake_rank(st, dest);
-            }
             SimEvent::AckDelivery { dest, ack } => {
                 st.acks += 1;
                 let t_ns = st.now_ns;
@@ -993,8 +959,8 @@ impl SimNet {
                         count: 0,
                     },
                 );
-                // A stalled rank may have accumulated deliveries or
-                // control tokens; a spurious wake is harmless.
+                // A stalled rank may have accumulated deliveries; a
+                // spurious wake is harmless.
                 if st.rank_state[r] == RankState::Idle {
                     st.rank_state[r] = RankState::Ready;
                 }
@@ -1129,21 +1095,6 @@ impl SimNet {
         let arrival = st.now_ns.saturating_add(self.latency(ack.to, dest, 0, uid));
         st.queue
             .insert((arrival, uid), SimEvent::AckDelivery { dest, ack });
-    }
-
-    /// Seam for [`Shared::push_token`]: schedule a control token's
-    /// arrival over the modeled link. Tokens must traverse the event
-    /// queue — delivered instantly they would keep one rank permanently
-    /// runnable during wave circulation, and the scheduler (which only
-    /// advances time when no rank is runnable) would starve every data
-    /// delivery, spinning the wave forever at frozen virtual time.
-    pub(crate) fn enqueue_token(&self, from: RankId, dest: RankId, tok: Token) {
-        let mut st = self.state.lock();
-        let uid = st.next_uid;
-        st.next_uid += 1;
-        let arrival = st.now_ns.saturating_add(self.latency(from, dest, 0, uid));
-        st.queue
-            .insert((arrival, uid), SimEvent::TokenDelivery { from, dest, tok });
     }
 
     /// Sim-mode idle wait, replacing the termination waits' doorbell

@@ -37,8 +37,6 @@ pub struct MachineStats {
     pub reduction_forwards: AtomicU64,
     /// Completed epochs.
     pub epochs: AtomicU64,
-    /// Termination-detection control tokens circulated (four-counter mode).
-    pub control_tokens: AtomicU64,
     /// Termination waits (epoch exit, `try_finish`) that ended at the
     /// liveness ceiling rather than by a ring: the reliability layer's
     /// periodic pumps, or a wake-up nobody delivered.
@@ -107,7 +105,7 @@ impl MachineStats {
             reduction_combines: self.reduction_combines.load(Ordering::SeqCst),
             reduction_forwards: self.reduction_forwards.load(Ordering::SeqCst),
             epochs: self.epochs.load(Ordering::SeqCst),
-            control_tokens: self.control_tokens.load(Ordering::SeqCst),
+            control_tokens: 0,
             idle_timeouts: self.idle_timeouts.load(Ordering::SeqCst),
             trace_roots: self.trace_roots.load(Ordering::SeqCst),
             injected_drops: self.injected_drops.load(Ordering::SeqCst),
@@ -192,7 +190,9 @@ pub struct StatsSnapshot {
     pub reduction_forwards: u64,
     /// Completed epochs.
     pub epochs: u64,
-    /// Termination-detection control tokens circulated.
+    /// Always 0: no termination detector sends control tokens. Kept only
+    /// because the repository benchmark's frozen harness still reads it
+    /// (ROADMAP item 7 drops it there first).
     pub control_tokens: u64,
     /// Termination waits that ended at the liveness ceiling, not a ring.
     pub idle_timeouts: u64,
@@ -271,7 +271,7 @@ impl StatsSnapshot {
                 .reduction_forwards
                 .saturating_sub(earlier.reduction_forwards),
             epochs: self.epochs.saturating_sub(earlier.epochs),
-            control_tokens: self.control_tokens.saturating_sub(earlier.control_tokens),
+            control_tokens: 0,
             idle_timeouts: self.idle_timeouts.saturating_sub(earlier.idle_timeouts),
             trace_roots: self.trace_roots.saturating_sub(earlier.trace_roots),
             injected_drops: self.injected_drops.saturating_sub(earlier.injected_drops),

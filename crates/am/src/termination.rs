@@ -6,10 +6,11 @@
 //! once every message sent inside it, transitively including messages sent
 //! by handlers, has been handled on every rank.
 //!
-//! Two algorithms are provided (selected by
-//! [`crate::config::TerminationMode`], compared in experiment E6):
+//! One detector is provided, and one detection step runs it: epoch exit
+//! repeats the step until it reports termination, and
+//! [`crate::AmCtx::try_finish`] runs it once.
 //!
-//! ## Shared counters (fast path)
+//! ## Shared counters
 //!
 //! Every rank keeps monotone counters of messages *sent* (incremented when a
 //! message enters a coalescing buffer) and *handled* (incremented after the
@@ -23,43 +24,40 @@
 //! * reading `handled` first gives `h ≤ handled(t) ≤ sent(t) ≤ s` for the
 //!   instant `t` between the two sums, so `h == s` forces
 //!   `handled(t) == sent(t)`: nothing queued, buffered, or running at `t`;
-//! * idle flags are only raised from inside the detection loop, so all-idle
-//!   means every rank's epoch body has returned — no source of new messages
-//!   remains, making the condition stable.
+//! * idle flags are only raised from inside the detection step, so all-idle
+//!   means every rank's epoch body has returned (or has called
+//!   `try_finish`, below) — no source of new messages remains, making the
+//!   condition stable.
 //!
-//! ## Four-counter waves (faithful distributed algorithm)
+//! The condition is checked by a *double scan* — flags, counters, flags,
+//! counters must all be stable — on every path; the stricter form is what
+//! `try_finish` needs (below), and costs epoch exit nothing measurable.
 //!
-//! Epoch exit reads no cross-rank memory (`try_finish`, below, reads the
-//! shared counters in this mode too); rank 0 circulates a token along the
-//! ring of control channels. Each idle rank adds its local `(sent, handled)` to the
-//! token and forwards it. When a wave returns, rank 0 compares it with the
-//! previous wave and terminates when **two consecutive waves report the same
-//! totals with `sent == handled`** (Mattern's four-counter condition): wave
-//! *w−1* finishes before wave *w* starts, so per-rank equality of the two
-//! waves means every rank was quiet over an interval containing the instant
-//! between the waves — global quiescence at that instant. Rank 0 then sends
-//! a `Terminate` token to every rank.
+//! Ranks share a process, so one read of the shared flags and counters
+//! decides. A message-only detector (four-counter token waves around a
+//! ring) needs at least two full ring circulations per epoch — 2·n
+//! cross-rank wake-ups — and measured slower on the epoch-heavy
+//! benchmark workload, so it is not provided; a multi-process backend
+//! would be the reason to bring one back.
 //!
 //! ## Liveness: who rings, and why no wakeup is lost
 //!
-//! An idle rank's main thread does not poll. Both detectors and
-//! `try_finish`'s "others not done yet" exit block on the rank's
-//! *doorbell* (`Doorbell` in `machine/shared.rs`: a `waiting` flag plus
-//! park/unpark), and the doorbell is rung by
+//! An idle rank's main thread does not poll. A detection step that finds
+//! others not done yet blocks on the rank's *doorbell* (`Doorbell` in
+//! `machine/shared.rs`: a `waiting` flag plus park/unpark), and the
+//! doorbell is rung by
 //!
 //! * every delivery into the rank's inbox (`deliver_direct`,
-//!   `wire_deliver`), control channel (`token_direct`: wave tokens and
-//!   rank 0's `Terminate`) and ack channel (`ack_direct`, `wire_ack`);
-//! * the rank that decides termination in counters mode (`try_finish` or
-//!   the counters finisher), once per rank, right after its
+//!   `wire_deliver`) and ack channel (`ack_direct`, `wire_ack`);
+//! * the rank that decides termination, once per rank, right after its
 //!   `completed_epoch.fetch_max`;
 //! * a handler worker thread after each batch it drains (the handlers
 //!   lowered the rank's idle flag, and only the main thread re-raises it);
 //! * `Shared::poison`, so a failure elsewhere unwinds waiters at once.
 //!
 //! **No lost wakeup.** The waiter raises `waiting` (SeqCst store), *then*
-//! re-checks its three channels, the poison flag and — where it is a
-//! reason to wake — `completed_epoch`, and parks only if all are quiet.
+//! re-checks its two channels, the poison flag and `completed_epoch`,
+//! and parks only if all are quiet.
 //! A waker first makes its fact visible (the channel push, under the
 //! channel's mutex, or the SeqCst `fetch_max`) and *then* loads
 //! `waiting` (SeqCst). If the waiter's re-check missed the push, the
@@ -76,13 +74,12 @@
 //! delivery during the same wait is a plain load. A ring to a rank that
 //! is not waiting is that load and nothing else.
 //!
-//! **Why rings suffice.** In counters mode the last rank to change state
-//! (handle a message, raise its flag) always evaluates the termination
-//! condition afterwards, seeing everything before it; if the condition
-//! holds it decides and rings everyone, and if it fails, some other rank
-//! still holds work — mail in its inbox (which rang it) or a running
-//! thread (which will evaluate the condition in turn). In wave mode every
-//! hop is a control-channel delivery. What nobody rings for is the
+//! **Why rings suffice.** The last rank to change state (handle a
+//! message, raise its flag) always evaluates the termination condition
+//! afterwards, seeing everything before it; if the condition holds it
+//! decides and rings everyone, and if it fails, some other rank still
+//! holds work — mail in its inbox (which rang it) or a running thread
+//! (which will evaluate the condition in turn). What nobody rings for is the
 //! reliability layer's clock: retransmissions and parked fault releases
 //! advance only when a rank pumps. `RECV_TIMEOUT` is therefore kept as
 //! the *liveness ceiling* of every wait; a wait that ends there is counted
@@ -100,20 +97,21 @@
 //! bucket afterwards (exactly the paper's description of the `delta`
 //! strategy). For strategies that instead want to end an epoch from within
 //! ([`crate::AmCtx::try_finish`]), the contract is: call only when the
-//! calling rank has no deferred local work. `try_finish` then performs a
-//! *double scan* of the shared idle flags and counters — flags, counters,
-//! flags, counters must all be stable — in both termination modes (only
-//! epoch exit has a wave variant). Every handler lowers its rank's idle
-//! flag when it starts, so a handler that deposited local work after a
-//! rank last declared itself idle is always caught by one of the two scans.
+//! calling rank has no deferred local work. Every handler lowers its
+//! rank's idle flag when it starts, so a handler that deposited local work
+//! after a rank last declared itself idle is always caught by one of the
+//! double scan's two scans. The contract is the caller's promise about its
+//! own algorithm; epoch exit runs the same step without it, because a
+//! plain epoch that ends with work left in its buckets is the intended
+//! semantics.
 //!
 //! ## Interaction with batched counters
 //!
 //! Since the hot-path rework (INTERNALS.md §9) threads do not bump the
 //! shared `sent`/`handled` counters per message; they accumulate deltas in
-//! thread-local cells and publish them in batches. Both detectors above
-//! stay correct because publication is placed so that the two invariants
-//! they rely on still hold for the *shared* counters they read:
+//! thread-local cells and publish them in batches. The detector above
+//! stays correct because publication is placed so that the two invariants
+//! it relies on still hold for the *shared* counters it reads:
 //!
 //! * **`handled ≤ sent` is preserved.** A `sent` delta is published
 //!   *before* the envelope carrying those messages ships
@@ -122,16 +120,14 @@
 //!   visible in shared `sent` before any rank can receive it — exactly the
 //!   per-message discipline, just batched. A `handled` delta may lag until
 //!   the handling thread's next publish point, which only *understates*
-//!   `handled`: the detectors can miss a true quiescent instant (they
-//!   retry) but can never observe `handled == sent` while work is in
+//!   `handled`: the detector can miss a true quiescent instant (it
+//!   retries) but can never observe `handled == sent` while work is in
 //!   flight.
-//! * **Idle implies published.** Every path that raises an idle flag,
-//!   answers a wave, or evaluates the termination condition publishes its
-//!   own deltas first (`try_finish`, the counters-mode and wave-mode epoch
-//!   finishers, and the worker loops before blocking). So "all ranks idle"
-//!   still implies the shared counters include everything those ranks did,
-//!   and the wave token's `(sent, handled)` reads are exact for the
-//!   answering rank. Liveness needs no timer: a thread with unpublished
+//! * **Idle implies published.** Every path that raises an idle flag or
+//!   evaluates the termination condition publishes its own deltas first
+//!   (the detection step, and the worker loops before blocking). So "all
+//!   ranks idle" still implies the shared counters include everything
+//!   those ranks did. Liveness needs no timer: a thread with unpublished
 //!   deltas is by definition not blocked in detection, and it publishes on
 //!   the way in.
 //!
@@ -144,44 +140,15 @@
 //!
 //! ## Interaction with fault injection
 //!
-//! Both detectors remain correct under an unreliable transport
+//! The detector remains correct under an unreliable transport
 //! ([`crate::FaultPlan`]) because no fault ever removes a message from the
 //! `sent` side of the ledger: a dropped, delayed, reordered or
 //! retransmission-pending envelope was counted at `sent` time and bumps
 //! `handled` only on actual (first) delivery, while duplicates and
 //! retransmits are suppressed by per-lane dedup *before* `handled` is
-//! incremented. Neither detector can therefore observe `handled == sent`
+//! incremented. The detector can therefore never observe `handled == sent`
 //! while anything is parked in the fault layer; liveness comes from
 //! `Transport::pump` being called on every pass of every blocking loop —
 //! after each ring, and at the latest at the `RECV_TIMEOUT` ceiling — so
 //! retransmissions progress while ranks sit in detection. See
 //! `docs/INTERNALS.md` §7.
-
-use crate::machine::RankId;
-
-/// Control tokens exchanged on the per-rank control channels in
-/// [`crate::config::TerminationMode::FourCounterWave`] mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Token {
-    /// A counting wave: accumulates `(sent, handled)` around the ring.
-    Wave { wave: u64, sent: u64, handled: u64 },
-    /// Rank 0 observed two stable balanced waves: the epoch is over.
-    Terminate,
-}
-
-/// Ring successor of `rank`.
-pub(crate) fn ring_next(rank: RankId, ranks: usize) -> RankId {
-    (rank + 1) % ranks
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ring_wraps() {
-        assert_eq!(ring_next(0, 4), 1);
-        assert_eq!(ring_next(3, 4), 0);
-        assert_eq!(ring_next(0, 1), 0);
-    }
-}

@@ -135,8 +135,9 @@ pub enum FlightKind {
     EpochEnter,
     /// A rank observed epoch termination (`a` = epoch generation).
     EpochExit,
-    /// A termination vote: this rank declared itself idle to the detector
-    /// (`a` = epoch generation, `b` = votes so far this epoch).
+    /// A termination vote: this rank found the epoch quiescent and decided
+    /// it (`a` = epoch generation, `b` = detection rounds this rank ran at
+    /// epoch exit, 0 when `try_finish` decided).
     TermVote,
 }
 

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dgp_am::{FaultPlan, Machine, MachineConfig, MachineError, TerminationMode};
+use dgp_am::{FaultPlan, Machine, MachineConfig, MachineError};
 
 /// The fixed seeds every chaos test sweeps (CI runs each in its own job).
 fn seeds() -> Vec<u64> {
@@ -69,45 +69,20 @@ fn chaos_preserves_exactly_once_counters_mode() {
     }
 }
 
-#[test]
-fn chaos_preserves_exactly_once_wave_mode() {
-    for seed in seeds() {
-        let cfg = MachineConfig::new(4)
-            .coalescing(4)
-            .termination(TerminationMode::FourCounterWave)
-            .faults(FaultPlan::chaos(seed));
-        let (hits, stats) = ring_chain(cfg, 100);
-        assert_eq!(hits, 4 * 100, "seed {seed}");
-        assert_eq!(stats.messages_handled, stats.messages_sent, "seed {seed}");
-        assert!(stats.faults_injected() > 0, "seed {seed}");
-    }
-}
-
-/// Regression: neither detector may signal quiescence while a *delayed*
-/// message sits parked in the fault layer. If one did, the epoch would end
+/// Regression: the detector may not signal quiescence while a *delayed*
+/// message sits parked in the fault layer. If it did, the epoch would end
 /// with handler runs missing — the counters below would disagree.
 #[test]
 fn delayed_messages_do_not_cause_premature_quiescence() {
-    for mode in [
-        TerminationMode::SharedCounters,
-        TerminationMode::FourCounterWave,
-    ] {
-        for seed in seeds() {
-            // Every envelope delayed, by a wide tick range: termination
-            // detection races the parked queue every epoch.
-            let plan = FaultPlan::new(seed).delay(1.0, 4..64);
-            let cfg = MachineConfig::new(3)
-                .coalescing(1)
-                .termination(mode)
-                .faults(plan);
-            let (hits, stats) = ring_chain(cfg, 40);
-            assert_eq!(hits, 3 * 40, "mode {mode:?} seed {seed}");
-            assert_eq!(
-                stats.messages_handled, stats.messages_sent,
-                "mode {mode:?} seed {seed}"
-            );
-            assert!(stats.injected_delays > 0, "mode {mode:?} seed {seed}");
-        }
+    for seed in seeds() {
+        // Every envelope delayed, by a wide tick range: termination
+        // detection races the parked queue every epoch.
+        let plan = FaultPlan::new(seed).delay(1.0, 4..64);
+        let cfg = MachineConfig::new(3).coalescing(1).faults(plan);
+        let (hits, stats) = ring_chain(cfg, 40);
+        assert_eq!(hits, 3 * 40, "seed {seed}");
+        assert_eq!(stats.messages_handled, stats.messages_sent, "seed {seed}");
+        assert!(stats.injected_delays > 0, "seed {seed}");
     }
 }
 
@@ -116,24 +91,13 @@ fn delayed_messages_do_not_cause_premature_quiescence() {
 /// are held.
 #[test]
 fn reordered_messages_do_not_cause_premature_quiescence() {
-    for mode in [
-        TerminationMode::SharedCounters,
-        TerminationMode::FourCounterWave,
-    ] {
-        for seed in seeds() {
-            let plan = FaultPlan::new(seed).reorder(0.8);
-            let cfg = MachineConfig::new(3)
-                .coalescing(1)
-                .termination(mode)
-                .faults(plan);
-            let (hits, stats) = ring_chain(cfg, 40);
-            assert_eq!(hits, 3 * 40, "mode {mode:?} seed {seed}");
-            assert_eq!(
-                stats.messages_handled, stats.messages_sent,
-                "mode {mode:?} seed {seed}"
-            );
-            assert!(stats.injected_reorders > 0, "mode {mode:?} seed {seed}");
-        }
+    for seed in seeds() {
+        let plan = FaultPlan::new(seed).reorder(0.8);
+        let cfg = MachineConfig::new(3).coalescing(1).faults(plan);
+        let (hits, stats) = ring_chain(cfg, 40);
+        assert_eq!(hits, 3 * 40, "seed {seed}");
+        assert_eq!(stats.messages_handled, stats.messages_sent, "seed {seed}");
+        assert!(stats.injected_reorders > 0, "seed {seed}");
     }
 }
 

@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use dgp_am::{CachingSender, FaultPlan, Machine, MachineConfig, ReducingSender, TerminationMode};
+use dgp_am::{CachingSender, FaultPlan, Machine, MachineConfig, ReducingSender};
 
 /// The fixed seeds every chaos test sweeps (CI runs each in its own job).
 fn seeds() -> Vec<u64> {
@@ -164,21 +164,13 @@ fn run_workload(cfg: MachineConfig, expect_faults: bool) {
     assert_eq!(reduced_sum.load(SeqCst), n * 2 * KEYS * EPOCHS);
 }
 
-fn base_cfg(mode: TerminationMode) -> MachineConfig {
-    MachineConfig::new(RANKS)
-        .threads_per_rank(2)
-        .coalescing(4)
-        .termination(mode)
+fn base_cfg() -> MachineConfig {
+    MachineConfig::new(RANKS).threads_per_rank(2).coalescing(4)
 }
 
 #[test]
 fn counters_exact_shared_counters_mode() {
-    run_workload(base_cfg(TerminationMode::SharedCounters), false);
-}
-
-#[test]
-fn counters_exact_wave_mode() {
-    run_workload(base_cfg(TerminationMode::FourCounterWave), false);
+    run_workload(base_cfg(), false);
 }
 
 #[test]
@@ -192,20 +184,7 @@ fn counters_exact_default_coalescing_single_thread() {
 #[test]
 fn counters_exact_under_chaos_shared_counters_mode() {
     for seed in seeds() {
-        run_workload(
-            base_cfg(TerminationMode::SharedCounters).faults(FaultPlan::chaos(seed)),
-            true,
-        );
-    }
-}
-
-#[test]
-fn counters_exact_under_chaos_wave_mode() {
-    for seed in seeds() {
-        run_workload(
-            base_cfg(TerminationMode::FourCounterWave).faults(FaultPlan::chaos(seed)),
-            true,
-        );
+        run_workload(base_cfg().faults(FaultPlan::chaos(seed)), true);
     }
 }
 
@@ -217,23 +196,10 @@ fn counters_exact_under_chaos_wave_mode() {
 fn counters_exact_with_tracing_and_flight_under_chaos() {
     for seed in seeds() {
         run_workload(
-            base_cfg(TerminationMode::SharedCounters)
+            base_cfg()
                 .trace_sampling(1)
                 .flight(256)
                 .profile(true)
-                .faults(FaultPlan::chaos(seed)),
-            true,
-        );
-    }
-}
-
-#[test]
-fn counters_exact_with_tracing_and_flight_wave_mode() {
-    for seed in seeds() {
-        run_workload(
-            base_cfg(TerminationMode::FourCounterWave)
-                .trace_sampling(1)
-                .flight(256)
                 .faults(FaultPlan::chaos(seed)),
             true,
         );
@@ -244,10 +210,5 @@ fn counters_exact_with_tracing_and_flight_wave_mode() {
 // sampling/ring branches must behave identically when pinned off.
 #[test]
 fn counters_exact_with_observability_disabled() {
-    run_workload(
-        base_cfg(TerminationMode::SharedCounters)
-            .trace_sampling(0)
-            .flight(0),
-        false,
-    );
+    run_workload(base_cfg().trace_sampling(0).flight(0), false);
 }

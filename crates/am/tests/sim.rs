@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use dgp_am::{
-    FaultPlan, InvariantCadence, Machine, MachineConfig, MachineError, PartitionMode, SimAt,
-    SimPlan, TerminationMode,
+    AmCtx, FaultPlan, InvariantCadence, Machine, MachineConfig, MachineError, PartitionMode, SimAt,
+    SimPlan, StatsSnapshot,
 };
 
 fn cfg(ranks: usize) -> MachineConfig {
@@ -111,26 +111,22 @@ fn multiple_epochs_reuse_the_machine() {
 }
 
 #[test]
-fn wave_termination_mode_works_in_sim() {
+fn backward_chains_terminate_under_wide_jitter() {
     let hops = Arc::new(AtomicU64::new(0));
     let h2 = hops.clone();
-    Machine::run_sim(
-        cfg(4).termination(TerminationMode::FourCounterWave),
-        SimPlan::new(2).jitter(5_000),
-        move |ctx| {
-            let hops = h2.clone();
-            let mt = ctx.register(move |ctx, left: u64| {
-                hops.fetch_add(1, SeqCst);
-                if left > 0 {
-                    let next = (ctx.rank() + 7) % ctx.num_ranks();
-                    ctx.send(next, left - 1);
-                }
-            });
-            ctx.epoch(|ctx| {
-                mt.send(ctx, (ctx.rank() + 1) % ctx.num_ranks(), 50u64);
-            });
-        },
-    )
+    Machine::run_sim(cfg(4), SimPlan::new(2).jitter(5_000), move |ctx| {
+        let hops = h2.clone();
+        let mt = ctx.register(move |ctx, left: u64| {
+            hops.fetch_add(1, SeqCst);
+            if left > 0 {
+                let next = (ctx.rank() + 7) % ctx.num_ranks();
+                ctx.send(next, left - 1);
+            }
+        });
+        ctx.epoch(|ctx| {
+            mt.send(ctx, (ctx.rank() + 1) % ctx.num_ranks(), 50u64);
+        });
+    })
     .expect("sim run");
     assert_eq!(hops.load(SeqCst), 4 * 51);
 }
@@ -153,6 +149,95 @@ fn try_finish_loops_stay_live() {
     })
     .expect("sim run");
     assert!(run.results.iter().all(|&h| h == 4));
+}
+
+const HOPS: u64 = 30;
+
+/// `delta_stepping_async`'s shape, then a plain epoch with traffic, back
+/// to back. In the first epoch handlers only defer each hop into a
+/// rank-local queue; the body runs the queue and ends the epoch with
+/// `try_finish`, so epoch exit starts with the epoch already decided. The
+/// second epoch is plain handler-forwarded ring chains. `runs` counts
+/// deferred hops run and chain hops handled; returns the stats after
+/// each epoch.
+fn try_finish_then_plain(ctx: &AmCtx, runs: &Arc<[AtomicU64; 2]>) -> [StatsSnapshot; 2] {
+    let queue = Arc::new(parking_lot::Mutex::new(vec![HOPS]));
+    let q = queue.clone();
+    let defer = ctx.register(move |_ctx, left: u64| q.lock().push(left));
+    let r = runs.clone();
+    let chain = ctx.register(move |ctx, left: u64| {
+        r[1].fetch_add(1, SeqCst);
+        if left > 0 {
+            ctx.send((ctx.rank() + 1) % ctx.num_ranks(), left - 1);
+        }
+    });
+    let next = (ctx.rank() + 1) % ctx.num_ranks();
+    ctx.epoch(|ctx| loop {
+        let work = std::mem::take(&mut *queue.lock());
+        for &left in &work {
+            runs[0].fetch_add(1, SeqCst);
+            if left > 0 {
+                defer.send(ctx, next, left - 1);
+            }
+        }
+        // Contract: only with the local queue empty.
+        if work.is_empty() && ctx.try_finish() {
+            break;
+        }
+        ctx.epoch_flush();
+    });
+    let after_async = ctx.stats();
+    ctx.epoch(|ctx| chain.send(ctx, next, HOPS));
+    [after_async, ctx.stats()]
+}
+
+/// Exact `sent == handled` after both epochs, and every hop run once.
+fn check_try_finish_then_plain(
+    runs: &[AtomicU64; 2],
+    stats: &[[StatsSnapshot; 2]],
+    ranks: u64,
+    faults: bool,
+) {
+    assert_eq!(runs[0].load(SeqCst), ranks * (HOPS + 1));
+    assert_eq!(runs[1].load(SeqCst), ranks * (HOPS + 1));
+    for [a, b] in stats {
+        assert_eq!(
+            (a.messages_sent, a.messages_handled),
+            (ranks * HOPS, ranks * HOPS)
+        );
+        let total = ranks * (2 * HOPS + 1);
+        assert_eq!((b.messages_sent, b.messages_handled), (total, total));
+        assert_eq!(b.epochs, 2 * ranks);
+        assert_eq!(faults, b.faults_injected() > 0, "{b:?}");
+    }
+}
+
+/// Three ranks, fault-free and under the chaos preset (`true`).
+fn clean_and_chaos() -> [(MachineConfig, bool); 2] {
+    let chaos = cfg(3).faults(FaultPlan::chaos(0xC0FFEE));
+    [(cfg(3), false), (chaos, true)]
+}
+
+#[test]
+fn try_finish_epoch_then_plain_epoch_on_threads() {
+    for (c, faults) in clean_and_chaos() {
+        let runs = Arc::new(<[AtomicU64; 2]>::default());
+        let r = runs.clone();
+        let stats = Machine::run(c, move |ctx| try_finish_then_plain(ctx, &r));
+        check_try_finish_then_plain(&runs, &stats, 3, faults);
+    }
+}
+
+#[test]
+fn try_finish_epoch_then_plain_epoch_under_the_simulator() {
+    for (c, faults) in clean_and_chaos() {
+        let runs = Arc::new(<[AtomicU64; 2]>::default());
+        let r = runs.clone();
+        let plan = SimPlan::new(4).jitter(3_000);
+        let run =
+            Machine::run_sim(c, plan, move |ctx| try_finish_then_plain(ctx, &r)).expect("sim run");
+        check_try_finish_then_plain(&runs, &run.results, 3, faults);
+    }
 }
 
 /// Identical (cfg, plan, program) ⇒ identical results, stats, event counts

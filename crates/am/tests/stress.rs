@@ -1,13 +1,12 @@
 //! Runtime stress tests: epochs must neither deadlock nor terminate early
-//! under randomized message storms, any thread/rank shape, and either
-//! termination detector.
+//! under randomized message storms and any thread/rank shape.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use dgp_am::{Machine, MachineConfig, TerminationMode};
+use dgp_am::{Machine, MachineConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -22,17 +21,11 @@ proptest! {
         threads in 1usize..4,
         depth in 0u32..7,
         fanout in 1u64..4,
-        term in prop::sample::select(vec![
-            TerminationMode::SharedCounters,
-            TerminationMode::FourCounterWave,
-        ]),
     ) {
         let handled = Arc::new(AtomicU64::new(0));
         let h2 = handled.clone();
         Machine::run(
-            MachineConfig::new(ranks)
-                .threads_per_rank(threads)
-                .termination(term),
+            MachineConfig::new(ranks).threads_per_rank(threads),
             move |ctx| {
                 let handled = h2.clone();
                 let mt = ctx.register(move |ctx, (d, salt): (u32, u64)| {

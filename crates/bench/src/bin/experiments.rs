@@ -288,7 +288,7 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         id: "E6",
-        title: "termination detection: shared counters vs four-counter waves; epochs vs try_finish",
+        title: "termination detection: epoch per bucket vs one epoch ended by try_finish",
         paper: "§III-D + §IV: epochs map to AM++ epochs; try_finish for algorithms without coarse synchronization",
         run: exp::e6,
     },
@@ -467,7 +467,7 @@ fn main() {
 mod exp {
     use super::Opts;
     use dgp_algorithms::{handwritten, patterns, seq, sssp::Sssp, SsspStrategy};
-    use dgp_am::{Machine, MachineConfig, TerminationMode};
+    use dgp_am::{Machine, MachineConfig};
     use dgp_bench::measure::{self, CcMeasurement, SsspMeasurement};
     use dgp_bench::table::{fmt_ms, Table};
     use dgp_bench::workloads;
@@ -842,39 +842,28 @@ mod exp {
         0
     }
 
-    /// E6 — termination detection algorithms.
+    /// E6 — epoch exit vs `try_finish`, over the one termination detector.
     pub fn e6(o: &Opts) -> usize {
         let scale = if o.small { 10 } else { 12 };
         let el = workloads::rmat_weighted(scale, 8, 61);
         let oracle = seq::dijkstra(&el, 0);
         println!("workload: RMAT scale {scale}, SSSP Δ=0.2 (many epochs), 4 ranks\n");
+        let solve = |label: &str, strategy| {
+            let machine = MachineConfig::new(4);
+            let engine = EngineConfig::default();
+            measure::sssp_pattern(label, &el, machine, engine, 0, strategy, &oracle)
+        };
+        // Untimed warm-up, so no row pays the process's cold start.
+        solve("warm-up", SsspStrategy::Delta(0.2));
         let mut t = Table::new(&["configuration", "time", "epochs", "correct"]);
-        for (label, term, strategy) in [
+        for (label, strategy) in [
+            ("epoch per bucket", SsspStrategy::Delta(0.2)),
             (
-                "shared counters, epoch/bucket",
-                TerminationMode::SharedCounters,
-                SsspStrategy::Delta(0.2),
-            ),
-            (
-                "four-counter waves, epoch/bucket",
-                TerminationMode::FourCounterWave,
-                SsspStrategy::Delta(0.2),
-            ),
-            (
-                "shared counters, async try_finish",
-                TerminationMode::SharedCounters,
+                "async, one epoch ended by try_finish",
                 SsspStrategy::DeltaAsync(0.2),
             ),
         ] {
-            let m = measure::sssp_pattern(
-                label,
-                &el,
-                MachineConfig::new(4).termination(term),
-                EngineConfig::default(),
-                0,
-                strategy,
-                &oracle,
-            );
+            let m = solve(label, strategy);
             t.row(vec![
                 label.into(),
                 fmt_ms(m.millis),
@@ -1329,46 +1318,32 @@ mod exp {
         println!("same 64-bit distance words (SSSP's min-combiner is order-independent,");
         println!("so exactly-once delivery makes chaos invisible in the output).");
 
-        // CC under the chaos preset, both termination detectors.
+        // CC under the chaos preset.
         let cc_clean = run_cc(&el, ranks);
-        let mut t = Table::new(&[
-            "termination",
-            "seed",
-            "time",
-            "faults",
-            "retransmits",
-            "identical",
-        ]);
-        for mode in [
-            TerminationMode::SharedCounters,
-            TerminationMode::FourCounterWave,
-        ] {
-            for seed in [0xC0FFEEu64, 42, 7] {
-                let cfg = MachineConfig::new(ranks)
-                    .coalescing(8)
-                    .faults(FaultPlan::chaos(seed))
-                    .termination(mode);
-                let t1 = Instant::now();
-                let out = Run::on(cfg)
-                    .cc(&el)
-                    .unwrap_or_else(|e| panic!("CC {mode:?} seed {seed}: {e}"));
-                let (got, stats) = (out.result, out.stats);
-                let ms = t1.elapsed().as_secs_f64() * 1e3;
-                let identical = got == cc_clean;
-                assert!(identical, "CC {mode:?} seed {seed}: labels diverged");
-                t.row(vec![
-                    format!("{mode:?}"),
-                    format!("{seed:#x}"),
-                    fmt_ms(ms),
-                    stats.faults_injected().to_string(),
-                    stats.retransmits.to_string(),
-                    if identical { "yes" } else { "NO" }.to_string(),
-                ]);
-            }
+        let mut t = Table::new(&["seed", "time", "faults", "retransmits", "identical"]);
+        for seed in [0xC0FFEEu64, 42, 7] {
+            let cfg = MachineConfig::new(ranks)
+                .coalescing(8)
+                .faults(FaultPlan::chaos(seed));
+            let t1 = Instant::now();
+            let out = Run::on(cfg)
+                .cc(&el)
+                .unwrap_or_else(|e| panic!("CC seed {seed}: {e}"));
+            let (got, stats) = (out.result, out.stats);
+            let ms = t1.elapsed().as_secs_f64() * 1e3;
+            let identical = got == cc_clean;
+            assert!(identical, "CC seed {seed}: labels diverged");
+            t.row(vec![
+                format!("{seed:#x}"),
+                fmt_ms(ms),
+                stats.faults_injected().to_string(),
+                stats.retransmits.to_string(),
+                if identical { "yes" } else { "NO" }.to_string(),
+            ]);
         }
-        println!("\nCC labels under the chaos preset, both termination detectors:\n");
+        println!("\nCC labels under the chaos preset:\n");
         t.print();
-        println!("\nneither detector declares quiescence while retransmits are in flight —");
+        println!("\nthe detector never declares quiescence while retransmits are in flight —");
         println!("dropped envelopes stay counted as sent-but-unhandled until redelivered.");
         0
     }

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use dgp_am::{Machine, MachineConfig, TerminationMode};
+use dgp_am::{Machine, MachineConfig};
 use dgp_core::builder::{ActionBuilder, BuiltAction};
 use dgp_core::engine::{EngineConfig, PatternEngine, SyncMode, Val};
 use dgp_core::ir::{GeneratorIr, Place};
@@ -86,21 +86,14 @@ impl Spec {
     }
 }
 
-fn run_engine(
-    spec: Spec,
-    el: &EdgeList,
-    source: u64,
-    ranks: usize,
-    cfg: EngineConfig,
-    term: TerminationMode,
-) -> Vec<u64> {
+fn run_engine(spec: Spec, el: &EdgeList, source: u64, ranks: usize, cfg: EngineConfig) -> Vec<u64> {
     let needs_bidir = matches!(spec.gen, SpecGen::InEdges);
     let graph = DistGraph::build(
         el,
         Distribution::cyclic(el.num_vertices(), ranks),
         needs_bidir,
     );
-    let mut out = Machine::run(MachineConfig::new(ranks).termination(term), move |ctx| {
+    let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
         let label = ctx.share(|| AtomicVertexMap::new(graph.distribution(), u64::MAX));
         let engine = PatternEngine::new(ctx, graph.clone(), cfg);
         let label_id = engine.register_vertex_map(&label);
@@ -142,25 +135,16 @@ proptest! {
         };
         let want = spec.sequential(&el, source);
 
-        for (cfg, term) in [
-            (EngineConfig::default(), TerminationMode::SharedCounters),
-            (
-                EngineConfig { sync: SyncMode::LockMap, ..Default::default() },
-                TerminationMode::SharedCounters,
-            ),
-            (
-                EngineConfig { plan_mode: PlanMode::Faithful, ..Default::default() },
-                TerminationMode::FourCounterWave,
-            ),
-            (
-                EngineConfig { self_send: false, ..Default::default() },
-                TerminationMode::SharedCounters,
-            ),
+        for cfg in [
+            EngineConfig::default(),
+            EngineConfig { sync: SyncMode::LockMap, ..Default::default() },
+            EngineConfig { plan_mode: PlanMode::Faithful, ..Default::default() },
+            EngineConfig { self_send: false, ..Default::default() },
         ] {
-            let got = run_engine(spec, &el, source, ranks, cfg, term);
+            let got = run_engine(spec, &el, source, ranks, cfg);
             prop_assert_eq!(
                 &got, &want,
-                "spec {:?} ranks {} cfg {:?} {:?}", spec, ranks, cfg, term
+                "spec {:?} ranks {} cfg {:?}", spec, ranks, cfg
             );
         }
     }

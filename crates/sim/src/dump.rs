@@ -55,7 +55,6 @@ pub fn to_replay(spec: &ScenarioSpec) -> String {
     kv("graph_seed", spec.graph_seed.to_string());
     kv("ranks", spec.ranks.to_string());
     kv("coalescing", spec.coalescing.to_string());
-    kv("wave", spec.wave.to_string());
     kv("faults", spec.faults.to_string());
     kv("seed", spec.seed.to_string());
     kv("latency_ns", spec.latency_ns.to_string());
@@ -160,7 +159,6 @@ pub fn from_replay(text: &str) -> Result<ScenarioSpec, String> {
             "graph_seed" => spec.graph_seed = parse_u64(k, v)?,
             "ranks" => spec.ranks = parse_usize(k, v)?,
             "coalescing" => spec.coalescing = parse_usize(k, v)?,
-            "wave" => spec.wave = parse_bool(k, v)?,
             "faults" => spec.faults = parse_bool(k, v)?,
             "seed" => spec.seed = parse_u64(k, v)?,
             "latency_ns" => spec.latency_ns = parse_u64(k, v)?,
@@ -244,7 +242,6 @@ mod tests {
         let mut spec = ScenarioSpec::baseline(99);
         spec.workload = Workload::PageRank { iters: 7 };
         spec.graph = GraphKind::Blobs { k: 3, size: 20 };
-        spec.wave = true;
         spec.faults = true;
         spec.jitter_ns = 4_242;
         spec.every_delivery = true;
@@ -296,5 +293,14 @@ mod tests {
         assert!(from_replay("[replay]\nworkload = tsp:0\n").is_err());
         assert!(from_replay("[replay]\nranks pancake\n").is_err());
         assert!(from_replay("[replay]\npartition = hold:1:2\n").is_err());
+    }
+
+    #[test]
+    fn rejects_the_retired_wave_key() {
+        // Blocks written before the key was dropped must not silently
+        // replay a different run.
+        let text = to_replay(&ScenarioSpec::baseline(5))
+            .replace("coalescing = 4\n", "coalescing = 4\nwave = true\n");
+        assert_eq!(from_replay(&text), Err("unknown key \"wave\"".to_string()));
     }
 }

@@ -3,7 +3,7 @@
 use dgp_algorithms::{Run, RunResult, SsspStrategy};
 use dgp_am::{
     FaultPlan, InvariantCadence, MachineConfig, PartitionSpec, SimAt, SimPlan, SimReport,
-    StallSpec, StragglerSpec, TerminationMode,
+    StallSpec, StragglerSpec,
 };
 use dgp_graph::{generators, EdgeList};
 
@@ -66,8 +66,6 @@ pub struct ScenarioSpec {
     pub ranks: usize,
     /// Coalescing buffer capacity ([`MachineConfig::coalescing`]).
     pub coalescing: usize,
-    /// Use [`TerminationMode::FourCounterWave`] instead of counters.
-    pub wave: bool,
     /// Enable the seeded fault plan (reliability layer under test).
     pub faults: bool,
     /// Schedule seed ([`SimPlan::new`]).
@@ -103,7 +101,6 @@ impl ScenarioSpec {
             graph_seed: 21,
             ranks: 4,
             coalescing: 4,
-            wave: false,
             faults: false,
             seed,
             latency_ns: 1_000,
@@ -140,9 +137,6 @@ impl ScenarioSpec {
     /// The machine configuration this scenario describes.
     pub fn machine_config(&self) -> MachineConfig {
         let mut cfg = MachineConfig::new(self.ranks).coalescing(self.coalescing);
-        if self.wave {
-            cfg = cfg.termination(TerminationMode::FourCounterWave);
-        }
         if self.faults {
             cfg = cfg.faults(FaultPlan::new(self.seed ^ 0xFA17));
         }

@@ -57,11 +57,6 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
         s.faults = false;
         out.push(s);
     }
-    if spec.wave {
-        let mut s = spec.clone();
-        s.wave = false;
-        out.push(s);
-    }
     if spec.every_delivery {
         let mut s = spec.clone();
         s.every_delivery = false;
@@ -188,11 +183,9 @@ mod tests {
         let mut spec = ScenarioSpec::baseline(1);
         spec.jitter_ns = 12_345;
         spec.every_delivery = true;
-        spec.wave = true;
         let min = shrink(&spec, |_| true);
         assert_eq!(min.jitter_ns, 0);
         assert!(!min.every_delivery);
-        assert!(!min.wave);
         assert_eq!(min.coalescing, 1);
         assert_eq!(min.per_msg_ns, 0);
         assert!(matches!(min.graph, GraphKind::Rmat { scale: 3, .. }));

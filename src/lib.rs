@@ -14,8 +14,8 @@
 //!
 //! * [`am`] (`dgp-am`) — the AM++-style active-message runtime: typed
 //!   handlers that may send, object-based addressing, coalescing, caching,
-//!   reductions, epochs, `epoch_flush`/`try_finish`, two termination
-//!   detectors;
+//!   reductions, epochs, `epoch_flush`/`try_finish`, shared-counter
+//!   termination detection;
 //! * [`graph`] (`dgp-graph`) — the distributed graph substrate: CSR shards,
 //!   block/cyclic distributions, RMAT/Erdős–Rényi/structured generators,
 //!   atomic and locked property maps, the lock-map abstraction;
@@ -50,8 +50,7 @@ pub mod prelude {
         SsspStrategy,
     };
     pub use dgp_am::{
-        AmCtx, FaultPlan, Machine, MachineConfig, MachineError, ShmConfig, TcpConfig,
-        TerminationMode, TransportKind,
+        AmCtx, FaultPlan, Machine, MachineConfig, MachineError, ShmConfig, TcpConfig, TransportKind,
     };
     pub use dgp_core::builder::ActionBuilder;
     pub use dgp_core::engine::{EngineConfig, Exec, PatternEngine, SyncMode, Val};

@@ -115,11 +115,11 @@ fn pagerank_matches_fault_free_under_chaos() {
 }
 
 #[test]
-fn chaos_under_wave_termination_mode() {
+fn cc_bit_identical_under_chaos_on_three_ranks() {
     let el = generators::component_blobs(4, 30, 2, 23);
     let clean = run_cc(&el, 3);
     for seed in seeds() {
-        let cfg = chaos_cfg(3, seed).termination(TerminationMode::FourCounterWave);
+        let cfg = chaos_cfg(3, seed);
         let Outcome {
             result: got, stats, ..
         } = Run::on(cfg).cc(&el).expect("chaos is masked");

@@ -110,31 +110,26 @@ fn rank_panic_poisons_collectives() {
 }
 
 /// A handler panic mid-epoch releases ranks blocked in termination
-/// detection (the check_poison path inside the finish loops).
+/// detection (the check_poison path inside the termination step).
 #[test]
 fn handler_panic_releases_termination_detection() {
-    for mode in [
-        TerminationMode::SharedCounters,
-        TerminationMode::FourCounterWave,
-    ] {
-        let err = Machine::try_run(MachineConfig::new(3).termination(mode), |ctx| {
-            let mt = ctx.register(|_ctx, x: u64| {
-                assert!(x != 5, "poison pill");
-            });
-            ctx.epoch(|ctx| {
-                if ctx.rank() == 0 {
-                    for i in 0..10u64 {
-                        mt.send(ctx, (i as usize) % ctx.num_ranks(), i);
-                    }
+    let err = Machine::try_run(MachineConfig::new(3), |ctx| {
+        let mt = ctx.register(|_ctx, x: u64| {
+            assert!(x != 5, "poison pill");
+        });
+        ctx.epoch(|ctx| {
+            if ctx.rank() == 0 {
+                for i in 0..10u64 {
+                    mt.send(ctx, (i as usize) % ctx.num_ranks(), i);
                 }
-            });
-        })
-        .expect_err("the poison pill must fail the machine");
-        assert!(
-            matches!(err, MachineError::HandlerPanicked { .. }),
-            "mode {mode:?}: got {err}"
-        );
-    }
+            }
+        });
+    })
+    .expect_err("the poison pill must fail the machine");
+    assert!(
+        matches!(err, MachineError::HandlerPanicked { .. }),
+        "got {err}"
+    );
 }
 
 /// Epochs must not nest.

@@ -23,36 +23,30 @@ fn assert_dists(got: &[f64], want: &[f64]) {
     }
 }
 
-/// SSSP correctness across every (ranks, termination, plan mode, sync
-/// mode) combination — the full configuration matrix.
+/// SSSP correctness across every (ranks, plan mode, sync mode)
+/// combination — the full configuration matrix.
 #[test]
 fn sssp_configuration_matrix() {
     let el = weighted_rmat(7, 3);
     let want = seq::dijkstra(&el, 0);
     for ranks in [1, 2, 5] {
-        for term in [
-            TerminationMode::SharedCounters,
-            TerminationMode::FourCounterWave,
-        ] {
-            for plan in [PlanMode::Faithful, PlanMode::Optimized] {
-                for sync in [SyncMode::Atomic, SyncMode::LockMap] {
-                    let graph =
-                        DistGraph::build(&el, Distribution::block(el.num_vertices(), ranks), false);
-                    let weights = EdgeMap::from_weights(&graph, &el);
-                    let cfg = EngineConfig {
-                        plan_mode: plan,
-                        sync,
-                        ..EngineConfig::default()
-                    };
-                    let mut out =
-                        Machine::run(MachineConfig::new(ranks).termination(term), move |ctx| {
-                            let s = dgp_algorithms::sssp::Sssp::install(ctx, &graph, &weights, cfg);
-                            s.run(ctx, 0, SsspStrategy::FixedPoint);
-                            (ctx.rank() == 0).then(|| s.dist.snapshot())
-                        });
-                    let got = out[0].take().unwrap();
-                    assert_dists(&got, &want);
-                }
+        for plan in [PlanMode::Faithful, PlanMode::Optimized] {
+            for sync in [SyncMode::Atomic, SyncMode::LockMap] {
+                let graph =
+                    DistGraph::build(&el, Distribution::block(el.num_vertices(), ranks), false);
+                let weights = EdgeMap::from_weights(&graph, &el);
+                let cfg = EngineConfig {
+                    plan_mode: plan,
+                    sync,
+                    ..EngineConfig::default()
+                };
+                let mut out = Machine::run(MachineConfig::new(ranks), move |ctx| {
+                    let s = dgp_algorithms::sssp::Sssp::install(ctx, &graph, &weights, cfg);
+                    s.run(ctx, 0, SsspStrategy::FixedPoint);
+                    (ctx.rank() == 0).then(|| s.dist.snapshot())
+                });
+                let got = out[0].take().unwrap();
+                assert_dists(&got, &want);
             }
         }
     }

@@ -23,7 +23,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
         (4u32..7, 2usize..6),                 // R-MAT scale / edge factor
         (16u64..80, 40usize..200),            // Erdős–Rényi n / m
         (2u64..7, 6u64..24),                  // blob count / size
-        (1u64..1000, 2usize..7, 1usize..9, any::<bool>()), // graph seed, ranks, coalescing, wave
+        (1u64..1000, 2usize..7, 1usize..9),   // graph seed, ranks, coalescing
         (1u64..1000, 200u64..3000, 0u64..40, 0u64..8000), // schedule seed, latency, per-msg, jitter
     )
         .prop_map(
@@ -32,7 +32,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                 (scale, edge_factor),
                 (n, m),
                 (k, size),
-                (graph_seed, ranks, coalescing, wave),
+                (graph_seed, ranks, coalescing),
                 (seed, lat, pm, jit),
             )| {
                 let mut s = ScenarioSpec::baseline(seed);
@@ -53,7 +53,6 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                 s.graph_seed = graph_seed;
                 s.ranks = ranks;
                 s.coalescing = coalescing;
-                s.wave = wave;
                 s.latency_ns = lat;
                 s.per_msg_ns = pm;
                 s.jitter_ns = jit;

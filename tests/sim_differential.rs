@@ -1,8 +1,7 @@
 //! Differential validation of the discrete-event simulator: the same
 //! algorithm, graph, and machine configuration must produce *bit-identical*
 //! results under the simulator and the threaded machine — the same
-//! [`Run`], with and without a [`SimPlan`] — across schedule seeds and
-//! both termination modes. SSSP, CC, BFS and k-core converge to fixed
+//! [`Run`], with and without a [`SimPlan`] — across schedule seeds. SSSP, CC, BFS and k-core converge to fixed
 //! points that do not depend on delivery order, so their results are
 //! schedule-independent down to the last bit — any divergence means the
 //! simulator's delivery seam changed what the handlers computed, not just
@@ -12,17 +11,9 @@ use dgp_algorithms::betweenness::betweenness_seq;
 use dgp_algorithms::coloring::validate_coloring;
 use dgp_algorithms::mis::validate_mis;
 use dgp_algorithms::{kcore::kcore_seq, seq, Run, SsspStrategy};
-use dgp_am::{MachineConfig, SimPlan, TerminationMode};
+use dgp_am::SimPlan;
 use dgp_graph::{analysis, generators};
 
-fn cfg(ranks: usize, term: TerminationMode) -> MachineConfig {
-    MachineConfig::new(ranks).termination(term)
-}
-
-const MODES: [TerminationMode; 2] = [
-    TerminationMode::SharedCounters,
-    TerminationMode::FourCounterWave,
-];
 const SEEDS: [u64; 3] = [1, 42, 0xD15C0];
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -33,26 +24,24 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 fn sssp_sim_matches_threaded_bitwise() {
     let mut el = generators::rmat(7, 8, generators::RmatParams::GRAPH500, 21);
     el.randomize_weights(0.5, 3.0, 4);
-    for term in MODES {
-        let run = Run::on(cfg(4, term));
-        let reference = run
+    let run = Run::new(4);
+    let reference = run
+        .sssp(&el, 0, SsspStrategy::FixedPoint)
+        .expect("threaded run")
+        .result;
+    for seed in SEEDS {
+        let plan = SimPlan::new(seed).latency(800).jitter(2_500);
+        let got = run
+            .clone()
+            .sim(plan)
             .sssp(&el, 0, SsspStrategy::FixedPoint)
-            .expect("threaded run")
-            .result;
-        for seed in SEEDS {
-            let plan = SimPlan::new(seed).latency(800).jitter(2_500);
-            let got = run
-                .clone()
-                .sim(plan)
-                .sssp(&el, 0, SsspStrategy::FixedPoint)
-                .expect("sim run");
-            let report = got.report.expect("simulated runs carry a report");
-            assert!(report.deliveries > 0, "simulated links were exercised");
-            assert!(
-                bits(&reference) == bits(&got.result),
-                "SSSP diverged under {term:?} seed {seed}"
-            );
-        }
+            .expect("sim run");
+        let report = got.report.expect("simulated runs carry a report");
+        assert!(report.deliveries > 0, "simulated links were exercised");
+        assert!(
+            bits(&reference) == bits(&got.result),
+            "SSSP diverged at seed {seed}"
+        );
     }
 }
 
@@ -60,7 +49,7 @@ fn sssp_sim_matches_threaded_bitwise() {
 fn sssp_delta_sim_matches_threaded_bitwise() {
     let mut el = generators::erdos_renyi(200, 1200, 8);
     el.randomize_weights(0.5, 3.0, 9);
-    let run = Run::on(cfg(3, TerminationMode::SharedCounters));
+    let run = Run::new(3);
     let reference = run
         .sssp(&el, 5, SsspStrategy::Delta(1.0))
         .expect("threaded run")
@@ -83,32 +72,28 @@ fn sssp_delta_sim_matches_threaded_bitwise() {
 #[test]
 fn cc_sim_matches_threaded_bitwise() {
     let el = generators::component_blobs(5, 40, 2, 17);
-    for term in MODES {
-        let run = Run::on(cfg(4, term));
-        let reference = run.cc(&el).expect("threaded run").result;
-        for seed in SEEDS {
-            let plan = SimPlan::new(seed).latency(1_200).jitter(900);
-            let got = run.clone().sim(plan).cc(&el).expect("sim run").result;
-            assert_eq!(got, reference, "CC diverged under {term:?} seed {seed}");
-        }
+    let run = Run::new(4);
+    let reference = run.cc(&el).expect("threaded run").result;
+    for seed in SEEDS {
+        let plan = SimPlan::new(seed).latency(1_200).jitter(900);
+        let got = run.clone().sim(plan).cc(&el).expect("sim run").result;
+        assert_eq!(got, reference, "CC diverged at seed {seed}");
     }
 }
 
-/// BFS levels are a min fixed point like SSSP: one jittered schedule per
-/// termination mode, against the threaded run and the sequential BFS.
+/// BFS levels are a min fixed point like SSSP: one jittered schedule,
+/// against the threaded run and the sequential BFS.
 #[test]
 fn bfs_sim_matches_threaded_and_sequential() {
     let el = generators::rmat(7, 6, generators::RmatParams::GRAPH500, 30);
     let oracle = analysis::bfs_levels(&el, 0);
-    for term in MODES {
-        let run = Run::on(cfg(4, term));
-        let reference = run.bfs(&el, 0).expect("threaded run").result;
-        assert_eq!(reference, oracle, "threaded BFS under {term:?}");
-        let plan = SimPlan::new(42).latency(800).jitter(2_500);
-        let got = run.sim(plan).bfs(&el, 0).expect("sim run");
-        assert!(got.report.expect("sim report").deliveries > 0);
-        assert_eq!(got.result, reference, "BFS diverged under {term:?}");
-    }
+    let run = Run::new(4);
+    let reference = run.bfs(&el, 0).expect("threaded run").result;
+    assert_eq!(reference, oracle, "threaded BFS");
+    let plan = SimPlan::new(42).latency(800).jitter(2_500);
+    let got = run.sim(plan).bfs(&el, 0).expect("sim run");
+    assert!(got.report.expect("sim report").deliveries > 0);
+    assert_eq!(got.result, reference, "BFS diverged");
 }
 
 /// k-core peeling is round-synchronized (`once` + a global OR per round):
@@ -120,15 +105,13 @@ fn kcore_sim_matches_threaded_and_sequential() {
     let mut sym = el.clone();
     sym.symmetrize();
     let oracle = kcore_seq(&sym, 3);
-    for term in MODES {
-        let run = Run::on(cfg(3, term));
-        let reference = run.kcore(&el, 3).expect("threaded run").result;
-        assert_eq!(reference.0, oracle, "threaded k-core under {term:?}");
-        let plan = SimPlan::new(42).latency(600).jitter(3_000);
-        let got = run.sim(plan).kcore(&el, 3).expect("sim run");
-        assert!(got.report.expect("sim report").deliveries > 0);
-        assert_eq!(got.result, reference, "k-core diverged under {term:?}");
-    }
+    let run = Run::new(3);
+    let reference = run.kcore(&el, 3).expect("threaded run").result;
+    assert_eq!(reference.0, oracle, "threaded k-core");
+    let plan = SimPlan::new(42).latency(600).jitter(3_000);
+    let got = run.sim(plan).kcore(&el, 3).expect("sim run");
+    assert!(got.report.expect("sim report").deliveries > 0);
+    assert_eq!(got.result, reference, "k-core diverged");
 }
 
 /// The five families with no threaded-vs-sim bit-identity test above also
@@ -183,7 +166,7 @@ fn sim_schedule_is_reproducible_end_to_end() {
     el.randomize_weights(0.5, 3.0, 7);
     let run = |seed: u64| {
         let plan = SimPlan::new(seed).latency(500).jitter(4_000);
-        let out = Run::on(cfg(4, TerminationMode::SharedCounters))
+        let out = Run::new(4)
             .sim(plan)
             .sssp(&el, 0, SsspStrategy::FixedPoint)
             .expect("sim run");
