@@ -20,32 +20,44 @@ use dgp_core::ir::{GeneratorIr, MapId, Place};
 ///
 /// `dist` is both read and written, so the framework detects a dependency
 /// at `trg(e)` whenever the condition fires (§III-C) — that is what the
-/// strategies hook.
+/// strategies hook. The guarded assign is a min ([`ActionBuilder::min`]),
+/// which is what makes its one hop combinable (INTERNALS §14.5).
 pub fn relax(dist: MapId, weight: MapId) -> dgp_core::builder::BuiltAction {
-    let mut b = ActionBuilder::new("relax", GeneratorIr::OutEdges);
-    let d_trg = b.read_vertex(dist, Place::GenTrg);
+    relax_over("relax", GeneratorIr::OutEdges, dist, weight)
+}
+
+/// `if (dist[trg(e)] > dist[v] + weight[e]) dist[trg(e)] = dist[v] +
+/// weight[e]` over `generator` — the body [`relax`], [`relax_light`] and
+/// [`relax_heavy`] share.
+fn relax_over(
+    name: &str,
+    generator: GeneratorIr,
+    dist: MapId,
+    weight: MapId,
+) -> dgp_core::builder::BuiltAction {
+    let mut b = ActionBuilder::new(name, generator);
     let d_v = b.read_vertex(dist, Place::Input);
     let w_e = b.read_edge(weight);
-    b.cond(&[d_trg, d_v, w_e], move |e| {
-        e.f64(d_trg) > e.f64(d_v) + e.f64(w_e)
-    })
-    .assign(dist, Place::GenTrg, &[d_v, w_e], move |e, _old| {
+    b.min(dist, Place::GenTrg, &[d_v, w_e], move |e| {
         Val::F(e.f64(d_v) + e.f64(w_e))
     });
-    b.build().expect("relax is a valid action")
+    b.build()
+        .unwrap_or_else(|e| panic!("{name} is a valid action: {e}"))
 }
 
 /// BFS as a pattern (level-setting relax over unit weights) — one of the
 /// "more algorithms" the paper's conclusions call for.
+///
+/// The unreached guard `level[v] != ∞` is the saturating add: from an
+/// unreached `v` the candidate is `u64::MAX`, which no level exceeds, so
+/// `level[trg(e)] > level[v] ⊕ 1` is false exactly when the guarded form
+/// was, and the assigned value is the same `level[v] + 1` whenever it
+/// fires.
 pub fn bfs_expand(level: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("bfs_expand", GeneratorIr::OutEdges);
-    let l_trg = b.read_vertex(level, Place::GenTrg);
     let l_v = b.read_vertex(level, Place::Input);
-    b.cond(&[l_trg, l_v], move |e| {
-        e.u64(l_v) != u64::MAX && e.u64(l_trg) > e.u64(l_v) + 1
-    })
-    .assign(level, Place::GenTrg, &[l_v], move |e, _old| {
-        Val::U(e.u64(l_v) + 1)
+    b.min(level, Place::GenTrg, &[l_v], move |e| {
+        Val::U(e.u64(l_v).saturating_add(1))
     });
     b.build().expect("bfs_expand is a valid action")
 }
@@ -90,11 +102,11 @@ pub fn cc_search(pnt: MapId, adjs: MapId) -> dgp_core::builder::BuiltAction {
 /// the paper's rewrite phase relies on — not merely minimum root ids.
 pub fn cc_claim_label(pnt: MapId, lbl: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("cc_claim_label", GeneratorIr::None);
-    let root = Place::map_at(pnt, Place::Input);
-    let p_v = b.read_vertex(pnt, Place::Input);
-    let l_root = b.read_vertex(lbl, root.clone());
-    b.cond(&[p_v, l_root], move |e| e.u64(l_root) > e.input())
-        .assign(lbl, root, &[], move |e, _old| Val::U(e.input()));
+    // The root place is routed through the declared read of `pnt[v]`.
+    b.read_vertex(pnt, Place::Input);
+    b.min(lbl, Place::map_at(pnt, Place::Input), &[], move |e| {
+        Val::U(e.input())
+    });
     b.build().expect("cc_claim_label is a valid action")
 }
 
@@ -106,12 +118,8 @@ pub fn cc_claim_label(pnt: MapId, lbl: MapId) -> dgp_core::builder::BuiltAction 
 /// vertex".
 pub fn cc_jump(adjs: MapId, lbl: MapId) -> dgp_core::builder::BuiltAction {
     let mut b = ActionBuilder::new("cc_jump", GeneratorIr::MapSet(adjs));
-    let l_r = b.read_vertex(lbl, Place::GenVertex);
     let l_v = b.read_vertex(lbl, Place::Input);
-    b.cond(&[l_r, l_v], move |e| e.u64(l_r) > e.u64(l_v))
-        .assign(lbl, Place::GenVertex, &[l_v], move |e, _old| {
-            Val::U(e.u64(l_v))
-        });
+    b.min(lbl, Place::GenVertex, &[l_v], move |e| Val::U(e.u64(l_v)));
     b.build().expect("cc_jump is a valid action")
 }
 
@@ -139,33 +147,23 @@ pub fn cc_rewrite(pnt: MapId, lbl: MapId, comp: MapId) -> dgp_core::builder::Bui
 /// (the storage-split optimization the paper's C++ implementation applies
 /// by partitioning the CSR).
 pub fn relax_light(dist: MapId, weight: MapId, delta: f64) -> dgp_core::builder::BuiltAction {
-    let mut b = ActionBuilder::new("relax_light", GeneratorIr::out_edges_light(weight, delta));
-    let d_trg = b.read_vertex(dist, Place::GenTrg);
-    let d_v = b.read_vertex(dist, Place::Input);
-    let w_e = b.read_edge(weight);
-    b.cond(&[d_trg, d_v, w_e], move |e| {
-        e.f64(d_trg) > e.f64(d_v) + e.f64(w_e)
-    })
-    .assign(dist, Place::GenTrg, &[d_v, w_e], move |e, _old| {
-        Val::F(e.f64(d_v) + e.f64(w_e))
-    });
-    b.build().expect("relax_light is a valid action")
+    relax_over(
+        "relax_light",
+        GeneratorIr::out_edges_light(weight, delta),
+        dist,
+        weight,
+    )
 }
 
 /// The heavy half of the split relax: only edges with weight > Δ, applied
 /// once per settled vertex (their targets always land in later buckets).
 pub fn relax_heavy(dist: MapId, weight: MapId, delta: f64) -> dgp_core::builder::BuiltAction {
-    let mut b = ActionBuilder::new("relax_heavy", GeneratorIr::out_edges_heavy(weight, delta));
-    let d_trg = b.read_vertex(dist, Place::GenTrg);
-    let d_v = b.read_vertex(dist, Place::Input);
-    let w_e = b.read_edge(weight);
-    b.cond(&[d_trg, d_v, w_e], move |e| {
-        e.f64(d_trg) > e.f64(d_v) + e.f64(w_e)
-    })
-    .assign(dist, Place::GenTrg, &[d_v, w_e], move |e, _old| {
-        Val::F(e.f64(d_v) + e.f64(w_e))
-    });
-    b.build().expect("relax_heavy is a valid action")
+    relax_over(
+        "relax_heavy",
+        GeneratorIr::out_edges_heavy(weight, delta),
+        dist,
+        weight,
+    )
 }
 
 /// SSSP relax that also records the tree parent: one condition with TWO

@@ -100,4 +100,47 @@ mod tests {
             }
         }
     }
+
+    /// Which declared actions the installed engine sends through its
+    /// dominance cache (one combinable hop each; INTERNALS §14.5), per
+    /// family and plan mode — and none under `Exec::Reference`. A
+    /// refactor that silently loses the plan fact, or adds a non-`Min`
+    /// writer to a relaxed map, fails here and in `--lint`.
+    #[test]
+    fn combinable_actions_per_family() {
+        let combinable: &[(&str, &[&str])] = &[
+            ("sssp", &["relax", "relax_light", "relax_heavy"]),
+            ("cc", &["cc_claim_label", "cc_jump"]),
+            ("bfs", &["bfs_expand"]),
+            ("betweenness", &["bfs_expand"]),
+        ];
+        for plan_mode in [PlanMode::Faithful, PlanMode::Optimized] {
+            for exec in [Exec::Compiled, Exec::Reference] {
+                let cfg = EngineConfig {
+                    plan_mode,
+                    exec,
+                    ..EngineConfig::default()
+                };
+                for p in builtin_patterns() {
+                    let names = combinable
+                        .iter()
+                        .find(|(f, _)| *f == p.name())
+                        .map_or(&[][..], |(_, a)| *a);
+                    let want: Vec<usize> = p
+                        .actions()
+                        .iter()
+                        .map(|a| {
+                            usize::from(exec == Exec::Compiled && names.contains(&&*a.ir.name))
+                        })
+                        .collect();
+                    let name = p.name().to_string();
+                    assert_eq!(
+                        p.combine_report(cfg),
+                        Ok(want),
+                        "{name} ({plan_mode:?}, {exec:?})"
+                    );
+                }
+            }
+        }
+    }
 }

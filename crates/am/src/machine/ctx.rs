@@ -10,6 +10,7 @@ use std::time::Instant;
 use super::envelope::{ErasedHandler, LocalTables, PendingDeltas};
 use super::{Flushable, RankId, Shared};
 use crate::addressing::AddressMap;
+use crate::caching::DominanceTable;
 use crate::coalescing::ErasedBuffers;
 use crate::config::MachineConfig;
 use crate::obs::{self, EpochProfile, MetricsReport, Recorder, SpanGuard, SpanKind};
@@ -38,6 +39,23 @@ impl<T: Clone + Send + 'static> MessageType<T> {
     /// Send `msg` to rank `dest` through `ctx`'s coalescing buffers.
     pub fn send(&self, ctx: &AmCtx, dest: RankId, msg: T) {
         ctx.send_typed(*self, dest, msg);
+    }
+
+    /// Send `msg` unless this thread already sent a message of this type
+    /// under the same `key`, in the current epoch, whose `value` was no
+    /// larger (the dominance cache, [`crate::caching`]). Returns whether
+    /// `msg` was sent.
+    ///
+    /// `value` must be an order-preserving image of what the handler
+    /// lowers its state to, and the handler's only effect must be that
+    /// guarded lowering — `if s[key] > v { s[key] = v }`, with nothing
+    /// raising `s[key]` inside an epoch. Then the message already sent has
+    /// lowered `s[key]` to at most `value` before the epoch ends, and the
+    /// dropped one would have found its guard false. A drop counts one
+    /// `cache_hits` and is never counted `sent`; a send counts one
+    /// `cache_misses`.
+    pub fn send_min(&self, ctx: &AmCtx, dest: RankId, key: u64, value: u64, msg: T) -> bool {
+        ctx.send_min_typed(*self, dest, key, value, msg)
     }
 
     /// Send `msg`, computing the destination rank from the payload with an
@@ -84,6 +102,9 @@ pub struct AmCtx {
     pub(super) rank: RankId,
     pub(super) thread: usize,
     pub(super) bufs: RefCell<Vec<Option<Box<dyn ErasedBuffers>>>>,
+    /// Per-type dominance tables for [`MessageType::send_min`], indexed
+    /// like `bufs` and allocated on a type's first such send.
+    pub(super) dominance: RefCell<Vec<Option<Box<DominanceTable>>>>,
     /// Hot-path counter deltas, published at envelope boundaries.
     pub(super) deltas: PendingDeltas,
     /// Frozen dispatch/statistic tables (no locks after the freeze).
@@ -142,6 +163,7 @@ impl AmCtx {
             rank,
             thread,
             bufs: RefCell::new(Vec::new()),
+            dominance: RefCell::new(Vec::new()),
             deltas: PendingDeltas::default(),
             tables: RefCell::new(LocalTables::default()),
             in_epoch: Cell::new(false),

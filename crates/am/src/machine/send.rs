@@ -5,6 +5,7 @@ use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 
 use super::shared::deliver;
 use super::{AmCtx, Envelope, MessageType, RankId};
+use crate::caching::DominanceTable;
 use crate::coalescing::{ErasedBuffers, TypedBuffers};
 use crate::obs::{SpanKind, SpanRecord};
 use crate::stats::MachineStats;
@@ -63,6 +64,39 @@ impl AmCtx {
             self.flight_push(FlightKind::Send, trace.root, dest as u64);
         }
         tb.push(self, dest, msg, trace);
+    }
+
+    /// [`MessageType::send_min`]: consult this thread's dominance table
+    /// for the type, stamped with the generation of the epoch in flight
+    /// (`completed_epoch` is machine-wide, so worker threads read the same
+    /// generation as their rank's main thread; it only advances once the
+    /// epoch has terminated, when no thread sends in it any more).
+    pub(crate) fn send_min_typed<T: Clone + Send + 'static>(
+        &self,
+        mt: MessageType<T>,
+        dest: RankId,
+        key: u64,
+        value: u64,
+        msg: T,
+    ) -> bool {
+        let epoch = self.shared.completed_epoch.load(Relaxed) + 1;
+        let dominated = {
+            let mut tables = self.dominance.borrow_mut();
+            let idx = mt.id as usize;
+            if tables.len() <= idx {
+                tables.resize_with(idx + 1, || None);
+            }
+            tables[idx]
+                .get_or_insert_with(|| Box::new(DominanceTable::new()))
+                .dominated(epoch, key, value)
+        };
+        if dominated {
+            self.note_cache_hit();
+            return false;
+        }
+        self.note_cache_miss();
+        self.send_typed(mt, dest, msg);
+        true
     }
 
     // ------------------------------------------------------------------

@@ -138,6 +138,28 @@
 //! keeps end-of-epoch profiler seals and [`crate::StatsSnapshot`] exact at
 //! the detection instant.
 //!
+//! ## Interaction with dominance caching
+//!
+//! [`crate::MessageType::send_min`] drops a message whose value is
+//! dominated by one the same thread already sent under the same key in
+//! the same epoch. The detector cannot be fooled by this:
+//!
+//! * **A dropped message is never counted sent.** The drop returns before
+//!   `note_sent`, so it never enters a coalescing buffer or the `sent`
+//!   ledger — there is nothing for `handled` to wait for. It bumps only
+//!   `cache_hits`, a statistic the detector does not read.
+//! * **The dominating message is already counted.** It went through the
+//!   ordinary send path earlier in this epoch, so it sits in `sent` (or in
+//!   this thread's pending delta, published before the thread can look
+//!   idle) until it is handled. The epoch therefore cannot end before the
+//!   work that made the drop redundant has run, and `handled == sent`
+//!   stays exact — the chaos and simulator suites assert exactly that.
+//!
+//! The table is stamped with the machine-wide epoch generation
+//! (`completed_epoch + 1`), which every thread of every rank reads alike
+//! and which only advances once the epoch has terminated, so an entry can
+//! never outlive the epoch whose delivery guarantee it relies on.
+//!
 //! ## Interaction with fault injection
 //!
 //! The detector remains correct under an unreliable transport

@@ -81,21 +81,29 @@ fn lint() -> ! {
     // compiles without a proof) is an error-severity finding. The
     // "compiled" column is read off an installed engine
     // (`PatternBuilder::jit_report`): what `add_action`'s own gate and
-    // compiler decided, per mode.
+    // compiler decided, per mode. The "min-combined" column is the same
+    // engine's count of hops it filters through its dominance cache
+    // (`PatternBuilder::combine_report`, INTERNALS §14.5).
     use dgp_core::engine::EngineConfig;
     use dgp_core::plan::{compile, PlanMode};
     let modes = [
         (PlanMode::Faithful, "faithful"),
         (PlanMode::Optimized, "optimized"),
     ];
-    let installed = modes.map(|(plan_mode, _)| {
-        let cfg = EngineConfig {
-            plan_mode,
-            ..EngineConfig::default()
-        };
+    let cfgs = modes.map(|(plan_mode, _)| EngineConfig {
+        plan_mode,
+        ..EngineConfig::default()
+    });
+    let installed = cfgs.map(|cfg| {
         dgp_algorithms::builtin_patterns()
             .into_iter()
             .map(|p| p.jit_report(cfg))
+            .collect::<Vec<_>>()
+    });
+    let combined = cfgs.map(|cfg| {
+        dgp_algorithms::builtin_patterns()
+            .into_iter()
+            .map(|p| p.combine_report(cfg))
             .collect::<Vec<_>>()
     });
     let mut pt = Table::new(&[
@@ -106,6 +114,7 @@ fn lint() -> ! {
         "facts proved",
         "checks elided",
         "compiled",
+        "min-combined",
     ]);
     for (fi, p) in dgp_algorithms::builtin_patterns().iter().enumerate() {
         for (ai, a) in p.actions().iter().enumerate() {
@@ -146,6 +155,10 @@ fn lint() -> ! {
                         )
                     }
                 };
+                let min_combined = match &combined[mi][fi] {
+                    Ok(hops) => hops[ai].to_string(),
+                    Err(_) => "-".to_string(),
+                };
                 pt.row(vec![
                     p.name().to_string(),
                     a.ir.name.clone(),
@@ -154,6 +167,7 @@ fn lint() -> ! {
                     facts,
                     elided,
                     compiled,
+                    min_combined,
                 ]);
             }
         }

@@ -38,11 +38,19 @@
 //! The *leftmost-value-is-modified* rule is explicit here: the
 //! [`CondBuilder::assign`]/[`CondBuilder::insert`] target is the modified
 //! value, everything else is reads.
+//!
+//! The relax above is a *monotone* guarded assign — the target only ever
+//! falls — and [`ActionBuilder::min`] writes it in one call:
+//! `b.min(dist, Place::GenTrg, &[d_v, w_e], move |e| Val::F(e.f64(d_v) +
+//! e.f64(w_e)))` expands to the same test and assignment, recorded as
+//! [`ModKind::Min`] so the plan can prove its hop combinable.
 
 use std::sync::Arc;
 
 use crate::engine::{EnvView, ModExec, ModOp, Val};
-use crate::ir::{ActionIr, ConditionIr, GeneratorIr, MapId, ModificationIr, Place, ReadRef, Slot};
+use crate::ir::{
+    ActionIr, ConditionIr, GeneratorIr, MapId, ModKind, ModificationIr, Place, ReadRef, Slot,
+};
 use crate::verify::{Diagnostic, Report};
 
 /// A compiled condition test over the gathered payload.
@@ -167,6 +175,27 @@ impl ActionBuilder {
         test: impl Fn(&EnvView<'_>) -> bool + Send + Sync + 'static,
     ) -> CondBuilder<'_> {
         self.push_condition(reads, test, true)
+    }
+
+    /// `if (map[at] > f(..)) map[at] = f(..)` — the monotone guarded
+    /// assign, as one condition: declares the read of `map[at]`, tests it
+    /// against `f` over `reads` with [`Val::gt`], and assigns `f` when it
+    /// fires. Exactly the `cond(..).assign(..)` pair it replaces, with the
+    /// modification recorded as [`ModKind::Min`] (INTERNALS §14.5).
+    /// `f` must yield an ordered value (`U`, `I` or `F`).
+    pub fn min(
+        &mut self,
+        map: MapId,
+        at: Place,
+        reads: &[Slot],
+        f: impl Fn(&EnvView<'_>) -> Val + Clone + Send + Sync + 'static,
+    ) {
+        let target = self.read_vertex(map, at.clone());
+        let mut test_reads = vec![target];
+        test_reads.extend(reads.iter().filter(|&&s| s != target));
+        let g = f.clone();
+        self.push_condition(&test_reads, move |e| e.val(target).gt(f(e)), false)
+            .push(map, at, reads, ModKind::Min, move |e, _old| g(e));
     }
 
     fn push_condition(
@@ -295,6 +324,44 @@ mod tests {
             Val::F(e.f64(d_v) + e.f64(w_e))
         });
         let built = b.build().unwrap();
+        let plan = compile(&built.ir, PlanMode::Optimized).unwrap();
+        assert_eq!(plan.comm_plan().messages, 1);
+    }
+
+    #[test]
+    fn min_expands_to_the_guarded_assign() {
+        use crate::engine::EnvArr;
+        use crate::ir::GenItem;
+        let (dist, weight) = (0, 1);
+        let mut b = ActionBuilder::new("relax", GeneratorIr::OutEdges);
+        let d_v = b.read_vertex(dist, Place::Input);
+        let w_e = b.read_edge(weight);
+        b.min(dist, Place::GenTrg, &[d_v, w_e], move |e| {
+            Val::F(e.f64(d_v) + e.f64(w_e))
+        });
+        let built = b.build().unwrap();
+        let d_t = Slot(2);
+        let c = &built.ir.conditions[0];
+        assert_eq!(c.reads, vec![d_t, d_v, w_e]);
+        assert_eq!(c.mods.len(), 1);
+        assert_eq!(c.mods[0].kind, ModKind::Min);
+        assert_eq!(
+            (c.mods[0].at.clone(), c.mods[0].reads.clone()),
+            (Place::GenTrg, vec![d_v, w_e])
+        );
+        let mut env = EnvArr::default();
+        env.set(d_v.0, Val::F(1.0));
+        env.set(w_e.0, Val::F(2.0));
+        for (cur, fires) in [(5.0, true), (3.0, false), (f64::INFINITY, true)] {
+            env.set(d_t.0, Val::F(cur));
+            let view = EnvView {
+                env: &env,
+                v: 0,
+                gen: GenItem::None,
+            };
+            assert_eq!((built.tests[0])(&view), fires, "dist[trg] = {cur}");
+            assert_eq!((built.mods[0][0].compute)(&view, Val::F(cur)), Val::F(3.0));
+        }
         let plan = compile(&built.ir, PlanMode::Optimized).unwrap();
         assert_eq!(plan.comm_plan().messages, 1);
     }

@@ -41,11 +41,11 @@ use dgp_am::{AmCtx, SpanKind};
 use dgp_graph::properties::{EdgeMap, LockedVertexMap};
 use dgp_graph::VertexId;
 
-use super::exec::{ActionMsg, CompiledAction, EngineInner, Resolver, SlotReader};
+use super::exec::{ActionMsg, CompiledAction, ComputeFn, EngineInner, Resolver, SlotReader};
 use super::maps::{AtomicMapHandle, EdgeMapHandle, ErasedMap, SetMapHandle, ValCodec};
 use super::value::{EnvView, Val};
 use super::{EngineConfig, EngineStats, Exec, SyncMode};
-use crate::ir::{GenItem, GeneratorIr, ModKind};
+use crate::ir::{GenItem, GeneratorIr, MapId, ModKind};
 use crate::plan::{ExecPlan, ExecStep};
 
 /// What a compiled step tells the driver loop to do next.
@@ -59,6 +59,9 @@ pub(crate) enum Ctl {
         target: VertexId,
         /// Step to execute on arrival.
         pc: u32,
+        /// For a combinable hop (INTERNALS §14.5): the `(key, value)` the
+        /// send is filtered under; `None` sends unfiltered.
+        dominance: Option<(u64, u64)>,
     },
     /// The instance is finished.
     Done,
@@ -104,6 +107,9 @@ pub(crate) struct JitProgram {
     pub(crate) steps: Vec<StepFn>,
     /// The compiled generator.
     pub(crate) gen: JitGen,
+    /// The map written by each combinable hop compiled with a dominance
+    /// filter, one entry per hop.
+    pub(crate) combinable: Vec<MapId>,
 }
 
 /// The access the compiler was trying to devirtualize when it gave up.
@@ -277,13 +283,93 @@ pub(crate) fn compile(
 ) -> Result<JitProgram, JitFallback> {
     gate(cfg, &action.plan)?;
     let gen = compile_gen(&action.ir.generator, maps)?;
+    let mut combinable = Vec::new();
     let steps = action
         .plan
         .steps
         .iter()
-        .map(|step| compile_step(action, maps, cfg, step))
+        .enumerate()
+        .map(|(pc, step)| match combinable_min(action, pc) {
+            Some((map, compute)) => {
+                combinable.push(map);
+                Ok(compile_combinable_hop(action, step, map, compute))
+            }
+            None => compile_step(action, maps, cfg, step),
+        })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(JitProgram { steps, gen })
+    Ok(JitProgram {
+        steps,
+        gen,
+        combinable,
+    })
+}
+
+/// Packed keys put the map id above the vertex id's low 58 bits.
+const KEY_SHIFT: u32 = 58;
+
+/// The written map and the right-hand side of the `Min` a plan-proven
+/// combinable `Goto` at `pc` hops into (INTERNALS §14.5). The
+/// modification must also *execute* as a `Min` — the closure came from
+/// [`crate::builder::ActionBuilder::min`], not merely an IR relabelled.
+fn combinable_min(action: &CompiledAction, pc: usize) -> Option<(MapId, ComputeFn)> {
+    if !action.plan.facts.as_ref()?.combinable.contains(&pc) {
+        return None;
+    }
+    let ExecStep::Goto { next, .. } = action.plan.steps[pc] else {
+        return None;
+    };
+    let ExecStep::EvalModify { cond, mods, .. } = &action.plan.steps[next] else {
+        return None;
+    };
+    let exec = &action.mods[*cond][mods[0]];
+    (exec.op == ModKind::Min).then(|| {
+        (
+            action.ir.conditions[*cond].mods[mods[0]].map,
+            exec.compute.clone(),
+        )
+    })
+}
+
+/// A combinable `Goto`: resolve the target, then compute on the sender
+/// the value the arrival step will test, so the send can be dropped when
+/// this thread already sent a no-larger one to the same cell this epoch.
+/// Filtering is off while the engine has a non-`Min` writer of the map
+/// (re-checked per hop: `add_action` may register one later), and for a
+/// vertex id too wide to pack into the key.
+fn compile_combinable_hop(
+    action: &CompiledAction,
+    step: &ExecStep,
+    map: MapId,
+    compute: ComputeFn,
+) -> StepFn {
+    let ExecStep::Goto { to, next } = *step else {
+        unreachable!("combinable facts name goto steps")
+    };
+    let resolver = action.resolvers[to];
+    let next = next as u32;
+    Box::new(
+        move |inner: &EngineInner, _c: &AmCtx, msg: &mut ActionMsg| {
+            let target = inner.resolve(resolver, msg);
+            let dominance = if inner.min_only(map) && target >> KEY_SHIFT == 0 {
+                let view = EnvView {
+                    env: &msg.env,
+                    v: msg.v,
+                    gen: msg.gen,
+                };
+                let key = ((map as u64) << KEY_SHIFT) | target;
+                compute(&view, Val::Unset)
+                    .order_key()
+                    .map(|value| (key, value))
+            } else {
+                None
+            };
+            Ctl::Hop {
+                target,
+                pc: next,
+                dominance,
+            }
+        },
+    )
 }
 
 fn compile_gen(g: &GeneratorIr, maps: &[Arc<dyn ErasedMap>]) -> Result<JitGen, JitFallback> {
@@ -378,21 +464,23 @@ fn compile_applier(
         // `new != old` compares at the `Val` level, like the interpreter:
         // the change test must not be sharper (or blunter) than the
         // erased one, including the NaN-never-equal corner.
-        ModKind::Assign => with_atomic!(maps, m.map as usize, MapAccess::Assign, |tm| Ok((
-            Box::new(
-                move |inner: &EngineInner, view: &EnvView<'_>, at: VertexId| {
-                    let old = tm.get(inner.rank, at).to_val();
-                    let new = compute(view, old);
-                    if new != old {
-                        tm.set(inner.rank, at, ValCodec::from_val(new));
-                        true
-                    } else {
-                        false
+        ModKind::Assign | ModKind::Min => {
+            with_atomic!(maps, m.map as usize, MapAccess::Assign, |tm| Ok((
+                Box::new(
+                    move |inner: &EngineInner, view: &EnvView<'_>, at: VertexId| {
+                        let old = tm.get(inner.rank, at).to_val();
+                        let new = compute(view, old);
+                        if new != old {
+                            tm.set(inner.rank, at, ValCodec::from_val(new));
+                            true
+                        } else {
+                            false
+                        }
                     }
-                }
-            ) as ApplyFn,
-            dep
-        ))),
+                ) as ApplyFn,
+                dep
+            )))
+        }
         ModKind::Insert => {
             let sm = set_map(maps, m.map as usize, MapAccess::Insert)?;
             Ok((
@@ -478,6 +566,7 @@ fn compile_step(
                     move |_i: &EngineInner, _c: &AmCtx, msg: &mut ActionMsg| Ctl::Hop {
                         target: msg.v,
                         pc: next,
+                        dominance: None,
                     },
                 ),
                 Resolver::GenVertex => Box::new(move |_i, _c, msg: &mut ActionMsg| Ctl::Hop {
@@ -486,6 +575,7 @@ fn compile_step(
                         other => panic!("generated vertex expected, found {other:?}"),
                     },
                     pc: next,
+                    dominance: None,
                 }),
                 Resolver::GenSrc => Box::new(move |_i, _c, msg: &mut ActionMsg| Ctl::Hop {
                     target: match msg.gen {
@@ -493,6 +583,7 @@ fn compile_step(
                         other => panic!("generated edge expected, found {other:?}"),
                     },
                     pc: next,
+                    dominance: None,
                 }),
                 Resolver::GenTrg => Box::new(move |_i, _c, msg: &mut ActionMsg| Ctl::Hop {
                     target: match msg.gen {
@@ -500,10 +591,12 @@ fn compile_step(
                         other => panic!("generated edge expected, found {other:?}"),
                     },
                     pc: next,
+                    dominance: None,
                 }),
                 Resolver::FromSlot(s) => Box::new(move |_i, _c, msg: &mut ActionMsg| Ctl::Hop {
                     target: msg.env.get(s).as_vertex(),
                     pc: next,
+                    dominance: None,
                 }),
             }
         }
@@ -631,7 +724,7 @@ fn compile_eval_modify(
                 if *map == m.map as usize
                     && *resolver == action.mod_target_resolvers[cond][mi]
         );
-        if slot_matches && action.mods[cond][mi].op == ModKind::Assign {
+        if slot_matches && matches!(action.mods[cond][mi].op, ModKind::Assign | ModKind::Min) {
             let test = action.tests[cond].clone();
             let compute = action.mods[cond][mi].compute.clone();
             let dep = action.dep[cond][mi];

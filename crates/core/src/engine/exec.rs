@@ -110,6 +110,10 @@ pub(crate) struct EngineInner {
     /// their locality (the dynamic cross-validator of the static
     /// verifier).
     locality_violations: AtomicU64,
+    /// Bit `m` is set once any registered action writes map `m` with
+    /// anything but a `Min`: combinable hops into it then send unfiltered
+    /// (INTERNALS §14.5).
+    non_min_writes: AtomicU64,
     msg: OnceLock<MessageType<ActionMsg>>,
 }
 
@@ -136,6 +140,7 @@ impl PatternEngine {
             lock_map: LockMap::new(locals, cfg.lock_granularity),
             stats: EngineStats::default(),
             locality_violations: AtomicU64::new(0),
+            non_min_writes: AtomicU64::new(0),
             msg: OnceLock::new(),
         });
         let handler_inner = inner.clone();
@@ -245,6 +250,21 @@ impl PatternEngine {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let dep = ir.dependency_matrix();
+        // Dominance filtering into a map needs every writer of it to be a
+        // `Min`; an `Assign`/`Insert` writer registered now switches it off
+        // for hops compiled earlier too. Maps past bit 63 never filter.
+        let non_min = ir
+            .conditions
+            .iter()
+            .zip(&mods)
+            .flat_map(|(c, execs)| c.mods.iter().zip(execs))
+            .filter(|(_, exec)| exec.op != ModOp::Min)
+            .fold(0u64, |bits, (m, _)| {
+                bits | 1u64.checked_shl(m.map).unwrap_or(0)
+            });
+        self.inner
+            .non_min_writes
+            .fetch_or(non_min, Ordering::Relaxed);
         let mut compiled = CompiledAction {
             ir,
             plan,
@@ -282,6 +302,20 @@ impl PatternEngine {
     /// ([`Self::compiles`]); otherwise the recorded [`JitFallback`].
     pub fn compile_fallback(&self, action: ActionId) -> Option<JitFallback> {
         self.inner.actions.read()[action as usize].jit_fallback
+    }
+
+    /// How many of the action's hops currently drop dominated sends
+    /// (INTERNALS §14.5): compiled hops the plan proved combinable whose
+    /// written map has no non-`Min` writer in this engine. Always 0 under
+    /// [`Exec::Reference`], which never consults the cache.
+    pub fn combinable_hops(&self, action: ActionId) -> usize {
+        let a = self.inner.actions.read()[action as usize].clone();
+        a.jit.as_ref().map_or(0, |j| {
+            j.combinable
+                .iter()
+                .filter(|&&m| self.inner.min_only(m))
+                .count()
+        })
     }
 
     /// Install the action's work hook (the paper's `a.work(Vertex v) =
@@ -371,7 +405,12 @@ impl EngineInner {
         );
     }
 
-    fn resolve(&self, r: Resolver, msg: &ActionMsg) -> VertexId {
+    /// Whether every registered writer of `map` is a `Min`.
+    pub(crate) fn min_only(&self, map: crate::ir::MapId) -> bool {
+        map < 64 && self.non_min_writes.load(Ordering::Relaxed) & (1 << map) == 0
+    }
+
+    pub(crate) fn resolve(&self, r: Resolver, msg: &ActionMsg) -> VertexId {
         match r {
             Resolver::Input => msg.v,
             Resolver::GenVertex => match msg.gen {
@@ -432,14 +471,23 @@ impl EngineInner {
         loop {
             match (jit.steps[msg.pc as usize])(self, ctx, &mut msg) {
                 Ctl::Next(pc) => msg.pc = pc,
-                Ctl::Hop { target, pc } => {
+                Ctl::Hop {
+                    target,
+                    pc,
+                    dominance,
+                } => {
                     msg.pc = pc;
                     if target != msg.at {
                         msg.at = target;
                         let dest = self.graph.owner(target);
                         if dest != self.rank || self.cfg.self_send {
                             let mt = *self.msg.get().expect("engine constructed");
-                            mt.send(ctx, dest, msg);
+                            match dominance {
+                                Some((key, value)) => {
+                                    mt.send_min(ctx, dest, key, value, msg);
+                                }
+                                None => mt.send(ctx, dest, msg),
+                            }
                             return;
                         }
                         // Shared-memory shortcut: same rank, run inline.
@@ -684,7 +732,7 @@ impl EngineInner {
                         && *resolver == action.mod_target_resolvers[cond][mi]
             );
             let op = action.mods[cond][mi].op;
-            if slot_matches && op == ModOp::Assign {
+            if slot_matches && matches!(op, ModOp::Assign | ModOp::Min) {
                 let target = self.resolve(action.mod_target_resolvers[cond][mi], msg);
                 self.check_locality(target, msg.at, "atomic modification", &action.ir.name);
                 let test = &action.tests[cond];
@@ -784,7 +832,7 @@ impl EngineInner {
             let exec = &action.mods[cond][mi];
             let maps = self.maps.read();
             let changed = match exec.op {
-                ModOp::Assign => {
+                ModOp::Assign | ModOp::Min => {
                     let old = maps[m.map as usize].read_vertex(self.rank, target);
                     let new = {
                         let view = EnvView {

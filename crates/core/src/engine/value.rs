@@ -86,6 +86,38 @@ impl Val {
             other => panic!("value {other:?} read as optional vertex"),
         }
     }
+
+    /// `self > other` over the ordered variants (`U`, `I`, `F`; IEEE `>`
+    /// for floats, so NaN never compares greater) — the test of a
+    /// [`crate::ir::ModKind::Min`] step. Panics with context on mixed or
+    /// unordered variants.
+    #[track_caller]
+    pub fn gt(self, other: Val) -> bool {
+        match (self, other) {
+            (Val::U(a), Val::U(b)) => a > b,
+            (Val::I(a), Val::I(b)) => a > b,
+            (Val::F(a), Val::F(b)) => a > b,
+            (a, b) => panic!("min over unordered values {a:?} and {b:?}"),
+        }
+    }
+
+    /// An order-preserving `u64` image of an ordered value: a key no
+    /// smaller than `b`'s implies `!b.gt(a)`. Every NaN maps to `u64::MAX`
+    /// (a NaN candidate never passes a min test). `None` for the unordered
+    /// variants.
+    pub fn order_key(self) -> Option<u64> {
+        const SIGN: u64 = 1 << 63;
+        match self {
+            Val::U(x) => Some(x),
+            Val::I(x) => Some(x as u64 ^ SIGN),
+            Val::F(x) if x.is_nan() => Some(u64::MAX),
+            Val::F(x) => {
+                let b = x.to_bits();
+                Some(if b & SIGN != 0 { !b } else { b | SIGN })
+            }
+            _ => None,
+        }
+    }
 }
 
 /// The fixed-size payload environment of an action instance.
@@ -230,6 +262,32 @@ mod tests {
         assert_eq!(view.input(), 3);
         assert_eq!(view.gen_src(), 3);
         assert_eq!(view.gen_trg(), 5);
+    }
+
+    #[test]
+    fn order_keys_preserve_order() {
+        let floats = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            1e-300,
+            3.0,
+            f64::INFINITY,
+        ];
+        for w in floats.windows(2) {
+            assert!(
+                Val::F(w[0]).order_key() <= Val::F(w[1]).order_key(),
+                "{w:?}"
+            );
+        }
+        assert_eq!(Val::F(f64::NAN).order_key(), Some(u64::MAX));
+        assert!(Val::I(-3).order_key() < Val::I(2).order_key());
+        assert!(Val::U(3).order_key() < Val::U(4).order_key());
+        assert_eq!(Val::B(true).order_key(), None);
+        assert!(Val::F(2.0).gt(Val::F(1.0)));
+        assert!(!Val::F(f64::NAN).gt(Val::F(1.0)));
+        assert!(!Val::U(1).gt(Val::U(1)));
     }
 
     #[test]

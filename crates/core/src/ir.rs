@@ -145,6 +145,12 @@ pub enum ModKind {
     /// `map[target].insert(computed)` — modification through a set value's
     /// interface; commutative, so concurrent applications cannot race.
     Insert,
+    /// `if map[target] > computed { map[target] = computed }` — the
+    /// monotone guarded assign ([`crate::builder::ActionBuilder::min`]).
+    /// Executed exactly as the `Assign` it expands to; recorded separately
+    /// because a min is order- and duplication-insensitive, which is what
+    /// lets the plan prove a hop into it combinable (INTERNALS §14.5).
+    Min,
 }
 
 /// One modification statement: `target_map[target] = f(reads...)`, where
@@ -417,7 +423,14 @@ impl std::fmt::Display for ActionIr {
                     .iter()
                     .map(|&Slot(s)| self.slots[s].to_string())
                     .collect();
-                writeln!(f, "    p{}[{}] = expr({});", m.map, m.at, mreads.join(", "))?;
+                let op = if m.kind == ModKind::Min { "min=" } else { "=" };
+                writeln!(
+                    f,
+                    "    p{}[{}] {op} expr({});",
+                    m.map,
+                    m.at,
+                    mreads.join(", ")
+                )?;
             }
             writeln!(f, "  }}")?;
         }

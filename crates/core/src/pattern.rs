@@ -266,7 +266,26 @@ impl PatternBuilder {
     /// answer is read off a real installation — one rank, a two-vertex
     /// bidirectional graph, unbound edge properties filled with default
     /// values — so it cannot drift from what `add_action` does.
-    pub fn jit_report(mut self, cfg: EngineConfig) -> Result<Vec<Option<JitFallback>>, String> {
+    pub fn jit_report(self, cfg: EngineConfig) -> Result<Vec<Option<JitFallback>>, String> {
+        self.probe(cfg, |engine, a| engine.compile_fallback(a))
+    }
+
+    /// How many hops of each declared action the installed engine filters
+    /// through its dominance cache ([`PatternEngine::combinable_hops`];
+    /// INTERNALS §14.5), read off the same throwaway installation as
+    /// [`jit_report`](Self::jit_report) — so the engine-wide "every writer
+    /// is a `Min`" rule is applied across the whole declaration.
+    pub fn combine_report(self, cfg: EngineConfig) -> Result<Vec<usize>, String> {
+        self.probe(cfg, |engine, a| engine.combinable_hops(a))
+    }
+
+    /// Install on a throwaway one-rank machine and ask `query` about each
+    /// declared action.
+    fn probe<R: Send>(
+        mut self,
+        cfg: EngineConfig,
+        query: impl Fn(&PatternEngine, ActionId) -> R + Send + Sync,
+    ) -> Result<Vec<R>, String> {
         for spec in &mut self.props {
             spec.unbound = false;
         }
@@ -280,9 +299,7 @@ impl PatternBuilder {
         Machine::run(MachineConfig::new(1), move |ctx| {
             let decl = decl.lock().take().expect("one rank installs once");
             let pattern = decl.install(ctx, &graph, cfg)?;
-            Ok((0..actions)
-                .map(|a| pattern.engine.compile_fallback(a))
-                .collect())
+            Ok((0..actions).map(|a| query(&pattern.engine, a)).collect())
         })
         .pop()
         .expect("one rank, one result")

@@ -35,10 +35,16 @@
 //! to the plan, which the engine accepts as licence to elide its
 //! per-message locality and def-use guards (the proof-carrying-plan
 //! contract of INTERNALS §13).
+//!
+//! The proof also records which hops are *combinable* (INTERNALS §14.5):
+//! a `Goto` whose arrival step only lowers one cell with a
+//! [`ModKind::Min`] computed from payload slots the sender already holds,
+//! and after which the instance ends. A sender may drop such a hop when
+//! it already sent a no-larger value to the same cell in the same epoch.
 
 use std::collections::HashMap;
 
-use crate::ir::{ActionIr, Place, ReadRef, Slot};
+use crate::ir::{ActionIr, ModKind, Place, ReadRef, Slot};
 use crate::plan::{ExecPlan, ExecStep};
 use crate::verify::{DiagCode, Diagnostic, Severity};
 
@@ -114,6 +120,14 @@ pub struct VerifiedFacts {
     pub stale_free: bool,
     /// `(pc, place)` states explored before the fixpoint converged.
     pub states_explored: u32,
+    /// `Goto` steps whose hop is combinable: the arrival step is an
+    /// `EvalModify` with a single [`ModKind::Min`] modification on the
+    /// hop's place, whose only fresh read is that target; every slot the
+    /// right-hand side reads is gathered before the hop on every path; and
+    /// both branches end the instance. The sender can compute the value
+    /// the hop carries, and a value it already sent no larger of is
+    /// guaranteed to make this one's test fail (INTERNALS §14.5).
+    pub combinable: Vec<usize>,
     _sealed: (),
 }
 
@@ -128,13 +142,17 @@ impl VerifiedFacts {
 
     /// Short human summary for tables: the facts proved.
     pub fn summary(&self) -> String {
-        format!(
+        let mut s = format!(
             "locality×{} def-use×{} resolve×{}{}",
             self.locality_sites,
             self.consumed_sites,
             self.resolution_hops,
             if self.stale_free { " stale-free" } else { "" }
-        )
+        );
+        if !self.combinable.is_empty() {
+            s.push_str(&format!(" min-combine×{}", self.combinable.len()));
+        }
+        s
     }
 }
 
@@ -553,10 +571,69 @@ pub fn analyze(ir: &ActionIr, plan: &ExecPlan) -> Analysis {
             consumed_sites,
             stale_free: stale_consumptions == 0,
             states_explored: keys.len() as u32,
+            combinable: combinable_hops(ir, plan, &states),
             _sealed: (),
         })
     };
     Analysis { diagnostics, facts }
+}
+
+/// The `Goto`s of [`VerifiedFacts::combinable`], in step order.
+fn combinable_hops(
+    ir: &ActionIr,
+    plan: &ExecPlan,
+    states: &HashMap<(usize, Place), AbsState>,
+) -> Vec<usize> {
+    let ends = |pc: usize| matches!(plan.steps.get(pc), Some(ExecStep::End));
+    let combinable = |pc: usize, to: usize, next: usize| -> Option<bool> {
+        let ExecStep::EvalModify {
+            cond,
+            local_slots,
+            mods,
+            on_true,
+            on_false,
+        } = plan.steps.get(next)?
+        else {
+            return Some(false);
+        };
+        let c = ir.conditions.get(*cond)?;
+        let ([mi], [fresh]) = (mods.as_slice(), local_slots.as_slice()) else {
+            return Some(false);
+        };
+        let m = c.mods.get(*mi)?;
+        let target = ReadRef::VertexProp {
+            map: m.map,
+            at: m.at.clone(),
+        };
+        let mut at_hop = states
+            .iter()
+            .filter(|((p, _), _)| *p == pc)
+            .map(|(_, st)| st)
+            .peekable();
+        let carried = at_hop.peek().is_some()
+            && at_hop.all(|st| {
+                m.reads
+                    .iter()
+                    .all(|&Slot(s)| s != *fresh && st.get(s).is_some_and(|x| x.gathered))
+            });
+        Some(
+            c.mods.len() == 1
+                && m.kind == ModKind::Min
+                && plan.places.get(to) == Some(&m.at)
+                && ir.slots.get(*fresh) == Some(&target)
+                && carried
+                && ends(*on_true)
+                && ends(*on_false),
+        )
+    };
+    plan.steps
+        .iter()
+        .enumerate()
+        .filter_map(|(pc, step)| match step {
+            ExecStep::Goto { to, next } => combinable(pc, *to, *next)?.then_some(pc),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Mark every payload slot whose cell may alias a written target as
@@ -680,6 +757,25 @@ mod tests {
                 assert!(facts.locality_sites > 0);
                 assert!(facts.runtime_checks_elided() > 0);
             }
+        }
+    }
+
+    #[test]
+    fn only_a_min_relax_hop_is_combinable() {
+        let mut ir = relax_ir();
+        for mode in [PlanMode::Faithful, PlanMode::Optimized] {
+            let plan = compile(&ir, mode).unwrap();
+            assert!(plan.facts.unwrap().combinable.is_empty(), "Assign");
+        }
+        ir.conditions[0].mods[0].kind = ModKind::Min;
+        for mode in [PlanMode::Faithful, PlanMode::Optimized] {
+            let plan = compile(&ir, mode).unwrap();
+            let hops = plan.facts.clone().unwrap().combinable;
+            assert_eq!(hops.len(), 1, "{plan}");
+            assert!(
+                matches!(plan.steps[hops[0]], ExecStep::Goto { to, .. } if plan.places[to] == Place::GenTrg),
+                "{plan}"
+            );
         }
     }
 

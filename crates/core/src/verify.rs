@@ -413,13 +413,13 @@ fn test_reads_exactly(ir: &ActionIr, ci: usize, map: u32, at: &Place) -> bool {
     })
 }
 
-/// All `Assign` sites of the action with their protection status.
+/// All `Assign`/`Min` sites of the action with their protection status.
 fn write_sites(ir: &ActionIr, plan: &ExecPlan) -> Vec<WriteSite> {
     let mut out = Vec::new();
     for (ci, c) in ir.conditions.iter().enumerate() {
         let groups = group_of(ir, ci);
         for (mi, m) in c.mods.iter().enumerate() {
-            if m.kind != ModKind::Assign {
+            if m.kind == ModKind::Insert {
                 continue;
             }
             let merged = plan.merged.get(ci).copied().unwrap_or(false) && groups[mi] == 0;
@@ -445,7 +445,7 @@ fn races_in_action(ir: &ActionIr, plan: &ExecPlan) -> Vec<Diagnostic> {
     for (ci, c) in ir.conditions.iter().enumerate() {
         let groups = group_of(ir, ci);
         for (mi, m) in c.mods.iter().enumerate() {
-            if m.kind != ModKind::Assign {
+            if m.kind == ModKind::Insert {
                 continue; // insertions are commutative reductions
             }
             let in_merged = plan.merged.get(ci).copied().unwrap_or(false) && groups[mi] == 0;
@@ -554,7 +554,7 @@ fn self_trigger(ir: &ActionIr, plan: &ExecPlan) -> Vec<Diagnostic> {
     for (ci, c) in ir.conditions.iter().enumerate() {
         let groups = group_of(ir, ci);
         for (mi, m) in c.mods.iter().enumerate() {
-            if !dep[ci][mi] || m.kind != ModKind::Assign {
+            if !dep[ci][mi] || m.kind == ModKind::Insert {
                 continue; // no work item, or a saturating reduction
             }
             let in_merged = plan.merged.get(ci).copied().unwrap_or(false) && groups[mi] == 0;

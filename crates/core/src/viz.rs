@@ -66,7 +66,9 @@ impl DepTree {
 impl ExecPlan {
     /// Render the message program as DOT: boxes are steps, solid edges are
     /// control flow (labelled T/F at branches), and `goto` boxes name the
-    /// locality the message travels to.
+    /// locality the message travels to — marked `min-combinable` (and
+    /// drawn bold) when the proof says a sender may drop a dominated hop
+    /// (INTERNALS §14.5).
     pub fn to_dot(&self) -> String {
         self.to_dot_annotated(&[])
     }
@@ -82,11 +84,24 @@ impl ExecPlan {
                 .filter(|d| d.step == Some(i))
                 .max_by_key(|d| d.severity)
         };
+        let combinable = |i: usize| {
+            self.facts
+                .as_ref()
+                .is_some_and(|f| f.combinable.contains(&i))
+        };
         let mut out = String::from("digraph plan {\n  node [shape=box, fontname=monospace];\n");
         for (i, s) in self.steps.iter().enumerate() {
             let (label, edges): (String, Vec<(usize, &str)>) = match s {
                 ExecStep::Goto { to, next } => (
-                    format!("goto {}", place_label(&self.places[*to])),
+                    format!(
+                        "goto {}{}",
+                        place_label(&self.places[*to]),
+                        if combinable(i) {
+                            "\\nmin-combinable"
+                        } else {
+                            ""
+                        }
+                    ),
                     vec![(*next, "")],
                 ),
                 ExecStep::Gather { slots, next } => {
@@ -127,6 +142,9 @@ impl ExecPlan {
                         d.code.as_str(),
                         d.code.title()
                     ));
+                }
+                None if combinable(i) => {
+                    out.push_str(&format!("  s{i} [label=\"{i}: {label}\", style=bold];\n"))
                 }
                 None => out.push_str(&format!("  s{i} [label=\"{i}: {label}\"];\n")),
             }
@@ -194,6 +212,25 @@ mod tests {
         assert!(dot.contains("eval+modify"));
         assert!(dot.contains("label=\"T\""));
         assert!(dot.contains("goto trg(e)"));
+        assert!(
+            !dot.contains("min-combinable"),
+            "an Assign hop is not combinable"
+        );
+    }
+
+    #[test]
+    fn plan_dot_marks_combinable_hops() {
+        let mut b = crate::builder::ActionBuilder::new("relax", GeneratorIr::OutEdges);
+        let d_v = b.read_vertex(0, Place::Input);
+        b.min(0, Place::GenTrg, &[d_v], move |e| {
+            crate::engine::Val::U(e.u64(d_v) + 1)
+        });
+        let built = b.build().unwrap();
+        let dot = compile(&built.ir, PlanMode::Optimized).unwrap().to_dot();
+        assert!(
+            dot.contains("goto trg(e)\\nmin-combinable\", style=bold"),
+            "{dot}"
+        );
     }
 
     #[test]

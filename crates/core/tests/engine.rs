@@ -2,10 +2,10 @@
 //! hand-analyzable patterns, covering every step kind and branch shape.
 
 use dgp_am::{AmCtx, Machine, MachineConfig};
-use dgp_core::builder::ActionBuilder;
-use dgp_core::engine::{EngineConfig, PatternEngine, SyncMode, Val};
-use dgp_core::ir::{GeneratorIr, Place};
-use dgp_core::plan::PlanMode;
+use dgp_core::builder::{ActionBuilder, BuiltAction};
+use dgp_core::engine::{ActionId, EngineConfig, Exec, PatternEngine, SyncMode, Val};
+use dgp_core::ir::{GeneratorIr, MapId, Place};
+use dgp_core::plan::{compile, PlanMode};
 use dgp_core::strategies::{fixed_point, once};
 use dgp_graph::properties::{AtomicVertexMap, EdgeMap, LockedVertexMap};
 use dgp_graph::{DistGraph, Distribution, EdgeList, VertexId};
@@ -499,4 +499,164 @@ fn filtered_generator_partitions_edges() {
     // Weights: 1<-0.2 (light), 2<-0.9 (heavy), 3<-0.5 (light, inclusive),
     // 4<-1.5 (heavy).
     assert_eq!(result, vec![0, 1, 100, 1, 100]);
+}
+
+/// A star into vertex 9 on two ranks: sources 0..9 at distance 0, unit
+/// weights, so every relax hop carries 1.0 into the same cell and a
+/// dominance-filtered hop sends it once per sending thread. `setup`
+/// registers actions on the engine (maps `dist`, `weight`, `aux`) and
+/// returns the one to drive; the result is that action's
+/// `combinable_hops` after setup, `dist[9]`, and the machine's cache
+/// hits and misses.
+fn star_relax(
+    exec: Exec,
+    setup: impl Fn(&PatternEngine, MapId, MapId, MapId) -> ActionId + Send + Sync,
+) -> (usize, f64, u64, u64) {
+    with_machine(2, |ctx| {
+        let mut el = EdgeList::new(10);
+        for i in 0..9 {
+            el.push_weighted(i, 9, 1.0);
+        }
+        let graph = ctx.share(|| DistGraph::build(&el, Distribution::block(10, 2), false));
+        let weights = ctx.share(|| EdgeMap::from_weights(&graph, &el));
+        let dist = ctx.share(|| AtomicVertexMap::new(graph.distribution(), 0.0f64));
+        let aux = ctx.share(|| AtomicVertexMap::new(graph.distribution(), 1.0f64));
+        let rank = ctx.rank();
+        if graph.owner(9) == rank {
+            dist.set(rank, 9, f64::INFINITY);
+        }
+        ctx.barrier();
+        let cfg = EngineConfig {
+            exec,
+            ..EngineConfig::default()
+        };
+        let engine = PatternEngine::new(ctx, graph.clone(), cfg);
+        let d_id = engine.register_vertex_map(&dist);
+        let w_id = engine.register_edge_map(&weights);
+        let a_id = engine.register_vertex_map(&aux);
+        let action = setup(&engine, d_id, w_id, a_id);
+        let hops = engine.combinable_hops(action);
+        let sources: Vec<_> = graph
+            .distribution()
+            .owned(rank)
+            .filter(|&v| v < 9)
+            .collect();
+        once(ctx, &engine, action, &sources);
+        let stats = ctx.stats();
+        let d9 = dist.snapshot()[9];
+        ctx.barrier();
+        (rank == 0).then_some((hops, d9, stats.cache_hits, stats.cache_misses))
+    })
+}
+
+fn min_relax(dist: MapId, weight: MapId) -> BuiltAction {
+    let mut b = ActionBuilder::new("relax", GeneratorIr::OutEdges);
+    let d_v = b.read_vertex(dist, Place::Input);
+    let w_e = b.read_edge(weight);
+    b.min(dist, Place::GenTrg, &[d_v, w_e], move |e| {
+        Val::F(e.f64(d_v) + e.f64(w_e))
+    });
+    b.build().unwrap()
+}
+
+/// `dist[v] = dist[v]` behind a false test: a second, non-`Min` writer
+/// of `dist` that never changes anything.
+fn inert_assign(dist: MapId) -> BuiltAction {
+    let mut b = ActionBuilder::new("inert", GeneratorIr::None);
+    let d_v = b.read_vertex(dist, Place::Input);
+    b.cond(&[d_v], |_| false)
+        .assign(dist, Place::Input, &[d_v], move |e, _| e.val(d_v));
+    b.build().unwrap()
+}
+
+fn combinable_fact(built: &BuiltAction) -> Vec<usize> {
+    compile(&built.ir, PlanMode::Optimized)
+        .unwrap()
+        .facts
+        .expect("clean plans carry facts")
+        .combinable
+}
+
+/// The positive control: a `Min` relax hop is combinable, dominated
+/// sends are dropped, and the answer is the one the drops cannot change.
+#[test]
+fn min_relax_drops_dominated_sends() {
+    assert_eq!(combinable_fact(&min_relax(0, 1)).len(), 1);
+    let (hops, d9, hits, misses) = star_relax(Exec::Compiled, |e, d, w, _| {
+        e.add_action(min_relax(d, w)).unwrap()
+    });
+    assert_eq!(hops, 1);
+    assert_eq!(d9, 1.0);
+    assert!(hits > 0, "nine equal candidates, two sending threads");
+    assert_eq!(hits + misses, 9, "every relax hop consulted the cache once");
+}
+
+/// A `Min` whose right-hand side reads a slot gathered at the target: the
+/// sender does not hold the value, so the hop is not combinable.
+#[test]
+fn min_reading_a_target_slot_is_not_combinable() {
+    let build = |dist: MapId, aux: MapId| {
+        let mut b = ActionBuilder::new("from_target", GeneratorIr::OutEdges);
+        let a_t = b.read_vertex(aux, Place::GenTrg);
+        b.min(dist, Place::GenTrg, &[a_t], move |e| Val::F(e.f64(a_t)));
+        b.build().unwrap()
+    };
+    assert!(combinable_fact(&build(0, 2)).is_empty());
+    let (hops, d9, hits, misses) = star_relax(Exec::Compiled, move |e, d, _, a| {
+        e.add_action(build(d, a)).unwrap()
+    });
+    assert_eq!((hops, d9, hits, misses), (0, 1.0, 0, 0));
+}
+
+/// A `Min` hop followed by a further step: the instance does not end at
+/// the modification, so dropping the hop would drop that step too.
+#[test]
+fn min_followed_by_a_step_is_not_combinable() {
+    let build = |dist: MapId, weight: MapId, aux: MapId| {
+        let mut b = ActionBuilder::new("then_more", GeneratorIr::OutEdges);
+        let d_v = b.read_vertex(dist, Place::Input);
+        let w_e = b.read_edge(weight);
+        b.min(dist, Place::GenTrg, &[d_v, w_e], move |e| {
+            Val::F(e.f64(d_v) + e.f64(w_e))
+        });
+        let x_v = b.read_vertex(aux, Place::Input);
+        b.cond(&[x_v], |_| true)
+            .assign(aux, Place::Input, &[], |_, _| Val::F(2.0));
+        b.build().unwrap()
+    };
+    assert!(combinable_fact(&build(0, 1, 2)).is_empty());
+    let (hops, d9, hits, misses) = star_relax(Exec::Compiled, move |e, d, w, a| {
+        e.add_action(build(d, w, a)).unwrap()
+    });
+    assert_eq!((hops, d9, hits, misses), (0, 1.0, 0, 0));
+}
+
+/// A map with a non-`Min` writer is never filtered — whether that writer
+/// was registered before the `Min` action or by a later `add_action`
+/// (the plan fact stands; the engine-wide rule switches it off).
+#[test]
+fn a_non_min_writer_switches_filtering_off() {
+    assert_eq!(combinable_fact(&min_relax(0, 1)).len(), 1);
+    let (hops, d9, hits, misses) = star_relax(Exec::Compiled, |e, d, w, _| {
+        e.add_action(inert_assign(d)).unwrap();
+        e.add_action(min_relax(d, w)).unwrap()
+    });
+    assert_eq!((hops, d9, hits, misses), (0, 1.0, 0, 0), "writer first");
+    let (hops, d9, hits, misses) = star_relax(Exec::Compiled, |e, d, w, _| {
+        let relax = e.add_action(min_relax(d, w)).unwrap();
+        assert_eq!(e.combinable_hops(relax), 1);
+        e.add_action(inert_assign(d)).unwrap();
+        relax
+    });
+    assert_eq!((hops, d9, hits, misses), (0, 1.0, 0, 0), "writer later");
+}
+
+/// `Exec::Reference` is the unfiltered oracle: it never consults the
+/// cache, whatever the plan proves.
+#[test]
+fn reference_executor_never_filters() {
+    let (hops, d9, hits, misses) = star_relax(Exec::Reference, |e, d, w, _| {
+        e.add_action(min_relax(d, w)).unwrap()
+    });
+    assert_eq!((hops, d9, hits, misses), (0, 1.0, 0, 0));
 }

@@ -127,3 +127,39 @@ fn cc_bit_identical_under_chaos_on_three_ranks() {
         assert!(stats.faults_injected() > 0, "seed {seed}");
     }
 }
+
+/// Termination safety of the engine's dominance cache under faults: a
+/// dropped (dominated) relax is never counted sent, and the message that
+/// dominated it already was, so the ledgers balance exactly while drops,
+/// duplicates and retransmits reorder everything below. The oracle is the
+/// unfiltered reference executor on the perfect transport.
+#[test]
+fn sssp_dominance_cache_is_exact_under_chaos() {
+    let mut el = generators::rmat(8, 8, generators::RmatParams::GRAPH500, 5);
+    el.randomize_weights(0.5, 3.0, 6);
+    let oracle = Run {
+        engine: EngineConfig {
+            exec: Exec::Reference,
+            ..EngineConfig::default()
+        },
+        ..Run::new(3)
+    }
+    .sssp(&el, 0, SsspStrategy::Delta(1.0))
+    .expect("reference run")
+    .result;
+    for seed in seeds() {
+        let Outcome {
+            result: got, stats, ..
+        } = Run::on(chaos_cfg(3, seed))
+            .sssp(&el, 0, SsspStrategy::Delta(1.0))
+            .expect("chaos is masked");
+        assert_eq!(
+            got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+            oracle.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+            "seed {seed}"
+        );
+        assert_eq!(stats.messages_sent, stats.messages_handled, "seed {seed}");
+        assert!(stats.cache_hits > 0, "seed {seed}: nothing was dominated");
+        assert!(stats.faults_injected() > 0, "seed {seed}: nothing injected");
+    }
+}

@@ -231,6 +231,48 @@ fn repeated_runs_on_one_machine() {
     assert_dists(&second, &want5);
 }
 
+/// The engine's dominance cache is scoped to an epoch: one `Sssp`
+/// install solves twice from different sources (`dist` reset between the
+/// solves, outside any epoch), so entries from the first solve must never
+/// drop a hop of the second. Worker threads keep their own tables and
+/// stamp them with the same machine-wide epoch, and the asynchronous
+/// Δ-stepping variant runs each solve as one long `try_finish` epoch.
+#[test]
+fn dominance_cache_is_scoped_to_the_epoch() {
+    let el = weighted_rmat(7, 57);
+    let want0 = seq::dijkstra(&el, 0);
+    let want5 = seq::dijkstra(&el, 5);
+    for threads in [1, 4] {
+        for strategy in [SsspStrategy::Delta(1.0), SsspStrategy::DeltaAsync(1.0)] {
+            let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 2), false);
+            let weights = EdgeMap::from_weights(&graph, &el);
+            let cfg = MachineConfig::new(2).threads_per_rank(threads);
+            let mut out = Machine::run(cfg, move |ctx| {
+                let s = dgp_algorithms::sssp::Sssp::install(
+                    ctx,
+                    &graph,
+                    &weights,
+                    EngineConfig::default(),
+                );
+                s.run(ctx, 0, strategy);
+                let first = s.dist.snapshot();
+                ctx.barrier();
+                s.run(ctx, 5, strategy);
+                let second = s.dist.snapshot();
+                ctx.barrier();
+                (ctx.rank() == 0).then(|| (first, second, ctx.stats().cache_hits))
+            });
+            let (first, second, hits) = out[0].take().unwrap();
+            assert_dists(&first, &want0);
+            assert_dists(&second, &want5);
+            assert!(
+                hits > 0,
+                "{threads} threads, {strategy:?}: nothing dominated"
+            );
+        }
+    }
+}
+
 /// Self-send shortcut (inline same-rank hops) is result-transparent.
 /// (Counts are *not* compared: inlining changes the relaxation order from
 /// FIFO-frontier to depth-first, which changes how much redundant work a

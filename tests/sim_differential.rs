@@ -208,3 +208,38 @@ fn sim_honours_the_engine_configuration() {
         );
     }
 }
+
+/// The engine's dominance cache under adversarial schedules: results
+/// bit-identical to the unfiltered reference executor, ledgers exactly
+/// balanced, and the cache actually dropped something.
+#[test]
+fn sssp_dominance_cache_is_exact_under_the_simulator() {
+    let mut el = generators::rmat(8, 8, generators::RmatParams::GRAPH500, 5);
+    el.randomize_weights(0.5, 3.0, 6);
+    let oracle = Run {
+        engine: dgp_core::EngineConfig {
+            exec: dgp_core::Exec::Reference,
+            ..Default::default()
+        },
+        ..Run::new(3)
+    }
+    .sssp(&el, 0, SsspStrategy::Delta(1.0))
+    .expect("reference run")
+    .result;
+    for seed in SEEDS {
+        let plan = SimPlan::new(seed).latency(600).jitter(3_000);
+        let got = Run::new(3)
+            .sim(plan)
+            .sssp(&el, 0, SsspStrategy::Delta(1.0))
+            .expect("sim run");
+        assert!(bits(&got.result) == bits(&oracle), "seed {seed}");
+        assert_eq!(
+            got.stats.messages_sent, got.stats.messages_handled,
+            "seed {seed}"
+        );
+        assert!(
+            got.stats.cache_hits > 0,
+            "seed {seed}: nothing was dominated"
+        );
+    }
+}
