@@ -9,8 +9,13 @@
 //! paper observes: the hand-written versions fuse the relaxation with a
 //! specific traversal — there is no way to swap the strategy without
 //! rewriting the communication.
+//!
+//! `sssp`, `bfs` and `cc_label_propagation` send unfiltered (the benchmark's
+//! like-for-like baselines). `bfs_cached` and `sssp_reduced` re-send through
+//! the dominance cache the engine's compiled relax hops use
+//! ([`dgp_am::MessageType::send_min`], INTERNALS §14.5).
 
-use dgp_am::{AmCtx, CachingSender, ReducingSender};
+use dgp_am::AmCtx;
 use dgp_graph::properties::{AtomicVertexMap, EdgeMap};
 use dgp_graph::{DistGraph, VertexId};
 
@@ -70,86 +75,64 @@ pub fn bfs(ctx: &AmCtx, graph: &DistGraph, source: VertexId) -> AtomicVertexMap<
     level
 }
 
-/// BFS through a duplicate-eliminating [`CachingSender`] (experiment E2):
-/// a frontier vertex reachable through many same-level edges produces
-/// identical `(vertex, level)` messages, which the cache drops before they
-/// cross the wire — the paper's "algorithms that produce potentially large
-/// amounts of repetitive work".
-pub fn bfs_cached(
-    ctx: &AmCtx,
-    graph: &DistGraph,
-    source: VertexId,
-    cache_slots: usize,
-) -> AtomicVertexMap<u64> {
-    use std::sync::OnceLock;
+/// BFS whose handler re-sends through the dominance cache (experiment
+/// E2): a `(vertex, level)` message is dropped when this thread already
+/// sent that vertex a level no larger in this epoch — the exact duplicates
+/// a frontier vertex reachable through many same-level edges produces, and
+/// every worse level besides. The paper's "algorithms that produce
+/// potentially large amounts of repetitive work".
+pub fn bfs_cached(ctx: &AmCtx, graph: &DistGraph, source: VertexId) -> AtomicVertexMap<u64> {
     let rank = ctx.rank();
     let level = ctx.share(|| AtomicVertexMap::new(graph.distribution(), u64::MAX));
     let (g, l) = (graph.clone(), level.clone());
-    // The handler sends through the cache, so tie the knot with OnceLock.
-    type CacheCell = std::sync::Arc<OnceLock<std::sync::Arc<CachingSender<(VertexId, u64)>>>>;
-    let cache_cell: CacheCell = std::sync::Arc::new(OnceLock::new());
-    let cc2 = cache_cell.clone();
     let mt = ctx.register(move |hctx, (v, lvl): (VertexId, u64)| {
         let me = hctx.rank();
         if l.fetch_min(me, v, lvl).changed {
             let sh = g.shard(me);
             let li = sh.local_of(v);
-            let cache = cc2.get().expect("cache installed before first epoch");
             for (_, trg) in sh.out_edges(li) {
-                cache.send(hctx, g.owner(trg), (trg, lvl + 1));
+                hctx.send_min(g.owner(trg), trg, lvl + 1, (trg, lvl + 1));
             }
         }
     });
-    let cache = CachingSender::new(mt, ctx.num_ranks(), cache_slots);
-    cache_cell
-        .set(cache.clone())
-        .unwrap_or_else(|_| unreachable!("installed once"));
     ctx.epoch(|ctx| {
         if graph.owner(source) == rank {
-            cache.send(ctx, rank, (source, 0));
+            mt.send(ctx, rank, (source, 0));
         }
     });
     level
 }
 
-/// SSSP through a min-combining [`ReducingSender`] (experiment E3):
-/// relaxations of the same target vertex are combined to their minimum
-/// candidate before transmission — the paper's §II-B note that "our
-/// implementation based on AM++ allows reductions of unnecessary
-/// communication".
+/// SSSP whose handler re-sends through the dominance cache (experiment
+/// E3): a relaxation is dropped when this thread already sent its target
+/// a candidate no larger in this epoch — min-combining per target, done
+/// on the sender before the message exists. The paper's §II-B note that
+/// "our implementation based on AM++ allows reductions of unnecessary
+/// communication". Candidates are non-negative, so their IEEE bit
+/// patterns order like their values.
 pub fn sssp_reduced(
     ctx: &AmCtx,
     graph: &DistGraph,
     weights: &EdgeMap<f64>,
     source: VertexId,
-    table_slots: usize,
 ) -> AtomicVertexMap<f64> {
-    use std::sync::OnceLock;
     let rank = ctx.rank();
     let dist = ctx.share(|| AtomicVertexMap::new(graph.distribution(), f64::INFINITY));
     let (g, w, d) = (graph.clone(), weights.clone(), dist.clone());
-    let red_cell: std::sync::Arc<OnceLock<std::sync::Arc<ReducingSender<VertexId, f64>>>> =
-        std::sync::Arc::new(OnceLock::new());
-    let rc2 = red_cell.clone();
     let mt = ctx.register(move |hctx, (v, cand): (VertexId, f64)| {
         let me = hctx.rank();
         if d.fetch_min(me, v, cand).changed {
             let sh = g.shard(me);
             let li = sh.local_of(v);
-            let red = rc2.get().expect("reducer installed before first epoch");
             for (e, trg) in sh.out_edges(li) {
-                red.send(hctx, g.owner(trg), trg, cand + w.get_out(me, e));
+                let next = cand + w.get_out(me, e);
+                hctx.send_min(g.owner(trg), trg, next.to_bits(), (trg, next));
             }
         }
     });
-    let red = ReducingSender::new(mt, ctx.num_ranks(), table_slots, f64::min);
-    ctx.register_flushable(red.clone());
-    red_cell
-        .set(red.clone())
-        .unwrap_or_else(|_| unreachable!("installed once"));
     ctx.epoch(|ctx| {
         if graph.owner(source) == rank {
-            red.send(ctx, rank, source, 0.0);
+            mt.send(ctx, rank, (source, 0.0));
         }
     });
     dist
@@ -208,7 +191,7 @@ mod tests {
         let mut out = Machine::run(MachineConfig::new(2), move |ctx| {
             let plain = bfs(ctx, &graph, 0);
             let before = ctx.stats();
-            let cached = bfs_cached(ctx, &graph, 0, 4096);
+            let cached = bfs_cached(ctx, &graph, 0);
             let after = ctx.stats();
             (ctx.rank() == 0).then(|| (plain.snapshot(), cached.snapshot(), after.since(&before)))
         });
@@ -217,19 +200,19 @@ mod tests {
         assert_eq!(cached, want);
         assert!(
             stats.cache_hits > 0,
-            "duplicates were eliminated: {stats:?}"
+            "dominated re-sends dropped: {stats:?}"
         );
     }
 
     #[test]
-    fn reduced_sssp_matches_and_combines() {
+    fn reduced_sssp_matches_and_drops_dominated_relaxations() {
         let mut el = generators::rmat(8, 8, generators::RmatParams::GRAPH500, 5);
         el.randomize_weights(0.1, 1.0, 6);
         let want = seq::dijkstra(&el, 0);
         let graph = build(&el, 3);
         let weights = dgp_graph::properties::EdgeMap::from_weights(&graph, &el);
         let mut out = Machine::run(MachineConfig::new(3), move |ctx| {
-            let d = sssp_reduced(ctx, &graph, &weights, 0, 1024);
+            let d = sssp_reduced(ctx, &graph, &weights, 0);
             (ctx.rank() == 0).then(|| (d.snapshot(), ctx.stats()))
         });
         let (got, stats) = out[0].take().unwrap();
@@ -239,6 +222,6 @@ mod tests {
                 "vertex {i}: {a} vs {b}"
             );
         }
-        assert!(stats.reduction_combines > 0, "{stats:?}");
+        assert!(stats.cache_hits > 0, "{stats:?}");
     }
 }

@@ -140,9 +140,11 @@ impl Collective {
         self.all_reduce(mine as u64, |a, b| a | b) != 0
     }
 
-    /// Global sum.
+    /// Global sum modulo 2⁶⁴: wrapping, like `AmCtx::sum_ranks`, so an
+    /// overflowing sum has one answer in every build profile and fold
+    /// order.
     pub fn sum(&self, mine: u64) -> u64 {
-        self.all_reduce(mine, |a, b| a + b)
+        self.all_reduce(mine, u64::wrapping_add)
     }
 
     /// Global minimum.
@@ -187,6 +189,13 @@ mod tests {
                 let got = c.sum(round + r as u64);
                 assert_eq!(got, 4 * round + 6);
             }
+        });
+    }
+
+    #[test]
+    fn sum_wraps_on_overflow() {
+        with_threads(2, |r, c| {
+            assert_eq!(c.sum(if r == 0 { u64::MAX } else { 1 }), 0);
         });
     }
 

@@ -12,16 +12,16 @@
 //!   ([`MessageType`], [`AmCtx::register`]). Handlers are unrestricted: they
 //!   may perform arbitrary computation and send any number of further
 //!   messages (a capability the paper calls out as unusual among AM systems).
-//! * **Object-based addressing** ([`addressing::AddressMap`]): the
-//!   destination rank is computed from the message payload rather than given
-//!   explicitly.
+//!   Sends name their destination rank; AM++'s object-based addressing
+//!   (rank computed from the payload's vertex) is the graph's distribution
+//!   (`dgp_graph::Distribution`, `DistGraph::owner`), which callers apply.
 //! * **Message coalescing** ([`coalescing`]): messages of one type to one
 //!   destination are buffered and shipped in batches.
-//! * **Message caching** ([`caching::CachingSender`]): a per-destination
-//!   direct-mapped cache drops duplicate messages.
-//! * **Message reductions** ([`reduction::ReducingSender`]): messages keyed
-//!   by a target object are combined (e.g. `min` for SSSP relaxations)
-//!   before transmission.
+//! * **Message caching and reductions** ([`caching`]): one dominance rule,
+//!   [`MessageType::send_min`] / [`machine::HandlerCtx::send_min`], drops
+//!   a message whose value is no smaller than one the same thread already
+//!   sent under the same key in the current epoch — duplicate elimination
+//!   and min-combining (e.g. SSSP relaxations) in one per-thread table.
 //! * **Epochs with termination detection** ([`AmCtx::epoch`]): an epoch ends
 //!   only when every message sent inside it — including messages sent by
 //!   handlers, transitively — has been handled, on every rank. The paper's
@@ -110,7 +110,6 @@
 //! assert_eq!(counters.iter().map(|c| c.load(Ordering::Relaxed)).sum::<u64>(), 32);
 //! ```
 
-pub mod addressing;
 pub mod caching;
 pub mod coalescing;
 pub mod collectives;
@@ -119,23 +118,19 @@ pub mod error;
 pub mod fault;
 pub mod machine;
 pub mod obs;
-pub mod reduction;
 pub mod sim;
 pub mod stats;
 pub mod termination;
 pub mod trace;
 pub mod transport;
 
-pub use addressing::AddressMap;
-pub use caching::CachingSender;
 pub use config::MachineConfig;
 pub use error::MachineError;
 pub use fault::FaultPlan;
-pub use machine::{AmCtx, Flushable, Machine, MessageType, RankId, SimError, SimRun};
+pub use machine::{AmCtx, Machine, MessageType, RankId, SimError, SimRun};
 pub use obs::{
     EpochProfile, LogHistogram, MetricsReport, Recorder, SpanGuard, SpanKind, SpanRecord,
 };
-pub use reduction::ReducingSender;
 pub use sim::{
     InvariantCadence, InvariantCtx, InvariantPoint, LinkSpec, PartitionMode, PartitionSpec, SimAt,
     SimEventKind, SimEventRecord, SimPlan, SimReport, StallSpec, StragglerSpec,

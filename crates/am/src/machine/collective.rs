@@ -42,13 +42,11 @@ impl AmCtx {
         }
     }
 
-    /// Global sum across rank main threads.
+    /// Global sum across rank main threads, modulo 2⁶⁴: one wrapping
+    /// definition on threads and under the simulator, so an overflowing
+    /// sum neither panics in debug builds nor differs between machines.
     pub fn sum_ranks(&self, mine: u64) -> u64 {
-        debug_assert_eq!(self.thread, 0, "collectives involve rank main threads only");
-        match &self.shared.sim {
-            Some(sim) => sim.all_reduce(&self.shared, self.rank, mine, |a, b| a.wrapping_add(b)),
-            None => self.shared.coll.sum(mine),
-        }
+        self.all_reduce(mine, u64::wrapping_add)
     }
 
     /// Collectively construct one shared value: the first rank to arrive

@@ -3,13 +3,12 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::Instant;
 
 use super::envelope::{ErasedHandler, LocalTables, PendingDeltas};
-use super::{Flushable, RankId, Shared};
-use crate::addressing::AddressMap;
+use super::{RankId, Shared};
 use crate::caching::DominanceTable;
 use crate::coalescing::ErasedBuffers;
 use crate::config::MachineConfig;
@@ -58,13 +57,6 @@ impl<T: Clone + Send + 'static> MessageType<T> {
         ctx.send_min_typed(*self, dest, key, value, msg)
     }
 
-    /// Send `msg`, computing the destination rank from the payload with an
-    /// [`AddressMap`] (AM++'s object-based addressing).
-    pub fn send_addressed<A: AddressMap<T> + ?Sized>(&self, ctx: &AmCtx, addr: &A, msg: T) {
-        let dest = addr.rank_of(&msg);
-        self.send(ctx, dest, msg);
-    }
-
     /// The registration index of this type (diagnostic).
     pub fn id(&self) -> u32 {
         self.id
@@ -83,6 +75,12 @@ impl<'a, T: Clone + Send + 'static> HandlerCtx<'a, T> {
     /// Send another message of the *handled* type.
     pub fn send(&self, dest: RankId, msg: T) {
         self.mt.send(self.am, dest, msg);
+    }
+
+    /// Send another message of the handled type through the dominance
+    /// cache: [`MessageType::send_min`] on this handler's thread.
+    pub fn send_min(&self, dest: RankId, key: u64, value: u64, msg: T) -> bool {
+        self.mt.send_min(self.am, dest, key, value, msg)
     }
 }
 
@@ -398,17 +396,6 @@ impl AmCtx {
         // epoch (or publish) needs no staleness round-trip.
         self.refresh_tables();
         mt
-    }
-
-    /// Register a message-holding layer (e.g. a reduction table) to be
-    /// flushed by the runtime during idle periods and termination detection.
-    pub fn register_flushable(&self, fl: Arc<dyn Flushable>) {
-        let me = &self.shared.ranks[self.rank];
-        let mut fls = me.flushables.write();
-        fls.push(fl);
-        me.flushables_len.store(fls.len(), Relaxed);
-        drop(fls);
-        self.refresh_tables();
     }
 
     // ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 //! The receive path and the hot-path support behind it: packet and
-//! envelope dispatch, buffer and flushable flushes, the frozen dispatch
-//! tables, delta publication and batch recycling.
+//! envelope dispatch, buffer flushes, the frozen dispatch tables, delta
+//! publication and batch recycling.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
 use super::envelope::{ErasedHandler, PendingDeltas};
@@ -145,26 +145,6 @@ impl AmCtx {
         shipped
     }
 
-    pub(super) fn flush_flushables(&self) -> usize {
-        let me = &self.shared.ranks[self.rank];
-        let flushables = {
-            let want = me.flushables_len.load(Relaxed);
-            let t = self.tables.borrow();
-            if t.flushables.len() == want {
-                t.flushables.clone()
-            } else {
-                drop(t);
-                self.refresh_tables();
-                self.tables.borrow().flushables.clone()
-            }
-        };
-        let mut forwarded = 0;
-        for fl in flushables.iter() {
-            forwarded += fl.flush(self);
-        }
-        forwarded
-    }
-
     // ------------------------------------------------------------------
     // Hot-path support: frozen tables, delta publication, batch recycling
     // (see INTERNALS.md §9 for the full design + safety argument)
@@ -179,7 +159,6 @@ impl AmCtx {
         let mut t = self.tables.borrow_mut();
         t.handlers = me.handlers.read().iter().cloned().collect();
         t.type_stats = self.shared.type_stats.read().iter().cloned().collect();
-        t.flushables = me.flushables.read().iter().cloned().collect();
     }
 
     /// Pre-size the per-type hot-path vectors (coalescing slots, per-type
@@ -267,8 +246,6 @@ impl AmCtx {
         for (cell, counter) in [
             (&d.cache_hits, &stats.cache_hits),
             (&d.cache_misses, &stats.cache_misses),
-            (&d.reduction_combines, &stats.reduction_combines),
-            (&d.reduction_forwards, &stats.reduction_forwards),
         ] {
             let n = cell.take();
             if n > 0 {
@@ -315,8 +292,8 @@ impl AmCtx {
         tb.recycle(batch);
     }
 
-    /// Batched statistic notes for the optional message layers (caching,
-    /// reduction): same delta discipline as `sent`/`handled`.
+    /// Batched dominance-cache statistic notes (`MessageType::send_min`):
+    /// same delta discipline as `sent`/`handled`.
     pub(crate) fn note_cache_hit(&self) {
         PendingDeltas::add(&self.deltas.cache_hits, 1);
         self.deltas.dirty.set(true);
@@ -324,16 +301,6 @@ impl AmCtx {
 
     pub(crate) fn note_cache_miss(&self) {
         PendingDeltas::add(&self.deltas.cache_misses, 1);
-        self.deltas.dirty.set(true);
-    }
-
-    pub(crate) fn note_reduction_combine(&self) {
-        PendingDeltas::add(&self.deltas.reduction_combines, 1);
-        self.deltas.dirty.set(true);
-    }
-
-    pub(crate) fn note_reduction_forwards(&self, n: u64) {
-        PendingDeltas::add(&self.deltas.reduction_forwards, n);
         self.deltas.dirty.set(true);
     }
 }

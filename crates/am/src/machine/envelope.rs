@@ -64,15 +64,6 @@ pub(crate) struct Ack {
 
 pub(super) type ErasedHandler = dyn Fn(&AmCtx, Box<dyn Any + Send>, u32) + Send + Sync;
 
-/// Layers that hold messages back (e.g. reduction tables) register
-/// themselves so the runtime can flush them while detecting termination.
-pub trait Flushable: Send + Sync {
-    /// Forward all held messages. Returns how many were forwarded.
-    fn flush(&self, ctx: &AmCtx) -> usize;
-    /// Messages currently held.
-    fn pending(&self) -> usize;
-}
-
 /// Per-thread counter deltas accumulated on the send/dispatch hot path
 /// and published to the shared atomics at envelope boundaries (see
 /// [`AmCtx::publish_deltas`] for the flush points and the ordering
@@ -88,8 +79,6 @@ pub(super) struct PendingDeltas {
     pub(super) handled: Cell<u64>,
     pub(super) cache_hits: Cell<u64>,
     pub(super) cache_misses: Cell<u64>,
-    pub(super) reduction_combines: Cell<u64>,
-    pub(super) reduction_forwards: Cell<u64>,
     /// Per message type `(sent, handled)`, indexed by type id.
     pub(super) per_type: RefCell<Vec<(u64, u64)>>,
 }
@@ -134,5 +123,4 @@ impl PendingDeltas {
 pub(super) struct LocalTables {
     pub(super) handlers: Arc<[Arc<ErasedHandler>]>,
     pub(super) type_stats: Arc<[Arc<TypeStat>]>,
-    pub(super) flushables: Arc<[Arc<dyn Flushable>]>,
 }

@@ -106,15 +106,14 @@ impl AmCtx {
     }
 
     /// The paper's `epoch_flush`: perform as much pending work as is
-    /// available right now — ship this thread's buffers, flush held layers,
-    /// and handle every message currently queued — then return control.
+    /// available right now — ship this thread's buffers and handle every
+    /// message currently queued — then return control.
     /// Only meaningful inside an epoch. Returns the number of envelopes
     /// handled.
     pub fn epoch_flush(&self) -> usize {
         debug_assert!(self.in_epoch.get(), "epoch_flush is used inside an epoch");
         let mut handled = 0;
         loop {
-            self.flush_flushables();
             self.flush_own_buffers();
             self.shared.pump_transport(self.rank);
             let rx = &self.shared.ranks[self.rank].rx;
@@ -240,7 +239,7 @@ impl AmCtx {
         }
     }
 
-    /// Handle all queued messages and ship all held ones. Returns whether
+    /// Handle all queued messages and ship all buffered ones. Returns whether
     /// any progress was made. Also advances the reliability layer (acks,
     /// retransmissions, parked releases) — every idle and termination loop
     /// runs through here, which is what keeps fault recovery live.
@@ -250,9 +249,6 @@ impl AmCtx {
         let rx = &self.shared.ranks[self.rank].rx;
         while let Ok(pkt) = rx.try_recv() {
             self.handle_packet(pkt);
-            progress = true;
-        }
-        if self.flush_flushables() > 0 {
             progress = true;
         }
         if self.flush_own_buffers() > 0 {

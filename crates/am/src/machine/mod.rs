@@ -26,8 +26,8 @@ mod shared;
 mod worker;
 
 pub use ctx::{AmCtx, HandlerCtx, MessageType};
+pub use envelope::RankId;
 pub(crate) use envelope::{Ack, Envelope, Packet};
-pub use envelope::{Flushable, RankId};
 pub use run::{Machine, SimError, SimRun};
 pub(crate) use shared::Shared;
 
@@ -358,5 +358,14 @@ mod type_stats_tests {
             ctx.type_stats()
         });
         assert!(out[0][0].name.contains("u64"), "{:?}", out[0][0].name);
+    }
+
+    #[test]
+    fn sum_ranks_wraps_alike_on_threads_and_under_the_simulator() {
+        let body = |ctx: &AmCtx| ctx.sum_ranks(if ctx.rank() == 0 { u64::MAX } else { 1 });
+        assert_eq!(Machine::run(MachineConfig::new(2), body), vec![0, 0]);
+        let sim = Machine::run_sim(MachineConfig::new(2), crate::sim::SimPlan::new(1), body)
+            .expect("sim run");
+        assert_eq!(sim.results, vec![0, 0]);
     }
 }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
-use super::envelope::{ErasedHandler, Flushable};
+use super::envelope::ErasedHandler;
 use super::{Ack, Envelope, Packet, RankId};
 use crate::collectives::Collective;
 use crate::config::MachineConfig;
@@ -30,11 +30,6 @@ pub(crate) struct RankShared {
     ack_tx: Sender<Ack>,
     ack_rx: Receiver<Ack>,
     pub(super) handlers: RwLock<Vec<Arc<ErasedHandler>>>,
-    pub(super) flushables: RwLock<Vec<Arc<dyn Flushable>>>,
-    /// Length of `flushables`, readable without the lock: threads compare
-    /// it against their frozen snapshot to detect staleness (registration
-    /// is append-only, so length is a version number).
-    pub(super) flushables_len: AtomicUsize,
     pub(super) sent: AtomicU64,
     pub(super) handled: AtomicU64,
     pub(super) idle: AtomicBool,
@@ -174,8 +169,6 @@ impl Shared {
                     ack_tx,
                     ack_rx,
                     handlers: RwLock::new(Vec::new()),
-                    flushables: RwLock::new(Vec::new()),
-                    flushables_len: AtomicUsize::new(0),
                     sent: AtomicU64::new(0),
                     handled: AtomicU64::new(0),
                     idle: AtomicBool::new(false),

@@ -30,8 +30,6 @@ pub(super) fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
                 }
                 Err(_) => {
                     ctx.flush_own_buffers();
-                    ctx.flush_flushables();
-                    ctx.flush_own_buffers();
                     shared.pump_transport(rank);
                     !(shared.shutdown.load(SeqCst) && rx.is_empty())
                 }

@@ -1,8 +1,8 @@
 //! `dgp-am::obs` — structured observability for the active-message runtime.
 //!
 //! The paper's entire evaluation (Figs. 5–6) is phrased in *messages per
-//! phase*: coalescing, caching and reduction layers are judged by how they
-//! bend per-epoch message counts. This module provides the machinery to
+//! phase*: coalescing and the dominance cache are judged by how they bend
+//! per-epoch message counts. This module provides the machinery to
 //! extract exactly that evidence from a run:
 //!
 //! * **[`Recorder`]** — a per-rank, allocation-light span/event recorder.
@@ -15,8 +15,8 @@
 //!   disabled hot path is a single branch on an `Option`.
 //! * **[`EpochProfile`]** — the runtime automatically snapshots
 //!   machine-wide [`StatsSnapshot`] deltas at every epoch boundary
-//!   (duration, messages sent/handled, coalescing factor, cache-hit rate,
-//!   reduction-combine rate). Always on: the cost is one
+//!   (duration, messages sent/handled, coalescing factor, cache-hit
+//!   rate). Always on: the cost is one
 //!   snapshot per *epoch*, not per message. Read them back with
 //!   [`AmCtx::epoch_profiles`](crate::AmCtx::epoch_profiles). Epoch
 //!   boundaries are termination-detection instants, at which every
@@ -396,25 +396,14 @@ impl EpochProfile {
         self.delta.coalescing_factor()
     }
 
-    /// Fraction of cache-layer lookups that eliminated a send
-    /// (0 when no caching layer ran this epoch).
+    /// Fraction of dominance-cache lookups that eliminated a send
+    /// (0 when nothing sent through the cache this epoch).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.delta.cache_hits + self.delta.cache_misses;
         if total == 0 {
             0.0
         } else {
             self.delta.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of reduction-layer traffic absorbed by combines
-    /// (0 when no reduction layer ran this epoch).
-    pub fn reduction_combine_rate(&self) -> f64 {
-        let total = self.delta.reduction_combines + self.delta.reduction_forwards;
-        if total == 0 {
-            0.0
-        } else {
-            self.delta.reduction_combines as f64 / total as f64
         }
     }
 
@@ -618,8 +607,7 @@ pub fn chrome_trace_json(spans: &[SpanRecord], ranks: usize) -> String {
 fn stats_json(s: &StatsSnapshot, out: &mut String) {
     out.push_str(&format!(
         "{{\"messages_sent\":{},\"envelopes_sent\":{},\"messages_handled\":{},\
-         \"cache_hits\":{},\"cache_misses\":{},\"reduction_combines\":{},\
-         \"reduction_forwards\":{},\"epochs\":{},\
+         \"cache_hits\":{},\"cache_misses\":{},\"epochs\":{},\
          \"idle_timeouts\":{},\"trace_roots\":{},\"injected_drops\":{},\
          \"injected_dups\":{},\"injected_delays\":{},\"injected_reorders\":{},\
          \"retransmits\":{},\"acks\":{},\"dups_suppressed\":{},\
@@ -632,8 +620,6 @@ fn stats_json(s: &StatsSnapshot, out: &mut String) {
         s.messages_handled,
         s.cache_hits,
         s.cache_misses,
-        s.reduction_combines,
-        s.reduction_forwards,
         s.epochs,
         s.idle_timeouts,
         s.trace_roots,
@@ -709,12 +695,11 @@ impl MetricsReport {
             }
             out.push_str(&format!(
                 "{{\"epoch\":{},\"duration_us\":{:.3},\"coalescing_factor\":{},\
-                 \"cache_hit_rate\":{},\"reduction_combine_rate\":{},\"gauges\":{{",
+                 \"cache_hit_rate\":{},\"gauges\":{{",
                 p.epoch,
                 p.duration.as_secs_f64() * 1e6,
                 fmt_f64(p.coalescing_factor()),
                 fmt_f64(p.cache_hit_rate()),
-                fmt_f64(p.reduction_combine_rate()),
             ));
             for (j, (name, value)) in p.gauges.iter().enumerate() {
                 if j > 0 {

@@ -5,8 +5,8 @@
 //! message-count optimizations), so the runtime keeps precise counters that
 //! the experiment harness reads.
 //!
-//! Hot-path counters (`messages_sent`, `messages_handled`, the cache and
-//! reduction statistics, and the per-type [`TypeStat`]s) are *not* bumped
+//! Hot-path counters (`messages_sent`, `messages_handled`, the dominance
+//! cache statistics, and the per-type [`TypeStat`]s) are *not* bumped
 //! per message: threads accumulate deltas locally and publish them at
 //! envelope boundaries and before every idle/termination check (see
 //! INTERNALS.md §9). Mid-epoch snapshots may therefore lag by up to one
@@ -16,25 +16,21 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters, updated by the runtime and the optional message layers.
+/// Live counters, updated by the runtime.
 #[derive(Debug, Default)]
 pub struct MachineStats {
-    /// Logical messages accepted for sending (after caching/reduction
-    /// layers, i.e. messages that actually entered a coalescing buffer).
+    /// Logical messages accepted for sending (after the dominance cache,
+    /// i.e. messages that actually entered a coalescing buffer).
     pub messages_sent: AtomicU64,
     /// Envelopes (coalesced batches) pushed to destination inboxes.
     pub envelopes_sent: AtomicU64,
     /// Logical messages whose handler ran to completion.
     pub messages_handled: AtomicU64,
-    /// Messages dropped by a [`crate::caching::CachingSender`] because an
-    /// identical message to the same destination was recently sent.
+    /// Messages [`crate::MessageType::send_min`] dropped because the same
+    /// thread already sent a no-larger value under the same key this epoch.
     pub cache_hits: AtomicU64,
-    /// Messages that passed through a caching layer without being dropped.
+    /// Messages that passed the dominance cache and were sent.
     pub cache_misses: AtomicU64,
-    /// Messages absorbed by a [`crate::reduction::ReducingSender`] combine.
-    pub reduction_combines: AtomicU64,
-    /// Messages forwarded out of a reduction layer.
-    pub reduction_forwards: AtomicU64,
     /// Completed epochs.
     pub epochs: AtomicU64,
     /// Termination waits (epoch exit, `try_finish`) that ended at the
@@ -102,8 +98,6 @@ impl MachineStats {
             messages_handled: self.messages_handled.load(Ordering::SeqCst),
             cache_hits: self.cache_hits.load(Ordering::SeqCst),
             cache_misses: self.cache_misses.load(Ordering::SeqCst),
-            reduction_combines: self.reduction_combines.load(Ordering::SeqCst),
-            reduction_forwards: self.reduction_forwards.load(Ordering::SeqCst),
             epochs: self.epochs.load(Ordering::SeqCst),
             control_tokens: 0,
             idle_timeouts: self.idle_timeouts.load(Ordering::SeqCst),
@@ -180,14 +174,10 @@ pub struct StatsSnapshot {
     pub envelopes_sent: u64,
     /// Logical messages whose handler ran to completion.
     pub messages_handled: u64,
-    /// Messages dropped by caching layers as duplicates.
+    /// Messages the dominance cache dropped (never counted sent).
     pub cache_hits: u64,
-    /// Messages that passed caching layers unharmed.
+    /// Messages that passed the dominance cache and were sent.
     pub cache_misses: u64,
-    /// Messages absorbed by reduction-layer combines.
-    pub reduction_combines: u64,
-    /// Messages forwarded out of reduction layers.
-    pub reduction_forwards: u64,
     /// Completed epochs.
     pub epochs: u64,
     /// Always 0: no termination detector sends control tokens. Kept only
@@ -264,12 +254,6 @@ impl StatsSnapshot {
                 .saturating_sub(earlier.messages_handled),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            reduction_combines: self
-                .reduction_combines
-                .saturating_sub(earlier.reduction_combines),
-            reduction_forwards: self
-                .reduction_forwards
-                .saturating_sub(earlier.reduction_forwards),
             epochs: self.epochs.saturating_sub(earlier.epochs),
             control_tokens: 0,
             idle_timeouts: self.idle_timeouts.saturating_sub(earlier.idle_timeouts),

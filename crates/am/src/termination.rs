@@ -138,6 +138,18 @@
 //! keeps end-of-epoch profiler seals and [`crate::StatsSnapshot`] exact at
 //! the detection instant.
 //!
+//! ## Where a message can wait
+//!
+//! Between `send` and its handler a message is in exactly one of: a
+//! coalescing buffer of the sending thread, the reliability layer (a
+//! retransmit buffer or a fault-delayed packet), a rank inbox, or a
+//! running handler batch. Every one of those places is behind the `sent`
+//! count — the message is tallied before it enters the buffer — so no
+//! message ever waits uncounted, and no layer has to be flushed before
+//! the counters may be read. The one way a message leaves without being
+//! handled is a dominance drop, which happens *instead of* the send and
+//! is never counted (below).
+//!
 //! ## Interaction with dominance caching
 //!
 //! [`crate::MessageType::send_min`] drops a message whose value is

@@ -4,12 +4,12 @@
 //! thread-local counters and publishes them at envelope boundaries (see
 //! INTERNALS.md §9). These tests drive epochs that combine everything
 //! that touches those counters at once — coalescing, handler re-sends,
-//! a caching layer, a reduction layer with a registered flushable, and
-//! multi-threaded ranks — and assert after *every* epoch that the
+//! the dominance cache (`send_min`) from epoch bodies and from handlers,
+//! and multi-threaded ranks — and assert after *every* epoch that the
 //! published counters equal the exact ground truth: `sent == handled`
-//! machine-wide, exact per-type totals, and exact layer statistics.
-//! Termination firing early, or any delta left unpublished at the epoch
-//! boundary, fails these assertions.
+//! machine-wide and per type, exact per-type totals, and exact cache
+//! statistics. Termination firing early, or any delta left unpublished at
+//! the epoch boundary, fails these assertions.
 //!
 //! The chaos variants re-run the same workload under the seeded fault
 //! plan (drops/dups/delays/reorders + retransmission); logical counters
@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use dgp_am::{CachingSender, FaultPlan, Machine, MachineConfig, ReducingSender};
+use dgp_am::{FaultPlan, Machine, MachineConfig, StatsSnapshot};
 
 /// The fixed seeds every chaos test sweeps (CI runs each in its own job).
 fn seeds() -> Vec<u64> {
@@ -37,21 +37,76 @@ const RANKS: usize = 4;
 /// Relay chain length: one chain per rank per epoch, `HOPS + 1` messages
 /// each (left counts HOPS down to 0), re-sent from inside handlers.
 const HOPS: u64 = 50;
-/// Distinct cached payloads per rank per epoch (each a cache miss).
+/// Distinct `cached` keys sent from each rank's epoch body (each a miss).
 const DISTINCT: u64 = 8;
-/// Duplicate sends of the first cached payload (each a cache hit),
-/// issued immediately after it so no later insert can evict its entry.
+/// Exact duplicates of the first `cached` key, sent right after it
+/// (each a hit).
 const DUPS: u64 = 4;
-/// Reduction keys per rank per epoch; each key is offered twice, so
-/// every offer ends as exactly one forward or one combine.
+/// `reduced` keys per epoch body, each offered [`REDUCED_OFFERS`]: a
+/// value, a strictly lower one (both sent), then a higher and an equal
+/// one (both dominated).
 const KEYS: u64 = 8;
+const REDUCED_OFFERS: [u64; 4] = [10, 5, 7, 5];
+/// Handler re-send chain per rank per message type per epoch. Each hop's
+/// re-sends share one key, unique machine-wide within the epoch, and are
+/// issued back to back by one handler call — so the hits they score do
+/// not depend on which thread handles what.
+const CHAIN: u64 = 20;
+/// Value carried by a `reduced` chain head; each hop lowers it by one.
+const HEAD_VALUE: u64 = 1000;
 const EPOCHS: u64 = 2;
+
+/// The key of the chain hop that leaves `origin`'s chain with `left`
+/// hops to go; disjoint from every epoch-body key.
+fn chain_key(left: u64, origin: u64) -> u64 {
+    (1 << 20) + left * RANKS as u64 + origin
+}
+
+/// A `cached` or `reduced` message: key, value, hops left, chain origin.
+type Msg = (u64, u64, u64, u64);
+
+/// Per-epoch, machine-wide ground truth.
+struct Expect {
+    cached_sent: u64,
+    reduced_sent: u64,
+    hits: u64,
+    misses: u64,
+    reduced_sum: u64,
+}
+
+fn expect_per_epoch() -> Expect {
+    let n = RANKS as u64;
+    // Body: DISTINCT keys + the chain head go, DUPS are dropped. Each hop
+    // re-sends once and drops its exact duplicate.
+    let cached_sent = n * (DISTINCT + 1 + CHAIN);
+    let cached_hits = n * (DUPS + CHAIN);
+    // Body: per key two go, two are dropped; the chain head goes. Each hop
+    // sends a leaf at its value and the continuation one lower, and drops
+    // a repeat of the leaf.
+    let reduced_sent = n * (2 * KEYS + 1 + 2 * CHAIN);
+    let reduced_hits = n * (2 * KEYS + CHAIN);
+    let chain_sum: u64 = HEAD_VALUE
+        + (1..=CHAIN)
+            .map(|i| (HEAD_VALUE - i + 1) + (HEAD_VALUE - i))
+            .sum::<u64>();
+    Expect {
+        cached_sent,
+        reduced_sent,
+        hits: cached_hits + reduced_hits,
+        misses: cached_sent + reduced_sent,
+        reduced_sum: n * (KEYS * (10 + 5) + chain_sum),
+    }
+}
 
 fn run_workload(cfg: MachineConfig, expect_faults: bool) {
     let relay_hits = Arc::new(AtomicU64::new(0));
-    let cached_hits = Arc::new(AtomicU64::new(0));
+    let cached_handled = Arc::new(AtomicU64::new(0));
     let reduced_sum = Arc::new(AtomicU64::new(0));
-    let (r2, c2, s2) = (relay_hits.clone(), cached_hits.clone(), reduced_sum.clone());
+    let (r2, c2, s2) = (
+        relay_hits.clone(),
+        cached_handled.clone(),
+        reduced_sum.clone(),
+    );
     let faults_seen = Machine::run(cfg, move |ctx| {
         let relay_hits = r2.clone();
         let relay = ctx.register_named("relay", move |ctx, left: u64| {
@@ -61,34 +116,59 @@ fn run_workload(cfg: MachineConfig, expect_faults: bool) {
                 ctx.send(next, left - 1);
             }
         });
-        let cached_hits = c2.clone();
-        let cached_mt = ctx.register_named("cached", move |_ctx, _v: u64| {
-            cached_hits.fetch_add(1, SeqCst);
+        let cached_handled = c2.clone();
+        let cached = ctx.register_named("cached", move |ctx, (_k, _v, left, o): Msg| {
+            cached_handled.fetch_add(1, SeqCst);
+            if left > 0 {
+                let next = (ctx.rank() + 1) % ctx.num_ranks();
+                let k = chain_key(left - 1, o);
+                assert!(ctx.send_min(next, k, 0, (k, 0, left - 1, o)));
+                assert!(
+                    !ctx.send_min(next, k, 0, (k, 0, left - 1, o)),
+                    "exact duplicate"
+                );
+            }
         });
         let reduced_sum = s2.clone();
-        let reduced_mt = ctx.register_named("reduced", move |_ctx, (_k, v): (u64, u64)| {
+        let reduced = ctx.register_named("reduced", move |ctx, (_k, v, left, o): Msg| {
             reduced_sum.fetch_add(v, SeqCst);
+            if left > 0 {
+                let next = (ctx.rank() + 1) % ctx.num_ranks();
+                let k = chain_key(left - 1, o);
+                assert!(ctx.send_min(next, k, v, (k, v, 0, o)));
+                assert!(
+                    ctx.send_min(next, k, v - 1, (k, v - 1, left - 1, o)),
+                    "lower goes"
+                );
+                assert!(!ctx.send_min(next, k, v, (k, v, 0, o)), "dominated");
+            }
         });
-        let cache = CachingSender::new(cached_mt, ctx.num_ranks(), 64);
-        let red = ReducingSender::new(reduced_mt, ctx.num_ranks(), 64, |a: u64, b: u64| a + b);
-        ctx.register_flushable(red.clone());
 
         let n = RANKS as u64;
+        let per_epoch = expect_per_epoch();
+        let mut before = StatsSnapshot::default();
         for e in 0..EPOCHS {
             ctx.epoch(|ctx| {
+                let me = ctx.rank() as u64;
                 let dest = (ctx.rank() + 1) % ctx.num_ranks();
                 relay.send(ctx, dest, HOPS);
-                cache.send(ctx, dest, 1000);
-                for _ in 0..DUPS {
-                    cache.send(ctx, dest, 1000);
-                }
-                for v in 1..DISTINCT {
-                    cache.send(ctx, dest, 1000 + v);
+                for v in 0..DISTINCT {
+                    let k = 1000 + v;
+                    assert!(cached.send_min(ctx, dest, k, 0, (k, 0, 0, me)));
+                    if v == 0 {
+                        for _ in 0..DUPS {
+                            assert!(!cached.send_min(ctx, dest, k, 0, (k, 0, 0, me)));
+                        }
+                    }
                 }
                 for k in 0..KEYS {
-                    red.send(ctx, dest, k, 1);
-                    red.send(ctx, dest, k, 1);
+                    for v in REDUCED_OFFERS {
+                        reduced.send_min(ctx, dest, k, v, (k, v, 0, me));
+                    }
                 }
+                let head = chain_key(CHAIN, me);
+                cached.send_min(ctx, dest, head, 0, (head, 0, CHAIN, me));
+                reduced.send_min(ctx, dest, head, HEAD_VALUE, (head, HEAD_VALUE, CHAIN, me));
             });
             // Epoch ended: every thread's deltas must be published and
             // every coalescing buffer empty.
@@ -97,7 +177,6 @@ fn run_workload(cfg: MachineConfig, expect_faults: bool) {
                 0,
                 "epoch ended with coalesced messages still buffered"
             );
-            cache.clear();
 
             let done = e + 1;
             let stats = ctx.stats();
@@ -107,16 +186,15 @@ fn run_workload(cfg: MachineConfig, expect_faults: bool) {
                 "rank {}: counters unbalanced after epoch {done}",
                 ctx.rank()
             );
-            let relay_total = n * (HOPS + 1) * done;
-            let cached_total = n * DISTINCT * done;
-            let offers = n * 2 * KEYS * done;
-            assert_eq!(stats.cache_hits, n * DUPS * done, "cache hits drifted");
-            assert_eq!(stats.cache_misses, cached_total, "cache misses drifted");
+            // Same keys and values every epoch: the stamp must forget the
+            // previous epoch's bounds, so each epoch scores alike.
+            let delta = stats.since(&before);
             assert_eq!(
-                stats.reduction_forwards + stats.reduction_combines,
-                offers,
-                "reduction offers leaked or double-counted"
+                (delta.cache_hits, delta.cache_misses),
+                (per_epoch.hits, per_epoch.misses),
+                "cache statistics of epoch {done} (epoch 2 dominated by epoch 1?)"
             );
+            before = stats;
 
             let ts = ctx.type_stats();
             let by = |name: &str| {
@@ -125,6 +203,9 @@ fn run_workload(cfg: MachineConfig, expect_faults: bool) {
                     .unwrap_or_else(|| panic!("type {name} missing"))
             };
             let (relay_ts, cached_ts, reduced_ts) = (by("relay"), by("cached"), by("reduced"));
+            let relay_total = n * (HOPS + 1) * done;
+            let cached_total = per_epoch.cached_sent * done;
+            let reduced_total = per_epoch.reduced_sent * done;
             assert_eq!(
                 (relay_ts.sent, relay_ts.handled),
                 (relay_total, relay_total),
@@ -136,17 +217,19 @@ fn run_workload(cfg: MachineConfig, expect_faults: bool) {
                 "cached per-type totals drifted after epoch {done}"
             );
             assert_eq!(
-                reduced_ts.sent, stats.reduction_forwards,
-                "every reduction forward is exactly one send"
-            );
-            assert_eq!(
-                reduced_ts.handled, reduced_ts.sent,
-                "reduced per-type totals unbalanced after epoch {done}"
+                (reduced_ts.sent, reduced_ts.handled),
+                (reduced_total, reduced_total),
+                "reduced per-type totals drifted after epoch {done}"
             );
             assert_eq!(
                 stats.messages_sent,
-                relay_total + cached_total + reduced_ts.sent,
+                relay_total + cached_total + reduced_total,
                 "machine total is not the sum of the per-type totals"
+            );
+            assert_eq!(
+                stats.cache_misses,
+                cached_total + reduced_total,
+                "every cache miss is exactly one send"
             );
         }
         ctx.stats().faults_injected()
@@ -159,9 +242,10 @@ fn run_workload(cfg: MachineConfig, expect_faults: bool) {
     }
     // Cross-thread ground truth observed by the handlers themselves.
     let n = RANKS as u64;
+    let per_epoch = expect_per_epoch();
     assert_eq!(relay_hits.load(SeqCst), n * (HOPS + 1) * EPOCHS);
-    assert_eq!(cached_hits.load(SeqCst), n * DISTINCT * EPOCHS);
-    assert_eq!(reduced_sum.load(SeqCst), n * 2 * KEYS * EPOCHS);
+    assert_eq!(cached_handled.load(SeqCst), per_epoch.cached_sent * EPOCHS);
+    assert_eq!(reduced_sum.load(SeqCst), per_epoch.reduced_sum * EPOCHS);
 }
 
 fn base_cfg() -> MachineConfig {

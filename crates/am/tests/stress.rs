@@ -129,30 +129,3 @@ fn try_finish_with_straggler() {
     });
     assert_eq!(handled.load(SeqCst), 50 * 21);
 }
-
-/// Layered senders (reduction under coalescing) across many epochs keep
-/// exact delivery semantics for the combined values.
-#[test]
-fn reduction_across_epochs_is_lossless() {
-    use dgp_am::ReducingSender;
-    let total = Arc::new(AtomicU64::new(0));
-    let t2 = total.clone();
-    Machine::run(MachineConfig::new(3).coalescing(8), move |ctx| {
-        let total = t2.clone();
-        let mt = ctx.register(move |_ctx, (_k, v): (u64, u64)| {
-            total.fetch_add(v, SeqCst);
-        });
-        let red = ReducingSender::new(mt, ctx.num_ranks(), 16, |a: u64, b: u64| a + b);
-        ctx.register_flushable(red.clone());
-        for epoch in 0..5u64 {
-            ctx.epoch(|ctx| {
-                for i in 0..100u64 {
-                    red.send(ctx, (i % 3) as usize, i % 10, epoch + 1);
-                }
-            });
-        }
-    });
-    // 3 ranks x 5 epochs x 100 sends, each carrying (epoch+1):
-    // sum = 3 * 100 * (1+2+3+4+5)
-    assert_eq!(total.load(SeqCst), 3 * 100 * 15);
-}

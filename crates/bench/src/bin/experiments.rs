@@ -278,13 +278,13 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         id: "E2",
-        title: "message caching: duplicate elimination on a BFS frontier",
+        title: "message caching: dominated re-sends dropped on a BFS frontier",
         paper: "§IV: \"caching allows to avoid unnecessary message sends and the corresponding handler calls\"",
         run: exp::e2,
     },
     Experiment {
         id: "E3",
-        title: "message reduction: min-combining SSSP relaxations per target",
+        title: "message reduction: dominated SSSP relaxations dropped per target",
         paper: "§II-B: \"our implementation based on AM++ allows reductions of unnecessary communication\"",
         run: exp::e3,
     },
@@ -675,24 +675,21 @@ mod exp {
         0
     }
 
-    /// E2 — caching (duplicate elimination) on/off.
+    /// E2 — caching (the dominance cache) on/off.
     pub fn e2(o: &Opts) -> usize {
         let scale = if o.small { 11 } else { 14 };
         let el = workloads::rmat(scale, 16, 31);
         println!("workload: RMAT scale {scale}, edge factor 16, BFS from 0, 4 ranks\n");
         let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 4), false);
         let mut t = Table::new(&["configuration", "time", "sent", "cache hits", "handled"]);
-        for (label, slots) in [
-            ("no caching", None),
-            ("cache 2^10 slots", Some(1024usize)),
-            ("cache 2^14 slots", Some(16384)),
-        ] {
+        for (label, cached) in [("no filter", false), ("dominance cache", true)] {
             let graph = graph.clone();
             let t0 = std::time::Instant::now();
             let mut out = Machine::run(MachineConfig::new(4), move |ctx| {
-                let lvl = match slots {
-                    None => handwritten::bfs(ctx, &graph, 0),
-                    Some(s) => handwritten::bfs_cached(ctx, &graph, 0, s),
+                let lvl = if cached {
+                    handwritten::bfs_cached(ctx, &graph, 0)
+                } else {
+                    handwritten::bfs(ctx, &graph, 0)
                 };
                 (ctx.rank() == 0).then(|| (lvl.snapshot(), ctx.stats()))
             });
@@ -711,7 +708,7 @@ mod exp {
         0
     }
 
-    /// E3 — reductions (min-combining) on SSSP.
+    /// E3 — reductions (min-combining through the dominance cache) on SSSP.
     pub fn e3(o: &Opts) -> usize {
         let scale = if o.small { 10 } else { 13 };
         let el = workloads::rmat_weighted(scale, 16, 41);
@@ -719,18 +716,15 @@ mod exp {
         println!("workload: RMAT scale {scale}, edge factor 16, hand-written SSSP, 4 ranks\n");
         let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 4), false);
         let weights = EdgeMap::from_weights(&graph, &el);
-        let mut t = Table::new(&["configuration", "time", "transmitted", "combined away"]);
-        for (label, slots) in [
-            ("no reduction", None),
-            ("reduce 2^8 slots", Some(256usize)),
-            ("reduce 2^12 slots", Some(4096)),
-        ] {
+        let mut t = Table::new(&["configuration", "time", "sent", "cache hits"]);
+        for (label, reduced) in [("no filter", false), ("dominance cache", true)] {
             let (graph, weights, oracle) = (graph.clone(), weights.clone(), oracle.clone());
             let t0 = std::time::Instant::now();
             let mut out = Machine::run(MachineConfig::new(4), move |ctx| {
-                let d = match slots {
-                    None => handwritten::sssp(ctx, &graph, &weights, 0),
-                    Some(s) => handwritten::sssp_reduced(ctx, &graph, &weights, 0, s),
+                let d = if reduced {
+                    handwritten::sssp_reduced(ctx, &graph, &weights, 0)
+                } else {
+                    handwritten::sssp(ctx, &graph, &weights, 0)
                 };
                 let snap = d.snapshot();
                 let ok = snap
@@ -746,7 +740,7 @@ mod exp {
                 label.into(),
                 fmt_ms(ms),
                 stats.messages_sent.to_string(),
-                stats.reduction_combines.to_string(),
+                stats.cache_hits.to_string(),
             ]);
         }
         t.print();
@@ -919,14 +913,7 @@ mod exp {
                 SsspStrategy::Delta(0.4),
                 &oracle,
             ),
-            measure::sssp_handwritten(
-                "hand-written AM",
-                &el,
-                MachineConfig::new(4),
-                0,
-                None,
-                &oracle,
-            ),
+            measure::sssp_handwritten("hand-written AM", &el, MachineConfig::new(4), 0, &oracle),
             measure::sssp_sequential(&el, 0),
         ];
         for m in rows {

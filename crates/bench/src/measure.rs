@@ -113,21 +113,16 @@ pub fn sssp_pattern(
     })
 }
 
-/// Run hand-written AM SSSP (plain or reduced) and measure.
+/// Run hand-written AM SSSP (unfiltered) and measure.
 pub fn sssp_handwritten(
     label: &str,
     el: &EdgeList,
     machine: MachineConfig,
     source: VertexId,
-    reduction_slots: Option<usize>,
     oracle: &[f64],
 ) -> SsspMeasurement {
     sssp_measured(label, el, machine, oracle, |ctx, graph, weights| {
-        let d = match reduction_slots {
-            None => handwritten::sssp(ctx, graph, weights, source),
-            Some(slots) => handwritten::sssp_reduced(ctx, graph, weights, source, slots),
-        };
-        (d, 0, 0)
+        (handwritten::sssp(ctx, graph, weights, source), 0, 0)
     })
 }
 

@@ -13,11 +13,13 @@
 //! The workspace layers:
 //!
 //! * [`am`] (`dgp-am`) — the AM++-style active-message runtime: typed
-//!   handlers that may send, object-based addressing, coalescing, caching,
-//!   reductions, epochs, `epoch_flush`/`try_finish`, shared-counter
+//!   handlers that may send, coalescing, one dominance cache for caching
+//!   and min-reductions, epochs, `epoch_flush`/`try_finish`, shared-counter
 //!   termination detection;
 //! * [`graph`] (`dgp-graph`) — the distributed graph substrate: CSR shards,
-//!   block/cyclic distributions, RMAT/Erdős–Rényi/structured generators,
+//!   block/cyclic distributions (AM++'s object-based addressing: the
+//!   vertex → rank map messages are sent by), RMAT/Erdős–Rényi/structured
+//!   generators,
 //!   atomic and locked property maps, the lock-map abstraction;
 //! * [`core`] (`dgp-core`) — the paper's contribution: pattern IR, locality
 //!   analysis (Def. 1), value dependency graphs (Def. 2), the gather/
