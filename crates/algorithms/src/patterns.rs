@@ -279,8 +279,10 @@ mod tests {
             vec![vec![true], vec![false, false]]
         );
         let p = compile(&a.ir, PlanMode::Optimized).unwrap();
-        // Claim is merged at u; conflict's first group merged at pnt[u].
-        assert_eq!(p.merged, vec![true, true]);
+        // Claim is merged at u. The collision test reads only payload
+        // slots, so it runs at u before the hop to pnt[u] (test before the
+        // hop): its first group is no longer merged.
+        assert_eq!(p.merged, vec![true, false]);
     }
 
     #[test]
@@ -357,11 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn pr_contribute_merges_at_target() {
+    fn pr_contribute_tests_at_source() {
+        // `deg[v] > 0` reads only the payload: tested at v, and the
+        // accumulate is sent to the target only when it fires.
         let a = pr_contribute(0, 1, 2);
         let p = compile(&a.ir, PlanMode::Optimized).unwrap();
         assert_eq!(p.comm_plan().messages, 1);
-        assert_eq!(p.merged, vec![true]);
+        assert_eq!(p.merged, vec![false]);
         // acc is written but never read as a slot: no dependency storm.
         assert_eq!(a.ir.dependency_matrix(), vec![vec![false]]);
     }

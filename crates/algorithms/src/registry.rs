@@ -31,7 +31,7 @@ pub fn builtin_patterns() -> Vec<PatternBuilder> {
 mod tests {
     use super::*;
     use dgp_core::engine::{EngineConfig, Exec, JitFallback};
-    use dgp_core::plan::PlanMode;
+    use dgp_core::plan::{compile, PlanMode};
     use dgp_core::verify::Severity;
 
     /// The acceptance bar of the verifier issue: every shipped
@@ -99,6 +99,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The static message bill of every declared action, per plan mode
+    /// (`[Faithful, Optimized]`). Test before the hop moves tests ahead
+    /// of hops without adding or dropping any hop on the firing path, so
+    /// no count moves with it.
+    #[test]
+    fn plan_messages_per_action() {
+        let want: &[(&str, &str, [usize; 2])] = &[
+            ("sssp", "relax", [1, 1]),
+            ("sssp", "relax_light", [1, 1]),
+            ("sssp", "relax_heavy", [1, 1]),
+            ("cc", "cc_search", [1, 1]),
+            ("cc", "cc_claim_label", [1, 1]),
+            ("cc", "cc_jump", [1, 1]),
+            ("cc", "cc_rewrite", [2, 2]),
+            ("pagerank", "pr_contribute", [1, 1]),
+            ("pagerank-pull", "pr_contribute", [1, 1]),
+            ("pagerank-pull", "pr_pull", [2, 2]),
+            ("bfs", "bfs_expand", [1, 1]),
+            ("mis", "mis_flag_blocked", [2, 2]),
+            ("mis", "mis_flag_excluded", [2, 2]),
+            ("kcore", "count_active", [1, 1]),
+            ("coloring", "collect_used", [2, 2]),
+            ("coloring", "flag_bigger", [2, 2]),
+            ("betweenness", "bfs_expand", [1, 1]),
+            ("betweenness", "bc_sigma_push", [1, 1]),
+            ("betweenness", "bc_delta_pull", [2, 2]),
+            ("paths", "relax_with_parent", [1, 1]),
+            ("paths", "record_preds", [1, 1]),
+        ];
+        let mut got = Vec::new();
+        for p in builtin_patterns() {
+            for a in p.actions() {
+                let messages = [PlanMode::Faithful, PlanMode::Optimized].map(|mode| {
+                    compile(&a.ir, mode)
+                        .unwrap_or_else(|e| panic!("{}: {e}", a.ir.name))
+                        .comm_plan()
+                        .messages
+                });
+                got.push((p.name().to_string(), a.ir.name.clone(), messages));
+            }
+        }
+        let want: Vec<_> = want
+            .iter()
+            .map(|&(f, a, m)| (f.to_string(), a.to_string(), m))
+            .collect();
+        assert_eq!(got, want);
     }
 
     /// Which declared actions the installed engine sends through its

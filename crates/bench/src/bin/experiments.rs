@@ -23,9 +23,10 @@
 //! `dgp_sim::to_replay`) from PATH, printing the outcome; exits nonzero
 //! if the scenario still fails.
 //!
-//! An experiment returns its number of failing cells (E15's shrunk
-//! schedule-exploration failures; the others assert); the process exits 1
-//! if the sum is nonzero.
+//! An experiment returns its number of failing cells (a row whose
+//! "correct" cell reads `NO`, or one of E15's shrunk schedule-exploration
+//! failures; checks without a row assert); the process exits 1 if the sum
+//! is nonzero.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -493,7 +494,13 @@ mod exp {
     use dgp_graph::properties::{EdgeMap, LockGranularity};
     use dgp_graph::{DistGraph, Distribution};
 
-    fn sssp_row(t: &mut Table, m: &SsspMeasurement) {
+    /// A "correct" cell: "yes", or "NO" counted as one failing row.
+    fn verdict(ok: bool, failures: &mut usize) -> String {
+        *failures += usize::from(!ok);
+        if ok { "yes" } else { "NO" }.to_string()
+    }
+
+    fn sssp_row(t: &mut Table, m: &SsspMeasurement, failures: &mut usize) {
         t.row(vec![
             m.label.clone(),
             fmt_ms(m.millis),
@@ -501,12 +508,13 @@ mod exp {
             m.attempts.to_string(),
             m.messages.to_string(),
             m.epochs.to_string(),
-            if m.correct { "yes" } else { "NO" }.to_string(),
+            verdict(m.correct, failures),
         ]);
     }
 
     /// F1 — Fig. 1/§II-A: one relax pattern, fixed-point vs Δ-stepping.
     pub fn f1(o: &Opts) -> usize {
+        let mut failures = 0;
         let scale = if o.small { 10 } else { 13 };
         let el = workloads::rmat_weighted(scale, 8, 11);
         let oracle = seq::dijkstra(&el, 0);
@@ -539,11 +547,11 @@ mod exp {
                 strategy,
                 &oracle,
             );
-            sssp_row(&mut t, &m);
+            sssp_row(&mut t, &m, &mut failures);
         }
         t.print();
         println!("\nSame declarative relax; only the imperative strategy differs.");
-        0
+        failures
     }
 
     /// F2 — Fig. 2/4: the SSSP pattern and its compiled form.
@@ -568,6 +576,7 @@ mod exp {
 
     /// F3 — Fig. 3/§II-B: CC parallel search vs alternatives.
     pub fn f3(o: &Opts) -> usize {
+        let mut failures = 0;
         let (k, size) = if o.small { (8, 200) } else { (16, 2000) };
         let el = workloads::blobs(k, size, 7);
         println!(
@@ -591,11 +600,11 @@ mod exp {
                 fmt_ms(m.millis),
                 m.messages.to_string(),
                 m.components.to_string(),
-                if m.correct { "yes" } else { "NO" }.into(),
+                verdict(m.correct, &mut failures),
             ]);
         }
         t.print();
-        0
+        failures
     }
 
     /// F5 — Fig. 5: gather-message counts on the general dependency tree.
@@ -749,6 +758,7 @@ mod exp {
 
     /// E4 — Δ sweep.
     pub fn e4(o: &Opts) -> usize {
+        let mut failures = 0;
         let side = if o.small { 48 } else { 128 };
         let el = workloads::grid_weighted(side, 5);
         let oracle = seq::dijkstra(&el, 0);
@@ -783,15 +793,16 @@ mod exp {
                 strategy,
                 &oracle,
             );
-            sssp_row(&mut t, &m);
+            sssp_row(&mut t, &m, &mut failures);
         }
         t.print();
         println!("\nsmall Δ: many epochs, few wasted relaxations; huge Δ ~ chaotic fixed point.");
-        0
+        failures
     }
 
     /// E5 — synchronization schemes.
     pub fn e5(o: &Opts) -> usize {
+        let mut failures = 0;
         let scale = if o.small { 10 } else { 13 };
         let el = workloads::rmat_weighted(scale, 8, 51);
         let oracle = seq::dijkstra(&el, 0);
@@ -843,15 +854,16 @@ mod exp {
             t.row(vec![
                 label.into(),
                 fmt_ms(m.millis),
-                if m.correct { "yes" } else { "NO" }.into(),
+                verdict(m.correct, &mut failures),
             ]);
         }
         t.print();
-        0
+        failures
     }
 
     /// E6 — epoch exit vs `try_finish`, over the one termination detector.
     pub fn e6(o: &Opts) -> usize {
+        let mut failures = 0;
         let scale = if o.small { 10 } else { 12 };
         let el = workloads::rmat_weighted(scale, 8, 61);
         let oracle = seq::dijkstra(&el, 0);
@@ -876,16 +888,17 @@ mod exp {
                 label.into(),
                 fmt_ms(m.millis),
                 m.epochs.to_string(),
-                if m.correct { "yes" } else { "NO" }.into(),
+                verdict(m.correct, &mut failures),
             ]);
         }
         t.print();
         println!("\nasync Δ-stepping runs the whole computation in ONE epoch ended by try_finish.");
-        0
+        failures
     }
 
     /// E7 — abstraction overhead.
     pub fn e7(o: &Opts) -> usize {
+        let mut failures = 0;
         let scale = if o.small { 10 } else { 13 };
         let el = workloads::rmat_weighted(scale, 8, 71);
         let oracle = seq::dijkstra(&el, 0);
@@ -921,11 +934,11 @@ mod exp {
                 m.label.clone(),
                 fmt_ms(m.millis),
                 m.messages.to_string(),
-                if m.correct { "yes" } else { "NO" }.into(),
+                verdict(m.correct, &mut failures),
             ]);
         }
         t.print();
-        0
+        failures
     }
 
     /// E8 — Graph500-style scale sweep.
@@ -970,6 +983,7 @@ mod exp {
 
     /// E9 — strong scaling over ranks.
     pub fn e9(o: &Opts) -> usize {
+        let mut failures = 0;
         let scale = if o.small { 11 } else { 13 };
         let el = workloads::rmat_weighted(scale, 8, 91);
         let oracle = seq::dijkstra(&el, 0);
@@ -995,14 +1009,14 @@ mod exp {
             t.row(vec![
                 ranks.to_string(),
                 fmt_ms(m.millis),
-                if m.correct { "yes" } else { "NO" }.into(),
+                verdict(m.correct, &mut failures),
                 fmt_ms(c.millis),
-                if c.correct { "yes" } else { "NO" }.into(),
+                verdict(c.correct, &mut failures),
             ]);
         }
         t.print();
         println!("\n(simulated ranks share one host: scaling reflects threading, not networking)");
-        0
+        failures
     }
 
     /// E11 — push vs pull: the planner's communication asymmetry, live.
@@ -1065,6 +1079,7 @@ mod exp {
 
     /// E10 — strategy generality matrix.
     pub fn e10(o: &Opts) -> usize {
+        let mut failures = 0;
         let scale = if o.small { 9 } else { 11 };
         let el = workloads::rmat_weighted(scale, 8, 101);
         let oracle = seq::dijkstra(&el, 0);
@@ -1092,7 +1107,7 @@ mod exp {
                 strategy,
                 &oracle,
             );
-            sssp_row(&mut t, &m);
+            sssp_row(&mut t, &m, &mut failures);
         }
         // Fourth schedule, built from `once` like the paper's CC driver:
         // synchronous rounds (Bellman–Ford) — apply relax at every vertex
@@ -1137,12 +1152,12 @@ mod exp {
             attempts.to_string(),
             am.messages_sent.to_string(),
             am.epochs.to_string(),
-            if correct { "yes" } else { "NO" }.into(),
+            verdict(correct, &mut failures),
         ]);
         t.print();
         println!("\nthe once-rounds schedule is user-defined from the same primitives the");
         println!("built-in strategies use — the paper's customization-point claim.");
-        0
+        failures
     }
 
     /// E12 — per-epoch observability: profiles, metrics JSON, Chrome trace.

@@ -2,6 +2,7 @@
 //! and the guarded step interpreter ([`crate::engine::Exec::Reference`],
 //! and the fallback for actions the compiler cannot take).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -13,6 +14,7 @@ use dgp_graph::{DistGraph, LockMap, VertexId};
 
 use crate::engine::compiled::{self, Ctl, JitFallback, JitGen, JitProgram};
 use crate::engine::maps::ErasedMap;
+use crate::engine::table::AppendOnly;
 use crate::engine::value::{EnvArr, EnvView, Val, MAX_SLOTS};
 use crate::engine::{EngineConfig, EngineStats, EngineStatsSnapshot, Exec, SyncMode};
 use crate::ir::{ActionIr, GenItem, GeneratorIr, Place, ReadRef};
@@ -22,6 +24,15 @@ use crate::plan::{self, ExecStep};
 pub type ActionId = u32;
 
 const START_PC: u32 = u32::MAX;
+
+/// Work hooks running on this thread at most, nested, before a same-rank
+/// hop stops taking the inline shortcut ([`EngineInner::hop`]).
+const MAX_INLINE_DEPTH: u32 = 32;
+
+thread_local! {
+    /// Work hooks currently running on this thread, nested.
+    static HOOK_DEPTH: Cell<u32> = const { Cell::new(0) };
+}
 
 /// The single message type the engine registers: one step of one action
 /// instance, addressed to the locality it must run at.
@@ -102,7 +113,8 @@ pub(crate) struct EngineInner {
     pub(crate) rank: usize,
     pub(crate) cfg: EngineConfig,
     pub(crate) maps: RwLock<Vec<Arc<dyn ErasedMap>>>,
-    pub(crate) actions: RwLock<Vec<Arc<CompiledAction>>>,
+    /// Read once per message: no lock, no reference count.
+    pub(crate) actions: AppendOnly<CompiledAction>,
     pub(crate) hooks: RwLock<Vec<Option<WorkHook>>>,
     pub(crate) lock_map: LockMap,
     pub(crate) stats: EngineStats,
@@ -135,7 +147,7 @@ impl PatternEngine {
             rank,
             cfg,
             maps: RwLock::new(Vec::new()),
-            actions: RwLock::new(Vec::new()),
+            actions: AppendOnly::new(),
             hooks: RwLock::new(Vec::new()),
             lock_map: LockMap::new(locals, cfg.lock_granularity),
             stats: EngineStats::default(),
@@ -285,23 +297,22 @@ impl PatternEngine {
             Ok(prog) => compiled.jit = Some(prog),
             Err(fb) => compiled.jit_fallback = Some(fb),
         }
-        let compiled = Arc::new(compiled);
-        let mut actions = self.inner.actions.write();
-        actions.push(compiled);
-        self.inner.hooks.write().push(None);
-        Ok((actions.len() - 1) as ActionId)
+        let mut hooks = self.inner.hooks.write();
+        let id = self.inner.actions.push(compiled);
+        hooks.push(None);
+        Ok(id as ActionId)
     }
 
     /// Whether this action runs as compiled native closures instead of
     /// the step interpreter (INTERNALS §14).
     pub fn compiles(&self, action: ActionId) -> bool {
-        self.inner.actions.read()[action as usize].jit.is_some()
+        self.inner.actions.get(action as usize).jit.is_some()
     }
 
     /// Why this action is interpreted — `None` when it compiles
     /// ([`Self::compiles`]); otherwise the recorded [`JitFallback`].
     pub fn compile_fallback(&self, action: ActionId) -> Option<JitFallback> {
-        self.inner.actions.read()[action as usize].jit_fallback
+        self.inner.actions.get(action as usize).jit_fallback
     }
 
     /// How many of the action's hops currently drop dominated sends
@@ -309,7 +320,7 @@ impl PatternEngine {
     /// written map has no non-`Min` writer in this engine. Always 0 under
     /// [`Exec::Reference`], which never consults the cache.
     pub fn combinable_hops(&self, action: ActionId) -> usize {
-        let a = self.inner.actions.read()[action as usize].clone();
+        let a = self.inner.actions.get(action as usize);
         a.jit.as_ref().map_or(0, |j| {
             j.combinable
                 .iter()
@@ -449,8 +460,7 @@ impl EngineInner {
         if msg.pc == START_PC {
             self.exec_start(ctx, msg);
         } else {
-            let action = self.actions.read()[msg.action as usize].clone();
-            self.run(ctx, &action, msg);
+            self.run(ctx, self.actions.get(msg.action as usize), msg);
         }
     }
 
@@ -464,9 +474,45 @@ impl EngineInner {
         }
     }
 
+    /// Move `msg` to `target`. Returns whether it left as a message (the
+    /// caller stops); `false` means the instance continues here, on this
+    /// thread — the target is the current vertex, or the shared-memory
+    /// shortcut (`self_send: false`) runs a same-rank hop inline. Inline
+    /// hops nest: a rerunning work hook fired after one starts the action
+    /// again from inside this frame. Past [`MAX_INLINE_DEPTH`] running
+    /// hooks on this thread the hop is sent instead, so the nesting — one
+    /// frame per claimed vertex in a CC search — cannot overflow the
+    /// stack.
+    fn hop(
+        &self,
+        ctx: &AmCtx,
+        msg: &mut ActionMsg,
+        target: VertexId,
+        dominance: Option<(u64, u64)>,
+    ) -> bool {
+        if target == msg.at {
+            return false;
+        }
+        msg.at = target;
+        let dest = self.graph.owner(target);
+        if dest == self.rank && !self.cfg.self_send && HOOK_DEPTH.with(Cell::get) < MAX_INLINE_DEPTH
+        {
+            return false;
+        }
+        let mt = *self.msg.get().expect("engine constructed");
+        match dominance {
+            Some((key, value)) => {
+                mt.send_min(ctx, dest, key, value, *msg);
+            }
+            None => mt.send(ctx, dest, *msg),
+        }
+        true
+    }
+
     /// Drive a compiled action: each step closure returns what to do
-    /// next; hops reuse the interpreter's send-or-inline rule (and its
-    /// coalescing buffers — the same single message type).
+    /// next; hops share the interpreter's send-or-inline rule
+    /// ([`Self::hop`]) and its coalescing buffers — the same single
+    /// message type.
     fn run_jit(&self, ctx: &AmCtx, jit: &JitProgram, mut msg: ActionMsg) {
         loop {
             match (jit.steps[msg.pc as usize])(self, ctx, &mut msg) {
@@ -477,20 +523,8 @@ impl EngineInner {
                     dominance,
                 } => {
                     msg.pc = pc;
-                    if target != msg.at {
-                        msg.at = target;
-                        let dest = self.graph.owner(target);
-                        if dest != self.rank || self.cfg.self_send {
-                            let mt = *self.msg.get().expect("engine constructed");
-                            match dominance {
-                                Some((key, value)) => {
-                                    mt.send_min(ctx, dest, key, value, msg);
-                                }
-                                None => mt.send(ctx, dest, msg),
-                            }
-                            return;
-                        }
-                        // Shared-memory shortcut: same rank, run inline.
+                    if self.hop(ctx, &mut msg, target, dominance) {
+                        return;
                     }
                 }
                 Ctl::Done => return,
@@ -502,7 +536,7 @@ impl EngineInner {
     fn exec_start(&self, ctx: &AmCtx, msg: ActionMsg) {
         debug_assert_eq!(self.graph.owner(msg.v), self.rank);
         EngineStats::bump(&self.stats.actions_started);
-        let action = self.actions.read()[msg.action as usize].clone();
+        let action = self.actions.get(msg.action as usize);
         let mut expand_span = ctx
             .span(SpanKind::Expand, "engine.expand")
             .map(|s| s.args(msg.action as u64, 0));
@@ -519,7 +553,7 @@ impl EngineInner {
                 env: EnvArr::default(),
                 ..msg
             };
-            self.run(ctx, &action, m);
+            self.run(ctx, action, m);
         };
         let jit_gen = action.jit.as_ref().map(|j| &j.gen);
         match action.ir.generator {
@@ -627,15 +661,8 @@ impl EngineInner {
                 ExecStep::Goto { to, next } => {
                     let target = self.resolve(action.resolvers[*to], &msg);
                     msg.pc = *next as u32;
-                    if target != msg.at {
-                        msg.at = target;
-                        let dest = self.graph.owner(target);
-                        if dest != self.rank || self.cfg.self_send {
-                            let mt = *self.msg.get().expect("engine constructed");
-                            mt.send(ctx, dest, msg);
-                            return;
-                        }
-                        // Shared-memory shortcut: same rank, run inline.
+                    if self.hop(ctx, &mut msg, target, None) {
+                        return;
                     }
                 }
                 ExecStep::Gather { slots, next } => {
@@ -880,7 +907,9 @@ impl EngineInner {
         EngineStats::bump(&self.stats.dependencies_fired);
         let hook = self.hooks.read()[action as usize].clone();
         if let Some(h) = hook {
+            HOOK_DEPTH.with(|d| d.set(d.get() + 1));
             h(ctx, v);
+            HOOK_DEPTH.with(|d| d.set(d.get() - 1));
         }
     }
 }

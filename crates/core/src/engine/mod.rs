@@ -12,6 +12,7 @@
 mod compiled;
 mod exec;
 mod maps;
+mod table;
 mod value;
 
 pub use compiled::{gate as jit_gate, JitFallback, MapAccess};

@@ -17,7 +17,10 @@
 //!    locality, which "is not a mere optimization" but what enables the
 //!    read/write synchronization guarantee of §III-C;
 //! 6. **elision**: values already carried in the payload are not
-//!    re-gathered for later conditions and modification groups.
+//!    re-gathered for later conditions and modification groups;
+//! 7. **test before the hop** ([`PlanMode::Optimized`] only): a condition
+//!    whose test reads nothing fresh at its site runs before the hop
+//!    there, so a failing test sends nothing ([`test_before_hop`]).
 //!
 //! Subexpression precomputation (Fig. 6's `dist[v] + weight[e]` computed at
 //! `v`) falls out of the closure embedding: gathered slot values *are* the
@@ -380,6 +383,9 @@ pub fn compile(ir: &ActionIr, mode: PlanMode) -> Result<ExecPlan, PlanError> {
         merged: merged_flags,
         facts: None,
     };
+    if mode == PlanMode::Optimized {
+        test_before_hop(&mut plan);
+    }
     // The planner's output is re-checked by the path-sensitive abstract
     // interpreter on *every* compile, release builds included: a compiler
     // bug must fail at registration, not as a wrong answer at runtime.
@@ -394,6 +400,183 @@ pub fn compile(ir: &ActionIr, mode: PlanMode) -> Result<ExecPlan, PlanError> {
     }
     plan.facts = analysis.facts;
     Ok(plan)
+}
+
+/// Test before the hop ([`PlanMode::Optimized`] only): a condition whose
+/// test reads nothing fresh at its site — every input already rides in
+/// the payload — is evaluated *before* the `Goto` that leads to it, so a
+/// hop whose test fails is never sent.
+///
+/// Rewrites every `Goto { to: P, next: k }` whose step `k` is reached from
+/// it alone and is an `Eval` or `EvalModify` with empty `local_slots`:
+///
+/// * `EvalModify` → `Eval ? g : on_false`, `g: Goto P`, then
+///   `ModifyGroup → on_true` (the condition is no longer merged);
+/// * `Eval` → `Eval ? g : on_false`, `g: Goto P → on_true`.
+///
+/// Sound because such a test is a pure function of `(env, v, gen)`, which
+/// the hop does not change; the false branch starts at a `Goto`, a
+/// payload-only `Eval` or `End`, none of which depends on where it runs;
+/// and the group still applies under the target's lock, as every later
+/// group already does. The true path keeps its `Goto`s in order; the false
+/// path loses one. The verifier credits a merge only when the test reads
+/// the written cell — a fresh read, so such a condition is never
+/// rewritten (INTERNALS §2.1).
+///
+/// [`compile`] runs this pass before its soundness check. Run by hand, it
+/// drops the plan's proof ([`ExecPlan::facts`] names steps by index):
+/// re-run [`soundness::analyze`] to earn a new one.
+pub fn test_before_hop(plan: &mut ExecPlan) {
+    let steps = &plan.steps;
+    // Step 0 is also entered from outside.
+    let in_degree = |k: usize| {
+        usize::from(k == 0)
+            + steps
+                .iter()
+                .flat_map(|s| s.successors().into_iter().flatten())
+                .filter(|&t| t == k)
+                .count()
+    };
+    let location_free = |pc: usize| match steps.get(pc) {
+        Some(ExecStep::Goto { .. } | ExecStep::End) => true,
+        Some(ExecStep::Eval { local_slots, .. }) => local_slots.is_empty(),
+        _ => false,
+    };
+    // (goto, test) pairs to swap.
+    let hoisted: Vec<(usize, usize)> = steps
+        .iter()
+        .enumerate()
+        .filter_map(|(g, s)| {
+            let ExecStep::Goto { next: k, .. } = *s else {
+                return None;
+            };
+            let payload_only = match steps.get(k)? {
+                ExecStep::Eval {
+                    local_slots,
+                    on_false,
+                    ..
+                }
+                | ExecStep::EvalModify {
+                    local_slots,
+                    on_false,
+                    ..
+                } => local_slots.is_empty() && location_free(*on_false),
+                _ => false,
+            };
+            (payload_only && in_degree(k) == 1).then_some((g, k))
+        })
+        .collect();
+    if hoisted.is_empty() {
+        return;
+    }
+    // A split `EvalModify` adds one step right after its `Goto`.
+    let splits: Vec<usize> = hoisted
+        .iter()
+        .filter(|&&(_, k)| matches!(steps[k], ExecStep::EvalModify { .. }))
+        .map(|&(g, _)| g)
+        .collect();
+    let at = |pc: usize| pc + splits.iter().filter(|&&g| g < pc).count();
+    let mut out = Vec::with_capacity(steps.len() + splits.len());
+    let mut unmerged = Vec::new();
+    for (pc, s) in steps.iter().enumerate() {
+        if let Some(&(_, k)) = hoisted.iter().find(|&&(g, _)| g == pc) {
+            let ExecStep::Goto { to, .. } = *s else {
+                unreachable!("hoisted pairs start at a goto")
+            };
+            match &steps[k] {
+                ExecStep::EvalModify { cond, on_false, .. } => {
+                    out.push(ExecStep::Eval {
+                        cond: *cond,
+                        local_slots: Vec::new(),
+                        on_true: at(pc) + 1,
+                        on_false: at(*on_false),
+                    });
+                    out.push(ExecStep::Goto { to, next: at(k) });
+                    unmerged.push(*cond);
+                }
+                ExecStep::Eval { cond, on_false, .. } => out.push(ExecStep::Eval {
+                    cond: *cond,
+                    local_slots: Vec::new(),
+                    on_true: at(k),
+                    on_false: at(*on_false),
+                }),
+                _ => unreachable!("hoisted pairs end at a test"),
+            }
+        } else if let Some(&(g, _)) = hoisted.iter().find(|&&(_, k)| k == pc) {
+            out.push(match s {
+                ExecStep::EvalModify {
+                    cond,
+                    mods,
+                    on_true,
+                    ..
+                } => ExecStep::ModifyGroup {
+                    cond: *cond,
+                    local_slots: Vec::new(),
+                    mods: mods.clone(),
+                    next: at(*on_true),
+                },
+                ExecStep::Eval { on_true, .. } => {
+                    let ExecStep::Goto { to, .. } = steps[g] else {
+                        unreachable!("hoisted pairs start at a goto")
+                    };
+                    ExecStep::Goto {
+                        to,
+                        next: at(*on_true),
+                    }
+                }
+                _ => unreachable!("hoisted pairs end at a test"),
+            });
+        } else {
+            let mut s = s.clone();
+            s.retarget(at);
+            out.push(s);
+        }
+    }
+    plan.steps = out;
+    plan.facts = None;
+    for e in &mut plan.cond_entries {
+        *e = at(*e);
+    }
+    for ci in unmerged {
+        plan.merged[ci] = false;
+    }
+}
+
+impl ExecStep {
+    /// The steps control may pass to next.
+    fn successors(&self) -> [Option<usize>; 2] {
+        match *self {
+            ExecStep::Goto { next, .. }
+            | ExecStep::Gather { next, .. }
+            | ExecStep::ModifyGroup { next, .. } => [Some(next), None],
+            ExecStep::Eval {
+                on_true, on_false, ..
+            }
+            | ExecStep::EvalModify {
+                on_true, on_false, ..
+            } => [Some(on_true), Some(on_false)],
+            ExecStep::End => [None, None],
+        }
+    }
+
+    /// Map every successor through `f`.
+    fn retarget(&mut self, f: impl Fn(usize) -> usize) {
+        match self {
+            ExecStep::Goto { next, .. }
+            | ExecStep::Gather { next, .. }
+            | ExecStep::ModifyGroup { next, .. } => *next = f(*next),
+            ExecStep::Eval {
+                on_true, on_false, ..
+            }
+            | ExecStep::EvalModify {
+                on_true, on_false, ..
+            } => {
+                *on_true = f(*on_true);
+                *on_false = f(*on_false);
+            }
+            ExecStep::End => {}
+        }
+    }
 }
 
 impl<'a> Compiler<'a> {
@@ -1114,6 +1297,91 @@ mod tests {
             .filter(|s| matches!(s, ExecStep::Gather { .. }))
             .count();
         assert_eq!(gathers_after, 0, "{plan}");
+    }
+
+    /// The `cc_search` shape: `if (p[u] == NULL) p[u] = p[v]; else if
+    /// (p[u] != p[v]) { s[p[u]].insert(p[v]); s[p[v]].insert(p[u]); }`.
+    fn payload_only_else_ir() -> ActionIr {
+        let (pnt, adjs) = (0, 1);
+        ActionIr {
+            name: "search".into(),
+            generator: GeneratorIr::Adj,
+            slots: vec![
+                ReadRef::VertexProp {
+                    map: pnt,
+                    at: Place::GenVertex,
+                },
+                ReadRef::VertexProp {
+                    map: pnt,
+                    at: Place::Input,
+                },
+            ],
+            conditions: vec![
+                ConditionIr {
+                    reads: vec![Slot(0), Slot(1)],
+                    mods: vec![ModificationIr {
+                        map: pnt,
+                        at: Place::GenVertex,
+                        reads: vec![Slot(1)],
+                        kind: ModKind::Assign,
+                    }],
+                    is_else: false,
+                },
+                ConditionIr {
+                    reads: vec![Slot(0), Slot(1)],
+                    mods: vec![
+                        ModificationIr {
+                            map: adjs,
+                            at: Place::map_at(pnt, Place::GenVertex),
+                            reads: vec![Slot(1)],
+                            kind: ModKind::Insert,
+                        },
+                        ModificationIr {
+                            map: adjs,
+                            at: Place::map_at(pnt, Place::Input),
+                            reads: vec![Slot(0)],
+                            kind: ModKind::Insert,
+                        },
+                    ],
+                    is_else: true,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn payload_only_test_runs_before_its_hop() {
+        let ir = payload_only_else_ir();
+        let plan = compile(&ir, PlanMode::Optimized).unwrap();
+        // The claim reads p[u] fresh at u: still merged. The collision
+        // test reads two payload slots: tested at u, then the hop.
+        assert_eq!(plan.merged, vec![true, false], "{plan}");
+        let entry = plan.cond_entries[1];
+        let ExecStep::Eval {
+            cond: 1,
+            ref local_slots,
+            on_true,
+            on_false,
+        } = plan.steps[entry]
+        else {
+            panic!("condition 1 starts with its test\n{plan}");
+        };
+        assert!(local_slots.is_empty(), "{plan}");
+        assert!(matches!(plan.steps[on_false], ExecStep::End), "{plan}");
+        let ExecStep::Goto { to, next } = plan.steps[on_true] else {
+            panic!("the hop follows the test\n{plan}");
+        };
+        assert_eq!(plan.places[to], Place::map_at(0, Place::GenVertex));
+        assert!(
+            matches!(plan.steps[next], ExecStep::ModifyGroup { cond: 1, ref mods, .. } if *mods == [0]),
+            "{plan}"
+        );
+        // Same hops on the firing path; the paper-literal plan keeps the
+        // merged shape.
+        let faithful = compile(&ir, PlanMode::Faithful).unwrap();
+        assert_eq!(plan.comm_plan().hops, faithful.comm_plan().hops);
+        assert_eq!(faithful.merged, vec![true, true], "{faithful}");
+        assert!(plan.facts.is_some());
     }
 
     #[test]

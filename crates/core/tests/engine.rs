@@ -660,3 +660,48 @@ fn reference_executor_never_filters() {
     });
     assert_eq!((hops, d9, hits, misses), (0, 1.0, 0, 0));
 }
+
+/// Test before the hop: `if (flag[v]) acc[trg(e)] += 1` with every flag
+/// false reads only the payload, so it is tested at `v` and no relax hop
+/// is ever sent — the only messages are the start messages, under both
+/// executors. The paper-literal plan still ships every test.
+#[test]
+fn failing_payload_test_sends_no_hop() {
+    for (plan_mode, exec, hops) in [
+        (PlanMode::Optimized, Exec::Compiled, 0),
+        (PlanMode::Optimized, Exec::Reference, 0),
+        (PlanMode::Faithful, Exec::Compiled, 7),
+    ] {
+        let (sent, tested, acc) = with_machine(2, move |ctx| {
+            let graph = line_graph(8, 2);
+            let flag = ctx.share(|| AtomicVertexMap::new(graph.distribution(), false));
+            let acc = ctx.share(|| AtomicVertexMap::new(graph.distribution(), 0u64));
+            let cfg = EngineConfig {
+                plan_mode,
+                exec,
+                ..EngineConfig::default()
+            };
+            let engine = PatternEngine::new(ctx, graph.clone(), cfg);
+            let flag_id = engine.register_vertex_map(&flag);
+            let acc_id = engine.register_vertex_map(&acc);
+            let mut b = ActionBuilder::new("flagged", GeneratorIr::OutEdges);
+            let f_v = b.read_vertex(flag_id, Place::Input);
+            b.cond(&[f_v], move |e| e.bool(f_v))
+                .assign(acc_id, Place::GenTrg, &[], |_, old| {
+                    Val::U(old.as_u64() + 1)
+                });
+            let action = engine.add_action(b.build().unwrap()).unwrap();
+            let locals: Vec<VertexId> = graph.distribution().owned(ctx.rank()).collect();
+            let before = ctx.stats().messages_sent;
+            ctx.barrier();
+            once(ctx, &engine, action, &locals);
+            let sent = ctx.stats().messages_sent - before;
+            let tested = ctx.sum_ranks(engine.stats().conditions_false);
+            (ctx.rank() == 0).then(|| (sent, tested, acc.snapshot()))
+        });
+        let label = format!("{plan_mode:?}, {exec:?}");
+        assert_eq!(sent, 8 + hops, "8 start messages, {hops} hops ({label})");
+        assert_eq!(tested, 7, "every edge tested once ({label})");
+        assert_eq!(acc, vec![0; 8], "{label}");
+    }
+}

@@ -6,13 +6,70 @@
 use proptest::prelude::*;
 
 use dgp_core::plan::soundness::analyze;
-use dgp_core::plan::{compile, PlanMode};
+use dgp_core::plan::{compile, test_before_hop, ExecPlan, ExecStep, PlanMode};
 
 mod common;
 use common::arb_action;
 
+fn gotos(plan: &ExecPlan) -> usize {
+    plan.steps
+        .iter()
+        .filter(|s| matches!(s, ExecStep::Goto { .. }))
+        .count()
+}
+
+/// Steps `g` whose `Goto` leads straight to a test reading nothing fresh.
+fn payload_tests_after_hops(plan: &ExecPlan) -> Vec<usize> {
+    (0..plan.steps.len())
+        .filter(|&g| {
+            let ExecStep::Goto { next, .. } = plan.steps[g] else {
+                return false;
+            };
+            matches!(
+                &plan.steps[next],
+                ExecStep::Eval { local_slots, .. } | ExecStep::EvalModify { local_slots, .. }
+                    if local_slots.is_empty()
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Test before the hop moves tests, never hops: run on the
+    /// paper-literal plan (which `compile` leaves alone) it adds no `Goto`,
+    /// leaves no payload-only test behind a hop, keeps the plan sound,
+    /// and keeps the firing path's hops. No `Optimized` plan is left with
+    /// a payload-only test right after a hop.
+    #[test]
+    fn tests_run_before_their_hops(ir in arb_action()) {
+        if let Ok(faithful) = compile(&ir, PlanMode::Faithful) {
+            let mut rewritten = faithful.clone();
+            test_before_hop(&mut rewritten);
+            prop_assert_eq!(gotos(&rewritten), gotos(&faithful), "{}", rewritten);
+            prop_assert!(payload_tests_after_hops(&rewritten).is_empty(), "{}", rewritten);
+            prop_assert_eq!(
+                rewritten.comm_plan().hops,
+                faithful.comm_plan().hops,
+                "{}",
+                rewritten
+            );
+            let analysis = analyze(&ir, &rewritten);
+            prop_assert!(
+                !analysis.has_errors(),
+                "{:?}\n{}",
+                analysis.diagnostics,
+                rewritten
+            );
+        }
+        if let Ok(optimized) = compile(&ir, PlanMode::Optimized) {
+            prop_assert!(payload_tests_after_hops(&optimized).is_empty(), "{}", optimized);
+            let mut again = optimized.clone();
+            test_before_hop(&mut again);
+            prop_assert_eq!(again.to_string(), optimized.to_string());
+        }
+    }
 
     #[test]
     fn compiled_plans_never_read_unset_slots(

@@ -303,6 +303,32 @@ fn self_send_shortcut_transparent() {
         msgs.iter().all(|&m| m > 0),
         "both modes actually sent messages: {msgs:?}"
     );
+
+    // Work hooks rerun the action from inside a handler. Without the
+    // shortcut's depth bound, each inline hop nested one more rerun per
+    // vertex and large inputs overflowed the thread's stack.
+    let blobs = generators::component_blobs(2, 60_000, 2, 5);
+    let want = seq::cc_labels(&blobs);
+    let deep = weighted_rmat(12, 67);
+    let want_deep = seq::dijkstra(&deep, 0);
+    let cfg = EngineConfig {
+        self_send: false,
+        ..EngineConfig::default()
+    };
+    let graph = DistGraph::build(&blobs, Distribution::block(blobs.num_vertices(), 2), false);
+    let mut out = Machine::run(MachineConfig::new(2), move |ctx| {
+        let labels = dgp_algorithms::cc::cc(ctx, &graph, cfg);
+        (ctx.rank() == 0).then(|| labels.snapshot())
+    });
+    assert_eq!(out[0].take().unwrap(), want);
+    let graph = DistGraph::build(&deep, Distribution::block(deep.num_vertices(), 2), false);
+    let weights = EdgeMap::from_weights(&graph, &deep);
+    let mut out = Machine::run(MachineConfig::new(2), move |ctx| {
+        let s = dgp_algorithms::sssp::Sssp::install(ctx, &graph, &weights, cfg);
+        s.run(ctx, 0, SsspStrategy::FixedPoint);
+        (ctx.rank() == 0).then(|| s.dist.snapshot())
+    });
+    assert_dists(&out[0].take().unwrap(), &want_deep);
 }
 
 /// CC's racy claim phase stays correct with handler worker threads.
