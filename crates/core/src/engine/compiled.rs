@@ -525,6 +525,7 @@ fn apply_all(
     msg: &ActionMsg,
     guard: parking_lot::MutexGuard<'_, ()>,
 ) {
+    let stats = inner.stats.of(ctx);
     let mut dep_changed = false;
     for (apply, dep) in appliers {
         let changed = {
@@ -536,9 +537,9 @@ fn apply_all(
             apply(inner, &view, msg.at)
         };
         EngineStats::bump(if changed {
-            &inner.stats.modifications_changed
+            &stats.modifications_changed
         } else {
-            &inner.stats.modifications_unchanged
+            &stats.modifications_unchanged
         });
         if changed && *dep {
             dep_changed = true;
@@ -644,10 +645,11 @@ fn compile_step(
                         };
                         test(&view)
                     };
+                    let stats = inner.stats.of(ctx);
                     EngineStats::bump(if t {
-                        &inner.stats.conditions_true
+                        &stats.conditions_true
                     } else {
-                        &inner.stats.conditions_false
+                        &stats.conditions_false
                     });
                     Ctl::Next(if t { on_true } else { on_false })
                 },
@@ -734,16 +736,13 @@ fn compile_eval_modify(
                     let _s = ctx
                         .span(SpanKind::Eval, "engine.eval_modify")
                         .map(|s| s.args(msg.action as u64, cond_u));
+                    // Each CAS attempt writes its `old` into the frame's
+                    // slot in place; the other slots are the payload's.
                     let (v_in, gen) = (msg.v, msg.gen);
-                    let env_base = msg.env;
+                    let env = &mut msg.env;
                     let out = tm.update(inner.rank, msg.at, |old| {
-                        let mut env = env_base;
                         env.set(slot, old.to_val());
-                        let view = EnvView {
-                            env: &env,
-                            v: v_in,
-                            gen,
-                        };
+                        let view = EnvView { env, v: v_in, gen };
                         if test(&view) {
                             ValCodec::from_val(compute(&view, old.to_val()))
                         } else {
@@ -751,15 +750,16 @@ fn compile_eval_modify(
                         }
                     });
                     msg.env.set(slot, out.new.to_val());
+                    let stats = inner.stats.of(ctx);
                     EngineStats::bump(if out.changed {
-                        &inner.stats.conditions_true
+                        &stats.conditions_true
                     } else {
-                        &inner.stats.conditions_false
+                        &stats.conditions_false
                     });
                     EngineStats::bump(if out.changed {
-                        &inner.stats.modifications_changed
+                        &stats.modifications_changed
                     } else {
-                        &inner.stats.modifications_unchanged
+                        &stats.modifications_unchanged
                     });
                     if out.changed && dep {
                         inner.fire_hook(ctx, msg.action, msg.at);
@@ -794,10 +794,11 @@ fn compile_eval_modify(
                 };
                 test(&view)
             };
+            let stats = inner.stats.of(ctx);
             EngineStats::bump(if fired {
-                &inner.stats.conditions_true
+                &stats.conditions_true
             } else {
-                &inner.stats.conditions_false
+                &stats.conditions_false
             });
             if fired {
                 apply_all(inner, ctx, &appliers, msg, guard);

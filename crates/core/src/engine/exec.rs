@@ -150,7 +150,7 @@ impl PatternEngine {
             actions: AppendOnly::new(),
             hooks: RwLock::new(Vec::new()),
             lock_map: LockMap::new(locals, cfg.lock_granularity),
-            stats: EngineStats::default(),
+            stats: EngineStats::new(ctx.config().threads_per_rank),
             locality_violations: AtomicU64::new(0),
             non_min_writes: AtomicU64::new(0),
             msg: OnceLock::new(),
@@ -158,8 +158,8 @@ impl PatternEngine {
         let handler_inner = inner.clone();
         let mt = ctx.register_named(
             "pattern-engine",
-            move |hctx: &HandlerCtx<'_, ActionMsg>, m: ActionMsg| {
-                handler_inner.exec(hctx, m);
+            move |hctx: &HandlerCtx<'_, ActionMsg>, mut m: ActionMsg| {
+                handler_inner.exec(hctx, &mut m);
             },
         );
         inner
@@ -361,7 +361,7 @@ impl PatternEngine {
     /// work hooks: "the action a is immediately run on the vertex").
     pub fn run_at(&self, ctx: &AmCtx, action: ActionId, v: VertexId) {
         debug_assert_eq!(self.inner.graph.owner(v), ctx.rank());
-        let msg = ActionMsg {
+        let mut msg = ActionMsg {
             action,
             pc: START_PC,
             v,
@@ -369,7 +369,7 @@ impl PatternEngine {
             gen: GenItem::None,
             env: EnvArr::default(),
         };
-        self.inner.exec(ctx, msg);
+        self.inner.exec(ctx, &mut msg);
     }
 
     /// This rank's engine counters.
@@ -456,7 +456,9 @@ impl EngineInner {
         }
     }
 
-    fn exec(&self, ctx: &AmCtx, msg: ActionMsg) {
+    /// Handle one message. The frame is the caller's: compiled steps
+    /// update it in place, and a hop copies it once into the send buffer.
+    fn exec(&self, ctx: &AmCtx, msg: &mut ActionMsg) {
         if msg.pc == START_PC {
             self.exec_start(ctx, msg);
         } else {
@@ -466,11 +468,11 @@ impl EngineInner {
 
     /// Run one instance from `msg.pc`: compiled closures when the action
     /// has them, the guarded interpreter otherwise.
-    fn run(&self, ctx: &AmCtx, action: &CompiledAction, msg: ActionMsg) {
+    fn run(&self, ctx: &AmCtx, action: &CompiledAction, msg: &mut ActionMsg) {
         if let Some(jit) = &action.jit {
             self.run_jit(ctx, jit, msg);
         } else {
-            self.run_steps(ctx, action, msg);
+            self.run_steps(ctx, action, *msg);
         }
     }
 
@@ -513,9 +515,9 @@ impl EngineInner {
     /// next; hops share the interpreter's send-or-inline rule
     /// ([`Self::hop`]) and its coalescing buffers — the same single
     /// message type.
-    fn run_jit(&self, ctx: &AmCtx, jit: &JitProgram, mut msg: ActionMsg) {
+    fn run_jit(&self, ctx: &AmCtx, jit: &JitProgram, msg: &mut ActionMsg) {
         loop {
-            match (jit.steps[msg.pc as usize])(self, ctx, &mut msg) {
+            match (jit.steps[msg.pc as usize])(self, ctx, msg) {
                 Ctl::Next(pc) => msg.pc = pc,
                 Ctl::Hop {
                     target,
@@ -523,7 +525,7 @@ impl EngineInner {
                     dominance,
                 } => {
                     msg.pc = pc;
-                    if self.hop(ctx, &mut msg, target, dominance) {
+                    if self.hop(ctx, msg, target, dominance) {
                         return;
                     }
                 }
@@ -533,9 +535,10 @@ impl EngineInner {
     }
 
     /// Expand the generator at the input vertex and run each instance.
-    fn exec_start(&self, ctx: &AmCtx, msg: ActionMsg) {
+    fn exec_start(&self, ctx: &AmCtx, msg: &ActionMsg) {
         debug_assert_eq!(self.graph.owner(msg.v), self.rank);
-        EngineStats::bump(&self.stats.actions_started);
+        let stats = self.stats.of(ctx);
+        EngineStats::bump(&stats.actions_started);
         let action = self.actions.get(msg.action as usize);
         let mut expand_span = ctx
             .span(SpanKind::Expand, "engine.expand")
@@ -544,16 +547,16 @@ impl EngineInner {
         let shard = self.graph.shard(self.rank);
         let li = shard.local_of(msg.v);
         let launch = |gen: GenItem| {
-            EngineStats::bump(&self.stats.items_generated);
+            EngineStats::bump(&stats.items_generated);
             expanded.set(expanded.get() + 1);
-            let m = ActionMsg {
+            let mut m = ActionMsg {
                 pc: 0,
                 at: msg.v,
                 gen,
                 env: EnvArr::default(),
-                ..msg
+                ..*msg
             };
-            self.run(ctx, action, m);
+            self.run(ctx, action, &mut m);
         };
         let jit_gen = action.jit.as_ref().map(|j| &j.gen);
         match action.ir.generator {
@@ -696,10 +699,11 @@ impl EngineInner {
                         };
                         (action.tests[*cond])(&view)
                     };
+                    let stats = self.stats.of(ctx);
                     EngineStats::bump(if t {
-                        &self.stats.conditions_true
+                        &stats.conditions_true
                     } else {
-                        &self.stats.conditions_false
+                        &stats.conditions_false
                     });
                     msg.pc = (if t { *on_true } else { *on_false }) as u32;
                 }
@@ -782,15 +786,16 @@ impl EngineInner {
                         }
                     });
                 msg.env.set(slot, new);
+                let stats = self.stats.of(ctx);
                 EngineStats::bump(if changed {
-                    &self.stats.conditions_true
+                    &stats.conditions_true
                 } else {
-                    &self.stats.conditions_false
+                    &stats.conditions_false
                 });
                 EngineStats::bump(if changed {
-                    &self.stats.modifications_changed
+                    &stats.modifications_changed
                 } else {
-                    &self.stats.modifications_unchanged
+                    &stats.modifications_unchanged
                 });
                 if changed && action.dep[cond][mi] {
                     self.fire_hook(ctx, msg.action, msg.at);
@@ -815,10 +820,11 @@ impl EngineInner {
             };
             (action.tests[cond])(&view)
         };
+        let stats = self.stats.of(ctx);
         EngineStats::bump(if fired {
-            &self.stats.conditions_true
+            &stats.conditions_true
         } else {
-            &self.stats.conditions_false
+            &stats.conditions_false
         });
         if fired {
             self.apply_group(ctx, action, msg, cond, &[], mods, Some(guard));
@@ -851,6 +857,7 @@ impl EngineInner {
             let val = self.read_slot(action, msg, s);
             msg.env.set(s, val);
         }
+        let stats = self.stats.of(ctx);
         let mut dep_changed = false;
         for &mi in mods {
             let m = &action.ir.conditions[cond].mods[mi];
@@ -889,9 +896,9 @@ impl EngineInner {
                 }
             };
             EngineStats::bump(if changed {
-                &self.stats.modifications_changed
+                &stats.modifications_changed
             } else {
-                &self.stats.modifications_unchanged
+                &stats.modifications_unchanged
             });
             if changed && action.dep[cond][mi] {
                 dep_changed = true;
@@ -904,7 +911,7 @@ impl EngineInner {
     }
 
     pub(crate) fn fire_hook(&self, ctx: &AmCtx, action: ActionId, v: VertexId) {
-        EngineStats::bump(&self.stats.dependencies_fired);
+        EngineStats::bump(&self.stats.of(ctx).dependencies_fired);
         let hook = self.hooks.read()[action as usize].clone();
         if let Some(h) = hook {
             HOOK_DEPTH.with(|d| d.set(d.get() + 1));

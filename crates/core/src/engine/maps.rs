@@ -13,8 +13,21 @@ pub trait ValCodec: Copy + Send + Sync + 'static {
     /// Encode into the engine's value union.
     fn to_val(self) -> Val;
     /// Decode from the engine's value union; panics on a mismatched
-    /// variant (a pattern type error).
+    /// variant (a pattern type error) and on a value the type cannot hold
+    /// (`Val::U(1 << 32)` into a `u32` map), never storing a wrapped one.
     fn from_val(v: Val) -> Self;
+}
+
+/// Narrow a `U` payload to `T`, panicking with context when it does not
+/// fit.
+#[track_caller]
+fn narrow<T: TryFrom<u64>>(x: u64) -> T {
+    T::try_from(x).unwrap_or_else(|_| {
+        panic!(
+            "U value {x} out of range for {}",
+            std::any::type_name::<T>()
+        )
+    })
 }
 
 macro_rules! codec {
@@ -40,8 +53,8 @@ macro_rules! codec {
 }
 
 codec!(u64, U, |x| x, |x| x);
-codec!(u32, U, |x: u32| x as u64, |x: u64| x as u32);
-codec!(usize, U, |x: usize| x as u64, |x: u64| x as usize);
+codec!(u32, U, |x: u32| x as u64, narrow::<u32>);
+codec!(usize, U, |x: usize| x as u64, narrow::<usize>);
 codec!(i64, I, |x| x, |x| x);
 codec!(f64, F, |x| x, |x| x);
 codec!(bool, B, |x| x, |x| x);
@@ -209,6 +222,19 @@ mod tests {
     #[should_panic(expected = "expected F value")]
     fn codec_type_mismatch_panics() {
         f64::from_val(Val::U(1));
+    }
+
+    #[test]
+    fn narrow_codecs_decode_their_whole_range() {
+        assert_eq!(u32::from_val(Val::U(u32::MAX as u64)), u32::MAX);
+        assert_eq!(usize::from_val(Val::U(0)), 0);
+        assert_eq!(usize::from_val(usize::MAX.to_val()), usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "U value 4294967296 out of range for u32")]
+    fn u32_codec_refuses_to_truncate() {
+        u32::from_val(Val::U(1 << 32));
     }
 
     #[test]

@@ -22,6 +22,7 @@ pub use value::{EnvArr, EnvView, Val, MAX_SLOTS};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dgp_am::AmCtx;
 use dgp_graph::LockGranularity;
 
 use crate::plan::PlanMode;
@@ -93,23 +94,40 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-rank engine counters (summed across ranks by the harness).
-#[derive(Debug, Default)]
+/// Per-rank engine counters (summed across ranks by the harness): one
+/// cache-line-aligned block of seven counters per thread of the rank, so
+/// a message handler bumps a counter with a relaxed load and store
+/// instead of a locked read-modify-write on a line every thread shares.
+///
+/// Only the thread with [`AmCtx::thread`] `t` writes block `t`; the
+/// single writer makes load-plus-store exact. [`Self::snapshot`] sums the
+/// blocks and is exact at quiescence: epoch-exit termination detection
+/// orders every handler's stores before the epoch returns, and so before
+/// any snapshot taken after it (INTERNALS §14.6). A snapshot taken
+/// mid-epoch is not a consistent cut.
+#[derive(Debug)]
 pub struct EngineStats {
+    blocks: Box<[StatBlock]>,
+}
+
+/// One thread's engine counters, alone on its cache line(s).
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct StatBlock {
     /// Action instances begun (initial invocations plus work-hook reruns).
-    pub actions_started: AtomicU64,
+    pub(crate) actions_started: AtomicU64,
     /// Generator items expanded (edges/vertices examined).
-    pub items_generated: AtomicU64,
+    pub(crate) items_generated: AtomicU64,
     /// Condition evaluations that fired.
-    pub conditions_true: AtomicU64,
+    pub(crate) conditions_true: AtomicU64,
     /// Condition evaluations that did not fire.
-    pub conditions_false: AtomicU64,
+    pub(crate) conditions_false: AtomicU64,
     /// Modifications that changed their target value.
-    pub modifications_changed: AtomicU64,
+    pub(crate) modifications_changed: AtomicU64,
     /// Modifications that left their target unchanged.
-    pub modifications_unchanged: AtomicU64,
+    pub(crate) modifications_unchanged: AtomicU64,
     /// Work items created by the §III-C dependency rule.
-    pub dependencies_fired: AtomicU64,
+    pub(crate) dependencies_fired: AtomicU64,
 }
 
 /// A point-in-time copy of [`EngineStats`].
@@ -132,20 +150,43 @@ pub struct EngineStatsSnapshot {
 }
 
 impl EngineStats {
-    pub(crate) fn bump(c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
+    /// One zeroed block per thread of a rank running `threads` threads.
+    pub(crate) fn new(threads: usize) -> EngineStats {
+        EngineStats {
+            blocks: (0..threads).map(|_| StatBlock::default()).collect(),
+        }
     }
 
-    /// Point-in-time copy (exact when quiescent).
+    /// The calling thread's block: the only one it may bump.
+    #[inline]
+    pub(crate) fn of(&self, ctx: &AmCtx) -> &StatBlock {
+        &self.blocks[ctx.thread()]
+    }
+
+    /// Add one to a counter of the caller's own block ([`Self::of`]). Not
+    /// a read-modify-write: correct only because no other thread writes
+    /// that block.
+    #[inline]
+    pub(crate) fn bump(c: &AtomicU64) {
+        c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// Point-in-time sum over the rank's threads (exact when quiescent).
     pub fn snapshot(&self) -> EngineStatsSnapshot {
+        let sum = |f: fn(&StatBlock) -> &AtomicU64| {
+            self.blocks
+                .iter()
+                .map(|b| f(b).load(Ordering::SeqCst))
+                .sum()
+        };
         EngineStatsSnapshot {
-            actions_started: self.actions_started.load(Ordering::SeqCst),
-            items_generated: self.items_generated.load(Ordering::SeqCst),
-            conditions_true: self.conditions_true.load(Ordering::SeqCst),
-            conditions_false: self.conditions_false.load(Ordering::SeqCst),
-            modifications_changed: self.modifications_changed.load(Ordering::SeqCst),
-            modifications_unchanged: self.modifications_unchanged.load(Ordering::SeqCst),
-            dependencies_fired: self.dependencies_fired.load(Ordering::SeqCst),
+            actions_started: sum(|b| &b.actions_started),
+            items_generated: sum(|b| &b.items_generated),
+            conditions_true: sum(|b| &b.conditions_true),
+            conditions_false: sum(|b| &b.conditions_false),
+            modifications_changed: sum(|b| &b.modifications_changed),
+            modifications_unchanged: sum(|b| &b.modifications_unchanged),
+            dependencies_fired: sum(|b| &b.dependencies_fired),
         }
     }
 }

@@ -120,31 +120,80 @@ impl Val {
     }
 }
 
-/// The fixed-size payload environment of an action instance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnvArr {
-    vals: [Val; MAX_SLOTS],
+/// Which [`Val`] variant a packed slot holds; the payload itself sits in
+/// the slot's `u64`.
+#[derive(Clone, Copy, Default)]
+#[repr(u8)]
+enum Kind {
+    #[default]
+    Unset,
+    U,
+    I,
+    F,
+    B,
+    NoneV,
+    SomeV,
 }
 
-impl Default for EnvArr {
-    fn default() -> Self {
-        EnvArr {
-            vals: [Val::Unset; MAX_SLOTS],
-        }
-    }
+/// The fixed-size payload environment of an action instance, packed: one
+/// `u64` of payload and one kind byte per slot (72 bytes where eight
+/// tagged [`Val`]s take 128). `get` returns exactly the `Val` `set`
+/// stored — floats travel as their bits, so `-0.0` and NaN payloads
+/// survive. Equality and `Debug` are slot-wise over `Val`s.
+#[derive(Clone, Copy, Default)]
+pub struct EnvArr {
+    bits: [u64; MAX_SLOTS],
+    kinds: [Kind; MAX_SLOTS],
 }
 
 impl EnvArr {
     /// Read a payload slot.
     #[inline]
     pub fn get(&self, slot: usize) -> Val {
-        self.vals[slot]
+        let b = self.bits[slot];
+        match self.kinds[slot] {
+            Kind::Unset => Val::Unset,
+            Kind::U => Val::U(b),
+            Kind::I => Val::I(b as i64),
+            Kind::F => Val::F(f64::from_bits(b)),
+            Kind::B => Val::B(b != 0),
+            Kind::NoneV => Val::OptV(None),
+            Kind::SomeV => Val::OptV(Some(b)),
+        }
     }
 
     /// Fill a payload slot.
     #[inline]
     pub fn set(&mut self, slot: usize, v: Val) {
-        self.vals[slot] = v;
+        let (kind, b) = match v {
+            Val::Unset => (Kind::Unset, 0),
+            Val::U(x) => (Kind::U, x),
+            Val::I(x) => (Kind::I, x as u64),
+            Val::F(x) => (Kind::F, x.to_bits()),
+            Val::B(x) => (Kind::B, x as u64),
+            Val::OptV(None) => (Kind::NoneV, 0),
+            Val::OptV(Some(x)) => (Kind::SomeV, x),
+        };
+        self.kinds[slot] = kind;
+        self.bits[slot] = b;
+    }
+
+    fn vals(&self) -> [Val; MAX_SLOTS] {
+        std::array::from_fn(|i| self.get(i))
+    }
+}
+
+impl PartialEq for EnvArr {
+    fn eq(&self, other: &Self) -> bool {
+        self.vals() == other.vals()
+    }
+}
+
+impl std::fmt::Debug for EnvArr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EnvArr")
+            .field("vals", &self.vals())
+            .finish()
     }
 }
 
@@ -231,6 +280,53 @@ impl<'a> EnvView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Bit-exact `Val` equality: floats compare by their bits, so NaN
+    /// payloads and the sign of zero count.
+    fn same(a: Val, b: Val) -> bool {
+        match (a, b) {
+            (Val::F(x), Val::F(y)) => x.to_bits() == y.to_bits(),
+            (a, b) => a == b,
+        }
+    }
+
+    /// Every variant, with the edge values of each payload.
+    fn edge_vals() -> Vec<Val> {
+        vec![
+            Val::Unset,
+            Val::U(0),
+            Val::U(u64::MAX),
+            Val::I(i64::MIN),
+            Val::I(-1),
+            Val::I(i64::MAX),
+            Val::F(0.0),
+            Val::F(-0.0),
+            Val::F(f64::INFINITY),
+            Val::F(f64::NEG_INFINITY),
+            Val::F(f64::from_bits(0x7ff8_dead_beef_0001)),
+            Val::F(f64::from_bits(0xfff0_0000_0000_0001)),
+            Val::F(f64::MIN_POSITIVE / 2.0),
+            Val::B(false),
+            Val::B(true),
+            Val::OptV(None),
+            Val::OptV(Some(0)),
+            Val::OptV(Some(u64::MAX)),
+        ]
+    }
+
+    /// A `Val` from a variant selector and raw bits.
+    fn val_of(kind: u8, bits: u64) -> Val {
+        match kind % 7 {
+            0 => Val::Unset,
+            1 => Val::U(bits),
+            2 => Val::I(bits as i64),
+            3 => Val::F(f64::from_bits(bits)),
+            4 => Val::B(bits & 1 == 1),
+            5 => Val::OptV(None),
+            _ => Val::OptV(Some(bits)),
+        }
+    }
 
     #[test]
     fn env_roundtrip() {
@@ -240,6 +336,94 @@ mod tests {
         e.set(7, Val::OptV(None));
         assert_eq!(e.get(0), Val::F(1.5));
         assert_eq!(e.get(7), Val::OptV(None));
+    }
+
+    #[test]
+    fn packed_slots_roundtrip_every_variant_at_every_index() {
+        for slot in 0..MAX_SLOTS {
+            for v in edge_vals() {
+                let mut e = EnvArr::default();
+                e.set(slot, v);
+                assert!(
+                    same(e.get(slot), v),
+                    "slot {slot}: {v:?} read {:?}",
+                    e.get(slot)
+                );
+                for other in (0..MAX_SLOTS).filter(|&o| o != slot) {
+                    assert_eq!(e.get(other), Val::Unset, "slot {other} beside {slot}");
+                }
+            }
+        }
+        // Overwriting a slot with another variant keeps nothing of the old.
+        let mut e = EnvArr::default();
+        for v in edge_vals() {
+            e.set(3, Val::OptV(Some(u64::MAX)));
+            e.set(3, v);
+            assert!(same(e.get(3), v), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn unset_slot_survives_set_neighbours() {
+        let mut e = EnvArr::default();
+        for slot in (0..MAX_SLOTS).filter(|&s| s != 4) {
+            e.set(slot, Val::U(u64::MAX));
+        }
+        assert_eq!(e.get(4), Val::Unset);
+        e.set(4, Val::I(-7));
+        e.set(4, Val::Unset);
+        assert_eq!(e.get(4), Val::Unset);
+        assert_eq!(e.get(5), Val::U(u64::MAX));
+    }
+
+    #[test]
+    fn packed_env_compares_and_prints_slot_values() {
+        let (mut a, mut b) = (EnvArr::default(), EnvArr::default());
+        a.set(1, Val::F(0.0));
+        b.set(1, Val::F(-0.0));
+        assert_eq!(a, b, "compared as f64, like Val");
+        b.set(2, Val::OptV(None));
+        assert_ne!(a, b, "NULL is not unset");
+        a.set(2, Val::U(0));
+        assert_ne!(a, b, "U(0) is not NULL");
+        let mut nan = EnvArr::default();
+        nan.set(0, Val::F(f64::NAN));
+        let copy = nan;
+        assert_ne!(nan, copy, "NaN never equals, like Val");
+        assert!(format!("{b:?}").contains("vals: [Unset, F(-0.0), OptV(None), Unset"));
+    }
+
+    #[test]
+    fn action_frame_stays_lean() {
+        assert!(std::mem::size_of::<EnvArr>() <= 72);
+        assert!(std::mem::size_of::<crate::engine::ActionMsg>() <= 120);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn packed_env_matches_val_array_model(
+            ops in prop::collection::vec(
+                (0usize..MAX_SLOTS, any::<u8>(), any::<u32>(), any::<u32>(), any::<bool>()),
+                0..40,
+            ),
+        ) {
+            let edges = edge_vals();
+            let mut env = EnvArr::default();
+            let mut model = [Val::Unset; MAX_SLOTS];
+            for (slot, kind, hi, lo, edge) in ops {
+                let v = if edge {
+                    edges[hi as usize % edges.len()]
+                } else {
+                    val_of(kind, (hi as u64) << 32 | lo as u64)
+                };
+                env.set(slot, v);
+                model[slot] = v;
+                for (i, m) in model.iter().enumerate() {
+                    prop_assert!(same(env.get(i), *m), "slot {i}: {:?} vs {m:?}", env.get(i));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Engine-level tests: drive the plan interpreter directly through small,
 //! hand-analyzable patterns, covering every step kind and branch shape.
 
-use dgp_am::{AmCtx, Machine, MachineConfig};
+use dgp_am::{AmCtx, Machine, MachineConfig, MachineError};
 use dgp_core::builder::{ActionBuilder, BuiltAction};
 use dgp_core::engine::{ActionId, EngineConfig, Exec, PatternEngine, SyncMode, Val};
 use dgp_core::ir::{GeneratorIr, MapId, Place};
@@ -703,5 +703,52 @@ fn failing_payload_test_sends_no_hop() {
         assert_eq!(sent, 8 + hops, "8 start messages, {hops} hops ({label})");
         assert_eq!(tested, 7, "every edge tested once ({label})");
         assert_eq!(acc, vec![0; 8], "{label}");
+    }
+}
+
+/// An assign of 2^32 into a `u32` map is a pattern type error, not a
+/// silent wrap: the decode panics in the handler and the run returns
+/// `HandlerPanicked`, under both executors, through both the lock path
+/// (a test reading nothing) and the fused atomic step (a test reading the
+/// target). No wrapped value is ever stored.
+#[test]
+fn out_of_range_assign_fails_the_run() {
+    for exec in [Exec::Compiled, Exec::Reference] {
+        for reads_target in [false, true] {
+            let graph = line_graph(4, 2);
+            let wide = AtomicVertexMap::new(graph.distribution(), 7u32);
+            let map = wide.clone();
+            let err = Machine::try_run(MachineConfig::new(2), move |ctx| {
+                let cfg = EngineConfig {
+                    exec,
+                    ..EngineConfig::default()
+                };
+                let engine = PatternEngine::new(ctx, graph.clone(), cfg);
+                let w_id = engine.register_vertex_map(&map);
+                let mut b = ActionBuilder::new("widen", GeneratorIr::None);
+                let reads: Vec<_> = if reads_target {
+                    vec![b.read_vertex(w_id, Place::Input)]
+                } else {
+                    Vec::new()
+                };
+                b.cond(&reads, |_| true)
+                    .assign(w_id, Place::Input, &[], |_, _| Val::U(1 << 32));
+                let action = engine.add_action(b.build().unwrap()).unwrap();
+                let locals: Vec<VertexId> = graph.distribution().owned(ctx.rank()).collect();
+                once(ctx, &engine, action, &locals);
+            })
+            .expect_err("an out-of-range assign must fail the run");
+            let label = format!("{exec:?}, reads target: {reads_target}");
+            match err {
+                MachineError::HandlerPanicked { message, .. } => {
+                    assert!(
+                        message.contains("out of range for u32"),
+                        "{label}: {message}"
+                    )
+                }
+                other => panic!("{label}: expected HandlerPanicked, got {other}"),
+            }
+            assert_eq!(wide.snapshot(), vec![7; 4], "{label}: nothing stored");
+        }
     }
 }

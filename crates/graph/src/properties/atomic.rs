@@ -178,8 +178,10 @@ impl<T: AtomicValue> AtomicVertexMap<T> {
     }
 
     /// Atomically transform the value of owned vertex `v` with `f`,
-    /// retrying on contention. `f` must be pure.
-    pub fn update(&self, rank: usize, v: VertexId, f: impl Fn(T) -> T) -> UpdateOutcome<T> {
+    /// retrying on contention. `f` runs once per attempt and its result
+    /// must depend only on the value it is given; it may overwrite
+    /// scratch state on each attempt, but not accumulate across them.
+    pub fn update(&self, rank: usize, v: VertexId, mut f: impl FnMut(T) -> T) -> UpdateOutcome<T> {
         let cell = self.cell(rank, v);
         let mut cur = cell.load(Ordering::Acquire);
         loop {

@@ -383,3 +383,60 @@ fn sssp_paths_across_ranks() {
         });
     }
 }
+
+/// Engine counters stay exact with worker threads. Every vertex starts
+/// one out-edges action, so start messages land on all four handler
+/// threads of each rank; each thread bumps only its own counter block
+/// and the snapshot after the epoch sums them. A lost update anywhere
+/// shows as a count short of `n` or `m`.
+#[test]
+fn engine_counters_exact_with_worker_threads() {
+    let el = generators::rmat(12, 8, generators::RmatParams::GRAPH500, 5);
+    let n = el.num_vertices();
+    for exec in [Exec::Compiled, Exec::Reference] {
+        for run in 0..3 {
+            let graph = DistGraph::build(&el, Distribution::block(n, 2), false);
+            let m = graph.num_edges();
+            let cfg = MachineConfig::new(2).threads_per_rank(4);
+            let mut out = Machine::run(cfg, move |ctx| {
+                let flag = ctx.share(|| AtomicVertexMap::new(graph.distribution(), false));
+                let acc = ctx.share(|| AtomicVertexMap::new(graph.distribution(), 0u64));
+                let engine = PatternEngine::new(
+                    ctx,
+                    graph.clone(),
+                    EngineConfig {
+                        exec,
+                        ..EngineConfig::default()
+                    },
+                );
+                let flag_id = engine.register_vertex_map(&flag);
+                let acc_id = engine.register_vertex_map(&acc);
+                // Every test fails at the sender: one item and one false
+                // condition per edge, no hop.
+                let mut b = ActionBuilder::new("count_edges", GeneratorIr::OutEdges);
+                let f_v = b.read_vertex(flag_id, Place::Input);
+                b.cond(&[f_v], move |e| e.bool(f_v)).assign(
+                    acc_id,
+                    Place::GenTrg,
+                    &[],
+                    |_, old| Val::U(old.as_u64() + 1),
+                );
+                let action = engine.add_action(b.build().unwrap()).unwrap();
+                let locals: Vec<VertexId> = graph.distribution().owned(ctx.rank()).collect();
+                once(ctx, &engine, action, &locals);
+                let s = engine.stats();
+                let counts = (
+                    ctx.sum_ranks(s.actions_started),
+                    ctx.sum_ranks(s.items_generated),
+                    ctx.sum_ranks(s.conditions_false),
+                );
+                (ctx.rank() == 0).then_some(counts)
+            });
+            assert_eq!(
+                out[0].take().unwrap(),
+                (n, m, m),
+                "{exec:?}, run {run}: (actions_started, items_generated, conditions_false)"
+            );
+        }
+    }
+}
