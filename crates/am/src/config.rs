@@ -30,17 +30,15 @@ pub struct MachineConfig {
     /// Number of messages of one type buffered per destination before an
     /// envelope is shipped. 1 disables coalescing.
     pub coalescing_capacity: usize,
-    /// Enable the structured observability recorder (`dgp-am::obs`):
-    /// epoch/handler/termination spans, handler-latency and envelope-size
-    /// histograms, Chrome-trace export. Off by default; when off, the
-    /// instrumentation sites cost a single branch on an `Option`.
-    /// Per-epoch profiles (`AmCtx::epoch_profiles`) are always collected —
-    /// they cost one snapshot per epoch, not per message.
+    /// Enable profiling (`dgp-am::obs`): the per-message engine and
+    /// strategy spans, user spans, the handler-latency and envelope-size
+    /// histograms, and Chrome-trace export. Off by default; when off, the
+    /// per-message span sites cost a single branch. The runtime's own
+    /// events are recorded either way (see
+    /// [`event_capacity`](Self::event_capacity)), and per-epoch profiles
+    /// (`AmCtx::epoch_profiles`) are always collected — they cost one
+    /// snapshot per epoch, not per message.
     pub profile: bool,
-    /// Per-rank capacity of the span recorder used when
-    /// [`profile`](Self::profile) is on; further spans are dropped (and counted) so
-    /// profiling memory stays bounded.
-    pub profile_spans: usize,
     /// Optional transport fault injection (see [`crate::fault`]). When
     /// set, the reliability layer (sequence numbers, acks, retransmission,
     /// receiver dedup) is installed at the transport boundary and the
@@ -54,15 +52,21 @@ pub struct MachineConfig {
     /// [`MachineError::EpochDeadline`](crate::MachineError::EpochDeadline)
     /// naming the non-quiescent ranks, instead of hanging forever.
     pub epoch_deadline: Option<Duration>,
-    /// Per-thread capacity of the always-on flight recorder (0 disables
-    /// it). Each runtime thread keeps this many recent
-    /// [`FlightEvent`](crate::FlightEvent)s in a thread-local ring —
-    /// envelope ships, handler entries/exits, epoch transitions,
-    /// termination votes, retransmissions — frozen on the first recorded
-    /// failure and merged into the [`PostMortem`](crate::PostMortem)
-    /// timeline. Pushes are lock-free and thread-local (INTERNALS §10),
-    /// which is why the recorder can stay on by default.
-    pub flight_events: usize,
+    /// Per-thread capacity of the event recorder
+    /// ([`Recorder`](crate::Recorder)); `None` picks the default, read
+    /// through [`events_per_thread`](Self::events_per_thread). Each
+    /// runtime thread keeps its newest this many
+    /// [`SpanRecord`](crate::SpanRecord)s in a ring only it writes —
+    /// envelope ships, handler and epoch entries, handler, epoch and
+    /// termination spans, traced sends, retransmissions, injected faults,
+    /// and under [`profile`](Self::profile) the engine, strategy and user
+    /// spans. The rings freeze on the first recorded failure and become
+    /// the [`PostMortem`](crate::PostMortem) timeline. Pushes take no lock
+    /// (INTERNALS §10.2), which is why the recorder stays on by default.
+    /// Set by both [`flight`](Self::flight) and
+    /// [`profile_capacity`](Self::profile_capacity); `Some(0)` records
+    /// nothing.
+    pub event_capacity: Option<usize>,
     /// Causal-trace sampling rate: on average one in `trace_sampling`
     /// causally-new sends starts a traced cascade (0 disables tracing;
     /// 1 traces everything). Handler re-sends inside a traced cascade are
@@ -71,6 +75,7 @@ pub struct MachineConfig {
     /// index), so identical configs trace identical cascades; the seed is
     /// the fault plan's when one is installed — chaos runs trace
     /// reproducibly with no extra wiring — and a fixed constant otherwise.
+    /// Must be below 2^63: gaps are drawn from `[1, 2n-1]`.
     pub trace_sampling: u64,
     /// Directory automatic post-mortems are written into. When set (or
     /// when the `DGP_POSTMORTEM_DIR` environment variable is, which takes
@@ -101,10 +106,9 @@ impl MachineConfig {
             threads_per_rank: 1,
             coalescing_capacity: 64,
             profile: false,
-            profile_spans: 1 << 16,
             faults: None,
             epoch_deadline: None,
-            flight_events: 1024,
+            event_capacity: None,
             trace_sampling: 64,
             postmortem_dir: None,
             transport: TransportKind::from_env(),
@@ -124,16 +128,19 @@ impl MachineConfig {
         self
     }
 
-    /// Enable (or disable) the observability recorder — spans, latency
+    /// Enable (or disable) profiling — per-message spans, latency
     /// histograms, Chrome-trace export (see [`crate::obs`]).
     pub fn profile(mut self, on: bool) -> Self {
         self.profile = on;
         self
     }
 
-    /// Set the per-rank span-buffer capacity used when profiling is on.
-    pub fn profile_capacity(mut self, spans_per_rank: usize) -> Self {
-        self.profile_spans = spans_per_rank;
+    /// Set the per-thread event capacity (the same setting as
+    /// [`flight`](Self::flight); see [`MachineConfig::event_capacity`]).
+    /// A profiled run that must not lose a record sizes it to the most
+    /// events one thread records.
+    pub fn profile_capacity(mut self, events_per_thread: usize) -> Self {
+        self.event_capacity = Some(events_per_thread);
         self
     }
 
@@ -151,11 +158,19 @@ impl MachineConfig {
         self
     }
 
-    /// Set the per-thread flight-recorder ring capacity (0 disables the
-    /// recorder; see [`MachineConfig::flight_events`]).
+    /// Set the per-thread event capacity (0 disables the recorder; see
+    /// [`MachineConfig::event_capacity`]).
     pub fn flight(mut self, events_per_thread: usize) -> Self {
-        self.flight_events = events_per_thread;
+        self.event_capacity = Some(events_per_thread);
         self
+    }
+
+    /// The per-thread event capacity in effect:
+    /// [`event_capacity`](Self::event_capacity) when set, otherwise 1 024
+    /// events, or 65 536 with [`profile`](Self::profile) on.
+    pub fn events_per_thread(&self) -> usize {
+        self.event_capacity
+            .unwrap_or(if self.profile { 1 << 16 } else { 1 << 10 })
     }
 
     /// Set the causal-trace sampling rate: one traced cascade per `n`
@@ -191,6 +206,10 @@ impl MachineConfig {
         assert!(
             self.coalescing_capacity >= 1,
             "coalescing capacity must be at least 1"
+        );
+        assert!(
+            self.trace_sampling < 1 << 63,
+            "trace_sampling must be below 2^63 (the sampler draws gaps in [1, 2n-1])"
         );
         if let Some(plan) = &self.faults {
             plan.validate();
@@ -234,6 +253,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "trace_sampling must be below 2^63")]
+    fn huge_trace_sampling_rejected() {
+        MachineConfig::new(1).trace_sampling(1 << 63).validate();
+    }
+
+    #[test]
     fn default_is_single_rank() {
         let c = MachineConfig::default();
         assert_eq!(c.ranks, 1);
@@ -242,7 +267,7 @@ mod tests {
     #[test]
     fn flight_and_tracing_default_on() {
         let c = MachineConfig::default();
-        assert!(c.flight_events > 0, "flight recorder is always-on");
+        assert!(c.events_per_thread() > 0, "flight recorder is always-on");
         assert!(c.trace_sampling > 0, "causal tracing samples by default");
         assert!(c.postmortem_dir.is_none());
     }
@@ -266,7 +291,7 @@ mod tests {
             .flight(0)
             .trace_sampling(1)
             .postmortem("/tmp/pm");
-        assert_eq!(c.flight_events, 0);
+        assert_eq!(c.events_per_thread(), 0);
         assert_eq!(c.trace_sampling, 1);
         assert_eq!(
             c.postmortem_dir.as_deref(),

@@ -52,12 +52,12 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
 use parking_lot::Mutex;
 
-use crate::machine::{Ack, Envelope, Packet, RankId, Shared};
-use crate::obs::{SpanKind, SpanRecord};
+use crate::machine::{Ack, AmCtx, Envelope, Packet, RankId, Shared};
+use crate::obs::SpanKind;
 use crate::stats::MachineStats;
-use crate::trace::{FlightKind, LaneBacklog};
+use crate::trace::LaneBacklog;
 
-/// Pack a directed lane into one flight-event payload word.
+/// Pack a directed lane into one event argument word.
 fn lane_word(from: RankId, to: RankId) -> u64 {
     ((from as u64) << 32) | to as u64
 }
@@ -484,7 +484,8 @@ impl Reliability {
     /// Accept an outgoing envelope from the coalescing layer: sequence it,
     /// stash a retransmit copy, and put transmission attempt 0 through the
     /// fault plan.
-    pub(crate) fn send(&self, shared: &Shared, from: RankId, to: RankId, env: Envelope) {
+    pub(crate) fn send(&self, ctx: &AmCtx, to: RankId, env: Envelope) {
+        let (shared, from) = (&*ctx.shared, ctx.rank());
         let lane = self.lane(from, to);
         let seq = self.next_seq[lane].fetch_add(1, SeqCst) + 1;
         let type_id = env.type_id;
@@ -510,31 +511,23 @@ impl Reliability {
                 // Lost on the wire; the pending copy will be retransmitted
                 // once its timeout expires.
                 MachineStats::bump(&shared.stats.injected_drops, 1);
-                shared
-                    .flight
-                    .aux_push(FlightKind::FaultInjected, lane_word(from, to), 0);
+                ctx.mark(SpanKind::Fault, "fault", lane_word(from, to), 0);
             }
             FaultAction::Delay(ticks) => {
                 MachineStats::bump(&shared.stats.injected_delays, 1);
-                shared
-                    .flight
-                    .aux_push(FlightKind::FaultInjected, lane_word(from, to), 2);
+                ctx.mark(SpanKind::Fault, "fault", lane_word(from, to), 2);
                 self.park(self.now() + ticks, flight);
             }
             FaultAction::Reorder => {
                 MachineStats::bump(&shared.stats.injected_reorders, 1);
-                shared
-                    .flight
-                    .aux_push(FlightKind::FaultInjected, lane_word(from, to), 3);
+                ctx.mark(SpanKind::Fault, "fault", lane_word(from, to), 3);
                 self.held[lane]
                     .lock()
                     .push((self.now() + self.plan.reorder_window, flight));
             }
             FaultAction::Duplicate => {
                 MachineStats::bump(&shared.stats.injected_dups, 1);
-                shared
-                    .flight
-                    .aux_push(FlightKind::FaultInjected, lane_word(from, to), 1);
+                ctx.mark(SpanKind::Fault, "fault", lane_word(from, to), 1);
                 let dup = Flight {
                     from,
                     to,
@@ -605,22 +598,22 @@ impl Reliability {
 
     /// Receiver side: acknowledge `(from → to, seq)` back to the sender
     /// (subject to the plan's ack-drop probability).
-    pub(crate) fn ack(&self, shared: &Shared, from: RankId, to: RankId, type_id: u32, seq: u64) {
+    pub(crate) fn ack(&self, ctx: &AmCtx, from: RankId, type_id: u32, seq: u64) {
+        let (shared, to) = (&*ctx.shared, ctx.rank());
         if self.plan.drops_ack(from, to, type_id, seq) {
             MachineStats::bump(&shared.stats.injected_drops, 1);
-            shared
-                .flight
-                .aux_push(FlightKind::FaultInjected, lane_word(from, to), 4);
+            ctx.mark(SpanKind::Fault, "fault", lane_word(from, to), 4);
             return;
         }
         shared.push_ack(from, Ack { from, to, seq });
     }
 
-    /// Advance the fault layer on behalf of `rank`: process incoming acks,
+    /// Advance the fault layer on behalf of `ctx`'s rank: process incoming acks,
     /// release parked and expired-held packets, and retransmit timed-out
     /// pending packets on this rank's outgoing lanes. Called from every
     /// idle/termination loop; liveness of recovery depends on it.
-    pub(crate) fn pump(&self, shared: &Shared, rank: RankId) {
+    pub(crate) fn pump(&self, ctx: &AmCtx) {
+        let (shared, rank) = (&*ctx.shared, ctx.rank());
         let now = match (&self.sim_clock, &self.wall_base) {
             (Some(clock), _) => clock.load(SeqCst) / SIM_TICK_NS,
             (None, Some(base)) => base.elapsed().as_nanos() as u64 / WALL_TICK_NS,
@@ -703,24 +696,7 @@ impl Reliability {
                     // (see FaultPlan::action); anything else is a delivery.
                     _ => {
                         MachineStats::bump(&shared.stats.retransmits, 1);
-                        shared
-                            .flight
-                            .aux_push(FlightKind::Retransmit, lane_word(rank, to), seq);
-                        if let Some(rec) = &shared.obs {
-                            rec.record(SpanRecord {
-                                kind: SpanKind::Transport,
-                                name: "retransmit",
-                                rank,
-                                thread: 0,
-                                start_ns: rec.now_ns(),
-                                dur_ns: 0,
-                                epoch: shared.current_epoch_hint(),
-                                arg0: lane as u64,
-                                arg1: seq,
-                                flow_in: 0,
-                                flow_out: 0,
-                            });
-                        }
+                        ctx.mark(SpanKind::Retransmit, "retransmit", lane_word(rank, to), seq);
                         self.transmit_raw(shared, flight);
                     }
                 }

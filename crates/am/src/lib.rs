@@ -29,9 +29,11 @@
 //!   [`AmCtx::try_finish`]) are provided; both end through one
 //!   shared-counter detection step ([`termination`]).
 //! * **Structured observability** ([`obs`]): per-epoch counter profiles
-//!   (always on), an optional span/histogram recorder gated by
-//!   [`MachineConfig::profile`], and Chrome-trace / metrics-JSON exporters
-//!   — the per-phase message evidence the paper's Figs. 5–6 argue from.
+//!   (always on), one event recorder — a lock-free ring per thread,
+//!   always on for the runtime's own events, with per-message spans and
+//!   histograms under [`MachineConfig::profile`] — and Chrome-trace /
+//!   metrics-JSON exporters: the per-phase message evidence the paper's
+//!   Figs. 5–6 argue from.
 //! * **Deterministic fault injection and reliable delivery** ([`fault`]):
 //!   a seeded [`FaultPlan`] drops, duplicates, delays and reorders
 //!   envelopes at the transport boundary, and a per-lane
@@ -46,8 +48,8 @@
 //! * **Causal tracing and flight recording** ([`trace`]): a deterministic
 //!   sampler stamps envelopes with compact causal contexts that handler
 //!   re-sends inherit, exported as Chrome flow events stitching cascades
-//!   across ranks; an always-on per-thread flight recorder keeps the last
-//!   moments of every thread, and any failed run assembles an automatic
+//!   across ranks; the recorder's rings keep the last moments of every
+//!   thread, and any failed run assembles an automatic
 //!   [`PostMortem`] — merged timeline, unacked reliability lanes, and the
 //!   causal chain into the failing handler
 //!   ([`Machine::try_run_diagnosed`]).
@@ -136,7 +138,5 @@ pub use sim::{
     SimEventKind, SimEventRecord, SimPlan, SimReport, StallSpec, StragglerSpec,
 };
 pub use stats::StatsSnapshot;
-pub use trace::{
-    FailCause, FlightEvent, FlightKind, FlightRing, LaneBacklog, MergedEvent, PostMortem, TraceCtx,
-};
+pub use trace::{FailCause, LaneBacklog, PostMortem, TraceCtx};
 pub use transport::{ShmConfig, TcpConfig, TransportError, TransportKind};

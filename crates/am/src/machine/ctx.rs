@@ -15,7 +15,7 @@ use crate::config::MachineConfig;
 use crate::obs::{self, EpochProfile, MetricsReport, Recorder, SpanGuard, SpanKind};
 use crate::sim::InvariantCtx;
 use crate::stats::{StatsSnapshot, TypeStat, TypeStatSnapshot};
-use crate::trace::{mix64, FlightRing, TraceCtx};
+use crate::trace::{mix64, TraceCtx};
 // Named only by intra-doc links below.
 #[cfg(doc)]
 use {super::Machine, crate::error::MachineError};
@@ -96,7 +96,7 @@ impl<'a, T> std::ops::Deref for HandlerCtx<'a, T> {
 /// threads run handlers. `AmCtx` is deliberately `!Sync` — it owns the
 /// thread's coalescing buffers.
 pub struct AmCtx {
-    pub(super) shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     pub(super) rank: RankId,
     pub(super) thread: usize,
     pub(super) bufs: RefCell<Vec<Option<Box<dyn ErasedBuffers>>>>,
@@ -112,9 +112,6 @@ pub struct AmCtx {
     /// When the current epoch's entry barrier cleared on this rank; basis
     /// of the [`MachineConfig::epoch_deadline`] watchdog.
     pub(super) epoch_entered_at: Cell<Option<Instant>>,
-    /// This thread's flight-recorder ring (deposited into
-    /// `shared.flight` when the context drops — normal exit or unwind).
-    pub(super) flight: RefCell<FlightRing>,
     /// Set while executing a traced envelope's handler batch: sends
     /// inherit `trace_cur` instead of consulting the sampler.
     pub(super) trace_inherit: Cell<bool>,
@@ -128,22 +125,8 @@ pub struct AmCtx {
     pub(super) trace_roots: Cell<u64>,
 }
 
-impl Drop for AmCtx {
-    fn drop(&mut self) {
-        // Deposit whatever the ring holds — drop runs on both normal
-        // thread exit and unwinding, and `run_inner` only reads the
-        // collector after every thread has been joined.
-        let ring = std::mem::replace(
-            self.flight.get_mut(),
-            FlightRing::new(self.rank, self.thread, 0),
-        );
-        self.shared.flight.deposit(ring);
-    }
-}
-
 impl AmCtx {
     pub(super) fn new(shared: Arc<Shared>, rank: RankId, thread: usize) -> Self {
-        let flight = FlightRing::new(rank, thread, shared.flight.capacity());
         // Stagger each thread's first sampled root deterministically so
         // roots don't cluster at epoch starts across threads. Gaps are
         // uniform in [1, 2n-1] (mean n) — the upper bound is 2n-1, not
@@ -167,7 +150,6 @@ impl AmCtx {
             in_epoch: Cell::new(false),
             epochs_entered: Cell::new(0),
             epoch_entered_at: Cell::new(None),
-            flight: RefCell::new(flight),
             trace_inherit: Cell::new(false),
             trace_cur: Cell::new(TraceCtx::NONE),
             trace_gap: Cell::new(gap),
@@ -254,32 +236,26 @@ impl AmCtx {
     // Observability (see `crate::obs`)
     // ------------------------------------------------------------------
 
-    /// Whether the span/histogram recorder is on
-    /// ([`MachineConfig::profile`]).
+    /// Whether profiling is on ([`MachineConfig::profile`]).
     pub fn profiling_enabled(&self) -> bool {
-        self.shared.obs.is_some()
+        self.shared.cfg.profile
     }
 
-    /// The machine's span recorder, when profiling is enabled.
+    /// The machine's event recorder, when profiling is enabled. Its rings
+    /// are read in place: exact once the threads that write them are
+    /// quiescent, e.g. after a [`barrier`](Self::barrier) that follows
+    /// every rank's last epoch.
     pub fn recorder(&self) -> Option<&Recorder> {
-        self.shared.obs.as_ref()
+        self.profiling_enabled().then_some(&self.shared.recorder)
     }
 
-    /// Begin a span that records itself when dropped. Returns `None` (one
-    /// branch, no allocation) when profiling is disabled — bind it to a
-    /// `let _guard` and the instrumentation disappears from the cold
-    /// build's hot path.
+    /// Begin a span that records itself into this thread's ring when
+    /// dropped. Returns `None` (one branch, no allocation) when profiling
+    /// is disabled — bind it to a `let _guard` and the instrumentation
+    /// disappears from the cold build's hot path.
     pub fn span(&self, kind: SpanKind, name: &'static str) -> Option<SpanGuard<'_>> {
-        let rec = self.shared.obs.as_ref()?;
-        let epoch = self.shared.completed_epoch.load(SeqCst) + 1;
-        Some(SpanGuard::begin(
-            rec,
-            kind,
-            name,
-            self.rank,
-            self.thread,
-            epoch,
-        ))
+        self.profiling_enabled()
+            .then(|| SpanGuard::begin(self, kind, name, self.shared.current_epoch_hint()))
     }
 
     /// Machine-wide per-epoch counter profiles, one per completed epoch
@@ -297,7 +273,7 @@ impl AmCtx {
             cumulative: self.stats(),
             per_type: self.type_stats(),
             epoch_profiles: self.epoch_profiles(),
-            spans_dropped: match &self.shared.obs {
+            spans_dropped: match self.recorder() {
                 Some(rec) => (0..self.num_ranks()).map(|r| rec.dropped_of(r)).collect(),
                 None => Vec::new(),
             },
@@ -316,9 +292,7 @@ impl AmCtx {
     /// per rank; load in `chrome://tracing` or Perfetto). `None` when
     /// profiling is disabled.
     pub fn chrome_trace_json(&self) -> Option<String> {
-        self.shared
-            .obs
-            .as_ref()
+        self.recorder()
             .map(|rec| obs::chrome_trace_json(&rec.all_spans(), self.num_ranks()))
     }
 

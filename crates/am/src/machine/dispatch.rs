@@ -13,7 +13,7 @@ use crate::coalescing::TypedBuffers;
 use crate::error::{panic_message, Abort, MachineError};
 use crate::obs::{SpanKind, SpanRecord};
 use crate::stats::MachineStats;
-use crate::trace::{FailCause, FlightKind, TraceCtx};
+use crate::trace::{FailCause, TraceCtx};
 
 impl AmCtx {
     // ------------------------------------------------------------------
@@ -28,7 +28,7 @@ impl AmCtx {
             if let Some(t) = &self.shared.reliability {
                 // Ack *every* receipt, including duplicates: the original
                 // ack may have been the thing that was lost.
-                t.ack(&self.shared, pkt.from, self.rank, pkt.env.type_id, pkt.seq);
+                t.ack(self, pkt.from, pkt.env.type_id, pkt.seq);
                 if !t.accept(pkt.from, self.rank, pkt.seq) {
                     MachineStats::bump(&self.shared.stats.dups_suppressed, 1);
                     return;
@@ -42,8 +42,18 @@ impl AmCtx {
         let (type_id, count) = (env.type_id, env.count);
         let trace = env.trace;
         let payload = env.payload;
-        let packed = ((type_id as u64) << 32) | count as u64;
-        self.flight_push(FlightKind::HandlerEnter, packed, trace.event);
+        // The entry instant, then the handler span it opens: if the
+        // handler panics, the entry is the post-mortem's last word on
+        // this envelope.
+        let started = self.clock().map(|now| SpanRecord {
+            arg0: type_id as u64,
+            arg1: count as u64,
+            flow_in: trace.event,
+            ..self.stamp(SpanKind::HandlerEnter, "handler.enter", now)
+        });
+        if let Some(enter) = &started {
+            self.record(enter);
+        }
         // While a traced envelope's batch executes, every send this thread
         // makes joins the cascade: root carried through, the envelope's
         // event id as parent, depth + 1. Saved/restored (not just cleared)
@@ -59,34 +69,9 @@ impl AmCtx {
                 depth: trace.depth + 1,
             });
         }
-        let run = || {
-            // Frozen-table dispatch: no lock unless this thread's snapshot
-            // predates the type's registration (worker cold start).
-            let handler = self.local_handler(type_id);
-            match &self.shared.obs {
-                None => handler(self, payload, count),
-                Some(rec) => {
-                    let start_ns = rec.now_ns();
-                    let t0 = std::time::Instant::now();
-                    handler(self, payload, count);
-                    let dur_ns = t0.elapsed().as_nanos() as u64;
-                    rec.handler_ns.record(dur_ns);
-                    rec.record(SpanRecord {
-                        kind: SpanKind::Handler,
-                        name: "handler",
-                        rank: self.rank,
-                        thread: self.thread,
-                        start_ns,
-                        dur_ns,
-                        epoch: self.shared.completed_epoch.load(SeqCst) + 1,
-                        arg0: type_id as u64,
-                        arg1: count as u64,
-                        flow_in: trace.event,
-                        flow_out: 0,
-                    });
-                }
-            }
-        };
+        // Frozen-table dispatch: no lock unless this thread's snapshot
+        // predates the type's registration (worker cold start).
+        let run = || self.local_handler(type_id)(self, payload, count);
         let result = std::panic::catch_unwind(AssertUnwindSafe(run));
         if trace.is_traced() {
             self.trace_inherit.set(prev_inherit);
@@ -101,7 +86,7 @@ impl AmCtx {
                     .get(type_id as usize)
                     .map(|t| t.name.clone())
                     .unwrap_or_default();
-                // Cause before fail: fail() freezes the flight rings, and
+                // Cause before fail: fail() freezes the rings, and
                 // the cause is what the post-mortem's causal chain hangs
                 // off.
                 self.shared.record_fail_cause(FailCause {
@@ -125,7 +110,19 @@ impl AmCtx {
             // rank supervisor recognizes the sentinel.
             std::panic::resume_unwind(Box::new(Abort));
         }
-        self.flight_push(FlightKind::HandlerExit, packed, trace.event);
+        if let Some(enter) = started {
+            let rec = &self.shared.recorder;
+            let dur_ns = rec.now_ns().saturating_sub(enter.start_ns);
+            if self.profiling_enabled() {
+                rec.handler_ns.record(dur_ns);
+            }
+            self.record(&SpanRecord {
+                kind: SpanKind::Handler,
+                name: "handler",
+                dur_ns,
+                ..enter
+            });
+        }
     }
 
     /// Ship all of this thread's non-empty coalescing buffers. Returns the

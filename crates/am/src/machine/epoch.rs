@@ -10,7 +10,6 @@ use super::{AmCtx, RankId};
 use crate::error::{Abort, MachineError};
 use crate::obs::{SpanGuard, SpanKind};
 use crate::stats::MachineStats;
-use crate::trace::FlightKind;
 
 impl AmCtx {
     // ------------------------------------------------------------------
@@ -46,18 +45,8 @@ impl AmCtx {
         self.presize_locals();
         // First rank past the entry barrier stamps the epoch's start time.
         self.shared.epoch_prof.enter();
-        self.flight_push(FlightKind::EpochEnter, my_gen, 0);
-        let epoch_span = self.shared.obs.as_ref().map(|rec| {
-            SpanGuard::begin(
-                rec,
-                SpanKind::Epoch,
-                "epoch",
-                self.rank,
-                self.thread,
-                my_gen,
-            )
-            .args(my_gen, 0)
-        });
+        self.mark(SpanKind::EpochEnter, "epoch.enter", my_gen, 0);
+        let epoch_span = SpanGuard::begin(self, SpanKind::Epoch, "epoch", my_gen).args(my_gen, 0);
 
         let result = f(self);
 
@@ -71,7 +60,6 @@ impl AmCtx {
         if let Some(sim) = &self.shared.sim {
             sim.on_epoch_end(&self.shared, my_gen);
         }
-        self.flight_push(FlightKind::EpochExit, my_gen, 0);
         self.shared.epoch_active.fetch_sub(1, SeqCst);
         self.in_epoch.set(false);
         self.epoch_entered_at.set(None);
@@ -115,7 +103,7 @@ impl AmCtx {
         let mut handled = 0;
         loop {
             self.flush_own_buffers();
-            self.shared.pump_transport(self.rank);
+            self.pump_transport();
             let rx = &self.shared.ranks[self.rank].rx;
             let mut any = false;
             while let Ok(pkt) = rx.try_recv() {
@@ -137,7 +125,7 @@ impl AmCtx {
     /// empty Δ-stepping buckets); see [`crate::termination`] for why.
     pub fn try_finish(&self) -> bool {
         debug_assert!(self.in_epoch.get(), "try_finish is used inside an epoch");
-        self.termination_step(self.epochs_entered.get(), 0)
+        self.termination_step(self.epochs_entered.get())
     }
 
     /// Epoch exit: run the termination step until the epoch is over,
@@ -145,32 +133,21 @@ impl AmCtx {
     /// left in Δ-buckets stays there — a plain epoch ends when messages
     /// quiesce, so `try_finish`'s no-deferred-work contract is not needed.
     fn finish_epoch(&self, my_gen: u64) {
-        let mut span = self.shared.obs.as_ref().map(|rec| {
-            SpanGuard::begin(
-                rec,
-                SpanKind::Termination,
-                "termination.counters",
-                self.rank,
-                self.thread,
-                my_gen,
-            )
-            .args(my_gen, 0)
-        });
+        let mut span =
+            SpanGuard::begin(self, SpanKind::Termination, "termination.counters", my_gen)
+                .args(my_gen, 0);
         let mut rounds: u64 = 1;
-        while !self.termination_step(my_gen, rounds) {
+        while !self.termination_step(my_gen) {
             rounds += 1;
         }
-        if let Some(s) = span.as_mut() {
-            s.set_arg1(rounds);
-        }
+        span.set_arg1(rounds);
     }
 
     /// One pass of termination detection for epoch `my_gen` (see
     /// [`crate::termination`]): drain and flush, publish, raise the idle
     /// flag, double-scan the shared flags and counters, and either decide
-    /// (recording `vote_arg` with the vote) or wait for a ring. Returns
-    /// whether the epoch has terminated.
-    fn termination_step(&self, my_gen: u64, vote_arg: u64) -> bool {
+    /// or wait for a ring. Returns whether the epoch has terminated.
+    fn termination_step(&self, my_gen: u64) -> bool {
         self.shared.check_poison();
         if let Some(entered) = self.epoch_entered_at.get() {
             self.check_deadline(entered, my_gen);
@@ -212,7 +189,6 @@ impl AmCtx {
             self.idle_wait(|| self.shared.completed_epoch.load(SeqCst) >= my_gen);
             return false;
         }
-        self.flight_push(FlightKind::TermVote, my_gen, vote_arg);
         self.shared.completed_epoch.fetch_max(my_gen, SeqCst);
         self.shared.wake_all();
         true
@@ -244,7 +220,7 @@ impl AmCtx {
     /// retransmissions, parked releases) — every idle and termination loop
     /// runs through here, which is what keeps fault recovery live.
     fn drain_and_flush(&self) -> bool {
-        self.shared.pump_transport(self.rank);
+        self.pump_transport();
         let mut progress = false;
         let rx = &self.shared.ranks[self.rank].rx;
         while let Ok(pkt) = rx.try_recv() {
@@ -255,6 +231,14 @@ impl AmCtx {
             progress = true;
         }
         progress
+    }
+
+    /// Pump the reliability layer on behalf of this thread's rank (no-op
+    /// on the perfect transport).
+    pub(super) fn pump_transport(&self) {
+        if let Some(t) = &self.shared.reliability {
+            t.pump(self);
+        }
     }
 
     /// Fail the machine with [`MachineError::EpochDeadline`] when the

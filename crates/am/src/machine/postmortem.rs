@@ -8,8 +8,7 @@ use crate::obs;
 use crate::trace::PostMortem;
 
 /// Build the automatic post-mortem for a failed run. Every thread has
-/// been joined (and so has deposited its flight ring) by the time this
-/// runs, which is what makes reading the collector race-free.
+/// been joined by the time this runs, so the rings read whole.
 pub(super) fn assemble_postmortem(shared: &Shared, err: &MachineError) -> Box<PostMortem> {
     let unacked = shared
         .reliability
@@ -21,7 +20,7 @@ pub(super) fn assemble_postmortem(shared: &Shared, err: &MachineError) -> Box<Po
         shared.fail_cause.lock().clone(),
         shared.total_sent(),
         shared.total_handled(),
-        shared.flight.collect(),
+        shared.recorder.all_spans(),
         unacked,
     ))
 }
@@ -56,10 +55,10 @@ pub(super) fn write_postmortem(shared: &Shared, pm: &PostMortem) {
         }
     };
     write(format!("postmortem-{tag}.txt"), pm.render());
-    if let Some(rec) = &shared.obs {
+    if shared.cfg.profile {
         write(
             format!("trace-{tag}.json"),
-            obs::chrome_trace_json(&rec.all_spans(), shared.cfg.ranks),
+            obs::chrome_trace_json(&shared.recorder.all_spans(), shared.cfg.ranks),
         );
     }
 }

@@ -20,7 +20,7 @@ pub struct Machine;
 
 /// A recorded failure plus, when the primary cause was a panic, the
 /// original payload so [`Machine::run`] can re-raise it verbatim, plus
-/// the automatic post-mortem assembled from the frozen flight rings and
+/// the automatic post-mortem assembled from the frozen event rings and
 /// (sim mode only) the simulation report.
 type RunFailure = (
     MachineError,
@@ -309,19 +309,20 @@ impl Machine {
         if let Some(wire) = &shared.wire {
             wire.shutdown();
         }
-        // Truncated span traces must not be silently misleading: one line,
-        // once per run, only when it actually happened.
-        if let Some(rec) = &shared.obs {
-            let dropped = rec.dropped();
+        // Truncated profiles must not be silently misleading: one line,
+        // once per run, only when it actually happened. (The always-on
+        // rings overwrite their oldest events by design.)
+        if shared.cfg.profile {
+            let dropped = shared.recorder.dropped();
             if dropped > 0 {
                 eprintln!(
-                    "dgp-am: span recorder dropped {dropped} spans (trace is truncated; \
+                    "dgp-am: event recorder dropped {dropped} records (trace is truncated; \
                      raise MachineConfig::profile_capacity to keep all of them)"
                 );
             }
         }
-        // Every thread has been joined: flight rings are deposited, so
-        // the report (and its determinism digest) is complete and stable.
+        // Every thread has been joined: the rings are quiescent, so the
+        // report (and its determinism digest) is complete and stable.
         let report = shared.sim.as_ref().map(|sim| sim.report(&shared));
         if let Some(err) = shared.failure.lock().take() {
             let payload = shared.failure_payload.lock().take();

@@ -1,15 +1,14 @@
 //! The send path: coalescing-buffer push, causal-trace sampling, the
-//! flight recorder, and shipping an envelope to the delivery seam.
+//! thread's event ring, and shipping an envelope to the delivery seam.
 
-use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::sync::atomic::Ordering::Relaxed;
 
-use super::shared::deliver;
-use super::{AmCtx, Envelope, MessageType, RankId};
+use super::{AmCtx, Envelope, MessageType, Packet, RankId};
 use crate::caching::DominanceTable;
 use crate::coalescing::{ErasedBuffers, TypedBuffers};
 use crate::obs::{SpanKind, SpanRecord};
 use crate::stats::MachineStats;
-use crate::trace::{mix64, FlightEvent, FlightKind, TraceCtx};
+use crate::trace::{mix64, TraceCtx};
 
 /// Grow the per-type slot vector. Out of line: the send path only takes
 /// this on worker cold starts and for types registered after the thread's
@@ -58,10 +57,9 @@ impl AmCtx {
             .expect("message type ids are unique per machine");
         let trace = self.trace_for_send();
         if trace.is_traced() {
-            // Per-message flight events exist only for traced sends —
-            // sampling bounds them, keeping the recorder off the untraced
-            // hot path.
-            self.flight_push(FlightKind::Send, trace.root, dest as u64);
+            // Per-message events exist only for traced sends — sampling
+            // bounds them, keeping the recorder off the untraced hot path.
+            self.mark(SpanKind::Send, "send", trace.root, dest as u64);
         }
         tb.push(self, dest, msg, trace);
     }
@@ -100,24 +98,54 @@ impl AmCtx {
     }
 
     // ------------------------------------------------------------------
-    // Causal tracing + flight recorder (see `crate::trace`)
+    // Causal tracing + the event ring (see `crate::trace`, `crate::obs`)
     // ------------------------------------------------------------------
 
-    /// Record one event in this thread's flight-recorder ring: a relaxed
-    /// flag load, a clock read, and a store into thread-owned memory — no
-    /// locks, no shared cachelines (INTERNALS §10).
+    /// The time to stamp a record with, or `None` when the recorder wants
+    /// none (ring off or frozen, profiling off).
     #[inline]
-    pub(crate) fn flight_push(&self, kind: FlightKind, a: u64, b: u64) {
-        let fl = &self.shared.flight;
-        if !fl.enabled() || fl.is_frozen() {
-            return;
-        }
-        self.flight.borrow_mut().push(FlightEvent {
-            ts_ns: fl.now_ns(),
+    pub(crate) fn clock(&self) -> Option<u64> {
+        self.shared.recorder.clock()
+    }
+
+    /// A record of `kind` by this thread starting at `start_ns`; the
+    /// caller fills in what else it knows.
+    #[inline]
+    pub(crate) fn stamp(&self, kind: SpanKind, name: &'static str, start_ns: u64) -> SpanRecord {
+        SpanRecord {
             kind,
-            a,
-            b,
-        });
+            name,
+            rank: self.rank,
+            thread: self.thread,
+            start_ns,
+            dur_ns: 0,
+            epoch: self.shared.current_epoch_hint(),
+            arg0: 0,
+            arg1: 0,
+            flow_in: 0,
+            flow_out: 0,
+        }
+    }
+
+    /// Push `rec` (a record by this thread) into this thread's ring:
+    /// relaxed stores into memory no other thread writes — no lock, no
+    /// read-modify-write (INTERNALS §10.2).
+    #[inline]
+    pub(crate) fn record(&self, rec: &SpanRecord) {
+        debug_assert_eq!((rec.rank, rec.thread), (self.rank, self.thread));
+        self.shared.recorder.push(rec);
+    }
+
+    /// Record an instant of `kind` by this thread, stamped now.
+    #[inline]
+    pub(crate) fn mark(&self, kind: SpanKind, name: &'static str, arg0: u64, arg1: u64) {
+        if let Some(now) = self.clock() {
+            self.record(&SpanRecord {
+                arg0,
+                arg1,
+                ..self.stamp(kind, name, now)
+            });
+        }
     }
 
     /// The causal context for a message this thread is about to send:
@@ -164,38 +192,44 @@ impl AmCtx {
     }
 
     /// Ship one envelope from this thread: assign its causal event id when
-    /// traced, record the flight/flow events, and hand it to the transport
-    /// boundary. All envelope ships go through here (the coalescing layer
-    /// calls back into it), so the flight recorder sees every one.
+    /// traced, record the ship, and hand it to the transport boundary —
+    /// the reliability layer when installed, else straight into `dest`'s
+    /// inbox. All envelope ships go through here (the coalescing layer
+    /// calls back into it), so the recorder sees every one.
     pub(crate) fn ship_envelope(&self, dest: RankId, mut env: Envelope) {
         if env.trace.is_traced() {
-            let eid = self.shared.trace_eid.fetch_add(1, Relaxed) + 1;
-            env.trace.event = eid;
-            self.flight_push(FlightKind::TraceShip, eid, env.trace.parent);
-            if let Some(rec) = &self.shared.obs {
-                // Zero-duration ship marker carrying the outgoing flow id:
-                // the Chrome exporter draws the cross-rank arrow from here
-                // into the receiving handler span.
-                rec.record(SpanRecord {
-                    kind: SpanKind::Transport,
-                    name: "env.ship",
-                    rank: self.rank,
-                    thread: self.thread,
-                    start_ns: rec.now_ns(),
-                    dur_ns: 0,
-                    epoch: self.shared.completed_epoch.load(SeqCst) + 1,
-                    arg0: env.type_id as u64,
-                    arg1: env.count as u64,
-                    flow_in: 0,
-                    flow_out: eid,
-                });
-            }
+            env.trace.event = self.shared.trace_eid.fetch_add(1, Relaxed) + 1;
         }
-        self.flight_push(
-            FlightKind::EnvShip,
-            ((env.type_id as u64) << 32) | env.count as u64,
-            dest as u64,
-        );
-        deliver(&self.shared, self.rank, dest, env);
+        if let Some(now) = self.clock() {
+            // A traced ship carries its event id out and its parent's in:
+            // the Chrome exporter draws the cross-rank arrow from here into
+            // the receiving handler span, and the post-mortem walks the
+            // parent links.
+            self.record(&SpanRecord {
+                arg0: ((env.type_id as u64) << 32) | env.count as u64,
+                arg1: dest as u64,
+                flow_in: env.trace.parent,
+                flow_out: env.trace.event,
+                ..self.stamp(SpanKind::Ship, "env.ship", now)
+            });
+        }
+        let shared = &self.shared;
+        MachineStats::bump(&shared.stats.envelopes_sent, 1);
+        if self.profiling_enabled() {
+            shared.recorder.envelope_sizes.record(env.count as u64);
+        }
+        match &shared.reliability {
+            // Sequence the envelope, stash a retransmit copy, and put it
+            // through the fault plan.
+            Some(t) => t.send(self, dest, env),
+            None => shared.push_packet(
+                dest,
+                Packet {
+                    from: self.rank,
+                    seq: 0,
+                    env,
+                },
+            ),
+        }
     }
 }

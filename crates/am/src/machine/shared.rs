@@ -12,7 +12,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use super::envelope::ErasedHandler;
-use super::{Ack, Envelope, Packet, RankId};
+use super::{Ack, Packet, RankId};
 use crate::collectives::Collective;
 use crate::config::MachineConfig;
 use crate::error::{Abort, MachineError};
@@ -20,7 +20,7 @@ use crate::fault::{FaultPlan, Reliability};
 use crate::obs::{EpochProfiler, Recorder};
 use crate::sim::SimNet;
 use crate::stats::{MachineStats, StatsSnapshot, TypeStat};
-use crate::trace::{FailCause, FlightCollector};
+use crate::trace::FailCause;
 
 pub(crate) struct RankShared {
     tx: Sender<Packet>,
@@ -113,9 +113,9 @@ pub(crate) struct Shared {
     /// Per-message-type counters, indexed by type id (registration is
     /// collective, so ids agree across ranks).
     pub(super) type_stats: RwLock<Vec<Arc<TypeStat>>>,
-    /// Optional span/histogram recorder ([`MachineConfig::profile`]); the
-    /// disabled path everywhere is one branch on this `Option`.
-    pub(crate) obs: Option<Recorder>,
+    /// The event recorder: one ring per runtime thread, always on;
+    /// frozen by the first recorded failure (see [`crate::obs`]).
+    pub(crate) recorder: Recorder,
     /// Always-on per-epoch counter snapshotting (see [`crate::obs`]).
     pub(super) epoch_prof: EpochProfiler,
     /// Reliability + fault-injection layer; installed when
@@ -135,9 +135,6 @@ pub(crate) struct Shared {
     /// The original panic payload behind `failure`, when there is one —
     /// [`Machine::run`] re-raises it so panic messages survive verbatim.
     pub(super) failure_payload: parking_lot::Mutex<Option<Box<dyn Any + Send>>>,
-    /// Always-on flight recorder: per-thread rings deposit here at thread
-    /// exit; frozen by the first recorded failure (see [`crate::trace`]).
-    pub(crate) flight: FlightCollector,
     /// Allocator for causal event ids (traced envelopes only — untraced
     /// ships never touch it).
     pub(super) trace_eid: AtomicU64,
@@ -177,9 +174,6 @@ impl Shared {
             })
             .collect();
         let participants = cfg.ranks;
-        let obs = cfg
-            .profile
-            .then(|| Recorder::new(cfg.ranks, cfg.profile_spans));
         // A lossy wire backend (TCP) makes the reliability layer
         // load-bearing: install it with an inject-nothing plan when the
         // user did not configure faults of their own, and — wire or
@@ -203,18 +197,15 @@ impl Shared {
             .faults
             .as_ref()
             .map_or(0x9E37_79B9_7F4A_7C15, |plan| plan.seed);
-        // In sim mode the flight recorder's timestamps read the *virtual*
-        // clock, making the recorded timeline deterministic (and
-        // digest-comparable across runs).
-        let flight = match &sim {
-            Some(net) => FlightCollector::with_clock(cfg.flight_events, net.clock.clone()),
-            None => FlightCollector::new(cfg.flight_events),
-        };
+        // In sim mode the recorder's timestamps read the *virtual* clock,
+        // making the recorded timeline deterministic (and digest-comparable
+        // across runs).
+        let recorder = Recorder::new(&cfg, sim.as_ref().map(|net| net.clock.clone()));
         Shared {
             sim,
             reliability,
             wire,
-            flight,
+            recorder,
             trace_eid: AtomicU64::new(0),
             trace_seed,
             fail_cause: parking_lot::Mutex::new(None),
@@ -227,7 +218,6 @@ impl Shared {
             coll: Collective::new(participants),
             share_slot: parking_lot::Mutex::new(None),
             type_stats: RwLock::new(Vec::new()),
-            obs,
             epoch_prof: EpochProfiler::default(),
             failure: parking_lot::Mutex::new(None),
             failure_payload: parking_lot::Mutex::new(None),
@@ -287,7 +277,7 @@ impl Shared {
         }
         // Freeze the flight recorder so the rings keep the events leading
         // *into* the failure rather than the teardown noise after it.
-        self.flight.freeze();
+        self.recorder.freeze();
         self.poison();
     }
 
@@ -426,29 +416,6 @@ impl Shared {
     /// effort; used to stamp diagnostics from type-erased layers).
     pub(crate) fn current_epoch_hint(&self) -> u64 {
         self.completed_epoch.load(SeqCst) + 1
-    }
-
-    /// Pump the reliability layer on behalf of `rank` (no-op on the
-    /// perfect transport).
-    pub(super) fn pump_transport(&self, rank: RankId) {
-        if let Some(t) = &self.reliability {
-            t.pump(self, rank);
-        }
-    }
-}
-
-/// Push an envelope into `dest`'s inbox (used by the coalescing layer).
-pub(super) fn deliver(shared: &Shared, from: RankId, dest: RankId, env: Envelope) {
-    MachineStats::bump(&shared.stats.envelopes_sent, 1);
-    if let Some(rec) = &shared.obs {
-        rec.envelope_sizes.record(env.count as u64);
-    }
-    match &shared.reliability {
-        // Reliability layer installed: sequence the envelope, stash a
-        // retransmit copy, and put it through the fault plan.
-        Some(t) => t.send(shared, from, dest, env),
-        // Perfect transport: straight into the inbox, unsequenced.
-        None => shared.push_packet(dest, Packet { from, seq: 0, env }),
     }
 }
 

@@ -30,7 +30,7 @@ pub(super) fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
                 }
                 Err(_) => {
                     ctx.flush_own_buffers();
-                    shared.pump_transport(rank);
+                    ctx.pump_transport();
                     !(shared.shutdown.load(SeqCst) && rx.is_empty())
                 }
             }

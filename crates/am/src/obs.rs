@@ -5,14 +5,18 @@
 //! per-epoch message counts. This module provides the machinery to
 //! extract exactly that evidence from a run:
 //!
-//! * **[`Recorder`]** — a per-rank, allocation-light span/event recorder.
-//!   Spans are fixed-size [`SpanRecord`] values (static names, no heap
-//!   allocation per record) pushed into per-rank vectors behind one mutex
-//!   per rank; latency and batch-size distributions go into log-bucketed
-//!   [`LogHistogram`]s updated with relaxed atomics. The recorder only
-//!   exists when profiling is enabled via
-//!   [`MachineConfig::profile`](crate::MachineConfig::profile) — the
-//!   disabled hot path is a single branch on an `Option`.
+//! * **[`Recorder`]** — the machine's one event store. Every runtime
+//!   thread owns a fixed-capacity ring of [`SpanRecord`]s (static names,
+//!   no heap allocation per record) that it alone writes, lock-free; one
+//!   [`SpanKind`] vocabulary covers epoch, handler and termination spans,
+//!   envelope ships, handler and epoch entries, traced sends,
+//!   retransmissions and injected faults. These are always on
+//!   ([`MachineConfig::events_per_thread`](crate::MachineConfig::events_per_thread)
+//!   events per thread, newest kept) and feed post-mortems
+//!   ([`crate::trace`]) and the simulator's flight digest.
+//!   [`MachineConfig::profile`](crate::MachineConfig::profile) adds the
+//!   per-message engine and strategy spans, user spans, and two
+//!   log-bucketed [`LogHistogram`]s (handler latency, envelope sizes).
 //! * **[`EpochProfile`]** — the runtime automatically snapshots
 //!   machine-wide [`StatsSnapshot`] deltas at every epoch boundary
 //!   (duration, messages sent/handled, coalescing factor, cache-hit
@@ -30,19 +34,25 @@
 //!
 //! ## Overhead discipline
 //!
-//! Every instrumentation site follows the same rule: the disabled path may
-//! cost at most one well-predicted branch (`Option::is_none` on the
-//! recorder) and the enabled path may not allocate per event. Span names
-//! are `&'static str`; numeric span payloads ride in two untyped `u64`
+//! A push is a clock read and a dozen relaxed stores into memory only
+//! the pushing thread writes; the per-message profiling spans cost one
+//! branch when `profile` is off (`AmCtx::span` returns `None`). Span
+//! names are `&'static str`; numeric payloads ride in two untyped `u64`
 //! argument slots. Epoch profiling, which is per-epoch rather than
 //! per-message, stays on unconditionally.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::alloc::Layout;
+use std::sync::atomic::{
+    fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize,
+    Ordering::{Acquire, Relaxed, Release},
+};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::machine::RankId;
+use crate::config::MachineConfig;
+use crate::machine::{AmCtx, RankId};
 use crate::stats::{StatsSnapshot, TypeStatSnapshot};
 
 /// Number of buckets in a [`LogHistogram`] (one per possible bit length of
@@ -141,14 +151,22 @@ impl HistogramSnapshot {
     }
 }
 
-/// The category of a recorded span (maps to the Chrome trace-event `cat`
-/// field, so tracks can be filtered by layer).
+/// What a [`SpanRecord`] records. The first nine kinds are durations;
+/// the rest are instants (`dur_ns == 0`). The runtime's own kinds —
+/// epoch, handler and termination spans and every instant kind — are
+/// always on; `Gather`, `Eval`, `Expand`, `Strategy` and `Custom` spans
+/// are recorded only under [`MachineConfig::profile`](crate::MachineConfig::profile).
+/// Maps to the Chrome trace-event `cat` field through
+/// [`category`](Self::category).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum SpanKind {
-    /// One full epoch on one rank (entry barrier to exit barrier).
+    /// One full epoch on one rank, entry barrier to exit barrier
+    /// (`arg0` = epoch generation).
     Epoch,
     /// One envelope's worth of handler executions (`arg0` = type id,
-    /// `arg1` = messages in the envelope).
+    /// `arg1` = messages in the envelope, `flow_in` = the envelope's
+    /// causal event id, 0 if untraced).
     Handler,
     /// The termination-detection tail of an epoch (`arg0` = epoch
     /// generation, `arg1` = detection rounds this rank ran).
@@ -165,203 +183,468 @@ pub enum SpanKind {
     /// A strategy-level phase (per-bucket drain, per-round sweep; `arg0`
     /// is strategy-defined, e.g. the bucket index).
     Strategy,
-    /// Reliability-layer activity under fault injection (`arg0` = lane
-    /// index, `arg1` = sequence number; see [`crate::fault`]).
+    /// Transport-backend activity from a thread that owns no ring: a TCP
+    /// lane reconnect (`arg0` = peer rank, `arg1` = attempt).
     Transport,
     /// User-defined span recorded through
     /// [`AmCtx::span`](crate::AmCtx::span).
     Custom,
+    /// A traced logical message entered a coalescing buffer (`arg0` =
+    /// root id, `arg1` = destination rank). Untraced sends record nothing.
+    Send,
+    /// An envelope shipped toward a destination inbox (`arg0` =
+    /// `(type_id << 32) | count`, `arg1` = destination rank; traced
+    /// envelopes carry their event id in `flow_out` and their causal
+    /// parent's in `flow_in`).
+    Ship,
+    /// A handler batch began executing (the fields of the
+    /// [`Handler`](Self::Handler) span it opens). A post-mortem of a
+    /// handler panic ends with one of these and no matching span.
+    HandlerEnter,
+    /// A rank passed an epoch entry barrier (`arg0` = epoch generation).
+    EpochEnter,
+    /// The reliability layer retransmitted an unacked packet (`arg0` =
+    /// `(from << 32) | to`, `arg1` = sequence number).
+    Retransmit,
+    /// The fault layer injected a perturbation (`arg0` = `(from << 32) |
+    /// to`, `arg1` = fault class: 0 drop, 1 dup, 2 delay, 3 reorder, 4
+    /// ack-drop).
+    Fault,
 }
+
+/// Every [`SpanKind`], indexed by its discriminant.
+const KINDS: [SpanKind; 15] = [
+    SpanKind::Epoch,
+    SpanKind::Handler,
+    SpanKind::Termination,
+    SpanKind::Gather,
+    SpanKind::Eval,
+    SpanKind::Expand,
+    SpanKind::Strategy,
+    SpanKind::Transport,
+    SpanKind::Custom,
+    SpanKind::Send,
+    SpanKind::Ship,
+    SpanKind::HandlerEnter,
+    SpanKind::EpochEnter,
+    SpanKind::Retransmit,
+    SpanKind::Fault,
+];
 
 impl SpanKind {
     /// The Chrome trace-event category string.
     pub fn category(self) -> &'static str {
         match self {
-            SpanKind::Epoch => "epoch",
-            SpanKind::Handler => "handler",
+            SpanKind::Epoch | SpanKind::EpochEnter => "epoch",
+            SpanKind::Handler | SpanKind::HandlerEnter => "handler",
             SpanKind::Termination => "termination",
-            SpanKind::Gather => "engine",
-            SpanKind::Eval => "engine",
-            SpanKind::Expand => "engine",
+            SpanKind::Gather | SpanKind::Eval | SpanKind::Expand => "engine",
             SpanKind::Strategy => "strategy",
-            SpanKind::Transport => "transport",
+            SpanKind::Send | SpanKind::Ship => "send",
+            SpanKind::Transport | SpanKind::Retransmit | SpanKind::Fault => "transport",
             SpanKind::Custom => "custom",
         }
     }
 }
 
-/// One recorded span: fixed-size, allocation-free.
+/// One recorded event: fixed-size, allocation-free. The one record of
+/// the runtime — post-mortem timelines, the simulator's flight digest,
+/// Chrome export and [`Recorder::all_spans`] all read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Layer/category of the span.
+    /// What happened (see [`SpanKind`] for the argument layout).
     pub kind: SpanKind,
     /// Static display name.
     pub name: &'static str,
-    /// Rank the span ran on.
+    /// Rank the event happened on.
     pub rank: RankId,
     /// Thread within the rank (0 = main).
     pub thread: usize,
-    /// Start time in nanoseconds since the machine's recorder was created.
+    /// Start time in nanoseconds on the machine's clock: wall time since
+    /// the machine started, or virtual time under
+    /// [`Machine::run_sim`](crate::Machine::run_sim).
     pub start_ns: u64,
-    /// Duration in nanoseconds.
+    /// Duration in nanoseconds (0 for instants).
     pub dur_ns: u64,
-    /// Machine epoch generation the span belongs to (0 before the first
-    /// epoch completes; diagnostic, not exact at epoch boundaries).
+    /// Machine epoch generation the event belongs to (1-indexed;
+    /// diagnostic, not exact at epoch boundaries).
     pub epoch: u64,
     /// First untyped argument (kind-specific; see [`SpanKind`]).
     pub arg0: u64,
     /// Second untyped argument (kind-specific).
     pub arg1: u64,
-    /// Causal-trace event id this span *consumes* (0 = none): the traced
-    /// envelope whose delivery started this span. Exported as a Chrome
-    /// flow-event terminus so cross-rank cascades render as connected
-    /// arrows (see [`crate::trace`]).
+    /// Causal-trace event id this event descends from (0 = none): for a
+    /// handler, the traced envelope it ran; for a ship, the envelope
+    /// whose handler shipped it. A handler's `flow_in` is the terminus of
+    /// a Chrome flow arrow (see [`crate::trace`]).
     pub flow_in: u64,
-    /// Causal-trace event id this span *produces* (0 = none): the traced
-    /// envelope this span shipped. Exported as a Chrome flow-event origin.
+    /// Causal-trace event id this event produces (0 = none): the traced
+    /// envelope a ship sent. The origin of a Chrome flow arrow.
     pub flow_out: u64,
 }
 
-/// The span/event recorder: one bounded span buffer per rank plus
-/// machine-wide log-bucketed histograms. Created by the machine when
-/// [`MachineConfig::profile`](crate::MachineConfig::profile) is enabled.
-#[derive(Debug)]
+/// One ring slot: a [`SpanRecord`] in relaxed atomics, guarded by a
+/// stamp so a reader can tell a slot the writer is overwriting.
+#[derive(Default)]
+struct Slot {
+    /// Push ordinal (1-based) of the record held here; 0 while the owner
+    /// writes it.
+    stamp: AtomicU64,
+    /// `(rank << 32) | thread`.
+    at: AtomicU64,
+    name: AtomicPtr<u8>,
+    /// `(name.len() << 8) | kind`.
+    len_kind: AtomicU64,
+    start_ns: AtomicU64,
+    dur_ns: AtomicU64,
+    epoch: AtomicU64,
+    arg0: AtomicU64,
+    arg1: AtomicU64,
+    flow_in: AtomicU64,
+    flow_out: AtomicU64,
+}
+
+impl Slot {
+    fn write(&self, ordinal: u64, r: &SpanRecord) {
+        self.stamp.store(0, Relaxed);
+        // Orders the cleared stamp before every field store below: a
+        // reader that sees any of them sees the stamp move off its
+        // ordinal (INTERNALS §10.2).
+        fence(Release);
+        self.at
+            .store(((r.rank as u64) << 32) | r.thread as u64, Relaxed);
+        self.name.store(r.name.as_ptr().cast_mut(), Relaxed);
+        self.len_kind
+            .store(((r.name.len() as u64) << 8) | r.kind as u64, Relaxed);
+        self.start_ns.store(r.start_ns, Relaxed);
+        self.dur_ns.store(r.dur_ns, Relaxed);
+        self.epoch.store(r.epoch, Relaxed);
+        self.arg0.store(r.arg0, Relaxed);
+        self.arg1.store(r.arg1, Relaxed);
+        self.flow_in.store(r.flow_in, Relaxed);
+        self.flow_out.store(r.flow_out, Relaxed);
+        self.stamp.store(ordinal, Release);
+    }
+
+    /// The record of push `ordinal`, or `None` when the slot no longer
+    /// (or not yet) holds it whole.
+    fn read(&self, ordinal: u64) -> Option<SpanRecord> {
+        if self.stamp.load(Acquire) != ordinal {
+            return None;
+        }
+        let at = self.at.load(Relaxed);
+        let name = self.name.load(Relaxed);
+        let len_kind = self.len_kind.load(Relaxed);
+        let rec = SpanRecord {
+            kind: SpanKind::Custom,
+            name: "",
+            rank: (at >> 32) as RankId,
+            thread: (at & 0xffff_ffff) as usize,
+            start_ns: self.start_ns.load(Relaxed),
+            dur_ns: self.dur_ns.load(Relaxed),
+            epoch: self.epoch.load(Relaxed),
+            arg0: self.arg0.load(Relaxed),
+            arg1: self.arg1.load(Relaxed),
+            flow_in: self.flow_in.load(Relaxed),
+            flow_out: self.flow_out.load(Relaxed),
+        };
+        fence(Acquire);
+        if self.stamp.load(Relaxed) != ordinal {
+            return None;
+        }
+        let kind = *KINDS.get((len_kind & 0xff) as usize)?;
+        // SAFETY: the stamp read `ordinal` before the loads above and
+        // again after them, so every load returned what push `ordinal`
+        // stored (`write` clears the stamp, behind a release fence,
+        // before it overwrites any field). `name` and the length are thus
+        // the two halves of the one `&'static str` that push stored.
+        let name = unsafe {
+            std::str::from_utf8_unchecked(std::slice::from_raw_parts(
+                name,
+                (len_kind >> 8) as usize,
+            ))
+        };
+        Some(SpanRecord { kind, name, ..rec })
+    }
+}
+
+/// `n` slots of zeroed memory. Zeroed allocation leaves untouched pages
+/// unmapped, so a large ring costs memory and time only as far as it
+/// fills: initialised slot by slot, the 2^21-slot rings of a profiled
+/// benchmark run made its `am-storm` repetition about 5x slower.
+fn zeroed_slots(n: usize) -> Box<[Slot]> {
+    if n == 0 {
+        return Box::new([]);
+    }
+    let layout = Layout::array::<Slot>(n).expect("ring capacity overflows the address space");
+    // SAFETY: every field of `Slot` is an atomic integer or pointer, for
+    // which all-zero bytes are a valid value (0 or null), so zeroed
+    // memory of `layout` is `n` initialised slots; `Box<[Slot]>` frees it
+    // with the same layout.
+    unsafe {
+        let p = std::alloc::alloc_zeroed(layout).cast::<Slot>();
+        if p.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, n))
+    }
+}
+
+/// A fixed-capacity ring with one writer. Newest records overwrite the
+/// oldest; `count` counts every push so truncation is visible.
+#[derive(Default)]
+#[repr(align(64))]
+struct Ring {
+    /// Records ever pushed, published with a `Release` store after the
+    /// slot is written.
+    count: AtomicU64,
+    /// Slot the next push writes (read and written by the writer only).
+    head: AtomicUsize,
+    /// Allocated on the first push.
+    slots: OnceLock<Box<[Slot]>>,
+}
+
+impl Ring {
+    /// Append `r`. Callers guarantee one writer at a time.
+    #[inline]
+    fn push(&self, capacity: usize, r: &SpanRecord) {
+        let slots = self.slots.get_or_init(|| zeroed_slots(capacity));
+        let head = self.head.load(Relaxed);
+        let ordinal = self.count.load(Relaxed) + 1;
+        slots[head].write(ordinal, r);
+        self.head
+            .store(if head + 1 == capacity { 0 } else { head + 1 }, Relaxed);
+        self.count.store(ordinal, Release);
+    }
+
+    /// Append the retained records, oldest first, skipping any slot the
+    /// writer is overwriting.
+    fn read_into(&self, capacity: usize, out: &mut Vec<SpanRecord>) {
+        let Some(slots) = self.slots.get() else {
+            return;
+        };
+        let count = self.count.load(Acquire);
+        let first = count.saturating_sub(capacity as u64) + 1;
+        out.extend(
+            (first..=count)
+                .filter_map(|ord| slots[((ord - 1) % capacity as u64) as usize].read(ord)),
+        );
+    }
+
+    fn dropped(&self, capacity: usize) -> u64 {
+        self.count.load(Acquire).saturating_sub(capacity as u64)
+    }
+}
+
+/// The machine's one event store: a ring per runtime thread, a side
+/// ring for threads that own none, one clock, and (under
+/// [`MachineConfig::profile`](crate::MachineConfig::profile)) two
+/// log-bucketed histograms.
+///
+/// Each rank or worker thread is the only writer of its ring and pushes
+/// with relaxed stores and a `Release` count — no lock, no
+/// read-modify-write. Readers copy rings in place from any thread: exact
+/// once the writers are quiescent (between epochs, after the run); a slot
+/// overwritten mid-read is skipped (INTERNALS §10.2). Transport-backend
+/// threads (TCP writers) own no ring and push into the side ring under a
+/// lock.
 pub struct Recorder {
+    /// Wall-clock base of [`now_ns`](Self::now_ns).
     base: Instant,
-    max_spans_per_rank: usize,
-    spans: Vec<Mutex<Vec<SpanRecord>>>,
-    dropped: Vec<AtomicU64>,
-    /// Per-envelope handler-execution latency, nanoseconds.
+    /// Simulation mode: timestamps read this virtual clock (nanoseconds
+    /// of logical time, mirrored by the scheduler) instead, making
+    /// recorded timelines bit-reproducible across runs.
+    virtual_clock: Option<Arc<AtomicU64>>,
+    capacity: usize,
+    threads_per_rank: usize,
+    profile: bool,
+    frozen: AtomicBool,
+    /// `rank * threads_per_rank + thread`.
+    rings: Box<[Ring]>,
+    side: Mutex<Ring>,
+    /// Per-envelope handler-execution latency, nanoseconds (profiling
+    /// only).
     pub handler_ns: LogHistogram,
     /// Messages per delivered envelope (the realized coalescing factor
-    /// distribution, not just its mean).
+    /// distribution, not just its mean; profiling only).
     pub envelope_sizes: LogHistogram,
 }
 
+impl std::fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Recorder")
+            .field("capacity", &self.capacity)
+            .field("recorded", &self.recorded())
+            .field("dropped", &self.dropped())
+            .finish_non_exhaustive()
+    }
+}
+
 impl Recorder {
-    pub(crate) fn new(ranks: usize, max_spans_per_rank: usize) -> Recorder {
+    pub(crate) fn new(cfg: &MachineConfig, virtual_clock: Option<Arc<AtomicU64>>) -> Recorder {
         Recorder {
             base: Instant::now(),
-            max_spans_per_rank,
-            spans: (0..ranks).map(|_| Mutex::new(Vec::new())).collect(),
-            dropped: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
+            virtual_clock,
+            capacity: cfg.events_per_thread(),
+            threads_per_rank: cfg.threads_per_rank,
+            profile: cfg.profile,
+            frozen: AtomicBool::new(false),
+            rings: (0..cfg.ranks * cfg.threads_per_rank)
+                .map(|_| Ring::default())
+                .collect(),
+            side: Mutex::new(Ring::default()),
             handler_ns: LogHistogram::default(),
             envelope_sizes: LogHistogram::default(),
         }
     }
 
-    /// Nanoseconds since the recorder was created (the machine's time
-    /// base; all spans share it, so cross-rank ordering is meaningful).
+    /// Nanoseconds on the machine's clock: since the recorder was created,
+    /// or virtual time under the simulator. Every record shares it, so
+    /// cross-thread ordering is meaningful.
     pub fn now_ns(&self) -> u64 {
-        self.base.elapsed().as_nanos() as u64
+        match &self.virtual_clock {
+            Some(clock) => clock.load(Relaxed),
+            None => self.base.elapsed().as_nanos() as u64,
+        }
     }
 
-    /// Append a finished span to its rank's buffer. Drops (and counts)
-    /// the span when the rank's buffer is at capacity.
-    pub fn record(&self, span: SpanRecord) {
-        let mut buf = self.spans[span.rank].lock();
-        if buf.len() >= self.max_spans_per_rank {
-            self.dropped[span.rank].fetch_add(1, Relaxed);
+    /// The time to stamp a record with, or `None` when nothing wants one:
+    /// no ring capacity, or the rings frozen, and profiling off.
+    #[inline]
+    pub(crate) fn clock(&self) -> Option<u64> {
+        let recording = self.capacity > 0 && !self.frozen.load(Relaxed);
+        (recording || self.profile).then(|| self.now_ns())
+    }
+
+    /// Append `r` to the ring of thread (`r.rank`, `r.thread`). Only that
+    /// thread may call this: it is the ring's one writer.
+    #[inline]
+    pub(crate) fn push(&self, r: &SpanRecord) {
+        if self.capacity == 0 || self.frozen.load(Relaxed) {
             return;
         }
-        buf.push(span);
+        self.rings[r.rank * self.threads_per_rank + r.thread].push(self.capacity, r);
     }
 
-    /// Spans dropped across all ranks because a buffer was full.
+    /// Append `r` to the side ring, for threads that own no ring.
+    pub(crate) fn push_side(&self, r: &SpanRecord) {
+        if self.capacity == 0 || self.frozen.load(Relaxed) {
+            return;
+        }
+        self.side.lock().push(self.capacity, r);
+    }
+
+    /// Stop recording (called by the first failure, so the rings keep the
+    /// events leading up to it rather than the teardown).
+    pub(crate) fn freeze(&self) {
+        self.frozen.store(true, Relaxed);
+    }
+
+    /// Records ever pushed, across every ring.
+    pub fn recorded(&self) -> u64 {
+        let side = self.side.lock().count.load(Acquire);
+        self.rings
+            .iter()
+            .map(|r| r.count.load(Acquire))
+            .sum::<u64>()
+            + side
+    }
+
+    /// Records overwritten across every ring: [`recorded`](Self::recorded)
+    /// minus what the rings retain.
     pub fn dropped(&self) -> u64 {
-        self.dropped.iter().map(|d| d.load(Relaxed)).sum()
+        let side = self.side.lock().dropped(self.capacity);
+        self.rings
+            .iter()
+            .map(|r| r.dropped(self.capacity))
+            .sum::<u64>()
+            + side
     }
 
-    /// Spans dropped on one rank because its buffer was full.
+    /// Records overwritten in one rank's rings.
     pub fn dropped_of(&self, rank: RankId) -> u64 {
-        self.dropped[rank].load(Relaxed)
+        self.rank_rings(rank)
+            .iter()
+            .map(|r| r.dropped(self.capacity))
+            .sum()
     }
 
-    /// Copy of one rank's spans, in recording order.
+    fn rank_rings(&self, rank: RankId) -> &[Ring] {
+        let t = self.threads_per_rank;
+        &self.rings[rank * t..(rank + 1) * t]
+    }
+
+    /// Copy of one rank's retained records: each of its threads' rings in
+    /// thread order, oldest first.
     pub fn spans_of(&self, rank: RankId) -> Vec<SpanRecord> {
-        self.spans[rank].lock().clone()
+        let mut out = Vec::new();
+        for ring in self.rank_rings(rank) {
+            ring.read_into(self.capacity, &mut out);
+        }
+        out
     }
 
-    /// Copy of every rank's spans, concatenated in rank order.
+    /// Copy of every retained record: every rank's rings in rank order
+    /// (as [`spans_of`](Self::spans_of)), then the side ring.
     pub fn all_spans(&self) -> Vec<SpanRecord> {
         let mut out = Vec::new();
-        for s in &self.spans {
-            out.extend_from_slice(&s.lock());
+        for ring in self.rings.iter() {
+            ring.read_into(self.capacity, &mut out);
         }
+        self.side.lock().read_into(self.capacity, &mut out);
         out
     }
 }
 
-/// RAII guard for an in-flight span: records itself into the [`Recorder`]
-/// on drop. Obtained from [`AmCtx::span`](crate::AmCtx::span); `None` when
-/// profiling is disabled, so the hot path pays one branch.
+/// RAII guard for an in-flight span: records itself into its thread's
+/// ring on drop. Obtained from [`AmCtx::span`] (`None` unless profiling);
+/// the runtime's own epoch and termination spans use one too. Borrows the
+/// thread's [`AmCtx`], so it cannot leave the thread that owns the ring.
 pub struct SpanGuard<'a> {
-    rec: &'a Recorder,
-    kind: SpanKind,
-    name: &'static str,
-    rank: RankId,
-    thread: usize,
-    epoch: u64,
-    arg0: u64,
-    arg1: u64,
-    flow_in: u64,
-    t0: Instant,
-    start_ns: u64,
+    ctx: &'a AmCtx,
+    /// `None` when the recorder wanted no timestamp at the start.
+    rec: Option<SpanRecord>,
 }
 
 impl<'a> SpanGuard<'a> {
+    /// Start a span of epoch generation `epoch`.
     pub(crate) fn begin(
-        rec: &'a Recorder,
+        ctx: &'a AmCtx,
         kind: SpanKind,
         name: &'static str,
-        rank: RankId,
-        thread: usize,
         epoch: u64,
     ) -> SpanGuard<'a> {
-        SpanGuard {
-            rec,
-            kind,
-            name,
-            rank,
-            thread,
+        let rec = ctx.clock().map(|now| SpanRecord {
             epoch,
-            arg0: 0,
-            arg1: 0,
-            flow_in: 0,
-            t0: Instant::now(),
-            start_ns: rec.now_ns(),
-        }
+            ..ctx.stamp(kind, name, now)
+        });
+        SpanGuard { ctx, rec }
     }
 
     /// Attach the two untyped argument slots (builder style).
     pub fn args(mut self, arg0: u64, arg1: u64) -> Self {
-        self.arg0 = arg0;
-        self.arg1 = arg1;
+        if let Some(r) = &mut self.rec {
+            r.arg0 = arg0;
+            r.arg1 = arg1;
+        }
         self
     }
 
     /// Set the second argument slot after construction (e.g. an item
     /// count known only at the end of the span).
     pub fn set_arg1(&mut self, arg1: u64) {
-        self.arg1 = arg1;
+        if let Some(r) = &mut self.rec {
+            r.arg1 = arg1;
+        }
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.rec.record(SpanRecord {
-            kind: self.kind,
-            name: self.name,
-            rank: self.rank,
-            thread: self.thread,
-            start_ns: self.start_ns,
-            dur_ns: self.t0.elapsed().as_nanos() as u64,
-            epoch: self.epoch,
-            arg0: self.arg0,
-            arg1: self.arg1,
-            flow_in: self.flow_in,
-            flow_out: 0,
-        });
+        if let (Some(r), Some(now)) = (self.rec.as_mut(), self.ctx.clock()) {
+            r.dur_ns = now.saturating_sub(r.start_ns);
+            self.ctx.record(r);
+        }
     }
 }
 
@@ -517,16 +800,30 @@ fn fmt_f64(x: f64) -> String {
 /// `{"traceEvents": [...]}` object form). Loadable in `chrome://tracing`
 /// and Perfetto. Each rank becomes one process (`pid` = rank, labelled
 /// `"rank N"`), each thread within the rank one timeline row, so a run
-/// reads as one track per rank. Durations use complete (`"X"`) events with
-/// microsecond timestamps; span arguments land in `args`.
+/// reads as one track per rank. Every record is a complete (`"X"`) event
+/// with microsecond timestamps (instants have zero duration); span
+/// arguments land in `args`.
 ///
-/// Spans carrying causal-trace ids additionally emit *flow events*: a
-/// span with [`flow_out`](SpanRecord::flow_out) starts a flow (`ph:"s"`)
-/// and a span with [`flow_in`](SpanRecord::flow_in) terminates one
-/// (`ph:"f"`, `bp:"e"`), both keyed by the envelope's trace event id —
-/// so a sampled cascade renders as arrows stitching handler spans across
-/// ranks into one connected causal chain.
+/// Traced envelopes additionally emit *flow events*: a ship with
+/// [`flow_out`](SpanRecord::flow_out) starts a flow (`ph:"s"`) and the
+/// handler span with that id as [`flow_in`](SpanRecord::flow_in)
+/// terminates it (`ph:"f"`, `bp:"e"`) — so a sampled cascade renders as
+/// arrows stitching handler spans across ranks into one connected causal
+/// chain. A flow is emitted only when both of its ends are present: a
+/// ring that kept a handler but overwrote its ship yields no dangling
+/// terminus.
 pub fn chrome_trace_json(spans: &[SpanRecord], ranks: usize) -> String {
+    use std::collections::HashSet;
+    let shipped: HashSet<u64> = spans
+        .iter()
+        .filter(|s| s.flow_out != 0)
+        .map(|s| s.flow_out)
+        .collect();
+    let handled: HashSet<u64> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Handler && s.flow_in != 0)
+        .map(|s| s.flow_in)
+        .collect();
     let mut out = String::with_capacity(128 + spans.len() * 160);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
@@ -569,30 +866,22 @@ pub fn chrome_trace_json(spans: &[SpanRecord], ranks: usize) -> String {
             ),
         );
         // Flow events bind to the enclosing slice by timestamp: the start
-        // ("s") sits at the producing span's start, the terminus ("f" with
-        // bp:"e" = bind to enclosing slice) at the consuming span's start.
-        if s.flow_out != 0 {
+        // ("s") sits at the ship, the terminus ("f" with bp:"e" = bind to
+        // enclosing slice) at the consuming handler span's start.
+        let flow = if s.flow_out != 0 && handled.contains(&s.flow_out) {
+            Some(("s", "", s.flow_out))
+        } else if s.kind == SpanKind::Handler && s.flow_in != 0 && shipped.contains(&s.flow_in) {
+            Some(("f", ",\"bp\":\"e\"", s.flow_in))
+        } else {
+            None
+        };
+        if let Some((ph, bp, id)) = flow {
             push_event(
                 &mut out,
                 &mut first,
                 format!(
-                    "{{\"name\":\"causal\",\"cat\":\"trace\",\"ph\":\"s\",\
+                    "{{\"name\":\"causal\",\"cat\":\"trace\",\"ph\":\"{ph}\"{bp},\
                      \"id\":{id},\"ts\":{ts:.3},\"pid\":{pid},\"tid\":{tid}}}",
-                    id = s.flow_out,
-                    ts = s.start_ns as f64 / 1e3,
-                    pid = s.rank,
-                    tid = s.thread,
-                ),
-            );
-        }
-        if s.flow_in != 0 {
-            push_event(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"causal\",\"cat\":\"trace\",\"ph\":\"f\",\"bp\":\"e\",\
-                     \"id\":{id},\"ts\":{ts:.3},\"pid\":{pid},\"tid\":{tid}}}",
-                    id = s.flow_in,
                     ts = s.start_ns as f64 / 1e3,
                     pid = s.rank,
                     tid = s.thread,
@@ -657,9 +946,9 @@ pub struct MetricsReport {
     pub per_type: Vec<TypeStatSnapshot>,
     /// One profile per completed epoch, in order.
     pub epoch_profiles: Vec<EpochProfile>,
-    /// Spans dropped per rank by the span recorder (buffer at capacity);
+    /// Records each rank's rings overwrote ([`Recorder::dropped_of`]);
     /// empty when profiling is off. A nonzero entry means that rank's
-    /// trace is truncated.
+    /// trace is truncated to its newest events.
     pub spans_dropped: Vec<u64>,
 }
 
@@ -777,27 +1066,97 @@ mod tests {
         assert_eq!(s.quantile(1.0), u64::MAX);
     }
 
+    fn rec(start_ns: u64) -> SpanRecord {
+        SpanRecord {
+            kind: SpanKind::Custom,
+            name: "x",
+            rank: 0,
+            thread: 0,
+            start_ns,
+            dur_ns: 1,
+            epoch: 0,
+            arg0: 0,
+            arg1: 0,
+            flow_in: 0,
+            flow_out: 0,
+        }
+    }
+
+    fn recorder(cfg: MachineConfig) -> Recorder {
+        Recorder::new(&cfg, None)
+    }
+
     #[test]
-    fn recorder_caps_spans_and_counts_drops() {
-        let rec = Recorder::new(1, 2);
-        for i in 0..5 {
-            rec.record(SpanRecord {
-                kind: SpanKind::Custom,
-                name: "x",
-                rank: 0,
-                thread: 0,
+    fn ring_keeps_newest_and_counts_drops() {
+        let r = recorder(MachineConfig::new(1).flight(3));
+        for i in 0..7 {
+            r.push(&rec(i));
+        }
+        assert_eq!(r.recorded(), 7);
+        assert_eq!(r.dropped(), 4);
+        assert_eq!(r.dropped_of(0), 4);
+        let kept: Vec<u64> = r.spans_of(0).iter().map(|s| s.start_ns).collect();
+        assert_eq!(kept, vec![4, 5, 6], "newest three, oldest first");
+    }
+
+    #[test]
+    fn ring_below_capacity_is_in_order_and_round_trips() {
+        let r = recorder(MachineConfig::new(2).threads_per_rank(2).flight(8));
+        let mut sent = rec(0);
+        sent.kind = SpanKind::Ship;
+        sent.name = "env.ship";
+        sent.rank = 1;
+        sent.thread = 1;
+        sent.flow_in = 7;
+        sent.flow_out = 9;
+        r.push(&sent);
+        for i in 1..3 {
+            r.push(&SpanRecord {
                 start_ns: i,
-                dur_ns: 1,
-                epoch: 0,
-                arg0: 0,
-                arg1: 0,
-                flow_in: 0,
-                flow_out: 0,
+                ..sent
             });
         }
-        assert_eq!(rec.spans_of(0).len(), 2);
-        assert_eq!(rec.dropped(), 3);
-        assert_eq!(rec.dropped_of(0), 3);
+        assert!(r.spans_of(0).is_empty());
+        let kept = r.spans_of(1);
+        assert_eq!(kept.len(), 3);
+        assert_eq!(kept[0], sent, "every field survives the ring");
+        let ts: Vec<u64> = kept.iter().map(|s| s.start_ns).collect();
+        assert_eq!(ts, vec![0, 1, 2]);
+        assert_eq!(r.dropped(), 0);
+    }
+
+    #[test]
+    fn ring_capacity_zero_records_nothing() {
+        let r = recorder(MachineConfig::new(1).flight(0));
+        r.push(&rec(1));
+        r.push_side(&rec(2));
+        assert_eq!(r.recorded(), 0);
+        assert!(r.all_spans().is_empty());
+        assert_eq!(r.clock(), None, "no ring and no profile: no clock read");
+    }
+
+    #[test]
+    fn default_capacity_follows_profile() {
+        assert_eq!(MachineConfig::new(1).events_per_thread(), 1024);
+        assert_eq!(
+            MachineConfig::new(1).profile(true).events_per_thread(),
+            1 << 16
+        );
+        let c = MachineConfig::new(1).profile(true).flight(5);
+        assert_eq!(c.events_per_thread(), 5);
+        assert_eq!(c.profile_capacity(6).events_per_thread(), 6);
+    }
+
+    #[test]
+    fn freeze_discards_later_pushes() {
+        let r = recorder(MachineConfig::new(1).flight(8));
+        r.push(&rec(1));
+        r.push_side(&rec(2));
+        r.freeze();
+        r.push(&rec(3));
+        r.push_side(&rec(4));
+        let kept: Vec<u64> = r.all_spans().iter().map(|s| s.start_ns).collect();
+        assert_eq!(kept, vec![1, 2], "rings first, then the side ring");
     }
 
     #[test]
@@ -846,7 +1205,7 @@ mod tests {
     #[test]
     fn chrome_trace_emits_flow_events_for_traced_spans() {
         let mut ship = SpanRecord {
-            kind: SpanKind::Transport,
+            kind: SpanKind::Ship,
             name: "env.ship",
             rank: 0,
             thread: 0,
@@ -885,6 +1244,12 @@ mod tests {
         let plain = chrome_trace_json(&[ship], 1);
         assert!(!plain.contains("\"ph\":\"s\""), "{plain}");
         assert!(!plain.contains("\"ph\":\"f\""), "{plain}");
+        // A flow with one end overwritten is not emitted at all.
+        let orphan = chrome_trace_json(&[handler], 2);
+        assert!(!orphan.contains("\"ph\":\"f\""), "{orphan}");
+        ship.flow_out = 42;
+        let unconsumed = chrome_trace_json(&[ship], 2);
+        assert!(!unconsumed.contains("\"ph\":\"s\""), "{unconsumed}");
     }
 
     #[test]

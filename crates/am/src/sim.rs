@@ -10,8 +10,8 @@
 //! stacks), but the threads are used purely as coroutines: a token is
 //! handed from rank to rank by `SimNet`, so the whole run is effectively
 //! single-threaded and every run with the same seed is bit-identical —
-//! results, statistics, and the flight-recorder timeline (which reads the
-//! *virtual* clock in sim mode).
+//! results, statistics, and every recorded event and span (the recorder
+//! reads the *virtual* clock in sim mode).
 //!
 //! ## The delivery seam
 //!
@@ -414,7 +414,7 @@ pub struct SimReport {
     pub partition_drops: u64,
     /// Packets parked (and later released) by Hold-mode partitions.
     pub partition_held: u64,
-    /// FNV digest over the merged flight-recorder timeline (virtual
+    /// FNV digest over every record the event recorder retains (virtual
     /// timestamps included). Equal digests ⇒ identical timelines.
     pub flight_digest: u64,
     /// The newest [`SimPlan::record_events`] network events.
@@ -508,7 +508,7 @@ pub(crate) struct SimNet {
     /// The rank currently holding the token (`usize::MAX` before start).
     current: AtomicUsize,
     poisoned: AtomicBool,
-    /// Mirror of the virtual clock for the flight recorder's timestamps.
+    /// Mirror of the virtual clock for the event recorder's timestamps.
     pub(crate) clock: Arc<AtomicU64>,
     invariant: Mutex<Option<Arc<InvariantHook>>>,
 }
@@ -1218,26 +1218,28 @@ impl SimNet {
     }
 
     /// Assemble the run report. Call after every rank thread has been
-    /// joined (the flight rings are all deposited by then).
+    /// joined (the event rings are quiescent by then).
     pub(crate) fn report(&self, shared: &Shared) -> SimReport {
         let st = self.state.lock();
-        let mut rings = shared.flight.collect();
-        // Rings deposit as threads exit, which happens outside the token
-        // discipline — sort so the digest does not depend on join order.
-        rings.sort_by_key(|r| (r.rank, r.thread));
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fold = |x: u64| {
             digest ^= x;
             digest = digest.wrapping_mul(0x1000_0000_01b3);
         };
-        for ring in &rings {
-            fold(ring.rank as u64);
-            fold(ring.thread as u64);
-            for ev in ring.events() {
-                fold(ev.ts_ns);
-                fold(ev.kind as u64);
-                fold(ev.a);
-                fold(ev.b);
+        // Rings in (rank, thread) order, each oldest first.
+        for ev in shared.recorder.all_spans() {
+            for x in [
+                ev.rank as u64,
+                ev.thread as u64,
+                ev.kind as u64,
+                ev.start_ns,
+                ev.dur_ns,
+                ev.arg0,
+                ev.arg1,
+                ev.flow_in,
+                ev.flow_out,
+            ] {
+                fold(x);
             }
         }
         SimReport {

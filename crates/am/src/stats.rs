@@ -70,7 +70,7 @@ pub struct MachineStats {
     pub transport_frames_received: AtomicU64,
     /// Connection (re)establishment attempts after the initial dial of a
     /// lane — each one also records a `SpanKind::Transport` "reconnect"
-    /// span when profiling is on.
+    /// event in the recorder's side ring.
     pub transport_reconnects: AtomicU64,
     /// Handshakes rejected (bad magic, version mismatch, wrong lane) on
     /// either side of a wire connection.

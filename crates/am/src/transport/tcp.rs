@@ -19,7 +19,7 @@
 //! closes the connection and re-dials after a capped exponential
 //! backoff with deterministic jitter ([`super::jittered`]), recording a
 //! `transport_reconnects` tick and a `SpanKind::Transport` "reconnect"
-//! span per attempt. Frames queued or in flight across the gap are
+//! event per attempt. Frames queued or in flight across the gap are
 //! *lost* — that is the contract ([`Transport::lossy`]
 //! (super::Transport::lossy) is true) and the reliability layer above
 //! masks the hole with retransmit/dedup, exactly as it masks injected
@@ -323,16 +323,18 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Record one reconnect attempt: counter + optional Transport span.
+/// Record one reconnect attempt: counter + a Transport event in the
+/// recorder's side ring (writer threads own no ring).
 fn note_reconnect(shared: &Shared, from: RankId, to: RankId, attempt: u32) {
     MachineStats::bump(&shared.stats.transport_reconnects, 1);
-    if let Some(rec) = &shared.obs {
-        rec.record(SpanRecord {
+    let rec = &shared.recorder;
+    if let Some(now) = rec.clock() {
+        rec.push_side(&SpanRecord {
             kind: SpanKind::Transport,
             name: "reconnect",
             rank: from,
             thread: 0,
-            start_ns: rec.now_ns(),
+            start_ns: now,
             dur_ns: 0,
             epoch: shared.current_epoch_hint(),
             arg0: to as u64,

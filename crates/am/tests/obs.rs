@@ -144,3 +144,85 @@ fn spans_recorded_only_when_profiling() {
         );
     }
 }
+
+/// Ids of the flow events of phase `ph` (`"s"` or `"f"`) in a Chrome
+/// trace, in document order.
+fn flow_ids(json: &str, ph: &str) -> Vec<u64> {
+    let key = format!("\"ph\":\"{ph}\"");
+    json.match_indices(&key)
+        .map(|(at, _)| {
+            let rest = &json[at..];
+            let id = &rest[rest.find("\"id\":").expect("flow events carry an id") + 5..];
+            let end = id.find(|c: char| !c.is_ascii_digit()).unwrap();
+            id[..end].parse().unwrap()
+        })
+        .collect()
+}
+
+/// A ring keeps the newest records, so a small one can keep a handler
+/// whose envelope's ship on the other rank was overwritten. The counts
+/// stay honest and the Chrome export draws no arrow with a missing end.
+#[test]
+fn truncated_rings_keep_the_newest_and_export_whole_flows() {
+    const CAP: usize = 8;
+    let cfg = MachineConfig::new(2)
+        .coalescing(1)
+        .trace_sampling(1)
+        .profile(true)
+        .profile_capacity(CAP);
+    let mut out = Machine::run(cfg, |ctx| {
+        let mt = ctx.register(|_ctx, _: u32| {});
+        // Epoch 1: twenty traced envelopes from rank 0 to rank 1.
+        ctx.epoch(|ctx| {
+            if ctx.rank() == 0 {
+                for i in 0..20 {
+                    mt.send(ctx, 1, i);
+                }
+            }
+        });
+        // Epoch 2: rank 0 overwrites its ring, ships included.
+        ctx.epoch(|ctx| {
+            if ctx.rank() == 0 {
+                for _ in 0..20 {
+                    let _s = ctx.span(SpanKind::Custom, "user.work");
+                }
+            }
+        });
+        ctx.barrier();
+        (ctx.rank() == 0).then(|| {
+            let rec = ctx.recorder().expect("profiling on");
+            (
+                rec.recorded(),
+                rec.dropped(),
+                rec.all_spans(),
+                [rec.spans_of(0), rec.spans_of(1)],
+                ctx.chrome_trace_json().unwrap(),
+            )
+        })
+    });
+    let (recorded, dropped, all, per_rank, json) = out[0].take().unwrap();
+
+    assert!(dropped > 0, "the rings wrapped");
+    assert_eq!(dropped, recorded - all.len() as u64);
+
+    for (rank, spans) in per_rank.iter().enumerate() {
+        assert_eq!(spans.len(), CAP, "rank {rank} keeps a full ring");
+        // Newest kept, oldest first: the last record is the rank's
+        // epoch-2 span, and records sit in the order they ended.
+        let last = spans.last().unwrap();
+        assert_eq!((last.kind, last.arg0), (SpanKind::Epoch, 2), "rank {rank}");
+        let end = |s: &dgp_am::SpanRecord| s.start_ns + s.dur_ns;
+        assert!(spans.windows(2).all(|w| end(&w[0]) <= end(&w[1])));
+    }
+    // Rank 0's newest eight are all from epoch 2: its ships are gone.
+    assert!(per_rank[0].iter().all(|s| s.epoch == 2 && s.flow_out == 0));
+    // Rank 1 still holds handlers of those ships.
+    assert!(per_rank[1]
+        .iter()
+        .any(|s| s.kind == SpanKind::Handler && s.flow_in != 0));
+
+    let starts = flow_ids(&json, "s");
+    for id in flow_ids(&json, "f") {
+        assert!(starts.contains(&id), "flow {id} ends but never starts");
+    }
+}

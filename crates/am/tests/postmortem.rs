@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use dgp_am::{FaultPlan, FlightKind, Machine, MachineConfig, MachineError};
+use dgp_am::{FaultPlan, Machine, MachineConfig, MachineError, SpanKind};
 
 /// The fixed seeds every chaos test sweeps (CI runs each in its own job).
 fn seeds() -> Vec<u64> {
@@ -94,9 +94,7 @@ fn postmortem_names_rank_epoch_and_causal_parent_under_chaos() {
             "seed {seed}: empty flight timeline"
         );
         assert!(
-            pm.timeline
-                .iter()
-                .any(|e| e.kind == FlightKind::HandlerEnter),
+            pm.timeline.iter().any(|e| e.kind == SpanKind::HandlerEnter),
             "seed {seed}: no handler activity recorded"
         );
         assert!(
@@ -104,9 +102,12 @@ fn postmortem_names_rank_epoch_and_causal_parent_under_chaos() {
             "seed {seed}: causal chain not reconstructed"
         );
         // The chain is root-first: each subsequent ship's parent is the
-        // previous ship's event id (TraceShip: a = event, b = parent).
+        // previous ship's event id (Ship: flow_out = event, flow_in = parent).
         for w in pm.causal_chain.windows(2) {
-            assert_eq!(w[1].b, w[0].a, "seed {seed}: causal chain link broken");
+            assert_eq!(
+                w[1].flow_in, w[0].flow_out,
+                "seed {seed}: causal chain link broken"
+            );
         }
 
         // The human rendering names the essentials.

@@ -240,6 +240,40 @@ fn try_finish_epoch_then_plain_epoch_under_the_simulator() {
     }
 }
 
+/// A profiled simulation stamps every record — the always-on runtime
+/// events and the profiling spans alike — on the virtual clock, so the
+/// recorded spans, timestamps and durations included, repeat exactly.
+#[test]
+fn profiled_spans_repeat_exactly_under_the_simulator() {
+    let run_once = || {
+        let run = Machine::run_sim(
+            cfg(3).coalescing(1).profile(true),
+            SimPlan::new(9).latency(250).jitter(1_000),
+            |ctx| {
+                let mt = ctx.register(|ctx, left: u32| {
+                    let _work = ctx.span(dgp_am::SpanKind::Custom, "user.hop");
+                    if left > 0 {
+                        ctx.send((ctx.rank() + 1) % ctx.num_ranks(), left - 1);
+                    }
+                });
+                for _ in 0..2 {
+                    ctx.epoch(|ctx| mt.send(ctx, (ctx.rank() + 1) % ctx.num_ranks(), 5u32));
+                }
+                // Every rank has recorded its last epoch span.
+                ctx.barrier();
+                (ctx.rank() == 0).then(|| ctx.recorder().expect("profiling on").all_spans())
+            },
+        )
+        .expect("sim run");
+        run.results.into_iter().flatten().next().unwrap()
+    };
+    let a = run_once();
+    assert!(a.iter().any(|s| s.name == "user.hop"), "{a:?}");
+    assert!(a.iter().any(|s| s.name == "handler"), "{a:?}");
+    assert!(a.iter().any(|s| s.start_ns > 0), "virtual time advances");
+    assert_eq!(a, run_once(), "profiled spans must repeat bit for bit");
+}
+
 /// Identical (cfg, plan, program) ⇒ identical results, stats, event counts
 /// AND an identical flight-recorder timeline (digest equality).
 #[test]
