@@ -18,10 +18,13 @@ pub enum SsspStrategy {
     /// dependent vertex until quiescent — a chaotic-relaxation
     /// Bellman–Ford.
     FixedPoint,
-    /// The paper's `delta` strategy: epoch-per-bucket Δ-stepping.
+    /// The paper's `delta` strategy: epoch-per-bucket Δ-stepping
+    /// (`delta_stepping` with k = 1).
     Delta(f64),
-    /// The §III-D asynchronous Δ-stepping: per-rank buckets inside a
-    /// single epoch, ended cooperatively with `try_finish`.
+    /// The §III-D asynchronous Δ-stepping: one bucket window over every
+    /// bucket, so usually one epoch; each rank hears the network between
+    /// buckets and ends the epoch with `try_finish` (`delta_stepping`
+    /// with k = `usize::MAX`).
     DeltaAsync(f64),
     /// Δ-stepping with the §II-A light/heavy edge split: light edges
     /// settle the current bucket, heavy edges fire once per settled
@@ -134,16 +137,17 @@ impl Sssp {
                 strategies::fixed_point(ctx, &self.engine, self.relax, &seeds);
             }
             SsspStrategy::Delta(d) => {
-                strategies::delta_stepping(ctx, &self.engine, self.relax, &seeds, &self.dist, d);
+                strategies::delta_stepping(ctx, &self.engine, self.relax, &seeds, &self.dist, d, 1);
             }
             SsspStrategy::DeltaAsync(d) => {
-                strategies::delta_stepping_async(
+                strategies::delta_stepping(
                     ctx,
                     &self.engine,
                     self.relax,
                     &seeds,
                     &self.dist,
                     d,
+                    usize::MAX,
                 );
             }
             SsspStrategy::DeltaSplit(d) => {

@@ -103,7 +103,10 @@
 //! double scan's two scans. The contract is the caller's promise about its
 //! own algorithm; epoch exit runs the same step without it, because a
 //! plain epoch that ends with work left in its buckets is the intended
-//! semantics.
+//! semantics. A caller may also scope its promise: the Δ-stepping driver
+//! with a window of k > 1 buckets calls `try_finish` when no deferred
+//! work is left *in the window*; work above the window stays for a later
+//! epoch, exactly as a plain epoch leaves it.
 //!
 //! ## Interaction with batched counters
 //!

@@ -775,6 +775,7 @@ mod exp {
         for (label, strategy) in [
             ("delta Δ=0.25".to_string(), SsspStrategy::Delta(0.25)),
             ("delta Δ=1".to_string(), SsspStrategy::Delta(1.0)),
+            ("delta-async Δ=1".to_string(), SsspStrategy::DeltaAsync(1.0)),
             ("delta Δ=4".to_string(), SsspStrategy::Delta(4.0)),
             ("delta Δ=16".to_string(), SsspStrategy::Delta(16.0)),
             ("delta-split Δ=1".to_string(), SsspStrategy::DeltaSplit(1.0)),

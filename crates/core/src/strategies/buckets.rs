@@ -9,16 +9,12 @@
 
 use dgp_graph::VertexId;
 use parking_lot::Mutex;
-
-struct Inner {
-    buckets: Vec<Vec<VertexId>>,
-    len: usize,
-}
+use std::ops::Range;
 
 /// Thread-safe Δ-buckets over rank-local vertices.
 pub struct Buckets {
     delta: f64,
-    inner: Mutex<Inner>,
+    buckets: Mutex<Vec<Vec<VertexId>>>,
 }
 
 impl Buckets {
@@ -27,10 +23,7 @@ impl Buckets {
         assert!(delta > 0.0, "Δ must be positive");
         Buckets {
             delta,
-            inner: Mutex::new(Inner {
-                buckets: Vec::new(),
-                len: 0,
-            }),
+            buckets: Mutex::new(Vec::new()),
         }
     }
 
@@ -43,58 +36,22 @@ impl Buckets {
     /// Insert `v` with bucketing value `x` (e.g. its tentative distance).
     pub fn insert(&self, v: VertexId, x: f64) {
         let idx = self.index_of(x);
-        let mut g = self.inner.lock();
-        if g.buckets.len() <= idx {
-            g.buckets.resize_with(idx + 1, Vec::new);
+        let mut g = self.buckets.lock();
+        if g.len() <= idx {
+            g.resize_with(idx + 1, Vec::new);
         }
-        g.buckets[idx].push(v);
-        g.len += 1;
+        g[idx].push(v);
     }
 
     /// Pop one vertex from bucket `i`.
     pub fn pop(&self, i: usize) -> Option<VertexId> {
-        let mut g = self.inner.lock();
-        let v = g.buckets.get_mut(i)?.pop();
-        if v.is_some() {
-            g.len -= 1;
-        }
-        v
+        self.buckets.lock().get_mut(i)?.pop()
     }
 
-    /// Drain bucket `i` entirely.
-    pub fn drain(&self, i: usize) -> Vec<VertexId> {
-        let mut g = self.inner.lock();
-        let out = match g.buckets.get_mut(i) {
-            Some(b) => std::mem::take(b),
-            None => Vec::new(),
-        };
-        g.len -= out.len();
-        out
-    }
-
-    /// Whether bucket `i` is empty.
-    pub fn is_empty_at(&self, i: usize) -> bool {
-        self.inner
-            .lock()
-            .buckets
-            .get(i)
-            .is_none_or(|b| b.is_empty())
-    }
-
-    /// Lowest non-empty bucket index at or after `from`.
-    pub fn first_nonempty_from(&self, from: usize) -> Option<usize> {
-        let g = self.inner.lock();
-        (from..g.buckets.len()).find(|&i| !g.buckets[i].is_empty())
-    }
-
-    /// Total queued vertices.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len
-    }
-
-    /// Whether any bucket holds work.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Lowest non-empty bucket index in `window`.
+    pub fn first_nonempty(&self, window: Range<usize>) -> Option<usize> {
+        let g = self.buckets.lock();
+        (window.start..window.end.min(g.len())).find(|&i| !g[i].is_empty())
     }
 }
 
@@ -118,23 +75,24 @@ mod tests {
         b.insert(10, 0.5);
         b.insert(11, 0.9);
         b.insert(12, 3.2);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.first_nonempty_from(0), Some(0));
-        assert_eq!(b.first_nonempty_from(1), Some(3));
+        assert_eq!(b.first_nonempty(0..usize::MAX), Some(0));
+        assert_eq!(b.first_nonempty(1..usize::MAX), Some(3));
+        assert_eq!(b.first_nonempty(1..3), None);
+        assert_eq!(b.first_nonempty(3..4), Some(3));
         assert!(b.pop(0).is_some());
-        let rest = b.drain(0);
-        assert_eq!(rest.len(), 1);
-        assert!(b.is_empty_at(0));
-        assert_eq!(b.drain(3), vec![12]);
-        assert!(b.is_empty());
+        assert!(b.pop(0).is_some());
+        assert_eq!(b.pop(0), None);
+        assert_eq!(b.first_nonempty(0..3), None);
+        assert_eq!(b.pop(3), Some(12));
+        assert_eq!(b.first_nonempty(0..usize::MAX), None);
     }
 
     #[test]
     fn pop_from_missing_bucket_is_none() {
         let b = Buckets::new(1.0);
         assert_eq!(b.pop(7), None);
-        assert!(b.is_empty_at(7));
-        assert_eq!(b.first_nonempty_from(0), None);
+        assert_eq!(b.first_nonempty(7..8), None);
+        assert_eq!(b.first_nonempty(0..usize::MAX), None);
     }
 
     #[test]
@@ -150,12 +108,14 @@ mod tests {
                 });
             }
         });
-        assert_eq!(b.len(), 4000);
         let mut popped = 0;
         for i in 0..10 {
-            popped += b.drain(i).len();
+            while b.pop(i).is_some() {
+                popped += 1;
+            }
         }
         assert_eq!(popped, 4000);
+        assert_eq!(b.first_nonempty(0..usize::MAX), None);
     }
 
     #[test]

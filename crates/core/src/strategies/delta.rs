@@ -1,7 +1,10 @@
-//! The Δ-stepping strategy (§II-A), in both of the paper's forms: the
-//! epoch-per-bucket version and the asynchronous `try_finish` version
+//! The Δ-stepping strategy (§II-A) as one ordered driver: the paper's
+//! epoch-per-bucket version and its asynchronous `try_finish` version
 //! ("we have implemented a distributed version of Δ-stepping where every
-//! thread on every node has its own local buckets", §III-D).
+//! thread on every node has its own local buckets", §III-D) are the two
+//! ends of one parameter `k`, the number of buckets an epoch may cover
+//! (the self-stabilizing kernel of Kanewala, Zalewski et al., which
+//! synchronizes every *k* buckets).
 
 use std::sync::Arc;
 
@@ -9,11 +12,39 @@ use dgp_am::{AmCtx, SpanKind};
 use dgp_graph::properties::AtomicVertexMap;
 use dgp_graph::VertexId;
 
-use crate::engine::{ActionId, PatternEngine};
+use crate::engine::{ActionId, PatternEngine, WorkHook};
 use crate::obs::Observer;
 use crate::strategies::Buckets;
 
-/// The paper's `delta` strategy:
+/// Fresh Δ-buckets holding this rank's `seeds`, with the paper's
+/// `a.work(v) = B.insert(v, m[v], Δ)` installed for every action in
+/// `actions`. The hook runs at v's owner, so `m[v]` is a local read.
+fn seed_buckets(
+    ctx: &AmCtx,
+    engine: &PatternEngine,
+    actions: &[ActionId],
+    seeds: &[VertexId],
+    m: &AtomicVertexMap<f64>,
+    delta: f64,
+) -> Arc<Buckets> {
+    let buckets = Arc::new(Buckets::new(delta));
+    let rank = ctx.rank();
+    for &v in seeds {
+        debug_assert_eq!(engine.graph().owner(v), rank, "seeds are rank-local");
+        buckets.insert(v, m.get(rank, v));
+    }
+    let hook: WorkHook = {
+        let b = buckets.clone();
+        let m = m.clone();
+        Arc::new(move |hctx, v| b.insert(v, m.get(hctx.rank(), v)))
+    };
+    for &a in actions {
+        engine.set_work_hook(a, hook.clone());
+    }
+    buckets
+}
+
+/// The paper's `delta` strategy, synchronizing every `k` buckets:
 ///
 /// ```text
 /// strategy delta(action a, container vertices, property-map m, delta Δ) {
@@ -24,10 +55,28 @@ use crate::strategies::Buckets;
 /// }
 /// ```
 ///
-/// Each bucket is emptied inside an epoch "because the work resulting from
-/// ongoing actions may insert vertices into the bucket after it tests
-/// empty. Therefore, epoch must be used to finish ongoing actions, and the
-/// bucket has to be tested again."
+/// Each epoch covers the bucket window `[lo, lo + k)`, where `lo` is the
+/// lowest non-empty bucket on any rank.
+///
+/// * `k = 1` is §II-A's epoch per bucket: the body drains bucket `lo`
+///   once and the epoch's exit finishes the ongoing actions, "because the
+///   work resulting from ongoing actions may insert vertices into the
+///   bucket after it tests empty. Therefore, epoch must be used to finish
+///   ongoing actions, and the bucket has to be tested again."
+/// * `k > 1` drains the lowest non-empty bucket of the window and hears
+///   the network (`epoch_flush`) before the next. With the window empty
+///   it tries to end the epoch; "if ending the epoch is unsuccessful,
+///   however, the thread goes back to its local bucket structure and
+///   tries to perform more work" (§III-D). `k = usize::MAX` is that
+///   asynchronous form: one window over every bucket.
+///
+/// After each epoch one collective decides what comes next: 0 means some
+/// rank's window refilled (run the epoch again), otherwise the result is
+/// the globally lowest non-empty bucket + 1 (`u64::MAX`: all empty).
+/// Improvements of an already-bucketed vertex can re-insert it *below*
+/// the window, so the scan restarts from bucket 0 every round
+/// (relaxation is idempotent, so reprocessing is always safe; skipping
+/// would strand work).
 ///
 /// `m` is the bucketing property map (tentative distances for SSSP);
 /// `seeds` is this rank's portion of the start set (their `m` values must
@@ -39,66 +88,64 @@ pub fn delta_stepping(
     seeds: &[VertexId],
     m: &AtomicVertexMap<f64>,
     delta: f64,
+    k: usize,
 ) -> usize {
-    let buckets = Arc::new(Buckets::new(delta));
-    let rank = ctx.rank();
-    for &v in seeds {
-        debug_assert_eq!(engine.graph().owner(v), rank, "seeds are rank-local");
-        buckets.insert(v, m.get(rank, v));
-    }
-    // a.work(v) = B.insert(v, m[v], Δ) — runs at v's owner, so m[v] is a
-    // local read.
-    let hook_buckets = buckets.clone();
-    let hook_m = m.clone();
-    engine.set_work_hook(
-        action,
-        Arc::new(move |hctx, v| {
-            hook_buckets.insert(v, hook_m.get(hctx.rank(), v));
-        }),
-    );
-
-    // One collective per round decides what comes next: 0 means some
-    // rank's bucket `i` refilled (drain it again), otherwise the result
-    // is the globally lowest non-empty bucket + 1 (`u64::MAX`: all empty).
-    // Improvements of an already-bucketed vertex can re-insert it *below*
-    // the index being processed, so the scan restarts from 0 every round
-    // rather than advancing monotonically (relaxation is idempotent, so
-    // reprocessing is always safe; skipping would strand work).
+    assert!(k >= 1, "a window holds at least one bucket");
+    let buckets = seed_buckets(ctx, engine, &[action], seeds, m, delta);
+    let obs = Observer::new(engine);
+    let drain = |ctx: &AmCtx, i: usize| {
+        let mut popped = 0;
+        while let Some(v) = buckets.pop(i) {
+            popped += 1;
+            engine.run_at(ctx, action, v);
+        }
+        popped
+    };
+    let window = |lo: usize| buckets.first_nonempty(lo..lo.saturating_add(k));
     let lowest = || {
         buckets
-            .first_nonempty_from(0)
+            .first_nonempty(0..usize::MAX)
             .map_or(u64::MAX, |b| b as u64 + 1)
     };
     let mut epochs = 0;
     let mut next = ctx.all_reduce(lowest(), u64::min);
     while next != u64::MAX {
-        let i = (next - 1) as usize;
-        // arg1 = drain rounds this bucket needed before it stayed empty.
-        let mut bucket_span = ctx
+        let lo = (next - 1) as usize;
+        // arg1 = epochs this window needed before it stayed empty.
+        let mut window_span = ctx
             .span(SpanKind::Strategy, "delta.bucket")
-            .map(|s| s.args(i as u64, 0));
+            .map(|s| s.args(lo as u64, 0));
         let mut rounds = 0u64;
-        let obs = Observer::new(engine);
-        // Empty bucket i; handlers may refill it while we drain, so retest
-        // collectively after every epoch.
         loop {
             ctx.epoch(|ctx| {
-                let mut popped = 0usize;
-                while let Some(v) = buckets.pop(i) {
-                    popped += 1;
-                    engine.run_at(ctx, action, v);
-                }
-                obs.publish_bucket(ctx, i, popped);
+                let popped = if k == 1 {
+                    drain(ctx, lo)
+                } else {
+                    // `try_finish`'s contract holds: nothing is left in the
+                    // window. Work above it waits for a later epoch.
+                    let mut popped = 0;
+                    loop {
+                        while let Some(i) = window(lo) {
+                            popped += drain(ctx, i);
+                            ctx.epoch_flush();
+                        }
+                        if ctx.try_finish() {
+                            break popped;
+                        }
+                        ctx.epoch_flush();
+                    }
+                };
+                obs.publish_bucket(ctx, lo, popped);
             });
             epochs += 1;
             rounds += 1;
-            let mine = if buckets.is_empty_at(i) { lowest() } else { 0 };
+            let mine = if window(lo).is_none() { lowest() } else { 0 };
             next = ctx.all_reduce(mine, u64::min);
             if next != 0 {
                 break;
             }
         }
-        if let Some(s) = bucket_span.as_mut() {
+        if let Some(s) = window_span.as_mut() {
             s.set_arg1(rounds);
         }
     }
@@ -126,26 +173,12 @@ pub fn delta_stepping_split(
     m: &AtomicVertexMap<f64>,
     delta: f64,
 ) -> usize {
-    let buckets = Arc::new(Buckets::new(delta));
-    let rank = ctx.rank();
-    for &v in seeds {
-        debug_assert_eq!(engine.graph().owner(v), rank, "seeds are rank-local");
-        buckets.insert(v, m.get(rank, v));
-    }
-    let hook = {
-        let b = buckets.clone();
-        let m = m.clone();
-        Arc::new(move |hctx: &AmCtx, v: VertexId| {
-            b.insert(v, m.get(hctx.rank(), v));
-        }) as Arc<dyn Fn(&AmCtx, VertexId) + Send + Sync>
-    };
-    engine.set_work_hook(light, hook.clone());
-    engine.set_work_hook(heavy, hook);
-
+    let buckets = seed_buckets(ctx, engine, &[light, heavy], seeds, m, delta);
+    let obs = Observer::new(engine);
     let mut epochs = 0;
     loop {
         let local = buckets
-            .first_nonempty_from(0)
+            .first_nonempty(0..usize::MAX)
             .map(|b| b as u64)
             .unwrap_or(u64::MAX);
         let global = ctx.all_reduce(local, |a, b| a.min(b));
@@ -156,7 +189,6 @@ pub fn delta_stepping_split(
         // Phase 1: settle bucket i with light edges only, remembering who
         // was settled.
         let mut settled: Vec<VertexId> = Vec::new();
-        let obs = Observer::new(engine);
         {
             let mut light_span = ctx
                 .span(SpanKind::Strategy, "delta.light")
@@ -171,7 +203,7 @@ pub fn delta_stepping_split(
                     obs.publish_bucket(ctx, i, settled.len() - before);
                 });
                 epochs += 1;
-                let refilled = ctx.any_rank(!buckets.is_empty_at(i));
+                let refilled = ctx.any_rank(buckets.first_nonempty(i..i + 1).is_some());
                 if !refilled {
                     break;
                 }
@@ -197,68 +229,4 @@ pub fn delta_stepping_split(
     engine.clear_work_hook(light);
     engine.clear_work_hook(heavy);
     epochs
-}
-
-/// The asynchronous Δ-stepping of §III-D: one epoch for the whole run;
-/// each rank drains its lowest non-empty bucket and, "when a thread runs
-/// out of work locally, it tries to terminate the epoch, which succeeds if
-/// all other threads everywhere also run out of work... If ending the
-/// epoch is unsuccessful, however, the thread goes back to its local
-/// bucket structure and tries to perform more work (its buckets can be
-/// filled while it tries to end the epoch)."
-///
-/// Returns the number of `try_finish` attempts this rank made.
-pub fn delta_stepping_async(
-    ctx: &AmCtx,
-    engine: &PatternEngine,
-    action: ActionId,
-    seeds: &[VertexId],
-    m: &AtomicVertexMap<f64>,
-    delta: f64,
-) -> usize {
-    let buckets = Arc::new(Buckets::new(delta));
-    let rank = ctx.rank();
-    for &v in seeds {
-        debug_assert_eq!(engine.graph().owner(v), rank, "seeds are rank-local");
-        buckets.insert(v, m.get(rank, v));
-    }
-    let hook_buckets = buckets.clone();
-    let hook_m = m.clone();
-    engine.set_work_hook(
-        action,
-        Arc::new(move |hctx, v| {
-            hook_buckets.insert(v, hook_m.get(hctx.rank(), v));
-        }),
-    );
-
-    let mut attempts = 0;
-    let mut async_span = ctx.span(SpanKind::Strategy, "delta.async");
-    let obs = Observer::new(engine);
-    ctx.epoch(|ctx| loop {
-        // Drain lowest buckets first (the label-correcting order heuristic;
-        // any order converges).
-        let mut popped = 0usize;
-        while let Some(i) = buckets.first_nonempty_from(0) {
-            while let Some(v) = buckets.pop(i) {
-                popped += 1;
-                engine.run_at(ctx, action, v);
-            }
-        }
-        // The whole run is one epoch, so successive publishes accumulate
-        // into that epoch's single profile.
-        obs.publish(ctx, popped);
-        // Out of local work: try to end the epoch (contract: only called
-        // with empty local buckets).
-        attempts += 1;
-        if ctx.try_finish() {
-            break;
-        }
-        // Rejected — perform whatever work arrived meanwhile.
-        ctx.epoch_flush();
-    });
-    if let Some(s) = async_span.as_mut() {
-        s.set_arg1(attempts as u64);
-    }
-    engine.clear_work_hook(action);
-    attempts
 }

@@ -14,4 +14,4 @@ mod delta;
 
 pub use basic::{fixed_point, once, once_until_fixed};
 pub use buckets::Buckets;
-pub use delta::{delta_stepping, delta_stepping_async, delta_stepping_split};
+pub use delta::{delta_stepping, delta_stepping_split};
