@@ -75,7 +75,7 @@ pub struct RunError {
     pub error: MachineError,
     /// The automatic post-mortem assembled from the frozen flight rings.
     pub postmortem: Box<PostMortem>,
-    /// Simulation state at the failure (virtual time, counters, trace);
+    /// Simulation state at the failure (virtual time, counters, digest);
     /// `None` on threads.
     pub report: Option<SimReport>,
 }
@@ -96,8 +96,8 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// A [`Run`]'s result. The error is boxed: it embeds the post-mortem
-/// timeline and, simulated, the recorded network-event trace.
+/// A [`Run`]'s result. The error is boxed: it carries the machine
+/// error, the post-mortem and, simulated, the [`SimReport`].
 pub type RunResult<T> = Result<Outcome<T>, Box<RunError>>;
 
 impl Run {

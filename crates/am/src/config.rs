@@ -60,8 +60,11 @@ pub struct MachineConfig {
     /// envelope ships, handler and epoch entries, handler, epoch and
     /// termination spans, traced sends, retransmissions, injected faults,
     /// and under [`profile`](Self::profile) the engine, strategy and user
-    /// spans. The rings freeze on the first recorded failure and become
-    /// the [`PostMortem`](crate::PostMortem) timeline. Pushes take no lock
+    /// spans. The side ring, for threads that own none, keeps as many:
+    /// TCP reconnects, and under the simulator every network event
+    /// (deliveries, partitions, stalls). The rings freeze on the first
+    /// recorded failure and become the [`PostMortem`](crate::PostMortem)
+    /// timeline. Pushes take no lock
     /// (INTERNALS §10.2), which is why the recorder stays on by default.
     /// Set by both [`flight`](Self::flight) and
     /// [`profile_capacity`](Self::profile_capacity); `Some(0)` records
@@ -158,7 +161,8 @@ impl MachineConfig {
         self
     }
 
-    /// Set the per-thread event capacity (0 disables the recorder; see
+    /// Set the per-thread event capacity, which also bounds the side ring
+    /// of the simulator's network events (0 disables the recorder; see
     /// [`MachineConfig::event_capacity`]).
     pub fn flight(mut self, events_per_thread: usize) -> Self {
         self.event_capacity = Some(events_per_thread);

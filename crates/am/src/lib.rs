@@ -135,7 +135,7 @@ pub use obs::{
 };
 pub use sim::{
     InvariantCadence, InvariantCtx, InvariantPoint, LinkSpec, PartitionMode, PartitionSpec, SimAt,
-    SimEventKind, SimEventRecord, SimPlan, SimReport, StallSpec, StragglerSpec,
+    SimPlan, SimReport, StallSpec, StragglerSpec,
 };
 pub use stats::StatsSnapshot;
 pub use trace::{FailCause, LaneBacklog, PostMortem, TraceCtx};

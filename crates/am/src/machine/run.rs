@@ -26,15 +26,14 @@ type RunFailure = (
     MachineError,
     Option<Box<dyn Any + Send>>,
     Box<PostMortem>,
-    // Boxed: the report embeds the recorded network-event trace, and an
-    // unboxed copy would bloat every `Result` on the run path
-    // (clippy::result_large_err).
+    // Boxed: unboxed, the report would take the `Err` variant past
+    // clippy's `result_large_err` bound on every `Result` of the run path.
     Option<Box<SimReport>>,
 );
 
 /// A successful simulated run: per-rank results plus the simulation
-/// report (virtual time, event counts, network-event trace, and the
-/// determinism digest over the flight-recorder timeline).
+/// report (virtual time, event counts, and the determinism digest over
+/// the recorder's timeline, network events included).
 #[derive(Debug)]
 pub struct SimRun<R> {
     /// Each rank's result, indexed by rank.
@@ -53,7 +52,7 @@ pub struct SimError {
     pub error: MachineError,
     /// The automatic post-mortem assembled from the frozen flight rings.
     pub postmortem: Box<PostMortem>,
-    /// Simulation state at the failure (virtual time, counters, trace).
+    /// Simulation state at the failure (virtual time, counters, digest).
     pub report: SimReport,
 }
 
@@ -234,7 +233,7 @@ impl Machine {
                     // Sim mode: enter the cooperative token discipline —
                     // park until the scheduler runs this rank.
                     if let Some(sim) = &shared.sim {
-                        sim.attach(rank);
+                        sim.attach(&shared, rank);
                     }
                     let out = match std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
                         Ok(r) => {

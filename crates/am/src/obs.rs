@@ -183,8 +183,15 @@ pub enum SpanKind {
     /// A strategy-level phase (per-bucket drain, per-round sweep; `arg0`
     /// is strategy-defined, e.g. the bucket index).
     Strategy,
-    /// Transport-backend activity from a thread that owns no ring: a TCP
-    /// lane reconnect (`arg0` = peer rank, `arg1` = attempt).
+    /// Network activity recorded by a thread that owns no ring, into the
+    /// side ring: a TCP lane reconnect (`arg0` = peer rank, `arg1` =
+    /// attempt), or a network event the simulator's scheduler applied,
+    /// told apart by name — `sim.deliver`, `sim.ack`,
+    /// `sim.partition_drop`, `sim.partition_hold`, `sim.release`
+    /// (arguments as on [`Ship`](Self::Ship); an ack has `arg0` = 0),
+    /// `sim.partition_up`/`sim.partition_down` (`arg0` = partition index,
+    /// on the first rank of its cut), `sim.stall_start`/`sim.stall_end`
+    /// (on the stalled rank).
     Transport,
     /// User-defined span recorded through
     /// [`AmCtx::span`](crate::AmCtx::span).
@@ -445,9 +452,9 @@ impl Ring {
 /// with relaxed stores and a `Release` count — no lock, no
 /// read-modify-write. Readers copy rings in place from any thread: exact
 /// once the writers are quiescent (between epochs, after the run); a slot
-/// overwritten mid-read is skipped (INTERNALS §10.2). Transport-backend
-/// threads (TCP writers) own no ring and push into the side ring under a
-/// lock.
+/// overwritten mid-read is skipped (INTERNALS §10.2). Threads that own
+/// no ring — TCP writers, and the simulator's scheduler recording network
+/// events — push into the side ring under a lock.
 pub struct Recorder {
     /// Wall-clock base of [`now_ns`](Self::now_ns).
     base: Instant,

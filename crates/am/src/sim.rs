@@ -13,6 +13,13 @@
 //! results, statistics, and every recorded event and span (the recorder
 //! reads the *virtual* clock in sim mode).
 //!
+//! Every network event the scheduler applies — a delivery, an ack, a
+//! partition dropping, holding or releasing a packet, a partition forming
+//! or healing, a stall starting or ending — is one instant
+//! [`SpanKind::Transport`] record in the recorder's side ring (INTERNALS
+//! §10.2), so a simulated post-mortem shows the schedule beside the
+//! handlers it drove.
+//!
 //! ## The delivery seam
 //!
 //! The threaded machine already has exactly one chokepoint where envelopes
@@ -52,7 +59,7 @@
 //! [`MachineError::InvariantViolated`], freezing the flight recorder at
 //! the exact virtual time of the offense.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{
     AtomicBool, AtomicU64, AtomicUsize,
     Ordering::{Acquire, Relaxed, Release, SeqCst},
@@ -64,6 +71,7 @@ use parking_lot::Mutex;
 
 use crate::error::{Abort, MachineError};
 use crate::machine::{Ack, Packet, RankId, Shared};
+use crate::obs::{SpanKind, SpanRecord};
 use crate::trace::mix64;
 
 /// When, in simulated time, a plan element takes effect.
@@ -97,6 +105,10 @@ pub enum PartitionMode {
 /// A network partition separating `cut` from every other rank, active
 /// between `from` and `until` (either bound may be time- or
 /// epoch-triggered). Both directions of every crossing link are affected.
+///
+/// A partition forms at most once and heals for good: when `until` comes
+/// before `from` (say `from: Epoch(2), until: Time(1)`), the window is
+/// empty and the partition never forms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSpec {
     /// The ranks on one side of the cut.
@@ -184,7 +196,7 @@ pub struct InvariantCtx {
 /// The full description of one simulated schedule: the link model and the
 /// adversarial elements, all derived deterministically from `seed`.
 /// Identical plans (and identical programs) produce bit-identical runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimPlan {
     /// Seed for the deterministic jitter. Two plans differing only in
     /// seed explore different (but each exactly reproducible) schedules.
@@ -208,9 +220,6 @@ pub struct SimPlan {
     pub stalls: Vec<StallSpec>,
     /// How often the installed invariant hook runs.
     pub cadence: InvariantCadence,
-    /// How many simulated-network events to keep in the report's trace
-    /// ring (oldest evicted; 0 disables recording).
-    pub record_events: usize,
 }
 
 /// Stack size for the simulated rank threads. Rank bodies run real
@@ -239,7 +248,6 @@ impl SimPlan {
             stragglers: Vec::new(),
             stalls: Vec::new(),
             cadence: InvariantCadence::default(),
-            record_events: 256,
         }
     }
 
@@ -310,12 +318,6 @@ impl SimPlan {
         self
     }
 
-    /// Set the report's event-trace ring capacity.
-    pub fn record(mut self, events: usize) -> Self {
-        self.record_events = events;
-        self
-    }
-
     pub(crate) fn validate(&self, nranks: usize, reliability: bool) {
         for l in &self.links {
             assert!(
@@ -351,52 +353,10 @@ impl SimPlan {
     }
 }
 
-/// Kind of one recorded simulated-network event (see
-/// [`SimReport::trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimEventKind {
-    /// A packet landed in its destination inbox.
-    Deliver,
-    /// A packet was destroyed by a Drop-mode partition.
-    PartitionDrop,
-    /// A packet was parked by a Hold-mode partition.
-    PartitionHold,
-    /// A previously held packet was re-enqueued after a heal.
-    Release,
-    /// An acknowledgement landed.
-    AckDeliver,
-    /// A partition formed.
-    PartitionUp,
-    /// A partition healed.
-    PartitionDown,
-    /// A rank entered a stall window.
-    StallStart,
-    /// A rank resumed after a stall window.
-    StallEnd,
-}
-
-/// One recorded simulated-network event, from the bounded trace ring the
-/// report carries ([`SimPlan::record_events`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimEventRecord {
-    /// Virtual time, nanoseconds.
-    pub t_ns: u64,
-    /// What happened.
-    pub kind: SimEventKind,
-    /// Sending rank (or the affected rank for partition/stall events).
-    pub from: RankId,
-    /// Receiving rank (unused for stall events).
-    pub to: RankId,
-    /// Message type id of the packet (0 for non-packet events).
-    pub type_id: u32,
-    /// Coalesced message count of the packet (0 for non-packet events).
-    pub count: u32,
-}
-
-/// Summary of one simulated run: virtual-time totals, event counts, the
-/// bounded network-event trace, and a digest of the flight-recorder
-/// timeline (two runs with the same plan produce equal digests — the
-/// determinism tests assert exactly this).
+/// Summary of one simulated run: virtual-time totals, event counts, and a
+/// digest of the recorder's timeline, network events included (two runs
+/// with the same plan produce equal digests — the determinism tests
+/// assert exactly this).
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Final virtual clock, nanoseconds.
@@ -415,10 +375,9 @@ pub struct SimReport {
     /// Packets parked (and later released) by Hold-mode partitions.
     pub partition_held: u64,
     /// FNV digest over every record the event recorder retains (virtual
-    /// timestamps included). Equal digests ⇒ identical timelines.
+    /// timestamps and the side ring's network events included). Equal
+    /// digests ⇒ identical timelines.
     pub flight_digest: u64,
-    /// The newest [`SimPlan::record_events`] network events.
-    pub trace: Vec<SimEventRecord>,
 }
 
 /// Hook type installed by [`AmCtx::sim_invariant`](crate::AmCtx::sim_invariant).
@@ -436,6 +395,15 @@ enum RankState {
     Blocked,
     /// Rank body returned.
     Done,
+}
+
+/// Where a partition is in its one window. `Healed` is final: a heal
+/// that comes before the start leaves the window empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Pending,
+    Active,
+    Healed,
 }
 
 enum SimEvent {
@@ -461,7 +429,7 @@ struct SimState {
     rank_state: Vec<RankState>,
     stalled: Vec<bool>,
     queue: BTreeMap<(u64, u64), SimEvent>,
-    part_active: Vec<bool>,
+    phase: Vec<Phase>,
     held: Vec<HeldPacket>,
     // Collective arrive/publish state machine (rounds are serialized by
     // the token discipline; see `SimNet::all_reduce`).
@@ -480,7 +448,6 @@ struct SimState {
     wake_rounds: u64,
     partition_drops: u64,
     partition_held: u64,
-    trace: VecDeque<SimEventRecord>,
 }
 
 /// What the scheduler decided after a yield (computed under the state
@@ -542,7 +509,7 @@ impl SimNet {
                 SimEvent::StallEnd(s.rank),
             );
         }
-        let part_active = vec![false; plan.partitions.len()];
+        let phase = vec![Phase::Pending; plan.partitions.len()];
         SimNet {
             nranks,
             plan,
@@ -554,7 +521,7 @@ impl SimNet {
                 rank_state: vec![RankState::Ready; nranks],
                 stalled: vec![false; nranks],
                 queue,
-                part_active,
+                phase,
                 held: Vec::new(),
                 coll_arrived: 0,
                 coll_acc: None,
@@ -568,7 +535,6 @@ impl SimNet {
                 wake_rounds: 0,
                 partition_drops: 0,
                 partition_held: 0,
-                trace: VecDeque::new(),
             }),
             current: AtomicUsize::new(usize::MAX),
             poisoned: AtomicBool::new(false),
@@ -603,19 +569,19 @@ impl SimNet {
     /// Called by each rank thread at startup: register the thread handle
     /// and park until the scheduler hands over the token. The last
     /// registrant triggers the first dispatch (lowest rank first).
-    pub(crate) fn attach(&self, rank: RankId) {
+    pub(crate) fn attach(&self, shared: &Shared, rank: RankId) {
         let outcome = {
             let mut st = self.state.lock();
             st.threads[rank] = Some(std::thread::current());
             st.registered += 1;
             if st.registered == self.nranks {
-                Some(self.schedule_locked(&mut st, None))
+                Some(self.schedule_locked(&mut st, shared))
             } else {
                 None
             }
         };
         if let Some(o) = outcome {
-            self.dispatch(o, rank, None);
+            self.dispatch(o, rank, shared);
         }
         self.wait_token(rank);
     }
@@ -629,9 +595,9 @@ impl SimNet {
         let outcome = {
             let mut st = self.state.lock();
             st.rank_state[rank] = parked;
-            self.schedule_locked(&mut st, Some(shared))
+            self.schedule_locked(&mut st, shared)
         };
-        self.dispatch(outcome, rank, Some(shared));
+        self.dispatch(outcome, rank, shared);
         if parked != RankState::Done {
             self.wait_token(rank);
         }
@@ -639,7 +605,7 @@ impl SimNet {
 
     /// Act on a scheduling decision: store the token owner and unpark it,
     /// or fail the machine.
-    fn dispatch(&self, outcome: Outcome, me: RankId, shared: Option<&Shared>) {
+    fn dispatch(&self, outcome: Outcome, me: RankId, shared: &Shared) {
         match outcome {
             Outcome::Run(next) => {
                 self.current.store(next, Release);
@@ -652,14 +618,9 @@ impl SimNet {
             }
             Outcome::AllDone => {}
             Outcome::Poisoned => {}
-            Outcome::Fail(err) => {
-                match shared {
-                    // fail() poisons the machine, which poisons the sim
-                    // and wakes everyone.
-                    Some(sh) => sh.fail(err, None),
-                    None => self.poison(),
-                }
-            }
+            // fail() poisons the machine, which poisons the sim and wakes
+            // everyone.
+            Outcome::Fail(err) => shared.fail(err, None),
         }
     }
 
@@ -670,16 +631,13 @@ impl SimNet {
     /// permanently partitioned lane retransmits (and re-drops) forever,
     /// and counting that as progress would turn a stall into a livelock
     /// the watchdog can never catch.
-    fn progress_of(st: &SimState, shared: Option<&Shared>) -> (u64, u64, u64, u64) {
-        let (sent, handled, completed) = match shared {
-            Some(sh) => (
-                sh.total_sent(),
-                sh.total_handled(),
-                sh.completed_epoch.load(SeqCst),
-            ),
-            None => (0, 0, 0),
-        };
-        (st.deliveries, sent, handled, completed)
+    fn progress_of(st: &SimState, shared: &Shared) -> (u64, u64, u64, u64) {
+        (
+            st.deliveries,
+            shared.total_sent(),
+            shared.total_handled(),
+            shared.completed_epoch.load(SeqCst),
+        )
     }
 
     fn wait_token(&self, rank: RankId) {
@@ -697,7 +655,7 @@ impl SimNet {
     /// The scheduler: pick the next runnable rank, applying queued events
     /// (advancing virtual time) and dry-queue wakes as needed. Runs under
     /// the state lock on whichever thread is yielding.
-    fn schedule_locked(&self, st: &mut SimState, shared: Option<&Shared>) -> Outcome {
+    fn schedule_locked(&self, st: &mut SimState, shared: &Shared) -> Outcome {
         loop {
             if self.poisoned.load(SeqCst) {
                 return Outcome::Poisoned;
@@ -786,74 +744,36 @@ impl SimNet {
         }
     }
 
-    fn record(&self, st: &mut SimState, ev: SimEventRecord) {
-        if self.plan.record_events == 0 {
-            return;
-        }
-        if st.trace.len() == self.plan.record_events {
-            st.trace.pop_front();
-        }
-        st.trace.push_back(ev);
-    }
-
     /// Whether the (from → to) link currently crosses an active
     /// partition; returns the mode of the first covering one.
     fn link_down(&self, st: &SimState, from: RankId, to: RankId) -> Option<PartitionMode> {
-        for (i, p) in self.plan.partitions.iter().enumerate() {
-            if !st.part_active[i] {
-                continue;
-            }
-            let a = p.cut.contains(&from);
-            let b = p.cut.contains(&to);
-            if a != b {
-                return Some(p.mode);
-            }
-        }
-        None
+        self.plan
+            .partitions
+            .iter()
+            .zip(&st.phase)
+            .find(|&(p, &ph)| ph == Phase::Active && p.cut.contains(&from) != p.cut.contains(&to))
+            .map(|(p, _)| p.mode)
     }
 
     fn apply_event(
         &self,
         st: &mut SimState,
-        shared: Option<&Shared>,
+        shared: &Shared,
         ev: SimEvent,
     ) -> Result<(), MachineError> {
         match ev {
             SimEvent::Delivery { dest, pkt } => {
-                let (from, type_id, count) = (pkt.from, pkt.env.type_id, pkt.env.count);
-                match self.link_down(st, from, dest) {
+                match self.link_down(st, pkt.from, dest) {
                     Some(PartitionMode::Drop) => {
                         st.partition_drops += 1;
-                        let t_ns = st.now_ns;
-                        self.record(
-                            st,
-                            SimEventRecord {
-                                t_ns,
-                                kind: SimEventKind::PartitionDrop,
-                                from,
-                                to: dest,
-                                type_id,
-                                count,
-                            },
-                        );
+                        note_packet(shared, "sim.partition_drop", dest, &pkt);
                         return Ok(());
                     }
                     Some(PartitionMode::Hold) => {
                         st.partition_held += 1;
+                        note_packet(shared, "sim.partition_hold", dest, &pkt);
                         let uid = st.next_uid;
                         st.next_uid += 1;
-                        let t_ns = st.now_ns;
-                        self.record(
-                            st,
-                            SimEventRecord {
-                                t_ns,
-                                kind: SimEventKind::PartitionHold,
-                                from,
-                                to: dest,
-                                type_id,
-                                count,
-                            },
-                        );
                         st.held.push(HeldPacket { uid, dest, pkt });
                         return Ok(());
                     }
@@ -863,141 +783,77 @@ impl SimNet {
                     self.check_invariant(st, shared, InvariantPoint::Delivery)?;
                 }
                 st.deliveries += 1;
-                let t_ns = st.now_ns;
-                self.record(
-                    st,
-                    SimEventRecord {
-                        t_ns,
-                        kind: SimEventKind::Deliver,
-                        from,
-                        to: dest,
-                        type_id,
-                        count,
-                    },
-                );
-                if let Some(sh) = shared {
-                    sh.deliver_direct(dest, pkt);
-                }
+                note_packet(shared, "sim.deliver", dest, &pkt);
+                shared.deliver_direct(dest, pkt);
                 self.wake_rank(st, dest);
             }
             SimEvent::AckDelivery { dest, ack } => {
                 st.acks += 1;
-                let t_ns = st.now_ns;
-                self.record(
-                    st,
-                    SimEventRecord {
-                        t_ns,
-                        kind: SimEventKind::AckDeliver,
-                        from: ack.to,
-                        to: dest,
-                        type_id: 0,
-                        count: 0,
-                    },
-                );
-                if let Some(sh) = shared {
-                    sh.ack_direct(dest, ack);
-                }
+                note(shared, "sim.ack", ack.to, 0, dest as u64);
+                shared.ack_direct(dest, ack);
                 self.wake_rank(st, dest);
             }
-            SimEvent::PartitionStart(i) => {
-                st.part_active[i] = true;
-                let t_ns = st.now_ns;
-                self.record(
-                    st,
-                    SimEventRecord {
-                        t_ns,
-                        kind: SimEventKind::PartitionUp,
-                        from: i,
-                        to: 0,
-                        type_id: 0,
-                        count: 0,
-                    },
-                );
-            }
+            SimEvent::PartitionStart(i) => self.start_partition(st, shared, i),
             SimEvent::PartitionEnd(i) => {
-                st.part_active[i] = false;
-                let t_ns = st.now_ns;
-                self.record(
-                    st,
-                    SimEventRecord {
-                        t_ns,
-                        kind: SimEventKind::PartitionDown,
-                        from: i,
-                        to: 0,
-                        type_id: 0,
-                        count: 0,
-                    },
-                );
-                self.release_held(st);
+                if self.heal_partition(st, shared, i) {
+                    self.release_held(st, shared);
+                }
             }
             SimEvent::StallStart(r) => {
                 st.stalled[r] = true;
-                let t_ns = st.now_ns;
-                self.record(
-                    st,
-                    SimEventRecord {
-                        t_ns,
-                        kind: SimEventKind::StallStart,
-                        from: r,
-                        to: 0,
-                        type_id: 0,
-                        count: 0,
-                    },
-                );
+                note(shared, "sim.stall_start", r, 0, 0);
             }
             SimEvent::StallEnd(r) => {
                 st.stalled[r] = false;
-                let t_ns = st.now_ns;
-                self.record(
-                    st,
-                    SimEventRecord {
-                        t_ns,
-                        kind: SimEventKind::StallEnd,
-                        from: r,
-                        to: 0,
-                        type_id: 0,
-                        count: 0,
-                    },
-                );
+                note(shared, "sim.stall_end", r, 0, 0);
                 // A stalled rank may have accumulated deliveries; a
                 // spurious wake is harmless.
-                if st.rank_state[r] == RankState::Idle {
-                    st.rank_state[r] = RankState::Ready;
-                }
+                self.wake_rank(st, r);
             }
         }
         Ok(())
     }
 
+    /// Form partition `i`, unless it has already healed.
+    fn start_partition(&self, st: &mut SimState, shared: &Shared, i: usize) {
+        if st.phase[i] == Phase::Pending {
+            st.phase[i] = Phase::Active;
+            note(
+                shared,
+                "sim.partition_up",
+                self.plan.partitions[i].cut[0],
+                i as u64,
+                0,
+            );
+        }
+    }
+
+    /// Heal partition `i` for good; true when it was active, so packets
+    /// it held may flow again.
+    fn heal_partition(&self, st: &mut SimState, shared: &Shared, i: usize) -> bool {
+        let was = std::mem::replace(&mut st.phase[i], Phase::Healed);
+        note(
+            shared,
+            "sim.partition_down",
+            self.plan.partitions[i].cut[0],
+            i as u64,
+            0,
+        );
+        was == Phase::Active
+    }
+
     /// Re-enqueue held packets whose links are clear again, preserving
     /// their original relative order.
-    fn release_held(&self, st: &mut SimState) {
-        let mut keep = Vec::new();
+    fn release_held(&self, st: &mut SimState, shared: &Shared) {
         let held = std::mem::take(&mut st.held);
-        let mut released = Vec::new();
-        for h in held {
-            if self.link_down(st, h.pkt.from, h.dest).is_some() {
-                keep.push(h);
-            } else {
-                released.push(h);
-            }
-        }
+        let (mut released, keep): (Vec<_>, Vec<_>) = held
+            .into_iter()
+            .partition(|h| self.link_down(st, h.pkt.from, h.dest).is_none());
         released.sort_by_key(|h| h.uid);
         for h in released {
             let uid = st.next_uid;
             st.next_uid += 1;
-            let t_ns = st.now_ns;
-            self.record(
-                st,
-                SimEventRecord {
-                    t_ns,
-                    kind: SimEventKind::Release,
-                    from: h.pkt.from,
-                    to: h.dest,
-                    type_id: h.pkt.env.type_id,
-                    count: h.pkt.env.count,
-                },
-            );
+            note_packet(shared, "sim.release", h.dest, &h.pkt);
             st.queue.insert(
                 (st.now_ns, uid),
                 SimEvent::Delivery {
@@ -1018,14 +874,14 @@ impl SimNet {
     fn check_invariant(
         &self,
         st: &mut SimState,
-        shared: Option<&Shared>,
+        shared: &Shared,
         point: InvariantPoint,
     ) -> Result<(), MachineError> {
         let hook = self.invariant.lock().clone();
         let Some(hook) = hook else {
             return Ok(());
         };
-        let epoch = shared.map(|s| s.current_epoch_hint()).unwrap_or(0);
+        let epoch = shared.current_epoch_hint();
         let ctx = InvariantCtx {
             time_ns: st.now_ns,
             epoch,
@@ -1168,42 +1024,17 @@ impl SimNet {
             st.last_epoch_seen = gen;
             let mut healed = false;
             for (i, p) in self.plan.partitions.iter().enumerate() {
-                if p.from == SimAt::Epoch(gen) && !st.part_active[i] {
-                    st.part_active[i] = true;
-                    let t_ns = st.now_ns;
-                    self.record(
-                        &mut st,
-                        SimEventRecord {
-                            t_ns,
-                            kind: SimEventKind::PartitionUp,
-                            from: i,
-                            to: 0,
-                            type_id: 0,
-                            count: 0,
-                        },
-                    );
+                if p.from == SimAt::Epoch(gen) {
+                    self.start_partition(&mut st, shared, i);
                 }
-                if p.until == SimAt::Epoch(gen) && st.part_active[i] {
-                    st.part_active[i] = false;
-                    let t_ns = st.now_ns;
-                    self.record(
-                        &mut st,
-                        SimEventRecord {
-                            t_ns,
-                            kind: SimEventKind::PartitionDown,
-                            from: i,
-                            to: 0,
-                            type_id: 0,
-                            count: 0,
-                        },
-                    );
-                    healed = true;
+                if p.until == SimAt::Epoch(gen) {
+                    healed |= self.heal_partition(&mut st, shared, i);
                 }
             }
             if healed {
-                self.release_held(&mut st);
+                self.release_held(&mut st, shared);
             }
-            self.check_invariant(&mut st, Some(shared), InvariantPoint::EpochEnd)
+            self.check_invariant(&mut st, shared, InvariantPoint::EpochEnd)
                 .err()
         };
         if let Some(err) = failed {
@@ -1228,6 +1059,9 @@ impl SimNet {
         };
         // Rings in (rank, thread) order, each oldest first.
         for ev in shared.recorder.all_spans() {
+            for b in ev.name.bytes() {
+                fold(b as u64);
+            }
             for x in [
                 ev.rank as u64,
                 ev.thread as u64,
@@ -1251,9 +1085,39 @@ impl SimNet {
             partition_drops: st.partition_drops,
             partition_held: st.partition_held,
             flight_digest: digest,
-            trace: st.trace.iter().copied().collect(),
         }
     }
+}
+
+/// Record one applied network event: an instant
+/// [`SpanKind::Transport`] record on the virtual clock, in the recorder's
+/// side ring. The scheduler runs on whichever rank thread yields; writing
+/// that rank's ring would evict the rank's own records.
+fn note(shared: &Shared, name: &'static str, rank: RankId, arg0: u64, arg1: u64) {
+    let rec = &shared.recorder;
+    if let Some(now) = rec.clock() {
+        rec.push_side(&SpanRecord {
+            kind: SpanKind::Transport,
+            name,
+            rank,
+            thread: 0,
+            start_ns: now,
+            dur_ns: 0,
+            epoch: shared.current_epoch_hint(),
+            arg0,
+            arg1,
+            flow_in: 0,
+            flow_out: 0,
+        });
+    }
+}
+
+/// [`note`] for a packet event, with the arguments laid out as on
+/// [`SpanKind::Ship`]: `rank` = sender, `arg0` = `(type_id << 32) |
+/// count`, `arg1` = destination.
+fn note_packet(shared: &Shared, name: &'static str, dest: RankId, pkt: &Packet) {
+    let ship = ((pkt.env.type_id as u64) << 32) | pkt.env.count as u64;
+    note(shared, name, pkt.from, ship, dest as u64);
 }
 
 #[cfg(test)]
@@ -1270,8 +1134,7 @@ mod tests {
             .partition(&[0], SimAt::Epoch(1), SimAt::Epoch(2), PartitionMode::Hold)
             .straggler(2, 8)
             .stall(1, 1_000, 5_000)
-            .invariant_cadence(InvariantCadence::EveryDelivery)
-            .record(64);
+            .invariant_cadence(InvariantCadence::EveryDelivery);
         assert_eq!(p.latency_ns, 500);
         assert_eq!(p.links.len(), 1);
         assert_eq!(p.partitions.len(), 1);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use dgp_am::{
     AmCtx, FaultPlan, InvariantCadence, Machine, MachineConfig, MachineError, PartitionMode, SimAt,
-    SimPlan, StatsSnapshot,
+    SimError, SimPlan, SpanKind, StatsSnapshot,
 };
 
 fn cfg(ranks: usize) -> MachineConfig {
@@ -153,7 +153,8 @@ fn try_finish_loops_stay_live() {
 
 const HOPS: u64 = 30;
 
-/// `delta_stepping_async`'s shape, then a plain epoch with traffic, back
+/// The shape of the Δ driver with window width k > 1
+/// (`strategies::delta_stepping`), then a plain epoch with traffic, back
 /// to back. In the first epoch handlers only defer each hop into a
 /// rank-local queue; the body runs the queue and ends the epoch with
 /// `try_finish`, so epoch exit starts with the epoch already decided. The
@@ -645,9 +646,11 @@ fn asymmetric_links_reorder_against_fifo() {
     assert_eq!(*order.lock(), vec![2, 1], "relay must overtake slow link");
 }
 
+/// The scheduler's network events are recorder records: instant
+/// `Transport` records in the side ring, on the virtual clock.
 #[test]
-fn sim_report_trace_records_network_events() {
-    let run = Machine::run_sim(cfg(2).coalescing(1), SimPlan::new(3).record(128), |ctx| {
+fn network_events_are_recorder_records() {
+    let run = Machine::run_sim(cfg(2).coalescing(1).profile(true), SimPlan::new(3), |ctx| {
         let mt = ctx.register(|_ctx, _: u8| {});
         ctx.epoch(|ctx| {
             if ctx.rank() == 0 {
@@ -656,21 +659,103 @@ fn sim_report_trace_records_network_events() {
                 }
             }
         });
+        // Every delivery of the epoch has been applied.
+        ctx.barrier();
+        (ctx.rank() == 0).then(|| ctx.recorder().expect("profiling on").all_spans())
     })
     .expect("sim run");
-    use dgp_am::SimEventKind;
-    let delivers = run
-        .report
-        .trace
+    let spans = run.results.into_iter().flatten().next().unwrap();
+    let net: Vec<_> = spans
         .iter()
-        .filter(|e| e.kind == SimEventKind::Deliver)
-        .count();
-    assert!(delivers >= 5, "trace should record deliveries: {delivers}");
+        .filter(|e| e.kind == SpanKind::Transport)
+        .collect();
+    let delivers = net.iter().filter(|e| e.name == "sim.deliver").count();
+    assert!(delivers >= 5, "recorder should hold deliveries: {delivers}");
     let mut last = 0;
-    for ev in &run.report.trace {
-        assert!(ev.t_ns >= last, "trace must be time-ordered");
-        last = ev.t_ns;
+    for ev in &net {
+        assert!(ev.start_ns >= last, "network events must be time-ordered");
+        last = ev.start_ns;
     }
+}
+
+/// Cross traffic both ways for 8 epochs on 2 ranks: each rank returns
+/// the running sum of the payloads it handled, epoch by epoch.
+fn cross_traffic(plan: SimPlan) -> Result<Vec<Vec<u64>>, Box<SimError>> {
+    Machine::run_sim(cfg(2).coalescing(1), plan, |ctx| {
+        let got = Arc::new(AtomicU64::new(0));
+        let g = got.clone();
+        let mt = ctx.register(move |_ctx, x: u64| {
+            g.fetch_add(x, SeqCst);
+        });
+        (1..=8u64)
+            .map(|e| {
+                ctx.epoch(|ctx| {
+                    for i in 0..4 {
+                        mt.send(ctx, 1 - ctx.rank(), e * 100 + i);
+                    }
+                });
+                got.load(SeqCst)
+            })
+            .collect()
+    })
+    .map(|run| run.results)
+}
+
+/// A partition whose heal comes before its start has an empty window: it
+/// never forms, so its Hold traffic is never parked for good and every
+/// order finishes with the unpartitioned run's results.
+#[test]
+fn partition_healed_before_it_forms_never_forms() {
+    let clean = cross_traffic(SimPlan::new(5)).expect("clean run");
+    for (from, until) in [
+        (SimAt::Epoch(2), SimAt::Time(1)),
+        (SimAt::Time(3_000), SimAt::Epoch(1)),
+        (SimAt::Time(5_000), SimAt::Time(1)),
+    ] {
+        let plan = SimPlan::new(5).partition(&[1], from, until, PartitionMode::Hold);
+        let results = cross_traffic(plan).unwrap_or_else(|e| panic!("{from:?}..{until:?}: {e}"));
+        assert_eq!(results, clean, "{from:?}..{until:?}");
+    }
+}
+
+/// A Hold partition that never heals parks the cross-cut traffic until
+/// the watchdog fails the run; the post-mortem timeline shows the holds
+/// behind the stall.
+#[test]
+fn stalled_run_postmortem_shows_the_partition_holds() {
+    let err = Machine::run_sim(
+        cfg(2).coalescing(1),
+        SimPlan::new(3).partition(
+            &[1],
+            SimAt::Time(0),
+            SimAt::Time(u64::MAX),
+            PartitionMode::Hold,
+        ),
+        |ctx| {
+            let mt = ctx.register(|_ctx, _: u8| {});
+            ctx.epoch(|ctx| mt.send(ctx, 1 - ctx.rank(), 1));
+        },
+    )
+    .expect_err("a partition that never heals must stall the epoch");
+    assert!(
+        matches!(err.error, MachineError::SimStalled { .. }),
+        "expected SimStalled, got {}",
+        err.error
+    );
+    let timeline = &err.postmortem.timeline;
+    let holds: Vec<_> = timeline
+        .iter()
+        .filter(|e| e.name == "sim.partition_hold")
+        .collect();
+    assert_eq!(holds.len(), 2, "one held packet each way: {timeline:?}");
+    for h in holds {
+        assert_eq!(h.kind, SpanKind::Transport);
+        assert_eq!(h.arg1, 1 - h.rank as u64, "arg1 is the destination");
+    }
+    assert!(
+        timeline.iter().any(|e| e.name == "sim.partition_up"),
+        "{timeline:?}"
+    );
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! regression fixture, and replays with one command
 //! (`experiments --sim-replay <file>`).
 
-use dgp_am::{PartitionMode, PartitionSpec, SimAt, StallSpec, StragglerSpec};
+use dgp_am::{
+    InvariantCadence, LinkSpec, PartitionMode, PartitionSpec, SimAt, StallSpec, StragglerSpec,
+};
 
 use crate::scenario::{GraphKind, ScenarioSpec, Workload};
 
@@ -56,15 +58,17 @@ pub fn to_replay(spec: &ScenarioSpec) -> String {
     kv("ranks", spec.ranks.to_string());
     kv("coalescing", spec.coalescing.to_string());
     kv("faults", spec.faults.to_string());
-    kv("seed", spec.seed.to_string());
-    kv("latency_ns", spec.latency_ns.to_string());
-    kv("per_msg_ns", spec.per_msg_ns.to_string());
-    kv("jitter_ns", spec.jitter_ns.to_string());
-    kv("every_delivery", spec.every_delivery.to_string());
-    for &(f, t, lat) in &spec.links {
-        kv("link", format!("{f}:{t}:{lat}"));
+    let plan = &spec.plan;
+    kv("seed", plan.seed.to_string());
+    kv("latency_ns", plan.latency_ns.to_string());
+    kv("per_msg_ns", plan.per_msg_ns.to_string());
+    kv("jitter_ns", plan.jitter_ns.to_string());
+    let every_delivery = plan.cadence == InvariantCadence::EveryDelivery;
+    kv("every_delivery", every_delivery.to_string());
+    for l in &plan.links {
+        kv("link", format!("{}:{}:{}", l.from, l.to, l.latency_ns));
     }
-    for p in &spec.partitions {
+    for p in &plan.partitions {
         let mode = match p.mode {
             PartitionMode::Hold => "hold",
             PartitionMode::Drop => "drop",
@@ -80,10 +84,10 @@ pub fn to_replay(spec: &ScenarioSpec) -> String {
             format!("{mode}:{}:{}:{cut}", at_str(p.from), at_str(p.until)),
         );
     }
-    for s in &spec.stragglers {
+    for s in &plan.stragglers {
         kv("straggler", format!("{}:{}", s.rank, s.factor));
     }
-    for s in &spec.stalls {
+    for s in &plan.stalls {
         kv("stall", format!("{}:{}:{}", s.rank, s.at_ns, s.duration_ns));
     }
     out
@@ -160,19 +164,25 @@ pub fn from_replay(text: &str) -> Result<ScenarioSpec, String> {
             "ranks" => spec.ranks = parse_usize(k, v)?,
             "coalescing" => spec.coalescing = parse_usize(k, v)?,
             "faults" => spec.faults = parse_bool(k, v)?,
-            "seed" => spec.seed = parse_u64(k, v)?,
-            "latency_ns" => spec.latency_ns = parse_u64(k, v)?,
-            "per_msg_ns" => spec.per_msg_ns = parse_u64(k, v)?,
-            "jitter_ns" => spec.jitter_ns = parse_u64(k, v)?,
-            "every_delivery" => spec.every_delivery = parse_bool(k, v)?,
+            "seed" => spec.plan.seed = parse_u64(k, v)?,
+            "latency_ns" => spec.plan.latency_ns = parse_u64(k, v)?,
+            "per_msg_ns" => spec.plan.per_msg_ns = parse_u64(k, v)?,
+            "jitter_ns" => spec.plan.jitter_ns = parse_u64(k, v)?,
+            "every_delivery" => {
+                spec.plan.cadence = if parse_bool(k, v)? {
+                    InvariantCadence::EveryDelivery
+                } else {
+                    InvariantCadence::EveryEpoch
+                }
+            }
             "link" => {
                 let parts: Vec<&str> = v.split(':').collect();
                 match parts.as_slice() {
-                    [f, t, lat] => spec.links.push((
-                        parse_usize(k, f)?,
-                        parse_usize(k, t)?,
-                        parse_u64(k, lat)?,
-                    )),
+                    [f, t, lat] => spec.plan.links.push(LinkSpec {
+                        from: parse_usize(k, f)?,
+                        to: parse_usize(k, t)?,
+                        latency_ns: parse_u64(k, lat)?,
+                    }),
                     _ => return Err(format!("link: want from:to:latency, got {v:?}")),
                 }
             }
@@ -196,7 +206,7 @@ pub fn from_replay(text: &str) -> Result<ScenarioSpec, String> {
                     .filter(|s| !s.is_empty())
                     .map(|s| parse_usize(k, s))
                     .collect::<Result<Vec<_>, _>>()?;
-                spec.partitions.push(PartitionSpec {
+                spec.plan.partitions.push(PartitionSpec {
                     cut,
                     from,
                     until,
@@ -206,7 +216,7 @@ pub fn from_replay(text: &str) -> Result<ScenarioSpec, String> {
             "straggler" => {
                 let parts: Vec<&str> = v.split(':').collect();
                 match parts.as_slice() {
-                    [r, f] => spec.stragglers.push(StragglerSpec {
+                    [r, f] => spec.plan.stragglers.push(StragglerSpec {
                         rank: parse_usize(k, r)?,
                         factor: parse_u64(k, f)?,
                     }),
@@ -216,7 +226,7 @@ pub fn from_replay(text: &str) -> Result<ScenarioSpec, String> {
             "stall" => {
                 let parts: Vec<&str> = v.split(':').collect();
                 match parts.as_slice() {
-                    [r, at, dur] => spec.stalls.push(StallSpec {
+                    [r, at, dur] => spec.plan.stalls.push(StallSpec {
                         rank: parse_usize(k, r)?,
                         at_ns: parse_u64(k, at)?,
                         duration_ns: parse_u64(k, dur)?,
@@ -243,20 +253,24 @@ mod tests {
         spec.workload = Workload::PageRank { iters: 7 };
         spec.graph = GraphKind::Blobs { k: 3, size: 20 };
         spec.faults = true;
-        spec.jitter_ns = 4_242;
-        spec.every_delivery = true;
-        spec.links.push((1, 2, 55_000));
-        spec.partitions.push(partition(
+        spec.plan.jitter_ns = 4_242;
+        spec.plan.cadence = InvariantCadence::EveryDelivery;
+        spec.plan.links.push(LinkSpec {
+            from: 1,
+            to: 2,
+            latency_ns: 55_000,
+        });
+        spec.plan.partitions.push(partition(
             &[0, 2],
             SimAt::Epoch(2),
             SimAt::Time(9_000_000),
             PartitionMode::Drop,
         ));
-        spec.stragglers.push(StragglerSpec {
+        spec.plan.stragglers.push(StragglerSpec {
             rank: 3,
             factor: 16,
         });
-        spec.stalls.push(StallSpec {
+        spec.plan.stalls.push(StallSpec {
             rank: 1,
             at_ns: 2_000,
             duration_ns: 1_000_000,

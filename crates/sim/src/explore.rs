@@ -1,7 +1,7 @@
 //! Schedule exploration: sweep seeds × adversarial policies over a base
 //! scenario, shrink every failure to a minimal repro.
 
-use dgp_am::{PartitionMode, SimAt};
+use dgp_am::{LinkSpec, PartitionMode, SimAt, StallSpec, StragglerSpec};
 
 use crate::scenario::{partition, run_scenario, ScenarioSpec};
 use crate::{shrink, to_replay};
@@ -49,51 +49,59 @@ impl Policy {
     /// `seed` (which also becomes the schedule seed).
     pub fn apply(self, base: &ScenarioSpec, seed: u64) -> ScenarioSpec {
         let mut spec = base.clone();
-        spec.seed = seed;
         let nr = spec.ranks;
         let victim = (seed as usize) % nr.max(1);
+        let plan = &mut spec.plan;
+        plan.seed = seed;
+        let lat = plan.latency_ns;
         match self {
             Policy::Baseline => {}
             Policy::DelayOneRank => {
-                spec.stragglers.push(dgp_am::StragglerSpec {
+                plan.stragglers.push(StragglerSpec {
                     rank: victim,
                     factor: 100,
                 });
             }
             Policy::PartitionAtEpoch => {
                 let epoch = 1 + seed % 2;
-                spec.partitions.push(partition(
+                plan.partitions.push(partition(
                     &[victim],
                     SimAt::Epoch(epoch),
-                    SimAt::Time(spec.latency_ns.saturating_mul(5_000)),
+                    SimAt::Time(lat.saturating_mul(5_000)),
                     PartitionMode::Hold,
                 ));
             }
             Policy::DropPartition => {
                 spec.faults = true;
-                spec.partitions.push(partition(
+                plan.partitions.push(partition(
                     &[victim],
                     SimAt::Time(0),
-                    SimAt::Time(spec.latency_ns.saturating_mul(500)),
+                    SimAt::Time(lat.saturating_mul(500)),
                     PartitionMode::Drop,
                 ));
             }
             Policy::AsymmetricLinks => {
-                for to in 0..nr {
-                    if to != victim {
-                        spec.links.push((victim, to, spec.latency_ns * 50));
-                        spec.links.push((to, victim, spec.latency_ns / 2 + 1));
-                    }
+                for to in (0..nr).filter(|&to| to != victim) {
+                    plan.links.push(LinkSpec {
+                        from: victim,
+                        to,
+                        latency_ns: lat * 50,
+                    });
+                    plan.links.push(LinkSpec {
+                        from: to,
+                        to: victim,
+                        latency_ns: lat / 2 + 1,
+                    });
                 }
             }
             Policy::ReorderHeavy => {
-                spec.jitter_ns = spec.latency_ns.saturating_mul(20);
+                plan.jitter_ns = lat.saturating_mul(20);
             }
             Policy::CrashRecover => {
-                spec.stalls.push(dgp_am::StallSpec {
+                plan.stalls.push(StallSpec {
                     rank: victim,
-                    at_ns: spec.latency_ns * 2,
-                    duration_ns: spec.latency_ns.saturating_mul(2_000),
+                    at_ns: lat * 2,
+                    duration_ns: lat.saturating_mul(2_000),
                 });
             }
         }
@@ -218,7 +226,7 @@ mod tests {
             let spec = p.apply(&base, 3);
             assert_ne!(&spec, &{
                 let mut b = base.clone();
-                b.seed = 3;
+                b.plan.seed = 3;
                 b
             });
         }

@@ -7,10 +7,10 @@
 //! event queue, so every run — thousands of ranks included — is exactly
 //! reproducible. This crate turns that determinism into a testing tool:
 //!
-//! * **Scenarios** ([`scenario`]): one flat, serializable description of
-//!   a complete simulated run — workload, graph, machine shape, and the
-//!   full network plan (latency, jitter, links, partitions, stragglers,
-//!   stalls). [`run_scenario`] executes it with the workload's mid-run
+//! * **Scenarios** ([`scenario`]): one serializable description of a
+//!   complete simulated run — workload, graph, machine shape, and the
+//!   [`dgp_am::SimPlan`] it runs under (latency, jitter, links,
+//!   partitions, stragglers, stalls). [`run_scenario`] executes it with the workload's mid-run
 //!   invariant checker installed and reports a pass/fail outcome plus
 //!   the run's [`dgp_am::SimReport`].
 //! * **Exploration** ([`explore()`]): sweep seeds × adversarial policies

@@ -1,10 +1,7 @@
 //! Self-contained simulated-run descriptions and their executor.
 
 use dgp_algorithms::{Run, RunResult, SsspStrategy};
-use dgp_am::{
-    FaultPlan, InvariantCadence, MachineConfig, PartitionSpec, SimAt, SimPlan, SimReport,
-    StallSpec, StragglerSpec,
-};
+use dgp_am::{FaultPlan, MachineConfig, PartitionSpec, SimAt, SimPlan, SimReport};
 use dgp_graph::{generators, EdgeList};
 
 /// Which algorithm the scenario runs (each installs its own mid-run
@@ -52,7 +49,7 @@ pub enum GraphKind {
     },
 }
 
-/// One complete, flat description of a simulated run: everything
+/// One complete description of a simulated run: everything
 /// [`run_scenario`] needs, and everything [`crate::to_replay`] writes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
@@ -68,29 +65,15 @@ pub struct ScenarioSpec {
     pub coalescing: usize,
     /// Enable the seeded fault plan (reliability layer under test).
     pub faults: bool,
-    /// Schedule seed ([`SimPlan::new`]).
-    pub seed: u64,
-    /// Default link latency, nanoseconds.
-    pub latency_ns: u64,
-    /// Per-message serialization cost, nanoseconds.
-    pub per_msg_ns: u64,
-    /// Deterministic per-delivery jitter bound, nanoseconds.
-    pub jitter_ns: u64,
-    /// Check invariants at every delivery instead of every epoch.
-    pub every_delivery: bool,
-    /// Per-link latency overrides `(from, to, latency_ns)`.
-    pub links: Vec<(usize, usize, u64)>,
-    /// Network partitions.
-    pub partitions: Vec<PartitionSpec>,
-    /// Slow ranks.
-    pub stragglers: Vec<StragglerSpec>,
-    /// Crash-recover (fail-stutter) windows.
-    pub stalls: Vec<StallSpec>,
+    /// The simulator plan: schedule seed, link model, invariant cadence
+    /// and every adversarial element.
+    pub plan: SimPlan,
 }
 
 impl ScenarioSpec {
     /// A small, healthy baseline: SSSP over an R-MAT graph, 4 ranks,
-    /// plain links. Policies and tests perturb from here.
+    /// plain links ([`SimPlan::new`]). Policies and tests perturb from
+    /// here.
     pub fn baseline(seed: u64) -> ScenarioSpec {
         ScenarioSpec {
             workload: Workload::Sssp { source: 0 },
@@ -102,15 +85,7 @@ impl ScenarioSpec {
             ranks: 4,
             coalescing: 4,
             faults: false,
-            seed,
-            latency_ns: 1_000,
-            per_msg_ns: 10,
-            jitter_ns: 0,
-            every_delivery: false,
-            links: Vec::new(),
-            partitions: Vec::new(),
-            stragglers: Vec::new(),
-            stalls: Vec::new(),
+            plan: SimPlan::new(seed),
         }
     }
 
@@ -138,33 +113,9 @@ impl ScenarioSpec {
     pub fn machine_config(&self) -> MachineConfig {
         let mut cfg = MachineConfig::new(self.ranks).coalescing(self.coalescing);
         if self.faults {
-            cfg = cfg.faults(FaultPlan::new(self.seed ^ 0xFA17));
+            cfg = cfg.faults(FaultPlan::new(self.plan.seed ^ 0xFA17));
         }
         cfg
-    }
-
-    /// The simulator plan this scenario describes.
-    pub fn sim_plan(&self) -> SimPlan {
-        let mut plan = SimPlan::new(self.seed)
-            .latency(self.latency_ns)
-            .per_msg(self.per_msg_ns)
-            .jitter(self.jitter_ns);
-        if self.every_delivery {
-            plan = plan.invariant_cadence(InvariantCadence::EveryDelivery);
-        }
-        for &(from, to, lat) in &self.links {
-            plan = plan.link(from, to, lat);
-        }
-        for p in &self.partitions {
-            plan = plan.partition(&p.cut, p.from, p.until, p.mode);
-        }
-        for s in &self.stragglers {
-            plan = plan.straggler(s.rank, s.factor);
-        }
-        for s in &self.stalls {
-            plan = plan.stall(s.rank, s.at_ns, s.duration_ns);
-        }
-        plan
     }
 }
 
@@ -203,7 +154,7 @@ fn fnv<I: IntoIterator<Item = u64>>(xs: I) -> u64 {
 /// which is what exploration and shrinking consume.
 pub fn run_scenario(spec: &ScenarioSpec) -> Outcome {
     let el = spec.edge_list();
-    let run = Run::on(spec.machine_config()).sim(spec.sim_plan());
+    let run = Run::on(spec.machine_config()).sim(spec.plan.clone());
     match spec.workload {
         Workload::Sssp { source } => digest(run.sssp(&el, source, SsspStrategy::FixedPoint), |d| {
             d.to_bits()
@@ -271,9 +222,9 @@ mod tests {
     #[test]
     fn schedule_seed_changes_timeline_not_results() {
         let mut spec = ScenarioSpec::baseline(1);
-        spec.jitter_ns = 5_000;
+        spec.plan.jitter_ns = 5_000;
         let a = run_scenario(&spec);
-        spec.seed = 2;
+        spec.plan.seed = 2;
         let b = run_scenario(&spec);
         assert_eq!(
             a.result_digest, b.result_digest,

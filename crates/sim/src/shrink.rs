@@ -10,6 +10,8 @@
 //! iterate to a fixed point. Every candidate is a full deterministic
 //! re-run, so the result is trustworthy: the returned spec *does* fail.
 
+use dgp_am::InvariantCadence;
+
 use crate::scenario::ScenarioSpec;
 
 /// Hard cap on candidate runs, so shrinking a pathological scenario
@@ -21,35 +23,35 @@ const RUN_BUDGET: usize = 200;
 /// elements before fiddling with magnitudes.
 fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
     let mut out = Vec::new();
-    for i in 0..spec.partitions.len() {
+    for i in 0..spec.plan.partitions.len() {
         let mut s = spec.clone();
-        s.partitions.remove(i);
+        s.plan.partitions.remove(i);
         out.push(s);
     }
-    for i in 0..spec.stragglers.len() {
+    for i in 0..spec.plan.stragglers.len() {
         let mut s = spec.clone();
-        s.stragglers.remove(i);
+        s.plan.stragglers.remove(i);
         out.push(s);
     }
-    for i in 0..spec.stalls.len() {
+    for i in 0..spec.plan.stalls.len() {
         let mut s = spec.clone();
-        s.stalls.remove(i);
+        s.plan.stalls.remove(i);
         out.push(s);
     }
     // Links shrink in halves first (removing 1 of 2·(n−1) asymmetric
     // overrides rarely changes anything; removing half of them does).
-    if spec.links.len() > 1 {
-        let mid = spec.links.len() / 2;
+    if spec.plan.links.len() > 1 {
+        let mid = spec.plan.links.len() / 2;
         let mut lo = spec.clone();
-        lo.links.truncate(mid);
+        lo.plan.links.truncate(mid);
         out.push(lo);
         let mut hi = spec.clone();
-        hi.links.drain(..mid);
+        hi.plan.links.drain(..mid);
         out.push(hi);
     }
-    for i in 0..spec.links.len() {
+    for i in 0..spec.plan.links.len() {
         let mut s = spec.clone();
-        s.links.remove(i);
+        s.plan.links.remove(i);
         out.push(s);
     }
     if spec.faults {
@@ -57,14 +59,14 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
         s.faults = false;
         out.push(s);
     }
-    if spec.every_delivery {
+    if spec.plan.cadence == InvariantCadence::EveryDelivery {
         let mut s = spec.clone();
-        s.every_delivery = false;
+        s.plan.cadence = InvariantCadence::EveryEpoch;
         out.push(s);
     }
-    if spec.jitter_ns > 0 {
+    if spec.plan.jitter_ns > 0 {
         let mut s = spec.clone();
-        s.jitter_ns = 0;
+        s.plan.jitter_ns = 0;
         out.push(s);
     }
     if spec.ranks > 2 {
@@ -72,10 +74,12 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
         s.ranks /= 2;
         // Plan elements may reference ranks that no longer exist; drop
         // those rather than producing an invalid candidate.
-        s.partitions.retain(|p| p.cut.iter().all(|&r| r < s.ranks));
-        s.stragglers.retain(|g| g.rank < s.ranks);
-        s.stalls.retain(|g| g.rank < s.ranks);
-        s.links.retain(|&(f, t, _)| f < s.ranks && t < s.ranks);
+        s.plan
+            .partitions
+            .retain(|p| p.cut.iter().all(|&r| r < s.ranks));
+        s.plan.stragglers.retain(|g| g.rank < s.ranks);
+        s.plan.stalls.retain(|g| g.rank < s.ranks);
+        s.plan.links.retain(|l| l.from < s.ranks && l.to < s.ranks);
         out.push(s);
     }
     if spec.coalescing > 1 {
@@ -83,14 +87,14 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
         s.coalescing /= 2;
         out.push(s);
     }
-    if spec.latency_ns > 1 {
+    if spec.plan.latency_ns > 1 {
         let mut s = spec.clone();
-        s.latency_ns /= 2;
+        s.plan.latency_ns /= 2;
         out.push(s);
     }
-    if spec.per_msg_ns > 0 {
+    if spec.plan.per_msg_ns > 0 {
         let mut s = spec.clone();
-        s.per_msg_ns /= 2;
+        s.plan.per_msg_ns /= 2;
         out.push(s);
     }
     if let crate::scenario::GraphKind::Rmat { scale, edge_factor } = spec.graph {
@@ -136,36 +140,51 @@ pub fn shrink(spec: &ScenarioSpec, fails: impl Fn(&ScenarioSpec) -> bool) -> Sce
 mod tests {
     use super::*;
     use crate::scenario::{partition, GraphKind, PartitionMode, ScenarioSpec};
-    use dgp_am::{SimAt, StragglerSpec};
+    use dgp_am::{LinkSpec, SimAt, StragglerSpec};
 
     /// A synthetic predicate: "fails iff a straggler on rank 1 exists".
     /// The shrinker must strip everything else.
     #[test]
     fn strips_irrelevant_plan_elements() {
         let mut spec = ScenarioSpec::baseline(5);
-        spec.jitter_ns = 9_000;
-        spec.links.push((0, 1, 50));
-        spec.links.push((1, 0, 77_000));
-        spec.partitions.push(partition(
+        spec.plan.jitter_ns = 9_000;
+        spec.plan.links.push(LinkSpec {
+            from: 0,
+            to: 1,
+            latency_ns: 50,
+        });
+        spec.plan.links.push(LinkSpec {
+            from: 1,
+            to: 0,
+            latency_ns: 77_000,
+        });
+        spec.plan.partitions.push(partition(
             &[2],
             SimAt::Epoch(1),
             SimAt::Time(5_000_000),
             PartitionMode::Hold,
         ));
-        spec.stragglers.push(StragglerSpec {
+        spec.plan.stragglers.push(StragglerSpec {
             rank: 1,
             factor: 64,
         });
-        spec.stragglers.push(StragglerSpec { rank: 3, factor: 2 });
+        spec.plan
+            .stragglers
+            .push(StragglerSpec { rank: 3, factor: 2 });
 
-        let fails = |s: &ScenarioSpec| s.stragglers.iter().any(|g| g.rank == 1 && g.factor > 10);
+        let fails = |s: &ScenarioSpec| {
+            s.plan
+                .stragglers
+                .iter()
+                .any(|g| g.rank == 1 && g.factor > 10)
+        };
         let min = shrink(&spec, fails);
         assert!(fails(&min));
-        assert!(min.partitions.is_empty());
-        assert!(min.links.is_empty());
-        assert_eq!(min.jitter_ns, 0);
-        assert_eq!(min.stragglers.len(), 1);
-        assert_eq!(min.stragglers[0].rank, 1);
+        assert!(min.plan.partitions.is_empty());
+        assert!(min.plan.links.is_empty());
+        assert_eq!(min.plan.jitter_ns, 0);
+        assert_eq!(min.plan.stragglers.len(), 1);
+        assert_eq!(min.plan.stragglers[0].rank, 1);
         assert_eq!(min.ranks, 2, "rank count halved to the floor");
     }
 
@@ -181,13 +200,13 @@ mod tests {
     #[test]
     fn scalars_reach_their_floors() {
         let mut spec = ScenarioSpec::baseline(1);
-        spec.jitter_ns = 12_345;
-        spec.every_delivery = true;
+        spec.plan.jitter_ns = 12_345;
+        spec.plan.cadence = InvariantCadence::EveryDelivery;
         let min = shrink(&spec, |_| true);
-        assert_eq!(min.jitter_ns, 0);
-        assert!(!min.every_delivery);
+        assert_eq!(min.plan.jitter_ns, 0);
+        assert_eq!(min.plan.cadence, InvariantCadence::EveryEpoch);
         assert_eq!(min.coalescing, 1);
-        assert_eq!(min.per_msg_ns, 0);
+        assert_eq!(min.plan.per_msg_ns, 0);
         assert!(matches!(min.graph, GraphKind::Rmat { scale: 3, .. }));
     }
 }

@@ -179,7 +179,7 @@ fn sssp_result_is_partition_invariant_hold() {
     assert!(clean.ok(), "{:?}", clean.error);
 
     let mut cut = base.clone();
-    cut.partitions.push(partition(
+    cut.plan.partitions.push(partition(
         &[1],
         SimAt::Time(2_000),
         SimAt::Time(8_000_000),
@@ -214,7 +214,7 @@ fn cc_result_survives_drop_partition_with_retransmission() {
 
     let mut cut = base.clone();
     cut.faults = true;
-    cut.partitions.push(partition(
+    cut.plan.partitions.push(partition(
         &[0],
         SimAt::Time(3_000),
         SimAt::Time(4_000_000),

@@ -2,14 +2,17 @@
 //! random workloads, graphs, link models, partitions, stragglers and
 //! stalls — must (a) replay bit-identically under the same seed, (b)
 //! compute schedule-independent results across different seeds, and (c)
-//! recover exactly from healed lossy partitions. The vendored proptest
+//! recover exactly from healed lossy partitions, and (d) run the Δ
+//! driver at both ends of its window width k to Dijkstra's distances
+//! under the same schedules. The vendored proptest
 //! stand-in deliberately has no shrinking, so minimization is covered by
 //! `dgp_sim::shrink`: the last property manufactures a failing scenario
 //! and checks it reduces to a minimal spec whose replay block round-trips.
 
 use proptest::prelude::*;
 
-use dgp_am::{PartitionMode, SimAt};
+use dgp_algorithms::{seq, Run, SsspStrategy};
+use dgp_am::{LinkSpec, PartitionMode, SimAt};
 use dgp_sim::scenario::partition;
 use dgp_sim::{from_replay, run_scenario, shrink, to_replay, GraphKind, ScenarioSpec, Workload};
 
@@ -53,9 +56,9 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                 s.graph_seed = graph_seed;
                 s.ranks = ranks;
                 s.coalescing = coalescing;
-                s.latency_ns = lat;
-                s.per_msg_ns = pm;
-                s.jitter_ns = jit;
+                s.plan.latency_ns = lat;
+                s.plan.per_msg_ns = pm;
+                s.plan.jitter_ns = jit;
                 s
             },
         )
@@ -85,7 +88,7 @@ proptest! {
     fn results_are_schedule_independent(spec in arb_spec()) {
         let a = run_scenario(&spec);
         let mut other = spec.clone();
-        other.seed = spec.seed.wrapping_mul(31).wrapping_add(7);
+        other.plan.seed = spec.plan.seed.wrapping_mul(31).wrapping_add(7);
         let b = run_scenario(&other);
         prop_assert!(a.ok(), "{:?}", a.error);
         prop_assert!(b.ok(), "{:?}", b.error);
@@ -105,7 +108,7 @@ proptest! {
         prop_assert!(clean.ok(), "{:?}", clean.error);
         let mut cut = spec.clone();
         cut.faults = true;
-        cut.partitions.push(partition(
+        cut.plan.partitions.push(partition(
             &[victim % cut.ranks],
             SimAt::Time(onset),
             SimAt::Time(onset + 2_000_000),
@@ -114,6 +117,33 @@ proptest! {
         let lossy = run_scenario(&cut);
         prop_assert!(lossy.ok(), "{:?}", lossy.error);
         prop_assert_eq!(lossy.result_digest, clean.result_digest);
+    }
+
+    /// The Δ driver at both ends of its window width k — `Delta` (k = 1,
+    /// an epoch per bucket) and `DeltaAsync` (k = ∞, one window over
+    /// every bucket) — on the generated machine and schedule: each run
+    /// completes with `Sssp`'s mid-run invariant holding, and its
+    /// distances are Dijkstra's bit for bit. (k = 4 is pinned in
+    /// `tests/delta_stepping.rs`.)
+    #[test]
+    fn delta_window_ends_are_dijkstra(spec in arb_spec(), d in 0usize..3) {
+        let delta = [0.5, 1.0, 2.5][d];
+        let source = match spec.workload {
+            Workload::Sssp { source } => source,
+            _ => 0,
+        };
+        let weighted = ScenarioSpec { workload: Workload::Sssp { source }, ..spec.clone() };
+        let el = weighted.edge_list();
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let truth = bits(&seq::dijkstra(&el, source));
+        for strategy in [SsspStrategy::Delta(delta), SsspStrategy::DeltaAsync(delta)] {
+            let run = Run::on(spec.machine_config())
+                .sim(spec.plan.clone())
+                .sssp(&el, source, strategy)
+                .map_err(|e| e.to_string());
+            prop_assert!(run.is_ok(), "{:?}: {:?}", strategy, run.as_ref().err());
+            prop_assert!(bits(&run.unwrap().result) == truth, "{:?} differs from Dijkstra", strategy);
+        }
     }
 
     /// Replay blocks round-trip arbitrary generated scenarios exactly.
@@ -132,16 +162,24 @@ proptest! {
 #[test]
 fn failing_scenarios_shrink_to_minimal_replayable_repros() {
     let mut spec = ScenarioSpec::baseline(3);
-    spec.jitter_ns = 6_000;
-    spec.links.push((0, 1, 40_000));
-    spec.links.push((1, 0, 90));
-    spec.partitions.push(partition(
+    spec.plan.jitter_ns = 6_000;
+    spec.plan.links.push(LinkSpec {
+        from: 0,
+        to: 1,
+        latency_ns: 40_000,
+    });
+    spec.plan.links.push(LinkSpec {
+        from: 1,
+        to: 0,
+        latency_ns: 90,
+    });
+    spec.plan.partitions.push(partition(
         &[2],
         SimAt::Epoch(1),
         SimAt::Time(3_000_000),
         PartitionMode::Hold,
     ));
-    spec.stalls.push(dgp_am::StallSpec {
+    spec.plan.stalls.push(dgp_am::StallSpec {
         rank: 1,
         at_ns: 5_000,
         duration_ns: 400_000,
@@ -149,19 +187,19 @@ fn failing_scenarios_shrink_to_minimal_replayable_repros() {
     // The "bug": runs with a straggler trip it. (A synthetic predicate
     // keeps the test fast and the expected minimum exactly known;
     // `explore` wires `run_scenario` failures through the same path.)
-    spec.stragglers.push(dgp_am::StragglerSpec {
+    spec.plan.stragglers.push(dgp_am::StragglerSpec {
         rank: 0,
         factor: 30,
     });
-    let fails = |s: &ScenarioSpec| s.stragglers.iter().any(|g| g.factor >= 10);
+    let fails = |s: &ScenarioSpec| s.plan.stragglers.iter().any(|g| g.factor >= 10);
 
     let min = shrink(&spec, fails);
     assert!(fails(&min), "shrinking must preserve the failure");
-    assert!(min.partitions.is_empty(), "irrelevant partition kept");
-    assert!(min.stalls.is_empty(), "irrelevant stall kept");
-    assert!(min.links.is_empty(), "irrelevant links kept");
-    assert_eq!(min.jitter_ns, 0, "irrelevant jitter kept");
-    assert_eq!(min.stragglers.len(), 1);
+    assert!(min.plan.partitions.is_empty(), "irrelevant partition kept");
+    assert!(min.plan.stalls.is_empty(), "irrelevant stall kept");
+    assert!(min.plan.links.is_empty(), "irrelevant links kept");
+    assert_eq!(min.plan.jitter_ns, 0, "irrelevant jitter kept");
+    assert_eq!(min.plan.stragglers.len(), 1);
 
     let text = to_replay(&min);
     let back = from_replay(&text).expect("replay block parses");
