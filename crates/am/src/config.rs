@@ -57,8 +57,9 @@ pub struct MachineConfig {
     /// through [`events_per_thread`](Self::events_per_thread). Each
     /// runtime thread keeps its newest this many
     /// [`SpanRecord`](crate::SpanRecord)s in a ring only it writes —
-    /// envelope ships, handler and epoch entries, handler, epoch and
-    /// termination spans, traced sends, retransmissions, injected faults,
+    /// traced envelope ships, epoch entries, handler spans (open while
+    /// the handler runs), epoch and termination spans, retransmissions,
+    /// injected faults,
     /// and under [`profile`](Self::profile) the engine, strategy and user
     /// spans. The side ring, for threads that own none, keeps as many:
     /// TCP reconnects, and under the simulator every network event

@@ -22,8 +22,10 @@ impl AmCtx {
 
     /// Receive one packet off the wire: acknowledge and dedup sequenced
     /// packets (reliability layer on), then hand the envelope to its
-    /// handler.
-    pub(crate) fn handle_packet(&self, pkt: Packet) {
+    /// handler. `entered` and the return value are
+    /// [`handle_envelope`](Self::handle_envelope)'s; a suppressed
+    /// duplicate returns `None`.
+    pub(crate) fn handle_packet(&self, pkt: Packet, entered: Option<u64>) -> Option<u64> {
         if pkt.seq != 0 {
             if let Some(t) = &self.shared.reliability {
                 // Ack *every* receipt, including duplicates: the original
@@ -31,29 +33,35 @@ impl AmCtx {
                 t.ack(self, pkt.from, pkt.env.type_id, pkt.seq);
                 if !t.accept(pkt.from, self.rank, pkt.seq) {
                     MachineStats::bump(&self.shared.stats.dups_suppressed, 1);
-                    return;
+                    return None;
                 }
             }
         }
-        self.handle_envelope(pkt.env);
+        self.handle_envelope(pkt.env, entered)
     }
 
-    pub(crate) fn handle_envelope(&self, env: Envelope) {
+    /// Run one envelope's handler batch. `entered` is the clock reading
+    /// the previous handler of the same drain pass returned at its exit
+    /// (`None` for a pass's first envelope): it serves as this handler's
+    /// entry time, so back-to-back handlers share one clock read and the
+    /// inbox pop between them is folded into this span. Returns the exit
+    /// reading, `None` when the recorder wanted no time.
+    pub(crate) fn handle_envelope(&self, env: Envelope, entered: Option<u64>) -> Option<u64> {
         let (type_id, count) = (env.type_id, env.count);
         let trace = env.trace;
         let payload = env.payload;
-        // The entry instant, then the handler span it opens: if the
-        // handler panics, the entry is the post-mortem's last word on
-        // this envelope.
-        let started = self.clock().map(|now| SpanRecord {
-            arg0: type_id as u64,
-            arg1: count as u64,
-            flow_in: trace.event,
-            ..self.stamp(SpanKind::HandlerEnter, "handler.enter", now)
+        // One slot per envelope: pushed open at entry, completed in place
+        // as the handler span at exit. If the handler panics, the open
+        // record is the post-mortem's last word on this envelope.
+        let open = entered.or_else(|| self.clock()).map(|now| {
+            let enter = SpanRecord {
+                arg0: type_id as u64,
+                arg1: count as u64,
+                flow_in: trace.event,
+                ..self.stamp(SpanKind::HandlerEnter, "handler.enter", now)
+            };
+            (self.record(&enter), enter)
         });
-        if let Some(enter) = &started {
-            self.record(enter);
-        }
         // While a traced envelope's batch executes, every send this thread
         // makes joins the cascade: root carried through, the envelope's
         // event id as parent, depth + 1. Saved/restored (not just cleared)
@@ -110,19 +118,25 @@ impl AmCtx {
             // rank supervisor recognizes the sentinel.
             std::panic::resume_unwind(Box::new(Abort));
         }
-        if let Some(enter) = started {
-            let rec = &self.shared.recorder;
-            let dur_ns = rec.now_ns().saturating_sub(enter.start_ns);
-            if self.profiling_enabled() {
-                rec.handler_ns.record(dur_ns);
-            }
-            self.record(&SpanRecord {
-                kind: SpanKind::Handler,
-                name: "handler",
-                dur_ns,
-                ..enter
-            });
+        let (ordinal, enter) = open?;
+        let rec = &self.shared.recorder;
+        let now = rec.now_ns();
+        let dur_ns = now.saturating_sub(enter.start_ns);
+        if self.profiling_enabled() {
+            rec.handler_ns.record(dur_ns);
         }
+        if ordinal != 0 {
+            self.complete(
+                ordinal,
+                &SpanRecord {
+                    kind: SpanKind::Handler,
+                    name: "handler",
+                    dur_ns,
+                    ..enter
+                },
+            );
+        }
+        Some(now)
     }
 
     /// Ship all of this thread's non-empty coalescing buffers. Returns the
@@ -252,12 +266,10 @@ impl AmCtx {
         let me = &self.shared.ranks[self.rank];
         let s = d.sent.take();
         if s > 0 {
-            MachineStats::bump(&stats.messages_sent, s);
             me.sent.fetch_add(s, SeqCst);
         }
         let h = d.handled.take();
         if h > 0 {
-            MachineStats::bump(&stats.messages_handled, h);
             me.handled.fetch_add(h, SeqCst);
         }
     }

@@ -106,8 +106,9 @@ impl AmCtx {
             self.pump_transport();
             let rx = &self.shared.ranks[self.rank].rx;
             let mut any = false;
+            let mut at = None;
             while let Ok(pkt) = rx.try_recv() {
-                self.handle_packet(pkt);
+                at = self.handle_packet(pkt, at);
                 handled += 1;
                 any = true;
             }
@@ -223,8 +224,9 @@ impl AmCtx {
         self.pump_transport();
         let mut progress = false;
         let rx = &self.shared.ranks[self.rank].rx;
+        let mut at = None;
         while let Ok(pkt) = rx.try_recv() {
-            self.handle_packet(pkt);
+            at = self.handle_packet(pkt, at);
             progress = true;
         }
         if self.flush_own_buffers() > 0 {

@@ -56,11 +56,6 @@ impl AmCtx {
             .downcast_mut::<TypedBuffers<T>>()
             .expect("message type ids are unique per machine");
         let trace = self.trace_for_send();
-        if trace.is_traced() {
-            // Per-message events exist only for traced sends — sampling
-            // bounds them, keeping the recorder off the untraced hot path.
-            self.mark(SpanKind::Send, "send", trace.root, dest as u64);
-        }
         tb.push(self, dest, msg, trace);
     }
 
@@ -129,11 +124,21 @@ impl AmCtx {
 
     /// Push `rec` (a record by this thread) into this thread's ring:
     /// relaxed stores into memory no other thread writes — no lock, no
-    /// read-modify-write (INTERNALS §10.2).
+    /// read-modify-write (INTERNALS §10.2). Returns its ordinal for
+    /// [`complete`](Self::complete), 0 when nothing was recorded.
     #[inline]
-    pub(crate) fn record(&self, rec: &SpanRecord) {
+    pub(crate) fn record(&self, rec: &SpanRecord) -> u64 {
         debug_assert_eq!((rec.rank, rec.thread), (self.rank, self.thread));
-        self.shared.recorder.push(rec);
+        self.shared.recorder.push(rec)
+    }
+
+    /// Rewrite this thread's record `ordinal` (nonzero, from
+    /// [`record`](Self::record)) in place with `rec`'s kind, name and
+    /// duration.
+    #[inline]
+    pub(crate) fn complete(&self, ordinal: u64, rec: &SpanRecord) {
+        debug_assert_eq!((rec.rank, rec.thread), (self.rank, self.thread));
+        self.shared.recorder.complete(ordinal, rec);
     }
 
     /// Record an instant of `kind` by this thread, stamped now.
@@ -191,30 +196,31 @@ impl AmCtx {
         }
     }
 
-    /// Ship one envelope from this thread: assign its causal event id when
-    /// traced, record the ship, and hand it to the transport boundary —
-    /// the reliability layer when installed, else straight into `dest`'s
-    /// inbox. All envelope ships go through here (the coalescing layer
-    /// calls back into it), so the recorder sees every one.
+    /// Ship one envelope from this thread: when traced, assign its causal
+    /// event id and record the ship; then hand it to the transport
+    /// boundary — the reliability layer when installed, else straight
+    /// into `dest`'s inbox. All envelope ships go through here (the
+    /// coalescing layer calls back into it).
     pub(crate) fn ship_envelope(&self, dest: RankId, mut env: Envelope) {
         if env.trace.is_traced() {
             env.trace.event = self.shared.trace_eid.fetch_add(1, Relaxed) + 1;
-        }
-        if let Some(now) = self.clock() {
-            // A traced ship carries its event id out and its parent's in:
-            // the Chrome exporter draws the cross-rank arrow from here into
-            // the receiving handler span, and the post-mortem walks the
-            // parent links.
-            self.record(&SpanRecord {
-                arg0: ((env.type_id as u64) << 32) | env.count as u64,
-                arg1: dest as u64,
-                flow_in: env.trace.parent,
-                flow_out: env.trace.event,
-                ..self.stamp(SpanKind::Ship, "env.ship", now)
-            });
+            // The ship carries its event id out and its parent's in: the
+            // Chrome exporter draws the cross-rank arrow from here into the
+            // receiving handler span, and the post-mortem walks the parent
+            // links. Nothing reads an untraced envelope's ship, so it
+            // costs no clock read and no record.
+            if let Some(now) = self.clock() {
+                self.record(&SpanRecord {
+                    arg0: ((env.type_id as u64) << 32) | env.count as u64,
+                    arg1: dest as u64,
+                    flow_in: env.trace.parent,
+                    flow_out: env.trace.event,
+                    ..self.stamp(SpanKind::Ship, "env.ship", now)
+                });
+            }
         }
         let shared = &self.shared;
-        MachineStats::bump(&shared.stats.envelopes_sent, 1);
+        shared.ranks[self.rank].envelopes_sent.fetch_add(1, Relaxed);
         if self.profiling_enabled() {
             shared.recorder.envelope_sizes.record(env.count as u64);
         }

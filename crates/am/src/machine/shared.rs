@@ -32,6 +32,8 @@ pub(crate) struct RankShared {
     pub(super) handlers: RwLock<Vec<Arc<ErasedHandler>>>,
     pub(super) sent: AtomicU64,
     pub(super) handled: AtomicU64,
+    /// Envelopes this rank's threads shipped (a statistic: relaxed).
+    pub(super) envelopes_sent: AtomicU64,
     pub(super) idle: AtomicBool,
     /// Wakes this rank's main thread out of a termination wait: rung by
     /// every delivery into its two channels and by the rank that
@@ -168,6 +170,7 @@ impl Shared {
                     handlers: RwLock::new(Vec::new()),
                     sent: AtomicU64::new(0),
                     handled: AtomicU64::new(0),
+                    envelopes_sent: AtomicU64::new(0),
                     idle: AtomicBool::new(false),
                     bell: Doorbell::default(),
                 }
@@ -225,13 +228,20 @@ impl Shared {
         }
     }
 
-    /// Machine-wide cumulative snapshot with the per-rank send/handle
-    /// counters folded in (exact when quiescent, e.g. between epochs).
+    /// Machine-wide cumulative snapshot with the per-rank message and
+    /// envelope counters summed in (exact when quiescent, e.g. between
+    /// epochs).
     pub(super) fn full_snapshot(&self) -> StatsSnapshot {
-        let mut s = self.stats.snapshot();
-        s.messages_sent = self.total_sent();
-        s.messages_handled = self.total_handled();
-        s
+        StatsSnapshot {
+            messages_sent: self.total_sent(),
+            messages_handled: self.total_handled(),
+            envelopes_sent: self
+                .ranks
+                .iter()
+                .map(|r| r.envelopes_sent.load(SeqCst))
+                .sum(),
+            ..self.stats.snapshot()
+        }
     }
 
     pub(crate) fn total_handled(&self) -> u64 {

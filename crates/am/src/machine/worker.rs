@@ -17,9 +17,9 @@ pub(super) fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
         let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
             match rx.recv_timeout(crate::config::RECV_TIMEOUT) {
                 Ok(pkt) => {
-                    ctx.handle_packet(pkt);
+                    let mut at = ctx.handle_packet(pkt, None);
                     while let Ok(pkt) = rx.try_recv() {
-                        ctx.handle_packet(pkt);
+                        at = ctx.handle_packet(pkt, at);
                     }
                     // Ship whatever the handlers produced before blocking
                     // again, then wake the rank's main thread: the handlers

@@ -9,8 +9,8 @@
 //!   thread owns a fixed-capacity ring of [`SpanRecord`]s (static names,
 //!   no heap allocation per record) that it alone writes, lock-free; one
 //!   [`SpanKind`] vocabulary covers epoch, handler and termination spans,
-//!   envelope ships, handler and epoch entries, traced sends,
-//!   retransmissions and injected faults. These are always on
+//!   traced envelope ships, epoch entries, retransmissions and injected
+//!   faults. These are always on
 //!   ([`MachineConfig::events_per_thread`](crate::MachineConfig::events_per_thread)
 //!   events per thread, newest kept) and feed post-mortems
 //!   ([`crate::trace`]) and the simulator's flight digest.
@@ -35,8 +35,12 @@
 //! ## Overhead discipline
 //!
 //! A push is a clock read and a dozen relaxed stores into memory only
-//! the pushing thread writes; the per-message profiling spans cost one
-//! branch when `profile` is off (`AmCtx::span` returns `None`). Span
+//! the pushing thread writes. The runtime pays about one of each per
+//! envelope: an untraced ship records nothing, and a handler batch is
+//! one slot, opened at entry and completed in place at exit, whose entry
+//! time is the previous handler's exit reading within one drain pass
+//! (INTERNALS §10.2). The per-message profiling spans cost one branch
+//! when `profile` is off (`AmCtx::span` returns `None`). Span
 //! names are `&'static str`; numeric payloads ride in two untyped `u64`
 //! argument slots. Epoch profiling, which is per-epoch rather than
 //! per-message, stays on unconditionally.
@@ -152,7 +156,8 @@ impl HistogramSnapshot {
 }
 
 /// What a [`SpanRecord`] records. The first nine kinds are durations;
-/// the rest are instants (`dur_ns == 0`). The runtime's own kinds —
+/// the rest are instants (`dur_ns == 0`), `HandlerEnter` being an open
+/// `Handler` span. The runtime's own kinds —
 /// epoch, handler and termination spans and every instant kind — are
 /// always on; `Gather`, `Eval`, `Expand`, `Strategy` and `Custom` spans
 /// are recorded only under [`MachineConfig::profile`](crate::MachineConfig::profile).
@@ -166,7 +171,9 @@ pub enum SpanKind {
     Epoch,
     /// One envelope's worth of handler executions (`arg0` = type id,
     /// `arg1` = messages in the envelope, `flow_in` = the envelope's
-    /// causal event id, 0 if untraced).
+    /// causal event id, 0 if untraced). It starts at the previous
+    /// handler's end when both ran in one drain pass, so it includes the
+    /// inbox pop and the recorder's own work between them.
     Handler,
     /// The termination-detection tail of an epoch (`arg0` = epoch
     /// generation, `arg1` = detection rounds this rank ran).
@@ -196,17 +203,18 @@ pub enum SpanKind {
     /// User-defined span recorded through
     /// [`AmCtx::span`](crate::AmCtx::span).
     Custom,
-    /// A traced logical message entered a coalescing buffer (`arg0` =
-    /// root id, `arg1` = destination rank). Untraced sends record nothing.
-    Send,
-    /// An envelope shipped toward a destination inbox (`arg0` =
-    /// `(type_id << 32) | count`, `arg1` = destination rank; traced
-    /// envelopes carry their event id in `flow_out` and their causal
-    /// parent's in `flow_in`).
+    /// A traced envelope shipped toward a destination inbox (`arg0` =
+    /// `(type_id << 32) | count`, `arg1` = destination rank, its event id
+    /// in `flow_out` and its causal parent's in `flow_in`). An untraced
+    /// ship records nothing.
     Ship,
-    /// A handler batch began executing (the fields of the
-    /// [`Handler`](Self::Handler) span it opens). A post-mortem of a
-    /// handler panic ends with one of these and no matching span.
+    /// A handler batch that has not finished: the open form of its
+    /// [`Handler`](Self::Handler) span, same fields and `dur_ns == 0`.
+    /// The runtime pushes one at handler entry and completes that slot in
+    /// place at exit, so a record stays `HandlerEnter` only when the
+    /// handler never returned (a post-mortem of a handler panic ends with
+    /// one) or its slot could not be completed (overwritten by a nested
+    /// drain that wrapped the ring, or the rings frozen).
     HandlerEnter,
     /// A rank passed an epoch entry barrier (`arg0` = epoch generation).
     EpochEnter,
@@ -220,7 +228,7 @@ pub enum SpanKind {
 }
 
 /// Every [`SpanKind`], indexed by its discriminant.
-const KINDS: [SpanKind; 15] = [
+const KINDS: [SpanKind; 14] = [
     SpanKind::Epoch,
     SpanKind::Handler,
     SpanKind::Termination,
@@ -230,7 +238,6 @@ const KINDS: [SpanKind; 15] = [
     SpanKind::Strategy,
     SpanKind::Transport,
     SpanKind::Custom,
-    SpanKind::Send,
     SpanKind::Ship,
     SpanKind::HandlerEnter,
     SpanKind::EpochEnter,
@@ -247,7 +254,7 @@ impl SpanKind {
             SpanKind::Termination => "termination",
             SpanKind::Gather | SpanKind::Eval | SpanKind::Expand => "engine",
             SpanKind::Strategy => "strategy",
-            SpanKind::Send | SpanKind::Ship => "send",
+            SpanKind::Ship => "send",
             SpanKind::Transport | SpanKind::Retransmit | SpanKind::Fault => "transport",
             SpanKind::Custom => "custom",
         }
@@ -290,12 +297,18 @@ pub struct SpanRecord {
     pub flow_out: u64,
 }
 
+/// Set in a slot's stamp once its record has been completed in place:
+/// the stamp then never returns to a value a reader has already seen
+/// (INTERNALS §10.2). Ordinals stay far below it.
+const COMPLETED: u64 = 1 << 63;
+
 /// One ring slot: a [`SpanRecord`] in relaxed atomics, guarded by a
 /// stamp so a reader can tell a slot the writer is overwriting.
 #[derive(Default)]
 struct Slot {
-    /// Push ordinal (1-based) of the record held here; 0 while the owner
-    /// writes it.
+    /// Push ordinal (1-based) of the record held here, with
+    /// [`COMPLETED`] set once [`complete`](Self::complete) has rewritten
+    /// it; 0 while the owner writes it.
     stamp: AtomicU64,
     /// `(rank << 32) | thread`.
     at: AtomicU64,
@@ -333,10 +346,28 @@ impl Slot {
         self.stamp.store(ordinal, Release);
     }
 
+    /// Rewrite the kind, name and duration of push `ordinal` from `r`,
+    /// unless a later push has taken the slot: the same seqlock write as
+    /// [`write`](Self::write), ending on a stamp no reader has seen.
+    fn complete(&self, ordinal: u64, r: &SpanRecord) {
+        // Only the owner writes stamps, so this load sees its own last one.
+        if self.stamp.load(Relaxed) != ordinal {
+            return;
+        }
+        self.stamp.store(0, Relaxed);
+        fence(Release);
+        self.name.store(r.name.as_ptr().cast_mut(), Relaxed);
+        self.len_kind
+            .store(((r.name.len() as u64) << 8) | r.kind as u64, Relaxed);
+        self.dur_ns.store(r.dur_ns, Relaxed);
+        self.stamp.store(ordinal | COMPLETED, Release);
+    }
+
     /// The record of push `ordinal`, or `None` when the slot no longer
     /// (or not yet) holds it whole.
     fn read(&self, ordinal: u64) -> Option<SpanRecord> {
-        if self.stamp.load(Acquire) != ordinal {
+        let stamp = self.stamp.load(Acquire);
+        if stamp & !COMPLETED != ordinal {
             return None;
         }
         let at = self.at.load(Relaxed);
@@ -356,15 +387,17 @@ impl Slot {
             flow_out: self.flow_out.load(Relaxed),
         };
         fence(Acquire);
-        if self.stamp.load(Relaxed) != ordinal {
+        if self.stamp.load(Relaxed) != stamp {
             return None;
         }
         let kind = *KINDS.get((len_kind & 0xff) as usize)?;
-        // SAFETY: the stamp read `ordinal` before the loads above and
-        // again after them, so every load returned what push `ordinal`
-        // stored (`write` clears the stamp, behind a release fence,
-        // before it overwrites any field). `name` and the length are thus
-        // the two halves of the one `&'static str` that push stored.
+        // SAFETY: the stamp read the same nonzero value before the loads
+        // above and again after them, and a slot's stamps never repeat a
+        // value (ordinals grow; a completion adds `COMPLETED`), so every
+        // load returned what the one write that stored that stamp left
+        // (`write` and `complete` clear the stamp, behind a release fence,
+        // before they overwrite any field). `name` and the length are thus
+        // the two halves of the one `&'static str` that write stored.
         let name = unsafe {
             std::str::from_utf8_unchecked(std::slice::from_raw_parts(
                 name,
@@ -412,9 +445,10 @@ struct Ring {
 }
 
 impl Ring {
-    /// Append `r`. Callers guarantee one writer at a time.
+    /// Append `r` and return its ordinal. Callers guarantee one writer
+    /// at a time.
     #[inline]
-    fn push(&self, capacity: usize, r: &SpanRecord) {
+    fn push(&self, capacity: usize, r: &SpanRecord) -> u64 {
         let slots = self.slots.get_or_init(|| zeroed_slots(capacity));
         let head = self.head.load(Relaxed);
         let ordinal = self.count.load(Relaxed) + 1;
@@ -422,6 +456,16 @@ impl Ring {
         self.head
             .store(if head + 1 == capacity { 0 } else { head + 1 }, Relaxed);
         self.count.store(ordinal, Release);
+        ordinal
+    }
+
+    /// Complete push `ordinal` in place from `r` (see [`Slot::complete`]);
+    /// a no-op once the ring has wrapped past it. Writer only.
+    #[inline]
+    fn complete(&self, capacity: usize, ordinal: u64, r: &SpanRecord) {
+        if let Some(slots) = self.slots.get() {
+            slots[((ordinal - 1) % capacity as u64) as usize].complete(ordinal, r);
+        }
     }
 
     /// Append the retained records, oldest first, skipping any slot the
@@ -469,8 +513,8 @@ pub struct Recorder {
     /// `rank * threads_per_rank + thread`.
     rings: Box<[Ring]>,
     side: Mutex<Ring>,
-    /// Per-envelope handler-execution latency, nanoseconds (profiling
-    /// only).
+    /// Per-envelope handler-execution latency, nanoseconds: the
+    /// [`SpanKind::Handler`] span's duration (profiling only).
     pub handler_ns: LogHistogram,
     /// Messages per delivered envelope (the realized coalescing factor
     /// distribution, not just its mean; profiling only).
@@ -523,14 +567,28 @@ impl Recorder {
         (recording || self.profile).then(|| self.now_ns())
     }
 
-    /// Append `r` to the ring of thread (`r.rank`, `r.thread`). Only that
-    /// thread may call this: it is the ring's one writer.
+    /// Append `r` to the ring of thread (`r.rank`, `r.thread`) and return
+    /// its ordinal there, 0 when nothing was recorded. Only that thread
+    /// may call this: it is the ring's one writer.
     #[inline]
-    pub(crate) fn push(&self, r: &SpanRecord) {
+    pub(crate) fn push(&self, r: &SpanRecord) -> u64 {
         if self.capacity == 0 || self.frozen.load(Relaxed) {
+            return 0;
+        }
+        self.rings[r.rank * self.threads_per_rank + r.thread].push(self.capacity, r)
+    }
+
+    /// Turn push `ordinal` (nonzero, from [`push`](Self::push)) of thread
+    /// (`r.rank`, `r.thread`) into `r`'s kind, name and duration, its
+    /// other fields staying as pushed. The record stays as pushed when
+    /// the ring has since wrapped past it or the rings are frozen. Only
+    /// that thread may call this.
+    #[inline]
+    pub(crate) fn complete(&self, ordinal: u64, r: &SpanRecord) {
+        if self.frozen.load(Relaxed) {
             return;
         }
-        self.rings[r.rank * self.threads_per_rank + r.thread].push(self.capacity, r);
+        self.rings[r.rank * self.threads_per_rank + r.thread].complete(self.capacity, ordinal, r);
     }
 
     /// Append `r` to the side ring, for threads that own no ring.

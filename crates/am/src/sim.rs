@@ -359,7 +359,9 @@ impl SimPlan {
 /// assert exactly this).
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
-    /// Final virtual clock, nanoseconds.
+    /// Final virtual clock, nanoseconds: when the last rank finished, or
+    /// the last packet still in flight then arrived. Plan events queued
+    /// for later (a heal, a stall's end) are not applied.
     pub virtual_time_ns: u64,
     /// Packet deliveries applied.
     pub deliveries: u64,
@@ -686,6 +688,12 @@ impl SimNet {
                     .map(|(&(t, _), _)| t > st.now_ns.saturating_add(IDLE_QUANTUM_NS))
                     .unwrap_or(true);
             if !poll_due {
+                // Once every rank is done, only traffic still in flight
+                // moves the clock: a plan event left in the queue (a heal,
+                // a stall end) would date the run's end after it.
+                if Self::all_done(st) && !Self::in_flight(st) {
+                    return Outcome::AllDone;
+                }
                 if let Some(((t, _), ev)) = st.queue.pop_first() {
                     if t > st.now_ns {
                         st.now_ns = t;
@@ -699,7 +707,7 @@ impl SimNet {
                 }
             }
             // 3. Queue dry (or an idle poll is due). All done?
-            if st.rank_state.iter().all(|&s| s == RankState::Done) {
+            if Self::all_done(st) {
                 return Outcome::AllDone;
             }
             // 4. Idle ranks exist: wake them all so transports pump and
@@ -742,6 +750,20 @@ impl SimNet {
                 ),
             });
         }
+    }
+
+    fn all_done(st: &SimState) -> bool {
+        st.rank_state.iter().all(|&s| s == RankState::Done)
+    }
+
+    /// Whether a packet or an ack is still on its way: queued for
+    /// delivery, or parked by a partition.
+    fn in_flight(st: &SimState) -> bool {
+        !st.held.is_empty()
+            || st
+                .queue
+                .values()
+                .any(|ev| matches!(ev, SimEvent::Delivery { .. } | SimEvent::AckDelivery { .. }))
     }
 
     /// Whether the (from → to) link currently crosses an active

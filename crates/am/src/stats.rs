@@ -5,27 +5,25 @@
 //! message-count optimizations), so the runtime keeps precise counters that
 //! the experiment harness reads.
 //!
-//! Hot-path counters (`messages_sent`, `messages_handled`, the dominance
-//! cache statistics, and the per-type [`TypeStat`]s) are *not* bumped
-//! per message: threads accumulate deltas locally and publish them at
+//! Hot-path counters (messages sent and handled, the dominance cache
+//! statistics, and the per-type [`TypeStat`]s) are *not* bumped per
+//! message: threads accumulate deltas locally and publish them at
 //! envelope boundaries and before every idle/termination check (see
 //! INTERNALS.md §9). Mid-epoch snapshots may therefore lag by up to one
 //! coalescing buffer per thread; at every termination-detection instant —
 //! in particular whenever an epoch ends or [`crate::AmCtx::stats`] /
 //! [`crate::AmCtx::type_stats`] is called — the counters are exact.
+//!
+//! Messages sent and handled, and envelopes shipped, are counted per rank
+//! and summed into each [`StatsSnapshot`]; the other machine-wide
+//! counters live in [`MachineStats`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters, updated by the runtime.
+/// Live machine-wide counters, updated by the runtime. The message and
+/// envelope counts are per rank (see the module docs).
 #[derive(Debug, Default)]
 pub struct MachineStats {
-    /// Logical messages accepted for sending (after the dominance cache,
-    /// i.e. messages that actually entered a coalescing buffer).
-    pub messages_sent: AtomicU64,
-    /// Envelopes (coalesced batches) pushed to destination inboxes.
-    pub envelopes_sent: AtomicU64,
-    /// Logical messages whose handler ran to completion.
-    pub messages_handled: AtomicU64,
     /// Messages [`crate::MessageType::send_min`] dropped because the same
     /// thread already sent a no-larger value under the same key this epoch.
     pub cache_hits: AtomicU64,
@@ -90,12 +88,13 @@ impl MachineStats {
     }
 
     /// Take a consistent-enough point-in-time copy (exact when quiescent,
-    /// e.g. outside epochs).
-    pub fn snapshot(&self) -> StatsSnapshot {
+    /// e.g. outside epochs). The per-rank counts — messages sent and
+    /// handled, envelopes sent — read 0 here; the machine sums them in.
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            messages_sent: self.messages_sent.load(Ordering::SeqCst),
-            envelopes_sent: self.envelopes_sent.load(Ordering::SeqCst),
-            messages_handled: self.messages_handled.load(Ordering::SeqCst),
+            messages_sent: 0,
+            envelopes_sent: 0,
+            messages_handled: 0,
             cache_hits: self.cache_hits.load(Ordering::SeqCst),
             cache_misses: self.cache_misses.load(Ordering::SeqCst),
             epochs: self.epochs.load(Ordering::SeqCst),
@@ -302,15 +301,20 @@ mod tests {
     #[test]
     fn snapshot_and_since() {
         let s = MachineStats::default();
-        MachineStats::bump(&s.messages_sent, 10);
-        MachineStats::bump(&s.envelopes_sent, 2);
+        MachineStats::bump(&s.cache_hits, 10);
+        MachineStats::bump(&s.retransmits, 2);
         let a = s.snapshot();
-        MachineStats::bump(&s.messages_sent, 5);
+        MachineStats::bump(&s.cache_hits, 5);
         let b = s.snapshot();
         let d = b.since(&a);
-        assert_eq!(d.messages_sent, 5);
-        assert_eq!(d.envelopes_sent, 0);
-        assert_eq!(a.coalescing_factor(), 5.0);
+        assert_eq!(d.cache_hits, 5);
+        assert_eq!(d.retransmits, 0);
+        let sent = StatsSnapshot {
+            messages_sent: 10,
+            envelopes_sent: 2,
+            ..a
+        };
+        assert_eq!(sent.coalescing_factor(), 5.0);
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //!   store ([`crate::obs::Recorder`]): each runtime thread keeps its
 //!   newest [`SpanRecord`]s in a ring it alone writes
 //!   ([`MachineConfig::events_per_thread`](crate::MachineConfig::events_per_thread),
-//!   1 024 by default) — envelope ships, handler entries and spans,
-//!   epoch entries and spans, termination spans, traced sends,
-//!   retransmissions and injected faults. Pushes take no lock and do no
+//!   1 024 by default) — traced envelope ships, handler spans (open
+//!   while the handler runs), epoch entries and spans, termination
+//!   spans, retransmissions and injected faults. Pushes take no lock and do no
 //!   read-modify-write (INTERNALS §10.2). The first recorded failure
 //!   freezes the rings.
 //!

@@ -226,3 +226,127 @@ fn truncated_rings_keep_the_newest_and_export_whole_flows() {
         assert!(starts.contains(&id), "flow {id} ends but never starts");
     }
 }
+
+/// Records the recorder holds after one epoch on a two-rank machine in
+/// which rank 0 sends `n` untraced one-message envelopes to rank 1, read
+/// once both ranks are past the epoch.
+fn recorded_by_epoch_of(n: u32) -> u64 {
+    let cfg = MachineConfig::new(2)
+        .coalescing(1)
+        .trace_sampling(0)
+        .profile(true);
+    let out = Machine::run(cfg, move |ctx| {
+        let mt = ctx.register(|_ctx, _: u32| {});
+        ctx.epoch(|ctx| {
+            if ctx.rank() == 0 {
+                for i in 0..n {
+                    mt.send(ctx, 1, i);
+                }
+            }
+        });
+        ctx.barrier();
+        ctx.recorder().expect("profiling on").recorded()
+    });
+    out[0]
+}
+
+/// The recorder's per-envelope price is one record: an untraced ship
+/// records nothing, and a handler batch is one slot, opened at entry and
+/// completed in place at exit. Everything else an epoch records does not
+/// depend on the traffic.
+#[test]
+fn an_untraced_envelope_costs_one_record() {
+    const N: u32 = 50;
+    let empty = recorded_by_epoch_of(0);
+    assert_eq!(
+        recorded_by_epoch_of(N) - empty,
+        N as u64,
+        "records per one-message envelope ({empty} without traffic)"
+    );
+}
+
+/// A handler that drains the inbox itself (`epoch_flush`) can wrap a
+/// small ring before it returns. Completing its handler span must then
+/// leave the newer record in its old slot alone: every retained record
+/// stays whole and the ring still returns all its slots.
+#[test]
+fn a_nested_drain_that_wraps_the_ring_leaves_newer_records_whole() {
+    const CAP: usize = 8;
+    let cfg = MachineConfig::new(1)
+        .coalescing(1)
+        .trace_sampling(0)
+        .profile(true)
+        .flight(CAP);
+    let out = Machine::run(cfg, |ctx| {
+        let inner = ctx.register(|_ctx, _: u32| {});
+        let outer = ctx.register(move |ctx, _: ()| {
+            for i in 0..3 * CAP as u32 {
+                inner.send(ctx, 0, i);
+            }
+            ctx.epoch_flush();
+        });
+        ctx.epoch(|ctx| outer.send(ctx, 0, ()));
+        ctx.barrier();
+        let rec = ctx.recorder().expect("profiling on");
+        (rec.recorded(), rec.dropped(), rec.all_spans())
+    });
+    let (recorded, dropped, all) = &out[0];
+    assert!(
+        *recorded > 3 * CAP as u64,
+        "the nested drain wrapped the ring"
+    );
+    assert_eq!(all.len(), CAP, "no slot lost its record: {all:?}");
+    assert_eq!(*dropped, recorded - CAP as u64);
+    for s in all {
+        let expected = match s.kind {
+            SpanKind::Handler => "handler",
+            SpanKind::HandlerEnter => "handler.enter",
+            SpanKind::Termination => "termination.counters",
+            SpanKind::Epoch => "epoch",
+            SpanKind::EpochEnter => "epoch.enter",
+            other => panic!("unexpected record {other:?}: {s:?}"),
+        };
+        assert_eq!(s.name, expected, "{s:?}");
+    }
+}
+
+/// At full sampling every envelope is traced, so every handler span that
+/// ran a traced envelope has the ship record it descends from.
+#[test]
+fn every_traced_handler_span_has_its_ship() {
+    let cfg = MachineConfig::new(2)
+        .coalescing(1)
+        .trace_sampling(1)
+        .profile(true);
+    let out = Machine::run(cfg, |ctx| {
+        let hop = ctx.register(|ctx, left: u32| {
+            if left > 0 {
+                ctx.send((ctx.rank() + 1) % ctx.num_ranks(), left - 1);
+            }
+        });
+        for _ in 0..2 {
+            ctx.epoch(|ctx| {
+                for chain in 0..4 {
+                    hop.send(ctx, (ctx.rank() + 1) % ctx.num_ranks(), 10 + chain);
+                }
+            });
+        }
+        ctx.barrier();
+        ctx.recorder().expect("profiling on").all_spans()
+    });
+    let all = &out[0];
+    let shipped: std::collections::HashSet<u64> = all
+        .iter()
+        .filter(|s| s.kind == SpanKind::Ship)
+        .map(|s| s.flow_out)
+        .collect();
+    let traced: Vec<_> = all
+        .iter()
+        .filter(|s| s.kind == SpanKind::Handler && s.flow_in != 0)
+        .collect();
+    // 2 ranks x 2 epochs x 4 chains of 11..=14 hops.
+    assert_eq!(traced.len(), 2 * 2 * (11 + 12 + 13 + 14));
+    for h in traced {
+        assert!(shipped.contains(&h.flow_in), "no ship for {h:?}");
+    }
+}

@@ -431,6 +431,45 @@ fn epoch_triggered_partition_perturbs_later_epochs_only() {
     assert!(run.report.virtual_time_ns >= 3_000_000);
 }
 
+/// A plan event still queued when the last rank finishes — here a heal
+/// long after the traffic ended — does not move the virtual clock: the
+/// report dates the run's end, and the run is the unpartitioned one.
+#[test]
+fn virtual_time_stops_when_the_last_rank_finishes() {
+    const HEAL_NS: u64 = 5_000_000;
+    let run = |plan: SimPlan| {
+        Machine::run_sim(cfg(2).coalescing(1), plan, |ctx| {
+            let mt = ctx.register(|_ctx, _: u64| {});
+            for _ in 0..2 {
+                ctx.epoch(|ctx| {
+                    for i in 0..4 {
+                        mt.send(ctx, 1 - ctx.rank(), i);
+                    }
+                });
+            }
+            ctx.stats()
+        })
+        .expect("sim run")
+    };
+    let clean = run(SimPlan::new(9));
+    // Forms after the last epoch, when nothing is left to hold.
+    let late = run(SimPlan::new(9).partition(
+        &[1],
+        SimAt::Epoch(2),
+        SimAt::Time(HEAL_NS),
+        PartitionMode::Hold,
+    ));
+    assert!(
+        late.report.virtual_time_ns < HEAL_NS,
+        "t={}",
+        late.report.virtual_time_ns
+    );
+    assert_eq!(late.report.virtual_time_ns, clean.report.virtual_time_ns);
+    assert_eq!(late.report.deliveries, clean.report.deliveries);
+    assert_eq!(late.report.partition_held, 0);
+    assert_eq!(late.results, clean.results);
+}
+
 #[test]
 fn stragglers_and_stalls_slow_but_do_not_break() {
     let hits = Arc::new(AtomicU64::new(0));

@@ -15,8 +15,9 @@ pub enum Policy {
     Baseline,
     /// One rank's links are two orders of magnitude slower.
     DelayOneRank,
-    /// A partition forms at the end of an early epoch and heals later
-    /// (Hold mode: traffic parks and floods in at the heal).
+    /// A partition forms inside the first epoch, two or three link
+    /// latencies in, while its traffic is still flowing, and heals much
+    /// later (Hold mode: traffic parks and floods in at the heal).
     PartitionAtEpoch,
     /// A partition that *drops* traffic mid-run, forcing the reliability
     /// layer to recover every packet (requires `faults`; the policy
@@ -63,10 +64,12 @@ impl Policy {
                 });
             }
             Policy::PartitionAtEpoch => {
-                let epoch = 1 + seed % 2;
+                // Not at an epoch boundary: a fixed-point run sends all its
+                // traffic in its first epoch, and a cut formed at its end
+                // holds nothing.
                 plan.partitions.push(partition(
                     &[victim],
-                    SimAt::Epoch(epoch),
+                    SimAt::Time(lat.saturating_mul(2 + seed % 2)),
                     SimAt::Time(lat.saturating_mul(5_000)),
                     PartitionMode::Hold,
                 ));

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dgp_am::{FaultPlan, Machine, MachineConfig, PartitionMode, SimAt, SimPlan, StatsSnapshot};
 use dgp_sim::scenario::partition;
-use dgp_sim::{run_scenario, ScenarioSpec, Workload};
+use dgp_sim::{run_scenario, Policy, ScenarioSpec, Workload};
 
 const RANKS: usize = 4;
 const EPOCHS: u64 = 3;
@@ -227,4 +227,19 @@ fn cc_result_survives_drop_partition_with_retransmission() {
         "retransmission must make the lossy run equivalent"
     );
     assert!(lossy.report.partition_drops > 0, "faults actually fired");
+}
+
+/// The explorer's partition-at-epoch policy must cut traffic that is
+/// still flowing: on the E15 sweep's base scenario every seed parks
+/// packets, and the healed run computes the baseline's result.
+#[test]
+fn partition_at_epoch_policy_holds_traffic() {
+    let base = ScenarioSpec::baseline(17);
+    let clean = run_scenario(&base);
+    for seed in 0..4 {
+        let out = run_scenario(&Policy::PartitionAtEpoch.apply(&base, seed));
+        assert!(out.ok(), "seed {seed}: {:?}", out.error);
+        assert!(out.report.partition_held > 0, "seed {seed} held nothing");
+        assert_eq!(out.result_digest, clean.result_digest, "seed {seed}");
+    }
 }
