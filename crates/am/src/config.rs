@@ -213,6 +213,14 @@ impl MachineConfig {
             "coalescing capacity must be at least 1"
         );
         assert!(
+            self.ranks
+                .checked_mul(self.threads_per_rank)
+                .is_some_and(|n| n <= crate::trace::MAX_TRACED_THREADS),
+            "a machine has at most {} threads (ranks × threads_per_rank): \
+             causal event ids carry the thread's index",
+            crate::trace::MAX_TRACED_THREADS
+        );
+        assert!(
             self.trace_sampling < 1 << 63,
             "trace_sampling must be below 2^63 (the sampler draws gaps in [1, 2n-1])"
         );
@@ -261,6 +269,15 @@ mod tests {
     #[should_panic(expected = "trace_sampling must be below 2^63")]
     fn huge_trace_sampling_rejected() {
         MachineConfig::new(1).trace_sampling(1 << 63).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "causal event ids carry the thread's index")]
+    fn more_threads_than_event_ids_can_tell_apart_rejected() {
+        // Validation only: no thread is spawned.
+        let n = crate::trace::MAX_TRACED_THREADS;
+        MachineConfig::new(n).validate();
+        MachineConfig::new(n / 2 + 1).threads_per_rank(2).validate();
     }
 
     #[test]

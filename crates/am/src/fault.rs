@@ -364,11 +364,6 @@ impl LaneDedup {
     }
 }
 
-/// The reliability layer: installed in [`Shared`] when
-/// [`MachineConfig::faults`](crate::MachineConfig::faults) is set, or
-/// automatically (with an inject-nothing plan) when a lossy wire
-/// transport is selected (see [`crate::transport`]). Sits between
-/// [`crate::machine::deliver`] and the per-rank inbox channels.
 /// One fault-layer tick in virtual nanoseconds when the machine runs
 /// under the discrete-event simulator. The pump-count clock is wrong
 /// there: the cooperative scheduler pumps every rank once per wake round
@@ -395,6 +390,13 @@ const SIM_TICK_NS: u64 = 1_000;
 /// threaded meaning.
 const WALL_TICK_NS: u64 = 100_000;
 
+/// The reliability layer: installed in [`Shared`] when
+/// [`MachineConfig::faults`](crate::MachineConfig::faults) is set, or
+/// automatically (with an inject-nothing plan) when a lossy wire
+/// transport is selected (see [`crate::transport`]). Sits between the
+/// send path and the delivery seam, [`Shared::push_packet`]: it
+/// sequences and faults outgoing envelopes on their way into the seam,
+/// and its acks ride the same seam back as [`Packet::Ack`]s.
 pub(crate) struct Reliability {
     plan: FaultPlan,
     nranks: usize,
@@ -582,7 +584,7 @@ impl Reliability {
     fn transmit_raw(&self, shared: &Shared, flight: Flight) {
         shared.push_packet(
             flight.to,
-            Packet {
+            Packet::Data {
                 from: flight.from,
                 seq: flight.seq,
                 env: flight.env,
@@ -605,13 +607,24 @@ impl Reliability {
             ctx.mark(SpanKind::Fault, "fault", lane_word(from, to), 4);
             return;
         }
-        shared.push_ack(from, Ack { from, to, seq });
+        shared.push_packet(from, Packet::Ack(Ack { from, to, seq }));
     }
 
-    /// Advance the fault layer on behalf of `ctx`'s rank: process incoming acks,
-    /// release parked and expired-held packets, and retransmit timed-out
-    /// pending packets on this rank's outgoing lanes. Called from every
-    /// idle/termination loop; liveness of recovery depends on it.
+    /// Sender side: an ack has arrived — retire the pending copy it
+    /// acknowledges. Called where the ack is popped off the inbox, so an
+    /// ack that arrived before a pump is retired before its retransmit
+    /// scan.
+    pub(crate) fn retire(&self, shared: &Shared, ack: Ack) {
+        let lane = self.lane(ack.from, ack.to);
+        if self.pending[lane].lock().remove(&ack.seq).is_some() {
+            MachineStats::bump(&shared.stats.acks, 1);
+        }
+    }
+
+    /// Advance the fault layer on behalf of `ctx`'s rank: release parked
+    /// and expired-held packets, and retransmit timed-out pending packets
+    /// on this rank's outgoing lanes. Called from every idle/termination
+    /// loop; liveness of recovery depends on it.
     pub(crate) fn pump(&self, ctx: &AmCtx) {
         let (shared, rank) = (&*ctx.shared, ctx.rank());
         let now = match (&self.sim_clock, &self.wall_base) {
@@ -619,14 +632,7 @@ impl Reliability {
             (None, Some(base)) => base.elapsed().as_nanos() as u64 / WALL_TICK_NS,
             (None, None) => self.tick.fetch_add(1, SeqCst) + 1,
         };
-        // 1. Acks addressed to this rank retire pending copies.
-        while let Some(ack) = shared.pop_ack(rank) {
-            let lane = self.lane(ack.from, ack.to);
-            if self.pending[lane].lock().remove(&ack.seq).is_some() {
-                MachineStats::bump(&shared.stats.acks, 1);
-            }
-        }
-        // 2. Release parked packets that have come due (any rank's —
+        // 1. Release parked packets that have come due (any rank's —
         //    the parked queue is global so one live rank suffices).
         loop {
             let flight = {
@@ -641,7 +647,7 @@ impl Reliability {
                 None => break,
             }
         }
-        // 3. Reordered packets nothing overtook within the window.
+        // 2. Reordered packets nothing overtook within the window.
         for to in 0..self.nranks {
             let lane = self.lane(rank, to);
             let due: Vec<(u64, Flight)> = {
@@ -656,7 +662,7 @@ impl Reliability {
                 self.transmit_raw(shared, f);
             }
         }
-        // 4. Retransmit timed-out pending packets on this rank's lanes.
+        // 3. Retransmit timed-out pending packets on this rank's lanes.
         for to in 0..self.nranks {
             let lane = self.lane(rank, to);
             let due: Vec<(u64, Flight, u32)> = {

@@ -15,7 +15,7 @@ use crate::config::MachineConfig;
 use crate::obs::{self, EpochProfile, MetricsReport, Recorder, SpanGuard, SpanKind};
 use crate::sim::InvariantCtx;
 use crate::stats::{StatsSnapshot, TypeStat, TypeStatSnapshot};
-use crate::trace::{mix64, TraceCtx};
+use crate::trace::{mix64, TraceCtx, EVENT_SEQ_BITS};
 // Named only by intra-doc links below.
 #[cfg(doc)]
 use {super::Machine, crate::error::MachineError};
@@ -123,6 +123,9 @@ pub struct AmCtx {
     pub(super) trace_gap: Cell<u64>,
     /// Traced cascades this thread has started (feeds root-id derivation).
     pub(super) trace_roots: Cell<u64>,
+    /// The last causal event id this thread assigned; starts at the
+    /// thread's base (see [`crate::trace::EVENT_SEQ_BITS`]).
+    pub(super) trace_eid: Cell<u64>,
 }
 
 impl AmCtx {
@@ -139,6 +142,7 @@ impl AmCtx {
             let h = mix64(shared.trace_seed ^ ((rank as u64) << 24) ^ (thread as u64));
             h % (2 * n - 1) + 1
         };
+        let eid_base = ((rank * shared.cfg.threads_per_rank + thread) as u64) << EVENT_SEQ_BITS;
         AmCtx {
             shared,
             rank,
@@ -154,6 +158,7 @@ impl AmCtx {
             trace_cur: Cell::new(TraceCtx::NONE),
             trace_gap: Cell::new(gap),
             trace_roots: Cell::new(0),
+            trace_eid: Cell::new(eid_base),
         }
     }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use super::envelope::{ErasedHandler, PendingDeltas};
 use super::send::grow_slots;
-use super::{AmCtx, Envelope, Packet};
+use super::{AmCtx, Envelope, Packet, RankId};
 use crate::coalescing::TypedBuffers;
 use crate::error::{panic_message, Abort, MachineError};
 use crate::obs::{SpanKind, SpanRecord};
@@ -20,24 +20,57 @@ impl AmCtx {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Receive one packet off the wire: acknowledge and dedup sequenced
-    /// packets (reliability layer on), then hand the envelope to its
-    /// handler. `entered` and the return value are
+    /// The one pop-and-dispatch loop, shared by `epoch_flush`,
+    /// `drain_and_flush` and the worker loop: take `first` (a packet the
+    /// caller already popped), then everything queued on this rank's
+    /// inbox, handing each envelope to its handler and each ack to the
+    /// reliability layer. One drain pass: the handlers share clock
+    /// readings (see [`handle_envelope`](Self::handle_envelope)). Returns
+    /// the data packets popped, suppressed duplicates included — an ack
+    /// is not a message, so retiring one is not progress.
+    pub(super) fn drain_inbox(&self, first: Option<Packet>) -> usize {
+        let rx = &self.shared.ranks[self.rank].rx;
+        let (mut next, mut popped, mut at) = (first, 0, None);
+        while let Some(pkt) = next.take().or_else(|| rx.try_recv().ok()) {
+            match pkt {
+                Packet::Data { from, seq, env } => {
+                    at = self.handle_packet(from, seq, env, at);
+                    popped += 1;
+                }
+                Packet::Ack(ack) => {
+                    if let Some(t) = &self.shared.reliability {
+                        t.retire(&self.shared, ack);
+                    }
+                }
+            }
+        }
+        popped
+    }
+
+    /// Receive one data packet: acknowledge and dedup sequenced packets
+    /// (reliability layer on), then hand the envelope to its handler.
+    /// `entered` and the return value are
     /// [`handle_envelope`](Self::handle_envelope)'s; a suppressed
     /// duplicate returns `None`.
-    pub(crate) fn handle_packet(&self, pkt: Packet, entered: Option<u64>) -> Option<u64> {
-        if pkt.seq != 0 {
+    fn handle_packet(
+        &self,
+        from: RankId,
+        seq: u64,
+        env: Envelope,
+        entered: Option<u64>,
+    ) -> Option<u64> {
+        if seq != 0 {
             if let Some(t) = &self.shared.reliability {
                 // Ack *every* receipt, including duplicates: the original
                 // ack may have been the thing that was lost.
-                t.ack(self, pkt.from, pkt.env.type_id, pkt.seq);
-                if !t.accept(pkt.from, self.rank, pkt.seq) {
+                t.ack(self, from, env.type_id, seq);
+                if !t.accept(from, self.rank, seq) {
                     MachineStats::bump(&self.shared.stats.dups_suppressed, 1);
                     return None;
                 }
             }
         }
-        self.handle_envelope(pkt.env, entered)
+        self.handle_envelope(env, entered)
     }
 
     /// Run one envelope's handler batch. `entered` is the clock reading
@@ -46,7 +79,7 @@ impl AmCtx {
     /// entry time, so back-to-back handlers share one clock read and the
     /// inbox pop between them is folded into this span. Returns the exit
     /// reading, `None` when the recorder wanted no time.
-    pub(crate) fn handle_envelope(&self, env: Envelope, entered: Option<u64>) -> Option<u64> {
+    fn handle_envelope(&self, env: Envelope, entered: Option<u64>) -> Option<u64> {
         let (type_id, count) = (env.type_id, env.count);
         let trace = env.trace;
         let payload = env.payload;

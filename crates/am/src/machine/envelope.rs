@@ -43,17 +43,44 @@ impl Envelope {
     }
 }
 
-/// What actually travels through a rank inbox: an envelope stamped with
-/// its sender and (when the reliability layer is installed) a per-lane
-/// sequence number. `seq == 0` means "unsequenced" — the perfect
-/// transport, no ack expected.
-pub(crate) struct Packet {
-    pub(crate) from: RankId,
-    pub(crate) seq: u64,
-    pub(crate) env: Envelope,
+/// The one thing that travels through a rank inbox, a wire backend and
+/// the simulator's event queue: an envelope on its way to its handler,
+/// or the reliability layer's acknowledgement of one.
+pub(crate) enum Packet {
+    /// An envelope stamped with its sender and (when the reliability
+    /// layer is installed) a per-lane sequence number. `seq == 0` means
+    /// "unsequenced" — the perfect transport, no ack expected.
+    Data {
+        from: RankId,
+        seq: u64,
+        env: Envelope,
+    },
+    /// Never a message: it enters no `sent`/`handled` count and runs no
+    /// handler; the inbox loop hands it to the reliability layer.
+    Ack(Ack),
+}
+
+impl Packet {
+    /// The rank that put this packet on the wire: a data packet's sender,
+    /// an ack's acknowledging rank.
+    pub(crate) fn origin(&self) -> RankId {
+        match self {
+            Packet::Data { from, .. } => *from,
+            Packet::Ack(ack) => ack.to,
+        }
+    }
+
+    /// Messages carried: an envelope's count, 0 for an ack.
+    pub(crate) fn count(&self) -> u32 {
+        match self {
+            Packet::Data { env, .. } => env.count,
+            Packet::Ack(_) => 0,
+        }
+    }
 }
 
 /// Receiver-to-sender acknowledgement of one sequenced packet.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Ack {
     /// The rank that sent the acknowledged packet (the ack's destination).
     pub(crate) from: RankId,

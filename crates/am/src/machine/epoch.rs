@@ -103,18 +103,12 @@ impl AmCtx {
         let mut handled = 0;
         loop {
             self.flush_own_buffers();
+            let popped = self.drain_inbox(None);
             self.pump_transport();
-            let rx = &self.shared.ranks[self.rank].rx;
-            let mut any = false;
-            let mut at = None;
-            while let Ok(pkt) = rx.try_recv() {
-                at = self.handle_packet(pkt, at);
-                handled += 1;
-                any = true;
-            }
-            if !any {
+            if popped == 0 {
                 break;
             }
+            handled += popped;
         }
         handled
     }
@@ -217,26 +211,19 @@ impl AmCtx {
     }
 
     /// Handle all queued messages and ship all buffered ones. Returns whether
-    /// any progress was made. Also advances the reliability layer (acks,
-    /// retransmissions, parked releases) — every idle and termination loop
-    /// runs through here, which is what keeps fault recovery live.
+    /// any progress was made. Also advances the reliability layer
+    /// (retransmissions, parked releases) — every idle and termination
+    /// loop runs through here, which is what keeps fault recovery live.
     fn drain_and_flush(&self) -> bool {
+        let handled = self.drain_inbox(None) > 0;
         self.pump_transport();
-        let mut progress = false;
-        let rx = &self.shared.ranks[self.rank].rx;
-        let mut at = None;
-        while let Ok(pkt) = rx.try_recv() {
-            at = self.handle_packet(pkt, at);
-            progress = true;
-        }
-        if self.flush_own_buffers() > 0 {
-            progress = true;
-        }
-        progress
+        let shipped = self.flush_own_buffers() > 0;
+        handled || shipped
     }
 
     /// Pump the reliability layer on behalf of this thread's rank (no-op
-    /// on the perfect transport).
+    /// on the perfect transport). Callers pump after a drain: acks popped
+    /// by it are retired before the pump's retransmit scan.
     pub(super) fn pump_transport(&self) {
         if let Some(t) = &self.shared.reliability {
             t.pump(self);

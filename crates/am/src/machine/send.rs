@@ -203,7 +203,9 @@ impl AmCtx {
     /// coalescing layer calls back into it).
     pub(crate) fn ship_envelope(&self, dest: RankId, mut env: Envelope) {
         if env.trace.is_traced() {
-            env.trace.event = self.shared.trace_eid.fetch_add(1, Relaxed) + 1;
+            let event = self.trace_eid.get() + 1;
+            self.trace_eid.set(event);
+            env.trace.event = event;
             // The ship carries its event id out and its parent's in: the
             // Chrome exporter draws the cross-rank arrow from here into the
             // receiving handler span, and the post-mortem walks the parent
@@ -230,7 +232,7 @@ impl AmCtx {
             Some(t) => t.send(self, dest, env),
             None => shared.push_packet(
                 dest,
-                Packet {
+                Packet::Data {
                     from: self.rank,
                     seq: 0,
                     env,

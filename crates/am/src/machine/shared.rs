@@ -1,6 +1,6 @@
 //! State shared by every thread of a machine, and the delivery seam
-//! (`push_packet` / `push_ack`) that threads, wire
-//! backends and the simulator all funnel through.
+//! (`push_packet`) that threads, wire backends and the simulator all
+//! funnel through.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -12,7 +12,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use super::envelope::ErasedHandler;
-use super::{Ack, Packet, RankId};
+use super::{Packet, RankId};
 use crate::collectives::Collective;
 use crate::config::MachineConfig;
 use crate::error::{Abort, MachineError};
@@ -25,10 +25,6 @@ use crate::trace::FailCause;
 pub(crate) struct RankShared {
     tx: Sender<Packet>,
     pub(super) rx: Receiver<Packet>,
-    /// Acknowledgements addressed to this rank (only used when the
-    /// reliability layer is installed).
-    ack_tx: Sender<Ack>,
-    ack_rx: Receiver<Ack>,
     pub(super) handlers: RwLock<Vec<Arc<ErasedHandler>>>,
     pub(super) sent: AtomicU64,
     pub(super) handled: AtomicU64,
@@ -36,16 +32,16 @@ pub(crate) struct RankShared {
     pub(super) envelopes_sent: AtomicU64,
     pub(super) idle: AtomicBool,
     /// Wakes this rank's main thread out of a termination wait: rung by
-    /// every delivery into its two channels and by the rank that
+    /// every delivery into its inbox and by the rank that
     /// decides termination (see [`crate::termination`], liveness).
     pub(super) bell: Doorbell,
 }
 
 impl RankShared {
-    /// Whether anything is queued on this rank's inbox or ack channel —
-    /// the waits' re-check after raising the doorbell flag.
+    /// Whether anything (a packet or an ack) is queued on this rank's
+    /// inbox — the waits' re-check after raising the doorbell flag.
     pub(super) fn has_mail(&self) -> bool {
-        !self.rx.is_empty() || !self.ack_rx.is_empty()
+        !self.rx.is_empty()
     }
 }
 
@@ -137,9 +133,6 @@ pub(crate) struct Shared {
     /// The original panic payload behind `failure`, when there is one —
     /// [`Machine::run`] re-raises it so panic messages survive verbatim.
     pub(super) failure_payload: parking_lot::Mutex<Option<Box<dyn Any + Send>>>,
-    /// Allocator for causal event ids (traced envelopes only — untraced
-    /// ships never touch it).
-    pub(super) trace_eid: AtomicU64,
     /// Causal-trace sampler seed (see
     /// [`MachineConfig::trace_sampling`]).
     pub(super) trace_seed: u64,
@@ -161,12 +154,9 @@ impl Shared {
         let ranks = (0..cfg.ranks)
             .map(|_| {
                 let (tx, rx) = unbounded();
-                let (ack_tx, ack_rx) = unbounded();
                 RankShared {
                     tx,
                     rx,
-                    ack_tx,
-                    ack_rx,
                     handlers: RwLock::new(Vec::new()),
                     sent: AtomicU64::new(0),
                     handled: AtomicU64::new(0),
@@ -209,7 +199,6 @@ impl Shared {
             reliability,
             wire,
             recorder,
-            trace_eid: AtomicU64::new(0),
             trace_seed,
             fail_cause: parking_lot::Mutex::new(None),
             cfg,
@@ -313,14 +302,12 @@ impl Shared {
         self.ranks.iter().all(|r| r.idle.load(SeqCst))
     }
 
-    /// Put a packet in `dest`'s inbox. The inbox outlives every epoch, so
-    /// a closed channel means teardown raced a straggler — reachable only
-    /// on failure paths; record and abort rather than panic.
+    /// Send `pkt` — an envelope or an ack — towards `dest`'s inbox.
     ///
     /// This is the delivery seam: in sim mode the packet becomes a
     /// logical-time `Delivery` event instead of landing immediately, and
-    /// the scheduler feeds it back through [`Shared::deliver_direct`] when
-    /// its modeled arrival time comes. Retransmissions from the
+    /// the scheduler feeds it back through [`Shared::deliver`] when its
+    /// modeled arrival time comes. Retransmissions and acks from the
     /// reliability layer funnel through here too, so they traverse the
     /// modeled links like any first transmission.
     pub(crate) fn push_packet(&self, dest: RankId, pkt: Packet) {
@@ -328,90 +315,28 @@ impl Shared {
             sim.enqueue_packet(dest, pkt);
             return;
         }
-        // Wire backends carry only cross-rank traffic; self-sends keep
-        // the direct channel path on every backend.
-        if pkt.from != dest {
+        // Wire backends carry only cross-rank traffic; self-sends and
+        // self-acks keep the direct channel path on every backend.
+        if pkt.origin() != dest {
             if let Some(wire) = &self.wire {
-                wire.send_packet(self, dest, pkt);
+                wire.send(self, dest, pkt);
                 return;
             }
         }
-        self.deliver_direct(dest, pkt);
+        self.deliver(dest, pkt);
     }
 
-    /// The threaded half of [`Shared::push_packet`]: put the packet in the
-    /// inbox *now*. Also the sim scheduler's delivery primitive.
-    pub(crate) fn deliver_direct(&self, dest: RankId, pkt: Packet) {
+    /// Put `pkt` in `dest`'s inbox *now* and ring its doorbell: the inproc
+    /// half of [`Shared::push_packet`], the sim scheduler's delivery
+    /// primitive, and where wire backends' receiving threads land packets.
+    pub(crate) fn deliver(&self, dest: RankId, pkt: Packet) {
         let rank = &self.ranks[dest];
+        // `send` fails only once every receiver is gone, and `rank.rx` is
+        // a receiver that lives as long as `self`: the error branch cannot
+        // be taken while anyone can call this. Ignoring it is still the
+        // right handling for callers that are not rank threads (wire
+        // backends), which must never unwind.
         if rank.tx.send(pkt).is_ok() {
-            rank.bell.ring();
-        } else {
-            self.fail(
-                MachineError::Poisoned {
-                    message: format!("rank {dest} inbox closed while messages were in flight"),
-                },
-                None,
-            );
-            std::panic::resume_unwind(Box::new(Abort));
-        }
-    }
-
-    /// Deliver an acknowledgement to the original sender `dest`. Same
-    /// seam as [`Shared::push_packet`]: sim mode models the ack's reverse
-    /// trip, so retransmit timers react to modeled round-trip times.
-    pub(crate) fn push_ack(&self, dest: RankId, ack: Ack) {
-        if let Some(sim) = &self.sim {
-            sim.enqueue_ack(dest, ack);
-            return;
-        }
-        // `ack.to` is the rank acknowledging (the ack's origin); a
-        // self-ack stays on the direct path.
-        if ack.to != dest {
-            if let Some(wire) = &self.wire {
-                wire.send_ack(self, dest, ack);
-                return;
-            }
-        }
-        self.ack_direct(dest, ack);
-    }
-
-    /// The threaded half of [`Shared::push_ack`] / the sim scheduler's ack
-    /// delivery primitive.
-    pub(crate) fn ack_direct(&self, dest: RankId, ack: Ack) {
-        let rank = &self.ranks[dest];
-        if rank.ack_tx.send(ack).is_ok() {
-            rank.bell.ring();
-        } else {
-            self.fail(
-                MachineError::Poisoned {
-                    message: format!("rank {dest} ack channel closed while acks were in flight"),
-                },
-                None,
-            );
-            std::panic::resume_unwind(Box::new(Abort));
-        }
-    }
-
-    /// Drain one pending acknowledgement addressed to `rank`.
-    pub(crate) fn pop_ack(&self, rank: RankId) -> Option<Ack> {
-        self.ranks[rank].ack_rx.try_recv().ok()
-    }
-
-    /// Wire-backend delivery into `dest`'s inbox: the *tolerant* variant
-    /// of [`Shared::deliver_direct`]. Backend threads are not rank
-    /// threads — a closed channel during teardown means the message is
-    /// moot, so it is dropped instead of unwinding into the backend.
-    pub(crate) fn wire_deliver(&self, dest: RankId, pkt: Packet) {
-        let rank = &self.ranks[dest];
-        if rank.tx.send(pkt).is_ok() {
-            rank.bell.ring();
-        }
-    }
-
-    /// Tolerant wire-backend ack delivery (see [`Shared::wire_deliver`]).
-    pub(crate) fn wire_ack(&self, dest: RankId, ack: Ack) {
-        let rank = &self.ranks[dest];
-        if rank.ack_tx.send(ack).is_ok() {
             rank.bell.ring();
         }
     }

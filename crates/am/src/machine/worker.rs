@@ -17,10 +17,7 @@ pub(super) fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
         let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
             match rx.recv_timeout(crate::config::RECV_TIMEOUT) {
                 Ok(pkt) => {
-                    let mut at = ctx.handle_packet(pkt, None);
-                    while let Ok(pkt) = rx.try_recv() {
-                        at = ctx.handle_packet(pkt, at);
-                    }
+                    ctx.drain_inbox(Some(pkt));
                     // Ship whatever the handlers produced before blocking
                     // again, then wake the rank's main thread: the handlers
                     // lowered its idle flag, and only it re-raises it.
@@ -39,7 +36,7 @@ pub(super) fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
             Ok(true) => continue,
             Ok(false) => break,
             Err(payload) => {
-                // handle_packet records handler panics itself and re-raises
+                // drain_inbox records handler panics itself and re-raises
                 // the Abort sentinel; anything else failing here (a flush
                 // path) is a worker failure in its own right.
                 if !payload.is::<Abort>() {

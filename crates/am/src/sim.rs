@@ -23,13 +23,15 @@
 //! ## The delivery seam
 //!
 //! The threaded machine already has exactly one chokepoint where envelopes
-//! become receivable: `Shared::push_packet` (and
-//! its ack sibling), which is also where the reliability layer of
-//! [`crate::fault`] hands packets back after sequencing them. The simulator
-//! intercepts at that same seam: instead of landing in the destination
-//! inbox immediately, a packet becomes a `Delivery` event scheduled at
+//! become receivable: `Shared::push_packet`, which is also where the
+//! reliability layer of [`crate::fault`] hands packets back after
+//! sequencing them, and where its acks — packets too — start their
+//! reverse trip. The simulator intercepts at that same seam: instead of
+//! landing in the destination inbox immediately, a packet becomes a
+//! `Delivery` event scheduled at
 //! `now + latency(from, to) + count · per_msg + jitter`, subject to the
-//! plan's partitions, stragglers and stalls. Everything *above* the seam —
+//! plan's partitions, stragglers and stalls (an ack carries no messages
+//! and is partition-exempt). Everything *above* the seam —
 //! coalescing, seq/ack/retransmit, dedup, termination detection — is the
 //! production code, unchanged; under modeled partitions the retransmit
 //! machinery becomes load-bearing rather than decorative.
@@ -70,7 +72,7 @@ use std::thread::Thread;
 use parking_lot::Mutex;
 
 use crate::error::{Abort, MachineError};
-use crate::machine::{Ack, Packet, RankId, Shared};
+use crate::machine::{Packet, RankId, Shared};
 use crate::obs::{SpanKind, SpanRecord};
 use crate::trace::mix64;
 
@@ -410,7 +412,6 @@ enum Phase {
 
 enum SimEvent {
     Delivery { dest: RankId, pkt: Packet },
-    AckDelivery { dest: RankId, ack: Ack },
     PartitionStart(usize),
     PartitionEnd(usize),
     StallStart(RankId),
@@ -756,14 +757,14 @@ impl SimNet {
         st.rank_state.iter().all(|&s| s == RankState::Done)
     }
 
-    /// Whether a packet or an ack is still on its way: queued for
-    /// delivery, or parked by a partition.
+    /// Whether a packet (an ack included) is still on its way: queued
+    /// for delivery, or parked by a partition.
     fn in_flight(st: &SimState) -> bool {
         !st.held.is_empty()
             || st
                 .queue
                 .values()
-                .any(|ev| matches!(ev, SimEvent::Delivery { .. } | SimEvent::AckDelivery { .. }))
+                .any(|ev| matches!(ev, SimEvent::Delivery { .. }))
     }
 
     /// Whether the (from → to) link currently crosses an active
@@ -784,8 +785,19 @@ impl SimNet {
         ev: SimEvent,
     ) -> Result<(), MachineError> {
         match ev {
+            // Acks are partition-exempt (no retransmit layer covers acks
+            // themselves), and they are not deliveries.
+            SimEvent::Delivery {
+                dest,
+                pkt: Packet::Ack(ack),
+            } => {
+                st.acks += 1;
+                note(shared, "sim.ack", ack.to, 0, dest as u64);
+                shared.deliver(dest, Packet::Ack(ack));
+                self.wake_rank(st, dest);
+            }
             SimEvent::Delivery { dest, pkt } => {
-                match self.link_down(st, pkt.from, dest) {
+                match self.link_down(st, pkt.origin(), dest) {
                     Some(PartitionMode::Drop) => {
                         st.partition_drops += 1;
                         note_packet(shared, "sim.partition_drop", dest, &pkt);
@@ -806,13 +818,7 @@ impl SimNet {
                 }
                 st.deliveries += 1;
                 note_packet(shared, "sim.deliver", dest, &pkt);
-                shared.deliver_direct(dest, pkt);
-                self.wake_rank(st, dest);
-            }
-            SimEvent::AckDelivery { dest, ack } => {
-                st.acks += 1;
-                note(shared, "sim.ack", ack.to, 0, dest as u64);
-                shared.ack_direct(dest, ack);
+                shared.deliver(dest, pkt);
                 self.wake_rank(st, dest);
             }
             SimEvent::PartitionStart(i) => self.start_partition(st, shared, i),
@@ -870,7 +876,7 @@ impl SimNet {
         let held = std::mem::take(&mut st.held);
         let (mut released, keep): (Vec<_>, Vec<_>) = held
             .into_iter()
-            .partition(|h| self.link_down(st, h.pkt.from, h.dest).is_none());
+            .partition(|h| self.link_down(st, h.pkt.origin(), h.dest).is_none());
         released.sort_by_key(|h| h.uid);
         for h in released {
             let uid = st.next_uid;
@@ -953,26 +959,17 @@ impl SimNet {
     }
 
     /// Seam for [`Shared::push_packet`]: schedule the packet's arrival.
+    /// An ack travels the reverse link (`ack.to` → `ack.from`) and
+    /// carries no messages.
     pub(crate) fn enqueue_packet(&self, dest: RankId, pkt: Packet) {
         let mut st = self.state.lock();
         let uid = st.next_uid;
         st.next_uid += 1;
         let arrival = st
             .now_ns
-            .saturating_add(self.latency(pkt.from, dest, pkt.env.count, uid));
+            .saturating_add(self.latency(pkt.origin(), dest, pkt.count(), uid));
         st.queue
             .insert((arrival, uid), SimEvent::Delivery { dest, pkt });
-    }
-
-    /// Seam for [`Shared::push_ack`]: schedule the ack's arrival. Acks
-    /// travel the reverse link (`ack.to` → `ack.from`).
-    pub(crate) fn enqueue_ack(&self, dest: RankId, ack: Ack) {
-        let mut st = self.state.lock();
-        let uid = st.next_uid;
-        st.next_uid += 1;
-        let arrival = st.now_ns.saturating_add(self.latency(ack.to, dest, 0, uid));
-        st.queue
-            .insert((arrival, uid), SimEvent::AckDelivery { dest, ack });
     }
 
     /// Sim-mode idle wait, replacing the termination waits' doorbell
@@ -1134,12 +1131,14 @@ fn note(shared: &Shared, name: &'static str, rank: RankId, arg0: u64, arg1: u64)
     }
 }
 
-/// [`note`] for a packet event, with the arguments laid out as on
+/// [`note`] for a data packet's event, with the arguments laid out as on
 /// [`SpanKind::Ship`]: `rank` = sender, `arg0` = `(type_id << 32) |
-/// count`, `arg1` = destination.
+/// count`, `arg1` = destination. (An ack is noted as `sim.ack` instead.)
 fn note_packet(shared: &Shared, name: &'static str, dest: RankId, pkt: &Packet) {
-    let ship = ((pkt.env.type_id as u64) << 32) | pkt.env.count as u64;
-    note(shared, name, pkt.from, ship, dest as u64);
+    if let Packet::Data { from, env, .. } = pkt {
+        let ship = ((env.type_id as u64) << 32) | env.count as u64;
+        note(shared, name, *from, ship, dest as u64);
+    }
 }
 
 #[cfg(test)]

@@ -47,8 +47,8 @@
 //! `machine/shared.rs`: a `waiting` flag plus park/unpark), and the
 //! doorbell is rung by
 //!
-//! * every delivery into the rank's inbox (`deliver_direct`,
-//!   `wire_deliver`) and ack channel (`ack_direct`, `wire_ack`);
+//! * every delivery into the rank's inbox (`Shared::deliver`, which
+//!   packets and acks alike go through);
 //! * the rank that decides termination, once per rank, right after its
 //!   `completed_epoch.fetch_max`;
 //! * a handler worker thread after each batch it drains (the handlers
@@ -56,7 +56,7 @@
 //! * `Shared::poison`, so a failure elsewhere unwinds waiters at once.
 //!
 //! **No lost wakeup.** The waiter raises `waiting` (SeqCst store), *then*
-//! re-checks its two channels, the poison flag and `completed_epoch`,
+//! re-checks its inbox, the poison flag and `completed_epoch`,
 //! and parks only if all are quiet.
 //! A waker first makes its fact visible (the channel push, under the
 //! channel's mutex, or the SeqCst `fetch_max`) and *then* loads

@@ -53,6 +53,16 @@
 use crate::machine::RankId;
 use crate::obs::{SpanKind, SpanRecord};
 
+/// Causal event ids are drawn per thread, with no shared counter: the
+/// thread's (rank, thread) index sits above the low `EVENT_SEQ_BITS`,
+/// which count the thread's traced ships from 1. Ids are nonzero, unique
+/// within a run and deterministic under the simulator; 16 + 37 bits keep
+/// them below 2^53, exact as JSON numbers in a Chrome trace.
+pub(crate) const EVENT_SEQ_BITS: u32 = 37;
+/// The most runtime threads (`ranks × threads_per_rank`) whose event ids
+/// the packing keeps apart; [`crate::MachineConfig`] rejects more.
+pub(crate) const MAX_TRACED_THREADS: usize = 1 << 16;
+
 /// Causal trace context carried on an envelope header. `root == 0` means
 /// the envelope is untraced (the overwhelmingly common case at default
 /// sampling); all fields are meaningful only when `root != 0`.

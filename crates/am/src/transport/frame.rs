@@ -31,6 +31,11 @@ use std::collections::HashMap;
 use crate::machine::{Ack, Envelope, RankId};
 use crate::trace::TraceCtx;
 
+/// The codec tests' name for a decoded ack: the frame decodes into the
+/// machine's own [`Ack`].
+#[cfg(test)]
+use crate::machine::Ack as AckWire;
+
 /// `b"DGPT"` as a little-endian word: the hello magic.
 pub(crate) const MAGIC: u32 = 0x5450_4744;
 /// The protocol version this build speaks.
@@ -114,25 +119,7 @@ pub(crate) enum WireFrame {
         trace: TraceCtx,
         handle: u64,
     },
-    Ack(AckWire),
-}
-
-/// [`Ack`] mirrored with derived comparisons for codec tests.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct AckWire {
-    pub(crate) from: RankId,
-    pub(crate) to: RankId,
-    pub(crate) seq: u64,
-}
-
-impl From<AckWire> for Ack {
-    fn from(a: AckWire) -> Ack {
-        Ack {
-            from: a.from,
-            to: a.to,
-            seq: a.seq,
-        }
-    }
+    Ack(Ack),
 }
 
 /// Encode a packet frame, length prefix included. The envelope's payload
@@ -215,7 +202,7 @@ pub(crate) fn decode_frame(body: &[u8]) -> Result<WireFrame, String> {
                     body.len()
                 ));
             }
-            Ok(WireFrame::Ack(AckWire {
+            Ok(WireFrame::Ack(Ack {
                 from: u32_at(1)? as RankId,
                 to: u32_at(5)? as RankId,
                 seq: u64_at(9)?,

@@ -1,14 +1,15 @@
 //! Pluggable transport backends: how envelopes physically move between
 //! ranks.
 //!
-//! The machine's delivery seam (`Shared::push_packet` and the ack
-//! reverse path) historically had exactly one implementation — crossbeam
-//! channels between threads of one process. This module makes the seam a
-//! trait with three backends (INTERNALS §12):
+//! The machine's delivery seam (`Shared::push_packet`, which carries
+//! envelopes and the reliability layer's acks alike) historically had
+//! exactly one implementation — crossbeam channels between threads of one
+//! process. This module makes the seam a trait with three backends
+//! (INTERNALS §12):
 //!
 //! * **Inproc** — the original channel path, selected by default. There
 //!   is no backend object at all: `Shared.wire` is `None` and
-//!   `push_packet` falls straight through to `deliver_direct`, so the
+//!   `push_packet` falls straight through to `Shared::deliver`, so the
 //!   default costs one `Option` branch and is behavior-identical to
 //!   every release before this module existed. The identity transport.
 //! * **Shm** (`shm::ShmTransport`) — same-host bounded shared-memory
@@ -41,26 +42,27 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::machine::{Ack, Packet, RankId, Shared};
+use crate::machine::{Packet, RankId, Shared};
 
 pub(crate) mod frame;
 pub(crate) mod shm;
 pub(crate) mod tcp;
 
-/// A wire backend: moves packets and acks between ranks on behalf of the
-/// delivery seam. Implementations own their threads (acceptors, writers,
-/// shuttles) and must honor the contract in INTERNALS §12:
+/// A wire backend: moves packets (envelopes and acks) between ranks on
+/// behalf of the delivery seam. Implementations own their threads
+/// (acceptors, writers, shuttles) and must honor the contract in
+/// INTERNALS §12:
 ///
-/// * `send_*` may block (bounded backpressure) but must become non-fatal
-///   no-ops once the machine is shutting down or the backend failed, so
+/// * `send` may block (bounded backpressure) but must become a non-fatal
+///   no-op once the machine is shutting down or the backend failed, so
 ///   rank threads can always unwind.
-/// * Delivery into rank inboxes goes through [`Shared::wire_deliver`] /
-///   [`Shared::wire_ack`] — the tolerant variants — because backend
-///   threads are not rank threads and must not unwind into the scheduler.
+/// * Delivery into rank inboxes goes through [`Shared::deliver`], which
+///   never unwinds — backend threads are not rank threads and must not
+///   unwind into the scheduler.
 /// * Lossy backends (`lossy() == true`) may drop frames on any
 ///   disconnect; the machine compensates by always installing the
 ///   reliability layer above them.
-/// * `shutdown` is idempotent, must wake every blocked `send_*`, and
+/// * `shutdown` is idempotent, must wake every blocked `send`, and
 ///   joins all backend threads before returning.
 pub(crate) trait Transport: Send + Sync {
     /// Short backend name for diagnostics ("shm", "tcp").
@@ -71,12 +73,10 @@ pub(crate) trait Transport: Send + Sync {
     /// run with a structured [`crate::MachineError::Transport`].
     fn start(&self, shared: &Arc<Shared>) -> Result<(), TransportError>;
 
-    /// Ship a packet to `dest` (never called for self-sends or in sim
-    /// mode — the dispatcher short-circuits those).
-    fn send_packet(&self, shared: &Shared, dest: RankId, pkt: Packet);
-
-    /// Ship an acknowledgement to `dest` (the original packet's sender).
-    fn send_ack(&self, shared: &Shared, dest: RankId, ack: Ack);
+    /// Ship a packet to `dest` — an ack goes to the acknowledged
+    /// packet's sender. Never called for self-sends, self-acks or in sim
+    /// mode: the dispatcher short-circuits those.
+    fn send(&self, shared: &Shared, dest: RankId, pkt: Packet);
 
     /// Stop and join every backend thread (idempotent).
     fn shutdown(&self);

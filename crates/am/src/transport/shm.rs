@@ -4,13 +4,13 @@
 //! delivery seam) push under the ring's mutex, blocking with a condvar
 //! when the ring is full — real bounded backpressure, counted in
 //! `transport_backpressure_stalls`. A shuttle thread per rank drains its
-//! ring in batches and forwards into the rank's inbox/ack channels
-//! through the tolerant [`Shared::wire_deliver`] / [`Shared::wire_ack`]
-//! paths (shuttles are not rank threads and must never unwind into the
+//! ring in batches and forwards each packet — envelope or ack — into the
+//! rank's inbox through [`Shared::deliver`], which never unwinds
+//! (shuttles are not rank threads and must never unwind into the
 //! scheduler).
 //!
-//! The backend is lossless and per-lane ordered — a message accepted by
-//! `send_*` is delivered unless the whole machine is torn down — so the
+//! The backend is lossless and per-lane ordered — a packet accepted by
+//! `send` is delivered unless the whole machine is torn down — so the
 //! reliability layer is *not* auto-installed above it
 //! ([`Transport::lossy`](super::Transport::lossy) stays false). Within
 //! one process "shared memory" is ordinary memory; what this backend
@@ -25,18 +25,13 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::machine::{Ack, Packet, RankId, Shared};
+use crate::machine::{Packet, RankId, Shared};
 use crate::stats::MachineStats;
 
 use super::{ShmConfig, Transport, TransportError};
 
-enum ShmMsg {
-    Packet(Packet),
-    Ack(Ack),
-}
-
 struct Ring {
-    q: Mutex<VecDeque<ShmMsg>>,
+    q: Mutex<VecDeque<Packet>>,
     not_full: Condvar,
     not_empty: Condvar,
 }
@@ -77,7 +72,7 @@ impl Inner {
     /// Push onto `dest`'s ring, blocking (in shutdown-aware slices) while
     /// it is full. Returns without pushing once the machine is going
     /// down — the send becomes a no-op rather than a wedge.
-    fn push(&self, shared: &Shared, dest: RankId, msg: ShmMsg) {
+    fn push(&self, shared: &Shared, dest: RankId, pkt: Packet) {
         let ring = &self.rings[dest];
         let mut q = ring.q.lock();
         if q.len() >= self.cfg.ring_capacity {
@@ -89,7 +84,7 @@ impl Inner {
                 ring.not_full.wait_for(&mut q, Duration::from_millis(10));
             }
         }
-        q.push_back(msg);
+        q.push_back(pkt);
         MachineStats::bump(&shared.stats.transport_frames_sent, 1);
         drop(q);
         ring.not_empty.notify_one();
@@ -119,12 +114,8 @@ impl Transport for ShmTransport {
         Ok(())
     }
 
-    fn send_packet(&self, shared: &Shared, dest: RankId, pkt: Packet) {
-        self.inner.push(shared, dest, ShmMsg::Packet(pkt));
-    }
-
-    fn send_ack(&self, shared: &Shared, dest: RankId, ack: Ack) {
-        self.inner.push(shared, dest, ShmMsg::Ack(ack));
+    fn send(&self, shared: &Shared, dest: RankId, pkt: Packet) {
+        self.inner.push(shared, dest, pkt);
     }
 
     fn shutdown(&self) {
@@ -140,7 +131,7 @@ impl Transport for ShmTransport {
     }
 }
 
-/// Drain `rank`'s ring into its inbox/ack channels until shutdown.
+/// Drain `rank`'s ring into its inbox until shutdown.
 fn shuttle(inner: &Inner, shared: &Shared, rank: RankId) {
     let ring = &inner.rings[rank];
     let mut batch = Vec::new();
@@ -157,11 +148,8 @@ fn shuttle(inner: &Inner, shared: &Shared, rank: RankId) {
         }
         ring.not_full.notify_all();
         let n = batch.len() as u64;
-        for msg in batch.drain(..) {
-            match msg {
-                ShmMsg::Packet(pkt) => shared.wire_deliver(rank, pkt),
-                ShmMsg::Ack(ack) => shared.wire_ack(rank, ack),
-            }
+        for pkt in batch.drain(..) {
+            shared.deliver(rank, pkt);
         }
         MachineStats::bump(&shared.stats.transport_frames_received, n);
     }

@@ -48,7 +48,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::machine::{Ack, Packet, RankId, Shared};
+use crate::machine::{Packet, RankId, Shared};
 use crate::obs::{SpanKind, SpanRecord};
 use crate::stats::MachineStats;
 
@@ -288,23 +288,20 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn send_packet(&self, shared: &Shared, dest: RankId, pkt: Packet) {
-        let Packet { from, seq, env } = pkt;
-        let (type_id, count, trace) = (env.type_id, env.count, env.trace);
-        let handle = self.inner.payloads.stash(env);
-        let frame = frame::encode_packet(from, seq, type_id, count, trace, handle);
-        self.inner
-            .lane(from, dest)
-            .enqueue(&self.inner, shared, frame);
-    }
-
-    fn send_ack(&self, shared: &Shared, dest: RankId, ack: Ack) {
-        // The ack from rank `ack.to` back to sender `dest` travels on
-        // the `ack.to → dest` lane (each direction owns a connection).
-        let frame = frame::encode_ack(&ack);
-        self.inner
-            .lane(ack.to, dest)
-            .enqueue(&self.inner, shared, frame);
+    fn send(&self, shared: &Shared, dest: RankId, pkt: Packet) {
+        // A packet travels its origin's own lane: an ack from rank
+        // `ack.to` back to sender `dest` rides `ack.to → dest` (each
+        // direction owns a connection).
+        let lane = self.inner.lane(pkt.origin(), dest);
+        let frame = match pkt {
+            Packet::Data { from, seq, env } => {
+                let (type_id, count, trace) = (env.type_id, env.count, env.trace);
+                let handle = self.inner.payloads.stash(env);
+                frame::encode_packet(from, seq, type_id, count, trace, handle)
+            }
+            Packet::Ack(ack) => frame::encode_ack(&ack),
+        };
+        lane.enqueue(&self.inner, shared, frame);
     }
 
     fn shutdown(&self) {
@@ -640,13 +637,12 @@ fn reader(inner: &Inner, shared: &Shared, rank: RankId, peer: RankId, stream: Tc
                 };
                 debug_assert_eq!(env.type_id, type_id);
                 MachineStats::bump(&shared.stats.transport_frames_received, 1);
-                shared.wire_deliver(rank, Packet { from, seq, env });
+                shared.deliver(rank, Packet::Data { from, seq, env });
             }
             Ok(WireFrame::Ack(ack)) => {
-                let ack: Ack = ack.into();
                 debug_assert_eq!(ack.from, rank, "ack for {} delivered to {rank}", ack.from);
                 MachineStats::bump(&shared.stats.transport_frames_received, 1);
-                shared.wire_ack(rank, ack);
+                shared.deliver(rank, Packet::Ack(ack));
             }
             Err(_) => {
                 MachineStats::bump(&shared.stats.transport_frame_errors, 1);

@@ -350,3 +350,36 @@ fn every_traced_handler_span_has_its_ship() {
         assert!(shipped.contains(&h.flow_in), "no ship for {h:?}");
     }
 }
+
+/// Causal event ids come from per-thread counters, with the thread's
+/// (rank, thread) index in the high bits: with handler workers shipping
+/// beside the rank main threads, every traced ship still carries its own
+/// nonzero id.
+#[test]
+fn event_ids_are_unique_across_threads() {
+    let cfg = MachineConfig::new(3)
+        .threads_per_rank(2)
+        .coalescing(1)
+        .trace_sampling(1)
+        .profile(true);
+    let out = Machine::run(cfg, |ctx| {
+        let hop = ctx.register(|ctx, left: u32| {
+            if left > 0 {
+                ctx.send((ctx.rank() + 1) % ctx.num_ranks(), left - 1);
+            }
+        });
+        ctx.epoch(|ctx| {
+            for chain in 0..8 {
+                hop.send(ctx, (ctx.rank() + 1) % ctx.num_ranks(), 20 + chain);
+            }
+        });
+        ctx.barrier();
+        ctx.recorder().expect("profiling on").all_spans()
+    });
+    let ships: Vec<_> = out[0].iter().filter(|s| s.kind == SpanKind::Ship).collect();
+    // 3 ranks x 8 chains of 21..=28 hops.
+    assert_eq!(ships.len(), 3 * (21..=28).sum::<usize>());
+    let ids: std::collections::HashSet<u64> = ships.iter().map(|s| s.flow_out).collect();
+    assert!(!ids.contains(&0), "event ids are nonzero");
+    assert_eq!(ids.len(), ships.len(), "event ids are unique");
+}

@@ -797,6 +797,74 @@ fn stalled_run_postmortem_shows_the_partition_holds() {
     );
 }
 
+/// Acks are partition-exempt (INTERNALS §11.2): a Drop partition that
+/// forms while acks are in flight lets them land, and the run's results
+/// are the unpartitioned run's. Epoch 1's data lands at ~1 µs, before the
+/// cut forms, and its acks arrive at ~2 µs, inside the window; epoch 2's
+/// data cannot cross until the heal, so the run outlives the window.
+#[test]
+fn acks_cross_an_active_drop_partition() {
+    const UP_NS: u64 = 1_500;
+    const HEAL_NS: u64 = 50_000;
+    // Per-rank running sums, rank 0's read of the rings, the report.
+    let run = |plan: SimPlan| {
+        let cfg = cfg(2)
+            .coalescing(1)
+            .faults(FaultPlan::new(11))
+            .profile(true);
+        let run = Machine::run_sim(cfg, plan, |ctx| {
+            let got = Arc::new(AtomicU64::new(0));
+            let g = got.clone();
+            let mt = ctx.register(move |_ctx, x: u64| {
+                g.fetch_add(x, SeqCst);
+            });
+            let sums: Vec<u64> = (1..=2u64)
+                .map(|e| {
+                    ctx.epoch(|ctx| {
+                        for i in 0..4 {
+                            mt.send(ctx, 1 - ctx.rank(), e * 100 + i);
+                        }
+                    });
+                    got.load(SeqCst)
+                })
+                .collect();
+            ctx.barrier();
+            let spans = ctx.recorder().expect("profiling on").all_spans();
+            (sums, spans)
+        })
+        .expect("sim run");
+        let (sums, mut spans): (Vec<_>, Vec<_>) = run.results.into_iter().unzip();
+        (sums, spans.swap_remove(0), run.report)
+    };
+    let (clean, _, _) = run(SimPlan::new(9));
+    let (sums, timeline, report) = run(SimPlan::new(9).partition(
+        &[1],
+        SimAt::Time(UP_NS),
+        SimAt::Time(HEAL_NS),
+        PartitionMode::Drop,
+    ));
+    assert_eq!(sums, clean, "results survive the partition");
+    assert!(report.partition_drops > 0, "epoch 2 crossed the cut");
+    let at = |name: &str| {
+        timeline
+            .iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("no {name} record: {timeline:?}"))
+            .start_ns
+    };
+    let window = at("sim.partition_up")..at("sim.partition_down");
+    assert_eq!(window, UP_NS..HEAL_NS);
+    let crossing_acks = timeline
+        .iter()
+        .filter(|e| e.name == "sim.ack" && (e.rank == 1) != (e.arg1 == 1))
+        .filter(|e| window.contains(&e.start_ns))
+        .count();
+    assert!(
+        crossing_acks > 0,
+        "acks on cross-cut lanes must land inside the partition window: {timeline:?}"
+    );
+}
+
 #[test]
 #[should_panic(expected = "threads_per_rank")]
 fn multithreaded_ranks_rejected() {

@@ -1,37 +1,98 @@
 //! Repeated machine runs in one process hold their memory: after a dozen
-//! `Run`s the resident set is no larger than after the first few. This
-//! test is its own binary so no concurrent test moves the process's RSS.
+//! `Run`s the live heap and the thread count are what they were after the
+//! first few. The heap is measured by a counting allocator over `System`,
+//! so the test sees what the program holds, not what the allocator keeps
+//! from the OS after a free (a resident-set bound flaked on exactly that).
+//! This test is its own binary: the allocator counts only this process,
+//! and no concurrent test moves its numbers.
 
 #![cfg(target_os = "linux")]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use dgp_algorithms::{seq, Run};
 use dgp_graph::generators;
 
-/// This process's resident set, KiB (`VmRSS` in `/proc/self/status`).
-fn vm_rss_kib() -> u64 {
+/// [`System`], keeping a count of the bytes it has live.
+struct Counting;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System` and
+// returns what `System` returned, so `System`'s guarantees are this
+// allocator's; the counter is bookkeeping beside them.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// This process's thread count (`Threads:` in `/proc/self/status`).
+fn threads() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
     status
         .lines()
-        .find_map(|l| l.strip_prefix("VmRSS:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .expect("a VmRSS line")
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("a Threads line")
 }
 
+/// Far below one 256 KiB-per-run leak; over a dozen runs the live heap
+/// moves by a few hundred bytes at most.
+const SLACK_BYTES: usize = 64 * 1024;
+
 #[test]
-fn repeated_runs_do_not_grow_the_resident_set() {
+fn repeated_runs_do_not_grow_the_live_heap_or_thread_count() {
     let el = generators::component_blobs(8, 4_000, 2, 5);
     let want = seq::cc_labels(&el);
-    let rss: Vec<u64> = (0..12)
+    let (live, threads): (Vec<usize>, Vec<u64>) = (0..12)
         .map(|_| {
             assert_eq!(Run::new(2).cc(&el).expect("cc run").result, want);
-            vm_rss_kib()
+            (LIVE_BYTES.load(Relaxed), threads())
         })
-        .collect();
-    // Min, not max: a single run can spike and fall back the next one.
-    let settled = rss[1..5].iter().min().unwrap();
-    let last = rss[rss.len() - 4..].iter().min().unwrap();
+        .unzip();
+    // Min, not max: a single run can leave a lazily grown buffer behind
+    // that a later run reuses.
+    let settled = live[1..5].iter().min().unwrap();
+    let last = live[live.len() - 4..].iter().min().unwrap();
     assert!(
-        *last <= settled + 4 * 1024,
-        "resident set grew across runs (KiB per run): {rss:?}"
+        *last <= settled + SLACK_BYTES,
+        "live heap grew across runs (bytes after each run): {live:?}"
+    );
+    // Every rank, worker and backend thread of a run is joined by the
+    // time it returns.
+    assert!(
+        threads.iter().all(|&t| t == threads[0]),
+        "threads outlived their run (count after each run): {threads:?}"
     );
 }
