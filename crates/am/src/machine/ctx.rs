@@ -207,15 +207,25 @@ impl AmCtx {
         self.shared.epoch_active.load(SeqCst) > 0
     }
 
-    /// Per-message-type counters (diagnostics; exact when quiescent).
+    /// Per-message-type counters, summed over the ranks (diagnostics;
+    /// exact when quiescent). Each type is named as its lowest-numbered
+    /// registering rank named it.
     pub fn type_stats(&self) -> Vec<TypeStatSnapshot> {
         self.publish_deltas();
-        self.shared
-            .type_stats
-            .read()
-            .iter()
-            .map(|t| t.snapshot())
-            .collect()
+        let mut out: Vec<TypeStatSnapshot> = Vec::new();
+        for rank in &self.shared.ranks {
+            for (idx, t) in rank.type_stats.read().iter().enumerate() {
+                let s = t.snapshot();
+                match out.get_mut(idx) {
+                    Some(sum) => {
+                        sum.sent += s.sent;
+                        sum.handled += s.handled;
+                    }
+                    None => out.push(s),
+                }
+            }
+        }
+        out
     }
 
     /// Point-in-time statistics (exact when read outside an epoch).
@@ -331,17 +341,13 @@ impl AmCtx {
             "message types must be registered outside epochs"
         );
         assert_eq!(self.thread, 0, "only rank main threads register handlers");
-        let mut handlers = self.shared.ranks[self.rank].handlers.write();
+        let me = &self.shared.ranks[self.rank];
+        let mut handlers = me.handlers.write();
         let id = handlers.len() as u32;
-        // Machine-wide per-type counters: the first rank to register this
-        // id creates them; the rest attach.
-        {
-            let mut ts = self.shared.type_stats.write();
-            if (id as usize) >= ts.len() {
-                debug_assert_eq!(ts.len(), id as usize, "collective registration order");
-                ts.push(Arc::new(TypeStat::new(name.to_string())));
-            }
-        }
+        // This rank's counters for the type: no rank writes another's.
+        me.type_stats
+            .write()
+            .push(Arc::new(TypeStat::new(name.to_string())));
         let mt = MessageType {
             id,
             _marker: std::marker::PhantomData,

@@ -120,8 +120,7 @@ impl AmCtx {
         }
         if let Err(payload) = result {
             if !payload.is::<Abort>() {
-                let type_name = self
-                    .shared
+                let type_name = self.shared.ranks[self.rank]
                     .type_stats
                     .read()
                     .get(type_id as usize)
@@ -202,7 +201,7 @@ impl AmCtx {
         let me = &self.shared.ranks[self.rank];
         let mut t = self.tables.borrow_mut();
         t.handlers = me.handlers.read().iter().cloned().collect();
-        t.type_stats = self.shared.type_stats.read().iter().cloned().collect();
+        t.type_stats = me.type_stats.read().iter().cloned().collect();
     }
 
     /// Pre-size the per-type hot-path vectors (coalescing slots, per-type

@@ -149,5 +149,6 @@ impl PendingDeltas {
 #[derive(Default)]
 pub(super) struct LocalTables {
     pub(super) handlers: Arc<[Arc<ErasedHandler>]>,
+    /// This rank's per-type counters (`RankShared::type_stats`).
     pub(super) type_stats: Arc<[Arc<TypeStat>]>,
 }

@@ -22,10 +22,18 @@ use crate::sim::SimNet;
 use crate::stats::{MachineStats, StatsSnapshot, TypeStat};
 use crate::trace::FailCause;
 
+/// One rank's slot of the machine. Aligned to 128 bytes (a line and its
+/// prefetch partner), so the counters and idle flag this rank's threads
+/// write never share a line with a peer's inbox, doorbell or counters.
+#[repr(align(128))]
 pub(crate) struct RankShared {
     tx: Sender<Packet>,
     pub(super) rx: Receiver<Packet>,
     pub(super) handlers: RwLock<Vec<Arc<ErasedHandler>>>,
+    /// This rank's per-message-type counters, indexed by type id
+    /// (registration is collective, so ids agree across ranks);
+    /// [`AmCtx::type_stats`](super::AmCtx::type_stats) sums the ranks.
+    pub(super) type_stats: RwLock<Vec<Arc<TypeStat>>>,
     pub(super) sent: AtomicU64,
     pub(super) handled: AtomicU64,
     /// Envelopes this rank's threads shipped (a statistic: relaxed).
@@ -108,9 +116,6 @@ pub(crate) struct Shared {
     pub(super) coll: Collective,
     /// Scratch slot for the collective `share` primitive.
     pub(super) share_slot: parking_lot::Mutex<Option<Box<dyn Any + Send>>>,
-    /// Per-message-type counters, indexed by type id (registration is
-    /// collective, so ids agree across ranks).
-    pub(super) type_stats: RwLock<Vec<Arc<TypeStat>>>,
     /// The event recorder: one ring per runtime thread, always on;
     /// frozen by the first recorded failure (see [`crate::obs`]).
     pub(crate) recorder: Recorder,
@@ -158,6 +163,7 @@ impl Shared {
                     tx,
                     rx,
                     handlers: RwLock::new(Vec::new()),
+                    type_stats: RwLock::new(Vec::new()),
                     sent: AtomicU64::new(0),
                     handled: AtomicU64::new(0),
                     envelopes_sent: AtomicU64::new(0),
@@ -209,7 +215,6 @@ impl Shared {
             poisoned: AtomicBool::new(false),
             coll: Collective::new(participants),
             share_slot: parking_lot::Mutex::new(None),
-            type_stats: RwLock::new(Vec::new()),
             epoch_prof: EpochProfiler::default(),
             failure: parking_lot::Mutex::new(None),
             failure_payload: parking_lot::Mutex::new(None),
@@ -329,6 +334,9 @@ impl Shared {
     /// Put `pkt` in `dest`'s inbox *now* and ring its doorbell: the inproc
     /// half of [`Shared::push_packet`], the sim scheduler's delivery
     /// primitive, and where wire backends' receiving threads land packets.
+    /// When nobody sleeps on the rank it costs a lock (the inbox push; the
+    /// channel wakes only a blocked worker) plus a doorbell load — no
+    /// system call.
     pub(crate) fn deliver(&self, dest: RankId, pkt: Packet) {
         let rank = &self.ranks[dest];
         // `send` fails only once every receiver is gone, and `rank.rx` is
@@ -397,6 +405,22 @@ mod tests {
         );
         assert!(t0.elapsed() < Duration::from_secs(1));
         ringer.join().unwrap();
+    }
+
+    #[test]
+    fn ranks_share_no_cache_line() {
+        // Rank r's slot — its counters and idle flag beside its inbox
+        // and doorbell — covers 128-byte blocks (a line and its prefetch
+        // partner) that hold nothing of rank r + 1.
+        assert_eq!(align_of::<RankShared>(), 128);
+        let shared = Shared::new(MachineConfig::new(3), None, None);
+        let blocks = |r: &RankShared| {
+            let lo = r as *const RankShared as usize;
+            (lo / 128, (lo + size_of::<RankShared>() - 1) / 128)
+        };
+        for pair in shared.ranks.windows(2) {
+            assert!(blocks(&pair[0]).1 < blocks(&pair[1]).0);
+        }
     }
 
     #[test]

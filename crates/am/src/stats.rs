@@ -14,9 +14,11 @@
 //! in particular whenever an epoch ends or [`crate::AmCtx::stats`] /
 //! [`crate::AmCtx::type_stats`] is called — the counters are exact.
 //!
-//! Messages sent and handled, and envelopes shipped, are counted per rank
-//! and summed into each [`StatsSnapshot`]; the other machine-wide
-//! counters live in [`MachineStats`].
+//! Messages sent and handled, envelopes shipped and the per-type
+//! [`TypeStat`]s are counted per rank and summed when read (into each
+//! [`StatsSnapshot`], and by [`crate::AmCtx::type_stats`]), so no
+//! per-envelope publication writes a counter another rank writes; the
+//! other machine-wide counters live in [`MachineStats`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -122,8 +124,9 @@ impl MachineStats {
     }
 }
 
-/// Machine-wide counters for one registered message type (shared by the
-/// sending and handling sides across all ranks).
+/// One rank's counters for one registered message type (shared by the
+/// rank's sending and handling threads; [`crate::AmCtx::type_stats`] sums
+/// the ranks).
 #[derive(Debug)]
 pub struct TypeStat {
     /// Diagnostic name given at registration.
