@@ -128,7 +128,6 @@ pub fn betweenness(
             level.set(rank, s, 0);
             sigma.set(rank, s, 1.0);
         }
-        ctx.barrier();
         let seeds = owned_seeds(ctx, graph, &[s]);
         fixed_point(ctx, &engine, expand, &seeds);
 
@@ -169,8 +168,8 @@ pub fn betweenness(
                 bc.set(rank, v, cur + delta.get(rank, v));
             }
         }
-        ctx.barrier();
     }
+    ctx.barrier(); // every rank's last accumulation lands before anyone reads bc
     bc
 }
 

@@ -65,7 +65,6 @@ impl Bfs {
         if self.engine.graph().owner(source) == rank {
             self.level.set(rank, source, 0);
         }
-        ctx.barrier();
         let seeds = owned_seeds(ctx, self.engine.graph(), &[source]);
         fixed_point(ctx, &self.engine, self.expand, &seeds);
     }

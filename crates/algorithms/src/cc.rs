@@ -139,7 +139,6 @@ impl Cc {
         for v in graph.distribution().owned(rank) {
             self.lbl.set(rank, v, v);
         }
-        ctx.barrier();
 
         // cc_search.work(v) = { cc_search(v); } — continue the search from
         // every newly-claimed vertex.

@@ -122,7 +122,6 @@ pub fn color_greedy(
             used.set(rank, v, 0);
             blocked.set(rank, v, false);
         }
-        ctx.barrier();
         once(ctx, &engine, collect, &uncolored);
         once(ctx, &engine, flag, &uncolored);
         // Local maxima of the uncolored subgraph take the smallest free

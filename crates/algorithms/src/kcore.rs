@@ -96,7 +96,6 @@ pub fn kcore(
             }
             acc.set(rank, v, 0);
         }
-        ctx.barrier(); // accumulators reset everywhere before re-counting
         if !ctx.any_rank(peeled) {
             break;
         }

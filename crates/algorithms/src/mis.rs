@@ -105,7 +105,6 @@ pub fn mis(
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ v.wrapping_mul(0x9E3779B97F4A7C15));
         prio.set(rank, v, rng.gen());
     }
-    ctx.barrier();
 
     let locals = local_vertices(ctx, graph);
     let mut rounds = 0;
@@ -120,7 +119,6 @@ pub fn mis(
             blocked.set(rank, v, false);
             excluded.set(rank, v, false);
         }
-        ctx.barrier();
         once(ctx, &engine, a_blocked, &undecided);
         once(ctx, &engine, a_excluded, &undecided);
         let mut changed = false;

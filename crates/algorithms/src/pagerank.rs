@@ -108,7 +108,6 @@ impl PageRank {
             self.deg.set(rank_id, v, shard.out_degree(li) as u64);
             self.acc.set(rank_id, v, 0.0);
         }
-        ctx.barrier();
 
         let locals = local_vertices(ctx, graph);
         for _ in 0..iterations {
@@ -129,8 +128,8 @@ impl PageRank {
                     .set(rank_id, v, (1.0 - self.damping) / n + self.damping * sum);
                 self.acc.set(rank_id, v, 0.0);
             }
-            ctx.barrier();
         }
+        ctx.barrier(); // every rank's last fold lands before anyone reads rank
     }
 }
 

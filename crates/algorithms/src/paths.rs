@@ -127,7 +127,6 @@ impl SsspPaths {
         if self.engine.graph().owner(source) == rank {
             self.dist.set(rank, source, 0.0);
         }
-        ctx.barrier();
         let seeds = owned_seeds(ctx, self.engine.graph(), &[source]);
         fixed_point(ctx, &self.engine, self.relax, &seeds);
         // Distances are final: sweep once to record the shortest-path DAG.

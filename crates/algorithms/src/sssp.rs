@@ -130,7 +130,6 @@ impl Sssp {
         if self.engine.graph().owner(source) == rank {
             self.dist.set(rank, source, 0.0);
         }
-        ctx.barrier(); // initialization complete everywhere
         let seeds = owned_seeds(ctx, self.engine.graph(), &[source]);
         match strategy {
             SsspStrategy::FixedPoint => {

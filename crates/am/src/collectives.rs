@@ -1,11 +1,14 @@
-//! Small collective operations over the ranks of one machine.
+//! The counted reduction behind every collective of a threaded machine.
 //!
 //! Strategies in the paper need coarse coordination outside the
 //! message-driven data path: the `once` strategy returns "did *any* rank
-//! modify a property map" (a global OR), epochs are entered collectively,
-//! and the CC driver loops until a global fixed point. These are provided
-//! here as a counted, condvar-based reduce: every rank contributes a value,
-//! the last arrival combines and publishes, everyone reads the result.
+//! modify a property map" (a global OR), epochs are entered and left
+//! collectively, and the CC driver loops until a global fixed point. All
+//! of them are one operation, an all-reduce, reached through
+//! [`crate::AmCtx::all_reduce`] (which picks this condvar reduce on
+//! threads and the simulator's serialized one under `run_sim`): every
+//! rank contributes a value, the last arrival combines and publishes,
+//! everyone reads the result.
 //!
 //! Rounds are naturally serialized: a rank cannot begin round *r + 1* until
 //! round *r* has completed (its call blocks), so a single result slot is
@@ -15,28 +18,18 @@
 //!
 //! A participant that panics can never arrive, so a collective would wait
 //! forever. [`Collective::poison`] marks the collective unusable and wakes
-//! every waiter. The fallible variants ([`Collective::try_all_reduce`],
-//! [`Collective::try_barrier`]) surface this as [`Poisoned`]; the plain
-//! variants abort the calling thread with the machine's internal unwind
-//! sentinel, which the rank-level supervisor in [`crate::machine`]
-//! recognizes as a *secondary* failure (the primary [`crate::MachineError`]
-//! was recorded by whoever poisoned the machine).
+//! every waiter. [`Collective::try_all_reduce`] surfaces this as
+//! [`Poisoned`]; [`Collective::all_reduce`] aborts the calling thread with
+//! the machine's internal unwind sentinel, which the rank-level supervisor
+//! in [`crate::machine`] recognizes as a *secondary* failure (the primary
+//! [`crate::MachineError`] was recorded by whoever poisoned the machine).
 
 use parking_lot::{Condvar, Mutex};
 
-/// Error returned by the fallible collective operations: another
-/// participant failed and poisoned the collective, so this round can never
-/// complete.
+/// Error returned by [`Collective::try_all_reduce`]: another participant
+/// failed and poisoned the collective, so this round can never complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Poisoned;
-
-impl std::fmt::Display for Poisoned {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "collective poisoned: another participant failed")
-    }
-}
-
-impl std::error::Error for Poisoned {}
 
 struct CollState {
     generation: u64,
@@ -120,41 +113,11 @@ impl Collective {
         self.cv.notify_all();
     }
 
-    /// Whether the collective has been poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        self.state.lock().poisoned
-    }
-
-    /// Barrier: returns once every participant has arrived.
-    pub fn barrier(&self) {
-        self.all_reduce(0, |_, _| 0);
-    }
-
-    /// Fallible barrier: [`Poisoned`] when the round can never complete.
-    pub fn try_barrier(&self) -> Result<(), Poisoned> {
-        self.try_all_reduce(0, |_, _| 0).map(|_| ())
-    }
-
-    /// Global logical OR of per-rank booleans.
-    pub fn any(&self, mine: bool) -> bool {
-        self.all_reduce(mine as u64, |a, b| a | b) != 0
-    }
-
-    /// Global sum modulo 2⁶⁴: wrapping, like `AmCtx::sum_ranks`, so an
-    /// overflowing sum has one answer in every build profile and fold
-    /// order.
-    pub fn sum(&self, mine: u64) -> u64 {
-        self.all_reduce(mine, u64::wrapping_add)
-    }
-
-    /// Global minimum.
-    pub fn min(&self, mine: u64) -> u64 {
-        self.all_reduce(mine, |a, b| a.min(b))
-    }
-
-    /// Global maximum.
-    pub fn max(&self, mine: u64) -> u64 {
-        self.all_reduce(mine, |a, b| a.max(b))
+    /// Rounds completed so far: the last arrival of each round advances
+    /// the generation before it releases anyone, so every participant
+    /// that has returned from round *r* reads at least *r*.
+    pub fn rounds(&self) -> u64 {
+        self.state.lock().generation
     }
 }
 
@@ -177,8 +140,7 @@ mod tests {
     #[test]
     fn sum_across_threads() {
         with_threads(8, |r, c| {
-            let total = c.sum(r as u64);
-            assert_eq!(total, 28);
+            assert_eq!(c.all_reduce(r as u64, u64::wrapping_add), 28);
         });
     }
 
@@ -186,41 +148,18 @@ mod tests {
     fn repeated_rounds_do_not_mix() {
         with_threads(4, |r, c| {
             for round in 0..100u64 {
-                let got = c.sum(round + r as u64);
+                let got = c.all_reduce(round + r as u64, u64::wrapping_add);
                 assert_eq!(got, 4 * round + 6);
             }
-        });
-    }
-
-    #[test]
-    fn sum_wraps_on_overflow() {
-        with_threads(2, |r, c| {
-            assert_eq!(c.sum(if r == 0 { u64::MAX } else { 1 }), 0);
-        });
-    }
-
-    #[test]
-    fn any_is_global_or() {
-        with_threads(4, |r, c| {
-            assert!(c.any(r == 2));
-            assert!(!c.any(false));
-        });
-    }
-
-    #[test]
-    fn min_max() {
-        with_threads(3, |r, c| {
-            assert_eq!(c.min(10 + r as u64), 10);
-            assert_eq!(c.max(10 + r as u64), 12);
+            assert!(c.rounds() >= 100);
         });
     }
 
     #[test]
     fn single_participant_is_identity() {
         let c = Collective::new(1);
-        assert_eq!(c.sum(41), 41);
-        c.barrier();
-        assert!(c.any(true));
+        assert_eq!(c.all_reduce(41, u64::wrapping_add), 41);
+        assert_eq!(c.rounds(), 1);
     }
 
     #[test]
@@ -242,7 +181,7 @@ mod tests {
                 coll.poison();
             });
         });
-        assert!(coll.is_poisoned());
+        assert_eq!(coll.try_all_reduce(0, |a, b| a | b), Err(Poisoned));
     }
 
     #[test]
@@ -250,6 +189,6 @@ mod tests {
         let c = Collective::new(2);
         c.poison();
         assert_eq!(c.try_all_reduce(1, |a, b| a + b), Err(Poisoned));
-        assert_eq!(c.try_barrier(), Err(Poisoned));
+        assert_eq!(c.try_all_reduce(0, |a, b| a | b), Err(Poisoned));
     }
 }

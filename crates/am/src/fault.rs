@@ -374,7 +374,9 @@ impl LaneDedup {
 /// from the virtual clock keeps every tick-denominated knob (backoff,
 /// delay windows, reorder deadlines) proportional to the modeled link
 /// timescale instead. 1 tick = 1µs ≈ the default link latency and the
-/// scheduler's idle quantum.
+/// scheduler's idle quantum. That alone still left `backoff_base` (2
+/// ticks) below the default modeled round trip, so every timeout is also
+/// floored at the round trip the plan models (`Reliability::timeout`).
 const SIM_TICK_NS: u64 = 1_000;
 
 /// One fault-layer tick in wall-clock nanoseconds when the machine runs
@@ -483,6 +485,18 @@ impl Reliability {
         (base - cut).max(1)
     }
 
+    /// Ticks until pending packet `p` (`from → to`, `seq`) times out:
+    /// [`rto`](Self::rto), floored under the simulator at the round trip
+    /// its plan models for the packet and its ack (plus a tick for the
+    /// clock's rounding), so a healthy simulated network never resends.
+    fn timeout(&self, shared: &Shared, from: RankId, to: RankId, seq: u64, p: &PendingPkt) -> u64 {
+        let rto = self.rto(from, to, p.type_id, seq, p.attempts);
+        shared.sim.as_ref().map_or(rto, |sim| {
+            let rtt = sim.round_trip_ns(from, to, p.env.count);
+            rto.max(rtt.div_ceil(SIM_TICK_NS) + 1)
+        })
+    }
+
     /// Accept an outgoing envelope from the coalescing layer: sequence it,
     /// stash a retransmit copy, and put transmission attempt 0 through the
     /// fault plan.
@@ -491,15 +505,14 @@ impl Reliability {
         let lane = self.lane(from, to);
         let seq = self.next_seq[lane].fetch_add(1, SeqCst) + 1;
         let type_id = env.type_id;
-        self.pending[lane].lock().insert(
-            seq,
-            PendingPkt {
-                env: env.duplicate(),
-                type_id,
-                attempts: 0,
-                retransmit_at: self.now() + self.rto(from, to, type_id, seq, 0),
-            },
-        );
+        let mut pending = PendingPkt {
+            env: env.duplicate(),
+            type_id,
+            attempts: 0,
+            retransmit_at: 0,
+        };
+        pending.retransmit_at = self.now() + self.timeout(shared, from, to, seq, &pending);
+        self.pending[lane].lock().insert(seq, pending);
         let flight = Flight {
             from,
             to,
@@ -672,7 +685,7 @@ impl Reliability {
                     .filter(|(_, p)| p.retransmit_at <= now)
                     .map(|(seq, p)| {
                         p.attempts += 1;
-                        p.retransmit_at = now + self.rto(rank, to, p.type_id, *seq, p.attempts);
+                        p.retransmit_at = now + self.timeout(shared, rank, to, *seq, p);
                         (
                             *seq,
                             Flight {

@@ -114,7 +114,7 @@
 
 pub mod caching;
 pub mod coalescing;
-pub mod collectives;
+pub(crate) mod collectives;
 pub mod config;
 pub mod error;
 pub mod fault;

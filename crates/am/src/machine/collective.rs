@@ -10,36 +10,28 @@ impl AmCtx {
     // Collectives
     // ------------------------------------------------------------------
 
-    /// Barrier across all rank main threads.
-    pub fn barrier(&self) {
+    /// All-reduce a `u64` across rank main threads: the one collective.
+    /// Every barrier and vote — epoch entry and exit included — is a
+    /// round of it, counted once in [`crate::StatsSnapshot::collectives`].
+    pub fn all_reduce(&self, mine: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
         debug_assert_eq!(self.thread, 0, "collectives involve rank main threads only");
         match &self.shared.sim {
             // Sim mode: condvar waits would block the OS thread while it
             // holds the scheduling token; the sim's serialized collective
             // parks cooperatively instead.
-            Some(sim) => {
-                sim.all_reduce(&self.shared, self.rank, 0, |a, b| a | b);
-            }
-            None => self.shared.coll.barrier(),
-        }
-    }
-
-    /// All-reduce a `u64` across rank main threads.
-    pub fn all_reduce(&self, mine: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        debug_assert_eq!(self.thread, 0, "collectives involve rank main threads only");
-        match &self.shared.sim {
             Some(sim) => sim.all_reduce(&self.shared, self.rank, mine, op),
             None => self.shared.coll.all_reduce(mine, op),
         }
     }
 
+    /// Barrier across all rank main threads.
+    pub fn barrier(&self) {
+        self.all_reduce(0, |a, b| a | b);
+    }
+
     /// Global OR across rank main threads.
     pub fn any_rank(&self, mine: bool) -> bool {
-        debug_assert_eq!(self.thread, 0, "collectives involve rank main threads only");
-        match &self.shared.sim {
-            Some(sim) => sim.all_reduce(&self.shared, self.rank, mine as u64, |a, b| a | b) != 0,
-            None => self.shared.coll.any(mine),
-        }
+        self.all_reduce(mine as u64, |a, b| a | b) != 0
     }
 
     /// Global sum across rank main threads, modulo 2⁶⁴: one wrapping
@@ -68,9 +60,10 @@ impl AmCtx {
             }
         };
         self.barrier(); // all ranks cloned
-                        // Idempotent clear; every take after this barrier precedes any
-                        // construction of the next round (which sits behind its own entry
-                        // barrier that this rank has not reached yet).
+
+        // Idempotent clear: every take after this barrier precedes the
+        // next round's construction, which sits behind that round's first
+        // barrier, which this rank has not reached yet.
         self.shared.share_slot.lock().take();
         v
     }

@@ -1,7 +1,7 @@
-//! Epochs and their termination: `epoch`, `epoch_flush`, `try_finish`,
-//! the drain/flush loop every idle path runs through, the epoch-deadline
-//! watchdog, and the one termination-detection step both `try_finish`
-//! and epoch exit run (see [`crate::termination`]).
+//! Epochs and their termination: `epoch`/`epoch_reduce`, `epoch_flush`,
+//! `try_finish`, the drain/flush loop every idle path runs through, the
+//! epoch-deadline watchdog, and the one termination-detection step both
+//! `try_finish` and epoch exit run (see [`crate::termination`]).
 
 use std::sync::atomic::Ordering::SeqCst;
 use std::time::Instant;
@@ -19,8 +19,31 @@ impl AmCtx {
     /// Run `f` inside an epoch. Collective: every rank must call `epoch`
     /// the same number of times. Returns only when every message sent by
     /// any rank inside this epoch (transitively, including handler sends)
-    /// has been handled.
+    /// has been handled. Two collective rounds: the entry barrier and the
+    /// exit; [`epoch_reduce`](Self::epoch_reduce) with a constant vote.
     pub fn epoch<R>(&self, f: impl FnOnce(&AmCtx) -> R) -> R {
+        self.epoch_reduce(f, || 0, |a, b| a | b).0
+    }
+
+    /// [`epoch`](Self::epoch) whose exit is also the strategy's vote:
+    /// once the epoch has terminated machine-wide, each rank runs `vote`,
+    /// and the exit collective is the all-reduce of those votes under
+    /// `op` (associative and commutative, as for
+    /// [`all_reduce`](Self::all_reduce)). Returns the body's result and
+    /// the reduced vote — "did any rank assign", "lowest non-empty
+    /// bucket" — at the price of a plain epoch: two collective rounds.
+    ///
+    /// `vote` sees everything every handler of this epoch did: see
+    /// [`crate::termination`] ("Reading state after termination"). It runs
+    /// outside the epoch, between termination and the exit, so it may
+    /// read and reset strategy-local state but must not send, flush or
+    /// enter a collective.
+    pub fn epoch_reduce<R>(
+        &self,
+        f: impl FnOnce(&AmCtx) -> R,
+        vote: impl FnOnce() -> u64,
+        op: impl Fn(u64, u64) -> u64,
+    ) -> (R, u64) {
         assert_eq!(self.thread, 0, "epochs are entered by rank main threads");
         assert!(!self.in_epoch.get(), "epochs do not nest");
         // The idle flag must drop *before* the entry barrier: termination
@@ -29,6 +52,8 @@ impl AmCtx {
         // over from the previous epoch would let a fast rank declare
         // quiescence while this rank has not started sending yet — and
         // this rank would then exit with its own messages still in flight.
+        // The barrier itself stays for the reasons in `crate::termination`
+        // ("Why the entry barrier stays").
         self.shared.ranks[self.rank].idle.store(false, SeqCst);
         self.barrier();
         let my_gen = self.epochs_entered.get() + 1;
@@ -64,9 +89,10 @@ impl AmCtx {
         self.in_epoch.set(false);
         self.epoch_entered_at.set(None);
         MachineStats::bump(&self.shared.stats.epochs, 1);
-        // No rank proceeds (e.g. reads results, starts the next epoch)
-        // until all have observed termination.
-        self.barrier();
+        // The exit: no rank proceeds (e.g. reads results, starts the next
+        // epoch) until all have observed termination, and the round that
+        // says so carries the vote.
+        let voted = self.all_reduce(vote(), op);
         // Quiescent: every counter touched by this epoch is stable until
         // all ranks pass the *next* epoch's entry barrier, so the first
         // rank through seals an exact machine-wide delta for this epoch.
@@ -90,7 +116,7 @@ impl AmCtx {
                 self.rank
             );
         }
-        result
+        (result, voted)
     }
 
     /// The paper's `epoch_flush`: perform as much pending work as is

@@ -316,6 +316,47 @@ mod tests {
         assert_eq!(a.load(SeqCst), 100);
         assert_eq!(b.load(SeqCst), 1);
     }
+
+    /// The vote runs after the epoch has terminated machine-wide, so it
+    /// sees every handler's writes, worker threads' included; its
+    /// reduction is the exit round itself, so N epochs cost 2N rounds
+    /// whether they vote or not.
+    #[test]
+    fn epoch_reduce_votes_at_the_exit_and_n_epochs_cost_2n_rounds() {
+        let body = |ctx: &AmCtx| {
+            let seen = Arc::new(AtomicU64::new(0));
+            let s2 = seen.clone();
+            let mt = ctx.register(move |_ctx, x: u64| {
+                s2.fetch_add(x, SeqCst);
+            });
+            let before = ctx.stats().collectives;
+            let n = ctx.num_ranks() as u64;
+            let votes: Vec<(u64, u64)> = (1..=4u64)
+                .map(|round| {
+                    let send = |ctx: &AmCtx| {
+                        for dest in 0..ctx.num_ranks() {
+                            mt.send(ctx, dest, round);
+                        }
+                        round * n
+                    };
+                    ctx.epoch_reduce(send, || seen.swap(0, SeqCst), u64::wrapping_add)
+                })
+                .collect();
+            ctx.epoch(|_| {});
+            let (_, lowest) = ctx.epoch_reduce(|_| {}, || 10 + ctx.rank() as u64, u64::min);
+            (votes, lowest, ctx.stats().collectives - before)
+        };
+        // Three ranks each send `round` to every rank: 3·round out, 9·round in.
+        let votes: Vec<(u64, u64)> = (1..=4u64).map(|r| (3 * r, 9 * r)).collect();
+        let want = (votes, 10, 2 * 6);
+        for out in Machine::run(cfg(3).threads_per_rank(2), body) {
+            assert_eq!(out, want);
+        }
+        let sim = Machine::run_sim(cfg(3), crate::sim::SimPlan::new(5), body).expect("sim run");
+        for out in sim.results {
+            assert_eq!(out, want);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -234,6 +234,10 @@ impl Shared {
                 .iter()
                 .map(|r| r.envelopes_sent.load(SeqCst))
                 .sum(),
+            collectives: match &self.sim {
+                Some(sim) => sim.collective_rounds(),
+                None => self.coll.rounds(),
+            },
             ..self.stats.snapshot()
         }
     }

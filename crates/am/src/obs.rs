@@ -961,7 +961,7 @@ pub fn chrome_trace_json(spans: &[SpanRecord], ranks: usize) -> String {
 fn stats_json(s: &StatsSnapshot, out: &mut String) {
     out.push_str(&format!(
         "{{\"messages_sent\":{},\"envelopes_sent\":{},\"messages_handled\":{},\
-         \"cache_hits\":{},\"cache_misses\":{},\"epochs\":{},\
+         \"cache_hits\":{},\"cache_misses\":{},\"epochs\":{},\"collectives\":{},\
          \"idle_timeouts\":{},\"trace_roots\":{},\"injected_drops\":{},\
          \"injected_dups\":{},\"injected_delays\":{},\"injected_reorders\":{},\
          \"retransmits\":{},\"acks\":{},\"dups_suppressed\":{},\
@@ -975,6 +975,7 @@ fn stats_json(s: &StatsSnapshot, out: &mut String) {
         s.cache_hits,
         s.cache_misses,
         s.epochs,
+        s.collectives,
         s.idle_timeouts,
         s.trace_roots,
         s.injected_drops,

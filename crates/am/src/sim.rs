@@ -439,6 +439,7 @@ struct SimState {
     coll_arrived: usize,
     coll_acc: Option<u64>,
     coll_result: u64,
+    coll_rounds: u64,
     // Epoch-end dedup + epoch-triggered plan transitions.
     last_epoch_seen: u64,
     // Watchdog.
@@ -529,6 +530,7 @@ impl SimNet {
                 coll_arrived: 0,
                 coll_acc: None,
                 coll_result: 0,
+                coll_rounds: 0,
                 last_epoch_seen: 0,
                 last_progress: None,
                 no_progress_rounds: 0,
@@ -933,6 +935,31 @@ impl SimNet {
 
     /// Deterministic modeled latency for one packet.
     fn latency(&self, from: RankId, to: RankId, count: u32, uid: u64) -> u64 {
+        let t = self.unjittered_latency(from, to, count);
+        if self.plan.jitter_ns == 0 {
+            return t;
+        }
+        let h = mix64(
+            self.plan.seed
+                ^ ((from as u64) << 40)
+                ^ ((to as u64) << 20)
+                ^ uid.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
+        t.saturating_add(h % (self.plan.jitter_ns + 1))
+    }
+
+    /// The longest round trip the plan models for a packet of `count`
+    /// messages from `from` to `to` and its ack back: both legs with
+    /// their link, straggler and per-message costs, each at full jitter.
+    /// The reliability layer floors its timeouts here.
+    pub(crate) fn round_trip_ns(&self, from: RankId, to: RankId, count: u32) -> u64 {
+        self.unjittered_latency(from, to, count)
+            .saturating_add(self.unjittered_latency(to, from, 0))
+            .saturating_add(self.plan.jitter_ns.saturating_mul(2))
+    }
+
+    /// [`latency`](Self::latency) before its jitter.
+    fn unjittered_latency(&self, from: RankId, to: RankId, count: u32) -> u64 {
         let mut base = self.plan.latency_ns;
         for l in &self.plan.links {
             if l.from == from && l.to == to {
@@ -945,17 +972,7 @@ impl SimNet {
                 base = base.saturating_mul(s.factor);
             }
         }
-        let mut t = base.saturating_add(self.plan.per_msg_ns.saturating_mul(count as u64));
-        if self.plan.jitter_ns > 0 {
-            let h = mix64(
-                self.plan.seed
-                    ^ ((from as u64) << 40)
-                    ^ ((to as u64) << 20)
-                    ^ uid.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            t = t.saturating_add(h % (self.plan.jitter_ns + 1));
-        }
-        t
+        base.saturating_add(self.plan.per_msg_ns.saturating_mul(count as u64))
     }
 
     /// Seam for [`Shared::push_packet`]: schedule the packet's arrival.
@@ -1009,6 +1026,7 @@ impl SimNet {
             if st.coll_arrived >= live {
                 st.coll_result = combined;
                 st.coll_arrived = 0;
+                st.coll_rounds += 1;
                 st.coll_acc = None;
                 for r in 0..self.nranks {
                     if st.rank_state[r] == RankState::Blocked {
@@ -1028,6 +1046,12 @@ impl SimNet {
             }
         }
         self.state.lock().coll_result
+    }
+
+    /// Collective rounds completed so far (advanced by each round's last
+    /// arrival, before anyone is released).
+    pub(crate) fn collective_rounds(&self) -> u64 {
+        self.state.lock().coll_rounds
     }
 
     /// Called by every rank as it exits an epoch: runs epoch-triggered

@@ -17,8 +17,10 @@
 //! Messages sent and handled, envelopes shipped and the per-type
 //! [`TypeStat`]s are counted per rank and summed when read (into each
 //! [`StatsSnapshot`], and by [`crate::AmCtx::type_stats`]), so no
-//! per-envelope publication writes a counter another rank writes; the
-//! other machine-wide counters live in [`MachineStats`].
+//! per-envelope publication writes a counter another rank writes.
+//! Completed collective rounds are read off the collective itself (each
+//! round's last arrival advances its generation). The other machine-wide
+//! counters live in [`MachineStats`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -100,6 +102,7 @@ impl MachineStats {
             cache_hits: self.cache_hits.load(Ordering::SeqCst),
             cache_misses: self.cache_misses.load(Ordering::SeqCst),
             epochs: self.epochs.load(Ordering::SeqCst),
+            collectives: 0,
             control_tokens: 0,
             idle_timeouts: self.idle_timeouts.load(Ordering::SeqCst),
             trace_roots: self.trace_roots.load(Ordering::SeqCst),
@@ -182,6 +185,11 @@ pub struct StatsSnapshot {
     pub cache_misses: u64,
     /// Completed epochs.
     pub epochs: u64,
+    /// Completed collective rounds, machine-wide: every barrier and
+    /// all-reduce, each epoch's entry and its exit (which carries the
+    /// strategy's vote, see [`crate::AmCtx::epoch_reduce`]) — two per
+    /// epoch.
+    pub collectives: u64,
     /// Always 0: no termination detector sends control tokens. Kept only
     /// because the repository benchmark's frozen harness still reads it
     /// (ROADMAP item 7 drops it there first).
@@ -257,6 +265,7 @@ impl StatsSnapshot {
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             epochs: self.epochs.saturating_sub(earlier.epochs),
+            collectives: self.collectives.saturating_sub(earlier.collectives),
             control_tokens: 0,
             idle_timeouts: self.idle_timeouts.saturating_sub(earlier.idle_timeouts),
             trace_roots: self.trace_roots.saturating_sub(earlier.trace_roots),

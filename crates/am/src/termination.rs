@@ -108,6 +108,51 @@
 //! work is left *in the window*; work above the window stays for a later
 //! epoch, exactly as a plain epoch leaves it.
 //!
+//! ## Reading state after termination: the exit's vote
+//!
+//! [`crate::AmCtx::epoch_reduce`] runs the strategy's `vote` on each
+//! rank's main thread after the detection step has reported termination
+//! and before the exit collective, and the exit *is* the all-reduce of the
+//! votes. A vote typically reads what this epoch's handlers wrote on its
+//! rank — Δ-buckets filled by work hooks, engine counters — possibly from
+//! a worker thread. That read is exact:
+//!
+//! * a handler's writes happen before its thread publishes the `handled`
+//!   delta that counts it (a SeqCst RMW, made after the handler returns);
+//! * the deciding rank read that `handled` count in its balanced double
+//!   scan, and that read happens before its `completed_epoch.fetch_max`;
+//! * this rank's step returned `true` either because it decided itself
+//!   (it read the counts) or because its SeqCst load saw `completed_epoch`
+//!   at this generation, which reads from that `fetch_max`.
+//!
+//! So every handler of the epoch happens-before the vote, and no handler
+//! runs after it: termination means nothing is in flight, and nothing of
+//! the next epoch can be sent before every rank — this one included —
+//! has passed that epoch's entry barrier.
+//!
+//! ## Why the entry barrier stays
+//!
+//! Deleting the entry barrier would make the exit the only rendezvous
+//! per epoch, but three things lean on it:
+//!
+//! * **Worker threads against resets between epochs.** A rank's handler
+//!   worker threads handle packets whenever they arrive, between epochs
+//!   too. Drivers reset owned state between epochs (k-core's `acc`,
+//!   PageRank's fold into `rank`, the per-round flags of MIS and
+//!   coloring), with no barrier of their own before the next epoch: the
+//!   entry barrier guarantees that no peer sends a message of the next
+//!   epoch until this rank's main thread has finished its reset. Without
+//!   it a worker would run a peer's next-epoch handler against
+//!   half-reset state.
+//! * **`share`'s clear** relies on the same shape: its slot is cleared
+//!   after its second barrier, and the next `share`'s first barrier keeps
+//!   any rank from constructing into the slot before every rank has
+//!   cleared it.
+//! * **The stale idle flag** (INTERNALS §1, case study): a rank lowers
+//!   its idle flag before the entry barrier, so no peer can read a flag
+//!   left up by the previous epoch. An epoch generation on the flag would
+//!   fix this one, not the other two.
+//!
 //! ## Interaction with batched counters
 //!
 //! Since the hot-path rework (INTERNALS.md §9) threads do not bump the

@@ -46,7 +46,8 @@ pub fn fixed_point(ctx: &AmCtx, engine: &PatternEngine, action: ActionId, seeds:
 /// The paper's `once` strategy: "performs an action at every vertex in the
 /// input set, recording if any assignments to property maps were
 /// performed". Returns that global flag (dependencies are ignored — the
-/// §III-C default).
+/// §III-C default), voted through the epoch's exit: two collective
+/// rounds in all.
 ///
 /// Collective; `vertices` is this rank's portion of the input set.
 pub fn once(ctx: &AmCtx, engine: &PatternEngine, action: ActionId, vertices: &[VertexId]) -> bool {
@@ -55,14 +56,14 @@ pub fn once(ctx: &AmCtx, engine: &PatternEngine, action: ActionId, vertices: &[V
         .map(|s| s.args(action as u64, vertices.len() as u64));
     let before = engine.stats().modifications_changed;
     let obs = Observer::new(engine);
-    ctx.epoch(|ctx| {
+    let body = |ctx: &AmCtx| {
         for &v in vertices {
             engine.invoke(ctx, action, v);
         }
         obs.publish(ctx, vertices.len());
-    });
-    let changed_here = engine.stats().modifications_changed > before;
-    ctx.any_rank(changed_here)
+    };
+    let changed_here = || (engine.stats().modifications_changed > before) as u64;
+    ctx.epoch_reduce(body, changed_here, |a, b| a | b).1 != 0
 }
 
 /// Drive [`once`] to a fixed point: re-apply until a round performs no

@@ -70,9 +70,12 @@ fn seed_buckets(
 ///   tries to perform more work" (§III-D). `k = usize::MAX` is that
 ///   asynchronous form: one window over every bucket.
 ///
-/// After each epoch one collective decides what comes next: 0 means some
-/// rank's window refilled (run the epoch again), otherwise the result is
-/// the globally lowest non-empty bucket + 1 (`u64::MAX`: all empty).
+/// Each epoch's exit decides what comes next, through its vote
+/// ([`AmCtx::epoch_reduce`]): 0 means some rank's window refilled (run
+/// the epoch again), otherwise the result is the globally lowest
+/// non-empty bucket + 1 (`u64::MAX`: all empty). So a round costs the
+/// epoch's two collectives and nothing else, and a solve costs
+/// 2 · epochs + 1 (the opening all-reduce finds the first bucket).
 /// Improvements of an already-bucketed vertex can re-insert it *below*
 /// the window, so the scan restarts from bucket 0 every round
 /// (relaxation is idempotent, so reprocessing is always safe; skipping
@@ -117,7 +120,7 @@ pub fn delta_stepping(
             .map(|s| s.args(lo as u64, 0));
         let mut rounds = 0u64;
         loop {
-            ctx.epoch(|ctx| {
+            let body = |ctx: &AmCtx| {
                 let popped = if k == 1 {
                     drain(ctx, lo)
                 } else {
@@ -136,11 +139,11 @@ pub fn delta_stepping(
                     }
                 };
                 obs.publish_bucket(ctx, lo, popped);
-            });
+            };
+            let vote = || if window(lo).is_none() { lowest() } else { 0 };
+            next = ctx.epoch_reduce(body, vote, u64::min).1;
             epochs += 1;
             rounds += 1;
-            let mine = if window(lo).is_none() { lowest() } else { 0 };
-            next = ctx.all_reduce(mine, u64::min);
             if next != 0 {
                 break;
             }
@@ -162,7 +165,9 @@ pub fn delta_stepping(
 /// this bucket.
 ///
 /// Both actions share the `dist` invariant; they differ only in their
-/// declarative weight guard — two patterns, one schedule. Collective;
+/// declarative weight guard — two patterns, one schedule. Each epoch
+/// votes through its exit (light: "did the bucket refill"; heavy: the
+/// next bucket), so a solve costs 2 · epochs + 1 collectives. Collective;
 /// returns the number of epochs run.
 pub fn delta_stepping_split(
     ctx: &AmCtx,
@@ -175,36 +180,35 @@ pub fn delta_stepping_split(
 ) -> usize {
     let buckets = seed_buckets(ctx, engine, &[light, heavy], seeds, m, delta);
     let obs = Observer::new(engine);
-    let mut epochs = 0;
-    loop {
-        let local = buckets
+    let lowest = || {
+        buckets
             .first_nonempty(0..usize::MAX)
-            .map(|b| b as u64)
-            .unwrap_or(u64::MAX);
-        let global = ctx.all_reduce(local, |a, b| a.min(b));
-        if global == u64::MAX {
-            break;
-        }
-        let i = global as usize;
+            .map_or(u64::MAX, |b| b as u64)
+    };
+    let mut epochs = 0;
+    let mut next = ctx.all_reduce(lowest(), u64::min);
+    while next != u64::MAX {
+        let i = next as usize;
         // Phase 1: settle bucket i with light edges only, remembering who
-        // was settled.
+        // was settled; each exit votes whether any rank's bucket refilled.
         let mut settled: Vec<VertexId> = Vec::new();
         {
             let mut light_span = ctx
                 .span(SpanKind::Strategy, "delta.light")
                 .map(|s| s.args(i as u64, 0));
             loop {
-                ctx.epoch(|ctx| {
+                let body = |ctx: &AmCtx| {
                     let before = settled.len();
                     while let Some(v) = buckets.pop(i) {
                         settled.push(v);
                         engine.run_at(ctx, light, v);
                     }
                     obs.publish_bucket(ctx, i, settled.len() - before);
-                });
+                };
+                let vote = || buckets.first_nonempty(i..i + 1).is_some() as u64;
+                let (_, refilled) = ctx.epoch_reduce(body, vote, |a, b| a | b);
                 epochs += 1;
-                let refilled = ctx.any_rank(buckets.first_nonempty(i..i + 1).is_some());
-                if !refilled {
+                if refilled == 0 {
                     break;
                 }
             }
@@ -212,18 +216,20 @@ pub fn delta_stepping_split(
                 s.set_arg1(settled.len() as u64);
             }
         }
-        // Phase 2: heavy edges of everything settled in this bucket, once.
+        // Phase 2: heavy edges of everything settled in this bucket, once;
+        // its exit votes the next bucket.
         settled.sort_unstable();
         settled.dedup();
         let _heavy_span = ctx
             .span(SpanKind::Strategy, "delta.heavy")
             .map(|s| s.args(i as u64, settled.len() as u64));
-        ctx.epoch(|ctx| {
+        let body = |ctx: &AmCtx| {
             for &v in &settled {
                 engine.run_at(ctx, heavy, v);
             }
             obs.publish_bucket(ctx, i, settled.len());
-        });
+        };
+        next = ctx.epoch_reduce(body, lowest, u64::min).1;
         epochs += 1;
     }
     engine.clear_work_hook(light);

@@ -235,4 +235,26 @@ mod tests {
             "schedules differ"
         );
     }
+
+    /// The reliability layer over a healthy simulated network: an
+    /// inject-nothing fault plan must cost acks and nothing else. The
+    /// first timeout is floored at the round trip the plan models, so no
+    /// packet is resent before its ack could have come back.
+    #[test]
+    fn healthy_network_never_retransmits() {
+        for seed in [1, 2, 3, 17] {
+            let spec = ScenarioSpec {
+                faults: true,
+                ..ScenarioSpec::baseline(seed)
+            };
+            let run = Run::on(spec.machine_config()).sim(spec.plan.clone());
+            let out = run
+                .sssp(&spec.edge_list(), 0, SsspStrategy::FixedPoint)
+                .expect("healthy run completes");
+            let s = out.stats;
+            assert_eq!(s.faults_injected(), 0, "seed {seed}: plan injects nothing");
+            assert!(s.acks > 0, "seed {seed}: the reliability layer ran");
+            assert_eq!(s.retransmits, 0, "seed {seed}: {s:?}");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Writing your own strategy — the paper's point that strategies are
 //! "user defined programs that apply patterns in a certain way", built
 //! from the same primitives as the built-ins: epochs, `epoch_flush`,
-//! work hooks, and collectives.
+//! work hooks, and the vote an epoch's exit carries (`epoch_reduce`).
 //!
 //! This example declares the SSSP pattern with the grammar-level
 //! [`PatternBuilder`], then drives it with a hand-rolled **two-queue
@@ -99,7 +99,7 @@ fn main() {
         let mut phases = 0u64;
         loop {
             // Drain the near queue to exhaustion inside one epoch.
-            ctx.epoch(|ctx| loop {
+            let drain = |ctx: &AmCtx| loop {
                 let batch: Vec<VertexId> = std::mem::take(&mut *state.near.lock());
                 if batch.is_empty() {
                     // Handlers may still be filling it: flush and retest.
@@ -111,12 +111,13 @@ fn main() {
                 for v in batch {
                     engine.run_at(ctx, relax, v);
                 }
-            });
-            phases += 1;
-            // Advance the threshold and promote newly-near work.
-            let new_threshold = *state.threshold.lock() + delta;
-            *state.threshold.lock() = new_threshold;
-            {
+            };
+            // Once the epoch has terminated everywhere: advance the
+            // threshold, promote newly-near work, and vote what is left.
+            // The epoch's exit sums the votes — no collective of our own.
+            let advance = || {
+                let new_threshold = *state.threshold.lock() + delta;
+                *state.threshold.lock() = new_threshold;
                 let mut far = state.far.lock();
                 let mut near = state.near.lock();
                 far.retain(|&(v, d)| {
@@ -127,9 +128,11 @@ fn main() {
                         true
                     }
                 });
-            }
-            let pending = state.near.lock().len() as u64 + state.far.lock().len() as u64;
-            if ctx.sum_ranks(pending) == 0 {
+                near.len() as u64 + far.len() as u64
+            };
+            let (_, pending) = ctx.epoch_reduce(drain, advance, u64::wrapping_add);
+            phases += 1;
+            if pending == 0 {
                 break;
             }
         }

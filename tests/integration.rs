@@ -440,3 +440,152 @@ fn engine_counters_exact_with_worker_threads() {
         }
     }
 }
+
+/// The collective rounds a [`Run`] pays: two per property map its
+/// install shares (`share` is two barriers), two per epoch (the entry
+/// barrier and an exit that carries the strategy's vote), and `own` that
+/// the driver adds itself.
+fn rounds(maps: u64, out: &Outcome<impl Sized>, own: u64) -> u64 {
+    2 * maps + 2 * out.profiles.len() as u64 + own
+}
+
+/// Every family whose driver lost a barrier or a collective, on three
+/// ranks of three threads each, against its sequential oracle and with
+/// its exact collective count. Worker threads handle packets between
+/// epochs, so a barrier deleted where a rank still needed it would show
+/// here as a wrong result.
+#[test]
+fn families_on_worker_threads_pay_exact_collectives() {
+    let run = Run::on(MachineConfig::new(3).threads_per_rank(3));
+    let el = weighted_rmat(8, 41);
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    // SSSP (one map); the Δ drivers add their opening all-reduce.
+    let want = seq::dijkstra(&el, 0);
+    for (strategy, own) in [
+        (SsspStrategy::FixedPoint, 0),
+        (SsspStrategy::Delta(0.5), 1),
+        (SsspStrategy::DeltaAsync(0.5), 1),
+        (SsspStrategy::DeltaSplit(0.5), 1),
+    ] {
+        let out = run.sssp(&el, 0, strategy).unwrap();
+        assert_eq!(bits(&out.result), bits(&want), "{strategy:?}");
+        assert_eq!(out.stats.collectives, rounds(1, &out, own), "{strategy:?}");
+    }
+
+    // Paths (three maps): a fixed point and one `once`.
+    let out = run.paths(&el, 0).unwrap();
+    assert_eq!(bits(&out.result.dist), bits(&want));
+    for (v, p) in out.result.parent.iter().enumerate() {
+        if let Some(p) = p {
+            assert!(
+                out.result.preds[v].contains(p),
+                "v={v}: parent is a tight pred"
+            );
+        }
+    }
+    assert_eq!(
+        (out.profiles.len(), out.stats.collectives),
+        (2, rounds(3, &out, 0))
+    );
+
+    // BFS (one map).
+    let out = run.bfs(&el, 0).unwrap();
+    assert_eq!(out.result, dgp_graph::analysis::bfs_levels(&el, 0));
+    assert_eq!(out.stats.collectives, rounds(1, &out, 0));
+
+    // CC (four maps): epochs only.
+    let blobs = generators::component_blobs(5, 40, 2, 43);
+    let mut sym = blobs.clone();
+    sym.symmetrize();
+    let out = run.cc(&blobs).unwrap();
+    assert_eq!(out.result, seq::cc_labels(&sym));
+    assert_eq!(out.stats.collectives, rounds(4, &out, 0));
+
+    // k-core (two maps): one `any_rank(peeled)` per round.
+    let out = run.kcore(&blobs, 3).unwrap();
+    let (mask, peel_rounds) = out.result.clone();
+    assert_eq!(mask, dgp_algorithms::kcore::kcore_seq(&sym, 3));
+    assert_eq!(out.stats.collectives, rounds(2, &out, peel_rounds as u64));
+
+    // Coloring (three maps): one `any_rank(colored)` per round.
+    let out = run.coloring(&blobs).unwrap();
+    let (colors, color_rounds) = out.result.clone();
+    dgp_algorithms::coloring::validate_coloring(&sym, &colors).unwrap();
+    assert_eq!(out.stats.collectives, rounds(3, &out, color_rounds as u64));
+
+    // MIS (four maps): one `any_rank(changed)` per round, then the mask's
+    // share and the barrier before rank 0 reads it.
+    let out = run.mis(&blobs, 7).unwrap();
+    let (mask, mis_rounds) = out.result.clone();
+    dgp_algorithms::mis::validate_mis(&sym, &mask).unwrap();
+    assert_eq!(
+        out.stats.collectives,
+        rounds(4, &out, mis_rounds as u64 + 3)
+    );
+
+    // PageRank (three maps): the dangling-mass all-reduce per iteration,
+    // then one barrier before rank 0 reads the ranks.
+    let out = run.pagerank(&el, 0.85, 6).unwrap();
+    assert_dists(&out.result, &seq::pagerank(&el, 0.85, 6));
+    assert_eq!(out.stats.collectives, rounds(3, &out, 6 + 1));
+
+    // Betweenness (three maps and `bc`'s share): the max-level
+    // all-reduce per source, then one barrier before rank 0 reads `bc`.
+    let sources = [0, 3, 17];
+    let out = run.betweenness(&el, &sources).unwrap();
+    let want_bc = dgp_algorithms::betweenness::betweenness_seq(&el, &sources);
+    assert_dists(&out.result, &want_bc);
+    assert_eq!(out.stats.collectives, rounds(4, &out, 3 + 1));
+}
+
+/// The strategies' rendezvous, counted: `once` is one epoch whose exit
+/// carries its "changed" vote (two rounds); the Δ driver pays two rounds
+/// per epoch plus its opening all-reduce at every window width, and so
+/// does the light/heavy split. On threads and under the simulator.
+#[test]
+fn strategies_pay_two_rounds_per_epoch() {
+    let el = weighted_rmat(7, 5);
+    let want = seq::dijkstra(&el, 0);
+    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
+    let weights = EdgeMap::from_weights(&graph, &el);
+    let body = |ctx: &AmCtx| {
+        let s = dgp_algorithms::sssp::Sssp::install(ctx, &graph, &weights, EngineConfig::default());
+        let seeds: Vec<VertexId> = (graph.owner(0) == ctx.rank())
+            .then_some(0)
+            .into_iter()
+            .collect();
+        let rounds = || ctx.stats().collectives;
+        let mut costs = Vec::new();
+        for k in [1, 4, usize::MAX] {
+            s.dist.fill_local(ctx.rank(), f64::INFINITY);
+            if graph.owner(0) == ctx.rank() {
+                s.dist.set(ctx.rank(), 0, 0.0);
+            }
+            let before = rounds();
+            let epochs = delta_stepping(ctx, &s.engine, s.relax, &seeds, &s.dist, 0.5, k) as u64;
+            costs.push((epochs, rounds() - before));
+        }
+        let locals: Vec<VertexId> = graph.distribution().owned(ctx.rank()).collect();
+        let before = rounds();
+        let changed = once(ctx, &s.engine, s.relax, &locals);
+        costs.push((changed as u64, rounds() - before));
+        let (epochs_before, before) = (ctx.epoch_profiles().len(), rounds());
+        s.run(ctx, 0, SsspStrategy::DeltaSplit(0.5));
+        let epochs = (ctx.epoch_profiles().len() - epochs_before) as u64;
+        costs.push((epochs, rounds() - before));
+        (ctx.rank() == 0).then(|| (costs, s.dist.snapshot()))
+    };
+    let threads = Machine::run(MachineConfig::new(3), body);
+    let sim = Machine::run_sim(MachineConfig::new(3), dgp_am::SimPlan::new(9), body).unwrap();
+    for mut out in [threads, sim.results] {
+        let (costs, dist) = out[0].take().unwrap();
+        assert_dists(&dist, &want);
+        assert!(costs[0].0 > 1, "k = 1 runs an epoch per bucket: {costs:?}");
+        for &(epochs, paid) in &costs[..3] {
+            assert_eq!(paid, 2 * epochs + 1, "Δ driver: {costs:?}");
+        }
+        assert_eq!(costs[3], (0, 2), "`once` over settled distances: {costs:?}");
+        assert_eq!(costs[4].1, 2 * costs[4].0 + 1, "split: {costs:?}");
+    }
+}
