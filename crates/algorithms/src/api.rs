@@ -1,5 +1,5 @@
-//! One-call entry points: build the machine, distribute the graph, run,
-//! return plain vectors.
+//! The one entry point: build the machine, distribute the graph, run,
+//! return the result with the machine's statistics.
 //!
 //! There is one way to run a family: a [`Run`] names the machine
 //! ([`MachineConfig`]: ranks, transport, faults, ...), the engine
@@ -18,11 +18,8 @@
 //! checkpoint the plan's cadence selects; a violation fails the run as
 //! [`MachineError::InvariantViolated`].
 //!
-//! The plain `run_{sssp,cc,bfs,pagerank,kcore,coloring}` functions are
-//! one-line conveniences over `Run::new(ranks)` for callers that only
-//! want the vector; they panic with the error's `Display`, as
-//! [`Machine::run`] does. For finer control (strategies, engine counters)
-//! use the per-algorithm modules inside your own [`Machine::run`].
+//! For finer control (strategies, engine counters) use the per-algorithm
+//! modules inside your own [`Machine::run`].
 
 use dgp_am::{
     AmCtx, EpochProfile, Machine, MachineConfig, MachineError, PostMortem, SimPlan, SimReport,
@@ -66,6 +63,18 @@ pub struct Outcome<T> {
     /// The simulator's report (virtual time, event counts, flight digest);
     /// `None` on threads.
     pub report: Option<SimReport>,
+}
+
+impl<T> Outcome<T> {
+    /// The same outcome with its result mapped by `f`.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> Outcome<U> {
+        Outcome {
+            result: f(self.result),
+            stats: self.stats,
+            profiles: self.profiles,
+            report: self.report,
+        }
+    }
 }
 
 /// Why a [`Run`] failed, on either machine.
@@ -307,47 +316,11 @@ impl Run {
 
 /// The unweighted, symmetric version of `el` the undirected families run
 /// on.
-fn symmetrized(el: &EdgeList) -> EdgeList {
+pub(crate) fn symmetrized(el: &EdgeList) -> EdgeList {
     let mut sym = el.clone();
     sym.weights = None;
     sym.symmetrize();
     sym
-}
-
-/// The result of a default-configured threaded run, or a panic carrying
-/// the error's `Display` — what [`Machine::run`] does on failure.
-fn expect_ok<T>(run: RunResult<T>) -> T {
-    run.unwrap_or_else(|e| panic!("{e}")).result
-}
-
-/// [`Run::sssp`] on `ranks` default ranks: just the distance vector.
-pub fn run_sssp(el: &EdgeList, ranks: usize, source: VertexId, strategy: SsspStrategy) -> Vec<f64> {
-    expect_ok(Run::new(ranks).sssp(el, source, strategy))
-}
-
-/// [`Run::cc`] on `ranks` default ranks: just the labels.
-pub fn run_cc(el: &EdgeList, ranks: usize) -> Vec<u64> {
-    expect_ok(Run::new(ranks).cc(el))
-}
-
-/// [`Run::bfs`] on `ranks` default ranks: just the levels.
-pub fn run_bfs(el: &EdgeList, ranks: usize, source: VertexId) -> Vec<u64> {
-    expect_ok(Run::new(ranks).bfs(el, source))
-}
-
-/// [`Run::pagerank`] on `ranks` default ranks: just the rank vector.
-pub fn run_pagerank(el: &EdgeList, ranks: usize, damping: f64, iterations: usize) -> Vec<f64> {
-    expect_ok(Run::new(ranks).pagerank(el, damping, iterations))
-}
-
-/// [`Run::kcore`] on `ranks` default ranks: just the mask.
-pub fn run_kcore(el: &EdgeList, ranks: usize, k: u64) -> Vec<bool> {
-    expect_ok(Run::new(ranks).kcore(el, k)).0
-}
-
-/// [`Run::coloring`] on `ranks` default ranks: just the colors.
-pub fn run_coloring(el: &EdgeList, ranks: usize) -> Vec<u64> {
-    expect_ok(Run::new(ranks).coloring(el)).0
 }
 
 #[cfg(test)]
@@ -370,7 +343,10 @@ mod tests {
         el.randomize_weights(0.5, 3.0, 4);
         let expect = seq::dijkstra(&el, 0);
         for ranks in [1, 3] {
-            let got = run_sssp(&el, ranks, 0, SsspStrategy::FixedPoint);
+            let got = Run::new(ranks)
+                .sssp(&el, 0, SsspStrategy::FixedPoint)
+                .unwrap()
+                .result;
             assert_dists_eq(&got, &expect);
         }
     }
@@ -380,7 +356,10 @@ mod tests {
         let mut el = generators::erdos_renyi(200, 1200, 8);
         el.randomize_weights(0.5, 3.0, 9);
         let expect = seq::dijkstra(&el, 5);
-        let got = run_sssp(&el, 4, 5, SsspStrategy::Delta(1.0));
+        let got = Run::new(4)
+            .sssp(&el, 5, SsspStrategy::Delta(1.0))
+            .unwrap()
+            .result;
         assert_dists_eq(&got, &expect);
     }
 
@@ -389,7 +368,10 @@ mod tests {
         let mut el = generators::erdos_renyi(150, 900, 10);
         el.randomize_weights(0.5, 3.0, 11);
         let expect = seq::dijkstra(&el, 0);
-        let got = run_sssp(&el, 3, 0, SsspStrategy::DeltaAsync(2.0));
+        let got = Run::new(3)
+            .sssp(&el, 0, SsspStrategy::DeltaAsync(2.0))
+            .unwrap()
+            .result;
         assert_dists_eq(&got, &expect);
     }
 
@@ -398,7 +380,7 @@ mod tests {
         let el = generators::component_blobs(5, 40, 2, 17);
         let expect = seq::cc_labels(&el);
         for ranks in [1, 4] {
-            let got = run_cc(&el, ranks);
+            let got = Run::new(ranks).cc(&el).unwrap().result;
             assert_eq!(got, expect, "ranks={ranks}");
         }
     }
@@ -407,7 +389,7 @@ mod tests {
     fn bfs_matches_reference() {
         let el = generators::rmat(7, 6, generators::RmatParams::GRAPH500, 30);
         let expect = dgp_graph::analysis::bfs_levels(&el, 0);
-        let got = run_bfs(&el, 3, 0);
+        let got = Run::new(3).bfs(&el, 0).unwrap().result;
         assert_eq!(got, expect);
     }
 
@@ -415,7 +397,7 @@ mod tests {
     fn pagerank_matches_reference() {
         let el = generators::rmat(6, 6, generators::RmatParams::GRAPH500, 31);
         let expect = seq::pagerank(&el, 0.85, 20);
-        let got = run_pagerank(&el, 3, 0.85, 20);
+        let got = Run::new(3).pagerank(&el, 0.85, 20).unwrap().result;
         for (i, (x, y)) in got.iter().zip(&expect).enumerate() {
             assert!((x - y).abs() < 1e-6, "vertex {i}: {x} vs {y}");
         }

@@ -6,8 +6,9 @@
 //! **SSSP** (§II-A: one `relax` pattern shared by the `fixed_point` and
 //! Δ-stepping strategies) and **connected components** (§II-B: parallel
 //! search + pointer jumping over the conflict graph + final rewrite) —
-//! plus the extensions its future-work section calls for (BFS, PageRank)
-//! and the baselines the evaluation harness compares against:
+//! plus the extensions its future-work section calls for (BFS, PageRank,
+//! MIS, k-core, coloring, betweenness, shortest-path trees) and the
+//! baselines the evaluation harness compares against:
 //!
 //! * [`seq`] — sequential references (Dijkstra, Bellman–Ford, union-find
 //!   CC, PageRank) used for validation and as the single-node baseline;
@@ -15,11 +16,11 @@
 //!   algorithms hand-coded directly against the `dgp-am` runtime, used to
 //!   measure the abstraction overhead of the pattern engine (E7).
 //!
-//! [`api`] offers one-call entry points that build the machine, distribute
-//! the graph, run, and return plain vectors — what the examples use; its
-//! [`Run`] is the one driver: the one place a caller picks the machine,
-//! the engine configuration and threads-or-simulator, with a method for
-//! each of the nine families.
+//! [`api`]'s [`Run`] is the one driver: the one place a caller picks the
+//! machine, the engine configuration and threads-or-simulator, with a
+//! method for each of the nine families. [`registry`]'s
+//! [`FAMILIES`](registry::FAMILIES) table lists them, each with a fixed
+//! input and its oracle.
 
 pub mod api;
 pub mod betweenness;
@@ -37,9 +38,6 @@ pub mod seq;
 pub mod sssp;
 pub mod util;
 
-pub use api::{
-    run_bfs, run_cc, run_coloring, run_kcore, run_pagerank, run_sssp, Outcome, Run, RunError,
-    RunResult,
-};
+pub use api::{Outcome, Run, RunError, RunResult};
 pub use registry::builtin_patterns;
 pub use sssp::SsspStrategy;

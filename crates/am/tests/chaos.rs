@@ -13,16 +13,8 @@ use std::time::Duration;
 
 use dgp_am::{FaultPlan, Machine, MachineConfig, MachineError};
 
-/// The fixed seeds every chaos test sweeps (CI runs each in its own job).
-fn seeds() -> Vec<u64> {
-    let mut s = vec![0xC0FFEE, 42, 7];
-    if let Ok(extra) = std::env::var("DGP_CHAOS_SEED") {
-        if let Ok(extra) = extra.parse::<u64>() {
-            s.push(extra);
-        }
-    }
-    s
-}
+mod common;
+use common::seeds;
 
 /// Ring-chain workload: every rank starts a `hops`-hop chain; handlers
 /// forward around the ring. Returns (total handler invocations, stats).

@@ -9,16 +9,8 @@ use std::sync::Arc;
 
 use dgp_am::{FaultPlan, Machine, MachineConfig, MachineError, SpanKind};
 
-/// The fixed seeds every chaos test sweeps (CI runs each in its own job).
-fn seeds() -> Vec<u64> {
-    let mut s = vec![0xC0FFEE, 42, 7];
-    if let Ok(extra) = std::env::var("DGP_CHAOS_SEED") {
-        if let Ok(extra) = extra.parse::<u64>() {
-            s.push(extra);
-        }
-    }
-    s
-}
+mod common;
+use common::seeds;
 
 const RANKS: usize = 4;
 /// Hop budget of the single chain rank 0 starts. The panic fires in the

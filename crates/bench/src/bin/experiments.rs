@@ -1255,7 +1255,7 @@ mod exp {
     /// E13 — chaos engineering: deterministic fault injection + reliable
     /// delivery keep SSSP and CC bit-identical to fault-free runs.
     pub fn e13(o: &Opts) -> usize {
-        use dgp_algorithms::{run_cc, run_sssp, Run};
+        use dgp_algorithms::Run;
         use dgp_am::FaultPlan;
         use std::time::Instant;
 
@@ -1270,7 +1270,10 @@ mod exp {
         println!("seeds: 0xC0FFEE, 42, 7; coalescing capacity 8 (many small envelopes)\n");
 
         let t0 = Instant::now();
-        let clean = run_sssp(&el, ranks, 0, SsspStrategy::Delta(0.4));
+        let clean = Run::new(ranks)
+            .sssp(&el, 0, SsspStrategy::Delta(0.4))
+            .unwrap_or_else(|e| panic!("fault-free SSSP: {e}"))
+            .result;
         let clean_ms = t0.elapsed().as_secs_f64() * 1e3;
         let clean_bits: Vec<u64> = clean.iter().map(|d| d.to_bits()).collect();
         let oracle = seq::dijkstra(&el, 0);
@@ -1336,7 +1339,10 @@ mod exp {
         println!("so exactly-once delivery makes chaos invisible in the output).");
 
         // CC under the chaos preset.
-        let cc_clean = run_cc(&el, ranks);
+        let cc_clean = Run::new(ranks)
+            .cc(&el)
+            .unwrap_or_else(|e| panic!("fault-free CC: {e}"))
+            .result;
         let mut t = Table::new(&["seed", "time", "faults", "retransmits", "identical"]);
         for seed in [0xC0FFEEu64, 42, 7] {
             let cfg = MachineConfig::new(ranks)
@@ -1532,12 +1538,17 @@ mod exp {
         } else {
             vec![1, 2, 3, 4]
         };
-        if let Some(extra) = std::env::var("DGP_SIM_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-        {
-            if !seeds.contains(&extra) {
-                seeds.push(extra);
+        // A value that is not a u64 panics: a typo must not silently run
+        // no extra seed.
+        match std::env::var("DGP_SIM_SEED").as_deref() {
+            Err(_) | Ok("") => {}
+            Ok(v) => {
+                let extra = v
+                    .parse()
+                    .unwrap_or_else(|e| panic!("DGP_SIM_SEED must be a u64, got {v:?}: {e}"));
+                if !seeds.contains(&extra) {
+                    seeds.push(extra);
+                }
             }
         }
         println!(
@@ -1593,7 +1604,8 @@ mod exp {
     /// forcibly killed and re-established mid-run), and an SSSP run per
     /// backend must return bit-identical distances.
     pub fn e16(o: &Opts) -> usize {
-        use dgp_algorithms::{run_sssp, Run};
+        use dgp_algorithms::Run;
+        use dgp_am::{MachineConfig, TransportKind};
 
         println!("workload: all-to-all storm, 4 ranks, coalescing 64; the tcp+kill row");
         println!("closes every connection after its 50th received frame — the");
@@ -1624,11 +1636,16 @@ mod exp {
 
         let scale = if o.small { 8 } else { 11 };
         let el = workloads::rmat_weighted(scale, 8, 141);
-        let baseline = run_sssp(&el, 3, 0, SsspStrategy::Delta(0.4));
+        // The baseline names its transport: `MachineConfig::new` reads
+        // `DGP_TRANSPORT`, which would point it at the backend under test.
+        let baseline = Run::on(MachineConfig::new(3).transport(TransportKind::Inproc))
+            .sssp(&el, 0, SsspStrategy::Delta(0.4))
+            .unwrap_or_else(|e| panic!("inproc baseline: {e}"))
+            .result;
         let bits: Vec<u64> = baseline.iter().map(|d| d.to_bits()).collect();
         print!("\nSSSP (RMAT scale {scale}, 3 ranks) bit-identical across backends:");
         for (name, kind) in measure::transport_backends() {
-            let cfg = dgp_am::MachineConfig::new(3).coalescing(8).transport(kind);
+            let cfg = MachineConfig::new(3).coalescing(8).transport(kind);
             let out = Run::on(cfg)
                 .sssp(&el, 0, SsspStrategy::Delta(0.4))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -44,7 +44,10 @@ fn main() {
         ("delta (Δ=1)", SsspStrategy::Delta(1.0)),
         ("delta async (Δ=1)", SsspStrategy::DeltaAsync(1.0)),
     ] {
-        let dist = run_sssp(&el, 2, 0, strategy);
+        let dist = Run::new(2)
+            .sssp(&el, 0, strategy)
+            .expect("sssp runs")
+            .result;
         println!("{name:>18}: dist = {dist:?}");
         assert_eq!(dist, vec![0.0, 1.0, 3.0, 4.0, 4.5]);
     }
@@ -52,21 +55,21 @@ fn main() {
     // Connected components of an undirected view of two separate cliques.
     let mut cc_el = generators::disjoint_cliques(2, 4);
     cc_el.push(1, 2); // already same component; labels unchanged
-    let labels = run_cc(&cc_el, 2);
+    let labels = Run::new(2).cc(&cc_el).expect("cc runs").result;
     println!("{:>18}: comp = {labels:?}", "cc");
     assert_eq!(labels, vec![0, 0, 0, 0, 4, 4, 4, 4]);
 
     // BFS levels from vertex 0.
-    let levels = run_bfs(&el, 2, 0);
+    let levels = Run::new(2).bfs(&el, 0).expect("bfs runs").result;
     println!("{:>18}: lvl  = {levels:?}", "bfs");
     assert_eq!(levels, vec![0, 1, 2, 1, 2]);
 
     // The runtime profiles every epoch (wall time + counter deltas) even
     // without turning span tracing on — here Δ-stepping's bucket-by-bucket
     // schedule shows up as one epoch per drain round.
-    // `Run` is what `run_sssp` wraps: it also returns the machine's
-    // statistics and profiles (or the failure, as a value), and is where a
-    // non-default machine, engine configuration or simulator plan goes.
+    // Besides the result, a `Run` returns the machine's statistics and
+    // profiles (or the failure, as a value), and is where a non-default
+    // machine, engine configuration or simulator plan goes.
     let out = Run::new(2)
         .sssp(&el, 0, SsspStrategy::Delta(1.0))
         .expect("a healthy machine runs to completion");

@@ -25,8 +25,13 @@
 //!   analysis (Def. 1), value dependency graphs (Def. 2), the gather/
 //!   evaluate planner with condition↔modification merging (§IV-A), the
 //!   execution engine with work hooks (§III-C), and the strategies (§II);
-//! * [`algorithms`] (`dgp-algorithms`) — SSSP, CC, BFS, PageRank as
-//!   patterns, plus sequential and hand-written-AM baselines.
+//! * [`algorithms`] (`dgp-algorithms`) — nine families as patterns (SSSP,
+//!   CC, BFS, PageRank, MIS, k-core, coloring, betweenness, shortest-path
+//!   trees), one `Run` driver for all of them, the registry table that
+//!   lists each with its sequential oracle, and hand-written-AM baselines;
+//! * `dgp-sim` — the deterministic discrete-event simulator's scenario
+//!   layer: seeded schedule exploration, failing-schedule shrinking and
+//!   `[replay]` blocks over `Machine::run_sim` (a dev-dependency here).
 //!
 //! ## Quickstart
 //!
@@ -35,9 +40,9 @@
 //!
 //! // A weighted digraph: 0 --1--> 1 --1--> 2, plus a 3.0 shortcut 0 -> 2.
 //! let el = EdgeList::from_weighted(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)]);
-//! // Run Δ-stepping SSSP over 2 simulated ranks.
-//! let dist = run_sssp(&el, 2, 0, SsspStrategy::Delta(1.0));
-//! assert_eq!(dist, vec![0.0, 1.0, 2.0]);
+//! // Run Δ-stepping SSSP over 2 ranks.
+//! let out = Run::new(2).sssp(&el, 0, SsspStrategy::Delta(1.0)).unwrap();
+//! assert_eq!(out.result, vec![0.0, 1.0, 2.0]);
 //! ```
 
 pub use dgp_algorithms as algorithms;
@@ -47,10 +52,7 @@ pub use dgp_graph as graph;
 
 /// The commonly-needed surface in one import.
 pub mod prelude {
-    pub use dgp_algorithms::{
-        run_bfs, run_cc, run_coloring, run_kcore, run_pagerank, run_sssp, Outcome, Run, RunError,
-        SsspStrategy,
-    };
+    pub use dgp_algorithms::{Outcome, Run, RunError, SsspStrategy};
     pub use dgp_am::{
         AmCtx, FaultPlan, Machine, MachineConfig, MachineError, ShmConfig, TcpConfig, TransportKind,
     };

@@ -122,20 +122,6 @@ fn handwritten_matches_patterns() {
     assert_eq!(hb, want_bfs);
 }
 
-/// Multi-threaded ranks (worker handler threads) keep everything correct.
-#[test]
-fn multithreaded_ranks() {
-    let el = weighted_rmat(8, 21);
-    let want = seq::dijkstra(&el, 0);
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 2), false);
-    let weights = EdgeMap::from_weights(&graph, &el);
-    let mut out = Machine::run(MachineConfig::new(2).threads_per_rank(4), move |ctx| {
-        let dist = dgp_algorithms::sssp::sssp(ctx, &graph, &weights, 0, SsspStrategy::FixedPoint);
-        (ctx.rank() == 0).then(|| dist.snapshot())
-    });
-    assert_dists(&out[0].take().unwrap(), &want);
-}
-
 /// Coalescing capacity changes envelope counts, never results.
 #[test]
 fn coalescing_is_result_transparent() {
@@ -167,8 +153,9 @@ fn bfs_and_pagerank_across_ranks() {
     let want_bfs = dgp_graph::analysis::bfs_levels(&el, 0);
     let want_pr = seq::pagerank(&el, 0.85, 15);
     for ranks in [1, 4] {
-        assert_eq!(run_bfs(&el, ranks, 0), want_bfs, "bfs ranks={ranks}");
-        let pr = run_pagerank(&el, ranks, 0.85, 15);
+        let bfs = Run::new(ranks).bfs(&el, 0).unwrap().result;
+        assert_eq!(bfs, want_bfs, "bfs ranks={ranks}");
+        let pr = Run::new(ranks).pagerank(&el, 0.85, 15).unwrap().result;
         for (i, (a, b)) in pr.iter().zip(&want_pr).enumerate() {
             assert!(
                 (a - b).abs() < 1e-6,
@@ -329,32 +316,6 @@ fn self_send_shortcut_transparent() {
         (ctx.rank() == 0).then(|| s.dist.snapshot())
     });
     assert_dists(&out[0].take().unwrap(), &want_deep);
-}
-
-/// CC's racy claim phase stays correct with handler worker threads.
-#[test]
-fn cc_multithreaded_ranks() {
-    let el = generators::component_blobs(6, 50, 2, 23);
-    let want = seq::cc_labels(&el);
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 2), false);
-    let mut out = Machine::run(MachineConfig::new(2).threads_per_rank(4), move |ctx| {
-        let labels = dgp_algorithms::cc::cc(ctx, &graph, EngineConfig::default());
-        (ctx.rank() == 0).then(|| labels.snapshot())
-    });
-    assert_eq!(out[0].take().unwrap(), want);
-}
-
-/// The one-call API runners for the extension algorithms.
-#[test]
-fn kcore_and_coloring_runners() {
-    let el = generators::component_blobs(3, 40, 3, 31);
-    let mask = dgp_algorithms::run_kcore(&el, 3, 2);
-    let mut sym = el.clone();
-    sym.symmetrize();
-    assert_eq!(mask, dgp_algorithms::kcore::kcore_seq(&sym, 2));
-
-    let colors = dgp_algorithms::run_coloring(&el, 3);
-    dgp_algorithms::coloring::validate_coloring(&sym, &colors).unwrap();
 }
 
 /// Paths (parent tree + predecessor sets) across rank counts.

@@ -53,7 +53,7 @@ proptest! {
     ) {
         let source = source_pick % el.num_vertices();
         let want = seq::dijkstra(&el, source);
-        let got = run_sssp(&el, ranks, source, SsspStrategy::FixedPoint);
+        let got = Run::new(ranks).sssp(&el, source, SsspStrategy::FixedPoint).unwrap().result;
         prop_assert!(dists_match(&got, &want), "got {got:?} want {want:?}");
     }
 
@@ -72,7 +72,7 @@ proptest! {
         } else {
             SsspStrategy::Delta(delta)
         };
-        let got = run_sssp(&el, 3, source, strategy);
+        let got = Run::new(3).sssp(&el, source, strategy).unwrap().result;
         prop_assert!(dists_match(&got, &want), "Δ={delta}: got {got:?} want {want:?}");
     }
 
@@ -83,7 +83,7 @@ proptest! {
         ranks in 1usize..5,
     ) {
         let want = seq::cc_labels(&el);
-        let got = run_cc(&el, ranks);
+        let got = Run::new(ranks).cc(&el).unwrap().result;
         prop_assert_eq!(got, want);
     }
 
@@ -96,7 +96,7 @@ proptest! {
     ) {
         let source = source_pick % el.num_vertices();
         let want = dgp_graph::analysis::bfs_levels(&el, source);
-        let got = run_bfs(&el, ranks, source);
+        let got = Run::new(ranks).bfs(&el, source).unwrap().result;
         prop_assert_eq!(got, want);
     }
 
@@ -107,7 +107,7 @@ proptest! {
         iters in 1usize..8,
     ) {
         let want = seq::pagerank(&el, 0.85, iters);
-        let got = run_pagerank(&el, 2, 0.85, iters);
+        let got = Run::new(2).pagerank(&el, 0.85, iters).unwrap().result;
         prop_assert!(
             got.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-6),
             "got {got:?} want {want:?}"

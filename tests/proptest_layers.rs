@@ -91,8 +91,18 @@ fn concurrent_machines_are_isolated() {
     let want_b = seq::dijkstra(&el_b, 5);
 
     let (got_a, got_b) = std::thread::scope(|s| {
-        let ha = s.spawn(|| run_sssp(&el_a, 3, 0, SsspStrategy::Delta(0.4)));
-        let hb = s.spawn(|| run_sssp(&el_b, 4, 5, SsspStrategy::FixedPoint));
+        let ha = s.spawn(|| {
+            Run::new(3)
+                .sssp(&el_a, 0, SsspStrategy::Delta(0.4))
+                .unwrap()
+                .result
+        });
+        let hb = s.spawn(|| {
+            Run::new(4)
+                .sssp(&el_b, 5, SsspStrategy::FixedPoint)
+                .unwrap()
+                .result
+        });
         (ha.join().unwrap(), hb.join().unwrap())
     });
     assert!(dists_match(&got_a, &want_a));
@@ -105,7 +115,7 @@ fn concurrent_machines_are_isolated() {
 fn sequential_machines_are_independent() {
     let el = generators::path(50);
     for _ in 0..5 {
-        let got = run_bfs(&el, 2, 0);
+        let got = Run::new(2).bfs(&el, 0).unwrap().result;
         assert_eq!(got, dgp_graph::analysis::bfs_levels(&el, 0));
     }
 }
