@@ -17,8 +17,11 @@
 //! `DGP_TRANSPORT`, and assert that no frame crossed a wire, so a cell
 //! the environment re-points fails instead of testing the wrong thing.
 
+mod common;
+
 use std::sync::OnceLock;
 
+use common::{checked, env_seed};
 use dgp::prelude::*;
 use dgp_algorithms::registry::{Answer, Family, FAMILIES};
 use dgp_am::SimPlan;
@@ -31,18 +34,6 @@ const ENGINES: [(Exec, PlanMode); 4] = [
     (Exec::Reference, PlanMode::Optimized),
     (Exec::Reference, PlanMode::Faithful),
 ];
-
-/// A seed from the environment variable `var`, if set. A value that is
-/// not a `u64` panics: a typo must not silently run no extra seed.
-fn env_seed(var: &str) -> Option<u64> {
-    match std::env::var(var).as_deref() {
-        Err(_) | Ok("") => None,
-        Ok(v) => Some(
-            v.parse()
-                .unwrap_or_else(|e| panic!("{var} must be a u64, got {v:?}: {e}")),
-        ),
-    }
-}
 
 /// Three ranks that name their transport; a coalescing capacity of 8
 /// makes many small envelopes, so many fault and frame opportunities.
@@ -108,8 +99,8 @@ fn label(row: &Family, d: &Delivery, e: (Exec, PlanMode)) -> String {
     format!("{} on {} ({e:?})", row.name, d.name)
 }
 
-/// Run `row` on `d` under `e`, checked against the row's oracle, with
-/// balanced ledgers and a transport that is the one the cell names.
+/// Run `row` on `d` under `e`, [`checked`], on a transport that is the
+/// one the cell names.
 fn run(row: &Family, d: &Delivery, e: (Exec, PlanMode)) -> Outcome<Answer> {
     let what = label(row, d, e);
     let run = Run {
@@ -117,10 +108,8 @@ fn run(row: &Family, d: &Delivery, e: (Exec, PlanMode)) -> Outcome<Answer> {
         engine: engine(e),
         sim: d.sim.clone(),
     };
-    let out = (row.run)(&run).unwrap_or_else(|err| panic!("{what}: {err}"));
-    (row.check)(&out.result).unwrap_or_else(|err| panic!("{what}: oracle: {err}"));
+    let out = checked(row, &run, &what);
     let s = &out.stats;
-    assert_eq!(s.messages_sent, s.messages_handled, "{what}: ledgers");
     if d.machine.transport == TransportKind::Inproc {
         assert_eq!(s.transport_frames_sent, 0, "{what}: frames on inproc");
     } else {

@@ -122,6 +122,20 @@ fn handwritten_matches_patterns() {
     assert_eq!(hb, want_bfs);
 }
 
+/// Multi-threaded ranks (worker handler threads) keep everything correct.
+#[test]
+fn multithreaded_ranks() {
+    let el = weighted_rmat(8, 21);
+    let want = seq::dijkstra(&el, 0);
+    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 2), false);
+    let weights = EdgeMap::from_weights(&graph, &el);
+    let mut out = Machine::run(MachineConfig::new(2).threads_per_rank(4), move |ctx| {
+        let dist = dgp_algorithms::sssp::sssp(ctx, &graph, &weights, 0, SsspStrategy::FixedPoint);
+        (ctx.rank() == 0).then(|| dist.snapshot())
+    });
+    assert_dists(&out[0].take().unwrap(), &want);
+}
+
 /// Coalescing capacity changes envelope counts, never results.
 #[test]
 fn coalescing_is_result_transparent() {
@@ -316,6 +330,19 @@ fn self_send_shortcut_transparent() {
         (ctx.rank() == 0).then(|| s.dist.snapshot())
     });
     assert_dists(&out[0].take().unwrap(), &want_deep);
+}
+
+/// CC's racy claim phase stays correct with handler worker threads.
+#[test]
+fn cc_multithreaded_ranks() {
+    let el = generators::component_blobs(6, 50, 2, 23);
+    let want = seq::cc_labels(&el);
+    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 2), false);
+    let mut out = Machine::run(MachineConfig::new(2).threads_per_rank(4), move |ctx| {
+        let labels = dgp_algorithms::cc::cc(ctx, &graph, EngineConfig::default());
+        (ctx.rank() == 0).then(|| labels.snapshot())
+    });
+    assert_eq!(out[0].take().unwrap(), want);
 }
 
 /// Paths (parent tree + predecessor sets) across rank counts.
