@@ -109,6 +109,10 @@ pub struct AmCtx {
     pub(super) tables: RefCell<LocalTables>,
     pub(super) in_epoch: Cell<bool>,
     pub(super) epochs_entered: Cell<u64>,
+    /// The rank's `activity` when this (main) thread last returned from
+    /// a termination step without terminating: what the caller's next
+    /// look at its deferred work is sure to include.
+    pub(super) activity_seen: Cell<u64>,
     /// When the current epoch's entry barrier cleared on this rank; basis
     /// of the [`MachineConfig::epoch_deadline`] watchdog.
     pub(super) epoch_entered_at: Cell<Option<Instant>>,
@@ -153,6 +157,7 @@ impl AmCtx {
             tables: RefCell::new(LocalTables::default()),
             in_epoch: Cell::new(false),
             epochs_entered: Cell::new(0),
+            activity_seen: Cell::new(0),
             epoch_entered_at: Cell::new(None),
             trace_inherit: Cell::new(false),
             trace_cur: Cell::new(TraceCtx::NONE),
@@ -359,15 +364,11 @@ impl AmCtx {
                     .expect("message type registration order must match across ranks");
                 debug_assert_eq!(batch.len() as u32, count);
                 let hctx = HandlerCtx { am: ctx, mt };
-                // Once per envelope, not per message: handlers may deposit
-                // deferred local work, and the idle flag must be down
-                // before any of it exists (see crate::termination).
-                // Mid-envelope protection is counter-based — every message
-                // in this batch is already published in `sent`, and the
-                // matching `handled` delta is not published until after
-                // the loop, so the machine totals cannot balance while the
-                // batch is in progress.
-                ctx.shared.ranks[ctx.rank].idle.store(false, SeqCst);
+                // Handlers may deposit deferred local work. Until the
+                // batch's `handled` delta is published the machine totals
+                // cannot balance (every message in it is already in
+                // `sent`), and the publication first withdraws the rank's
+                // idle declaration (see crate::termination).
                 for msg in batch.drain(..) {
                     f(&hctx, msg);
                 }

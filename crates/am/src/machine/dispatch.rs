@@ -302,6 +302,10 @@ impl AmCtx {
         }
         let h = d.handled.take();
         if h > 0 {
+            // Withdraw the rank's idle declaration before the count that
+            // could balance the machine: the handlers' deferred work now
+            // exists, and the main thread has not looked at it.
+            me.activity.fetch_add(1, SeqCst);
             me.handled.fetch_add(h, SeqCst);
         }
     }

@@ -6,6 +6,7 @@
 use std::sync::atomic::Ordering::SeqCst;
 use std::time::Instant;
 
+use super::shared::NOT_IDLE;
 use super::{AmCtx, RankId};
 use crate::error::{Abort, MachineError};
 use crate::obs::{SpanGuard, SpanKind};
@@ -46,15 +47,15 @@ impl AmCtx {
     ) -> (R, u64) {
         assert_eq!(self.thread, 0, "epochs are entered by rank main threads");
         assert!(!self.in_epoch.get(), "epochs do not nest");
-        // The idle flag must drop *before* the entry barrier: termination
-        // detection treats `idle == true` as "this rank's epoch body has
-        // returned and it is only serving handlers". A stale `true` left
-        // over from the previous epoch would let a fast rank declare
-        // quiescence while this rank has not started sending yet — and
-        // this rank would then exit with its own messages still in flight.
-        // The barrier itself stays for the reasons in `crate::termination`
-        // ("Why the entry barrier stays").
-        self.shared.ranks[self.rank].idle.store(false, SeqCst);
+        // The idle declaration must be withdrawn *before* the entry
+        // barrier: termination detection treats an idle rank as "its epoch
+        // body has returned and it is only serving handlers". A stale
+        // declaration left over from the previous epoch would let a fast
+        // rank declare quiescence while this rank has not started sending
+        // yet — and this rank would then exit with its own messages still
+        // in flight. The barrier itself stays for the reasons in
+        // `crate::termination` ("Why the entry barrier stays").
+        self.shared.ranks[self.rank].idle_at.store(NOT_IDLE, SeqCst);
         self.barrier();
         let my_gen = self.epochs_entered.get() + 1;
         self.epochs_entered.set(my_gen);
@@ -165,9 +166,10 @@ impl AmCtx {
     }
 
     /// One pass of termination detection for epoch `my_gen` (see
-    /// [`crate::termination`]): drain and flush, publish, raise the idle
-    /// flag, double-scan the shared flags and counters, and either decide
-    /// or wait for a ring. Returns whether the epoch has terminated.
+    /// [`crate::termination`]): drain and flush, publish, declare the
+    /// rank idle, double-scan the shared declarations and counters, and
+    /// either decide or wait for a ring. Returns whether the epoch has
+    /// terminated.
     fn termination_step(&self, my_gen: u64) -> bool {
         self.shared.check_poison();
         if let Some(entered) = self.epoch_entered_at.get() {
@@ -176,8 +178,11 @@ impl AmCtx {
         if self.shared.completed_epoch.load(SeqCst) >= my_gen {
             return true;
         }
+        let me = &self.shared.ranks[self.rank];
         if self.drain_and_flush() {
-            return false; // made progress; may have produced local work
+            // Made progress; may have produced local work.
+            self.activity_seen.set(me.activity.load(SeqCst));
+            return false;
         }
         // No-op unless something dirtied the deltas since the flush above;
         // the counter reads below must only see published state.
@@ -187,9 +192,16 @@ impl AmCtx {
             0,
             "idle declared with unshipped coalesced messages"
         );
-        let me = &self.shared.ranks[self.rank];
-        me.idle.store(true, SeqCst);
-        // Double scan: flags, counters, flags, counters — all stable.
+        // Declare idle only if no thread of this rank has published a
+        // `handled` count since the caller last looked at its deferred
+        // work; otherwise let it look again.
+        let activity = me.activity.load(SeqCst);
+        if self.activity_seen.replace(activity) != activity {
+            return false;
+        }
+        me.idle_at.store(activity, SeqCst);
+        // Double scan: declarations, counters, declarations, counters —
+        // all stable.
         let quiescent = self.shared.all_idle() && {
             let h1 = self.shared.total_handled();
             let s1 = self.shared.total_sent();
@@ -205,9 +217,10 @@ impl AmCtx {
             // loop — which would take the core its peers need, and under
             // the simulator's cooperative scheduling would hold the token
             // so no other rank could ever make the counters balance. The
-            // next step's drain picks the packets up, and their handlers
-            // lower our idle flag.
+            // next step's drain picks the packets up, and publishing their
+            // `handled` count withdraws our idle declaration.
             self.idle_wait(|| self.shared.completed_epoch.load(SeqCst) >= my_gen);
+            self.activity_seen.set(me.activity.load(SeqCst));
             return false;
         }
         self.shared.completed_epoch.fetch_max(my_gen, SeqCst);
@@ -271,7 +284,7 @@ impl AmCtx {
             .ranks
             .iter()
             .enumerate()
-            .filter(|(_, r)| !r.idle.load(SeqCst))
+            .filter(|(_, r)| !r.is_idle())
             .map(|(i, _)| i)
             .collect();
         self.shared.fail(

@@ -22,8 +22,11 @@ use crate::sim::SimNet;
 use crate::stats::{MachineStats, StatsSnapshot, TypeStat};
 use crate::trace::FailCause;
 
+/// `RankShared::idle_at` when the rank has not declared itself idle.
+pub(super) const NOT_IDLE: u64 = u64::MAX;
+
 /// One rank's slot of the machine. Aligned to 128 bytes (a line and its
-/// prefetch partner), so the counters and idle flag this rank's threads
+/// prefetch partner), so the counters and idle declaration this rank's threads
 /// write never share a line with a peer's inbox, doorbell or counters.
 #[repr(align(128))]
 pub(crate) struct RankShared {
@@ -38,7 +41,13 @@ pub(crate) struct RankShared {
     pub(super) handled: AtomicU64,
     /// Envelopes this rank's threads shipped (a statistic: relaxed).
     pub(super) envelopes_sent: AtomicU64,
-    pub(super) idle: AtomicBool,
+    /// Bumped by every thread of this rank before it publishes a
+    /// `handled` delta, so after the work its handlers deposited exists.
+    pub(super) activity: AtomicU64,
+    /// The `activity` at which the main thread last declared the rank
+    /// idle, or [`NOT_IDLE`]. The declaration holds while the two are
+    /// equal: any later `handled` publication withdraws it.
+    pub(super) idle_at: AtomicU64,
     /// Wakes this rank's main thread out of a termination wait: rung by
     /// every delivery into its inbox and by the rank that
     /// decides termination (see [`crate::termination`], liveness).
@@ -50,6 +59,13 @@ impl RankShared {
     /// inbox — the waits' re-check after raising the doorbell flag.
     pub(super) fn has_mail(&self) -> bool {
         !self.rx.is_empty()
+    }
+
+    /// Whether the rank's idle declaration still holds: no thread of the
+    /// rank has published a `handled` count since it was made.
+    pub(super) fn is_idle(&self) -> bool {
+        let at = self.idle_at.load(SeqCst);
+        at == self.activity.load(SeqCst)
     }
 }
 
@@ -167,7 +183,8 @@ impl Shared {
                     sent: AtomicU64::new(0),
                     handled: AtomicU64::new(0),
                     envelopes_sent: AtomicU64::new(0),
-                    idle: AtomicBool::new(false),
+                    activity: AtomicU64::new(0),
+                    idle_at: AtomicU64::new(NOT_IDLE),
                     bell: Doorbell::default(),
                 }
             })
@@ -308,7 +325,7 @@ impl Shared {
     }
 
     pub(super) fn all_idle(&self) -> bool {
-        self.ranks.iter().all(|r| r.idle.load(SeqCst))
+        self.ranks.iter().all(RankShared::is_idle)
     }
 
     /// Send `pkt` — an envelope or an ack — towards `dest`'s inbox.
@@ -413,7 +430,7 @@ mod tests {
 
     #[test]
     fn ranks_share_no_cache_line() {
-        // Rank r's slot — its counters and idle flag beside its inbox
+        // Rank r's slot — its counters and idle declaration beside its inbox
         // and doorbell — covers 128-byte blocks (a line and its prefetch
         // partner) that hold nothing of rank r + 1.
         assert_eq!(align_of::<RankShared>(), 128);

@@ -19,8 +19,9 @@ pub(super) fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
                 Ok(pkt) => {
                     ctx.drain_inbox(Some(pkt));
                     // Ship whatever the handlers produced before blocking
-                    // again, then wake the rank's main thread: the handlers
-                    // lowered its idle flag, and only it re-raises it.
+                    // again, then wake the rank's main thread: publishing
+                    // the batch withdrew the rank's idle declaration, and
+                    // only the main thread declares it again.
                     ctx.flush_own_buffers();
                     shared.ranks[rank].bell.ring();
                     true

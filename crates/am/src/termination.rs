@@ -24,12 +24,16 @@
 //! * reading `handled` first gives `h ≤ handled(t) ≤ sent(t) ≤ s` for the
 //!   instant `t` between the two sums, so `h == s` forces
 //!   `handled(t) == sent(t)`: nothing queued, buffered, or running at `t`;
-//! * idle flags are only raised from inside the detection step, so all-idle
-//!   means every rank's epoch body has returned (or has called
+//! * ranks declare themselves idle only from inside the detection step, so
+//!   all-idle means every rank's epoch body has returned (or has called
 //!   `try_finish`, below) — no source of new messages remains, making the
 //!   condition stable.
 //!
-//! The condition is checked by a *double scan* — flags, counters, flags,
+//! A declaration is not a flag but the value of the rank's `activity`
+//! counter at the time it was made (`RankShared::idle_at`); every thread
+//! of the rank bumps `activity` before it publishes a `handled` count, and
+//! the declaration holds only while the two are equal. The condition is
+//! checked by a *double scan* — declarations, counters, declarations,
 //! counters must all be stable — on every path; the stricter form is what
 //! `try_finish` needs (below), and costs epoch exit nothing measurable.
 //!
@@ -51,8 +55,9 @@
 //!   packets and acks alike go through);
 //! * the rank that decides termination, once per rank, right after its
 //!   `completed_epoch.fetch_max`;
-//! * a handler worker thread after each batch it drains (the handlers
-//!   lowered the rank's idle flag, and only the main thread re-raises it);
+//! * a handler worker thread after each batch it drains (publishing the
+//!   batch's `handled` count withdrew the rank's declaration, and only
+//!   the main thread declares it again);
 //! * `Shared::poison`, so a failure elsewhere unwinds waiters at once.
 //!
 //! **No lost wakeup.** The waiter raises `waiting` (SeqCst store), *then*
@@ -97,13 +102,34 @@
 //! bucket afterwards (exactly the paper's description of the `delta`
 //! strategy). For strategies that instead want to end an epoch from within
 //! ([`crate::AmCtx::try_finish`]), the contract is: call only when the
-//! calling rank has no deferred local work. Every handler lowers its
-//! rank's idle flag when it starts, so a handler that deposited local work
-//! after a rank last declared itself idle is always caught by one of the
-//! double scan's two scans. The contract is the caller's promise about its
-//! own algorithm; epoch exit runs the same step without it, because a
-//! plain epoch that ends with work left in its buckets is the intended
-//! semantics. A caller may also scope its promise: the Δ-stepping driver
+//! calling rank has no deferred local work. The caller can only promise
+//! that about the work it has seen, and a handler on a worker thread may
+//! deposit at any moment. What the runtime guarantees is that no epoch
+//! ends while a rank holds deposits its caller has not looked at:
+//!
+//! * a handler's deposit happens before its thread bumps the rank's
+//!   `activity`, which happens before it publishes the `handled` count
+//!   that includes the handler;
+//! * each time the main thread's detection step returns `false` it
+//!   records the `activity` it read (`AmCtx::activity_seen`), and the
+//!   caller looks at its work after that read, so the look sees every
+//!   deposit counted in it;
+//! * the step declares the rank idle only if `activity` still equals the
+//!   recorded value, and stores that value as the declaration; a later
+//!   bump withdraws it.
+//!
+//! So while a declaration holds, no handler of the rank has published
+//! since the caller last looked. A handler still running, or finished but
+//! not yet published, keeps its message unhandled and the counters
+//! unbalanced; once it publishes, the declaration is gone. Either way one
+//! of the double scan's two scans fails, until the main thread returns
+//! `false`, its caller looks again, and it declares afresh. (A flag that
+//! each handler lowered on entry was not enough: a handler that started
+//! before the main thread raised the flag could deposit after it, and a
+//! peer then decided over the stale flag.) The contract is the caller's
+//! promise about its own algorithm; epoch exit runs the same step without
+//! it, because a plain epoch that ends with work left in its buckets is
+//! the intended semantics. A caller may also scope its promise: the Δ-stepping driver
 //! with a window of k > 1 buckets calls `try_finish` when no deferred
 //! work is left *in the window*; work above the window stays for a later
 //! epoch, exactly as a plain epoch leaves it.
@@ -148,10 +174,10 @@
 //!   after its second barrier, and the next `share`'s first barrier keeps
 //!   any rank from constructing into the slot before every rank has
 //!   cleared it.
-//! * **The stale idle flag** (INTERNALS §1, case study): a rank lowers
-//!   its idle flag before the entry barrier, so no peer can read a flag
-//!   left up by the previous epoch. An epoch generation on the flag would
-//!   fix this one, not the other two.
+//! * **The stale idle declaration** (INTERNALS §1, case study): a rank
+//!   withdraws its declaration before the entry barrier, so no peer can
+//!   read one left over from the previous epoch. An epoch generation on
+//!   the declaration would fix this one, not the other two.
 //!
 //! ## Interaction with batched counters
 //!
@@ -171,7 +197,7 @@
 //!   `handled`: the detector can miss a true quiescent instant (it
 //!   retries) but can never observe `handled == sent` while work is in
 //!   flight.
-//! * **Idle implies published.** Every path that raises an idle flag or
+//! * **Idle implies published.** Every path that declares a rank idle or
 //!   evaluates the termination condition publishes its own deltas first
 //!   (the detection step, and the worker loops before blocking). So "all
 //!   ranks idle" still implies the shared counters include everything

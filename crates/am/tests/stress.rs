@@ -129,3 +129,93 @@ fn try_finish_with_straggler() {
     });
     assert_eq!(handled.load(SeqCst), 50 * 21);
 }
+
+/// A worker thread's handler deposits deferred work that rank 1's main
+/// thread has not seen, then the main thread calls `try_finish`. Rank 0's
+/// exit vote must find the message that work sends already handled: the
+/// epoch may not end while a rank holds deferred work it has not looked
+/// at. `raised` puts the deposit after the main thread has been through
+/// `try_finish` once (its idle declaration predates the deposit); without
+/// it the deposit lands between the caller's look at its work and its
+/// `try_finish`.
+fn deferred_work_is_never_stranded(raised: bool) {
+    #[derive(Default)]
+    struct Steps {
+        started: AtomicU64,
+        go: AtomicU64,
+        pending: AtomicU64,
+        late_handled: AtomicU64,
+    }
+    let steps = Arc::new(Steps::default());
+    let cfg = MachineConfig::new(2).threads_per_rank(2);
+    let votes = Machine::run(cfg, move |ctx| {
+        let st = steps.clone();
+        // Rank 0 -> rank 1, handled on a worker (rank 1's main thread does
+        // not drain until the handler has started); the deposit waits for
+        // the main thread's go.
+        let deposit = ctx.register(move |h, _: u64| {
+            assert_ne!(h.thread(), 0, "a worker takes the message");
+            st.started.store(1, SeqCst);
+            while st.go.load(SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            st.pending.store(1, SeqCst);
+        });
+        let st = steps.clone();
+        let late = ctx.register(move |_, _: u64| st.late_handled.store(1, SeqCst));
+        let st = &steps;
+        let vote = || match ctx.rank() {
+            0 => st.late_handled.load(SeqCst),
+            _ => 1,
+        };
+        let body = |ctx: &dgp_am::AmCtx| {
+            if ctx.rank() == 0 {
+                deposit.send(ctx, 1, 0);
+                while !ctx.try_finish() {
+                    ctx.epoch_flush();
+                }
+                return;
+            }
+            while st.started.load(SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            loop {
+                if st.pending.swap(0, SeqCst) == 1 {
+                    // Give rank 0 time to decide over a stale declaration.
+                    std::thread::sleep(std::time::Duration::from_millis(200));
+                    late.send(ctx, 0, 0);
+                }
+                let first = st.go.load(SeqCst) == 0;
+                if first && !raised {
+                    st.go.store(1, SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                }
+                if ctx.try_finish() {
+                    break;
+                }
+                if first && raised {
+                    st.go.store(1, SeqCst);
+                    while st.pending.load(SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        };
+        ctx.epoch_reduce(body, vote, u64::min).1
+    });
+    assert_eq!(
+        votes,
+        [1, 1],
+        "the epoch ended before the deferred work ran"
+    );
+}
+
+#[test]
+fn try_finish_sees_work_deposited_after_the_rank_declared_idle() {
+    deferred_work_is_never_stranded(true);
+}
+
+#[test]
+fn try_finish_sees_work_deposited_before_it_was_called() {
+    deferred_work_is_never_stranded(false);
+}
