@@ -104,13 +104,15 @@ impl Answer {
 }
 
 /// `Ok` when every `got[v]` is `want[v]` to within `tol`, relative above
-/// 1 and absolute below; `0.0` asks for the same bits.
+/// 1 and absolute below; `0.0` asks for the same bits. A NaN on either
+/// side never agrees, not even with the same NaN.
 fn within(got: &[f64], want: &[f64], tol: f64) -> Result<(), String> {
     if got.len() != want.len() {
         return Err(format!("{} values, want {}", got.len(), want.len()));
     }
     for (v, (a, b)) in got.iter().zip(want).enumerate() {
-        if a.to_bits() != b.to_bits() && (a - b).abs() >= tol * b.abs().max(1.0) {
+        let same = a.to_bits() == b.to_bits() && !a.is_nan();
+        if !(same || (a - b).abs() < tol * b.abs().max(1.0)) {
             return Err(format!("vertex {v}: {a} vs {b}"));
         }
     }
@@ -399,6 +401,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A NaN never agrees: not with a number, not with itself, under
+    /// either comparison. Equal infinities (unreached vertices) do.
+    #[test]
+    fn nan_never_agrees() {
+        let nan = Answer::floats(vec![f64::NAN]);
+        let one = Answer::floats(vec![1.0]);
+        let inf = Answer::floats(vec![f64::INFINITY]);
+        for compare in [Compare::Bits, Compare::Close(1e-9)] {
+            assert!(nan.agrees(&one, compare).is_err(), "{compare:?}");
+            assert!(one.agrees(&nan, compare).is_err(), "{compare:?}");
+            assert!(nan.agrees(&nan, compare).is_err(), "{compare:?}");
+            assert!(inf.agrees(&inf, compare).is_ok(), "{compare:?}");
+            assert!(inf.agrees(&one, compare).is_err(), "{compare:?}");
+        }
+        assert!(Answer::floats(vec![1.0 + 1e-12])
+            .agrees(&one, Compare::Close(1e-9))
+            .is_ok());
+        assert!(Answer::floats(vec![1.0 + 1e-12])
+            .agrees(&one, Compare::Bits)
+            .is_err());
     }
 
     /// The static message bill of every declared action, per plan mode
