@@ -1,11 +1,11 @@
 //! The conformance matrix: every row of the registry's family table
-//! ([`FAMILIES`]) × executor × plan mode × delivery. Every cell checks the
-//! row's sequential oracle or validator, and agrees with the row's inproc
-//! `Compiled`/`Optimized` cell as the row's [`Compare`](dgp_algorithms::registry::Compare)
-//! says: bit for bit for the schedule-independent fixed points (round
-//! counts included), within 1e-9 for the sums whose order follows the
-//! schedule. Nothing here names a family, so a new row of the table is a
-//! new line of every cell below.
+//! ([`FAMILIES`]) × executor × plan mode × delivery, on three ranks. Every
+//! cell checks the row's sequential oracle or validator, and agrees with
+//! the row's inproc `Compiled`/`Optimized` cell as the row's
+//! [`Compare`](dgp_algorithms::registry::Compare) says: bit for bit for
+//! the schedule-independent fixed points (round counts included), within
+//! 1e-9 for the sums whose order follows the schedule. Nothing here names
+//! a family, so a new row of the table is a new line of every cell below.
 //!
 //! Deliveries, one test each: inproc; inproc with two threads per rank;
 //! the chaos fault preset at three seeds (plus `DGP_CHAOS_SEED`); shm;
@@ -19,174 +19,53 @@
 
 mod common;
 
-use std::sync::OnceLock;
-
-use common::{checked, env_seed};
+use common::{chaos_seeds, env_seed, run, sweep, timeline, Delivery, ENGINES};
 use dgp::prelude::*;
-use dgp_algorithms::registry::{Answer, Family, FAMILIES};
+use dgp_algorithms::registry::FAMILIES;
 use dgp_am::SimPlan;
 
-/// Every executor × plan mode, the default (`Compiled`, `Optimized`)
-/// first.
-const ENGINES: [(Exec, PlanMode); 4] = [
-    (Exec::Compiled, PlanMode::Optimized),
-    (Exec::Compiled, PlanMode::Faithful),
-    (Exec::Reference, PlanMode::Optimized),
-    (Exec::Reference, PlanMode::Faithful),
-];
-
-/// Three ranks that name their transport; a coalescing capacity of 8
-/// makes many small envelopes, so many fault and frame opportunities.
+/// Three ranks on `transport`.
 fn machine(transport: TransportKind) -> MachineConfig {
-    MachineConfig::new(3).coalescing(8).transport(transport)
-}
-
-/// Where a cell runs: a machine and, for the simulator, its plan.
-struct Delivery {
-    name: String,
-    machine: MachineConfig,
-    sim: Option<SimPlan>,
-}
-
-impl Delivery {
-    fn new(name: impl Into<String>, machine: MachineConfig) -> Delivery {
-        Delivery {
-            name: name.into(),
-            machine,
-            sim: None,
-        }
-    }
-
-    fn sim(self, plan: SimPlan) -> Delivery {
-        Delivery {
-            sim: Some(plan),
-            ..self
-        }
-    }
-}
-
-fn engine((exec, plan_mode): (Exec, PlanMode)) -> EngineConfig {
-    EngineConfig {
-        exec,
-        plan_mode,
-        ..EngineConfig::default()
-    }
-}
-
-/// Whether the row's declaration routes a hop through the dominance
-/// cache under the compiled executor, read off an installed engine.
-fn combines(row: &Family) -> bool {
-    let per_action = (row.pattern)()
-        .combine_report(EngineConfig::default())
-        .unwrap_or_else(|e| panic!("{}: {e}", row.name));
-    per_action.iter().any(|&n| n > 0)
-}
-
-/// Each row's inproc `Compiled`/`Optimized` answer, computed once.
-fn baseline(i: usize) -> &'static Answer {
-    static BASELINES: OnceLock<Vec<Answer>> = OnceLock::new();
-    &BASELINES.get_or_init(|| {
-        let inproc = Delivery::new("inproc", machine(TransportKind::Inproc));
-        FAMILIES
-            .iter()
-            .map(|row| run(row, &inproc, ENGINES[0]).result)
-            .collect()
-    })[i]
-}
-
-/// A cell's name in failure messages.
-fn label(row: &Family, d: &Delivery, e: (Exec, PlanMode)) -> String {
-    format!("{} on {} ({e:?})", row.name, d.name)
-}
-
-/// Run `row` on `d` under `e`, [`checked`], on a transport that is the
-/// one the cell names.
-fn run(row: &Family, d: &Delivery, e: (Exec, PlanMode)) -> Outcome<Answer> {
-    let what = label(row, d, e);
-    let run = Run {
-        machine: d.machine.clone(),
-        engine: engine(e),
-        sim: d.sim.clone(),
-    };
-    let out = checked(row, &run, &what);
-    let s = &out.stats;
-    if d.machine.transport == TransportKind::Inproc {
-        assert_eq!(s.transport_frames_sent, 0, "{what}: frames on inproc");
-    } else {
-        assert!(s.transport_frames_sent > 0, "{what}: no frame was sent");
-    }
-    out
-}
-
-/// Every cell of `deliveries` × `engines` × row: [`run`], then agree
-/// with the row's baseline, and owe what a faulted or simulated delivery
-/// owes. Returns the outcomes, row-major.
-fn sweep(deliveries: &[Delivery], engines: &[(Exec, PlanMode)]) -> Vec<Outcome<Answer>> {
-    let mut outs = Vec::new();
-    for (i, row) in FAMILIES.iter().enumerate() {
-        let combines = combines(row);
-        for d in deliveries {
-            for &e in engines {
-                let what = label(row, d, e);
-                let out = run(row, d, e);
-                out.result
-                    .agrees(baseline(i), row.compare)
-                    .unwrap_or_else(|err| panic!("{what}: against inproc: {err}"));
-                let s = &out.stats;
-                let faulted = d.machine.faults.is_some();
-                if faulted {
-                    assert!(s.faults_injected() > 0, "{what}: nothing injected");
-                    assert!(s.retransmits > 0, "{what}: drops never recovered");
-                }
-                if let Some(report) = &out.report {
-                    assert!(report.deliveries > 0, "{what}: no simulated delivery");
-                }
-                if (faulted || d.sim.is_some()) && combines && e.0 == Exec::Compiled {
-                    assert!(s.cache_hits > 0, "{what}: nothing was dominated");
-                }
-                outs.push(out);
-            }
-        }
-    }
-    outs
+    common::machine(3, transport)
 }
 
 #[test]
 fn inproc() {
     let d = Delivery::new("inproc", machine(TransportKind::Inproc));
-    sweep(&[d], &ENGINES);
+    sweep(FAMILIES, &[d], &ENGINES);
 }
 
 #[test]
 fn threads() {
     let m = machine(TransportKind::Inproc).threads_per_rank(2);
-    sweep(&[Delivery::new("2 threads per rank", m)], &ENGINES);
+    sweep(
+        FAMILIES,
+        &[Delivery::new("2 threads per rank", m)],
+        &ENGINES,
+    );
 }
 
 #[test]
 fn chaos() {
-    let seeds = [0xC0FFEE, 42, 7]
-        .into_iter()
-        .chain(env_seed("DGP_CHAOS_SEED"));
-    let deliveries: Vec<_> = seeds
+    let deliveries: Vec<_> = chaos_seeds()
         .map(|seed| {
             let m = machine(TransportKind::Inproc).faults(FaultPlan::chaos(seed));
             Delivery::new(format!("chaos {seed:#x}"), m)
         })
         .collect();
-    sweep(&deliveries, &ENGINES);
+    sweep(FAMILIES, &deliveries, &ENGINES);
 }
 
 #[test]
 fn shm() {
     let m = machine(TransportKind::Shm(ShmConfig::default()));
-    sweep(&[Delivery::new("shm", m)], &ENGINES);
+    sweep(FAMILIES, &[Delivery::new("shm", m)], &ENGINES);
 }
 
 #[test]
 fn tcp() {
     let m = machine(TransportKind::Tcp(TcpConfig::default()));
-    sweep(&[Delivery::new("tcp", m)], &ENGINES);
+    sweep(FAMILIES, &[Delivery::new("tcp", m)], &ENGINES);
 }
 
 /// Killed connections are masked: retransmits fired and writers
@@ -200,7 +79,7 @@ fn tcp_kill() {
     let tcp = TcpConfig::default().kill_rx_every(30);
     let m = machine(TransportKind::Tcp(tcp)).coalescing(2);
     let d = Delivery::new("tcp, killed every 30 frames", m);
-    let outs = sweep(&[d], &ENGINES[..1]);
+    let outs = sweep(FAMILIES, &[d], &ENGINES[..1]);
     for (row, out) in FAMILIES.iter().zip(&outs) {
         let s = &out.stats;
         assert!(s.retransmits > 0, "{}: the kill lost nothing", row.name);
@@ -230,11 +109,7 @@ fn sim() {
             Delivery::new(format!("sim plan {i}"), machine(TransportKind::Inproc)).sim(plan)
         })
         .collect();
-    let outs = sweep(&deliveries, &ENGINES);
-    let timeline = |out: &Outcome<Answer>| {
-        let r = out.report.as_ref().expect("simulated runs report");
-        (r.deliveries, r.events, r.virtual_time_ns, r.flight_digest)
-    };
+    let outs = sweep(FAMILIES, &deliveries, &ENGINES);
     let per_row = deliveries.len() * ENGINES.len();
     for (row, outs) in FAMILIES.iter().zip(outs.chunks(per_row)) {
         let (first, second) = (&outs[0], &outs[ENGINES.len()]);
@@ -255,5 +130,5 @@ fn sim_chaos() {
     let m = machine(TransportKind::Inproc).faults(FaultPlan::chaos(0xC0FFEE));
     let d = Delivery::new("sim under chaos 0xc0ffee", m)
         .sim(SimPlan::new(7).latency(500).jitter(2_000));
-    sweep(&[d], &ENGINES);
+    sweep(FAMILIES, &[d], &ENGINES);
 }

@@ -1,101 +1,36 @@
-//! Cross-backend algorithm equivalence: SSSP, CC and PageRank must
-//! produce the same answers whichever transport carries the messages —
-//! in-process channels, shared-memory rings, or TCP over loopback —
-//! including a TCP run whose connections are forcibly dropped and
-//! re-established mid-run (EXPERIMENTS E16).
-//!
-//! SSSP and CC are bit-identical across backends (the algorithms are
-//! schedule-insensitive at the bit level); PageRank accumulates floats
-//! in schedule order, so, as in the chaos suite, backends are compared
-//! to 1e-9.
+//! Across backends, one family at a time: each test is a slice of the
+//! conformance matrix's transport cells (`common::sweep`). The answer is
+//! the same whichever transport carries the messages (in-process
+//! channels, shared-memory rings, or TCP over loopback): bit for bit for
+//! SSSP and CC, 1e-9 for PageRank. Only the wire backends send frames.
 
+mod common;
+
+use common::{machine, row, sweep, Delivery, ENGINES};
 use dgp::prelude::*;
 
-fn backends() -> Vec<(&'static str, TransportKind)> {
-    vec![
-        ("inproc", TransportKind::Inproc),
-        ("shm", TransportKind::Shm(ShmConfig::default())),
-        ("tcp", TransportKind::Tcp(TcpConfig::default())),
+/// The row `name` over every backend, three ranks each.
+fn across_backends(name: &str) {
+    let deliveries = [
+        TransportKind::Inproc,
+        TransportKind::Shm(ShmConfig::default()),
+        TransportKind::Tcp(TcpConfig::default()),
     ]
-}
-
-fn cfg(ranks: usize, kind: TransportKind) -> MachineConfig {
-    MachineConfig::new(ranks).coalescing(8).transport(kind)
+    .map(|kind| Delivery::new(format!("{kind:?}"), machine(3, kind)));
+    sweep([row(name)], &deliveries, &ENGINES[..1]);
 }
 
 #[test]
 fn sssp_bit_identical_across_backends() {
-    let mut el = generators::erdos_renyi(150, 900, 8);
-    el.randomize_weights(0.5, 3.0, 9);
-    let baseline = run_sssp(&el, 3, 0, SsspStrategy::Delta(1.0));
-    for (name, kind) in backends() {
-        let got = Run::on(cfg(3, kind))
-            .sssp(&el, 0, SsspStrategy::Delta(1.0))
-            .expect("backend delivers")
-            .result;
-        assert_eq!(
-            got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-            baseline.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-            "backend {name}"
-        );
-    }
+    across_backends("sssp/delta");
 }
 
 #[test]
 fn cc_bit_identical_across_backends() {
-    let el = generators::rmat(7, 8, generators::RmatParams::GRAPH500, 17);
-    let baseline = run_cc(&el, 3);
-    for (name, kind) in backends() {
-        let got = Run::on(cfg(3, kind))
-            .cc(&el)
-            .expect("backend delivers")
-            .result;
-        assert_eq!(got, baseline, "backend {name}");
-    }
+    across_backends("cc");
 }
 
 #[test]
 fn pagerank_matches_across_backends() {
-    let el = generators::erdos_renyi(120, 700, 5);
-    let baseline = run_pagerank(&el, 3, 0.85, 15);
-    for (name, kind) in backends() {
-        let got = Run::on(cfg(3, kind))
-            .pagerank(&el, 0.85, 15)
-            .expect("backend delivers")
-            .result;
-        for (i, (x, y)) in got.iter().zip(&baseline).enumerate() {
-            assert!(
-                (x - y).abs() < 1e-9,
-                "backend {name}, vertex {i}: {x} vs {y}"
-            );
-        }
-    }
-}
-
-/// The acceptance bar from the issue: a TCP run with connections
-/// forcibly dropped and re-established mid-run (the kill harness closes
-/// every connection after its 30th received frame, discarding that
-/// frame) still produces bit-identical SSSP distances, and the stats
-/// prove the loss was real — retransmits fired and connections were
-/// re-dialed.
-#[test]
-fn sssp_bit_identical_over_tcp_with_killed_connections() {
-    let mut el = generators::erdos_renyi(150, 900, 8);
-    el.randomize_weights(0.5, 3.0, 9);
-    let baseline = run_sssp(&el, 3, 0, SsspStrategy::Delta(1.0));
-    let kind = TransportKind::Tcp(TcpConfig::default().kill_rx_every(30));
-    let Outcome {
-        result: got, stats, ..
-    } = Run::on(cfg(3, kind))
-        .sssp(&el, 0, SsspStrategy::Delta(1.0))
-        .expect("killed connections are masked");
-    assert_eq!(
-        got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-        baseline.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-    );
-    assert!(stats.retransmits > 0, "kill harness injected no real loss");
-    assert!(
-        stats.transport_reconnects > 0,
-        "no connection was re-dialed"
-    );
+    across_backends("pagerank");
 }
