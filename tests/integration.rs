@@ -2,6 +2,9 @@
 //! (patterns → planner → engine → AM runtime → graph substrate), swept
 //! across machine shapes and engine configurations.
 
+mod common;
+
+use common::{machine, row, sweep, Delivery, ENGINES};
 use dgp::prelude::*;
 use dgp_algorithms::{handwritten, seq};
 use dgp_core::engine::EngineConfig;
@@ -122,18 +125,22 @@ fn handwritten_matches_patterns() {
     assert_eq!(hb, want_bfs);
 }
 
+/// The registry row `name` as conformance cells (`common::sweep`) on
+/// inproc machines of these shapes, at the default engine.
+fn cells(name: &str, shapes: &[(usize, usize)]) {
+    let deliveries: Vec<_> = (shapes.iter())
+        .map(|&(ranks, threads)| {
+            let m = machine(ranks, TransportKind::Inproc).threads_per_rank(threads);
+            Delivery::new(format!("{ranks} ranks x {threads} threads"), m)
+        })
+        .collect();
+    sweep([row(name)], &deliveries, &ENGINES[..1]);
+}
+
 /// Multi-threaded ranks (worker handler threads) keep everything correct.
 #[test]
 fn multithreaded_ranks() {
-    let el = weighted_rmat(8, 21);
-    let want = seq::dijkstra(&el, 0);
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 2), false);
-    let weights = EdgeMap::from_weights(&graph, &el);
-    let mut out = Machine::run(MachineConfig::new(2).threads_per_rank(4), move |ctx| {
-        let dist = dgp_algorithms::sssp::sssp(ctx, &graph, &weights, 0, SsspStrategy::FixedPoint);
-        (ctx.rank() == 0).then(|| dist.snapshot())
-    });
-    assert_dists(&out[0].take().unwrap(), &want);
+    cells("sssp/fixed-point", &[(2, 4)]);
 }
 
 /// Coalescing capacity changes envelope counts, never results.
@@ -163,20 +170,8 @@ fn coalescing_is_result_transparent() {
 /// BFS and PageRank across rank counts.
 #[test]
 fn bfs_and_pagerank_across_ranks() {
-    let el = generators::rmat(7, 6, generators::RmatParams::GRAPH500, 77);
-    let want_bfs = dgp_graph::analysis::bfs_levels(&el, 0);
-    let want_pr = seq::pagerank(&el, 0.85, 15);
-    for ranks in [1, 4] {
-        let bfs = Run::new(ranks).bfs(&el, 0).unwrap().result;
-        assert_eq!(bfs, want_bfs, "bfs ranks={ranks}");
-        let pr = Run::new(ranks).pagerank(&el, 0.85, 15).unwrap().result;
-        for (i, (a, b)) in pr.iter().zip(&want_pr).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-6,
-                "pr vertex {i}: {a} vs {b} ranks={ranks}"
-            );
-        }
-    }
+    cells("bfs", &[(1, 1), (4, 1)]);
+    cells("pagerank", &[(1, 1), (4, 1)]);
 }
 
 /// The lock-map granularities all produce correct results (E5's
@@ -335,41 +330,13 @@ fn self_send_shortcut_transparent() {
 /// CC's racy claim phase stays correct with handler worker threads.
 #[test]
 fn cc_multithreaded_ranks() {
-    let el = generators::component_blobs(6, 50, 2, 23);
-    let want = seq::cc_labels(&el);
-    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 2), false);
-    let mut out = Machine::run(MachineConfig::new(2).threads_per_rank(4), move |ctx| {
-        let labels = dgp_algorithms::cc::cc(ctx, &graph, EngineConfig::default());
-        (ctx.rank() == 0).then(|| labels.snapshot())
-    });
-    assert_eq!(out[0].take().unwrap(), want);
+    cells("cc", &[(2, 4)]);
 }
 
 /// Paths (parent tree + predecessor sets) across rank counts.
 #[test]
 fn sssp_paths_across_ranks() {
-    let el = weighted_rmat(6, 71);
-    let oracle = seq::dijkstra(&el, 0);
-    for ranks in [1, 4] {
-        let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), ranks), false);
-        let weights = EdgeMap::from_weights(&graph, &el);
-        let oracle = oracle.clone();
-        Machine::run(MachineConfig::new(ranks), move |ctx| {
-            let sp = dgp_algorithms::paths::SsspPaths::install(
-                ctx,
-                &graph,
-                &weights,
-                EngineConfig::default(),
-            );
-            sp.run(ctx, 0);
-            ctx.barrier();
-            if ctx.rank() == 0 {
-                let d = sp.dist.snapshot();
-                assert_dists(&d, &oracle);
-            }
-            ctx.barrier();
-        });
-    }
+    cells("paths", &[(1, 1), (4, 1)]);
 }
 
 /// Engine counters stay exact with worker threads. Every vertex starts
