@@ -137,7 +137,7 @@ fn try_finish_with_straggler() {
 /// at. `raised` puts the deposit after the main thread has been through
 /// `try_finish` once (its idle declaration predates the deposit); without
 /// it the deposit lands between the caller's look at its work and its
-/// `try_finish`.
+/// `try_finish`. Each step waits for the event it follows; none sleeps.
 fn deferred_work_is_never_stranded(raised: bool) {
     #[derive(Default)]
     struct Steps {
@@ -145,6 +145,9 @@ fn deferred_work_is_never_stranded(raised: bool) {
         go: AtomicU64,
         pending: AtomicU64,
         late_handled: AtomicU64,
+        /// Rank 0's `try_finish` calls that returned `false`.
+        refused: AtomicU64,
+        decided: AtomicU64,
     }
     let steps = Arc::new(Steps::default());
     let cfg = MachineConfig::new(2).threads_per_rank(2);
@@ -168,36 +171,45 @@ fn deferred_work_is_never_stranded(raised: bool) {
             0 => st.late_handled.load(SeqCst),
             _ => 1,
         };
+        let wait = |done: &dyn Fn() -> bool| {
+            while !done() {
+                std::thread::yield_now();
+            }
+        };
+        // The worker has published the deposit's `handled` count, and rank
+        // 0 has since had two chances to decide over rank 1's declaration.
+        let settled = || {
+            wait(&|| ctx.stats().messages_handled > 0);
+            let since = st.refused.load(SeqCst);
+            wait(&|| st.decided.load(SeqCst) == 1 || st.refused.load(SeqCst) >= since + 2);
+        };
         let body = |ctx: &dgp_am::AmCtx| {
             if ctx.rank() == 0 {
                 deposit.send(ctx, 1, 0);
                 while !ctx.try_finish() {
+                    st.refused.fetch_add(1, SeqCst);
                     ctx.epoch_flush();
                 }
+                st.decided.store(1, SeqCst);
                 return;
             }
-            while st.started.load(SeqCst) == 0 {
-                std::thread::yield_now();
-            }
+            wait(&|| st.started.load(SeqCst) == 1);
             loop {
                 if st.pending.swap(0, SeqCst) == 1 {
-                    // Give rank 0 time to decide over a stale declaration.
-                    std::thread::sleep(std::time::Duration::from_millis(200));
+                    settled();
                     late.send(ctx, 0, 0);
                 }
                 let first = st.go.load(SeqCst) == 0;
                 if first && !raised {
                     st.go.store(1, SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    settled();
                 }
                 if ctx.try_finish() {
                     break;
                 }
                 if first && raised {
                     st.go.store(1, SeqCst);
-                    while st.pending.load(SeqCst) == 0 {
-                        std::thread::yield_now();
-                    }
+                    wait(&|| st.pending.load(SeqCst) == 1);
                 }
             }
         };
