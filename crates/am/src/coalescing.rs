@@ -136,8 +136,7 @@ impl<T: Clone + Send + 'static> TypedBuffers<T> {
         }
         if slot.0.len() >= cap {
             ctx.publish_deltas();
-            self.flush_dest(ctx, dest);
-            true
+            self.flush_dest(ctx, dest)
         } else {
             false
         }
@@ -155,17 +154,18 @@ impl<T: Clone + Send + 'static> TypedBuffers<T> {
         }
     }
 
-    fn flush_dest(&mut self, ctx: &AmCtx, dest: RankId) {
+    /// Ship `dest`'s batch if it holds any; returns whether it did.
+    fn flush_dest(&mut self, ctx: &AmCtx, dest: RankId) -> bool {
         // Take the full batch out of the slot. Dense keeps the (empty)
         // slot in place so its reserved capacity survives for the next
         // push; sparse removes the entry outright so an idle destination
         // costs nothing — graph workloads at thousands of ranks touch a
         // sliver of the rank space and never re-touch most of it.
-        let (mut taken, trace) = match &mut self.store {
+        let (taken, trace) = match &mut self.store {
             DestStore::Dense(v) => {
                 let slot = &mut v[dest];
                 if slot.0.is_empty() {
-                    return;
+                    return false;
                 }
                 (
                     std::mem::take(&mut slot.0),
@@ -174,9 +174,15 @@ impl<T: Clone + Send + 'static> TypedBuffers<T> {
             }
             DestStore::Sparse(m) => match m.remove(&dest) {
                 Some((buf, trace)) if !buf.is_empty() => (buf, trace),
-                _ => return,
+                _ => return false,
             },
         };
+        self.ship(ctx, dest, taken, trace);
+        true
+    }
+
+    /// Ship `taken`, the batch just taken out of `dest`'s slot.
+    fn ship(&mut self, ctx: &AmCtx, dest: RankId, mut taken: Vec<T>, trace: TraceCtx) {
         // Reuse a recycled batch box when one is available: the swap hands
         // the full buffer to the envelope; in dense mode the spare's
         // reserved capacity is handed back to the slot for the next push —
@@ -207,16 +213,24 @@ impl<T: Clone + Send + 'static> TypedBuffers<T> {
 
 impl<T: Clone + Send + 'static> ErasedBuffers for TypedBuffers<T> {
     fn flush_all(&mut self, ctx: &AmCtx) -> usize {
-        let mut shipped = 0;
-        let dests: Vec<RankId> = match &self.store {
-            DestStore::Dense(v) => (0..v.len()).filter(|&d| !v[d].0.is_empty()).collect(),
-            DestStore::Sparse(m) => m.keys().copied().collect(),
-        };
-        for dest in dests {
-            self.flush_dest(ctx, dest);
-            shipped += 1;
+        // In place, in ascending destination order: dense by index, sparse
+        // by taking the whole map.
+        match &mut self.store {
+            DestStore::Dense(v) => {
+                let n = v.len();
+                (0..n).filter(|&dest| self.flush_dest(ctx, dest)).count()
+            }
+            DestStore::Sparse(m) => {
+                let mut shipped = 0;
+                for (dest, (batch, trace)) in std::mem::take(m) {
+                    if !batch.is_empty() {
+                        self.ship(ctx, dest, batch, trace);
+                        shipped += 1;
+                    }
+                }
+                shipped
+            }
         }
-        shipped
     }
 
     fn pending(&self) -> usize {

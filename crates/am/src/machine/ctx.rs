@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use super::envelope::{ErasedHandler, LocalTables, PendingDeltas};
-use super::{RankId, Shared};
+use super::{Packet, RankId, Shared};
 use crate::caching::DominanceTable;
 use crate::coalescing::ErasedBuffers;
 use crate::config::MachineConfig;
@@ -130,6 +130,9 @@ pub struct AmCtx {
     /// The last causal event id this thread assigned; starts at the
     /// thread's base (see [`crate::trace::EVENT_SEQ_BITS`]).
     pub(super) trace_eid: Cell<u64>,
+    /// The empty queue this thread swaps into the next inbox lane it
+    /// drains (`drain_inbox`): lane storage circulates, never freed.
+    pub(super) inbox_spare: Cell<Vec<Packet>>,
 }
 
 impl AmCtx {
@@ -164,6 +167,7 @@ impl AmCtx {
             trace_gap: Cell::new(gap),
             trace_roots: Cell::new(0),
             trace_eid: Cell::new(eid_base),
+            inbox_spare: Cell::new(Vec::new()),
         }
     }
 

@@ -21,29 +21,47 @@ impl AmCtx {
     // ------------------------------------------------------------------
 
     /// The one pop-and-dispatch loop, shared by `epoch_flush`,
-    /// `drain_and_flush` and the worker loop: take `first` (a packet the
-    /// caller already popped), then everything queued on this rank's
-    /// inbox, handing each envelope to its handler and each ack to the
-    /// reliability layer. One drain pass: the handlers share clock
-    /// readings (see [`handle_envelope`](Self::handle_envelope)). Returns
-    /// the data packets popped, suppressed duplicates included — an ack
-    /// is not a message, so retiring one is not progress.
-    pub(super) fn drain_inbox(&self, first: Option<Packet>) -> usize {
-        let rx = &self.shared.ranks[self.rank].rx;
-        let (mut next, mut popped, mut at) = (first, 0, None);
-        while let Some(pkt) = next.take().or_else(|| rx.try_recv().ok()) {
-            match pkt {
-                Packet::Data { from, seq, env } => {
-                    at = self.handle_packet(from, seq, env, at);
-                    popped += 1;
+    /// `drain_and_flush` and the worker loop: visit this rank's inbox
+    /// lanes in their fixed order, take each non-empty lane's whole queue
+    /// (swapping in this thread's empty spare, so storage is recycled),
+    /// and hand each envelope to its handler and each ack to the
+    /// reliability layer; repeat until a pass finds every lane empty. One
+    /// drain: the handlers share clock readings (see
+    /// [`handle_envelope`](Self::handle_envelope)). Returns the data
+    /// packets taken, suppressed duplicates included — an ack is not a
+    /// message, so retiring one is not progress.
+    pub(super) fn drain_inbox(&self) -> usize {
+        let inbox = &self.shared.ranks[self.rank].inbox;
+        // A handler's nested `epoch_flush` finds the cell empty and drains
+        // with a fresh `Vec`; only the outer drain's storage is kept.
+        let mut batch = self.inbox_spare.take();
+        let (mut popped, mut at) = (0, None);
+        loop {
+            let mut took = false;
+            for lane in 0..inbox.lanes().len() {
+                if !inbox.take(lane, &mut batch) {
+                    continue;
                 }
-                Packet::Ack(ack) => {
-                    if let Some(t) = &self.shared.reliability {
-                        t.retire(&self.shared, ack);
+                took = true;
+                for pkt in batch.drain(..) {
+                    match pkt {
+                        Packet::Data { from, seq, env } => {
+                            at = self.handle_packet(from, seq, env, at);
+                            popped += 1;
+                        }
+                        Packet::Ack(ack) => {
+                            if let Some(t) = &self.shared.reliability {
+                                t.retire(&self.shared, ack);
+                            }
+                        }
                     }
                 }
             }
+            if !took {
+                break;
+            }
         }
+        self.inbox_spare.set(batch);
         popped
     }
 

@@ -110,7 +110,7 @@ impl AmCtx {
             // the counter balance must hold either way.
             let inbox_clear = self.shared.reliability.is_some()
                 || self.shared.wire.is_some()
-                || self.shared.ranks[self.rank].rx.is_empty();
+                || !self.shared.ranks[self.rank].inbox.has_mail();
             debug_assert!(
                 inbox_clear && h == s,
                 "epoch {my_gen} on rank {} ended non-quiescent (handled={h}, sent={s})",
@@ -130,7 +130,7 @@ impl AmCtx {
         let mut handled = 0;
         loop {
             self.flush_own_buffers();
-            let popped = self.drain_inbox(None);
+            let popped = self.drain_inbox();
             self.pump_transport();
             if popped == 0 {
                 break;
@@ -229,7 +229,7 @@ impl AmCtx {
     }
 
     /// Block this idle rank until something may have changed for it: mail
-    /// on any of its channels (each delivery rings its doorbell), a ring
+    /// in any of its inbox lanes (each delivery rings its doorbell), a ring
     /// from the rank that decided termination or was poisoned, `decided()`
     /// already holding, or — when nobody rings — `RECV_TIMEOUT`, the
     /// liveness ceiling that keeps reliability pumps (retransmits, parked
@@ -242,7 +242,7 @@ impl AmCtx {
         }
         let me = &shared.ranks[self.rank];
         let rung = me.bell.wait(crate::config::RECV_TIMEOUT, || {
-            me.has_mail() || shared.poisoned.load(SeqCst) || decided()
+            me.inbox.has_mail() || shared.poisoned.load(SeqCst) || decided()
         });
         if !rung {
             MachineStats::bump(&shared.stats.idle_timeouts, 1);
@@ -254,7 +254,7 @@ impl AmCtx {
     /// (retransmissions, parked releases) — every idle and termination
     /// loop runs through here, which is what keeps fault recovery live.
     fn drain_and_flush(&self) -> bool {
-        let handled = self.drain_inbox(None) > 0;
+        let handled = self.drain_inbox() > 0;
         self.pump_transport();
         let shipped = self.flush_own_buffers() > 0;
         handled || shipped

@@ -19,6 +19,7 @@ mod ctx;
 mod dispatch;
 mod envelope;
 mod epoch;
+mod inbox;
 mod postmortem;
 mod run;
 mod send;

@@ -248,7 +248,7 @@ impl Machine {
                             debug_assert!(
                                 shared.reliability.is_some()
                                     || shared.wire.is_some()
-                                    || shared.ranks[rank].rx.is_empty(),
+                                    || !shared.ranks[rank].inbox.has_mail(),
                                 "rank {rank} has unhandled messages after its last epoch \
                                  — termination detection fired early"
                             );

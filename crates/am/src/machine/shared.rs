@@ -8,10 +8,10 @@ use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use super::envelope::ErasedHandler;
+use super::inbox::{Inbox, LANES};
 use super::{Packet, RankId};
 use crate::collectives::Collective;
 use crate::config::MachineConfig;
@@ -27,11 +27,12 @@ pub(super) const NOT_IDLE: u64 = u64::MAX;
 
 /// One rank's slot of the machine. Aligned to 128 bytes (a line and its
 /// prefetch partner), so the counters and idle declaration this rank's threads
-/// write never share a line with a peer's inbox, doorbell or counters.
+/// write never share a line with a peer's inbox, doorbell or counters; the
+/// inbox's lanes are aligned the same way, one per source.
 #[repr(align(128))]
 pub(crate) struct RankShared {
-    tx: Sender<Packet>,
-    pub(super) rx: Receiver<Packet>,
+    /// Where every packet for this rank lands: one lane per source rank.
+    pub(super) inbox: Inbox,
     pub(super) handlers: RwLock<Vec<Arc<ErasedHandler>>>,
     /// This rank's per-message-type counters, indexed by type id
     /// (registration is collective, so ids agree across ranks);
@@ -55,12 +56,6 @@ pub(crate) struct RankShared {
 }
 
 impl RankShared {
-    /// Whether anything (a packet or an ack) is queued on this rank's
-    /// inbox — the waits' re-check after raising the doorbell flag.
-    pub(super) fn has_mail(&self) -> bool {
-        !self.rx.is_empty()
-    }
-
     /// Whether the rank's idle declaration still holds: no thread of the
     /// rank has published a `handled` count since it was made.
     pub(super) fn is_idle(&self) -> bool {
@@ -144,7 +139,7 @@ pub(crate) struct Shared {
     /// transport.
     pub(super) reliability: Option<Reliability>,
     /// Wire transport backend ([`MachineConfig::transport`]); `None` is
-    /// the inproc default — packets go straight into inbox channels —
+    /// the inproc default — packets go straight into inbox lanes —
     /// and sim mode always runs with `None` (the event queue *is* its
     /// transport).
     pub(super) wire: Option<Arc<dyn crate::transport::Transport>>,
@@ -172,21 +167,22 @@ impl Shared {
         sim: Option<SimNet>,
         wire: Option<Arc<dyn crate::transport::Transport>>,
     ) -> Self {
+        let lanes = if sim.is_some() {
+            1
+        } else {
+            cfg.ranks.min(LANES)
+        };
         let ranks = (0..cfg.ranks)
-            .map(|_| {
-                let (tx, rx) = unbounded();
-                RankShared {
-                    tx,
-                    rx,
-                    handlers: RwLock::new(Vec::new()),
-                    type_stats: RwLock::new(Vec::new()),
-                    sent: AtomicU64::new(0),
-                    handled: AtomicU64::new(0),
-                    envelopes_sent: AtomicU64::new(0),
-                    activity: AtomicU64::new(0),
-                    idle_at: AtomicU64::new(NOT_IDLE),
-                    bell: Doorbell::default(),
-                }
+            .map(|_| RankShared {
+                inbox: Inbox::new(lanes),
+                handlers: RwLock::new(Vec::new()),
+                type_stats: RwLock::new(Vec::new()),
+                sent: AtomicU64::new(0),
+                handled: AtomicU64::new(0),
+                envelopes_sent: AtomicU64::new(0),
+                activity: AtomicU64::new(0),
+                idle_at: AtomicU64::new(NOT_IDLE),
+                bell: Doorbell::default(),
             })
             .collect();
         let participants = cfg.ranks;
@@ -342,7 +338,7 @@ impl Shared {
             return;
         }
         // Wire backends carry only cross-rank traffic; self-sends and
-        // self-acks keep the direct channel path on every backend.
+        // self-acks keep the direct inbox path on every backend.
         if pkt.origin() != dest {
             if let Some(wire) = &self.wire {
                 wire.send(self, dest, pkt);
@@ -355,19 +351,13 @@ impl Shared {
     /// Put `pkt` in `dest`'s inbox *now* and ring its doorbell: the inproc
     /// half of [`Shared::push_packet`], the sim scheduler's delivery
     /// primitive, and where wire backends' receiving threads land packets.
-    /// When nobody sleeps on the rank it costs a lock (the inbox push; the
-    /// channel wakes only a blocked worker) plus a doorbell load — no
-    /// system call.
+    /// When nobody sleeps on the rank it costs the origin's lane lock
+    /// (a word no other source writes) plus two loads (blocked workers,
+    /// doorbell) — no system call.
     pub(crate) fn deliver(&self, dest: RankId, pkt: Packet) {
         let rank = &self.ranks[dest];
-        // `send` fails only once every receiver is gone, and `rank.rx` is
-        // a receiver that lives as long as `self`: the error branch cannot
-        // be taken while anyone can call this. Ignoring it is still the
-        // right handling for callers that are not rank threads (wire
-        // backends), which must never unwind.
-        if rank.tx.send(pkt).is_ok() {
-            rank.bell.ring();
-        }
+        rank.inbox.push(pkt);
+        rank.bell.ring();
     }
 
     /// Whether wire-backend threads should stop doing work: the machine
@@ -441,6 +431,40 @@ mod tests {
         };
         for pair in shared.ranks.windows(2) {
             assert!(blocks(&pair[0]).1 < blocks(&pair[1]).0);
+        }
+    }
+
+    #[test]
+    fn lanes_share_no_cache_line() {
+        // Each inbox lane — the lock word and flag one source writes —
+        // fills 128-byte blocks of its own: no other lane's, and none
+        // holding the counters, idle declaration or doorbell the rank's
+        // own threads write.
+        let shared = Shared::new(MachineConfig::new(3), None, None);
+        let blocks = |lo: usize, size: usize| (lo / 128, (lo + size - 1) / 128);
+        let of = |r: &RankShared| {
+            r.inbox
+                .lanes()
+                .iter()
+                .map(|l| blocks(l as *const _ as usize, size_of_val(l)))
+                .collect::<Vec<_>>()
+        };
+        for r in &shared.ranks {
+            let lanes = of(r);
+            assert_eq!(lanes.len(), 3, "one lane per source rank");
+            for pair in lanes.windows(2) {
+                assert!(pair[0].1 < pair[1].0);
+            }
+            let own = [
+                blocks(&r.sent as *const _ as usize, 8),
+                blocks(&r.handled as *const _ as usize, 8),
+                blocks(&r.activity as *const _ as usize, 8),
+                blocks(&r.idle_at as *const _ as usize, 8),
+                blocks(&r.bell as *const _ as usize, size_of::<Doorbell>()),
+            ];
+            for (lo, hi) in own {
+                assert!(lanes.iter().all(|&(a, b)| hi < a || lo > b));
+            }
         }
     }
 

@@ -9,28 +9,25 @@ use crate::error::{panic_message, Abort, MachineError};
 
 pub(super) fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
     let ctx = AmCtx::new(shared.clone(), rank, thread);
-    let rx = shared.ranks[rank].rx.clone();
+    let me = &shared.ranks[rank];
     loop {
         if shared.poisoned.load(SeqCst) {
             break;
         }
         let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            match rx.recv_timeout(crate::config::RECV_TIMEOUT) {
-                Ok(pkt) => {
-                    ctx.drain_inbox(Some(pkt));
-                    // Ship whatever the handlers produced before blocking
-                    // again, then wake the rank's main thread: publishing
-                    // the batch withdrew the rank's idle declaration, and
-                    // only the main thread declares it again.
-                    ctx.flush_own_buffers();
-                    shared.ranks[rank].bell.ring();
-                    true
-                }
-                Err(_) => {
-                    ctx.flush_own_buffers();
-                    ctx.pump_transport();
-                    !(shared.shutdown.load(SeqCst) && rx.is_empty())
-                }
+            if me.inbox.wait_for_mail(crate::config::RECV_TIMEOUT) {
+                ctx.drain_inbox();
+                // Ship whatever the handlers produced before blocking
+                // again, then wake the rank's main thread: publishing
+                // the batch withdrew the rank's idle declaration, and
+                // only the main thread declares it again.
+                ctx.flush_own_buffers();
+                me.bell.ring();
+                true
+            } else {
+                ctx.flush_own_buffers();
+                ctx.pump_transport();
+                !shared.shutdown.load(SeqCst) || me.inbox.has_mail()
             }
         }));
         match step {

@@ -61,18 +61,17 @@
 //! * `Shared::poison`, so a failure elsewhere unwinds waiters at once.
 //!
 //! **No lost wakeup.** The waiter raises `waiting` (SeqCst store), *then*
-//! re-checks its inbox, the poison flag and `completed_epoch`,
-//! and parks only if all are quiet.
-//! A waker first makes its fact visible (the channel push, under the
-//! channel's mutex, or the SeqCst `fetch_max`) and *then* loads
-//! `waiting` (SeqCst). If the waiter's re-check missed the push, the
-//! waiter's mutex release preceded the waker's acquire, so its flag store
-//! happens-before the waker's load, which therefore sees the flag raised;
-//! for `completed_epoch` the four SeqCst accesses form the classic
+//! re-checks its inbox (`Inbox::has_mail`: a SeqCst load of each lane's
+//! `queued` flag), the poison flag and `completed_epoch`, and parks only
+//! if all are quiet. A waker first makes its fact visible (the lane's
+//! `queued` store after its push, or the SeqCst `fetch_max`) and *then*
+//! loads `waiting` (SeqCst). Each pair of SeqCst accesses is the classic
 //! store-load pair, in which at least one side sees the other's write.
 //! Either the waiter sees the fact and does not park, or the waker sees
 //! the flag and unparks — and an unpark that lands before the park is
-//! kept as the thread's token, so the park returns at once.
+//! kept as the thread's token, so the park returns at once. (Handler
+//! workers block on the inbox's own wait instead, with the same argument:
+//! `Inbox::wait_for_mail`.)
 //!
 //! **At most one wake syscall per park.** The waker clears the flag with
 //! a `swap` and unparks only if the swap saw it raised; every other
@@ -88,10 +87,13 @@
 //! reliability layer's clock: retransmissions and parked fault releases
 //! advance only when a rank pumps. `RECV_TIMEOUT` is therefore kept as
 //! the *liveness ceiling* of every wait; a wait that ends there is counted
-//! in `MachineStats::idle_timeouts`. Without a reliability layer that
-//! count stays near zero (a peer descheduled for longer than the ceiling
-//! on a loaded box), so a rising count means the floor is the timeout
-//! again. The simulator replaces all of this with its cooperative
+//! in `MachineStats::idle_timeouts`. Without a reliability layer such a
+//! wait is not a lost wake but a quiet peer: one whose work between
+//! sends (a Δ-stepping bucket body, say) runs longer than the ceiling
+//! while this rank has nothing to do. On `sssp-grid` about a quarter of
+//! the idle waits end there (about 1 200 a solve); each costs a wake-up
+//! and a drain pass, not a delay, since a ring would have woken the rank
+//! no sooner. The simulator replaces all of this with its cooperative
 //! `SimNet::idle_wait`.
 //!
 //! ## Deferred local work and `try_finish`

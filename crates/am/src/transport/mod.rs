@@ -3,8 +3,8 @@
 //!
 //! The machine's delivery seam (`Shared::push_packet`, which carries
 //! envelopes and the reliability layer's acks alike) historically had
-//! exactly one implementation — crossbeam channels between threads of one
-//! process. This module makes the seam a trait with three backends
+//! exactly one implementation — each rank's inbox, shared by the threads
+//! of one process. This module makes the seam a trait with three backends
 //! (INTERNALS §12):
 //!
 //! * **Inproc** — the original channel path, selected by default. There
@@ -100,7 +100,8 @@ pub(crate) trait Transport: Send + Sync {
 /// [`MachineConfig::transport`]: crate::MachineConfig::transport
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum TransportKind {
-    /// In-process crossbeam channels — the default, zero added overhead.
+    /// Straight into the destination's in-process inbox — the default,
+    /// zero added overhead.
     #[default]
     Inproc,
     /// Same-host bounded shared-memory rings.

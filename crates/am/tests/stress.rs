@@ -231,3 +231,67 @@ fn try_finish_sees_work_deposited_after_the_rank_declared_idle() {
 fn try_finish_sees_work_deposited_before_it_was_called() {
     deferred_work_is_never_stranded(false);
 }
+
+/// Every rank sends `PER_PAIR` numbered messages to every rank, itself
+/// included, interleaving the destinations, so each inbox takes packets
+/// from every source at once. Returns, per receiving rank, how often each
+/// (source, number) was handled and whether each source's numbers arrived
+/// in order.
+fn interleaved_streams(threads: usize, coalescing: usize) -> Vec<(Vec<u8>, bool)> {
+    const RANKS: usize = 4;
+    const PER_PAIR: usize = 2000;
+    let cfg = MachineConfig::new(RANKS)
+        .threads_per_rank(threads)
+        .coalescing(coalescing);
+    Machine::run(cfg, |ctx| {
+        let seen: Arc<Vec<AtomicU64>> =
+            Arc::new((0..RANKS * PER_PAIR).map(|_| AtomicU64::new(0)).collect());
+        let next: Arc<Vec<AtomicU64>> = Arc::new((0..RANKS).map(|_| AtomicU64::new(0)).collect());
+        let in_order = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let (s, n, o) = (seen.clone(), next.clone(), in_order.clone());
+        let mt = ctx.register(move |_, (src, i): (usize, usize)| {
+            s[src * PER_PAIR + i].fetch_add(1, SeqCst);
+            if n[src].fetch_add(1, SeqCst) != i as u64 {
+                o.store(false, SeqCst);
+            }
+        });
+        ctx.epoch(|ctx| {
+            for i in 0..PER_PAIR {
+                for k in 0..RANKS {
+                    mt.send(ctx, (ctx.rank() + k) % RANKS, (ctx.rank(), i));
+                }
+            }
+        });
+        let counts = seen.iter().map(|c| c.load(SeqCst) as u8).collect();
+        (counts, in_order.load(SeqCst))
+    })
+}
+
+#[test]
+fn interleaved_streams_arrive_in_order_once_each() {
+    for coalescing in [1, 7] {
+        for (rank, (counts, in_order)) in interleaved_streams(1, coalescing).into_iter().enumerate()
+        {
+            assert!(
+                counts.iter().all(|&c| c == 1),
+                "rank {rank}: a message lost or doubled"
+            );
+            assert!(
+                in_order,
+                "rank {rank}: a source's stream reordered (coalescing {coalescing})"
+            );
+        }
+    }
+}
+
+#[test]
+fn interleaved_streams_on_worker_threads_are_handled_once_each() {
+    for coalescing in [1, 7] {
+        for (rank, (counts, _)) in interleaved_streams(2, coalescing).into_iter().enumerate() {
+            assert!(
+                counts.iter().all(|&c| c == 1),
+                "rank {rank}: a message lost or doubled"
+            );
+        }
+    }
+}
