@@ -6,13 +6,6 @@ use std::time::Duration;
 use crate::fault::FaultPlan;
 use crate::transport::TransportKind;
 
-/// The liveness ceiling on every idle wait: termination waits are woken
-/// by a ring (see [`crate::termination`], liveness) and worker threads by
-/// their inbox, and this bounds the wait when nobody rings — which is
-/// what drives the reliability layer's retransmits and parked releases
-/// and the workers' shutdown check.
-pub(crate) const RECV_TIMEOUT: Duration = Duration::from_micros(100);
-
 /// Configuration for a simulated distributed machine.
 ///
 /// A machine consists of `ranks` nodes; each node runs the user's SPMD
@@ -50,7 +43,11 @@ pub struct MachineConfig {
     /// duration, the machine is poisoned and
     /// [`Machine::try_run`](crate::Machine::try_run) returns
     /// [`MachineError::EpochDeadline`](crate::MachineError::EpochDeadline)
-    /// naming the non-quiescent ranks, instead of hanging forever.
+    /// naming the non-quiescent ranks, instead of hanging forever. The
+    /// duration is measured on the machine's clock (wall time on threads,
+    /// virtual time under [`Machine::run_sim`](crate::Machine::run_sim)),
+    /// and a rank waiting in termination detection wakes for it: arming
+    /// the watchdog is what gives an otherwise ring-only wait a timeout.
     pub epoch_deadline: Option<Duration>,
     /// Per-thread capacity of the event recorder
     /// ([`Recorder`](crate::Recorder)); `None` picks the default, read

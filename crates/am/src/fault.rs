@@ -42,10 +42,12 @@
 //!
 //! ## Ticks
 //!
-//! The fault layer keeps a logical clock that advances every time any
-//! rank pumps the transport (which all idle/termination loops do). Delay
-//! and backoff are measured in these ticks, so "delay by N steps" means
-//! "N transport pump steps", independent of wall time.
+//! Delay, reorder and backoff are measured in ticks of the machine's one
+//! clock (the event recorder's, [`crate::Recorder::now_ns`]): 1 tick =
+//! 10 µs of wall time on threads (`WALL_TICK_NS`), 1 µs of virtual time
+//! under the simulator (`SIM_TICK_NS`). A rank waiting in termination
+//! detection sleeps until its next tick-denominated event comes due
+//! (`Reliability::next_due`), so a tick is a time, not a count of passes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -86,7 +88,8 @@ pub struct FaultPlan {
     pub duplicate: f64,
     /// Probability a transmission is parked for a few ticks.
     pub delay: f64,
-    /// Tick range a delayed transmission is parked for (half-open).
+    /// Tick range a delayed transmission is parked for (half-open; see
+    /// the module docs for a tick's length).
     pub delay_ticks: std::ops::Range<u64>,
     /// Probability a transmission is held until later traffic on its lane
     /// overtakes it.
@@ -100,7 +103,8 @@ pub struct FaultPlan {
     /// Retransmission attempts after which the fault layer stops faulting
     /// a packet and delivers it unconditionally (liveness backstop).
     pub max_attempts: u32,
-    /// Initial retransmission timeout in ticks.
+    /// Initial retransmission timeout in ticks (10 µs each on threads,
+    /// 1 µs of virtual time under the simulator).
     pub backoff_base: u64,
     /// Upper bound on the (exponentially growing) retransmission timeout.
     pub backoff_cap: u64,
@@ -138,9 +142,9 @@ impl FaultPlan {
 
     /// The plan installed automatically when a lossy wire backend (TCP)
     /// is selected and no explicit plan is configured: injects nothing —
-    /// real sockets supply the faults — with retransmission timing tuned
-    /// for wall-clock ticks (`Reliability::set_wall_clock`, 1 tick =
-    /// 100µs): first retransmit after ~20ms, capped at 200ms, 25% jitter
+    /// real sockets supply the faults — with retransmission timing in
+    /// wall-clock ticks (1 tick = 10 µs): first retransmit after ~20 ms,
+    /// capped at 200 ms, 25% jitter
     /// so a reconnect window's worth of stranded packets does not
     /// retransmit as one synchronized burst. The base sits well above
     /// loopback RTT because a rank mid-send-burst acks nothing until its
@@ -148,8 +152,8 @@ impl FaultPlan {
     /// spurious retransmit storm.
     pub fn wire_default() -> Self {
         FaultPlan::new(0xD1A7_ED00)
-            .backoff_base(200)
-            .backoff_cap(2000)
+            .backoff_base(2_000)
+            .backoff_cap(20_000)
             .backoff_jitter(0.25)
     }
 
@@ -364,33 +368,15 @@ impl LaneDedup {
     }
 }
 
-/// One fault-layer tick in virtual nanoseconds when the machine runs
-/// under the discrete-event simulator. The pump-count clock is wrong
-/// there: the cooperative scheduler pumps every rank once per wake round
-/// and once per drain, so ticks race far ahead of the modeled ack
-/// round-trip (itself 2×latency of virtual time) and every envelope's
-/// timeout expires long before its ack can possibly arrive —
-/// retransmission storms on a perfectly healthy network. Deriving ticks
-/// from the virtual clock keeps every tick-denominated knob (backoff,
-/// delay windows, reorder deadlines) proportional to the modeled link
-/// timescale instead. 1 tick = 1µs ≈ the default link latency and the
-/// scheduler's idle quantum. That alone still left `backoff_base` (2
-/// ticks) below the default modeled round trip, so every timeout is also
-/// floored at the round trip the plan models (`Reliability::timeout`).
+/// One tick in virtual nanoseconds under the simulator: 1 µs ≈ the
+/// default link latency and the scheduler's idle quantum (timeouts are
+/// also floored at the modeled round trip, `Reliability::timeout`).
 const SIM_TICK_NS: u64 = 1_000;
 
-/// One fault-layer tick in wall-clock nanoseconds when the machine runs
-/// over a wire transport (TCP or shared-memory rings; see
-/// [`Reliability::set_wall_clock`]). The pump-count clock is wrong there
-/// for the same reason it is wrong in sim mode, in the other direction:
-/// idle loops pump on every wake — each delivery or ack rings them, and
-/// `RECV_TIMEOUT` (100µs) is only the ceiling — while a TCP ack round
-/// trip takes real time, so pump counts race far ahead of the physical
-/// RTT and every in-flight envelope times out before its ack can arrive
-/// — a retransmit storm on a healthy loopback connection. 1 tick = 100µs
-/// = the idle-wait ceiling, so tick-denominated knobs keep roughly their
-/// threaded meaning.
-const WALL_TICK_NS: u64 = 100_000;
+/// One tick in wall-clock nanoseconds on threads, inproc or over a wire:
+/// the chaos presets' delays (1–8 ticks) and first retransmit (2 ticks)
+/// cost tens of microseconds; [`FaultPlan::wire_default`] scales to it.
+const WALL_TICK_NS: u64 = 10_000;
 
 /// The reliability layer: installed in [`Shared`] when
 /// [`MachineConfig::faults`](crate::MachineConfig::faults) is set, or
@@ -402,16 +388,8 @@ const WALL_TICK_NS: u64 = 100_000;
 pub(crate) struct Reliability {
     plan: FaultPlan,
     nranks: usize,
-    /// Logical clock: advanced by every pump, from any rank. Unused in
-    /// sim mode (see `sim_clock`).
-    tick: AtomicU64,
-    /// Virtual clock mirror when running under the simulator; ticks are
-    /// then `clock / SIM_TICK_NS` rather than pump counts.
-    sim_clock: Option<std::sync::Arc<AtomicU64>>,
-    /// Wall-clock epoch when a wire transport is installed; ticks are
-    /// then `elapsed / WALL_TICK_NS` so retransmission timers measure
-    /// real time against real network round trips.
-    wall_base: Option<std::time::Instant>,
+    /// Nanoseconds per tick: [`SIM_TICK_NS`] or [`WALL_TICK_NS`].
+    tick_ns: u64,
     /// Tie-breaker for the parked-flight queue.
     uid: AtomicU64,
     /// Next sequence number per directed lane (`from * nranks + to`).
@@ -429,18 +407,14 @@ pub(crate) struct Reliability {
 }
 
 impl Reliability {
-    pub(crate) fn new(
-        plan: FaultPlan,
-        nranks: usize,
-        sim_clock: Option<std::sync::Arc<AtomicU64>>,
-    ) -> Self {
+    /// The layer for `nranks` ranks; its ticks run on virtual time when
+    /// `simulated`, on wall time otherwise.
+    pub(crate) fn new(plan: FaultPlan, nranks: usize, simulated: bool) -> Self {
         let lanes = nranks * nranks;
         Reliability {
             plan,
             nranks,
-            tick: AtomicU64::new(0),
-            sim_clock,
-            wall_base: None,
+            tick_ns: if simulated { SIM_TICK_NS } else { WALL_TICK_NS },
             uid: AtomicU64::new(0),
             next_seq: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
             pending: (0..lanes).map(|_| Mutex::new(BTreeMap::new())).collect(),
@@ -452,23 +426,13 @@ impl Reliability {
         }
     }
 
-    /// Switch the layer's logical clock from pump counts to wall time
-    /// (called once, before the machine starts, when a wire transport is
-    /// installed — see [`WALL_TICK_NS`]).
-    pub(crate) fn set_wall_clock(&mut self) {
-        self.wall_base = Some(std::time::Instant::now());
-    }
-
     fn lane(&self, from: RankId, to: RankId) -> usize {
         from * self.nranks + to
     }
 
-    fn now(&self) -> u64 {
-        match (&self.sim_clock, &self.wall_base) {
-            (Some(clock), _) => clock.load(SeqCst) / SIM_TICK_NS,
-            (None, Some(base)) => base.elapsed().as_nanos() as u64 / WALL_TICK_NS,
-            (None, None) => self.tick.load(SeqCst),
-        }
+    /// The current tick on the machine's clock.
+    fn now(&self, shared: &Shared) -> u64 {
+        shared.recorder.now_ns() / self.tick_ns
     }
 
     /// Retransmission timeout for transmission `attempts` of a packet:
@@ -493,7 +457,7 @@ impl Reliability {
         let rto = self.rto(from, to, p.type_id, seq, p.attempts);
         shared.sim.as_ref().map_or(rto, |sim| {
             let rtt = sim.round_trip_ns(from, to, p.env.count);
-            rto.max(rtt.div_ceil(SIM_TICK_NS) + 1)
+            rto.max(rtt.div_ceil(self.tick_ns) + 1)
         })
     }
 
@@ -511,7 +475,8 @@ impl Reliability {
             attempts: 0,
             retransmit_at: 0,
         };
-        pending.retransmit_at = self.now() + self.timeout(shared, from, to, seq, &pending);
+        let now = self.now(shared);
+        pending.retransmit_at = now + self.timeout(shared, from, to, seq, &pending);
         self.pending[lane].lock().insert(seq, pending);
         let flight = Flight {
             from,
@@ -531,14 +496,14 @@ impl Reliability {
             FaultAction::Delay(ticks) => {
                 MachineStats::bump(&shared.stats.injected_delays, 1);
                 ctx.mark(SpanKind::Fault, "fault", lane_word(from, to), 2);
-                self.park(self.now() + ticks, flight);
+                self.park(now + ticks, flight);
             }
             FaultAction::Reorder => {
                 MachineStats::bump(&shared.stats.injected_reorders, 1);
                 ctx.mark(SpanKind::Fault, "fault", lane_word(from, to), 3);
                 self.held[lane]
                     .lock()
-                    .push((self.now() + self.plan.reorder_window, flight));
+                    .push((now + self.plan.reorder_window, flight));
             }
             FaultAction::Duplicate => {
                 MachineStats::bump(&shared.stats.injected_dups, 1);
@@ -550,7 +515,7 @@ impl Reliability {
                     seq,
                     env: flight.env.duplicate(),
                 };
-                self.park(self.now() + 1, dup);
+                self.park(now + 1, dup);
                 self.transmit(shared, flight);
             }
         }
@@ -634,17 +599,35 @@ impl Reliability {
         }
     }
 
+    /// When, in nanoseconds of the machine's clock, the next event `rank`'s
+    /// pump would act on comes due: the earliest parked release (any
+    /// rank's — the parked queue is global), reorder deadline or
+    /// retransmit on its outgoing lanes. `None` when nothing is waiting.
+    /// A rank idle in termination detection sleeps no later than this.
+    pub(crate) fn next_due(&self, rank: RankId) -> Option<u64> {
+        let parked = self.parked.lock().first_key_value().map(|((t, _), _)| *t);
+        let lanes = (0..self.nranks).map(|to| self.lane(rank, to));
+        let held = lanes
+            .clone()
+            .flat_map(|l| self.held[l].lock().iter().map(|h| h.0).min());
+        let pending = lanes.flat_map(|l| {
+            self.pending[l]
+                .lock()
+                .values()
+                .map(|p| p.retransmit_at)
+                .min()
+        });
+        Some(parked.into_iter().chain(held).chain(pending).min()? * self.tick_ns)
+    }
+
     /// Advance the fault layer on behalf of `ctx`'s rank: release parked
     /// and expired-held packets, and retransmit timed-out pending packets
     /// on this rank's outgoing lanes. Called from every idle/termination
-    /// loop; liveness of recovery depends on it.
+    /// loop, which wakes for it at [`Reliability::next_due`]; liveness of
+    /// recovery depends on it.
     pub(crate) fn pump(&self, ctx: &AmCtx) {
         let (shared, rank) = (&*ctx.shared, ctx.rank());
-        let now = match (&self.sim_clock, &self.wall_base) {
-            (Some(clock), _) => clock.load(SeqCst) / SIM_TICK_NS,
-            (None, Some(base)) => base.elapsed().as_nanos() as u64 / WALL_TICK_NS,
-            (None, None) => self.tick.fetch_add(1, SeqCst) + 1,
-        };
+        let now = self.now(shared);
         // 1. Release parked packets that have come due (any rank's —
         //    the parked queue is global so one live rank suffices).
         loop {
@@ -806,7 +789,7 @@ mod tests {
     fn zero_jitter_keeps_rto_exact() {
         // The default plan must reproduce the historical deterministic
         // backoff bit-for-bit (sim-mode replay digests depend on it).
-        let t = Reliability::new(FaultPlan::new(9), 2, None);
+        let t = Reliability::new(FaultPlan::new(9), 2, false);
         for attempts in 0..20u32 {
             let expected = (2u64 << attempts.min(16)).min(64);
             for seq in 1..4u64 {
@@ -820,7 +803,7 @@ mod tests {
         let t = Reliability::new(
             FaultPlan::new(9).backoff_jitter(0.5).backoff_cap(1 << 20),
             2,
-            None,
+            false,
         );
         let attempts = 8u32;
         let base = 2u64 << attempts;
@@ -839,7 +822,7 @@ mod tests {
         let t = Reliability::new(
             FaultPlan::new(1).backoff_base(1).backoff_jitter(0.99),
             2,
-            None,
+            false,
         );
         for seq in 1..500u64 {
             assert!(t.rto(0, 1, 0, seq, 0) >= 1);

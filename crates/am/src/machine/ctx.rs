@@ -5,7 +5,6 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
-use std::time::Instant;
 
 use super::envelope::{ErasedHandler, LocalTables, PendingDeltas};
 use super::{Packet, RankId, Shared};
@@ -113,9 +112,10 @@ pub struct AmCtx {
     /// a termination step without terminating: what the caller's next
     /// look at its deferred work is sure to include.
     pub(super) activity_seen: Cell<u64>,
-    /// When the current epoch's entry barrier cleared on this rank; basis
-    /// of the [`MachineConfig::epoch_deadline`] watchdog.
-    pub(super) epoch_entered_at: Cell<Option<Instant>>,
+    /// When the current epoch's entry barrier cleared on this rank, in
+    /// nanoseconds of the machine's clock; basis of the
+    /// [`MachineConfig::epoch_deadline`] watchdog.
+    pub(super) epoch_entered_ns: Cell<Option<u64>>,
     /// Set while executing a traced envelope's handler batch: sends
     /// inherit `trace_cur` instead of consulting the sampler.
     pub(super) trace_inherit: Cell<bool>,
@@ -161,7 +161,7 @@ impl AmCtx {
             in_epoch: Cell::new(false),
             epochs_entered: Cell::new(0),
             activity_seen: Cell::new(0),
-            epoch_entered_at: Cell::new(None),
+            epoch_entered_ns: Cell::new(None),
             trace_inherit: Cell::new(false),
             trace_cur: Cell::new(TraceCtx::NONE),
             trace_gap: Cell::new(gap),

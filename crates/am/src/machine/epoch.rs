@@ -4,7 +4,7 @@
 //! `try_finish` and epoch exit run (see [`crate::termination`]).
 
 use std::sync::atomic::Ordering::SeqCst;
-use std::time::Instant;
+use std::time::Duration;
 
 use super::shared::NOT_IDLE;
 use super::{AmCtx, RankId};
@@ -60,7 +60,8 @@ impl AmCtx {
         let my_gen = self.epochs_entered.get() + 1;
         self.epochs_entered.set(my_gen);
         self.in_epoch.set(true);
-        self.epoch_entered_at.set(Some(Instant::now()));
+        self.epoch_entered_ns
+            .set(Some(self.shared.recorder.now_ns()));
         self.shared.epoch_active.fetch_add(1, SeqCst);
         // Freeze this thread's dispatch tables and pre-size the hot-path
         // per-type vectors for every registered type: the epoch body never
@@ -88,7 +89,7 @@ impl AmCtx {
         }
         self.shared.epoch_active.fetch_sub(1, SeqCst);
         self.in_epoch.set(false);
-        self.epoch_entered_at.set(None);
+        self.epoch_entered_ns.set(None);
         MachineStats::bump(&self.shared.stats.epochs, 1);
         // The exit: no rank proceeds (e.g. reads results, starts the next
         // epoch) until all have observed termination, and the round that
@@ -145,9 +146,10 @@ impl AmCtx {
     /// actions anywhere); the caller should then fall out of its work loop.
     /// Contract: call only when this rank has no deferred local work (e.g.
     /// empty Δ-stepping buckets); see [`crate::termination`] for why.
+    /// One pass: on threads it yields rather than waits.
     pub fn try_finish(&self) -> bool {
         debug_assert!(self.in_epoch.get(), "try_finish is used inside an epoch");
-        self.termination_step(self.epochs_entered.get())
+        self.termination_step(self.epochs_entered.get(), false)
     }
 
     /// Epoch exit: run the termination step until the epoch is over,
@@ -159,7 +161,7 @@ impl AmCtx {
             SpanGuard::begin(self, SpanKind::Termination, "termination.counters", my_gen)
                 .args(my_gen, 0);
         let mut rounds: u64 = 1;
-        while !self.termination_step(my_gen) {
+        while !self.termination_step(my_gen, true) {
             rounds += 1;
         }
         span.set_arg1(rounds);
@@ -168,13 +170,11 @@ impl AmCtx {
     /// One pass of termination detection for epoch `my_gen` (see
     /// [`crate::termination`]): drain and flush, publish, declare the
     /// rank idle, double-scan the shared declarations and counters, and
-    /// either decide or wait for a ring. Returns whether the epoch has
-    /// terminated.
-    fn termination_step(&self, my_gen: u64) -> bool {
+    /// either decide or, when `wait`, wait for a ring. Returns whether the
+    /// epoch has terminated.
+    fn termination_step(&self, my_gen: u64, wait: bool) -> bool {
         self.shared.check_poison();
-        if let Some(entered) = self.epoch_entered_at.get() {
-            self.check_deadline(entered, my_gen);
-        }
+        self.check_deadline(my_gen);
         if self.shared.completed_epoch.load(SeqCst) >= my_gen {
             return true;
         }
@@ -212,14 +212,17 @@ impl AmCtx {
             }
         };
         if !quiescent {
-            // Others are not done yet: wait for mail or for the deciding
-            // rank's ring instead of returning straight into the caller's
-            // loop — which would take the core its peers need, and under
-            // the simulator's cooperative scheduling would hold the token
-            // so no other rank could ever make the counters balance. The
-            // next step's drain picks the packets up, and publishing their
-            // `handled` count withdraws our idle declaration.
-            self.idle_wait(|| self.shared.completed_epoch.load(SeqCst) >= my_gen);
+            // Others are not done yet: give the core (and, under the
+            // simulator, the token) to the peers that must make the
+            // counters balance. The next step's drain picks the packets
+            // up, and publishing their `handled` count withdraws our idle
+            // declaration.
+            self.idle_wait(wait, || {
+                // A worker's batch withdrew the declaration: its ring may
+                // have come before the wait was announced.
+                me.activity.load(SeqCst) != activity
+                    || self.shared.completed_epoch.load(SeqCst) >= my_gen
+            });
             self.activity_seen.set(me.activity.load(SeqCst));
             return false;
         }
@@ -228,25 +231,27 @@ impl AmCtx {
         true
     }
 
-    /// Block this idle rank until something may have changed for it: mail
-    /// in any of its inbox lanes (each delivery rings its doorbell), a ring
-    /// from the rank that decided termination or was poisoned, `decided()`
-    /// already holding, or — when nobody rings — `RECV_TIMEOUT`, the
-    /// liveness ceiling that keeps reliability pumps (retransmits, parked
-    /// releases) running. Waits that end at the ceiling are counted in
-    /// `idle_timeouts`. Under the simulator this is the cooperative park.
-    fn idle_wait(&self, decided: impl FnOnce() -> bool) {
+    /// Block this idle rank until a ring (a delivery, the deciding rank,
+    /// one of its workers, poison), unless mail, poison or `changed()`
+    /// already holds, or until the deadline it owes: the reliability
+    /// layer's `next_due` or the armed watchdog. Without `block` it only
+    /// yields; under the simulator it is the cooperative park.
+    fn idle_wait(&self, block: bool, changed: impl FnOnce() -> bool) {
         let shared = &self.shared;
         if let Some(sim) = &shared.sim {
             return sim.idle_wait(shared, self.rank);
         }
-        let me = &shared.ranks[self.rank];
-        let rung = me.bell.wait(crate::config::RECV_TIMEOUT, || {
-            me.inbox.has_mail() || shared.poisoned.load(SeqCst) || decided()
-        });
-        if !rung {
-            MachineStats::bump(&shared.stats.idle_timeouts, 1);
+        if !block {
+            return std::thread::yield_now();
         }
+        let now = shared.recorder.now_ns();
+        let timeout = self
+            .owed_deadline()
+            .map(|t| Duration::from_nanos(t.saturating_sub(now)));
+        let me = &shared.ranks[self.rank];
+        me.bell.wait(timeout, || {
+            me.inbox.has_mail() || shared.poisoned.load(SeqCst) || changed()
+        });
     }
 
     /// Handle all queued messages and ship all buffered ones. Returns whether
@@ -269,13 +274,29 @@ impl AmCtx {
         }
     }
 
+    /// The deadline an idle wait owes, on the machine's clock: the
+    /// reliability layer's `next_due` for this rank, or the first instant
+    /// at which [`check_deadline`](Self::check_deadline) fails.
+    fn owed_deadline(&self) -> Option<u64> {
+        let shared = &self.shared;
+        let due = shared
+            .reliability
+            .as_ref()
+            .and_then(|r| r.next_due(self.rank));
+        let watchdog = (self.epoch_entered_ns.get().zip(shared.cfg.epoch_deadline))
+            .map(|(entered, d)| entered + d.as_nanos() as u64 + 1);
+        due.into_iter().chain(watchdog).min()
+    }
+
     /// Fail the machine with [`MachineError::EpochDeadline`] when the
-    /// armed watchdog has expired for the epoch entered at `entered`.
-    fn check_deadline(&self, entered: Instant, my_gen: u64) {
-        let Some(deadline) = self.shared.cfg.epoch_deadline else {
+    /// armed watchdog has expired for epoch `my_gen`.
+    fn check_deadline(&self, my_gen: u64) {
+        let (Some(entered), Some(deadline)) =
+            (self.epoch_entered_ns.get(), self.shared.cfg.epoch_deadline)
+        else {
             return;
         };
-        let waited = entered.elapsed();
+        let waited = Duration::from_nanos(self.shared.recorder.now_ns() - entered);
         if waited <= deadline {
             return;
         }

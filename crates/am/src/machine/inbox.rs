@@ -10,7 +10,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use super::Packet;
 
@@ -122,36 +121,41 @@ impl Inbox {
         self.lanes.iter().any(|l| l.queued.load(SeqCst))
     }
 
-    /// Block a handler worker until mail is queued or `ceiling` has
-    /// passed; returns whether there is mail.
+    /// Block a handler worker, untimed, until mail is queued or `stop`
+    /// holds; returns whether there is mail.
     ///
     /// **No lost wake.** The worker counts itself in `sleepers` (SeqCst)
-    /// under `sleep`, *then* re-checks the lanes (SeqCst loads), and waits
-    /// only if all are empty. A push stores its lane's `queued` (SeqCst)
-    /// *then* loads `sleepers` (SeqCst): of the two store–load pairs at
-    /// least one side sees the other's write. Either the worker sees the
-    /// packet and does not wait, or the push sees the count, and its
-    /// `sleep` lock cannot be taken until the worker is inside the wait
-    /// (which releases it atomically), so its notify finds the worker
-    /// there. A push that finds nobody counted is one load. `ceiling` is
-    /// the liveness bound for what nobody notifies: the reliability
-    /// layer's pumps and the shutdown check.
-    pub(super) fn wait_for_mail(&self, ceiling: Duration) -> bool {
+    /// under `sleep`, *then* re-checks the lanes (SeqCst loads) and `stop`,
+    /// and waits only if all are quiet. A push stores its lane's `queued`
+    /// (SeqCst) *then* loads `sleepers` (SeqCst): of the two store–load
+    /// pairs at least one side sees the other's write. Either the worker
+    /// sees the packet and does not wait, or the push sees the count, and
+    /// its `sleep` lock cannot be taken until the worker is inside the
+    /// wait (which releases it atomically), so its notify finds the worker
+    /// there. A push that finds nobody counted is one load. `stop` is
+    /// made true before [`Inbox::wake_workers`], whose `sleep` lock gives
+    /// the same hand-off.
+    pub(super) fn wait_for_mail(&self, stop: impl Fn() -> bool) -> bool {
         if self.has_mail() {
             return true;
         }
         let mut guard = self.sleep.lock().unwrap_or_else(PoisonError::into_inner);
         self.sleepers.fetch_add(1, SeqCst);
-        if !self.has_mail() {
+        while !self.has_mail() && !stop() {
             guard = self
                 .wake
-                .wait_timeout(guard, ceiling)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         self.sleepers.fetch_sub(1, SeqCst);
         drop(guard);
         self.has_mail()
+    }
+
+    /// Wake every worker in [`Inbox::wait_for_mail`] to re-check `stop`.
+    pub(super) fn wake_workers(&self) {
+        drop(self.sleep.lock().unwrap_or_else(PoisonError::into_inner));
+        self.wake.notify_all();
     }
 }
 
@@ -160,7 +164,7 @@ mod tests {
     use super::*;
     use crate::machine::{Ack, RankId};
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn ack(origin: RankId, seq: u64) -> Packet {
         Packet::Ack(Ack {
@@ -214,23 +218,19 @@ mod tests {
     #[test]
     fn a_push_wakes_a_worker_about_to_block() {
         // 10 000 rendezvous between a pusher and a worker that has just
-        // found the inbox empty: a lost wake would cost the ceiling.
+        // found the inbox empty: a lost wake would hang the worker.
         let inbox = Arc::new(Inbox::new(2));
         let rounds = 10_000;
         let worker = {
             let inbox = inbox.clone();
             std::thread::spawn(move || {
                 let mut batch = Vec::new();
-                let mut slow = 0;
                 for _ in 0..rounds {
-                    let t0 = Instant::now();
                     while !inbox.take(1, &mut batch) {
-                        inbox.wait_for_mail(Duration::from_secs(5));
+                        inbox.wait_for_mail(|| false);
                     }
-                    slow += usize::from(t0.elapsed() > Duration::from_secs(1));
                     batch.clear();
                 }
-                slow
             })
         };
         for seq in 0..rounds {
@@ -239,6 +239,24 @@ mod tests {
             }
             inbox.push(ack(1, seq));
         }
-        assert_eq!(worker.join().unwrap(), 0, "no wait ended at the ceiling");
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn wake_workers_releases_a_worker_asleep_on_an_empty_inbox() {
+        let inbox = Arc::new(Inbox::new(1));
+        let stop = Arc::new(AtomicBool::new(false));
+        let worker = {
+            let (inbox, stop) = (inbox.clone(), stop.clone());
+            std::thread::spawn(move || inbox.wait_for_mail(|| stop.load(SeqCst)))
+        };
+        while inbox.sleepers.load(SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        stop.store(true, SeqCst);
+        inbox.wake_workers();
+        assert!(!worker.join().unwrap(), "woken with no mail");
+        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 }

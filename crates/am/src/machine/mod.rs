@@ -36,9 +36,11 @@ pub(crate) use shared::Shared;
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+    use crate::error::MachineError;
     use crate::fault::FaultPlan;
     use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn cfg(ranks: usize) -> MachineConfig {
         MachineConfig::new(ranks)
@@ -117,8 +119,8 @@ mod tests {
 
     #[test]
     fn many_empty_epochs_stay_live() {
-        // Rings are the only prompt wake; under chaos the reliability
-        // layer is installed and the ceiling is its only periodic wake.
+        // Rings are the only wake without a reliability layer; under
+        // chaos it is installed and its next due event bounds each wait.
         for faults in [None, Some(FaultPlan::chaos(0xC0FFEE))] {
             let mut c = cfg(4);
             if let Some(plan) = faults {
@@ -135,31 +137,102 @@ mod tests {
     }
 
     #[test]
-    fn one_rank_never_waits_at_the_ceiling() {
-        let out = Machine::run(cfg(1), |ctx| {
+    fn parked_packets_are_released_at_their_due_time() {
+        // Every envelope is parked for 200 ticks (2 ms) and nobody rings
+        // for the fault layer's clock: the waiting ranks wake when the
+        // release comes due (`Reliability::next_due`), long before the
+        // first retransmit (100 ms) could deliver a copy instead.
+        let plan = FaultPlan::new(7)
+            .delay(1.0, 200..201)
+            .backoff_base(10_000)
+            .backoff_cap(10_000);
+        let out = Machine::run(cfg(2).faults(plan), |ctx| {
             let mt = ctx.register(|_ctx, _: u64| {});
-            for round in 0..50u64 {
-                ctx.epoch(|ctx| mt.send(ctx, 0, round));
-            }
-            ctx.stats().idle_timeouts
+            let mut took: Vec<_> = (0..20u64)
+                .map(|round| {
+                    let t0 = Instant::now();
+                    ctx.epoch(|ctx| mt.send(ctx, 1 - ctx.rank(), round));
+                    t0.elapsed()
+                })
+                .collect();
+            took.sort();
+            (ctx.stats().injected_delays, took[0], took[took.len() / 2])
         });
-        assert_eq!(out, vec![0]);
+        let (delays, fastest, median) = out[0];
+        assert_eq!(delays, 40, "every envelope parked");
+        assert!(fastest >= Duration::from_millis(1), "{fastest:?}");
+        assert!(median < Duration::from_millis(50), "{median:?}");
     }
 
     #[test]
-    fn parked_packets_are_released_by_ceiling_waits() {
-        // Every envelope is parked for a few pump ticks and nobody rings
-        // for the fault layer's clock: some waits must end at the ceiling.
-        let plan = FaultPlan::new(7).delay(1.0, 4..64);
-        let out = Machine::run(cfg(2).faults(plan), |ctx| {
-            let mt = ctx.register(|_ctx, _: u64| {});
-            for round in 0..20u64 {
-                ctx.epoch(|ctx| mt.send(ctx, 1 - ctx.rank(), round));
-            }
-            ctx.stats()
+    fn a_quiet_peer_costs_the_waiting_rank_no_rounds() {
+        // Rank 1's epoch body runs 50 ms without sending. Rank 0 owes no
+        // clock (no reliability layer, no watchdog), so it sleeps in
+        // termination detection until rank 1 decides and rings it.
+        let out = Machine::run(cfg(2).profile(true), |ctx| {
+            ctx.epoch(|ctx| {
+                if ctx.rank() == 1 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            });
+            ctx.barrier();
+            let rec = ctx.recorder().expect("profiling on");
+            rec.spans_of(ctx.rank())
+                .iter()
+                .filter(|s| s.name == "termination.counters")
+                .map(|s| s.arg1)
+                .collect::<Vec<_>>()
         });
-        assert!(out[0].injected_delays > 0);
-        assert!(out[0].idle_timeouts > 0, "{:?}", out[0]);
+        assert_eq!(out[0].len(), 1, "{out:?}");
+        assert!(out[0][0] <= 4, "rank 0 ran {} detection rounds", out[0][0]);
+    }
+
+    #[test]
+    fn epoch_deadline_fires_with_no_fault_layer() {
+        // Rank 0 waits in termination detection while rank 1's body
+        // outlives the deadline: the wait must end at the deadline it
+        // owes, not at rank 1's eventual ring (by then rank 1 is idle).
+        let err = Machine::try_run(cfg(2).epoch_deadline(Duration::from_millis(250)), |ctx| {
+            ctx.epoch(|ctx| {
+                if ctx.rank() == 1 {
+                    std::thread::sleep(Duration::from_millis(750));
+                }
+            });
+        })
+        .expect_err("rank 1 misses the deadline");
+        match err {
+            MachineError::EpochDeadline { stuck_ranks, .. } => assert_eq!(stuck_ranks, [1]),
+            other => panic!("expected EpochDeadline, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_worker_handler_panic_releases_every_worker() {
+        // Rank 1's main thread sleeps in its epoch body, so a handler
+        // worker runs the panicking handler; poison must wake the
+        // workers asleep on every inbox, or the run never joins them.
+        let started = Instant::now();
+        let err = Machine::try_run(cfg(2).threads_per_rank(4), |ctx| {
+            let mt = ctx.register(|ctx, _: u64| {
+                assert_ne!(ctx.rank(), 1, "injected handler failure");
+            });
+            ctx.epoch(|ctx| {
+                if ctx.rank() == 0 {
+                    mt.send(ctx, 1, 7);
+                } else {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            });
+        })
+        .expect_err("the handler panic must surface");
+        assert!(
+            matches!(err, MachineError::HandlerPanicked { rank: 1, .. }),
+            "{err}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "a hang, not fail-fast"
+        );
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
 use super::postmortem::{assemble_postmortem, write_postmortem};
@@ -252,7 +251,7 @@ impl Machine {
                                 "rank {rank} has unhandled messages after its last epoch \
                                  — termination detection fired early"
                             );
-                            shared.shutdown.store(true, SeqCst);
+                            shared.shut_down();
                             Some(r)
                         }
                         Err(payload) => {
@@ -298,9 +297,9 @@ impl Machine {
                     results[rank] = r;
                 }
             }
-            // Failure paths skip the per-rank shutdown stores; make sure
-            // the workers wake up and exit before the scope joins them.
-            shared.shutdown.store(true, SeqCst);
+            // Failure paths skip the per-rank shutdowns; make sure the
+            // workers wake up and exit before the scope joins them.
+            shared.shut_down();
         });
         // Every rank thread has exited; stop and join the wire backend's
         // threads (they hold their own Arc<Shared> clones, so this also

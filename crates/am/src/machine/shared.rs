@@ -86,11 +86,12 @@ impl Doorbell {
         }
     }
 
-    /// Park the calling thread until [`Doorbell::ring`] or until `ceiling`
-    /// has passed, unless `ready` — evaluated once the flag is up — says
-    /// there is already something to do. Returns `false` only when the
-    /// wait ended at the ceiling. Only one thread may ever wait on a bell.
-    pub(crate) fn wait(&self, ceiling: Duration, ready: impl FnOnce() -> bool) -> bool {
+    /// Park the calling thread until [`Doorbell::ring`], or until
+    /// `timeout` has passed when there is one, unless `ready` — evaluated
+    /// once the flag is up — says there is already something to do.
+    /// Returns `false` only when the wait ended at its timeout. Only one
+    /// thread may ever wait on a bell.
+    pub(crate) fn wait(&self, timeout: Option<Duration>, ready: impl FnOnce() -> bool) -> bool {
         let me = self.waiter.get_or_init(std::thread::current);
         debug_assert_eq!(me.id(), std::thread::current().id(), "one waiter per bell");
         self.waiting.store(true, SeqCst);
@@ -98,18 +99,18 @@ impl Doorbell {
             self.waiting.store(false, SeqCst);
             return true;
         }
-        let deadline = Instant::now() + ceiling;
+        let deadline = timeout.map(|t| Instant::now() + t);
         loop {
             // Only a cleared flag means "rung": a stale unpark left by an
             // earlier wait, or a spurious wake, just parks again.
             if !self.waiting.load(SeqCst) {
                 return true;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return !self.waiting.swap(false, SeqCst);
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => std::thread::park(),
+                Some(left) if left.is_zero() => return !self.waiting.swap(false, SeqCst),
+                Some(left) => std::thread::park_timeout(left),
             }
-            std::thread::park_timeout(deadline - now);
         }
     }
 }
@@ -188,30 +189,23 @@ impl Shared {
         let participants = cfg.ranks;
         // A lossy wire backend (TCP) makes the reliability layer
         // load-bearing: install it with an inject-nothing plan when the
-        // user did not configure faults of their own, and — wire or
-        // faults either way — retime it to the wall clock, because pump
-        // counts race far ahead of real network round trips.
+        // user did not configure faults of their own.
         let fault_plan = cfg.faults.clone().or_else(|| {
             wire.as_ref()
                 .is_some_and(|w| w.lossy())
                 .then(FaultPlan::wire_default)
         });
-        let reliability = fault_plan.map(|plan| {
-            let mut r = Reliability::new(plan, cfg.ranks, sim.as_ref().map(|s| s.clock.clone()));
-            if sim.is_none() && wire.is_some() {
-                r.set_wall_clock();
-            }
-            r
-        });
+        let reliability = fault_plan.map(|plan| Reliability::new(plan, cfg.ranks, sim.is_some()));
         // Chaos runs trace reproducibly with no extra wiring: the fault
         // plan's seed when one is installed, otherwise a fixed constant.
         let trace_seed = cfg
             .faults
             .as_ref()
             .map_or(0x9E37_79B9_7F4A_7C15, |plan| plan.seed);
-        // In sim mode the recorder's timestamps read the *virtual* clock,
-        // making the recorded timeline deterministic (and digest-comparable
-        // across runs).
+        // The recorder owns the machine's one clock: virtual under the
+        // simulator, making the recorded timeline deterministic (and
+        // digest-comparable across runs), wall time otherwise. The
+        // reliability layer and the epoch watchdog read it too.
         let recorder = Recorder::new(&cfg, sim.as_ref().map(|net| net.clock.clone()));
         Shared {
             sim,
@@ -265,7 +259,7 @@ impl Shared {
 
     pub(super) fn poison(&self) {
         self.poisoned.store(true, SeqCst);
-        self.shutdown.store(true, SeqCst);
+        self.shut_down();
         self.coll.poison();
         if let Some(sim) = &self.sim {
             // Abandon deterministic scheduling: wake every parked rank so
@@ -273,6 +267,15 @@ impl Shared {
             sim.poison();
         }
         self.wake_all();
+    }
+
+    /// Tell handler workers to exit once their inbox is empty, waking the
+    /// ones asleep on it.
+    pub(super) fn shut_down(&self) {
+        self.shutdown.store(true, SeqCst);
+        for r in &self.ranks {
+            r.inbox.wake_workers();
+        }
     }
 
     /// Ring every rank's doorbell: termination was decided, or the
@@ -377,7 +380,7 @@ impl Shared {
 mod tests {
     use super::*;
 
-    const LONG: Duration = Duration::from_secs(10);
+    const LONG: Option<Duration> = Some(Duration::from_secs(10));
 
     #[test]
     fn a_ring_before_the_wait_is_not_lost() {
@@ -409,12 +412,8 @@ mod tests {
                 bell.ring();
             })
         };
-        let t0 = Instant::now();
-        assert!(
-            bell.wait(LONG, || false),
-            "woken by the ring, not the ceiling"
-        );
-        assert!(t0.elapsed() < Duration::from_secs(1));
+        // No timeout: only the ring can end this wait.
+        assert!(bell.wait(None, || false));
         ringer.join().unwrap();
     }
 
@@ -475,6 +474,6 @@ mod tests {
         assert!(!bell.waiting.load(SeqCst));
         assert!(bell.waiter.get().is_none(), "nothing to unpark");
         // ...and it leaves no wake behind for a later wait.
-        assert!(!bell.wait(Duration::from_millis(5), || false));
+        assert!(!bell.wait(Some(Duration::from_millis(5)), || false));
     }
 }

@@ -15,20 +15,18 @@ pub(super) fn worker_loop(shared: Arc<Shared>, rank: RankId, thread: usize) {
             break;
         }
         let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if me.inbox.wait_for_mail(crate::config::RECV_TIMEOUT) {
-                ctx.drain_inbox();
-                // Ship whatever the handlers produced before blocking
-                // again, then wake the rank's main thread: publishing
-                // the batch withdrew the rank's idle declaration, and
-                // only the main thread declares it again.
-                ctx.flush_own_buffers();
-                me.bell.ring();
-                true
-            } else {
-                ctx.flush_own_buffers();
-                ctx.pump_transport();
-                !shared.shutdown.load(SeqCst) || me.inbox.has_mail()
+            // Woken by a push, or by shutdown or poison (`Shared::shut_down`).
+            if !me.inbox.wait_for_mail(|| shared.shutdown.load(SeqCst)) {
+                return false;
             }
+            ctx.drain_inbox();
+            // Ship whatever the handlers produced before blocking again,
+            // then wake the rank's main thread: publishing the batch
+            // withdrew the rank's idle declaration, and only the main
+            // thread declares it again.
+            ctx.flush_own_buffers();
+            me.bell.ring();
+            true
         }));
         match step {
             Ok(true) => continue,

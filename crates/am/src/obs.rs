@@ -549,9 +549,10 @@ impl Recorder {
         }
     }
 
-    /// Nanoseconds on the machine's clock: since the recorder was created,
-    /// or virtual time under the simulator. Every record shares it, so
-    /// cross-thread ordering is meaningful.
+    /// Nanoseconds on the machine's one clock: since the recorder was
+    /// created, or virtual time under the simulator. Every record shares
+    /// it, so cross-thread ordering is meaningful, and so do the
+    /// reliability layer's ticks and the epoch watchdog.
     pub fn now_ns(&self) -> u64 {
         match &self.virtual_clock {
             Some(clock) => clock.load(Relaxed),
@@ -962,7 +963,7 @@ fn stats_json(s: &StatsSnapshot, out: &mut String) {
     out.push_str(&format!(
         "{{\"messages_sent\":{},\"envelopes_sent\":{},\"messages_handled\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\"epochs\":{},\"collectives\":{},\
-         \"idle_timeouts\":{},\"trace_roots\":{},\"injected_drops\":{},\
+         \"trace_roots\":{},\"injected_drops\":{},\
          \"injected_dups\":{},\"injected_delays\":{},\"injected_reorders\":{},\
          \"retransmits\":{},\"acks\":{},\"dups_suppressed\":{},\
          \"transport_bytes_sent\":{},\"transport_bytes_received\":{},\
@@ -976,7 +977,6 @@ fn stats_json(s: &StatsSnapshot, out: &mut String) {
         s.cache_misses,
         s.epochs,
         s.collectives,
-        s.idle_timeouts,
         s.trace_roots,
         s.injected_drops,
         s.injected_dups,

@@ -10,8 +10,8 @@
 //! stacks), but the threads are used purely as coroutines: a token is
 //! handed from rank to rank by `SimNet`, so the whole run is effectively
 //! single-threaded and every run with the same seed is bit-identical —
-//! results, statistics, and every recorded event and span (the recorder
-//! reads the *virtual* clock in sim mode).
+//! results, statistics, and every recorded event and span (the machine's
+//! one clock, the recorder's, reads *virtual* time in sim mode).
 //!
 //! Every network event the scheduler applies — a delivery, an ack, a
 //! partition dropping, holding or releasing a packet, a partition forming
@@ -42,12 +42,14 @@
 //! while holding the token. The places the threaded machine blocks —
 //! collectives (condvar), and the termination step's "others not done
 //! yet" pause (parked on the rank's doorbell until a delivery, a deciding
-//! rank's ring, or the `RECV_TIMEOUT` ceiling; see
-//! [`crate::termination`]) — all route through `SimNet` in sim mode:
-//! collectives are a serialized arrive/publish state machine, and idle
-//! waits park the rank until a delivery (or a machine-wide wake when the
-//! event queue runs dry, which is what drives transport pumps and
-//! termination rechecks). A seeded watchdog converts true stalls (a
+//! rank's ring, or a deadline the wait owes; see [`crate::termination`])
+//! — all route through `SimNet` in sim mode: collectives are a serialized
+//! arrive/publish state machine, and idle waits park the rank until a
+//! delivery (or a machine-wide wake when the event queue runs dry, which
+//! is what drives transport pumps and termination rechecks). The clock
+//! those deadlines read is the virtual one: the reliability layer's ticks
+//! and the epoch watchdog both measure simulated time, as the recorder
+//! does. A seeded watchdog converts true stalls (a
 //! partition that never heals, a livelocked schedule) into
 //! [`MachineError::SimStalled`] instead of hanging.
 //!

@@ -35,10 +35,6 @@ pub struct MachineStats {
     pub cache_misses: AtomicU64,
     /// Completed epochs.
     pub epochs: AtomicU64,
-    /// Termination waits (epoch exit, `try_finish`) that ended at the
-    /// liveness ceiling rather than by a ring: the reliability layer's
-    /// periodic pumps, or a wake-up nobody delivered.
-    pub idle_timeouts: AtomicU64,
     /// Causal-trace cascades started by the deterministic sampler (see
     /// [`crate::MachineConfig::trace_sampling`]). Each root seeds one
     /// traced message cascade whose envelopes carry trace ids.
@@ -104,7 +100,6 @@ impl MachineStats {
             epochs: self.epochs.load(Ordering::SeqCst),
             collectives: 0,
             control_tokens: 0,
-            idle_timeouts: self.idle_timeouts.load(Ordering::SeqCst),
             trace_roots: self.trace_roots.load(Ordering::SeqCst),
             injected_drops: self.injected_drops.load(Ordering::SeqCst),
             injected_dups: self.injected_dups.load(Ordering::SeqCst),
@@ -194,8 +189,6 @@ pub struct StatsSnapshot {
     /// because the repository benchmark's frozen harness still reads it
     /// (ROADMAP item 7 drops it there first).
     pub control_tokens: u64,
-    /// Termination waits that ended at the liveness ceiling, not a ring.
-    pub idle_timeouts: u64,
     /// Causal-trace cascades started by the deterministic sampler.
     pub trace_roots: u64,
     /// Envelope transmissions dropped by the fault layer.
@@ -267,7 +260,6 @@ impl StatsSnapshot {
             epochs: self.epochs.saturating_sub(earlier.epochs),
             collectives: self.collectives.saturating_sub(earlier.collectives),
             control_tokens: 0,
-            idle_timeouts: self.idle_timeouts.saturating_sub(earlier.idle_timeouts),
             trace_roots: self.trace_roots.saturating_sub(earlier.trace_roots),
             injected_drops: self.injected_drops.saturating_sub(earlier.injected_drops),
             injected_dups: self.injected_dups.saturating_sub(earlier.injected_dups),

@@ -62,16 +62,17 @@
 //!
 //! **No lost wakeup.** The waiter raises `waiting` (SeqCst store), *then*
 //! re-checks its inbox (`Inbox::has_mail`: a SeqCst load of each lane's
-//! `queued` flag), the poison flag and `completed_epoch`, and parks only
-//! if all are quiet. A waker first makes its fact visible (the lane's
-//! `queued` store after its push, or the SeqCst `fetch_max`) and *then*
-//! loads `waiting` (SeqCst). Each pair of SeqCst accesses is the classic
+//! `queued` flag), the poison flag, `completed_epoch` and its rank's
+//! `activity` against the value it declared idle at, and parks only if
+//! all are quiet. A waker first makes its fact visible (the lane's
+//! `queued` store after its push, the SeqCst `fetch_max`, or a worker's
+//! `activity` bump before its batch's `handled` count) and *then* loads
+//! `waiting` (SeqCst). Each pair of SeqCst accesses is the classic
 //! store-load pair, in which at least one side sees the other's write.
 //! Either the waiter sees the fact and does not park, or the waker sees
 //! the flag and unparks — and an unpark that lands before the park is
 //! kept as the thread's token, so the park returns at once. (Handler
-//! workers block on the inbox's own wait instead, with the same argument:
-//! `Inbox::wait_for_mail`.)
+//! workers block, untimed, on `Inbox::wait_for_mail`: same argument.)
 //!
 //! **At most one wake syscall per park.** The waker clears the flag with
 //! a `swap` and unparks only if the swap saw it raised; every other
@@ -83,17 +84,16 @@
 //! afterwards, seeing everything before it; if the condition holds it
 //! decides and rings everyone, and if it fails, some other rank still
 //! holds work — mail in its inbox (which rang it) or a running thread
-//! (which will evaluate the condition in turn). What nobody rings for is the
-//! reliability layer's clock: retransmissions and parked fault releases
-//! advance only when a rank pumps. `RECV_TIMEOUT` is therefore kept as
-//! the *liveness ceiling* of every wait; a wait that ends there is counted
-//! in `MachineStats::idle_timeouts`. Without a reliability layer such a
-//! wait is not a lost wake but a quiet peer: one whose work between
-//! sends (a Δ-stepping bucket body, say) runs longer than the ceiling
-//! while this rank has nothing to do. On `sssp-grid` about a quarter of
-//! the idle waits end there (about 1 200 a solve); each costs a wake-up
-//! and a drain pass, not a delay, since a ring would have woken the rank
-//! no sooner. The simulator replaces all of this with its cooperative
+//! (which will evaluate the condition in turn). So a wait times out only
+//! at a deadline it owes, on the machine's one clock (the recorder's):
+//! the reliability layer's next event on the rank
+//! (`Reliability::next_due`: parked release, reorder deadline or
+//! retransmit, which advance only when a rank pumps), or the armed
+//! [`crate::MachineConfig::epoch_deadline`]. With neither, only a ring
+//! ends it: a quiet peer costs the waiting rank no wake-ups, and a lost
+//! wake is a hang that every suite catches. `try_finish` does not wait on
+//! threads; it yields the core and returns to its caller's loop. The
+//! simulator replaces all of this with its cooperative
 //! `SimNet::idle_wait`.
 //!
 //! ## Deferred local work and `try_finish`
@@ -258,7 +258,5 @@
 //! retransmits are suppressed by per-lane dedup *before* `handled` is
 //! incremented. The detector can therefore never observe `handled == sent`
 //! while anything is parked in the fault layer; liveness comes from
-//! `Transport::pump` being called on every pass of every blocking loop —
-//! after each ring, and at the latest at the `RECV_TIMEOUT` ceiling — so
-//! retransmissions progress while ranks sit in detection. See
-//! `docs/INTERNALS.md` §7.
+//! `Reliability::pump` on every pass of every blocking loop, whose waits
+//! end by the rank's `Reliability::next_due`. See `docs/INTERNALS.md` §7.

@@ -1,64 +1,16 @@
 //! Allocation counts on the inproc hot path: once warm, an epoch of
 //! envelopes allocates a bounded number of times, not once per envelope.
 //!
-//! A counting global allocator tallies the allocations (and reallocations)
-//! made by threads that opted in — the rank threads of the machine under
-//! test — so other tests running beside it in this binary do not count.
+//! The counting global allocator (`common/counting_alloc.rs`) tallies the
+//! allocations (and reallocations) made by threads that opted in — the
+//! rank threads of the machine under test — so other tests running beside
+//! it in this binary do not count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{allocs, count_this_thread};
 use dgp_am::{AmCtx, Machine, MachineConfig, TransportKind};
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn tally() {
-    if COUNTED.with(Cell::get) {
-        ALLOCS.fetch_add(1, SeqCst);
-    }
-}
-
-// SAFETY: every call forwards to `System` unchanged; the tally touches
-// only an atomic and a const-initialized thread-local (no allocation).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Count this thread's allocations from now on.
-fn count_this_thread() {
-    COUNTED.with(|c| c.set(true));
-}
-
-fn allocs() -> u64 {
-    ALLOCS.load(SeqCst)
-}
 
 /// Inproc explicitly: a wire backend serializes, and that is not the
 /// path these tests price.

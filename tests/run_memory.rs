@@ -1,61 +1,19 @@
 //! Repeated machine runs in one process hold their memory: after a dozen
 //! `Run`s the live heap and the thread count are what they were after the
-//! first few. The heap is measured by a counting allocator over `System`,
-//! so the test sees what the program holds, not what the allocator keeps
-//! from the OS after a free (a resident-set bound flaked on exactly that).
+//! first few. The heap is measured by a counting allocator over `System`
+//! (the one `crates/am/tests/alloc.rs` uses too), so the test sees what
+//! the program holds, not what the allocator keeps from the OS after a
+//! free (a resident-set bound flaked on exactly that).
 //! This test is its own binary: the allocator counts only this process,
 //! and no concurrent test moves its numbers.
 
 #![cfg(target_os = "linux")]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
 use dgp_algorithms::{seq, Run};
 use dgp_graph::generators;
 
-/// [`System`], keeping a count of the bytes it has live.
-struct Counting;
-
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System` and
-// returns what `System` returned, so `System`'s guarantees are this
-// allocator's; the counter is bookkeeping beside them.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE_BYTES.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE_BYTES.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE_BYTES.fetch_add(new_size, Relaxed);
-            LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+#[path = "../crates/am/tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// This process's thread count (`Threads:` in `/proc/self/status`).
 fn threads() -> u64 {
@@ -78,7 +36,7 @@ fn repeated_runs_do_not_grow_the_live_heap_or_thread_count() {
     let (live, threads): (Vec<usize>, Vec<u64>) = (0..12)
         .map(|_| {
             assert_eq!(Run::new(2).cc(&el).expect("cc run").result, want);
-            (LIVE_BYTES.load(Relaxed), threads())
+            (counting_alloc::live_bytes(), threads())
         })
         .unzip();
     // Min, not max: a single run can leave a lazily grown buffer behind
