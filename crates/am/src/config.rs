@@ -43,11 +43,10 @@ pub struct MachineConfig {
     /// duration, the machine is poisoned and
     /// [`Machine::try_run`](crate::Machine::try_run) returns
     /// [`MachineError::EpochDeadline`](crate::MachineError::EpochDeadline)
-    /// naming the non-quiescent ranks, instead of hanging forever. The
-    /// duration is measured on the machine's clock (wall time on threads,
-    /// virtual time under [`Machine::run_sim`](crate::Machine::run_sim)),
-    /// and a rank waiting in termination detection wakes for it: arming
-    /// the watchdog is what gives an otherwise ring-only wait a timeout.
+    /// naming the non-quiescent ranks, instead of hanging forever. Measured
+    /// on the machine's clock (virtual under
+    /// [`Machine::run_sim`](crate::Machine::run_sim)); a termination wait,
+    /// which otherwise only a ring ends, wakes for it.
     pub epoch_deadline: Option<Duration>,
     /// Per-thread capacity of the event recorder
     /// ([`Recorder`](crate::Recorder)); `None` picks the default, read

@@ -44,10 +44,12 @@
 //!
 //! Delay, reorder and backoff are measured in ticks of the machine's one
 //! clock (the event recorder's, [`crate::Recorder::now_ns`]): 1 tick =
-//! 10 µs of wall time on threads (`WALL_TICK_NS`), 1 µs of virtual time
-//! under the simulator (`SIM_TICK_NS`). A rank waiting in termination
-//! detection sleeps until its next tick-denominated event comes due
-//! (`Reliability::next_due`), so a tick is a time, not a count of passes.
+//! 10 µs of wall time on threads, inproc or over a wire (`WALL_TICK_NS`;
+//! a wire tick was 100 µs before, so a plan tuned for that needs 10× the
+//! ticks, as [`FaultPlan::wire_default`] has), 1 µs of virtual time under
+//! the simulator (`SIM_TICK_NS`). An idle rank sleeps until its next
+//! event comes due (`Reliability::next_due`): a tick is a time, not a
+//! count of passes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};

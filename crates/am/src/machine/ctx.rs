@@ -112,9 +112,8 @@ pub struct AmCtx {
     /// a termination step without terminating: what the caller's next
     /// look at its deferred work is sure to include.
     pub(super) activity_seen: Cell<u64>,
-    /// When the current epoch's entry barrier cleared on this rank, in
-    /// nanoseconds of the machine's clock; basis of the
-    /// [`MachineConfig::epoch_deadline`] watchdog.
+    /// When the current epoch's entry barrier cleared on this rank (ns on
+    /// the machine's clock): the [`MachineConfig::epoch_deadline`] basis.
     pub(super) epoch_entered_ns: Cell<Option<u64>>,
     /// Set while executing a traced envelope's handler batch: sends
     /// inherit `trace_cur` instead of consulting the sampler.

@@ -146,7 +146,8 @@ impl AmCtx {
     /// actions anywhere); the caller should then fall out of its work loop.
     /// Contract: call only when this rank has no deferred local work (e.g.
     /// empty Δ-stepping buckets); see [`crate::termination`] for why.
-    /// One pass: on threads it yields rather than waits.
+    /// One pass: on threads it yields rather than waits, since nothing
+    /// owes the caller a ring (a peer or handler may wait on its loop).
     pub fn try_finish(&self) -> bool {
         debug_assert!(self.in_epoch.get(), "try_finish is used inside an epoch");
         self.termination_step(self.epochs_entered.get(), false)
@@ -244,10 +245,9 @@ impl AmCtx {
         if !block {
             return std::thread::yield_now();
         }
-        let now = shared.recorder.now_ns();
-        let timeout = self
-            .owed_deadline()
-            .map(|t| Duration::from_nanos(t.saturating_sub(now)));
+        let due = (shared.reliability.as_ref()).and_then(|r| r.next_due(self.rank));
+        let timeout = (due.into_iter().chain(self.watchdog_expiry()).min())
+            .map(|t| Duration::from_nanos(t.saturating_sub(shared.recorder.now_ns())));
         let me = &shared.ranks[self.rank];
         me.bell.wait(timeout, || {
             me.inbox.has_mail() || shared.poisoned.load(SeqCst) || changed()
@@ -274,32 +274,27 @@ impl AmCtx {
         }
     }
 
-    /// The deadline an idle wait owes, on the machine's clock: the
-    /// reliability layer's `next_due` for this rank, or the first instant
-    /// at which [`check_deadline`](Self::check_deadline) fails.
-    fn owed_deadline(&self) -> Option<u64> {
-        let shared = &self.shared;
-        let due = shared
-            .reliability
-            .as_ref()
-            .and_then(|r| r.next_due(self.rank));
-        let watchdog = (self.epoch_entered_ns.get().zip(shared.cfg.epoch_deadline))
-            .map(|(entered, d)| entered + d.as_nanos() as u64 + 1);
-        due.into_iter().chain(watchdog).min()
+    /// The instant, on the machine's clock, at which the armed watchdog
+    /// fails the current epoch: its entry plus `epoch_deadline`.
+    fn watchdog_expiry(&self) -> Option<u64> {
+        let (entered, deadline) =
+            (self.epoch_entered_ns.get()).zip(self.shared.cfg.epoch_deadline)?;
+        let deadline = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
+        Some(entered.saturating_add(deadline))
     }
 
-    /// Fail the machine with [`MachineError::EpochDeadline`] when the
+    /// Fail the machine with [`MachineError::EpochDeadline`] once the
     /// armed watchdog has expired for epoch `my_gen`.
     fn check_deadline(&self, my_gen: u64) {
-        let (Some(entered), Some(deadline)) =
-            (self.epoch_entered_ns.get(), self.shared.cfg.epoch_deadline)
-        else {
+        let Some(expiry) = self.watchdog_expiry() else {
             return;
         };
-        let waited = Duration::from_nanos(self.shared.recorder.now_ns() - entered);
-        if waited <= deadline {
+        let now = self.shared.recorder.now_ns();
+        if now < expiry {
             return;
         }
+        let entered = self.epoch_entered_ns.get().unwrap_or(now);
+        let waited = Duration::from_nanos(now - entered);
         let stuck_ranks: Vec<RankId> = self
             .shared
             .ranks

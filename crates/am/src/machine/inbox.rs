@@ -133,8 +133,8 @@ impl Inbox {
     /// its `sleep` lock cannot be taken until the worker is inside the
     /// wait (which releases it atomically), so its notify finds the worker
     /// there. A push that finds nobody counted is one load. `stop` is
-    /// made true before [`Inbox::wake_workers`], whose `sleep` lock gives
-    /// the same hand-off.
+    /// made true (SeqCst) before [`Inbox::wake_workers`], which loads
+    /// `sleepers` and takes the `sleep` lock the same way.
     pub(super) fn wait_for_mail(&self, stop: impl Fn() -> bool) -> bool {
         if self.has_mail() {
             return true;
@@ -152,8 +152,12 @@ impl Inbox {
         self.has_mail()
     }
 
-    /// Wake every worker in [`Inbox::wait_for_mail`] to re-check `stop`.
+    /// Wake every worker in [`Inbox::wait_for_mail`] to re-check `stop`:
+    /// one load when none is counted (the push's pairing, above).
     pub(super) fn wake_workers(&self) {
+        if self.sleepers.load(SeqCst) == 0 {
+            return;
+        }
         drop(self.sleep.lock().unwrap_or_else(PoisonError::into_inner));
         self.wake.notify_all();
     }

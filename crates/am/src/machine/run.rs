@@ -4,6 +4,7 @@
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
 use super::postmortem::{assemble_postmortem, write_postmortem};
@@ -251,7 +252,9 @@ impl Machine {
                                 "rank {rank} has unhandled messages after its last epoch \
                                  — termination detection fired early"
                             );
-                            shared.shut_down();
+                            // Each rank wakes its own workers: O(1) per rank.
+                            shared.shutdown.store(true, SeqCst);
+                            shared.ranks[rank].inbox.wake_workers();
                             Some(r)
                         }
                         Err(payload) => {

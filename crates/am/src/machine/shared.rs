@@ -86,11 +86,10 @@ impl Doorbell {
         }
     }
 
-    /// Park the calling thread until [`Doorbell::ring`], or until
-    /// `timeout` has passed when there is one, unless `ready` — evaluated
-    /// once the flag is up — says there is already something to do.
-    /// Returns `false` only when the wait ended at its timeout. Only one
-    /// thread may ever wait on a bell.
+    /// Park the calling thread until [`Doorbell::ring`] or its `timeout`,
+    /// unless `ready` — evaluated once the flag is up — says there is
+    /// already something to do. Returns `false` only when the wait ended
+    /// at its timeout. Only one thread may ever wait on a bell.
     pub(crate) fn wait(&self, timeout: Option<Duration>, ready: impl FnOnce() -> bool) -> bool {
         let me = self.waiter.get_or_init(std::thread::current);
         debug_assert_eq!(me.id(), std::thread::current().id(), "one waiter per bell");
@@ -202,10 +201,9 @@ impl Shared {
             .faults
             .as_ref()
             .map_or(0x9E37_79B9_7F4A_7C15, |plan| plan.seed);
-        // The recorder owns the machine's one clock: virtual under the
-        // simulator, making the recorded timeline deterministic (and
-        // digest-comparable across runs), wall time otherwise. The
-        // reliability layer and the epoch watchdog read it too.
+        // The recorder owns the machine's one clock (the reliability layer
+        // and the epoch watchdog read it): virtual under the simulator,
+        // making the timeline deterministic and digest-comparable.
         let recorder = Recorder::new(&cfg, sim.as_ref().map(|net| net.clock.clone()));
         Shared {
             sim,

@@ -551,8 +551,8 @@ impl Recorder {
 
     /// Nanoseconds on the machine's one clock: since the recorder was
     /// created, or virtual time under the simulator. Every record shares
-    /// it, so cross-thread ordering is meaningful, and so do the
-    /// reliability layer's ticks and the epoch watchdog.
+    /// it, so cross-thread ordering is meaningful; so do the reliability
+    /// layer's ticks and the epoch watchdog.
     pub fn now_ns(&self) -> u64 {
         match &self.virtual_clock {
             Some(clock) => clock.load(Relaxed),
